@@ -6,7 +6,7 @@ the numerical certificates (orthonormality, vanishing moments, decay fits,
 Parseval checks) that quantify each claimed property.
 """
 
-from .bump import BumpError, GevreyBump, build_bump, certify_gevrey, cumulative
+from .bump import BumpError, GevreyBump, build_bump, certify_gevrey
 from .construction import (BellFunction, ConstructionError, WaveletSystem,
                            build_bell, build_wavelet_system, cross_gram_fourier,
                            decay_profile, run_certificate_suite,
@@ -19,9 +19,9 @@ from .metrics import (DecayFit, FeasibleK, HalfplaneParams, MetricsError,
                       index_weight, max_feasible_k, seminorm_estimate,
                       sequence_norm, subexp_decay_fit)
 from .numerics import (Grid1D, NumericsError, SampledFunction, SpectrumOnBand,
-                       forward_transform_values, inner_product, integrate,
-                       norm_l2, pairing, spectral_derivative, synthesize,
-                       synthesize_values)
+                       chirp_synthesis, forward_transform_values, inner_product,
+                       integrate, norm_l2, pairing, spectral_derivative,
+                       synthesize, synthesize_values)
 from .projection import (PrimitiveDecomposition, ProjectionError,
                          ProjectionKernel, build_kernel, kernel_decay_certificate,
                          kernel_eval, mra_convergence_experiment,

@@ -85,14 +85,13 @@ def build_bump(a: float, rho: float) -> GevreyBump:
     norm_constant = TARGET_INTEGRAL / total
     vals = norm_constant * raw
     cumtable = np.concatenate([[0.0], np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))])
+    # the running sum can overshoot the mass by a few ulps just below +a,
+    # which would turn cos(cumulative), and with it the bell, negative there
+    cumtable = np.minimum(cumtable, TARGET_INTEGRAL)
     # pin the endpoint so saturation beyond +a is bit-exact
     cumtable[-1] = TARGET_INTEGRAL
     return GevreyBump(a=a, rho=rho, norm_constant=float(norm_constant),
                       _knots=knots, _cumtable=cumtable)
-
-
-def cumulative(bump: GevreyBump, xi) -> np.ndarray:
-    return bump.cumulative(xi)
 
 
 def _stencil_derivative(bump: GevreyBump, n: int, x: np.ndarray, h: float) -> np.ndarray:

@@ -12,7 +12,9 @@ modulus 1 on the low band, ``b(2 xi)`` on the transition band, phase
 ``[2pi/3, 8pi/3]`` and its mirror, which forces every moment of the wavelet
 to vanish and makes the shift-orthonormality lattice sums finite.
 
-Physical-space evaluation is by direct quadrature of the spectrum.  For the
+Physical-space samples and tables are trapezoid quadratures of the spectrum
+on uniform grids, summed by the chirp-z engine ``numerics.chirp_synthesis``;
+scattered points use the direct sum ``numerics.synthesize_values``.  For the
 many-evaluation call sites (atoms, kernels) the system carries lazily built
 dense tables with cubic-spline interpolation, accurate to ~1e-11; build-time
 certificates quantify everything.
@@ -44,6 +46,9 @@ TABLE_HALF = 264.0
 _TABLE_BAND_POINTS = 4096
 _WIDE_SPACING = 1.0 / 16
 _WIDE_BAND_POINTS = 8192
+# psi_hat = exp(i xi / 2) bell, phi_hat = exp(i xi) |phi_hat|: each table is
+# the even cosine profile of the modulus, read at x + shift
+_CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
 
 
 class ConstructionError(ValueError):
@@ -134,47 +139,39 @@ class WaveletSystem:
     def evaluate_phi(self, x, derivative_order: int = 0) -> np.ndarray:
         return numerics.synthesize_values(self.phi_hat, x, order=derivative_order)
 
-    def psi_handle(self):
-        """(x, order) -> values; protocol used by the seminorm estimator."""
-        return lambda x, order=0: self.evaluate_psi(x, order)
-
     # -- dense tables (fast evaluation backbone) ---------------------------
 
-    def _band_data(self, which: str):
+    def band_spectrum(self, which: str, n_band: int) -> SpectrumOnBand:
+        """|psi_hat| or |phi_hat| on ``n_band`` uniform nodes of its positive band.
+
+        Every table is synthesized from this one-sided band: the table value
+        of order ``k`` at ``x`` is ``2 Re synthesize_values(band, x + shift, k)``.
+        """
         if which == "psi":
             lo, hi = self.bell.support_lo, self.bell.support_hi
-            xi = np.linspace(lo, hi, _TABLE_BAND_POINTS)
-            return xi, self.bell(xi), 0.5
-        lo, hi = 0.0, 4 * np.pi / 3
-        xi = np.linspace(lo, hi, _TABLE_BAND_POINTS)
-        amp = scaling_modulus(self.bell, xi)
-        return xi, amp, 1.0
+        else:
+            lo, hi = PHI_BAND
+        grid = Grid1D.from_interval(lo, hi, n_band)
+        xi = grid.points()
+        amp = self.bell(xi) if which == "psi" else scaling_modulus(self.bell, xi)
+        return SpectrumOnBand(band=(lo, hi), grid=grid, values=amp,
+                              declared_support=((lo, hi),))
 
     def _half_profile(self, which: str, order: int, u_max: float, spacing: float,
                       n_band: int) -> np.ndarray:
         """(1/pi) int band amp(xi) xi^order cos(u xi + order pi/2) dxi on [0, u_max]."""
-        xi, amp, _shift = self._band_data(which)
-        if n_band != xi.size:
-            xi2 = np.linspace(xi[0], xi[-1], n_band)
-            amp = self.bell(xi2) if which == "psi" else scaling_modulus(self.bell, xi2)
-            xi = xi2
-        w = np.full(xi.size, xi[1] - xi[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        coeff = amp * (xi ** order) * w / np.pi
-        u = np.arange(0.0, u_max + spacing / 2, spacing)
-        out = np.empty(u.size)
-        phase = order * np.pi / 2
-        chunk = 8192
-        for i in range(0, u.size, chunk):
-            out[i:i + chunk] = np.cos(np.outer(u[i:i + chunk], xi) + phase) @ coeff
-        return out
+        band = self.band_spectrum(which, n_band)
+        g = band.grid
+        coeff = band.values * (1j * g.points()) ** order * g.trapezoid_weights() / np.pi
+        count = int(u_max / spacing + 0.5) + 1
+        return numerics.chirp_synthesis(coeff, g.origin, g.spacing, 0.0, spacing,
+                                        count).real
 
     def dense_table(self, which: str, order: int = 0):
         """(grid, values) of psi/phi (derivative) on [-TABLE_HALF, TABLE_HALF]."""
         key = (which, order)
         if key not in self._tables:
-            _, _, shift = self._band_data(which)
+            shift = _CENTER_SHIFT[which]
             half = self._half_profile(which, order, TABLE_HALF + shift + 1.0,
                                       TABLE_SPACING, _TABLE_BAND_POINTS)
             n_side = int(round(TABLE_HALF / TABLE_SPACING))
@@ -217,7 +214,7 @@ class WaveletSystem:
         """Coarse long-range table for moment-type integrals (spacing 1/16)."""
         key = (which, x_max)
         if key not in self._wide:
-            _, _, shift = self._band_data(which)
+            shift = _CENTER_SHIFT[which]
             half = self._half_profile(which, 0, x_max + shift + 1.0,
                                       _WIDE_SPACING, _WIDE_BAND_POINTS)
             n_side = int(round(x_max / _WIDE_SPACING))

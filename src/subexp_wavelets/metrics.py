@@ -15,8 +15,6 @@ probes; reports never claim certified upper bounds.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass, field
 from math import lgamma
@@ -156,16 +154,6 @@ def subexp_decay_fit(samples, exponent_mode: str = "fixed",
     logC, c, expo, r2 = best
     return DecayFit(amplitude_C=float(np.exp(logC)), rate_c=c, exponent=expo,
                     r_squared=r2, n_envelope_points=int(ex.size))
-
-
-def fit_scatter_csv(samples, path) -> None:
-    """Dump the (x, |f|) scatter used for a fit, for external plotting."""
-    samples = np.asarray(samples, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "abs_f"])
-        for row in samples:
-            writer.writerow([repr(float(row[0])), repr(float(row[1]))])
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +301,3 @@ def halfplane_norm_probe(ws, f, params: HalfplaneParams, samples) -> float:
             for alpha in range(params.max_alpha + 1):
                 best = max(best, weight * abs(derivs[alpha]))
     return best
-
-
-def decay_fit_report(fit: DecayFit, label: str) -> str:
-    doc = {"label": label, "fit": fit.to_json_dict(),
-           "note": "lower-bound probe fit, not a certified bound"}
-    return json.dumps(doc, sort_keys=True, indent=2)

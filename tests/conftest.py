@@ -1,7 +1,8 @@
 """Shared fixtures: one reference wavelet system for the whole session.
 
-Building the system (tables + certificate suite) costs ~10 s, so it is
-session-scoped; every test treats it as immutable.
+Building the system (samples + certificate suite, which fills the dense
+tables) takes well under a second; it is session-scoped so that the tables
+are built once, and every test treats it as immutable.
 """
 
 import numpy as np

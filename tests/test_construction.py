@@ -1,12 +1,15 @@
 """Bell, spectra, dense tables, certificates, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subexp_wavelets as sw
-from subexp_wavelets.construction import TABLE_HALF
+from subexp_wavelets.construction import (_CENTER_SHIFT, _TABLE_BAND_POINTS,
+                                          _WIDE_BAND_POINTS, TABLE_HALF)
 
 SQRT_HALF = np.sqrt(2.0) / 2.0
 
@@ -39,6 +42,12 @@ class TestBell:
     def test_values_in_unit_interval(self, ws, xi):
         v = float(ws.bell(xi))
         assert 0.0 <= v <= 1.0
+
+    def test_nonnegative_below_upper_support_edge(self, ws):
+        # just under 2 pi + 2a the bump primitive sits at its full mass, where
+        # an overshoot of a few ulps would make the cos factor negative
+        xi = np.linspace(8.2, 8.283, 20001)
+        assert np.min(ws.bell(xi)) >= 0.0
 
 
 class TestCertificates:
@@ -111,6 +120,36 @@ class TestEvaluation:
             table = ws.interpolator("psi", order)(x)
             exact = ws.evaluate_psi(x, order).real
             assert np.max(np.abs(table - exact)) < 5e-8
+
+    @pytest.mark.parametrize("kind, which, order", [
+        ("dense", "psi", 0), ("dense", "psi", 1), ("dense", "psi", 2),
+        ("dense", "phi", 0), ("dense", "phi", 1), ("dense", "phi", 2),
+        ("wide", "psi", 0), ("wide", "phi", 0)])
+    def test_tables_match_direct_sum(self, ws, kind, which, order):
+        # the chirp-z tables against the direct sum of the same quadrature,
+        # at seeded probes plus the last 20 points at each end (deep tails)
+        if kind == "dense":
+            grid, vals = ws.dense_table(which, order)
+            band = ws.band_spectrum(which, _TABLE_BAND_POINTS)
+        else:
+            grid, vals = ws.wide_table(which)
+            band = ws.band_spectrum(which, _WIDE_BAND_POINTS)
+        rng = np.random.default_rng(7)
+        idx = np.concatenate([rng.integers(0, grid.count, 200), np.arange(20),
+                              np.arange(grid.count - 20, grid.count)])
+        x = grid.points()[idx] + _CENTER_SHIFT[which]
+        direct = 2.0 * sw.synthesize_values(band, x, order=order).real
+        assert np.max(np.abs(vals[idx] - direct)) < 1e-12
+
+    def test_dense_table_build_memory(self):
+        ws = sw.build_wavelet_system(1.0, 2.0, run_certificates=False)
+        tracemalloc.start()
+        try:
+            ws.dense_table("psi")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_atom_values_scaling_identity(self, ws):
         x = np.linspace(-3.0, 3.0, 41)
