@@ -20,8 +20,8 @@ from .metrics import (DecayFit, FeasibleK, HalfplaneParams, MetricsError,
                       sequence_norm, subexp_decay_fit)
 from .numerics import (Grid1D, NumericsError, SampledFunction, SpectrumOnBand,
                        chirp_synthesis, forward_transform_values, inner_product,
-                       integrate, norm_l2, pairing, spectral_derivative,
-                       synthesize, synthesize_values)
+                       integrate, norm_l2, pairing, synthesize,
+                       synthesize_values)
 from .projection import (PrimitiveDecomposition, ProjectionError,
                          ProjectionKernel, build_kernel, kernel_decay_certificate,
                          kernel_eval, mra_convergence_experiment,

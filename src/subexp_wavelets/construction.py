@@ -204,8 +204,13 @@ class WaveletSystem:
 
         return evaluate
 
-    def atom_values(self, bit: int, m: int, n: float, x, order: int = 0) -> np.ndarray:
-        """2^(m/2) 2^(m*order) f^(order)(2^m x - n) with f = phi (bit 0) or psi (bit 1)."""
+    def atom_values(self, bit: int, m: int, n, x, order: int = 0) -> np.ndarray:
+        """2^(m/2) 2^(m*order) f^(order)(2^m x - n) with f = phi (bit 0) or psi (bit 1).
+
+        The one evaluator of dilated and shifted atoms.  A column of shifts
+        ``n = ns[:, None]`` broadcasts against points ``x`` to the atom block
+        ``A[k, j]`` that projection, analysis and synthesis multiply with.
+        """
         f = self.interpolator("psi" if bit else "phi", order)
         x = np.asarray(x, dtype=float)
         return (2.0 ** (m * (0.5 + order))) * f(np.ldexp(x, m) - n)
@@ -368,8 +373,8 @@ def two_scale_gram(ws: WaveletSystem, m_range=(-1, 0, 1), n_range=range(-3, 4),
     grid = Grid1D.from_interval(-half_width, half_width, 2 * int(half_width * 64) + 1)
     x = grid.points()
     w = grid.trapezoid_weights()
-    atoms = [ws.atom_values(1, m, n, x) for m in m_range for n in n_range]
-    A = np.array(atoms)
+    ns = np.array(list(n_range))
+    A = np.vstack([ws.atom_values(1, m, ns[:, None], x) for m in m_range])
     return (A * w) @ A.T
 
 

@@ -112,18 +112,10 @@ def tensor_atom(ws: WaveletSystem, index: WaveletIndex, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0 or (d > 1 and x.ndim == 1)
     pts = np.atleast_2d(x.reshape(-1, d) if d > 1 else x.reshape(-1, 1))
-    out = np.full(pts.shape[0], 2.0 ** (index.m * d / 2.0))
+    out = np.ones(pts.shape[0])
     for i in range(d):
-        f = ws.interpolator("psi" if index.epsilon[i] else "phi")
-        out = out * f(np.ldexp(pts[:, i], index.m) - index.n[i])
+        out = out * ws.atom_values(index.epsilon[i], index.m, index.n[i], pts[:, i])
     return float(out[0]) if scalar else out
-
-
-def _atom_matrix(ws: WaveletSystem, bit: int, m: int, ns: np.ndarray,
-                 x: np.ndarray) -> np.ndarray:
-    f = ws.interpolator("psi" if bit else "phi")
-    amp = 2.0 ** (m / 2.0)
-    return amp * f(np.ldexp(x, m)[None, :] - ns[:, None])
 
 
 def cwt(ws: WaveletSystem, f: SampledFunction, b: float, a: float) -> complex:
@@ -161,7 +153,7 @@ def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
         x = grid.points()
         fw = f.values * grid.trapezoid_weights()
         for m in range(-window.M, window.M + 1):
-            B = _atom_matrix(ws, 1, m, ns, x)
+            B = ws.atom_values(1, m, ns[:, None], x)
             direct = B @ fw
             if cross_check:
                 scale = 2.0 ** (-m)
@@ -180,8 +172,8 @@ def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
     fw = f.values * wx[:, None] * wy[None, :]
     for eps in window.patterns():
         for m in range(-window.M, window.M + 1):
-            B1 = _atom_matrix(ws, eps[0], m, ns, gx.points())
-            B2 = _atom_matrix(ws, eps[1], m, ns, gy.points())
+            B1 = ws.atom_values(eps[0], m, ns[:, None], gx.points())
+            B2 = ws.atom_values(eps[1], m, ns[:, None], gy.points())
             C = B1 @ fw @ B2.T
             for i, n1 in enumerate(ns):
                 for j, n2 in enumerate(ns):
@@ -203,7 +195,7 @@ def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
         for m in range(-window.M, window.M + 1):
             cvec = np.array([coeffs.coefficients[
                 WaveletIndex(epsilon=(1,), m=m, n=(int(n),))] for n in ns])
-            out += cvec @ _atom_matrix(ws, 1, m, ns, x)
+            out += cvec @ ws.atom_values(1, m, ns[:, None], x)
         return SampledFunction(g, out)
     gx, gy = grid
     out = np.zeros((gx.count, gy.count), dtype=complex)
@@ -212,8 +204,8 @@ def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
             C = np.array([[coeffs.coefficients[
                 WaveletIndex(epsilon=eps, m=m, n=(int(n1), int(n2)))]
                 for n2 in ns] for n1 in ns])
-            B1 = _atom_matrix(ws, eps[0], m, ns, gx.points())
-            B2 = _atom_matrix(ws, eps[1], m, ns, gy.points())
+            B1 = ws.atom_values(eps[0], m, ns[:, None], gx.points())
+            B2 = ws.atom_values(eps[1], m, ns[:, None], gy.points())
             out += B1.T @ C @ B2
     return SampledFunction((gx, gy), out)
 
@@ -265,20 +257,11 @@ class DualRepresentative:
                                             target(dgrid.points())))
 
 
-def _coefficients_of(ws, obj, window, conjugate_atom: bool):
-    """c^psi (conjugate_atom=True, pairing against conj(atom)) or the
-    c^{psi-bar} family (pairing against the atom itself).
-
-    psi and phi are real here, so the two families coincide numerically; the
-    flag is kept so a complex atom choice would flow through correctly.
-    """
+def _coefficients_of(ws, obj, window):
+    """Coefficients of a sampled function or a dual representative over the window."""
     if isinstance(obj, DualRepresentative):
-        raw = {index: obj.coefficient(ws, index) for index in window.indices()}
-    else:
-        raw = analyze(ws, obj, window, cross_check=False).coefficients
-    if conjugate_atom:
-        return raw  # atoms are real: conj(atom) = atom
-    return raw
+        return {index: obj.coefficient(ws, index) for index in window.indices()}
+    return analyze(ws, obj, window, cross_check=False).coefficients
 
 
 def parseval_check(ws: WaveletSystem, f, g: SampledFunction,
@@ -293,8 +276,8 @@ def parseval_check(ws: WaveletSystem, f, g: SampledFunction,
         lhs = f.pair(g)
     else:
         lhs = numerics.pairing(f, g)
-    cf = _coefficients_of(ws, f, window, conjugate_atom=True)
-    cg = _coefficients_of(ws, g, window, conjugate_atom=False)
+    cf = _coefficients_of(ws, f, window)
+    cg = _coefficients_of(ws, g, window)
     rhs = sum(cf[idx] * cg[idx] for idx in window.indices())
     return {"lhs": complex(lhs), "rhs": complex(rhs),
             "gap": abs(complex(lhs) - complex(rhs))}

@@ -250,12 +250,6 @@ def synthesize(spec: SpectrumOnBand, x_grid: Grid1D) -> SampledFunction:
     return SampledFunction(x_grid, vals)
 
 
-def spectral_derivative(spec: SpectrumOnBand, order: int, x_points) -> np.ndarray:
-    """Derivative of the band-limited synthesis, computed exactly as the
-    synthesis of ``(i xi)^order * spec`` (no finite differencing)."""
-    return synthesize_values(spec, x_points, order=order)
-
-
 def forward_transform_values(f: SampledFunction, xi_points) -> np.ndarray:
     """Trapezoid approximation of ``int f(x) exp(-i x xi) dx`` (1-D only)."""
     if f.dimension != 1:

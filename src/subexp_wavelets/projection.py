@@ -2,9 +2,11 @@
 
 The level-0 kernel is the lattice sum ``q_0(x, y) = sum_k phi(x - k) phi(y - k)``
 (phi is real, so no conjugates survive), and ``q_m(x, y) = 2^{md} q_0(2^m x,
-2^m y)``.  Projections are computed in coefficient form,
-``sum_k <f, phi_{m,k}> phi_{m,k}``, which keeps every table lookup near the
-origin regardless of the level; the kernel form is retained for spot checks.
+2^m y)``.  ``project`` works in coefficient form,
+``sum_k <f, phi_{m,k}> phi_{m,k}``, with blocks of atoms from
+``WaveletSystem.atom_values``, which keeps every table lookup near the origin
+regardless of the level; ``project_at`` integrates against the kernel itself
+and is the independent route for spot checks.
 
 Also here: the iterated-primitive decomposition ``g = d^r/dy^r g_r`` for a
 function with vanishing moments, built from one-sided tail integrals
@@ -133,56 +135,44 @@ def kernel_eval(pk: ProjectionKernel, x, y):
 # projection
 # ---------------------------------------------------------------------------
 
-def _coefficient_project_1d(pk: ProjectionKernel, f: SampledFunction) -> np.ndarray:
-    (grid,) = f.grids
-    x = grid.points()
-    scale = 2.0 ** pk.level
-    if scale * grid.extent < 1.0:
-        raise ProjectionError("window too small for level shifts")
-    fw = f.values * grid.trapezoid_weights()
-    phi = pk.ws.interpolator("phi")
-    lo = int(np.floor(scale * x[0])) - pk.truncation_radius
-    hi = int(np.ceil(scale * x[-1])) + pk.truncation_radius
-    amp = 2.0 ** (pk.level / 2.0)
-    out = np.zeros(x.size, dtype=complex)
-    for start in range(lo, hi + 1, 512):
-        ks = np.arange(start, min(start + 512, hi + 1))
-        A = amp * phi(scale * x[None, :] - ks[:, None])  # atoms phi_{m,k} on grid
-        out += (A @ fw) @ A
-    return out
+def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray):
+    """(ks, coeffs, projected): q_m along the first axis of ``values``.
 
-
-def project(pk: ProjectionKernel, f: SampledFunction,
-            method: str = "coefficient") -> SampledFunction:
-    """Orthogonal projection of ``f`` onto the level-m resolution space.
-
-    ``method="coefficient"`` (default) computes sum_k <f, phi_{m,k}> phi_{m,k};
-    ``method="kernel"`` integrates f against the kernel row by row and is only
-    meant for cross-checks on small grids.
+    One pass over blocks of at most 512 shifts; each atom block ``A`` gives
+    the coefficients ``c = A (w f)`` and their synthesis ``A^T c``.  Trailing
+    axes of ``values`` are carried along, so a 2-D array is projected column
+    by column in matrix form.
     """
-    boundary = boundary_mass(f)
-    if boundary > BOUNDARY_MASS_WARN:
-        logger.warning("project: boundary mass %.3e visible at window edges",
-                       boundary)
+    x = grid.points()
+    if np.ldexp(grid.extent, pk.level) < 1.0:
+        raise ProjectionError("window too small for level shifts")
+    fw = (values.T * grid.trapezoid_weights()).T
+    lo = int(np.floor(np.ldexp(x[0], pk.level))) - pk.truncation_radius
+    hi = int(np.ceil(np.ldexp(x[-1], pk.level))) + pk.truncation_radius
+    ks = np.arange(lo, hi + 1)
+    coeffs = np.empty((ks.size,) + values.shape[1:], dtype=complex)
+    out = np.zeros(values.shape, dtype=complex)
+    for start in range(0, ks.size, 512):
+        A = pk.ws.atom_values(0, pk.level, ks[start:start + 512, None], x)
+        c = A @ fw
+        coeffs[start:start + 512] = c
+        out += A.T @ c
+    return ks, coeffs, out
+
+
+def project(pk: ProjectionKernel, f: SampledFunction) -> SampledFunction:
+    """Orthogonal projection sum_k <f, phi_{m,k}> phi_{m,k} onto the level-m space.
+
+    In d = 2 the level-m operator is applied along each axis in turn.
+    """
+    _warn_boundary_mass(f)
     if pk.dimension == 1:
-        if method == "coefficient":
-            return SampledFunction(f.grid, _coefficient_project_1d(pk, f))
-        if method == "kernel":
-            (grid,) = f.grids
-            vals = project_at(pk, f, grid.points())
-            return SampledFunction(f.grid, vals)
-        raise ProjectionError(f"unknown projection method {method!r}")
-    # d = 2, separable: apply the 1-D projection along each axis
+        (grid,) = f.grids
+        return SampledFunction(f.grid, _project_1d(pk, grid, f.values)[2])
     gx, gy = f.grids
-    pk1 = ProjectionKernel(ws=pk.ws, level=pk.level,
-                           truncation_radius=pk.truncation_radius, dimension=1,
-                           tail_bound=pk.tail_bound)
-    vals = f.values
-    rows = np.array([_coefficient_project_1d(
-        pk1, SampledFunction(gy, vals[i, :])) for i in range(gx.count)])
-    cols = np.array([_coefficient_project_1d(
-        pk1, SampledFunction(gx, rows[:, j])) for j in range(gy.count)]).T
-    return SampledFunction(f.grid, cols)
+    _, _, along_x = _project_1d(pk, gx, f.values)
+    _, _, both = _project_1d(pk, gy, along_x.T)
+    return SampledFunction(f.grid, both.T)
 
 
 def project_at(pk: ProjectionKernel, f: SampledFunction, x_points) -> np.ndarray:
@@ -196,6 +186,14 @@ def project_at(pk: ProjectionKernel, f: SampledFunction, x_points) -> np.ndarray
         row = _kernel_eval_1d(pk, np.full(y.size, xp), y.copy())
         out[i] = np.dot(fw, row)
     return out
+
+
+def _warn_boundary_mass(f: SampledFunction) -> float:
+    boundary = boundary_mass(f)
+    if boundary > BOUNDARY_MASS_WARN:
+        logger.warning("project: boundary mass %.3e visible at window edges",
+                       boundary)
+    return boundary
 
 
 def boundary_mass(f: SampledFunction) -> float:
@@ -289,51 +287,27 @@ def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
     """
     if seminorm_probes is None:
         seminorm_probes = np.linspace(-8.0, 8.0, 161)
-    bmass = boundary_mass(f)
+    (grid,) = f.grids
+    bmass = _warn_boundary_mass(f)
     rows = []
     for m in levels:
         pk = build_kernel(ws, level=m, dimension=1)
-        qf = project(pk, f)
-        sup_err = float(np.max(np.abs(qf.values - f.values)))
-        handle = _projection_handle(pk, f)
+        ks, coeffs, qf = _project_1d(pk, grid, f.values)
+        sup_err = float(np.max(np.abs(qf - f.values)))
+
+        def handle(pts, order=0):
+            # derivatives of q_m f fall on the atoms exactly
+            pts = np.atleast_1d(np.asarray(pts, dtype=float))
+            out = np.zeros(pts.size, dtype=complex)
+            for start in range(0, ks.size, 512):
+                A = ws.atom_values(0, m, ks[start:start + 512, None], pts, order)
+                out += coeffs[start:start + 512] @ A
+            return out
+
         sem = metrics.seminorm_estimate(handle, seminorm_params, seminorm_probes)
         rows.append({"m": int(m), "sup_error": sup_err, "seminorm": sem,
                      "boundary_mass": bmass})
     return rows
-
-
-def _projection_handle(pk: ProjectionKernel, f: SampledFunction):
-    """(x, order) handle for q_m f: derivatives fall on the atoms exactly."""
-    (grid,) = f.grids
-    x = grid.points()
-    scale = 2.0 ** pk.level
-    fw = f.values * grid.trapezoid_weights()
-    phi0 = pk.ws.interpolator("phi")
-    lo = int(np.floor(scale * x[0])) - pk.truncation_radius
-    hi = int(np.ceil(scale * x[-1])) + pk.truncation_radius
-    ks = np.arange(lo, hi + 1)
-    amp = 2.0 ** (pk.level / 2.0)
-    coeffs = None
-
-    def handle(pts, order=0):
-        nonlocal coeffs
-        if coeffs is None:
-            cs = []
-            for start in range(0, ks.size, 512):
-                kc = ks[start:start + 512]
-                cs.append(amp * phi0(scale * x[None, :] - kc[:, None]) @ fw)
-            coeffs = np.concatenate(cs)
-        phi_d = pk.ws.interpolator("phi", order)
-        pts = np.atleast_1d(np.asarray(pts, dtype=float))
-        out = np.zeros(pts.size, dtype=complex)
-        damp = amp * scale ** order
-        for start in range(0, ks.size, 512):
-            kc = ks[start:start + 512]
-            A = damp * phi_d(scale * pts[None, :] - kc[:, None])
-            out += coeffs[start:start + 512] @ A
-        return out
-
-    return handle
 
 
 def convergence_csv(rows: list[dict], path) -> None:

@@ -88,10 +88,6 @@ class TestProjection:
         inner = np.abs(grid.points()) <= 6.0
         assert np.max(np.abs((twice.values - once.values)[inner])) < 1e-5
 
-    def test_unknown_method(self, pk, gaussian_samples):
-        with pytest.raises(ProjectionError):
-            sw.project(pk, gaussian_samples, method="fft")
-
     def test_window_too_small_for_level(self, ws):
         pk = sw.build_kernel(ws, level=-4)
         grid = sw.Grid1D.from_interval(-2.0, 2.0, 257)
@@ -109,6 +105,20 @@ class TestProjection:
         # level-0 error of the 1-D factors bounds the product error loosely
         assert abs(proj.values[mid, mid] - f2.values[mid, mid]) < 0.05
         assert proj.values.shape == (513, 513)
+
+    def test_2d_projection_on_unequal_axes(self, ws):
+        # distinct grids per axis, so swapping the x and y atom blocks fails
+        from subexp_wavelets.testfuncs import sample_2d
+        fx, fy = gaussian(), gaussian(0.4, 1.2)
+        gx = sw.Grid1D.from_interval(-8.0, 8.0, 257)
+        gy = sw.Grid1D.from_interval(-6.0, 7.0, 193)
+        proj = sw.project(sw.build_kernel(ws, level=1, dimension=2),
+                          sample_2d(fx, fy, gx, gy))
+        pk1 = sw.build_kernel(ws, level=1)
+        want = np.outer(sw.project(pk1, sample(fx, gx)).values,
+                        sw.project(pk1, sample(fy, gy)).values)
+        assert proj.values.shape == (257, 193)
+        assert np.max(np.abs(proj.values - want)) < 1e-12 * np.max(np.abs(want))
 
 
 class TestCertificates:
@@ -140,6 +150,21 @@ class TestConvergenceExperiment:
         assert errs[2] < 1e-9
         sems = [r["seminorm"] for r in rows]
         assert max(sems) <= 3.0 * sems[0]
+
+    def test_seminorm_reuses_projection_coefficients(self, ws, gaussian_samples):
+        # with beta = 0 and probes on grid points the seminorm column is the
+        # weighted sup of the projection itself
+        params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=0)
+        (grid,) = gaussian_samples.grids
+        probes = grid.points()[grid.index_of(np.arange(-6.0, 6.01, 0.25))]
+        levels = (0, 1, 3)
+        rows = sw.mra_convergence_experiment(ws, gaussian_samples, levels,
+                                             params, probes)
+        weight = np.exp(0.5 * np.abs(probes) ** 0.5)
+        for m, row in zip(levels, rows):
+            qf = sw.project(sw.build_kernel(ws, level=m), gaussian_samples)
+            want = np.max(weight * np.abs(qf.values[grid.index_of(probes)]))
+            assert abs(row["seminorm"] - want) <= 1e-12 * want
 
     def test_csv_export(self, ws, gaussian_samples, tmp_path):
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
