@@ -1,6 +1,7 @@
 """Command-line front end: build systems, rerun checks, drive experiments.
 
 Commands: build, verify, project, expand, decay, parseval, report.
+``verify`` runs the "verify" stage of the registry ``construction.CHECKS``.
 Exit codes: 0 ok, 1 check failure, 2 config error, 3 I/O or corruption.
 
 Reports are deterministic JSON (sorted keys, round-trip-safe floats);
@@ -18,12 +19,11 @@ import os
 import sys
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_interp_spline
 
 from . import expansion, metrics, numerics, projection, testfuncs
 from .bump import BumpError
 from .construction import (ConstructionError, WaveletSystem,
-                           build_wavelet_system, decay_profile, scaling_modulus)
+                           build_wavelet_system, checks, decay_profile)
 from .numerics import Grid1D, SampledFunction
 
 EXIT_OK = 0
@@ -133,123 +133,6 @@ def _parse_levels(text: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# file-based verification suites (operate on the stored arrays)
-# ---------------------------------------------------------------------------
-
-def _suite_support(ws: WaveletSystem) -> dict:
-    xi = ws.psi_hat.grid.points()
-    mask = ws.psi_hat.support_mask()
-    stored_outside = float(np.max(np.abs(ws.psi_hat.values[~mask]), initial=0.0))
-    probes_in = np.linspace(-(2 * np.pi / 3 - 1e-9), 2 * np.pi / 3 - 1e-9, 100)
-    probes_out = np.concatenate([
-        np.linspace(8 * np.pi / 3 + 1e-9, 3 * np.pi + 4, 50),
-        -np.linspace(8 * np.pi / 3 + 1e-9, 3 * np.pi + 4, 50)])
-    bell_vals = np.abs(np.concatenate([ws.bell(probes_in), ws.bell(probes_out)]))
-    edge = np.abs(np.array([ws.bell(np.pi), ws.bell(2 * np.pi)]) - np.sqrt(0.5))
-    ok = stored_outside == 0.0 and np.all(bell_vals == 0.0) and np.all(edge < 1e-9)
-    return {"pass": bool(ok), "stored_max_outside_support": stored_outside,
-            "bell_max_off_support": float(bell_vals.max()),
-            "bell_edge_deviation": float(edge.max())}
-
-
-def _suite_orthonormality(ws: WaveletSystem) -> dict:
-    """Lattice sums recomputed from the *stored* spectra by interpolation.
-
-    Cubic interpolation of the stored grids limits this file-based rerun to
-    ~1e-8; the build-time certificate uses the analytic bell at 1e-10.
-    """
-    tol = 1e-8
-    xi = np.linspace(-np.pi, np.pi, 512)
-    worst = {}
-    for name, spec in (("psi", ws.psi_hat), ("phi", ws.phi_hat)):
-        g = spec.grid.points()
-        spline = CubicSpline(g, np.abs(spec.values) ** 2)
-        total = np.zeros_like(xi)
-        for k in range(-2, 3):
-            shifted = xi + 2 * np.pi * k
-            inside = (shifted >= g[0]) & (shifted <= g[-1])
-            vals = np.zeros_like(xi)
-            vals[inside] = spline(shifted[inside])
-            total += vals
-        worst[name] = float(np.max(np.abs(total - 1.0)))
-    ok = max(worst.values()) < tol
-    return {"pass": bool(ok), "max_deviation": worst, "tolerance": tol,
-            "probes": 512}
-
-
-def _suite_moments(ws: WaveletSystem) -> dict:
-    """Window-limited moment check from the stored physical samples.
-
-    Integrating x^k psi over the stored window leaves an oscillatory tail of
-    about envelope(40)/frequency ~ 2e-6 scaled by 40^k, so only k = 0, 1 are
-    meaningful here and the tolerances reflect the truncation, not the
-    build-time long-range certificate (which covers the tight tolerances).
-    The spectral zero check runs on the stored array and is what a corrupted
-    file actually trips.
-    """
-    (grid,) = ws.psi_samples.grids
-    x = grid.points()
-    w = grid.trapezoid_weights()
-    moms = [abs(complex(np.sum(ws.psi_samples.values * w * x ** k)))
-            for k in range(2)]
-    tols = [1e-5, 1e-3]
-    near = np.abs(ws.psi_hat.grid.points()) < 0.3
-    spectral = float(np.max(np.abs(ws.psi_hat.values[near]), initial=0.0))
-    ok = all(m < t for m, t in zip(moms, tols)) and spectral == 0.0
-    return {"pass": bool(ok), "moments": moms, "tolerances": tols,
-            "spectral_max_near_zero": spectral}
-
-
-def _suite_two_scale(ws: WaveletSystem) -> dict:
-    """Cross-scale Gram from a quintic spline of the stored samples (tol 1e-5)."""
-    (grid,) = ws.psi_samples.grids
-    x = grid.points()
-    spline = make_interp_spline(x, ws.psi_samples.values.real, k=5)
-
-    def atom(m, n, pts):
-        arg = np.ldexp(pts, m) - n
-        out = np.zeros_like(pts)
-        inside = (arg >= x[0]) & (arg <= x[-1])
-        out[inside] = spline(arg[inside])
-        return 2.0 ** (m / 2.0) * out
-
-    w = grid.trapezoid_weights()
-    atoms = np.array([atom(m, n, x) for m in (-1, 0, 1) for n in range(-3, 4)])
-    gram = (atoms * w) @ atoms.T
-    dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    return {"pass": dev < 1e-5, "max_deviation": dev, "tolerance": 1e-5,
-            "atoms": int(gram.shape[0])}
-
-
-def _suite_kernel_decay(ws: WaveletSystem) -> dict:
-    pk = projection.build_kernel(ws, level=0, dimension=1)
-    fit = projection.kernel_decay_certificate(pk)
-    ok = fit.rate_c > 0 and fit.r_squared > 0.95
-    return {"pass": bool(ok), "fit": fit.to_json_dict(),
-            "truncation_radius": pk.truncation_radius,
-            "tail_bound": pk.tail_bound}
-
-
-def _suite_polynomial(ws: WaveletSystem) -> dict:
-    pk = projection.build_kernel(ws, level=0, dimension=1)
-    rep = projection.polynomial_reproduction(pk, max_degree=1)
-    devs = rep["max_deviation_per_degree"]
-    ok = devs[0] < 1e-8 and devs[1] < 1e-8
-    return {"pass": bool(ok), "max_deviation_per_degree":
-            {str(k): v for k, v in devs.items()}, "tolerance": 1e-8}
-
-
-_SUITES = {
-    "support": _suite_support,
-    "orthonormality": _suite_orthonormality,
-    "moments": _suite_moments,
-    "two-scale": _suite_two_scale,
-    "kernel-decay": _suite_kernel_decay,
-    "polynomial": _suite_polynomial,
-}
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -284,12 +167,13 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     ws = _load_system(args.system)
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    suites = checks("verify")
+    names = list(suites) if args.suite == "all" else [args.suite]
     for name in names:
-        if name not in _SUITES:
+        if name not in suites:
             print(f"error: unknown suite {name!r}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-    results = {name: _SUITES[name](ws) for name in names}
+    results = {name: suites[name](ws) for name in names}
     report = {"system": args.system, "suites": results,
               "certificate_digest": ws.certificate_digest()}
     _emit(report, args.report)

@@ -16,22 +16,24 @@ Physical-space samples and tables are trapezoid quadratures of the spectrum
 on uniform grids, summed by the chirp-z engine ``numerics.chirp_synthesis``;
 scattered points use the direct sum ``numerics.synthesize_values``.  For the
 many-evaluation call sites (atoms, kernels) the system carries lazily built
-dense tables with cubic-spline interpolation, accurate to ~1e-11; build-time
-certificates quantify everything.
+dense tables with cubic-spline interpolation, accurate to ~1e-11.
+
+Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
+"build" checks (uppercase) read the analytic spectrum and fresh tables and are
+stored in the system file; "verify" suites (lowercase) rerun on a loaded file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from functools import lru_cache
 from math import lgamma
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, make_interp_spline
 
 from . import numerics
-from .bump import BumpError, GevreyBump, build_bump
+from .bump import GevreyBump, build_bump, stencil_derivative
 from .numerics import Grid1D, SampledFunction, SpectrumOnBand
 
 SCHEMA_TAG = "dhws-v1"
@@ -157,33 +159,36 @@ class WaveletSystem:
         return SpectrumOnBand(band=(lo, hi), grid=grid, values=amp,
                               declared_support=((lo, hi),))
 
-    def _half_profile(self, which: str, order: int, u_max: float, spacing: float,
-                      n_band: int) -> np.ndarray:
-        """(1/pi) int band amp(xi) xi^order cos(u xi + order pi/2) dxi on [0, u_max]."""
+    def _even_table(self, which: str, order: int, x_max: float, spacing: float,
+                    n_band: int):
+        """(grid, values) of psi/phi (order-th derivative) on [-x_max, x_max].
+
+        One chirp-z synthesis of the half profile
+        ``(1/pi) int band amp(xi) xi^order cos(u xi + order pi/2) dxi``, u >= 0,
+        read at ``|x + shift|``; odd orders flip sign where ``x + shift < 0``.
+        """
         band = self.band_spectrum(which, n_band)
         g = band.grid
         coeff = band.values * (1j * g.points()) ** order * g.trapezoid_weights() / np.pi
-        count = int(u_max / spacing + 0.5) + 1
-        return numerics.chirp_synthesis(coeff, g.origin, g.spacing, 0.0, spacing,
+        shift = _CENTER_SHIFT[which]
+        count = int((x_max + shift + 1.0) / spacing + 0.5) + 1
+        half = numerics.chirp_synthesis(coeff, g.origin, g.spacing, 0.0, spacing,
                                         count).real
+        grid = Grid1D(origin=-x_max, spacing=spacing,
+                      count=2 * int(round(x_max / spacing)) + 1)
+        u = grid.points() + shift
+        vals = half[np.rint(np.abs(u) / spacing).astype(np.int64)]
+        if order % 2 == 1:
+            vals[u < 0] *= -1.0
+        return grid, vals
 
     def dense_table(self, which: str, order: int = 0):
         """(grid, values) of psi/phi (derivative) on [-TABLE_HALF, TABLE_HALF]."""
         key = (which, order)
         if key not in self._tables:
-            shift = _CENTER_SHIFT[which]
-            half = self._half_profile(which, order, TABLE_HALF + shift + 1.0,
-                                      TABLE_SPACING, _TABLE_BAND_POINTS)
-            n_side = int(round(TABLE_HALF / TABLE_SPACING))
-            x = -TABLE_HALF + TABLE_SPACING * np.arange(2 * n_side + 1)
-            u = x + shift
-            idx = np.rint(np.abs(u) / TABLE_SPACING).astype(np.int64)
-            vals = half[idx]
-            neg = u < 0
-            if order % 2 == 1:
-                vals[neg] *= -1.0
-            grid = Grid1D(origin=-TABLE_HALF, spacing=TABLE_SPACING, count=x.size)
-            spline = CubicSpline(x, vals, bc_type="natural")
+            grid, vals = self._even_table(which, order, TABLE_HALF, TABLE_SPACING,
+                                          _TABLE_BAND_POINTS)
+            spline = CubicSpline(grid.points(), vals, bc_type="natural")
             self._tables[key] = (grid, vals, spline)
         grid, vals, _ = self._tables[key]
         return grid, vals
@@ -219,24 +224,15 @@ class WaveletSystem:
         """Coarse long-range table for moment-type integrals (spacing 1/16)."""
         key = (which, x_max)
         if key not in self._wide:
-            shift = _CENTER_SHIFT[which]
-            half = self._half_profile(which, 0, x_max + shift + 1.0,
-                                      _WIDE_SPACING, _WIDE_BAND_POINTS)
-            n_side = int(round(x_max / _WIDE_SPACING))
-            x = -x_max + _WIDE_SPACING * np.arange(2 * n_side + 1)
-            idx = np.rint(np.abs(x + shift) / _WIDE_SPACING).astype(np.int64)
-            grid = Grid1D(origin=-x_max, spacing=_WIDE_SPACING, count=x.size)
-            self._wide[key] = (grid, half[idx])
+            self._wide[key] = self._even_table(which, 0, x_max, _WIDE_SPACING,
+                                               _WIDE_BAND_POINTS)
         return self._wide[key]
 
     # -- named checks ------------------------------------------------------
 
     def moments(self, k_max: int = 10) -> np.ndarray:
         """Physical-side moments int x^k psi dx, k = 0..k_max, wide window."""
-        grid, vals = self.wide_table("psi")
-        x = grid.points()
-        w = grid.trapezoid_weights()
-        return np.array([np.dot(vals * w, x ** k) for k in range(k_max + 1)])
+        return numerics.moments(*self.wide_table("psi"), k_max)
 
     def certificate_digest(self) -> str:
         blob = json.dumps(self.certificates, sort_keys=True, default=str)
@@ -245,31 +241,21 @@ class WaveletSystem:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def spec_dict(s: SpectrumOnBand) -> dict:
-            return {
-                "band": list(s.band),
-                "grid": {"origin": s.grid.origin, "spacing": s.grid.spacing,
-                         "count": s.grid.count},
-                "re": s.values.real.tolist(),
-                "im": s.values.imag.tolist(),
-                "declared_support": [list(iv) for iv in s.declared_support],
-            }
+        def arrays(g: Grid1D, vals: np.ndarray) -> dict:
+            return {"grid": {"origin": g.origin, "spacing": g.spacing, "count": g.count},
+                    "re": vals.real.tolist(), "im": vals.imag.tolist()}
 
-        def samples_dict(f: SampledFunction) -> dict:
-            g = f.grids[0]
-            return {
-                "grid": {"origin": g.origin, "spacing": g.spacing, "count": g.count},
-                "re": f.values.real.tolist(),
-                "im": f.values.imag.tolist(),
-            }
+        def spec_dict(s: SpectrumOnBand) -> dict:
+            return {"band": list(s.band), **arrays(s.grid, s.values),
+                    "declared_support": [list(iv) for iv in s.declared_support]}
 
         return {
             "schema": SCHEMA_TAG,
             "parameters": {"a": self.a, "rho2": self.rho2},
             "psi_hat": spec_dict(self.psi_hat),
             "phi_hat": spec_dict(self.phi_hat),
-            "psi_samples": samples_dict(self.psi_samples),
-            "phi_samples": samples_dict(self.phi_samples),
+            "psi_samples": arrays(self.psi_samples.grids[0], self.psi_samples.values),
+            "phi_samples": arrays(self.phi_samples.grids[0], self.phi_samples.values),
             "certificates": self.certificates,
         }
 
@@ -278,24 +264,22 @@ class WaveletSystem:
         if doc.get("schema") != SCHEMA_TAG:
             raise ConstructionError(f"unknown schema tag: {doc.get('schema')!r}")
 
+        def arrays(d) -> tuple:
+            re, im = (np.asarray(d[part], dtype=float) for part in ("re", "im"))
+            return Grid1D(**d["grid"]), re + 1j * im
+
         def read_spec(d) -> SpectrumOnBand:
-            g = Grid1D(**d["grid"])
-            vals = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+            g, vals = arrays(d)
             return SpectrumOnBand(band=tuple(d["band"]), grid=g, values=vals,
                                   declared_support=tuple(tuple(iv) for iv in
                                                          d["declared_support"]))
-
-        def read_samples(d) -> SampledFunction:
-            g = Grid1D(**d["grid"])
-            vals = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-            return SampledFunction(g, vals)
 
         params = doc["parameters"]
         bell = build_bell(build_bump(params["a"], params["rho2"]))
         return cls(a=params["a"], rho2=params["rho2"], bell=bell,
                    psi_hat=read_spec(doc["psi_hat"]), phi_hat=read_spec(doc["phi_hat"]),
-                   psi_samples=read_samples(doc["psi_samples"]),
-                   phi_samples=read_samples(doc["phi_samples"]),
+                   psi_samples=SampledFunction(*arrays(doc["psi_samples"])),
+                   phi_samples=SampledFunction(*arrays(doc["phi_samples"])),
                    certificates=doc.get("certificates", {}))
 
 
@@ -342,67 +326,87 @@ def build_wavelet_system(a: float, rho2: float, *,
 
 
 # ---------------------------------------------------------------------------
-# certificates
+# certificates: one registry for build and verify
 # ---------------------------------------------------------------------------
 
-def _support_check(bell: BellFunction) -> dict:
+def _bell_off_support(bell: BellFunction) -> np.ndarray:
+    """|bell| at 200 probes off its support: |xi| < 2 pi/3 and |xi| > 8 pi/3."""
     inner = np.linspace(-(2 * np.pi / 3 - 1e-9), 2 * np.pi / 3 - 1e-9, 100)
-    outer = np.concatenate([np.linspace(8 * np.pi / 3 + 1e-9, 3 * np.pi + 4, 50),
-                            -np.linspace(8 * np.pi / 3 + 1e-9, 3 * np.pi + 4, 50)])
-    vals = np.abs(np.concatenate([bell(inner), bell(outer)]))
+    outer = np.linspace(8 * np.pi / 3 + 1e-9, 3 * np.pi + 4, 50)
+    return np.abs(bell(np.concatenate([inner, outer, -outer])))
+
+
+def _lattice_deviation(sq_modulus) -> float:
+    """max |sum_{|k| <= 2} sq_modulus(xi + 2 pi k) - 1| over 512 probes of [-pi, pi]."""
+    xi = np.linspace(-np.pi, np.pi, 512)
+    total = np.zeros_like(xi)
+    for k in range(-2, 3):
+        total += sq_modulus(xi + 2 * np.pi * k)
+    return float(np.max(np.abs(total - 1.0)))
+
+
+def two_scale_gram(atom, grid: Grid1D, m_range=(-1, 0, 1),
+                   n_range=range(-3, 4)) -> np.ndarray:
+    """Trapezoid Gram matrix on ``grid`` of the dyadic atoms, ideally the identity.
+
+    ``atom(m, ns, x)`` returns the block ``2^(m/2) psi(2^m x - n)`` for a
+    column of shifts ``ns``.
+    """
+    x = grid.points()
+    w = grid.trapezoid_weights()
+    ns = np.array(list(n_range))
+    A = np.vstack([atom(m, ns[:, None], x) for m in m_range])
+    return (A * w) @ A.T
+
+
+def _gram_check(G: np.ndarray, tol: float) -> dict:
+    dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
+    return {"pass": dev < tol, "max_deviation": dev, "tolerance": tol,
+            "atoms": int(G.shape[0])}
+
+
+def _zero_outside(spline, lo: float, hi: float):
+    """``spline`` on [lo, hi], literal zeros beyond."""
+    def evaluate(s):
+        out = np.zeros_like(s)
+        inside = (s >= lo) & (s <= hi)
+        out[inside] = spline(s[inside])
+        return out
+    return evaluate
+
+
+# -- build stage: analytic spectrum and fresh tables, stored in the file ----
+
+def _support_check(ws: WaveletSystem) -> dict:
+    vals = _bell_off_support(ws.bell)
     return {"pass": bool(np.all(vals == 0.0)), "max_abs": float(vals.max()),
             "probes": 200}
 
 
-def _shift_orthonormality(ws: WaveletSystem, which: str, tol: float = 1e-10) -> dict:
-    xi = np.linspace(-np.pi, np.pi, 512)
-    total = np.zeros_like(xi)
-    for k in range(-2, 3):
-        shifted = xi + 2 * np.pi * k
-        if which == "psi":
-            total += ws.bell(shifted) ** 2
-        else:
-            total += scaling_modulus(ws.bell, shifted) ** 2
-    dev = float(np.max(np.abs(total - 1.0)))
+def _shift_orthonormality(modulus, tol: float = 1e-10) -> dict:
+    dev = _lattice_deviation(lambda s: modulus(s) ** 2)
     return {"pass": dev < tol, "max_deviation": dev, "tolerance": tol, "probes": 512}
 
 
-def two_scale_gram(ws: WaveletSystem, m_range=(-1, 0, 1), n_range=range(-3, 4),
-                   half_width: float = 80.0) -> np.ndarray:
-    """Physical-side Gram matrix of dyadic wavelet atoms vs the identity."""
-    grid = Grid1D.from_interval(-half_width, half_width, 2 * int(half_width * 64) + 1)
-    x = grid.points()
-    w = grid.trapezoid_weights()
-    ns = np.array(list(n_range))
-    A = np.vstack([ws.atom_values(1, m, ns[:, None], x) for m in m_range])
-    return (A * w) @ A.T
-
-
 def _two_scale_check(ws: WaveletSystem, tol: float = 1e-7) -> dict:
-    G = two_scale_gram(ws)
-    dev = float(np.max(np.abs(G - np.eye(G.shape[0]))))
-    return {"pass": dev < tol, "max_deviation": dev, "tolerance": tol,
-            "atoms": G.shape[0]}
+    grid = Grid1D.from_interval(-80.0, 80.0, 2 * 80 * 64 + 1)
+    return _gram_check(two_scale_gram(
+        lambda m, ns, x: ws.atom_values(1, m, ns, x), grid), tol)
+
 
 def spectral_moments(ws: WaveletSystem, k_max: int = 10,
                      step: float = 0.02) -> np.ndarray:
     """Moments via the transform-side identity: int x^k psi = i^k psi_hat^(k)(0).
 
-    The k-th derivative at 0 is taken by a central binomial stencil on the
-    analytic spectrum.  The stencil footprint (k/2 * step <= 0.1) sits deep
-    inside the spectral dead zone around the origin, where the bell is a
-    literal zero, so this also exercises the exact-support bookkeeping.
+    The k-th derivative at 0 is taken by the central binomial stencil
+    ``bump.stencil_derivative`` on the analytic spectrum.  The stencil
+    footprint (k/2 * step <= 0.1) sits deep inside the spectral dead zone
+    around the origin, where the bell is a literal zero, so this also
+    exercises the exact-support bookkeeping.
     """
-    out = np.empty(k_max + 1, dtype=complex)
-    for k in range(k_max + 1):
-        js = np.arange(k + 1)
-        coeff = (-1.0) ** js * np.exp(lgamma(k + 1) - np.array(
-            [lgamma(j + 1) + lgamma(k - j + 1) for j in js]))
-        nodes = (k / 2.0 - js) * step
-        deriv = np.dot(coeff, ws.psi_hat_fn(nodes)) / step ** k if k else \
-            complex(ws.psi_hat_fn(0.0))
-        out[k] = (1j) ** k * deriv
-    return out
+    origin = np.zeros(1)
+    return np.array([(1j) ** k * stencil_derivative(ws.psi_hat_fn, k, origin, step)[0]
+                     for k in range(k_max + 1)])
 
 
 def _moment_check(ws: WaveletSystem, k_max: int = 10, base_tol: float = 1e-7,
@@ -456,17 +460,127 @@ def _normalization_check(ws: WaveletSystem, tol: float = 1e-8) -> dict:
             "physical_norm": physical, "tolerance": tol}
 
 
+# -- verify stage: rerun on a loaded file -----------------------------------
+
+def _stored_support(ws: WaveletSystem) -> dict:
+    """Stored spectra against ``PSI_BAND`` and ``PHI_BAND`` (each mirrored),
+    not the file's own ``declared_support``, which a tampered file can widen;
+    plus the bell probes.
+    """
+    stored_outside = 0.0
+    for spec, (lo, hi) in ((ws.psi_hat, PSI_BAND), (ws.phi_hat, PHI_BAND)):
+        u = np.abs(spec.grid.points())
+        off = np.abs(spec.values[(u < lo) | (u > hi)])
+        stored_outside = max(stored_outside, float(np.max(off, initial=0.0)))
+    bell_vals = _bell_off_support(ws.bell)
+    edge = np.abs(np.array([ws.bell(np.pi), ws.bell(2 * np.pi)]) - np.sqrt(0.5))
+    ok = stored_outside == 0.0 and np.all(bell_vals == 0.0) and np.all(edge < 1e-9)
+    return {"pass": bool(ok), "stored_max_outside_support": stored_outside,
+            "bell_max_off_support": float(bell_vals.max()),
+            "bell_edge_deviation": float(edge.max())}
+
+
+def _stored_orthonormality(ws: WaveletSystem) -> dict:
+    """Lattice sums recomputed from the *stored* spectra by interpolation.
+
+    Cubic interpolation of the stored grids limits this file-based rerun to
+    ~1e-8; the build-time certificate uses the analytic bell at 1e-10.
+    """
+    tol = 1e-8
+    worst = {}
+    for name, spec in (("psi", ws.psi_hat), ("phi", ws.phi_hat)):
+        g = spec.grid.points()
+        spline = CubicSpline(g, np.abs(spec.values) ** 2)
+        worst[name] = _lattice_deviation(_zero_outside(spline, g[0], g[-1]))
+    ok = max(worst.values()) < tol
+    return {"pass": bool(ok), "max_deviation": worst, "tolerance": tol,
+            "probes": 512}
+
+
+def _stored_moments(ws: WaveletSystem) -> dict:
+    """Window-limited moment check from the stored physical samples.
+
+    Integrating x^k psi over the stored window leaves an oscillatory tail of
+    about envelope(40)/frequency ~ 2e-6 scaled by 40^k, so only k = 0, 1 are
+    meaningful here and the tolerances reflect the truncation, not the
+    build-time long-range certificate (which covers the tight tolerances).
+    The spectral zero check runs on the stored array and is what a corrupted
+    file actually trips.
+    """
+    (grid,) = ws.psi_samples.grids
+    x = grid.points()
+    w = grid.trapezoid_weights()
+    moms = [abs(complex(np.sum(ws.psi_samples.values * w * x ** k)))
+            for k in range(2)]
+    tols = [1e-5, 1e-3]
+    near = np.abs(ws.psi_hat.grid.points()) < 0.3
+    spectral = float(np.max(np.abs(ws.psi_hat.values[near]), initial=0.0))
+    ok = all(m < t for m, t in zip(moms, tols)) and spectral == 0.0
+    return {"pass": bool(ok), "moments": moms, "tolerances": tols,
+            "spectral_max_near_zero": spectral}
+
+
+def _stored_two_scale(ws: WaveletSystem) -> dict:
+    """Cross-scale Gram from a quintic spline of the stored samples (tol 1e-5)."""
+    (grid,) = ws.psi_samples.grids
+    x = grid.points()
+    psi = _zero_outside(make_interp_spline(x, ws.psi_samples.values.real, k=5),
+                        x[0], x[-1])
+    return _gram_check(two_scale_gram(
+        lambda m, ns, pts: 2.0 ** (m / 2.0) * psi(np.ldexp(pts, m) - ns), grid), 1e-5)
+
+
+def _kernel_decay(ws: WaveletSystem) -> dict:
+    from . import projection  # projection imports this module
+
+    pk = projection.build_kernel(ws, level=0, dimension=1)
+    fit = projection.kernel_decay_certificate(pk)
+    ok = fit.rate_c > 0 and fit.r_squared > 0.95
+    return {"pass": bool(ok), "fit": fit.to_json_dict(),
+            "truncation_radius": pk.truncation_radius,
+            "tail_bound": pk.tail_bound}
+
+
+def _polynomial(ws: WaveletSystem) -> dict:
+    from . import projection  # projection imports this module
+
+    pk = projection.build_kernel(ws, level=0, dimension=1)
+    rep = projection.polynomial_reproduction(pk, max_degree=1)
+    devs = rep["max_deviation_per_degree"]
+    ok = devs[0] < 1e-8 and devs[1] < 1e-8
+    return {"pass": bool(ok), "max_deviation_per_degree":
+            {str(k): v for k, v in devs.items()}, "tolerance": 1e-8}
+
+
+# report name -> (stage, check); "build" results are stored in the system
+# file, "verify" suites are rerun by the CLI on a loaded file
+CHECKS = {
+    "SUPPORT": ("build", _support_check),
+    "SHIFT_ORTHONORMALITY_PSI": ("build", lambda ws: _shift_orthonormality(ws.bell)),
+    "SHIFT_ORTHONORMALITY_PHI": ("build", lambda ws: _shift_orthonormality(
+        lambda xi: scaling_modulus(ws.bell, xi))),
+    "TWO_SCALE_CROSS": ("build", _two_scale_check),
+    "MOMENTS": ("build", _moment_check),
+    "REALNESS": ("build", _realness_check),
+    "SCALING_LOWPASS": ("build", _scaling_lowpass_check),
+    "NORMALIZATION": ("build", _normalization_check),
+    "support": ("verify", _stored_support),
+    "orthonormality": ("verify", _stored_orthonormality),
+    "moments": ("verify", _stored_moments),
+    "two-scale": ("verify", _stored_two_scale),
+    "kernel-decay": ("verify", _kernel_decay),
+    "polynomial": ("verify", _polynomial),
+}
+
+
+def checks(stage: str) -> dict:
+    """Report name -> check function for every registry entry of ``stage``."""
+    return {name: check for name, (s, check) in CHECKS.items() if s == stage}
+
+
 def run_certificate_suite(ws: WaveletSystem) -> dict:
-    return {
-        "SUPPORT": _support_check(ws.bell),
-        "SHIFT_ORTHONORMALITY_PSI": _shift_orthonormality(ws, "psi"),
-        "SHIFT_ORTHONORMALITY_PHI": _shift_orthonormality(ws, "phi"),
-        "TWO_SCALE_CROSS": _two_scale_check(ws),
-        "MOMENTS": _moment_check(ws),
-        "REALNESS": _realness_check(ws),
-        "SCALING_LOWPASS": _scaling_lowpass_check(ws),
-        "NORMALIZATION": _normalization_check(ws),
-    }
+    """Run the build-stage checks; the result becomes ``ws.certificates``."""
+    return {name: check(ws) for name, check in checks("build").items()}
 
 
 def decay_profile(ws: WaveletSystem, x_max: float, n_points: int) -> np.ndarray:
@@ -489,10 +603,9 @@ def cross_gram_fourier(ws: WaveletSystem, m_values, n_values,
     m_values = list(m_values)
     n_values = list(n_values)
     top = max(2.0 ** m for m in m_values) * (8 * np.pi / 3)
-    xi = np.linspace(-top, top, n_quad)
-    w = np.full(n_quad, xi[1] - xi[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    grid = Grid1D.from_interval(-top, top, n_quad)
+    xi = grid.points()
+    w = grid.trapezoid_weights()
     rows = []
     for m in m_values:
         scale = 2.0 ** (-m)

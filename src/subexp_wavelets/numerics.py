@@ -156,6 +156,13 @@ def integrate(f: SampledFunction) -> complex:
     return complex(out)
 
 
+def moments(grid: Grid1D, values, k_max: int) -> np.ndarray:
+    """Trapezoid moments ``int x^k f dx``, ``k = 0..k_max``, of samples on ``grid``."""
+    x = grid.points()
+    w = grid.trapezoid_weights()
+    return np.array([np.dot(values * w, x ** k) for k in range(k_max + 1)])
+
+
 def inner_product(f: SampledFunction, g: SampledFunction) -> complex:
     """Sesquilinear L2 product ``int f conj(g)``; grids must match exactly."""
     if f.grids != g.grids:

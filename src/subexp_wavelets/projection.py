@@ -47,20 +47,23 @@ def _phi_envelope(ws: WaveletSystem) -> DecayFit:
     return metrics.subexp_decay_fit(samples, "fixed", rho=ws.rho2)
 
 
+def _lattice_tail(fit: DecayFit, K: int) -> float:
+    """Envelope-squared estimate of the lattice terms dropped beyond radius K."""
+    j = np.arange(K + 1, K + 400, dtype=float)
+    term = (fit.amplitude_C * np.exp(-fit.rate_c * j ** fit.exponent)) ** 2
+    return 2.0 * float(np.sum(term))
+
+
 def _default_truncation(ws: WaveletSystem, fit: DecayFit) -> tuple[int, float]:
     """Smallest K whose lattice-tail estimate drops below 1e-12.
 
     Each dropped term is a product of two phi factors at distance > K from
     their centers, so the tail is summed with the envelope squared.
     """
-    def tail(K):
-        j = np.arange(K + 1, K + 400, dtype=float)
-        term = (fit.amplitude_C * np.exp(-fit.rate_c * j ** fit.exponent)) ** 2
-        return 2.0 * float(np.sum(term))
-
     for K in range(4, int(TABLE_HALF)):
-        if tail(K) < _TAIL_TARGET:
-            return K, tail(K)
+        tail = _lattice_tail(fit, K)
+        if tail < _TAIL_TARGET:
+            return K, tail
     raise ProjectionError("no truncation radius reaches the tail target")
 
 
@@ -83,9 +86,7 @@ def build_kernel(ws: WaveletSystem, level: int = 0, dimension: int = 1,
     if truncation_radius is None:
         truncation_radius, tail = _default_truncation(ws, fit)
     else:
-        j = np.arange(truncation_radius + 1, truncation_radius + 400, dtype=float)
-        tail = 2.0 * float(np.sum(
-            (fit.amplitude_C * np.exp(-fit.rate_c * j ** fit.exponent)) ** 2))
+        tail = _lattice_tail(fit, truncation_radius)
     return ProjectionKernel(ws=ws, level=level, truncation_radius=truncation_radius,
                             dimension=dimension, tail_bound=tail)
 
@@ -232,14 +233,6 @@ def kernel_decay_certificate(pk: ProjectionKernel, probe_count: int = 16,
         raise ProjectionError(f"degenerate fit: {exc}") from exc
 
 
-def _phi_lattice_moments(ws: WaveletSystem, max_degree: int) -> np.ndarray:
-    """M_j = int phi(u) u^j du over the long-range table, j = 0..max_degree."""
-    grid, vals = ws.wide_table("phi")
-    u = grid.points()
-    w = grid.trapezoid_weights()
-    return np.array([np.dot(vals * w, u ** j) for j in range(max_degree + 1)])
-
-
 def polynomial_reproduction(pk: ProjectionKernel, max_degree: int) -> dict:
     """Deviation of int q_0(x, y) (y - x)^alpha dy from its ideal value.
 
@@ -252,8 +245,9 @@ def polynomial_reproduction(pk: ProjectionKernel, max_degree: int) -> dict:
     if max_degree > 6:
         raise ProjectionError("polynomial degree capped at 6")
     ws = pk.ws
-    M = _phi_lattice_moments(ws, max_degree)
     grid, table = ws.wide_table("phi")
+    # translate moments M_j = int phi(u) u^j du over the long-range table
+    M = numerics.moments(grid, table, max_degree)
     # probes on the table lattice so every phi(x - k) is an exact table read
     xs = np.arange(32) / 16.0
     kmax = int(grid.last) - 3
@@ -331,10 +325,6 @@ class PrimitiveDecomposition:
     bound_constants: dict
 
 
-def _moment_table(vals: np.ndarray, x: np.ndarray, w: np.ndarray, r: int):
-    return np.array([np.dot(vals * w, x ** j) for j in range(r + 1)])
-
-
 def primitive_decomposition_1d(g: SampledFunction, r: int,
                                rho: float = 2.0) -> PrimitiveDecomposition:
     """Write g as the r-th derivative of a single primitive g_r.
@@ -352,7 +342,7 @@ def primitive_decomposition_1d(g: SampledFunction, r: int,
     if np.iscomplexobj(vals):
         vals = vals.real
     w = grid.trapezoid_weights()
-    moments = _moment_table(vals, x, w, r)
+    moments = numerics.moments(grid, vals, r)
     scales = np.array([max(1.0, abs(np.dot(np.abs(vals) * w, np.abs(x) ** j)))
                        for j in range(r + 1)])
     if np.any(np.abs(moments) / scales > 1e-8):

@@ -13,7 +13,10 @@ import re
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .numerics import Grid1D, SampledFunction
+from . import numerics
+from .numerics import Grid1D, SampledFunction, SpectrumOnBand
+
+_BAND_POINTS = 4096  # spectral nodes of a gevrey-band function
 
 
 class TestFunctionError(ValueError):
@@ -43,49 +46,49 @@ def gaussian_derivative(order: int):
     return f
 
 
-def gevrey_band(xi0: float, xi1: float, rho: float = 2.0,
-                n_quad: int = 4096):
+def gevrey_band(xi0: float, xi1: float, rho: float = 2.0):
     """Real function whose spectrum is a Gevrey bump on [xi0, xi1] (+ mirror).
 
     f(x) = (1/pi) int_{xi0}^{xi1} A(xi) cos(x xi) dxi with
     A(xi) = exp(-(1 - u^2)^{-1/(rho-1)}), u the affine map of [xi0, xi1] onto
     [-1, 1]; normalized to unit L2 norm.  When 0 < xi0 all moments vanish.
+    f is ``2 Re`` of the synthesis of its one-sided spectrum ``f.spectrum``
+    (direct sum at scattered points; ``sample`` uses the chirp-z engine).
     """
     if not (xi1 > xi0 >= 0):
         raise TestFunctionError("need 0 <= xi0 < xi1")
     if rho <= 1:
         raise TestFunctionError("Gevrey order must exceed 1")
-    xi = np.linspace(xi0, xi1, n_quad)
-    u = (2 * xi - xi0 - xi1) / (xi1 - xi0)
-    amp = np.zeros(n_quad)
+    grid = Grid1D.from_interval(xi0, xi1, _BAND_POINTS)
+    u = (2 * grid.points() - xi0 - xi1) / (xi1 - xi0)
+    amp = np.zeros(_BAND_POINTS)
     inner = np.abs(u) < 1
     amp[inner] = np.exp(-(1.0 - u[inner] ** 2) ** (-1.0 / (rho - 1.0)))
-    w = np.full(n_quad, xi[1] - xi[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    norm = np.sqrt(np.sum(amp * amp * w) / np.pi)
-    coeff = amp * w / (np.pi * norm)
+    amp /= np.sqrt(np.sum(amp * amp * grid.trapezoid_weights()) / np.pi)
+    spectrum = SpectrumOnBand(band=(xi0, xi1), grid=grid, values=amp,
+                              declared_support=((xi0, xi1),))
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        pts = np.atleast_1d(x)
-        out = np.empty(pts.size)
-        chunk = 4096
-        for i in range(0, pts.size, chunk):
-            out[i:i + chunk] = np.cos(np.outer(pts[i:i + chunk], xi)) @ coeff
-        return float(out[0]) if scalar else out
+        out = 2.0 * numerics.synthesize_values(spectrum, x).real
+        return float(out[0]) if x.ndim == 0 else out
     f.description = f"gevrey-band({xi0:.6g},{xi1:.6g})"
-    f.band = (xi0, xi1)
+    f.spectrum = spectrum
     return f
 
 
+def _on_grid(fn, grid: Grid1D) -> np.ndarray:
+    if hasattr(fn, "spectrum"):  # one chirp-z synthesis for the whole grid
+        return 2.0 * numerics.synthesize(fn.spectrum, grid).values.real
+    return fn(grid.points())
+
+
 def sample(fn, grid: Grid1D) -> SampledFunction:
-    return SampledFunction(grid, np.asarray(fn(grid.points()), dtype=complex))
+    return SampledFunction(grid, np.asarray(_on_grid(fn, grid), dtype=complex))
 
 
 def sample_2d(fn_x, fn_y, gx: Grid1D, gy: Grid1D) -> SampledFunction:
-    vals = np.outer(fn_x(gx.points()), fn_y(gy.points()))
+    vals = np.outer(_on_grid(fn_x, gx), _on_grid(fn_y, gy))
     return SampledFunction((gx, gy), vals.astype(complex))
 
 

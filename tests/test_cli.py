@@ -18,6 +18,34 @@ def system_file(ws, tmp_path_factory):
     return str(path)
 
 
+def _tampered(system_file, tmp_path, tamper):
+    """Copy of the reference file after ``tamper(doc)``; returns its path."""
+    with open(system_file) as fh:
+        doc = json.load(fh)
+    tamper(doc)
+    path = tmp_path / "tampered.json"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return str(path)
+
+
+def _write_spectrum(doc, key, xi_target, value):
+    """Widen ``key``'s declared support to the whole band, then write
+    ``value`` at the stored node nearest ``xi_target``.
+    """
+    spec = doc[key]
+    spec["declared_support"] = [list(spec["band"])]
+    grid = spec["grid"]
+    xi = grid["origin"] + grid["spacing"] * np.arange(grid["count"])
+    spec["re"][int(np.argmin(np.abs(xi - xi_target)))] = value
+
+
+def _scale_psi_samples(doc):
+    for part in ("re", "im"):
+        doc["psi_samples"][part] = (1.01 * np.asarray(
+            doc["psi_samples"][part])).tolist()
+
+
 def _read_report(path):
     with open(path) as fh:
         doc = json.load(fh)
@@ -50,6 +78,7 @@ class TestVerify:
         assert code == cli.EXIT_OK
         doc = _read_report(report)
         assert all(suite["pass"] for suite in doc["suites"].values())
+        assert doc["suites"]["support"]["stored_max_outside_support"] == 0.0
 
     def test_unknown_suite_is_config_error(self, system_file):
         code = cli.main(["verify", "--system", system_file,
@@ -84,6 +113,28 @@ class TestVerify:
             json.dump(doc, fh)
         code = cli.main(["verify", "--system", str(tampered),
                          "--suite", "orthonormality"])
+        assert code == cli.EXIT_CHECK_FAILURE
+
+    def test_widened_declared_support_fails_support(self, system_file,
+                                                    tmp_path, capsys):
+        # the file declares psi_hat on all of [-3 pi, 3 pi] and writes into
+        # the dead zone around the origin: the stored-support check reads
+        # the construction's own band, not the file's declaration
+        tampered = _tampered(system_file, tmp_path, lambda doc: _write_spectrum(
+            doc, "psi_hat", 1.0, 1e-6))
+        code = cli.main(["verify", "--system", tampered])
+        assert code == cli.EXIT_CHECK_FAILURE
+        assert "support: FAIL" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("suite, tamper", [
+        ("support", lambda doc: _write_spectrum(doc, "phi_hat", 5.0, 1e-6)),
+        ("moments", lambda doc: _write_spectrum(doc, "psi_hat", 0.1, 1e-6)),
+        ("two-scale", _scale_psi_samples),
+    ], ids=["support", "moments", "two-scale"])
+    def test_tampered_file_fails_its_suite(self, system_file, tmp_path,
+                                           suite, tamper):
+        tampered = _tampered(system_file, tmp_path, tamper)
+        code = cli.main(["verify", "--system", tampered, "--suite", suite])
         assert code == cli.EXIT_CHECK_FAILURE
 
 
