@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 
 import numpy as np
@@ -47,15 +46,7 @@ class CorruptSystemError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _metadata() -> dict:
-    raw = os.environ.get("SUBEXP_WAVELETS_THREADS")
-    try:
-        cap = int(raw) if raw else None
-    except ValueError:
-        cap = None
-    return {
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "thread_cap": cap,
-    }
+    return {"generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
 
 
 def _emit(report: dict, path: str | None) -> None:

@@ -40,12 +40,14 @@ SCHEMA_TAG = "dhws-v1"
 
 PSI_BAND = (2 * np.pi / 3, 8 * np.pi / 3)
 PHI_BAND = (0.0, 4 * np.pi / 3)
+_SPECTRAL_HALF = 3 * np.pi  # stored spectra live on [-3 pi, 3 pi]
 
 # dense-table layout: spacing fine enough that cubic interpolation of a
 # band-limited function (|xi| <= 8 pi / 3) stays below ~1e-11
 TABLE_SPACING = 1.0 / 256
 TABLE_HALF = 264.0
 _TABLE_BAND_POINTS = 4096
+_WIDE_HALF = 1500.0
 _WIDE_SPACING = 1.0 / 16
 _WIDE_BAND_POINTS = 8192
 # psi_hat = exp(i xi / 2) bell, phi_hat = exp(i xi) |phi_hat|: each table is
@@ -220,13 +222,13 @@ class WaveletSystem:
         x = np.asarray(x, dtype=float)
         return (2.0 ** (m * (0.5 + order))) * f(np.ldexp(x, m) - n)
 
-    def wide_table(self, which: str, x_max: float = 1500.0):
-        """Coarse long-range table for moment-type integrals (spacing 1/16)."""
-        key = (which, x_max)
-        if key not in self._wide:
-            self._wide[key] = self._even_table(which, 0, x_max, _WIDE_SPACING,
-                                               _WIDE_BAND_POINTS)
-        return self._wide[key]
+    def wide_table(self, which: str):
+        """Coarse long-range table for moment-type integrals (spacing 1/16,
+        on [-_WIDE_HALF, _WIDE_HALF])."""
+        if which not in self._wide:
+            self._wide[which] = self._even_table(which, 0, _WIDE_HALF, _WIDE_SPACING,
+                                                 _WIDE_BAND_POINTS)
+        return self._wide[which]
 
     # -- named checks ------------------------------------------------------
 
@@ -289,11 +291,12 @@ class WaveletSystem:
 
 def build_wavelet_system(a: float, rho2: float, *,
                          spectral_points: int = 8192,
-                         spectral_halfwidth: float = 3 * np.pi,
                          window: float = 40.0,
-                         physical_points: int | None = None,
                          run_certificates: bool = True) -> WaveletSystem:
     """Assemble spectra and samples; run and store the named certificates.
+
+    The spectra are stored on [-3 pi, 3 pi], the samples on [-window, window]
+    at spacing 1/64.
 
     Certificate failures are recorded in ``certificates`` with pass=False,
     never raised: the system is returned with the failures flagged.
@@ -301,20 +304,18 @@ def build_wavelet_system(a: float, rho2: float, *,
     bump = build_bump(a, rho2)  # raises on a >= pi/3 or rho2 <= 1
     bell = build_bell(bump)
 
-    sg = Grid1D.from_interval(-spectral_halfwidth, spectral_halfwidth, spectral_points)
+    sg = Grid1D.from_interval(-_SPECTRAL_HALF, _SPECTRAL_HALF, spectral_points)
     xi = sg.points()
     psi_vals = np.exp(0.5j * xi) * bell(xi)
     phi_vals = np.exp(1j * xi) * scaling_modulus(bell, xi)
     psi_hat = SpectrumOnBand(
-        band=(-spectral_halfwidth, spectral_halfwidth), grid=sg, values=psi_vals,
+        band=(-_SPECTRAL_HALF, _SPECTRAL_HALF), grid=sg, values=psi_vals,
         declared_support=((-PSI_BAND[1], -PSI_BAND[0]), (PSI_BAND[0], PSI_BAND[1])))
     phi_hat = SpectrumOnBand(
-        band=(-spectral_halfwidth, spectral_halfwidth), grid=sg, values=phi_vals,
+        band=(-_SPECTRAL_HALF, _SPECTRAL_HALF), grid=sg, values=phi_vals,
         declared_support=((-PHI_BAND[1], PHI_BAND[1]),))
 
-    if physical_points is None:
-        physical_points = 2 * int(round(window * 64)) + 1  # spacing 1/64
-    pg = Grid1D.from_interval(-window, window, physical_points)
+    pg = Grid1D.from_interval(-window, window, 2 * int(round(window * 64)) + 1)
     psi_samples = numerics.synthesize(psi_hat, pg)
     phi_samples = numerics.synthesize(phi_hat, pg)
 
@@ -394,17 +395,16 @@ def _two_scale_check(ws: WaveletSystem, tol: float = 1e-7) -> dict:
         lambda m, ns, x: ws.atom_values(1, m, ns, x), grid), tol)
 
 
-def spectral_moments(ws: WaveletSystem, k_max: int = 10,
-                     step: float = 0.02) -> np.ndarray:
+def spectral_moments(ws: WaveletSystem, k_max: int = 10) -> np.ndarray:
     """Moments via the transform-side identity: int x^k psi = i^k psi_hat^(k)(0).
 
     The k-th derivative at 0 is taken by the central binomial stencil
-    ``bump.stencil_derivative`` on the analytic spectrum.  The stencil
-    footprint (k/2 * step <= 0.1) sits deep inside the spectral dead zone
-    around the origin, where the bell is a literal zero, so this also
+    ``bump.stencil_derivative`` (step 0.02) on the analytic spectrum.  The
+    stencil footprint (k/2 * step <= 0.1) sits deep inside the spectral dead
+    zone around the origin, where the bell is a literal zero, so this also
     exercises the exact-support bookkeeping.
     """
-    origin = np.zeros(1)
+    origin, step = np.zeros(1), 0.02
     return np.array([(1j) ** k * stencil_derivative(ws.psi_hat_fn, k, origin, step)[0]
                      for k in range(k_max + 1)])
 
@@ -507,11 +507,8 @@ def _stored_moments(ws: WaveletSystem) -> dict:
     The spectral zero check runs on the stored array and is what a corrupted
     file actually trips.
     """
-    (grid,) = ws.psi_samples.grids
-    x = grid.points()
-    w = grid.trapezoid_weights()
-    moms = [abs(complex(np.sum(ws.psi_samples.values * w * x ** k)))
-            for k in range(2)]
+    moms = [abs(complex(m)) for m in
+            numerics.moments(ws.psi_samples.grids[0], ws.psi_samples.values, 1)]
     tols = [1e-5, 1e-3]
     near = np.abs(ws.psi_hat.grid.points()) < 0.3
     spectral = float(np.max(np.abs(ws.psi_hat.values[near]), initial=0.0))
@@ -592,18 +589,18 @@ def decay_profile(ws: WaveletSystem, x_max: float, n_points: int) -> np.ndarray:
     return np.column_stack([x, vals])
 
 
-def cross_gram_fourier(ws: WaveletSystem, m_values, n_values,
-                       n_quad: int = 32768) -> np.ndarray:
+def cross_gram_fourier(ws: WaveletSystem, m_values, n_values) -> np.ndarray:
     """Gram matrix of atoms psi_{m,n} computed on the Fourier side.
 
     Each atom's spectrum is 2^(-m/2) exp(-i xi n / 2^m) psi_hat(xi / 2^m),
-    compactly supported, so a single fine trapezoid grid covering the union
-    of the scaled bands gives every pairwise inner product at once.
+    compactly supported, so a single fine trapezoid grid (32768 nodes)
+    covering the union of the scaled bands gives every pairwise inner product
+    at once.
     """
     m_values = list(m_values)
     n_values = list(n_values)
     top = max(2.0 ** m for m in m_values) * (8 * np.pi / 3)
-    grid = Grid1D.from_interval(-top, top, n_quad)
+    grid = Grid1D.from_interval(-top, top, 32768)
     xi = grid.points()
     w = grid.trapezoid_weights()
     rows = []

@@ -7,8 +7,13 @@ and an integer shift n.  Coefficients are quadrature inner products
 the continuous wavelet transform sampled at (n 2^-m, 2^-m), and both routes
 are computed and compared.
 
-All coefficients are computed by direct quadrature (correctness over speed);
-there is no filter-bank fast transform here.
+Every coefficient, of a sampled function in one or two dimensions or of a
+dual representative (point masses or a density, with derivatives moved onto
+the atom), comes from one loop, ``_analysis``: for each pattern and scale it
+builds one ``WaveletSystem.atom_values`` block per axis and applies it to the
+weighted samples.  ``synthesize_partial`` runs the same blocks transposed.
+This is direct quadrature (correctness over speed); there is no filter-bank
+fast transform here.
 """
 
 from __future__ import annotations
@@ -118,22 +123,57 @@ def tensor_atom(ws: WaveletSystem, index: WaveletIndex, x) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def cwt(ws: WaveletSystem, f: SampledFunction, b: float, a: float) -> complex:
-    """W f(b, a) = (1/a) int f(x) conj(psi)((x - b)/a) dx, one dimension."""
+def cwt(ws: WaveletSystem, f: SampledFunction, b: float, a: float,
+        order: int = 0) -> complex:
+    """d^k/db^k W f(b, a) = (-1)^k a^(-k-1) int f(x) conj(psi^(k))((x - b)/a) dx.
+
+    ``order`` k = 0 is the transform W f itself; one dimension only.
+    """
     if not a > 0:
         raise ExpansionError("scale must be positive")
     if f.dimension != 1:
         raise ExpansionError("continuous transform implemented in d = 1 only")
     (grid,) = f.grids
-    x = grid.points()
-    psi = ws.interpolator("psi")
-    vals = psi((x - b) / a)  # psi is real: conjugation is the identity
-    return complex(np.dot(f.values * grid.trapezoid_weights(), vals) / a)
+    psi = ws.interpolator("psi", order)
+    vals = psi((grid.points() - b) / a)  # psi is real: conjugation is the identity
+    fw = f.values * grid.trapezoid_weights()
+    return ((-1.0) ** order / a ** (order + 1)) * np.dot(fw, vals)
 
 
 # ---------------------------------------------------------------------------
-# analysis / synthesis
+# analysis / synthesis: one loop over (epsilon, m) atom blocks
 # ---------------------------------------------------------------------------
+
+def _scale_blocks(ws: WaveletSystem, window: IndexWindow, xs, order: int):
+    """(epsilon, m, blocks) over the window; blocks[i][k, j] is axis i's factor
+    (derivative ``order``) at shift ``-N + k`` and point ``xs[i][j]``."""
+    ns = np.arange(-window.N, window.N + 1)[:, None]
+    for eps in window.patterns():
+        for m in range(-window.M, window.M + 1):
+            yield eps, m, [ws.atom_values(e, m, ns, x, order) for e, x in zip(eps, xs)]
+
+
+def _shifts(window: IndexWindow):
+    return list(product(range(-window.N, window.N + 1), repeat=window.d))
+
+
+def _analysis(ws: WaveletSystem, window: IndexWindow, xs, fw, order: int) -> dict:
+    """c_lambda = (-1)^order sum_j fw_j d^order atom_lambda(x_j) over the window.
+
+    ``xs`` holds the points of each axis and ``fw`` the weighted samples on
+    their product (quadrature weights times values, or point masses); one
+    block per axis and scale gives every coefficient of that scale.
+    """
+    shifts = _shifts(window)
+    coeffs = {}
+    for eps, m, B in _scale_blocks(ws, window, xs, order):
+        C = B[0] @ fw
+        if window.d == 2:
+            C = C @ B[1].T
+        for n, c in zip(shifts, (-1.0) ** order * C.ravel()):
+            coeffs[WaveletIndex(epsilon=eps, m=m, n=n)] = complex(c)
+    return coeffs
+
 
 def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
             cross_check: bool = True,
@@ -146,39 +186,18 @@ def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
     """
     if f.dimension != window.d:
         raise ExpansionError("dimension mismatch between function and window")
-    coeffs = {}
-    ns = np.arange(-window.N, window.N + 1)
-    if window.d == 1:
-        (grid,) = f.grids
-        x = grid.points()
-        fw = f.values * grid.trapezoid_weights()
-        for m in range(-window.M, window.M + 1):
-            B = ws.atom_values(1, m, ns[:, None], x)
-            direct = B @ fw
-            if cross_check:
-                scale = 2.0 ** (-m)
-                sampled = np.array([2.0 ** (-m / 2.0) * cwt(ws, f, n * scale, scale)
-                                    for n in ns])
-                if np.max(np.abs(direct - sampled)) > 1e-9:
-                    raise ExpansionError("coefficient consistency")
-            for n, c in zip(ns, direct):
-                coeffs[WaveletIndex(epsilon=(1,), m=m, n=(int(n),))] = complex(c)
-        return CoefficientSet(window=window, coefficients=coeffs,
-                              source_descriptor=source_descriptor)
-    if window.d != 2:
+    if window.d > 2:
         raise ExpansionError("analysis implemented for d = 1 and d = 2")
-    gx, gy = f.grids
-    wx, wy = gx.trapezoid_weights(), gy.trapezoid_weights()
-    fw = f.values * wx[:, None] * wy[None, :]
-    for eps in window.patterns():
-        for m in range(-window.M, window.M + 1):
-            B1 = ws.atom_values(eps[0], m, ns[:, None], gx.points())
-            B2 = ws.atom_values(eps[1], m, ns[:, None], gy.points())
-            C = B1 @ fw @ B2.T
-            for i, n1 in enumerate(ns):
-                for j, n2 in enumerate(ns):
-                    coeffs[WaveletIndex(epsilon=eps, m=m,
-                                        n=(int(n1), int(n2)))] = complex(C[i, j])
+    fw = f.values  # times the product trapezoid weights
+    for axis, g in enumerate(f.grids):
+        fw = fw * g.trapezoid_weights().reshape((-1,) + (1,) * (window.d - axis - 1))
+    coeffs = _analysis(ws, window, [g.points() for g in f.grids], fw, 0)
+    if cross_check and window.d == 1:
+        for index, c in coeffs.items():
+            scale = 2.0 ** (-index.m)
+            sampled = 2.0 ** (-index.m / 2.0) * cwt(ws, f, index.n[0] * scale, scale)
+            if abs(c - sampled) > 1e-9:
+                raise ExpansionError("coefficient consistency")
     return CoefficientSet(window=window, coefficients=coeffs,
                           source_descriptor=source_descriptor)
 
@@ -187,27 +206,14 @@ def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
                        grid) -> SampledFunction:
     """Partial sum over the window on the given grid (Grid1D, or pair)."""
     window = coeffs.window
-    ns = np.arange(-window.N, window.N + 1)
-    if window.d == 1:
-        g = grid if isinstance(grid, Grid1D) else grid[0]
-        x = g.points()
-        out = np.zeros(x.size, dtype=complex)
-        for m in range(-window.M, window.M + 1):
-            cvec = np.array([coeffs.coefficients[
-                WaveletIndex(epsilon=(1,), m=m, n=(int(n),))] for n in ns])
-            out += cvec @ ws.atom_values(1, m, ns[:, None], x)
-        return SampledFunction(g, out)
-    gx, gy = grid
-    out = np.zeros((gx.count, gy.count), dtype=complex)
-    for eps in window.patterns():
-        for m in range(-window.M, window.M + 1):
-            C = np.array([[coeffs.coefficients[
-                WaveletIndex(epsilon=eps, m=m, n=(int(n1), int(n2)))]
-                for n2 in ns] for n1 in ns])
-            B1 = ws.atom_values(eps[0], m, ns[:, None], gx.points())
-            B2 = ws.atom_values(eps[1], m, ns[:, None], gy.points())
-            out += B1.T @ C @ B2
-    return SampledFunction((gx, gy), out)
+    grids = (grid,) if isinstance(grid, Grid1D) else tuple(grid)[:window.d]
+    shifts = _shifts(window)
+    out = np.zeros(tuple(g.count for g in grids), dtype=complex)
+    for eps, m, B in _scale_blocks(ws, window, [g.points() for g in grids], 0):
+        C = np.array([coeffs.coefficients[WaveletIndex(epsilon=eps, m=m, n=n)]
+                      for n in shifts]).reshape((2 * window.N + 1,) * window.d)
+        out += C @ B[0] if window.d == 1 else B[0].T @ C @ B[1]
+    return SampledFunction(grids if window.d > 1 else grids[0], out)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +226,9 @@ class DualRepresentative:
 
     Either a finite point-mass combination (points, weights) or the k-th
     distributional derivative of an integrable density; pairings move the
-    derivatives onto the smooth partner.
+    derivatives onto the smooth partner.  Both kinds act through one
+    (nodes, weights) form: the point masses, or the density's grid with its
+    values times the trapezoid weights.
     """
 
     points: np.ndarray = None
@@ -228,40 +236,27 @@ class DualRepresentative:
     density: SampledFunction = None
     derivative_order: int = 0
 
-    def coefficient(self, ws: WaveletSystem, index: WaveletIndex) -> complex:
-        if index.dimension != 1:
-            raise ExpansionError("dual representatives implemented in d = 1")
-        bit, m, n = index.epsilon[0], index.m, index.n[0]
-        k = self.derivative_order
+    def _nodes(self):
+        """(x_j, w_j) with <self, g> = (-1)^k sum_j w_j g^(k)(x_j)."""
         if self.points is not None:
-            vals = ws.atom_values(bit, m, n, np.asarray(self.points, dtype=float),
-                                  order=k)
-            return complex((-1.0) ** k * np.dot(np.asarray(self.weights), vals))
+            return np.asarray(self.points, dtype=float), np.asarray(self.weights)
         (grid,) = self.density.grids
-        vals = ws.atom_values(bit, m, n, grid.points(), order=k)
-        w = grid.trapezoid_weights()
-        return complex((-1.0) ** k * np.dot(self.density.values * w, vals))
+        return grid.points(), self.density.values * grid.trapezoid_weights()
+
+    def coefficients(self, ws: WaveletSystem, window: IndexWindow) -> dict:
+        """<self, atom_lambda> for every index of the (one-dimensional) window."""
+        if window.d != 1:
+            raise ExpansionError("dual representatives implemented in d = 1")
+        x, w = self._nodes()
+        return _analysis(ws, window, [x], w, self.derivative_order)
 
     def pair(self, g: SampledFunction) -> complex:
         (grid,) = g.grids
         spline = CubicSpline(grid.points(), g.values.real)
         k = self.derivative_order
-        if self.points is not None:
-            target = spline.derivative(k) if k else spline
-            return complex((-1.0) ** k * np.dot(np.asarray(self.weights),
-                                                target(np.asarray(self.points))))
         target = spline.derivative(k) if k else spline
-        (dgrid,) = self.density.grids
-        w = dgrid.trapezoid_weights()
-        return complex((-1.0) ** k * np.dot(self.density.values * w,
-                                            target(dgrid.points())))
-
-
-def _coefficients_of(ws, obj, window):
-    """Coefficients of a sampled function or a dual representative over the window."""
-    if isinstance(obj, DualRepresentative):
-        return {index: obj.coefficient(ws, index) for index in window.indices()}
-    return analyze(ws, obj, window, cross_check=False).coefficients
+        x, w = self._nodes()
+        return complex((-1.0) ** k * np.dot(w, target(x)))
 
 
 def parseval_check(ws: WaveletSystem, f, g: SampledFunction,
@@ -270,14 +265,16 @@ def parseval_check(ws: WaveletSystem, f, g: SampledFunction,
 
     rhs = sum_lambda c^psi_lambda(f) * c^{psi-bar}_lambda(g); the second
     family uses the conjugate analyzing atom (equal to the atom itself here,
-    since psi and phi are real).
+    since psi and phi are real).  An input passed as both f and g is
+    analyzed once.
     """
     if isinstance(f, DualRepresentative):
         lhs = f.pair(g)
+        cf = f.coefficients(ws, window)
     else:
         lhs = numerics.pairing(f, g)
-    cf = _coefficients_of(ws, f, window)
-    cg = _coefficients_of(ws, g, window)
+        cf = analyze(ws, f, window, cross_check=False).coefficients
+    cg = cf if g is f else analyze(ws, g, window, cross_check=False).coefficients
     rhs = sum(cf[idx] * cg[idx] for idx in window.indices())
     return {"lhs": complex(lhs), "rhs": complex(rhs),
             "gap": abs(complex(lhs) - complex(rhs))}

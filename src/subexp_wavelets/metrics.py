@@ -16,10 +16,12 @@ probes; reports never claim certified upper bounds.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
+
+from .expansion import cwt
 
 logger = logging.getLogger(__name__)
 
@@ -263,22 +265,12 @@ def halfplane_norm_probe(ws, f, params: HalfplaneParams, samples) -> float:
     """Weighted sup of the wavelet transform of ``f`` over half-plane samples.
 
     Phi(b, a) = (1/a) int f(x) psi((x - b)/a) dx.  Shift derivatives go onto
-    the analyzing atom (exact, via the dense derivative tables); scale
-    derivatives use central differences in log a.  Finiteness of this probe
+    the analyzing atom (``expansion.cwt`` of that order, exact via the dense
+    derivative tables); scale derivatives use central differences in log a.
+    Finiteness of this probe
     over growing sample sets is the desk-scale witness that the transform
     maps into the weighted half-plane space continuously.
     """
-    from . import numerics
-
-    (grid,) = f.grids
-    x = grid.points()
-    fw = f.values * grid.trapezoid_weights()
-
-    def phi_b_deriv(b, a, beta):
-        atom = ws.interpolator("psi", beta)
-        vals = atom((x - b) / a)
-        return ((-1.0) ** beta / a ** (beta + 1)) * np.dot(fw, vals)
-
     delta = 1e-3  # log-scale step for d/da stencils
     best = 0.0
     for (b, a) in samples:
@@ -292,9 +284,9 @@ def halfplane_norm_probe(ws, f, params: HalfplaneParams, samples) -> float:
             continue
         weight = float(np.exp(warg))
         for beta in range(params.max_beta + 1):
-            p0 = phi_b_deriv(b, a, beta)
-            pp = phi_b_deriv(b, a * np.exp(delta), beta)
-            pm = phi_b_deriv(b, a * np.exp(-delta), beta)
+            p0 = cwt(ws, f, b, a, beta)
+            pp = cwt(ws, f, b, a * np.exp(delta), beta)
+            pm = cwt(ws, f, b, a * np.exp(-delta), beta)
             d1_log = (pp - pm) / (2 * delta)
             d2_log = (pp - 2 * p0 + pm) / delta ** 2
             derivs = [p0, d1_log / a, (d2_log - d1_log) / a ** 2]

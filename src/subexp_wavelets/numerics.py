@@ -24,6 +24,7 @@ import numpy as np
 from scipy import fft
 
 DERIVATIVE_ORDER_CAP = 60
+_CHUNK = 2048  # rows of each exp(i outer) block in the direct sums
 
 
 class NumericsError(ValueError):
@@ -181,8 +182,7 @@ def norm_l2(f: SampledFunction) -> float:
     return float(np.sqrt(inner_product(f, f).real))
 
 
-def synthesize_values(spec: SpectrumOnBand, x_points, order: int = 0,
-                      chunk: int = 2048) -> np.ndarray:
+def synthesize_values(spec: SpectrumOnBand, x_points, order: int = 0) -> np.ndarray:
     """Evaluate ``(1/2pi) int (i xi)^order spec(xi) exp(i x xi) dxi`` at ``x_points``.
 
     The quadrature runs only over grid points inside the declared support
@@ -203,9 +203,9 @@ def synthesize_values(spec: SpectrumOnBand, x_points, order: int = 0,
         amp = amp * (1j * xi) ** order
     amp = amp / (2.0 * np.pi)
     out = np.empty(x.shape, dtype=complex)
-    for i in range(0, x.size, chunk):
-        xs = x[i:i + chunk]
-        out[i:i + chunk] = np.exp(1j * np.outer(xs, xi)) @ amp
+    for i in range(0, x.size, _CHUNK):
+        xs = x[i:i + _CHUNK]
+        out[i:i + _CHUNK] = np.exp(1j * np.outer(xs, xi)) @ amp
     return out
 
 
@@ -266,7 +266,6 @@ def forward_transform_values(f: SampledFunction, xi_points) -> np.ndarray:
     amp = f.values * g.trapezoid_weights()
     xi = np.atleast_1d(np.asarray(xi_points, dtype=float))
     out = np.empty(xi.shape, dtype=complex)
-    chunk = 2048
-    for i in range(0, xi.size, chunk):
-        out[i:i + chunk] = np.exp(-1j * np.outer(xi[i:i + chunk], x)) @ amp
+    for i in range(0, xi.size, _CHUNK):
+        out[i:i + _CHUNK] = np.exp(-1j * np.outer(xi[i:i + _CHUNK], x)) @ amp
     return out

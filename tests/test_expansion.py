@@ -137,8 +137,7 @@ class TestParseval:
     def test_self_pairing_of_wavelet(self, ws, expansion_grid):
         # f = g = the mother wavelet: the pairing is ||psi||^2 = 1 and the
         # window (2, 4) already contains all significant coefficients
-        f = sw.SampledFunction(expansion_grid,
-                               ws.evaluate_psi(expansion_grid.points()))
+        f = sw.synthesize(ws.psi_hat, expansion_grid)
         chk = sw.parseval_check(ws, f, f, sw.IndexWindow(2, 4))
         assert abs(chk["lhs"] - 1.0) < 1e-10
         assert chk["gap"] < 1e-10
@@ -148,11 +147,11 @@ class TestParseval:
         x0 = 0.35
         delta = sw.DualRepresentative(points=np.array([x0]),
                                       weights=np.array([1.0]))
-        g = sw.SampledFunction(expansion_grid,
-                               ws.evaluate_psi(expansion_grid.points()))
+        g = sw.synthesize(ws.psi_hat, expansion_grid)
         idx = sw.WaveletIndex(epsilon=(1,), m=1, n=(-2,))
         want = ws.atom_values(1, 1, -2, np.array([x0]))[0]
-        assert abs(delta.coefficient(ws, idx) - want) < 1e-14
+        got = delta.coefficients(ws, sw.IndexWindow(1, 2))[idx]
+        assert abs(got - want) < 1e-14
         # pair() reads g through a cubic spline of its samples: O(h^4)
         assert abs(delta.pair(g) - ws.evaluate_psi(x0)[0]) < 1e-7
 
@@ -162,11 +161,34 @@ class TestParseval:
         dual = sw.DualRepresentative(points=np.array([x0]),
                                      weights=np.array([1.0]),
                                      derivative_order=1)
-        g = sw.SampledFunction(expansion_grid,
-                               ws.evaluate_psi(expansion_grid.points()))
+        g = sw.synthesize(ws.psi_hat, expansion_grid)
         want = -ws.evaluate_psi(np.array([x0]), 1)[0]
         # spline-derivative accuracy is O(h^3) on the 1/128 sample grid
         assert abs(dual.pair(g) - want) < 1e-4
+
+    def test_density_dual_of_order_zero_is_the_function(self, ws, band_function,
+                                                        expansion_grid):
+        # a density dual without derivatives acts as its density does
+        window = sw.IndexWindow(2, 8)
+        dual = sw.DualRepresentative(density=band_function)
+        want = sw.analyze(ws, band_function, window, cross_check=False)
+        assert dual.coefficients(ws, window) == want.coefficients
+        x = expansion_grid.points()
+        g = sw.SampledFunction(expansion_grid, np.exp(-0.5 * (x - 0.3) ** 2))
+        assert abs(dual.pair(g) - sw.pairing(band_function, g)) <= 1e-12
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_point_mass_parseval_gap_shrinks_with_window(self, ws, band_function,
+                                                         order):
+        # measured gaps: order 0 1.2e-5, 1.4e-6, 1.1e-9;
+        # order 1 1.9e-4, 1.1e-5, 3.2e-7
+        dual = sw.DualRepresentative(points=np.array([0.35]),
+                                     weights=np.array([1.0]),
+                                     derivative_order=order)
+        gaps = [sw.parseval_check(ws, dual, band_function,
+                                  sw.IndexWindow(M, N))["gap"]
+                for (M, N) in ((2, 8), (4, 16), (6, 32))]
+        assert gaps[0] > gaps[1] > gaps[2]
 
 
 class TestSerialization:
