@@ -10,7 +10,11 @@ these primitives.  Conventions fixed here once and for all:
   rule and converges faster than any power of the spacing,
 * synthesis onto a uniform grid is one chirp-z transform
   (``chirp_synthesis``); ``synthesize_values`` keeps the direct O(N*M) sum
-  for scattered points and serves as its oracle.
+  for scattered points and serves as its oracle.  The same engine sums the
+  dyadic projection's transforms between uniform grids and uniform
+  frequency nodes, with trailing axes carried along (one transform per
+  column of a 2-D array); ``forward_transform_values`` is the direct-sum
+  oracle of its forward half.
 
 Values are complex throughout, even when a quantity is analytically real;
 realness is asserted by tests, never assumed by code.
@@ -220,24 +224,35 @@ def chirp_synthesis(coeffs, xi0: float, dxi: float, x0: float, dx: float,
     Every chirp is evaluated from its own angle, with ``d^2`` an exact
     integer, and never as a power of a rounded ``exp(i theta)``: powers near
     ``1e7`` would raise that rounding to errors around 1e-11.
+
+    The sum runs along axis 0; trailing axes of ``coeffs`` are carried
+    along, one transform per column in a single FFT pass.  Either spacing
+    may be negative (``dx = -1`` gives ``sum_j c_j exp(-i k xi_j)``), which
+    is how the dyadic projection reads its shift sums.
     """
     c = np.asarray(coeffs, dtype=complex)
-    n = c.size
-    if n == 0 or count < 1:
+    if c.ndim == 0 or c.size == 0 or count < 1:
         raise NumericsError("no coefficients or no output points")
+    c = np.moveaxis(c, 0, -1)  # the FFTs run along the contiguous last axis
+    n = c.shape[-1]
     theta = dx * dxi
     j = np.arange(n)
     k = np.arange(count)
     size = fft.next_fast_len(n + count - 1)
-    a = np.zeros(size, dtype=complex)
-    a[:n] = c * np.exp(1j * (x0 * dxi * j + 0.5 * theta * (j * j)))
+    a = np.zeros(c.shape[:-1] + (size,), dtype=complex)
+    a[..., :n] = c * np.exp(1j * (x0 * dxi * j + 0.5 * theta * (j * j)))
     d = np.arange(-(n - 1), count)
     chirp = np.exp(-0.5j * theta * (d * d))
     b = np.zeros(size, dtype=complex)
     b[:count] = chirp[n - 1:]  # lags 0 .. count - 1
     b[size - (n - 1):] = chirp[:n - 1]  # lags -(n - 1) .. -1, wrapped
-    conv = fft.ifft(fft.fft(a) * fft.fft(b))[:count]
-    return np.exp(1j * (xi0 * (x0 + dx * k) + 0.5 * theta * (k * k))) * conv
+    spectrum = fft.fft(a, overwrite_x=True)
+    spectrum *= fft.fft(b)
+    out = fft.ifft(spectrum, overwrite_x=True)[..., :count]
+    post = np.exp(1j * (xi0 * (x0 + dx * k) + 0.5 * theta * (k * k)))
+    # post * out, in this order: complex products are not bitwise
+    # commutative, and every table keeps the bits it had
+    return np.moveaxis(np.multiply(post, out, out=out), -1, 0)
 
 
 def synthesize(spec: SpectrumOnBand, x_grid: Grid1D) -> SampledFunction:

@@ -3,10 +3,15 @@
 The level-0 kernel is the lattice sum ``q_0(x, y) = sum_k phi(x - k) phi(y - k)``
 (phi is real, so no conjugates survive), and ``q_m(x, y) = 2^{md} q_0(2^m x,
 2^m y)``.  ``project`` works in coefficient form,
-``sum_k <f, phi_{m,k}> phi_{m,k}``, with blocks of atoms from
-``WaveletSystem.atom_values``, which keeps every table lookup near the origin
-regardless of the level; ``project_at`` integrates against the kernel itself
-and is the independent route for spot checks.
+``sum_k <f, phi_{m,k}> phi_{m,k}``, on the Fourier side: phi_hat vanishes
+outside |eta| <= 4 pi / 3, so the coefficients and the projection are three
+``chirp_synthesis`` sums over uniform eta nodes of the analytic
+``WaveletSystem.phi_hat_fn`` (see ``_project_1d``), and q_m f comes out as
+its spectrum.  The MRA experiment reads that spectrum for the samples
+(``numerics.synthesize``) and for the seminorm's derivatives
+(``numerics.synthesize_values``).  No spline table is read on this route.
+``project_at`` integrates against the kernel itself, a lattice sum over the
+spline of the phi table, and is the independent route for spot checks.
 
 Also here: the iterated-primitive decomposition ``g = d^r/dy^r g_r`` for a
 function with vanishing moments, built from one-sided tail integrals
@@ -24,13 +29,17 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import metrics, numerics
-from .construction import TABLE_HALF, WaveletSystem
+from .construction import PHI_BAND, TABLE_HALF, WaveletSystem
 from .metrics import DecayFit, SeminormParams
-from .numerics import Grid1D, SampledFunction
+from .numerics import Grid1D, SampledFunction, SpectrumOnBand
 
 logger = logging.getLogger(__name__)
 
 _TAIL_TARGET = 1e-12
+# Fitted |phi| envelope at the alias distance of the eta nodes.  The fit is
+# made on [5, 40] and reads low farther out: where it gives 1e-14 (x = 306)
+# |phi| is 1.7e-12, and where it gives 1e-16 (x = 406) |phi| is below 1e-13.
+_ALIAS_TARGET = 1e-16
 BOUNDARY_MASS_WARN = 1e-8
 
 
@@ -136,44 +145,91 @@ def kernel_eval(pk: ProjectionKernel, x, y):
 # projection
 # ---------------------------------------------------------------------------
 
-def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray):
-    """(ks, coeffs, projected): q_m along the first axis of ``values``.
+def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
+                probes=()) -> tuple[np.ndarray, np.ndarray, Grid1D, np.ndarray]:
+    """(ks, coeffs, zeta, qhat): q_m along axis 0 of ``values``, as a spectrum.
 
-    One pass over blocks of at most 512 shifts; each atom block ``A`` gives
-    the coefficients ``c = A (w f)`` and their synthesis ``A^T c``.  Trailing
-    axes of ``values`` are carried along, so a 2-D array is projected column
-    by column in matrix form.
+    phi_hat vanishes outside |eta| <= 4 pi / 3, so with
+    ``F(zeta) = sum_j w_j f_j exp(i zeta x_j)`` and ``H(eta) = sum_k c_k
+    exp(-i eta k)`` both the coefficients and the projection are integrals
+    over that band::
+
+        c_k   = 2^{m/2} / (2 pi) int phi_hat(eta) F(2^m eta) exp(-i eta k) d eta
+        q_m f = (1 / 2 pi) int Q(zeta) exp(i zeta x) d zeta,
+        Q(2^m eta) = 2^{-m/2} phi_hat(eta) H(eta).
+
+    ``F``, ``c`` and ``H`` are one ``chirp_synthesis`` each on uniform eta
+    nodes; ``qhat`` holds Q on the nodes ``zeta = 2^m eta``.  phi_hat is
+    smooth and vanishes at the band ends, so the trapezoid rule in eta errs
+    only by aliasing: a read at ``y = 2^m x - k`` picks up phi at
+    ``y + 2 pi r / h``, r != 0.  The spacing ``h`` is therefore
+    ``2 pi / (T + margin)``, where ``T`` bounds |2^m x - k| over the shifts
+    and over x on the grid and at ``probes``, and ``margin`` is where the
+    fitted |phi| envelope drops below ``_ALIAS_TARGET``.  The far echoes of
+    phi at |y| = 2 pi over the knot spacing of the linearly interpolated
+    bump primitive (51,472 and 1.5e-10 for a = 1) fold back as well; inputs
+    with mass at the window edges can meet them.  Trailing axes of
+    ``values`` are carried along, so a 2-D array is projected along its
+    first axis in one pass.
     """
-    x = grid.points()
-    if np.ldexp(grid.extent, pk.level) < 1.0:
+    m = pk.level
+    if np.ldexp(grid.extent, m) < 1.0:
         raise ProjectionError("window too small for level shifts")
-    fw = (values.T * grid.trapezoid_weights()).T
-    lo = int(np.floor(np.ldexp(x[0], pk.level))) - pk.truncation_radius
-    hi = int(np.ceil(np.ldexp(x[-1], pk.level))) + pk.truncation_radius
+    lo = int(np.floor(np.ldexp(grid.origin, m))) - pk.truncation_radius
+    hi = int(np.ceil(np.ldexp(grid.last, m))) + pk.truncation_radius
     ks = np.arange(lo, hi + 1)
-    coeffs = np.empty((ks.size,) + values.shape[1:], dtype=complex)
-    out = np.zeros(values.shape, dtype=complex)
-    for start in range(0, ks.size, 512):
-        A = pk.ws.atom_values(0, pk.level, ks[start:start + 512, None], x)
-        c = A @ fw
-        coeffs[start:start + 512] = c
-        out += A.T @ c
-    return ks, coeffs, out
+    reach = np.concatenate([[grid.origin, grid.last], np.ravel(probes)])
+    span = max(hi - np.ldexp(reach.min(), m), np.ldexp(reach.max(), m) - lo)
+    fit = _phi_envelope(pk.ws)
+    margin = (np.log(fit.amplitude_C / _ALIAS_TARGET) / fit.rate_c) ** (1.0 / fit.exponent)
+    band = PHI_BAND[1]
+    eta = Grid1D.from_interval(-band, band,
+                               int(np.ceil(band * (span + margin) / np.pi)) + 1)
+    zeta = Grid1D(np.ldexp(eta.origin, m), np.ldexp(eta.spacing, m), eta.count)
+    phi_hat = pk.ws.phi_hat_fn(eta.points())
+    F = _weighted_transform(grid, values, zeta)
+    quad = phi_hat * eta.trapezoid_weights() * (2.0 ** (0.5 * m) / (2.0 * np.pi))
+    coeffs = numerics.chirp_synthesis((quad * F.T).T, eta.origin, eta.spacing,
+                                      -lo, -1.0, ks.size)
+    H = numerics.chirp_synthesis(coeffs, -lo, -1.0, eta.origin, eta.spacing,
+                                 eta.count)
+    return ks, coeffs, zeta, ((phi_hat * 2.0 ** (-0.5 * m)) * H.T).T
+
+
+def _weighted_transform(grid: Grid1D, values: np.ndarray, zeta: Grid1D) -> np.ndarray:
+    """``F(zeta) = sum_j w_j f_j exp(i zeta x_j)`` on the nodes ``zeta``, along axis 0.
+
+    The trapezoid sum ``numerics.forward_transform_values`` takes at
+    ``-zeta``, summed by one ``chirp_synthesis``.
+    """
+    fw = (values.T * grid.trapezoid_weights()).T
+    return numerics.chirp_synthesis(fw, grid.origin, grid.spacing, zeta.origin,
+                                    zeta.spacing, zeta.count)
+
+
+def _spectrum(zeta: Grid1D, qhat: np.ndarray) -> SpectrumOnBand:
+    """The 1-D ``qhat`` of ``_project_1d`` as a spectrum ``numerics`` reads."""
+    band = (zeta.origin, zeta.last)
+    return SpectrumOnBand(band=band, grid=zeta, values=qhat, declared_support=(band,))
 
 
 def project(pk: ProjectionKernel, f: SampledFunction) -> SampledFunction:
     """Orthogonal projection sum_k <f, phi_{m,k}> phi_{m,k} onto the level-m space.
 
-    In d = 2 the level-m operator is applied along each axis in turn.
+    The level-m operator runs along each axis in turn, every column at once:
+    the spectrum of ``_project_1d``, summed onto the grid by
+    ``chirp_synthesis`` with the quadrature of ``numerics.synthesize``.
     """
+    if f.dimension != pk.dimension:
+        raise ProjectionError("kernel and samples differ in dimension")
     _warn_boundary_mass(f)
-    if pk.dimension == 1:
-        (grid,) = f.grids
-        return SampledFunction(f.grid, _project_1d(pk, grid, f.values)[2])
-    gx, gy = f.grids
-    _, _, along_x = _project_1d(pk, gx, f.values)
-    _, _, both = _project_1d(pk, gy, along_x.T)
-    return SampledFunction(f.grid, both.T)
+    out = f.values
+    for grid in f.grids:  # in 2-D each pass leaves the axes swapped
+        zeta, qhat = _project_1d(pk, grid, out)[2:]
+        out = numerics.chirp_synthesis(qhat * (zeta.spacing / (2.0 * np.pi)),
+                                       zeta.origin, zeta.spacing, grid.origin,
+                                       grid.spacing, grid.count).T
+    return SampledFunction(f.grid, out)
 
 
 def project_at(pk: ProjectionKernel, f: SampledFunction, x_points) -> np.ndarray:
@@ -286,17 +342,14 @@ def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
     rows = []
     for m in levels:
         pk = build_kernel(ws, level=m, dimension=1)
-        ks, coeffs, qf = _project_1d(pk, grid, f.values)
+        zeta, qhat = _project_1d(pk, grid, f.values, seminorm_probes)[2:]
+        Q = _spectrum(zeta, qhat)
+        qf = numerics.synthesize(Q, grid).values
         sup_err = float(np.max(np.abs(qf - f.values)))
 
         def handle(pts, order=0):
-            # derivatives of q_m f fall on the atoms exactly
-            pts = np.atleast_1d(np.asarray(pts, dtype=float))
-            out = np.zeros(pts.size, dtype=complex)
-            for start in range(0, ks.size, 512):
-                A = ws.atom_values(0, m, ks[start:start + 512, None], pts, order)
-                out += coeffs[start:start + 512] @ A
-            return out
+            # derivatives of q_m f are (i zeta)^order factors on its spectrum
+            return numerics.synthesize_values(Q, pts, order)
 
         sem = metrics.seminorm_estimate(handle, seminorm_params, seminorm_probes)
         rows.append({"m": int(m), "sup_error": sup_err, "seminorm": sem,

@@ -192,6 +192,15 @@ class TestChirpSynthesis:
         want = sw.synthesize_values(spec, x.points(), order=order)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_trailing_axes_transform_column_by_column(self):
+        rng = np.random.default_rng(3)
+        coeffs = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        got = sw.chirp_synthesis(coeffs, -0.7, 0.05, 2.0, -0.3, 25)
+        want = np.column_stack([sw.chirp_synthesis(coeffs[:, i], -0.7, 0.05, 2.0,
+                                                   -0.3, 25) for i in range(3)])
+        assert got.shape == (25, 3)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_single_output_and_single_node(self):
         got = sw.chirp_synthesis([2.0 - 1.0j], 0.7, 0.1, -3.0, 0.5, 4)
         x = -3.0 + 0.5 * np.arange(4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import subexp_wavelets as sw
+from subexp_wavelets import numerics, projection
 from subexp_wavelets.projection import ProjectionError
 from subexp_wavelets.testfuncs import gaussian, gaussian_derivative, sample
 
@@ -95,6 +96,10 @@ class TestProjection:
         with pytest.raises(ProjectionError, match="window too small"):
             sw.project(pk, f)
 
+    def test_kernel_and_samples_must_share_dimension(self, ws, gaussian_samples):
+        with pytest.raises(ProjectionError, match="dimension"):
+            sw.project(sw.build_kernel(ws, dimension=2), gaussian_samples)
+
     def test_separable_2d_projection(self, ws):
         from subexp_wavelets.testfuncs import sample_2d
         pk2 = sw.build_kernel(ws, dimension=2)
@@ -119,6 +124,100 @@ class TestProjection:
                         sw.project(pk1, sample(fy, gy)).values)
         assert proj.values.shape == (257, 193)
         assert np.max(np.abs(proj.values - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_routes_disagree_on_a_scaled_phi_table(self, ws, pk, gaussian_samples):
+        # project reads the analytic phi_hat and project_at the spline of the
+        # phi table, so a table scaled by 1.01 must break their agreement
+        table = ws.interpolator
+
+        def scaled(which, order=0):
+            f = table(which, order)
+            return (lambda x: 1.01 * f(x)) if which == "phi" else f
+
+        ws.interpolator = scaled
+        try:
+            proj = sw.project(pk, gaussian_samples)
+            probes = np.arange(-4.0, 4.01, 0.5)
+            spot = sw.project_at(pk, gaussian_samples, probes)
+        finally:
+            del ws.interpolator
+        (grid,) = proj.grids
+        on_grid = proj.values.real[grid.index_of(probes)]
+        assert np.max(np.abs(spot.real - on_grid)) > 1e-10
+
+
+class TestChirpRoute:
+    """The eta-node route of ``_project_1d`` against spline atom blocks.
+
+    On the session's MRA grid every ``2^m x_j - k`` is a node of the phi
+    table, so ``atom_values`` reads exact table values there.
+    """
+
+    GRID = sw.Grid1D.from_interval(-40.0, 40.0, 5121)
+    LEVELS = range(7)
+
+    @pytest.fixture(scope="class")
+    def f(self):
+        return sample(gaussian(0.3, 1.4), self.GRID)
+
+    @pytest.fixture(scope="class")
+    def routes(self, ws, f):
+        probes = np.sort(np.random.default_rng(11).uniform(-8.0, 8.0, 40))
+        out = {}
+        for m in self.LEVELS:
+            pk = sw.build_kernel(ws, level=m)
+            out[m] = projection._project_1d(pk, self.GRID, f.values, probes)
+        return probes, out
+
+    def test_weighted_transform_matches_direct_sum(self, f, routes):
+        # relative to sum |w_j f_j|, the bound on |F|
+        scale = np.sum(np.abs(f.values) * self.GRID.trapezoid_weights())
+        rng = np.random.default_rng(7)
+        _, out = routes
+        for m in self.LEVELS:
+            zeta = out[m][2]
+            idx = rng.choice(zeta.count, 200)
+            got = projection._weighted_transform(self.GRID, f.values, zeta)[idx]
+            want = sw.forward_transform_values(f, -zeta.points()[idx])
+            assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+    def test_coefficients_and_projection_match_atom_blocks(self, ws, f, routes):
+        # every 8th shift against the weighted samples, and every 8th grid
+        # point against the sum over all shifts: a full block at m = 6 is
+        # 27 million spline reads
+        x = self.GRID.points()
+        fw = f.values * self.GRID.trapezoid_weights()
+        _, out = routes
+        for m in self.LEVELS:
+            ks, coeffs, zeta, qhat = out[m]
+            want = ws.atom_values(0, m, ks[::8, None], x) @ fw
+            assert np.max(np.abs(coeffs[::8] - want)) < 1e-11
+            got = numerics.synthesize(projection._spectrum(zeta, qhat), self.GRID)
+            want = coeffs @ ws.atom_values(0, m, ks[:, None], x[::8])
+            assert np.max(np.abs(got.values[::8] - want)) < 1e-11
+
+    def test_edge_mass_coefficients_stay_at_the_echo_floor(self, ws):
+        # phi_hat_fn interpolates the bump primitive linearly, so phi has
+        # echoes of about 1.5e-10 near |x| = 51,472 (2 pi over the knot
+        # spacing).  The eta nodes fold them back onto the reads: mass at
+        # the window edges meets them (2.7e-11 here), a centred input does
+        # not (1e-13 in the tests above)
+        x = self.GRID.points()
+        f = gaussian(37.0)(x) + gaussian(-36.5, 0.8)(x)
+        ks, coeffs = projection._project_1d(sw.build_kernel(ws), self.GRID, f)[:2]
+        want = ws.atom_values(0, 0, ks[:, None], x) @ (f * self.GRID.trapezoid_weights())
+        assert np.max(np.abs(coeffs - want)) < 1e-10
+
+    def test_spectrum_derivatives_match_atom_sums(self, ws, routes):
+        # scaled by 2^(m order), the size of an atom's order-th derivative
+        probes, out = routes
+        for m in self.LEVELS:
+            ks, coeffs, zeta, qhat = out[m]
+            spec = projection._spectrum(zeta, qhat)
+            for order in range(3):
+                got = numerics.synthesize_values(spec, probes, order)
+                want = coeffs @ ws.atom_values(0, m, ks[:, None], probes, order)
+                assert np.max(np.abs(got - want)) < 1e-10 * 2.0 ** (m * order)
 
 
 class TestCertificates:
