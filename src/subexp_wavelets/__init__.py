@@ -13,7 +13,8 @@ from .construction import (BellFunction, ConstructionError, WaveletSystem,
                            scaling_modulus, spectral_moments, two_scale_gram)
 from .expansion import (CoefficientSet, DualRepresentative, ExpansionError,
                         IndexWindow, WaveletIndex, analyze, bessel_gap, cwt,
-                        parseval_check, synthesize_partial, tensor_atom)
+                        parseval_check, parseval_from_coefficients,
+                        synthesize_partial, tensor_atom)
 from .metrics import (DecayFit, FeasibleK, HalfplaneParams, MetricsError,
                       SeminormParams, SequenceNormParams, halfplane_norm_probe,
                       index_weight, max_feasible_k, seminorm_estimate,

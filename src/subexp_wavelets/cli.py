@@ -6,8 +6,14 @@ Exit codes: 0 ok, 1 check failure, 2 config error, 3 I/O or corruption.
 
 Reports are deterministic JSON (sorted keys, round-trip-safe floats);
 timestamps live in a separate "metadata" field so byte comparison of the
-"report" section is meaningful across runs.  A JSON config file can preseed
-any flag; explicit flags win.
+"report" section is meaningful across runs.
+
+``--config FILE`` names a JSON object whose entries stand for flags of the
+same command: each key is a flag name with underscores for dashes
+(``max_beta`` for ``--max-beta``), each value is written as on the command
+line (``"0..6"``, ``0.9``), and ``true`` turns a switch on.  The entries are
+parsed ahead of the explicit flags, which therefore win; an unknown key or a
+value the flag rejects exits 2.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
 
 _NOISE_FLOOR = 1e-9  # quadrature resolution for monotone-trend flags
+_PARSEVAL_GATE = 1e-5  # largest |<f, g> - coefficient sum| that passes
 
 
 class ConfigError(ValueError):
@@ -72,10 +79,12 @@ def _load_system(path: str) -> WaveletSystem:
         raise CorruptSystemError(f"corrupt system file: {exc}") from exc
 
 
-def _apply_config(args: argparse.Namespace, parser_keys: set[str]) -> None:
-    """Fill unset (None) options from the JSON config; unknown keys rejected."""
-    if not getattr(args, "config", None):
-        return
+def _config_args(args: argparse.Namespace) -> list[str]:
+    """The config file's entries as the flags they name; unknown keys rejected.
+
+    ``"key": value`` stands for ``--key=value`` with underscores as dashes,
+    and ``"key": true`` for the bare switch ``--key``.
+    """
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -83,11 +92,13 @@ def _apply_config(args: argparse.Namespace, parser_keys: set[str]) -> None:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    tokens = []
     for key, value in cfg.items():
-        if key not in parser_keys:
+        if key in ("func", "command", "config") or not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+        flag = "--" + key.replace("_", "-")
+        tokens.append(flag if value is True else f"{flag}={value}")
+    return tokens
 
 
 def _samples_csv(path: str, f: SampledFunction) -> None:
@@ -112,15 +123,20 @@ def _parse_window(text: str) -> expansion.IndexWindow:
     try:
         m, n = (int(p) for p in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad window {text!r}, expected M,N") from exc
+        raise argparse.ArgumentTypeError(
+            f"bad window {text!r}, expected M,N") from exc
     return expansion.IndexWindow(M=m, N=n, d=1)
 
 
 def _parse_levels(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad levels {text!r}, expected LO..HI or L,L,...") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +151,7 @@ def cmd_build(args) -> int:
     except (BumpError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    out = args.out or "system.json"
+    out = args.out
     with open(out, "w") as fh:
         json.dump(ws.to_json_dict(), fh, sort_keys=True)
         fh.write("\n")
@@ -180,10 +196,9 @@ def cmd_project(args) -> int:
     grid = Grid1D.from_interval(-args.window, args.window,
                                 2 * int(args.window * 64) + 1)
     f = testfuncs.sample(fn, grid)
-    levels = _parse_levels(args.levels)
     params = metrics.SeminormParams(rho1=0.0, rho2=ws.rho2, h=args.h,
                                     c=args.c, max_beta=args.max_beta)
-    rows = projection.mra_convergence_experiment(ws, f, levels, params)
+    rows = projection.mra_convergence_experiment(ws, f, args.levels, params)
     if args.out:
         projection.convergence_csv(rows, args.out)
     errs = [r["sup_error"] for r in rows]
@@ -203,24 +218,24 @@ def cmd_project(args) -> int:
 def cmd_expand(args) -> int:
     ws = _load_system(args.system)
     fn = testfuncs.parse_spec(args.f)
-    window = _parse_window(args.window)
     f = testfuncs.sample(fn, _expansion_grid())
-    coeffs = expansion.analyze(ws, f, window, source_descriptor=fn.description)
+    coeffs = expansion.analyze(ws, f, args.window,
+                               source_descriptor=fn.description)
     if args.out:
         expansion.coefficients_to_csv(coeffs, args.out)
         with open(args.out + ".header.json", "w") as fh:
             fh.write(expansion.coefficients_header(coeffs, ws) + "\n")
     report = {"function": fn.description,
-              "window": {"M": window.M, "N": window.N},
+              "window": {"M": args.window.M, "N": args.window.N},
               "sup_coefficient": coeffs.sup_magnitude(),
               "coefficient_energy": coeffs.energy(),
               "certificate_digest": ws.certificate_digest()}
     ok = True
     if args.parseval:
-        check = expansion.parseval_check(ws, f, f, window)
+        check = expansion.parseval_from_coefficients(f, coeffs)
         report["parseval"] = {"lhs": check["lhs"].real, "rhs": check["rhs"].real,
                               "gap": check["gap"]}
-        ok = check["gap"] < 1e-5
+        ok = check["gap"] < _PARSEVAL_GATE
         print(f"parseval gap: {check['gap']:.3e}")
     _emit(report, args.report)
     return EXIT_OK if ok else EXIT_CHECK_FAILURE
@@ -253,17 +268,16 @@ def cmd_decay(args) -> int:
 
 def cmd_parseval(args) -> int:
     ws = _load_system(args.system)
-    window = _parse_window(args.window)
     grid = _expansion_grid()
     f = testfuncs.sample(testfuncs.parse_spec(args.f), grid)
     g = testfuncs.sample(testfuncs.parse_spec(args.g), grid)
-    check = expansion.parseval_check(ws, f, g, window)
+    check = expansion.parseval_check(ws, f, g, args.window)
     report = {"lhs_re": check["lhs"].real, "rhs_re": check["rhs"].real,
               "gap": check["gap"],
               "certificate_digest": ws.certificate_digest()}
     _emit(report, args.report)
     print(f"gap: {check['gap']:.3e}")
-    return EXIT_OK if check["gap"] < 1e-5 else EXIT_CHECK_FAILURE
+    return EXIT_OK if check["gap"] < _PARSEVAL_GATE else EXIT_CHECK_FAILURE
 
 
 def cmd_report(args) -> int:
@@ -287,90 +301,65 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a wavelet system")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--rho2", type=float, default=None)
-    p.add_argument("--spectral-points", dest="spectral_points", type=int,
-                   default=None)
-    p.add_argument("--window", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_build,
-                   fill={"a": 1.0, "rho2": 2.0, "spectral_points": 8192,
-                         "window": 40.0, "out": "system.json"})
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--rho2", type=float, default=2.0)
+    p.add_argument("--spectral-points", type=int, default=8192)
+    p.add_argument("--window", type=float, default=40.0)
+    p.add_argument("--out", default="system.json")
+    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="rerun check suites on a stored system")
-    p.add_argument("--system", required=True)
-    p.add_argument("--suite", default=None)
-    p.add_argument("--report", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_verify, fill={"suite": "all"})
+    p.add_argument("--suite", default="all")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("project", help="projection convergence experiment")
-    p.add_argument("--system", required=True)
-    p.add_argument("--f", default=None)
-    p.add_argument("--levels", default=None)
-    p.add_argument("--window", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--max-beta", dest="max_beta", type=int, default=None)
+    p.add_argument("--f", default="gaussian")
+    p.add_argument("--levels", type=_parse_levels, default="0..6")
+    p.add_argument("--window", type=float, default=40.0)
+    p.add_argument("--h", type=float, default=0.5)
+    p.add_argument("--c", type=float, default=0.5)
+    p.add_argument("--max-beta", type=int, default=2)
     p.add_argument("--out", default=None)
-    p.add_argument("--report", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_project,
-                   fill={"f": "gaussian", "levels": "0..6", "window": 40.0,
-                         "h": 0.5, "c": 0.5, "max_beta": 2})
+    p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("expand", help="wavelet coefficient expansion")
-    p.add_argument("--system", required=True)
-    p.add_argument("--f", default=None)
-    p.add_argument("--window", default=None)
+    p.add_argument("--f", default="gevrey-band:pi,2pi")
+    p.add_argument("--window", type=_parse_window, default="6,32")
     p.add_argument("--parseval", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--report", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_expand,
-                   fill={"f": "gevrey-band:pi,2pi", "window": "6,32"})
+    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("decay", help="fit the decay envelope")
-    p.add_argument("--system", required=True)
-    p.add_argument("--target", choices=["psi", "phi"], default=None)
-    p.add_argument("--exponent", choices=["free", "fixed"], default=None)
-    p.add_argument("--range", default=None)
-    p.add_argument("--report", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_decay,
-                   fill={"target": "psi", "exponent": "free", "range": "5,40"})
+    p.add_argument("--target", choices=["psi", "phi"], default="psi")
+    p.add_argument("--exponent", choices=["free", "fixed"], default="free")
+    p.add_argument("--range", default="5,40")
+    p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("parseval", help="bilinear pairing vs coefficient sum")
-    p.add_argument("--system", required=True)
-    p.add_argument("--f", default=None)
-    p.add_argument("--g", default=None)
-    p.add_argument("--window", default=None)
-    p.add_argument("--report", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_parseval,
-                   fill={"f": "gevrey-band:pi,2pi", "g": "gevrey-band:pi,2pi",
-                         "window": "6,32"})
+    p.add_argument("--f", default="gevrey-band:pi,2pi")
+    p.add_argument("--g", default="gevrey-band:pi,2pi")
+    p.add_argument("--window", type=_parse_window, default="6,32")
+    p.set_defaults(func=cmd_parseval)
 
     p = sub.add_parser("report", help="dump stored certificates")
-    p.add_argument("--system", required=True)
-    p.add_argument("--report", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_report, fill={})
+    p.set_defaults(func=cmd_report)
 
+    for name, p in sub.choices.items():
+        if name != "build":
+            p.add_argument("--system", required=True)
+            p.add_argument("--report", default=None)
+        p.add_argument("--config", default=None)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    keys = {k for k in vars(args)
-            if k not in ("func", "fill", "command", "config")}
     try:
-        _apply_config(args, keys)
-        for key, default in args.fill.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, default)
+        if args.config:
+            # the config's flags go first, so explicit flags win
+            args = parser.parse_args(argv[:1] + _config_args(args) + argv[1:])
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,7 +182,8 @@ def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
 
     The direct route is quadrature against the atom; the second route samples
     the continuous wavelet transform at (n 2^-m, 2^-m).  Disagreement beyond
-    1e-9 aborts (that has always meant an aliasing or windowing bug).
+    1e-9 aborts (that has always meant an aliasing or windowing bug).  In
+    d = 2 there is no second route: ``cross_check`` compares nothing there.
     """
     if f.dimension != window.d:
         raise ExpansionError("dimension mismatch between function and window")
@@ -275,6 +276,18 @@ def parseval_check(ws: WaveletSystem, f, g: SampledFunction,
         lhs = numerics.pairing(f, g)
         cf = analyze(ws, f, window, cross_check=False).coefficients
     cg = cf if g is f else analyze(ws, g, window, cross_check=False).coefficients
+    return _parseval(lhs, cf, cg, window)
+
+
+def parseval_from_coefficients(f: SampledFunction,
+                               coeffs: CoefficientSet) -> dict:
+    """``parseval_check(ws, f, f, coeffs.window)`` from the coefficients of
+    ``f`` that ``analyze`` already returned; nothing is analyzed again."""
+    c = coeffs.coefficients
+    return _parseval(numerics.pairing(f, f), c, c, coeffs.window)
+
+
+def _parseval(lhs, cf: dict, cg: dict, window: IndexWindow) -> dict:
     rhs = sum(cf[idx] * cg[idx] for idx in window.indices())
     return {"lhs": complex(lhs), "rhs": complex(rhs),
             "gap": abs(complex(lhs) - complex(rhs))}

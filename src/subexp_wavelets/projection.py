@@ -278,10 +278,9 @@ def kernel_decay_certificate(pk: ProjectionKernel, probe_count: int = 16,
     """
     xs = np.linspace(0.0, 1.0, probe_count, endpoint=False)
     u = np.linspace(0.0, u_max, n_u)
-    sup = np.zeros(n_u)
-    for xp in xs:
-        row = np.abs(_kernel_eval_1d(pk, np.full(n_u, xp), xp + u))
-        sup = np.maximum(sup, row)
+    # every (probe, offset) pair in one lattice sum, one row per probe
+    rows = _kernel_eval_1d(pk, np.repeat(xs, n_u), (xs[:, None] + u).ravel())
+    sup = np.abs(rows).reshape(probe_count, n_u).max(axis=0)
     samples = np.column_stack([u, sup])
     try:
         return metrics.subexp_decay_fit(samples, "fixed", rho=pk.ws.rho2)

@@ -211,3 +211,59 @@ class TestReport:
         code = cli.main(["report", "--system", system_file,
                          "--config", str(cfg)])
         assert code == cli.EXIT_CONFIG_ERROR
+
+
+def _config(tmp_path, entries):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+class TestConfig:
+    """A config file's entries are parsed as the flags they name."""
+
+    def test_switch_set_from_config(self, system_file, tmp_path):
+        report = tmp_path / "expand.json"
+        code = cli.main(["expand", "--system", system_file, "--window", "2,8",
+                         "--config", _config(tmp_path, {"parseval": True}),
+                         "--report", str(report)])
+        doc = _read_report(report)
+        assert doc["parseval"]["gap"] >= 0.0
+        assert code == (cli.EXIT_OK if doc["parseval"]["gap"] < 1e-5
+                        else cli.EXIT_CHECK_FAILURE)
+
+    def test_bad_choice_fails_like_the_flag(self, system_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as flag:
+            cli.main(["decay", "--system", system_file, "--target", "bogus"])
+        flag_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as config:
+            cli.main(["decay", "--system", system_file, "--config",
+                      _config(tmp_path, {"target": "bogus"})])
+        assert flag.value.code == config.value.code == cli.EXIT_CONFIG_ERROR
+        assert "invalid choice: 'bogus'" in flag_err
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_value_gets_the_flag_type(self, tmp_path):
+        out = tmp_path / "sys.json"
+        code = cli.main(["build", "--out", str(out),
+                         "--config", _config(tmp_path, {"a": "0.9"})])
+        assert code == cli.EXIT_OK
+        summary = _read_report(tmp_path / "sys.certificates.json")
+        assert summary["parameters"]["a"] == 0.9
+
+    def test_number_parsed_as_written_on_the_command_line(self, system_file,
+                                                          tmp_path):
+        report = tmp_path / "project.json"
+        code = cli.main(["project", "--system", system_file, "--report",
+                         str(report), "--config",
+                         _config(tmp_path, {"levels": 1, "window": 12})])
+        assert code == cli.EXIT_OK
+        assert [row["m"] for row in _read_report(report)["rows"]] == [1]
+
+    def test_explicit_flag_wins(self, system_file, tmp_path):
+        report = tmp_path / "expand.json"
+        code = cli.main(["expand", "--system", system_file, "--window", "1,2",
+                         "--config", _config(tmp_path, {"window": "2,8"}),
+                         "--report", str(report)])
+        assert code == cli.EXIT_OK
+        assert _read_report(report)["window"] == {"M": 1, "N": 2}

@@ -142,6 +142,13 @@ class TestParseval:
         assert abs(chk["lhs"] - 1.0) < 1e-10
         assert chk["gap"] < 1e-10
 
+    def test_row_from_returned_coefficients_matches_check(self, ws,
+                                                          band_function):
+        window = sw.IndexWindow(2, 8)
+        coeffs = sw.analyze(ws, band_function, window)
+        assert (sw.parseval_from_coefficients(band_function, coeffs)
+                == sw.parseval_check(ws, band_function, band_function, window))
+
     def test_point_mass_dual(self, ws, expansion_grid):
         # f = delta at x0: lhs is g(x0), coefficients are atom values at x0
         x0 = 0.35
