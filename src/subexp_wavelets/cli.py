@@ -2,7 +2,14 @@
 
 Commands: build, verify, project, expand, decay, parseval, report.
 ``verify`` runs the "verify" stage of the registry ``construction.CHECKS``.
-Exit codes: 0 ok, 1 check failure, 2 config error, 3 I/O or corruption.
+
+Every command but ``build`` computes on the system ``main`` loads and
+returns its report body with whether its checks passed; ``main`` alone
+writes the report and maps each outcome to its exit code: 0 every check
+passed; 1 a numerical check failed; 2 a bad flag, config value or input (an
+unknown test function, a range beyond the stored window, a grid with fewer
+than two points); 3 an unreadable or corrupt system file, or an output that
+cannot be written.
 
 Reports are deterministic JSON (sorted keys, round-trip-safe floats);
 timestamps live in a separate "metadata" field so byte comparison of the
@@ -69,14 +76,9 @@ def _emit(report: dict, path: str | None) -> None:
 def _load_system(path: str) -> WaveletSystem:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return WaveletSystem.from_json_dict(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CorruptSystemError(f"cannot read system file: {exc}") from exc
-    try:
-        return WaveletSystem.from_json_dict(doc)
-    except (ConstructionError, numerics.NumericsError, KeyError, TypeError,
-            ValueError) as exc:
-        raise CorruptSystemError(f"corrupt system file: {exc}") from exc
 
 
 def _config_args(args: argparse.Namespace) -> list[str]:
@@ -130,13 +132,26 @@ def _parse_window(text: str) -> expansion.IndexWindow:
 
 def _parse_levels(text: str) -> list[int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad levels {text!r}, expected LO..HI or L,L,...") from exc
+        if ".." not in text:
+            return [int(p) for p in text.split(",")]
+        lo, hi = (int(p) for p in text.split(".."))
+        if lo <= hi:
+            return list(range(lo, hi + 1))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"bad levels {text!r}, expected LO..HI with LO <= HI or L,L,...")
+
+
+def _parse_range(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (testfuncs.parse_scalar(p) for p in text.split(","))
+        if -np.inf < lo < hi < np.inf:
+            return lo, hi
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"bad range {text!r}, expected LO,HI with LO < HI")
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +159,9 @@ def _parse_levels(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    try:
-        ws = build_wavelet_system(a=args.a, rho2=args.rho2,
-                                  spectral_points=args.spectral_points,
-                                  window=args.window)
-    except (BumpError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    ws = build_wavelet_system(a=args.a, rho2=args.rho2,
+                              spectral_points=args.spectral_points,
+                              window=args.window)
     out = args.out
     with open(out, "w") as fh:
         json.dump(ws.to_json_dict(), fh, sort_keys=True)
@@ -172,26 +183,19 @@ def cmd_build(args) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILURE
 
 
-def cmd_verify(args) -> int:
-    ws = _load_system(args.system)
+def cmd_verify(args, ws: WaveletSystem) -> tuple[dict, bool]:
     suites = checks("verify")
+    if args.suite != "all" and args.suite not in suites:
+        raise ConfigError(f"unknown suite {args.suite!r}")
     names = list(suites) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in suites:
-            print(f"error: unknown suite {name!r}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
     results = {name: suites[name](ws) for name in names}
-    report = {"system": args.system, "suites": results,
-              "certificate_digest": ws.certificate_digest()}
-    _emit(report, args.report)
-    ok = all(r["pass"] for r in results.values())
     for name in names:
         print(f"{name}: {'pass' if results[name]['pass'] else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILURE
+    return ({"system": args.system, "suites": results},
+            all(r["pass"] for r in results.values()))
 
 
-def cmd_project(args) -> int:
-    ws = _load_system(args.system)
+def cmd_project(args, ws: WaveletSystem) -> tuple[dict, bool]:
     fn = testfuncs.parse_spec(args.f)
     grid = Grid1D.from_interval(-args.window, args.window,
                                 2 * int(args.window * 64) + 1)
@@ -206,17 +210,13 @@ def cmd_project(args) -> int:
                    for i in range(len(errs) - 1))
     sem = [r["seminorm"] for r in rows]
     bounded = max(sem) <= 3.0 * sem[0] if sem and sem[0] > 0 else True
-    report = {"function": fn.description, "rows": rows,
-              "monotone_trend": bool(monotone),
-              "seminorms_bounded_3x": bool(bounded),
-              "certificate_digest": ws.certificate_digest()}
-    _emit(report, args.report)
     print(f"monotone-trend: {monotone}; seminorms bounded: {bounded}")
-    return EXIT_OK if (monotone and bounded) else EXIT_CHECK_FAILURE
+    return ({"function": fn.description, "rows": rows,
+             "monotone_trend": bool(monotone),
+             "seminorms_bounded_3x": bool(bounded)}, monotone and bounded)
 
 
-def cmd_expand(args) -> int:
-    ws = _load_system(args.system)
+def cmd_expand(args, ws: WaveletSystem) -> tuple[dict, bool]:
     fn = testfuncs.parse_spec(args.f)
     f = testfuncs.sample(fn, _expansion_grid())
     coeffs = expansion.analyze(ws, f, args.window,
@@ -228,22 +228,18 @@ def cmd_expand(args) -> int:
     report = {"function": fn.description,
               "window": {"M": args.window.M, "N": args.window.N},
               "sup_coefficient": coeffs.sup_magnitude(),
-              "coefficient_energy": coeffs.energy(),
-              "certificate_digest": ws.certificate_digest()}
-    ok = True
-    if args.parseval:
-        check = expansion.parseval_from_coefficients(f, coeffs)
-        report["parseval"] = {"lhs": check["lhs"].real, "rhs": check["rhs"].real,
-                              "gap": check["gap"]}
-        ok = check["gap"] < _PARSEVAL_GATE
-        print(f"parseval gap: {check['gap']:.3e}")
-    _emit(report, args.report)
-    return EXIT_OK if ok else EXIT_CHECK_FAILURE
+              "coefficient_energy": coeffs.energy()}
+    if not args.parseval:
+        return report, True
+    check = expansion.parseval_from_coefficients(f, coeffs)
+    report["parseval"] = {"lhs": check["lhs"].real, "rhs": check["rhs"].real,
+                          "gap": check["gap"]}
+    print(f"parseval gap: {check['gap']:.3e}")
+    return report, check["gap"] < _PARSEVAL_GATE
 
 
-def cmd_decay(args) -> int:
-    ws = _load_system(args.system)
-    lo, hi = (testfuncs.parse_scalar(p) for p in args.range.split(","))
+def cmd_decay(args, ws: WaveletSystem) -> tuple[dict, bool]:
+    lo, hi = args.range
     if args.target == "psi":
         table = decay_profile(ws, hi, int((hi - 0.0) * 32) + 1)
     else:
@@ -254,39 +250,28 @@ def cmd_decay(args) -> int:
     table = table[table[:, 0] >= lo]
     mode = "free" if args.exponent == "free" else "fixed"
     fit = metrics.subexp_decay_fit(table, mode, rho=ws.rho2)
-    report = {"target": args.target, "range": [lo, hi], "mode": mode,
-              "fit": fit.to_json_dict(),
-              "certificate_digest": ws.certificate_digest()}
     ok = fit.rate_c > 0 and fit.r_squared > 0.9
     if mode == "free":
         ok = ok and 0.40 <= fit.exponent <= 0.60
-    _emit(report, args.report)
     print(f"exponent {fit.exponent:.3f}, rate {fit.rate_c:.3f}, "
           f"R^2 {fit.r_squared:.4f}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILURE
+    return ({"target": args.target, "range": [lo, hi], "mode": mode,
+             "fit": fit.to_json_dict()}, ok)
 
 
-def cmd_parseval(args) -> int:
-    ws = _load_system(args.system)
+def cmd_parseval(args, ws: WaveletSystem) -> tuple[dict, bool]:
     grid = _expansion_grid()
     f = testfuncs.sample(testfuncs.parse_spec(args.f), grid)
     g = testfuncs.sample(testfuncs.parse_spec(args.g), grid)
     check = expansion.parseval_check(ws, f, g, args.window)
-    report = {"lhs_re": check["lhs"].real, "rhs_re": check["rhs"].real,
-              "gap": check["gap"],
-              "certificate_digest": ws.certificate_digest()}
-    _emit(report, args.report)
     print(f"gap: {check['gap']:.3e}")
-    return EXIT_OK if check["gap"] < _PARSEVAL_GATE else EXIT_CHECK_FAILURE
+    return ({"lhs_re": check["lhs"].real, "rhs_re": check["rhs"].real,
+             "gap": check["gap"]}, check["gap"] < _PARSEVAL_GATE)
 
 
-def cmd_report(args) -> int:
-    ws = _load_system(args.system)
-    report = {"parameters": {"a": ws.a, "rho2": ws.rho2},
-              "certificates": ws.certificates,
-              "certificate_digest": ws.certificate_digest()}
-    _emit(report, args.report)
-    return EXIT_OK
+def cmd_report(args, ws: WaveletSystem) -> tuple[dict, bool]:
+    return ({"parameters": {"a": ws.a, "rho2": ws.rho2},
+             "certificates": ws.certificates}, True)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectral-points", type=int, default=8192)
     p.add_argument("--window", type=float, default=40.0)
     p.add_argument("--out", default="system.json")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="rerun check suites on a stored system")
     p.add_argument("--suite", default="all")
@@ -332,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decay", help="fit the decay envelope")
     p.add_argument("--target", choices=["psi", "phi"], default="psi")
     p.add_argument("--exponent", choices=["free", "fixed"], default="free")
-    p.add_argument("--range", default="5,40")
+    p.add_argument("--range", type=_parse_range, default="5,40")
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("parseval", help="bilinear pairing vs coefficient sum")
@@ -352,6 +336,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
@@ -360,17 +349,21 @@ def main(argv=None) -> int:
         if args.config:
             # the config's flags go first, so explicit flags win
             args = parser.parse_args(argv[:1] + _config_args(args) + argv[1:])
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except (testfuncs.TestFunctionError, expansion.ExpansionError,
-            metrics.MetricsError, projection.ProjectionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILURE
-    except CorruptSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+        if args.command == "build":
+            return cmd_build(args)
+        ws = _load_system(args.system)
+        report, ok = args.func(args, ws)
+        report["certificate_digest"] = ws.certificate_digest()
+        _emit(report, args.report)
+        return EXIT_OK if ok else EXIT_CHECK_FAILURE
+    except (ConfigError, BumpError, ConstructionError, numerics.NumericsError,
+            testfuncs.TestFunctionError) as exc:
+        return _fail(exc, EXIT_CONFIG_ERROR)
+    except (expansion.ExpansionError, metrics.MetricsError,
+            projection.ProjectionError) as exc:
+        return _fail(exc, EXIT_CHECK_FAILURE)
+    except (CorruptSystemError, OSError) as exc:
+        return _fail(exc, EXIT_IO_ERROR)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import fft
 
 DERIVATIVE_ORDER_CAP = 60
-_CHUNK = 2048  # rows of each exp(i outer) block in the direct sums
+_BLOCK_ENTRIES = 2 ** 20  # exponentials per block of the direct sums
 
 
 class NumericsError(ValueError):
@@ -53,6 +53,8 @@ class Grid1D:
     def from_interval(cls, lo: float, hi: float, count: int) -> "Grid1D":
         if not (hi > lo):
             raise NumericsError("empty interval")
+        if count < 2:
+            raise NumericsError("grid needs at least 2 points")
         return cls(origin=lo, spacing=(hi - lo) / (count - 1), count=count)
 
     def points(self) -> np.ndarray:
@@ -205,11 +207,20 @@ def synthesize_values(spec: SpectrumOnBand, x_points, order: int = 0) -> np.ndar
     amp = spec.values[mask] * w
     if order:
         amp = amp * (1j * xi) ** order
-    amp = amp / (2.0 * np.pi)
-    out = np.empty(x.shape, dtype=complex)
-    for i in range(0, x.size, _CHUNK):
-        xs = x[i:i + _CHUNK]
-        out[i:i + _CHUNK] = np.exp(1j * np.outer(xs, xi)) @ amp
+    return _direct_sum(x, xi, amp / (2.0 * np.pi), 1j)
+
+
+def _direct_sum(rows, cols, amp, phase) -> np.ndarray:
+    """``out[i] = sum_j amp[j] exp(phase * rows[i] * cols[j])``.
+
+    The ``exp`` matrix is built in blocks of whole rows holding about
+    ``_BLOCK_ENTRIES`` entries, so the memory a call takes does not grow
+    with the number of rows.
+    """
+    out = np.empty(rows.shape, dtype=complex)
+    height = max(1, _BLOCK_ENTRIES // max(cols.size, 1))
+    for i in range(0, rows.size, height):
+        out[i:i + height] = np.exp(phase * np.outer(rows[i:i + height], cols)) @ amp
     return out
 
 
@@ -280,7 +291,4 @@ def forward_transform_values(f: SampledFunction, xi_points) -> np.ndarray:
     x = g.points()
     amp = f.values * g.trapezoid_weights()
     xi = np.atleast_1d(np.asarray(xi_points, dtype=float))
-    out = np.empty(xi.shape, dtype=complex)
-    for i in range(0, xi.size, _CHUNK):
-        out[i:i + _CHUNK] = np.exp(-1j * np.outer(xi[i:i + _CHUNK], x)) @ amp
-    return out
+    return _direct_sum(xi, x, amp, -1j)

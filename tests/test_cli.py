@@ -267,3 +267,55 @@ class TestConfig:
                          "--report", str(report)])
         assert code == cli.EXIT_OK
         assert _read_report(report)["window"] == {"M": 1, "N": 2}
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("decay", "range", "5"), ("project", "levels", "3..1")],
+        ids=["range", "levels"])
+    def test_bad_value_rejected_by_its_flag_type(self, system_file, tmp_path,
+                                                 command, key, value, capsys):
+        with pytest.raises(SystemExit) as config:
+            cli.main([command, "--system", system_file,
+                      "--config", _config(tmp_path, {key: value})])
+        assert config.value.code == cli.EXIT_CONFIG_ERROR
+        assert f"argument --{key}" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """``cli.main``'s return value, or the ``SystemExit`` code of an
+    argparse error; any other exception escapes and fails the test."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# bad command lines, each with the exit code it must give: 2 for a bad flag,
+# config value or input, 3 for an output that cannot be written
+_BAD_COMMAND_LINES = [
+    ("decay --system {system} --range 5", 2),
+    ("decay --system {system} --range abc,5", 2),
+    ("decay --system {system} --range 5,500", 2),
+    ("project --system {system} --levels 0..2 --window 0.001", 2),
+    ("project --system {system} --window -3", 2),
+    ("project --system {system} --levels 3..1", 2),
+    ("expand --system {system} --f bogus", 2),
+    ("parseval --system {system} --g bogus", 2),
+    ("expand --system {system} --f gevrey-band:2,1", 2),
+    ("expand --system {system} --f gaussian:0,0", 2),
+    ("build --out {tmp}/x.json --window 0", 2),
+    ("build --out {tmp}/x.json --window 0.001", 2),
+    ("build --out {tmp}/x.json --spectral-points 1", 2),
+    ("verify --system {system} --report {tmp}/missing/r.json", 3),
+    ("build --out {tmp}/missing/s.json", 3),
+    ("expand --system {system} --out {tmp}/missing/c.csv", 3),
+]
+
+
+@pytest.mark.parametrize("line, code", _BAD_COMMAND_LINES, ids=[
+    line.replace(" --system {system}", "").replace("{tmp}/", "")
+    for line, _ in _BAD_COMMAND_LINES])
+def test_bad_command_line_exit_code(system_file, tmp_path, capsys, line, code):
+    argv = [token.format(system=system_file, tmp=tmp_path)
+            for token in line.split()]
+    assert _exit_code(argv) == code
+    assert "error:" in capsys.readouterr().err

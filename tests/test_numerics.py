@@ -6,6 +6,8 @@ transform pair exp(-x^2) <-> sqrt(pi) exp(-xi^2/4).  The chirp-z engine is
 checked against the direct sum ``synthesize_values``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,11 @@ class TestGrid1D:
             sw.Grid1D(0.0, 1.0, 1)
         with pytest.raises(NumericsError):
             sw.Grid1D.from_interval(1.0, 1.0, 5)
+
+    def test_interval_needs_two_points(self):
+        # rejected before the spacing (hi - lo) / (count - 1) is formed
+        with pytest.raises(NumericsError):
+            sw.Grid1D.from_interval(0.0, 1.0, 1)
 
     def test_trapezoid_weights_sum_to_extent(self):
         g = sw.Grid1D.from_interval(0.0, 3.0, 7)
@@ -122,6 +129,18 @@ class TestSpectrumOnBand:
         got = sw.synthesize_values(spec, x, order=1)
         want = (x * np.cos(x) - np.sin(x)) / (np.pi * x * x)
         assert np.max(np.abs(got - want)) < 1e-7
+
+    def test_direct_sum_memory_is_bounded(self, ws):
+        # 2,000 points against the 5,460 support nodes of psi_hat: one
+        # exp(i outer) block over all of them alone would take 175 MB
+        x = np.linspace(-40.0, 40.0, 2000)
+        tracemalloc.start()
+        try:
+            ws.evaluate_psi(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_derivative_order_cap(self):
         spec = self._rect(n=101)
