@@ -8,8 +8,9 @@ returns its report body with whether its checks passed; ``main`` alone
 writes the report and maps each outcome to its exit code: 0 every check
 passed; 1 a numerical check failed; 2 a bad flag, config value or input (an
 unknown test function, a range beyond the stored window, a grid with fewer
-than two points); 3 an unreadable or corrupt system file, or an output that
-cannot be written.
+than two points, a non-finite or non-positive window, ``--h`` or ``--c``, a
+coefficient window the grid cannot resolve); 3 an unreadable or corrupt
+system file, or an output that cannot be written.
 
 Reports are deterministic JSON (sorted keys, round-trip-safe floats);
 timestamps live in a separate "metadata" field so byte comparison of the
@@ -116,8 +117,8 @@ def _samples_csv(path: str, f: SampledFunction) -> None:
 
 
 def _expansion_grid() -> Grid1D:
-    # spacing 1/128: alias frequency 128*pi clears the widest atom band
-    # (scale 6: 2^6 * 8pi/3 ~ 536) plus the test-function bandwidth
+    # spacing 1/128: alias frequency 2pi * 128 ~ 804 clears the atom band up
+    # to scale 6 (2^6 * 8pi/3 ~ 536); scale 7 (~ 1072) is rejected
     return Grid1D(origin=-80.0, spacing=1.0 / 128, count=20481)
 
 
@@ -127,7 +128,23 @@ def _parse_window(text: str) -> expansion.IndexWindow:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad window {text!r}, expected M,N") from exc
-    return expansion.IndexWindow(M=m, N=n, d=1)
+    try:
+        window = expansion.IndexWindow(M=m, N=n, d=1)
+        expansion.check_resolution(window, [_expansion_grid()])
+    except expansion.ExpansionError as exc:
+        raise argparse.ArgumentTypeError(f"bad window {text!r}: {exc}") from exc
+    return window
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"bad value {text!r}, expected a positive finite number")
+    return value
 
 
 def _parse_levels(text: str) -> list[int]:
@@ -289,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--rho2", type=float, default=2.0)
     p.add_argument("--spectral-points", type=int, default=8192)
-    p.add_argument("--window", type=float, default=40.0)
+    p.add_argument("--window", type=_positive_float, default=40.0)
     p.add_argument("--out", default="system.json")
 
     p = sub.add_parser("verify", help="rerun check suites on a stored system")
@@ -299,9 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="projection convergence experiment")
     p.add_argument("--f", default="gaussian")
     p.add_argument("--levels", type=_parse_levels, default="0..6")
-    p.add_argument("--window", type=float, default=40.0)
-    p.add_argument("--h", type=float, default=0.5)
-    p.add_argument("--c", type=float, default=0.5)
+    p.add_argument("--window", type=_positive_float, default=40.0)
+    p.add_argument("--h", type=_positive_float, default=0.5)
+    p.add_argument("--c", type=_positive_float, default=0.5)
     p.add_argument("--max-beta", type=int, default=2)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_project)

@@ -3,9 +3,11 @@
 Atoms are indexed by lambda = (epsilon, m, n): a bit pattern epsilon (not all
 zero) choosing scaling-function or wavelet factors per axis, a dyadic scale m,
 and an integer shift n.  Coefficients are quadrature inner products
-``c_lambda(f) = int f conj(atom)``; in one dimension each coefficient is also
-the continuous wavelet transform sampled at (n 2^-m, 2^-m), and both routes
-are computed and compared.
+``c_lambda(f) = int f conj(atom)``, each computed once.  The trapezoid sum
+is exact only while the atoms' band lies below the grid's alias frequency,
+so ``analyze`` rejects a window whose top scale M reaches it
+(``check_resolution``).  In one dimension each coefficient is also the
+continuous wavelet transform ``cwt`` sampled at (n 2^-m, 2^-m).
 
 Every coefficient, of a sampled function in one or two dimensions or of a
 dual representative (point masses or a density, with derivatives moved onto
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import numerics
-from .construction import WaveletSystem
+from .construction import PSI_BAND, WaveletSystem
 from .numerics import Grid1D, SampledFunction
 
 
@@ -175,30 +177,38 @@ def _analysis(ws: WaveletSystem, window: IndexWindow, xs, fw, order: int) -> dic
     return coeffs
 
 
+def check_resolution(window: IndexWindow, grids) -> None:
+    """Raise unless every grid resolves the window's finest atoms.
+
+    psi at scale M occupies |xi| <= 2^M * PSI_BAND[1]; the trapezoid sum
+    against it aliases once that band reaches 2 pi / h, so Bessel's
+    inequality can fail without any other sign.
+    """
+    for g in grids:
+        if np.ldexp(g.spacing, window.M) * PSI_BAND[1] >= 2.0 * np.pi:
+            raise ExpansionError(
+                f"scale {window.M} aliases on a grid of spacing {g.spacing}: "
+                f"needs 2^M * h * {PSI_BAND[1]:.4f} < 2 pi")
+
+
 def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
             cross_check: bool = True,
             source_descriptor: str = "") -> CoefficientSet:
-    """All coefficients over the window, two independent routes in d = 1.
+    """All coefficients over the window, by quadrature against the atoms.
 
-    The direct route is quadrature against the atom; the second route samples
-    the continuous wavelet transform at (n 2^-m, 2^-m).  Disagreement beyond
-    1e-9 aborts (that has always meant an aliasing or windowing bug).  In
-    d = 2 there is no second route: ``cross_check`` compares nothing there.
+    Raises ``ExpansionError`` when a grid does not resolve the window
+    (``check_resolution``).  ``cross_check`` selects nothing: it is kept
+    only so that existing callers, positional ones included, still run.
     """
     if f.dimension != window.d:
         raise ExpansionError("dimension mismatch between function and window")
     if window.d > 2:
         raise ExpansionError("analysis implemented for d = 1 and d = 2")
+    check_resolution(window, f.grids)
     fw = f.values  # times the product trapezoid weights
     for axis, g in enumerate(f.grids):
         fw = fw * g.trapezoid_weights().reshape((-1,) + (1,) * (window.d - axis - 1))
     coeffs = _analysis(ws, window, [g.points() for g in f.grids], fw, 0)
-    if cross_check and window.d == 1:
-        for index, c in coeffs.items():
-            scale = 2.0 ** (-index.m)
-            sampled = 2.0 ** (-index.m / 2.0) * cwt(ws, f, index.n[0] * scale, scale)
-            if abs(c - sampled) > 1e-9:
-                raise ExpansionError("coefficient consistency")
     return CoefficientSet(window=window, coefficients=coeffs,
                           source_descriptor=source_descriptor)
 
@@ -274,8 +284,8 @@ def parseval_check(ws: WaveletSystem, f, g: SampledFunction,
         cf = f.coefficients(ws, window)
     else:
         lhs = numerics.pairing(f, g)
-        cf = analyze(ws, f, window, cross_check=False).coefficients
-    cg = cf if g is f else analyze(ws, g, window, cross_check=False).coefficients
+        cf = analyze(ws, f, window).coefficients
+    cg = cf if g is f else analyze(ws, g, window).coefficients
     return _parseval(lhs, cf, cg, window)
 
 
@@ -296,7 +306,7 @@ def _parseval(lhs, cf: dict, cg: dict, window: IndexWindow) -> dict:
 def bessel_gap(ws: WaveletSystem, f: SampledFunction,
                window: IndexWindow) -> dict:
     """sum |c_lambda|^2 against ||f||^2; the sum must not exceed the norm."""
-    cs = analyze(ws, f, window, cross_check=False)
+    cs = analyze(ws, f, window)
     energy = cs.energy()
     norm_sq = float(numerics.inner_product(f, f).real)
     return {"coefficient_energy": energy, "norm_squared": norm_sq,

@@ -47,8 +47,8 @@ class SeminormParams:
     max_beta: int
 
     def __post_init__(self):
-        if self.rho2 <= 0 or self.h <= 0 or self.c <= 0:
-            raise MetricsError("rho2, h, c must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.rho2, self.h, self.c)):
+            raise MetricsError("rho2, h, c must be positive and finite")
         if self.rho1 < 0 or self.max_beta < 0:
             raise MetricsError("rho1 and max_beta must be nonnegative")
 

@@ -40,6 +40,10 @@ _TAIL_TARGET = 1e-12
 # made on [5, 40] and reads low farther out: where it gives 1e-14 (x = 306)
 # |phi| is 1.7e-12, and where it gives 1e-16 (x = 406) |phi| is below 1e-13.
 _ALIAS_TARGET = 1e-16
+# Most shifts, and most eta nodes, one level of _project_1d may take; each
+# costs a few complex FFT entries.  Level 13 on [-40, 40] takes 655,475
+# shifts and peaks near 360 MB; level 14 would need twice that.
+_MAX_NODES = 2 ** 20
 BOUNDARY_MASS_WARN = 1e-8
 
 
@@ -170,21 +174,26 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
     bump primitive (51,472 and 1.5e-10 for a = 1) fold back as well; inputs
     with mass at the window edges can meet them.  Trailing axes of
     ``values`` are carried along, so a 2-D array is projected along its
-    first axis in one pass.
+    first axis in one pass.  A level that needs more than ``_MAX_NODES``
+    shifts or eta nodes raises ``ProjectionError`` before anything of that
+    size is allocated.
     """
     m = pk.level
     if np.ldexp(grid.extent, m) < 1.0:
         raise ProjectionError("window too small for level shifts")
-    lo = int(np.floor(np.ldexp(grid.origin, m))) - pk.truncation_radius
-    hi = int(np.ceil(np.ldexp(grid.last, m))) + pk.truncation_radius
+    lo = np.floor(np.ldexp(grid.origin, m)) - pk.truncation_radius
+    hi = np.ceil(np.ldexp(grid.last, m)) + pk.truncation_radius
+    _check_nodes("shifts", hi - lo + 1, m)
+    lo, hi = int(lo), int(hi)
     ks = np.arange(lo, hi + 1)
     reach = np.concatenate([[grid.origin, grid.last], np.ravel(probes)])
     span = max(hi - np.ldexp(reach.min(), m), np.ldexp(reach.max(), m) - lo)
     fit = _phi_envelope(pk.ws)
     margin = (np.log(fit.amplitude_C / _ALIAS_TARGET) / fit.rate_c) ** (1.0 / fit.exponent)
     band = PHI_BAND[1]
-    eta = Grid1D.from_interval(-band, band,
-                               int(np.ceil(band * (span + margin) / np.pi)) + 1)
+    count = np.ceil(band * (span + margin) / np.pi) + 1
+    _check_nodes("eta nodes", count, m)
+    eta = Grid1D.from_interval(-band, band, int(count))
     zeta = Grid1D(np.ldexp(eta.origin, m), np.ldexp(eta.spacing, m), eta.count)
     phi_hat = pk.ws.phi_hat_fn(eta.points())
     F = _weighted_transform(grid, values, zeta)
@@ -194,6 +203,12 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
     H = numerics.chirp_synthesis(coeffs, -lo, -1.0, eta.origin, eta.spacing,
                                  eta.count)
     return ks, coeffs, zeta, ((phi_hat * 2.0 ** (-0.5 * m)) * H.T).T
+
+
+def _check_nodes(what: str, count: float, level: int) -> None:
+    if not count <= _MAX_NODES:
+        raise ProjectionError(f"level {level} needs {count:.3g} {what} on this "
+                              f"window, more than {_MAX_NODES}")
 
 
 def _weighted_transform(grid: Grid1D, values: np.ndarray, zeta: Grid1D) -> np.ndarray:

@@ -165,7 +165,7 @@ def test_partial_sums_parseval_bessel(ws, band_function, expansion_grid):
     bessel_ok = True
     for (M, N) in ((2, 8), (4, 16), (6, 32)):
         window = sw.IndexWindow(M, N)
-        coeffs = sw.analyze(ws, band_function, window, cross_check=False)
+        coeffs = sw.analyze(ws, band_function, window)
         partial = sw.synthesize_partial(ws, coeffs, expansion_grid)
         sups.append(float(np.max(np.abs(partial.values
                                         - band_function.values))))
@@ -183,8 +183,7 @@ def test_partial_sums_parseval_bessel(ws, band_function, expansion_grid):
 
 def test_coefficient_weight_feasibility(ws, band_function):
     t0 = time.time()
-    coeffs = sw.analyze(ws, band_function, sw.IndexWindow(6, 32),
-                        cross_check=False)
+    coeffs = sw.analyze(ws, band_function, sw.IndexWindow(6, 32))
     params = sw.SequenceNormParams(s=3.0, t=4.0, rho1=0.0, rho2=2.0)
     k = sw.max_feasible_k(coeffs, params, 10.0 * coeffs.sup_magnitude())
     ok = (not k.vacuous) and float(k) > 0.1

@@ -298,12 +298,21 @@ _BAD_COMMAND_LINES = [
     ("project --system {system} --levels 0..2 --window 0.001", 2),
     ("project --system {system} --window -3", 2),
     ("project --system {system} --levels 3..1", 2),
+    ("project --system {system} --levels 40", 1),
+    ("project --system {system} --levels 20", 1),
+    ("project --system {system} --window nan", 2),
+    ("project --system {system} --window inf", 2),
+    ("project --system {system} --h nan", 2),
+    ("project --system {system} --c inf", 2),
+    ("expand --system {system} --window 7,32", 2),
+    ("parseval --system {system} --window 7,32", 2),
     ("expand --system {system} --f bogus", 2),
     ("parseval --system {system} --g bogus", 2),
     ("expand --system {system} --f gevrey-band:2,1", 2),
     ("expand --system {system} --f gaussian:0,0", 2),
     ("build --out {tmp}/x.json --window 0", 2),
     ("build --out {tmp}/x.json --window 0.001", 2),
+    ("build --out {tmp}/x.json --window nan", 2),
     ("build --out {tmp}/x.json --spectral-points 1", 2),
     ("verify --system {system} --report {tmp}/missing/r.json", 3),
     ("build --out {tmp}/missing/s.json", 3),

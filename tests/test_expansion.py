@@ -83,16 +83,19 @@ class TestContinuousTransform:
         assert abs(sw.cwt(ws, one, 0.3, 0.7)) < 1e-8
 
     def test_dyadic_samples_equal_coefficients(self, ws, band_function):
-        # the two coefficient routes inside analyze agree to 1e-9 or raise
-        cs = sw.analyze(ws, band_function, sw.IndexWindow(2, 4),
-                        cross_check=True)
+        # c_{m,n} = 2^{-m/2} W f(n 2^-m, 2^-m): the transform sampled on the
+        # dyadic grid reproduces every coefficient analyze returns
+        cs = sw.analyze(ws, band_function, sw.IndexWindow(2, 4))
         assert len(cs.coefficients) == len(sw.IndexWindow(2, 4))
+        for index, c in cs.coefficients.items():
+            scale = 2.0 ** (-index.m)
+            sampled = sw.cwt(ws, band_function, index.n[0] * scale, scale)
+            assert abs(c - sampled * 2.0 ** (-index.m / 2.0)) < 1e-9
 
 
 class TestAnalysis:
     def test_single_coefficient_oracle(self, ws, band_function, expansion_grid):
-        cs = sw.analyze(ws, band_function, sw.IndexWindow(2, 8),
-                        cross_check=False)
+        cs = sw.analyze(ws, band_function, sw.IndexWindow(2, 8))
         idx = sw.WaveletIndex(epsilon=(1,), m=1, n=(3,))
         atom = sw.tensor_atom(ws, idx, expansion_grid.points())
         manual = np.dot(band_function.values * expansion_grid.trapezoid_weights(),
@@ -103,12 +106,18 @@ class TestAnalysis:
         with pytest.raises(ExpansionError):
             sw.analyze(ws, band_function, sw.IndexWindow(1, 1, d=2))
 
+    def test_window_beyond_grid_resolution_rejected(self, ws, band_function):
+        # 2^M h 8pi/3 against 2 pi on the 1/128 grid: 4.19 at M = 6, 8.38 at 7
+        assert len(sw.analyze(ws, band_function, sw.IndexWindow(6, 4))
+                   .coefficients) == len(sw.IndexWindow(6, 4))
+        with pytest.raises(ExpansionError, match="aliases"):
+            sw.analyze(ws, band_function, sw.IndexWindow(7, 4))
+
     def test_partial_sum_error_shrinks_with_window(self, ws, band_function,
                                                    expansion_grid):
         errs = []
         for (M, N) in ((2, 8), (4, 16)):
-            cs = sw.analyze(ws, band_function, sw.IndexWindow(M, N),
-                            cross_check=False)
+            cs = sw.analyze(ws, band_function, sw.IndexWindow(M, N))
             ps = sw.synthesize_partial(ws, cs, expansion_grid)
             errs.append(np.max(np.abs(ps.values - band_function.values)))
         assert errs[1] < errs[0]
@@ -178,7 +187,7 @@ class TestParseval:
         # a density dual without derivatives acts as its density does
         window = sw.IndexWindow(2, 8)
         dual = sw.DualRepresentative(density=band_function)
-        want = sw.analyze(ws, band_function, window, cross_check=False)
+        want = sw.analyze(ws, band_function, window)
         assert dual.coefficients(ws, window) == want.coefficients
         x = expansion_grid.points()
         g = sw.SampledFunction(expansion_grid, np.exp(-0.5 * (x - 0.3) ** 2))
@@ -203,8 +212,7 @@ class TestSerialization:
         from subexp_wavelets.expansion import (coefficients_header,
                                                coefficients_to_csv)
         w = sw.IndexWindow(1, 2)
-        cs = sw.analyze(ws, band_function, w, cross_check=False,
-                        source_descriptor="band")
+        cs = sw.analyze(ws, band_function, w, source_descriptor="band")
         path = tmp_path / "coeffs.csv"
         coefficients_to_csv(cs, path)
         with open(path) as fh:

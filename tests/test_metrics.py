@@ -103,6 +103,11 @@ class TestSeminorm:
             sw.SeminormParams(rho1=0.0, rho2=0.0, h=1.0, c=1.0, max_beta=2)
         with pytest.raises(MetricsError):
             sw.SeminormParams(rho1=-1.0, rho2=2.0, h=1.0, c=1.0, max_beta=2)
+        good = {"rho1": 0.0, "rho2": 2.0, "h": 1.0, "c": 1.0, "max_beta": 2}
+        for key in ("rho2", "h", "c"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(MetricsError, match="finite"):
+                    sw.SeminormParams(**{**good, key: bad})
 
 
 def _manual_coeffs(values_by_shift):

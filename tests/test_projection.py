@@ -1,5 +1,7 @@
 """Projection kernels, projections, reproduction and primitive decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,17 @@ class TestProjection:
         f = sample(gaussian(), grid)
         with pytest.raises(ProjectionError, match="window too small"):
             sw.project(pk, f)
+
+    def test_deep_level_rejected_before_allocating(self, ws, gaussian_samples):
+        pk = sw.build_kernel(ws, level=40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProjectionError, match="shifts"):
+                sw.project(pk, gaussian_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_kernel_and_samples_must_share_dimension(self, ws, gaussian_samples):
         with pytest.raises(ProjectionError, match="dimension"):
