@@ -8,9 +8,10 @@ returns its report body with whether its checks passed; ``main`` alone
 writes the report and maps each outcome to its exit code: 0 every check
 passed; 1 a numerical check failed; 2 a bad flag, config value or input (an
 unknown test function, a range beyond the stored window, a grid with fewer
-than two points, a non-finite or non-positive window, ``--h`` or ``--c``, a
-coefficient window the grid cannot resolve); 3 an unreadable or corrupt
-system file, or an output that cannot be written.
+than two points or more than 2^20, a non-finite or non-positive window,
+``--h`` or ``--c``, a negative ``--max-beta``, a coefficient window the grid
+cannot resolve); 3 an unreadable or corrupt system file, or an output that
+cannot be written.
 
 Reports are deterministic JSON (sorted keys, round-trip-safe floats);
 timestamps live in a separate "metadata" field so byte comparison of the
@@ -36,7 +37,8 @@ import numpy as np
 from . import expansion, metrics, numerics, projection, testfuncs
 from .bump import BumpError
 from .construction import (ConstructionError, WaveletSystem,
-                           build_wavelet_system, checks, decay_profile)
+                           build_wavelet_system, checks, decay_profile,
+                           sample_grid)
 from .numerics import Grid1D, SampledFunction
 
 EXIT_OK = 0
@@ -147,6 +149,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"bad value {text!r}, expected a non-negative integer")
+    return value
+
+
 def _parse_levels(text: str) -> list[int]:
     try:
         if ".." not in text:
@@ -214,9 +227,7 @@ def cmd_verify(args, ws: WaveletSystem) -> tuple[dict, bool]:
 
 def cmd_project(args, ws: WaveletSystem) -> tuple[dict, bool]:
     fn = testfuncs.parse_spec(args.f)
-    grid = Grid1D.from_interval(-args.window, args.window,
-                                2 * int(args.window * 64) + 1)
-    f = testfuncs.sample(fn, grid)
+    f = testfuncs.sample(fn, sample_grid(args.window))
     params = metrics.SeminormParams(rho1=0.0, rho2=ws.rho2, h=args.h,
                                     c=args.c, max_beta=args.max_beta)
     rows = projection.mra_convergence_experiment(ws, f, args.levels, params)
@@ -319,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_positive_float, default=40.0)
     p.add_argument("--h", type=_positive_float, default=0.5)
     p.add_argument("--c", type=_positive_float, default=0.5)
-    p.add_argument("--max-beta", type=int, default=2)
+    p.add_argument("--max-beta", type=_nonnegative_int, default=2)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_project)
 

@@ -50,6 +50,8 @@ _TABLE_BAND_POINTS = 4096
 _WIDE_HALF = 1500.0
 _WIDE_SPACING = 1.0 / 16
 _WIDE_BAND_POINTS = 8192
+# physical samples: spacing 1/64 on [-window, window], at most this many
+MAX_SAMPLES = 2 ** 20
 # psi_hat = exp(i xi / 2) bell, phi_hat = exp(i xi) |phi_hat|: each table is
 # the even cosine profile of the modulus, read at x + shift
 _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
@@ -289,6 +291,18 @@ class WaveletSystem:
 # build
 # ---------------------------------------------------------------------------
 
+def sample_grid(window: float) -> Grid1D:
+    """[-window, window] at spacing 1/64: the physical samples and ``project``'s grid.
+
+    A window that needs more than ``MAX_SAMPLES`` points, or is not finite,
+    raises ``ConstructionError`` before anything is allocated.
+    """
+    if not window < (MAX_SAMPLES - 1) / 128:
+        raise ConstructionError(f"window {window:g} needs more than "
+                                f"{MAX_SAMPLES} samples at spacing 1/64")
+    return Grid1D.from_interval(-window, window, 2 * int(round(window * 64)) + 1)
+
+
 def build_wavelet_system(a: float, rho2: float, *,
                          spectral_points: int = 8192,
                          window: float = 40.0,
@@ -315,7 +329,7 @@ def build_wavelet_system(a: float, rho2: float, *,
         band=(-_SPECTRAL_HALF, _SPECTRAL_HALF), grid=sg, values=phi_vals,
         declared_support=((-PHI_BAND[1], PHI_BAND[1]),))
 
-    pg = Grid1D.from_interval(-window, window, 2 * int(round(window * 64)) + 1)
+    pg = sample_grid(window)
     psi_samples = numerics.synthesize(psi_hat, pg)
     phi_samples = numerics.synthesize(phi_hat, pg)
 

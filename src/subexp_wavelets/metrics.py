@@ -53,12 +53,12 @@ class SeminormParams:
             raise MetricsError("rho1 and max_beta must be nonnegative")
 
 
-def seminorm_estimate(f, params: SeminormParams, probe_points) -> float:
+def seminorm_estimate(derivatives, params: SeminormParams, probe_points) -> float:
     """Lower bound for the weighted seminorm of ``f`` over finite probes.
 
-    ``f`` is a handle ``(x, order) -> values`` (spectral differentiation
-    upstream, no finite differencing here).  Probes whose decay weight
-    overflows double precision are excluded and logged.
+    ``derivatives[beta]`` holds ``f^(beta)`` at the probes, beta = 0..max_beta
+    (spectral differentiation upstream).  Probes whose decay weight overflows
+    double precision are excluded and logged.
     """
     x = np.atleast_1d(np.asarray(probe_points, dtype=float))
     exponent = params.c * np.abs(x) ** (1.0 / params.rho2)
@@ -66,15 +66,14 @@ def seminorm_estimate(f, params: SeminormParams, probe_points) -> float:
     if not np.all(keep):
         logger.info("seminorm_estimate: %d probes excluded (weight overflow)",
                     int(np.sum(~keep)))
-    x = x[keep]
-    if x.size == 0:
+    if not np.any(keep):
         return 0.0
     weight = np.exp(exponent[keep])
     best = 0.0
     for beta in range(params.max_beta + 1):
         # h^beta / beta!^rho1 via logs; harmless at these sizes but uniform
         scale = np.exp(beta * np.log(params.h) - params.rho1 * lgamma(beta + 1))
-        vals = np.abs(np.asarray(f(x, beta)))
+        vals = np.abs(np.atleast_1d(derivatives[beta])[keep])
         best = max(best, float(np.max(scale * weight * vals)))
     return best
 

@@ -7,9 +7,9 @@ The level-0 kernel is the lattice sum ``q_0(x, y) = sum_k phi(x - k) phi(y - k)`
 outside |eta| <= 4 pi / 3, so the coefficients and the projection are three
 ``chirp_synthesis`` sums over uniform eta nodes of the analytic
 ``WaveletSystem.phi_hat_fn`` (see ``_project_1d``), and q_m f comes out as
-its spectrum.  The MRA experiment reads that spectrum for the samples
-(``numerics.synthesize``) and for the seminorm's derivatives
-(``numerics.synthesize_values``).  No spline table is read on this route.
+its spectrum, which ``_on_grid`` sums onto a uniform grid by one more
+``chirp_synthesis``: the samples, and the seminorm's derivatives of every
+order on uniform probes in one pass.  No spline table is read on this route.
 ``project_at`` integrates against the kernel itself, a lattice sum over the
 spline of the phi table, and is the independent route for spot checks.
 
@@ -31,7 +31,7 @@ from scipy.integrate import cumulative_simpson
 from . import metrics, numerics
 from .construction import PHI_BAND, TABLE_HALF, WaveletSystem
 from .metrics import DecayFit, SeminormParams
-from .numerics import Grid1D, SampledFunction, SpectrumOnBand
+from .numerics import Grid1D, SampledFunction
 
 logger = logging.getLogger(__name__)
 
@@ -176,9 +176,12 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
     ``values`` are carried along, so a 2-D array is projected along its
     first axis in one pass.  A level that needs more than ``_MAX_NODES``
     shifts or eta nodes raises ``ProjectionError`` before anything of that
-    size is allocated.
+    size is allocated, and before any float overflows.
     """
     m = pk.level
+    if m > np.log2(_MAX_NODES / grid.extent):  # 2^m extent shifts at least
+        raise ProjectionError(f"level {m} needs more than {_MAX_NODES} shifts "
+                              f"on this window")
     if np.ldexp(grid.extent, m) < 1.0:
         raise ProjectionError("window too small for level shifts")
     lo = np.floor(np.ldexp(grid.origin, m)) - pk.truncation_radius
@@ -222,28 +225,28 @@ def _weighted_transform(grid: Grid1D, values: np.ndarray, zeta: Grid1D) -> np.nd
                                     zeta.spacing, zeta.count)
 
 
-def _spectrum(zeta: Grid1D, qhat: np.ndarray) -> SpectrumOnBand:
-    """The 1-D ``qhat`` of ``_project_1d`` as a spectrum ``numerics`` reads."""
-    band = (zeta.origin, zeta.last)
-    return SpectrumOnBand(band=band, grid=zeta, values=qhat, declared_support=(band,))
+def _on_grid(zeta: Grid1D, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """``(1/2 pi) sum_l qhat_l exp(i zeta_l x) dzeta`` on ``grid``, along axis 0.
+
+    Q vanishes at the band ends, so every node takes the full spacing.
+    """
+    return numerics.chirp_synthesis(qhat * (zeta.spacing / (2.0 * np.pi)),
+                                    zeta.origin, zeta.spacing, grid.origin,
+                                    grid.spacing, grid.count)
 
 
 def project(pk: ProjectionKernel, f: SampledFunction) -> SampledFunction:
     """Orthogonal projection sum_k <f, phi_{m,k}> phi_{m,k} onto the level-m space.
 
     The level-m operator runs along each axis in turn, every column at once:
-    the spectrum of ``_project_1d``, summed onto the grid by
-    ``chirp_synthesis`` with the quadrature of ``numerics.synthesize``.
+    the spectrum of ``_project_1d``, summed onto the grid by ``_on_grid``.
     """
     if f.dimension != pk.dimension:
         raise ProjectionError("kernel and samples differ in dimension")
     _warn_boundary_mass(f)
     out = f.values
     for grid in f.grids:  # in 2-D each pass leaves the axes swapped
-        zeta, qhat = _project_1d(pk, grid, out)[2:]
-        out = numerics.chirp_synthesis(qhat * (zeta.spacing / (2.0 * np.pi)),
-                                       zeta.origin, zeta.spacing, grid.origin,
-                                       grid.spacing, grid.count).T
+        out = _on_grid(*_project_1d(pk, grid, out)[2:], grid).T
     return SampledFunction(f.grid, out)
 
 
@@ -342,30 +345,30 @@ def polynomial_reproduction(pk: ProjectionKernel, max_degree: int) -> dict:
 
 def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
                                levels, seminorm_params: SeminormParams,
-                               seminorm_probes=None) -> list[dict]:
+                               seminorm_probes: Grid1D | None = None) -> list[dict]:
     """Rows (m, sup_error, seminorm, boundary_mass) for q_m f across levels.
 
     sup_error is the grid sup of |q_m f - f|; the seminorm column is the
-    fixed-(h, c) weighted estimate of q_m f, whose boundedness across m is the
-    second ingredient of the projection-convergence argument.
+    fixed-(h, c) weighted estimate of q_m f on a uniform probe grid, whose
+    boundedness across m is the second ingredient of the convergence argument.
     """
     if seminorm_probes is None:
-        seminorm_probes = np.linspace(-8.0, 8.0, 161)
+        seminorm_probes = Grid1D.from_interval(-8.0, 8.0, 161)
+    if seminorm_params.max_beta > numerics.DERIVATIVE_ORDER_CAP:
+        raise numerics.NumericsError("derivative order cap")
     (grid,) = f.grids
+    probes = seminorm_probes.points()
+    orders = np.arange(seminorm_params.max_beta + 1)
     bmass = _warn_boundary_mass(f)
     rows = []
     for m in levels:
         pk = build_kernel(ws, level=m, dimension=1)
-        zeta, qhat = _project_1d(pk, grid, f.values, seminorm_probes)[2:]
-        Q = _spectrum(zeta, qhat)
-        qf = numerics.synthesize(Q, grid).values
-        sup_err = float(np.max(np.abs(qf - f.values)))
-
-        def handle(pts, order=0):
-            # derivatives of q_m f are (i zeta)^order factors on its spectrum
-            return numerics.synthesize_values(Q, pts, order)
-
-        sem = metrics.seminorm_estimate(handle, seminorm_params, seminorm_probes)
+        zeta, qhat = _project_1d(pk, grid, f.values, probes)[2:]
+        sup_err = float(np.max(np.abs(_on_grid(zeta, qhat, grid) - f.values)))
+        # derivatives of q_m f are (i zeta)^beta factors on its spectrum
+        spectra = qhat[:, None] * (1j * zeta.points()[:, None]) ** orders
+        derivatives = _on_grid(zeta, spectra, seminorm_probes).T
+        sem = metrics.seminorm_estimate(derivatives, seminorm_params, probes)
         rows.append({"m": int(m), "sup_error": sup_err, "seminorm": sem,
                      "boundary_mass": bmass})
     return rows

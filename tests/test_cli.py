@@ -302,6 +302,10 @@ _BAD_COMMAND_LINES = [
     ("project --system {system} --levels 20", 1),
     ("project --system {system} --window nan", 2),
     ("project --system {system} --window inf", 2),
+    ("project --system {system} --window 1e300", 2),
+    ("project --system {system} --max-beta -1", 2),
+    ("project --system {system} --max-beta 61", 2),
+    ("project --system {system} --levels 2000", 1),
     ("project --system {system} --h nan", 2),
     ("project --system {system} --c inf", 2),
     ("expand --system {system} --window 7,32", 2),
@@ -313,6 +317,7 @@ _BAD_COMMAND_LINES = [
     ("build --out {tmp}/x.json --window 0", 2),
     ("build --out {tmp}/x.json --window 0.001", 2),
     ("build --out {tmp}/x.json --window nan", 2),
+    ("build --out {tmp}/x.json --window 1e300", 2),
     ("build --out {tmp}/x.json --spectral-points 1", 2),
     ("verify --system {system} --report {tmp}/missing/r.json", 3),
     ("build --out {tmp}/missing/s.json", 3),

@@ -65,36 +65,35 @@ class TestDecayFit:
 
 
 class TestSeminorm:
-    def test_gaussian_handle_hand_value(self):
+    def test_gaussian_hand_value(self):
         # f = exp(-x^2), max_beta = 0, weight exp(0.5 sqrt(|x|)): the probe
         # maximum of exp(0.5 sqrt(x) - x^2) over a fine probe set
         from subexp_wavelets.testfuncs import gaussian_derivative
-        handle = lambda x, beta: gaussian_derivative(beta)(x)
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=1.0, c=0.5, max_beta=0)
         probes = np.linspace(-3.0, 3.0, 2001)
-        got = sw.seminorm_estimate(handle, params, probes)
+        got = sw.seminorm_estimate([gaussian_derivative(0)(probes)], params, probes)
         want = np.max(np.exp(0.5 * np.sqrt(np.abs(probes)) - probes ** 2))
         assert abs(got - want) < 1e-12
 
     def test_overflow_probes_excluded(self):
-        handle = lambda x, beta: np.ones_like(x)
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=1.0, c=1.0, max_beta=0)
         # |x|^(1/2) * c > 700 overflows; those probes must be skipped cleanly
-        got = sw.seminorm_estimate(handle, params, np.array([1.0, 1e12]))
+        probes = np.array([1.0, 1e12])
+        got = sw.seminorm_estimate([np.ones_like(probes)], params, probes)
         assert np.isfinite(got)
         assert abs(got - np.exp(1.0)) < 1e-12
 
     def test_wavelet_seminorm_sharpness(self, ws):
         # weight rate below the fitted decay rate: finite and moderate;
         # weight rate far above it: the estimate explodes
-        handle = lambda x, beta: ws.evaluate_psi(x, beta)
         probes = np.linspace(-30.0, 30.0, 121)
+        derivatives = [ws.evaluate_psi(probes, beta) for beta in range(3)]
         low = sw.seminorm_estimate(
-            handle, sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.9,
-                                      max_beta=2), probes)
+            derivatives, sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.9,
+                                           max_beta=2), probes)
         high = sw.seminorm_estimate(
-            handle, sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=3.6,
-                                      max_beta=2), probes)
+            derivatives, sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=3.6,
+                                           max_beta=2), probes)
         assert np.isfinite(low)
         assert high > 10.0 * low
 

@@ -1,6 +1,7 @@
 """Projection kernels, projections, reproduction and primitive decomposition."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,13 @@ class TestProjection:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_absurd_level_rejected_before_any_overflow(self, ws, gaussian_samples):
+        # 2^2000 overflows a double: the level must be refused before ldexp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProjectionError, match="shifts"):
+                sw.project(sw.build_kernel(ws, level=2000), gaussian_samples)
+
     def test_kernel_and_samples_must_share_dimension(self, ws, gaussian_samples):
         with pytest.raises(ProjectionError, match="dimension"):
             sw.project(sw.build_kernel(ws, dimension=2), gaussian_samples)
@@ -159,6 +167,12 @@ class TestProjection:
         assert np.max(np.abs(spot.real - on_grid)) > 1e-10
 
 
+def _as_spectrum(zeta, qhat):
+    """``_project_1d``'s spectrum of q_m f as one ``numerics.synthesize_values`` reads."""
+    band = (zeta.origin, zeta.last)
+    return sw.SpectrumOnBand(band=band, grid=zeta, values=qhat, declared_support=(band,))
+
+
 class TestChirpRoute:
     """The eta-node route of ``_project_1d`` against spline atom blocks.
 
@@ -205,9 +219,9 @@ class TestChirpRoute:
             ks, coeffs, zeta, qhat = out[m]
             want = ws.atom_values(0, m, ks[::8, None], x) @ fw
             assert np.max(np.abs(coeffs[::8] - want)) < 1e-11
-            got = numerics.synthesize(projection._spectrum(zeta, qhat), self.GRID)
+            got = projection._on_grid(zeta, qhat, self.GRID)
             want = coeffs @ ws.atom_values(0, m, ks[:, None], x[::8])
-            assert np.max(np.abs(got.values[::8] - want)) < 1e-11
+            assert np.max(np.abs(got[::8] - want)) < 1e-11
 
     def test_edge_mass_coefficients_stay_at_the_echo_floor(self, ws):
         # phi_hat_fn interpolates the bump primitive linearly, so phi has
@@ -226,11 +240,26 @@ class TestChirpRoute:
         probes, out = routes
         for m in self.LEVELS:
             ks, coeffs, zeta, qhat = out[m]
-            spec = projection._spectrum(zeta, qhat)
+            spec = _as_spectrum(zeta, qhat)
             for order in range(3):
                 got = numerics.synthesize_values(spec, probes, order)
                 want = coeffs @ ws.atom_values(0, m, ks[:, None], probes, order)
                 assert np.max(np.abs(got - want)) < 1e-10 * 2.0 ** (m * order)
+
+    def test_seminorm_column_matches_direct_sums(self, ws, f):
+        # one chirp-z pass over all orders against one direct sum per order
+        # of the same spectrum, at the default probes
+        params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
+        probes = np.linspace(-8.0, 8.0, 161)
+        rows = sw.mra_convergence_experiment(ws, f, self.LEVELS, params)
+        for m, row in zip(self.LEVELS, rows):
+            pk = sw.build_kernel(ws, level=m)
+            spec = _as_spectrum(*projection._project_1d(pk, self.GRID, f.values,
+                                                        probes)[2:])
+            derivatives = [numerics.synthesize_values(spec, probes, beta)
+                           for beta in range(params.max_beta + 1)]
+            want = sw.seminorm_estimate(derivatives, params, probes)
+            assert abs(row["seminorm"] - want) <= 1e-12 * want
 
 
 class TestCertificates:
@@ -268,14 +297,15 @@ class TestConvergenceExperiment:
         # weighted sup of the projection itself
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=0)
         (grid,) = gaussian_samples.grids
-        probes = grid.points()[grid.index_of(np.arange(-6.0, 6.01, 0.25))]
+        probes = sw.Grid1D.from_interval(-6.0, 6.0, 49)
         levels = (0, 1, 3)
         rows = sw.mra_convergence_experiment(ws, gaussian_samples, levels,
                                              params, probes)
-        weight = np.exp(0.5 * np.abs(probes) ** 0.5)
+        x = probes.points()
+        weight = np.exp(0.5 * np.abs(x) ** 0.5)
         for m, row in zip(levels, rows):
             qf = sw.project(sw.build_kernel(ws, level=m), gaussian_samples)
-            want = np.max(weight * np.abs(qf.values[grid.index_of(probes)]))
+            want = np.max(weight * np.abs(qf.values[grid.index_of(x)]))
             assert abs(row["seminorm"] - want) <= 1e-12 * want
 
     def test_csv_export(self, ws, gaussian_samples, tmp_path):
