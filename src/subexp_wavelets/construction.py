@@ -114,6 +114,7 @@ class WaveletSystem:
         self.certificates = certificates if certificates is not None else {}
         self._tables: dict = {}
         self._wide: dict = {}
+        self._fits: dict = {}  # fits read off the tables (projection's phi envelope)
 
     # -- basic geometry ----------------------------------------------------
 

@@ -14,8 +14,10 @@ dual representative (point masses or a density, with derivatives moved onto
 the atom), comes from one loop, ``_analysis``: for each pattern and scale it
 builds one ``WaveletSystem.atom_values`` block per axis and applies it to the
 weighted samples.  ``synthesize_partial`` runs the same blocks transposed.
-This is direct quadrature (correctness over speed); there is no filter-bank
-fast transform here.
+This is direct quadrature; there is no filter-bank fast transform here.  On
+a uniform grid whose shift step is a whole number of samples (every scale
+``analyze`` allows on the dyadic grid of ``expand``), a block costs one
+spline row per scale instead of one per shift (``_axis_block``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 
 from . import numerics
@@ -146,29 +149,54 @@ def cwt(ws: WaveletSystem, f: SampledFunction, b: float, a: float,
 # analysis / synthesis: one loop over (epsilon, m) atom blocks
 # ---------------------------------------------------------------------------
 
-def _scale_blocks(ws: WaveletSystem, window: IndexWindow, xs, order: int):
+def _scale_blocks(ws: WaveletSystem, window: IndexWindow, axes, order: int):
     """(epsilon, m, blocks) over the window; blocks[i][k, j] is axis i's factor
-    (derivative ``order``) at shift ``-N + k`` and point ``xs[i][j]``."""
-    ns = np.arange(-window.N, window.N + 1)[:, None]
+    (derivative ``order``) at shift ``-N + k`` and the axis's j-th point.
+
+    Each axis is a ``Grid1D`` or an array of points; see ``_axis_block``.
+    """
     for eps in window.patterns():
         for m in range(-window.M, window.M + 1):
-            yield eps, m, [ws.atom_values(e, m, ns, x, order) for e, x in zip(eps, xs)]
+            yield eps, m, [_axis_block(ws, e, m, window.N, axis, order)
+                           for e, axis in zip(eps, axes)]
+
+
+def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis,
+                order: int) -> np.ndarray:
+    """Rows ``k`` = shift ``-N + k`` of one axis's scale-m atom factor.
+
+    On a ``Grid1D`` of spacing h, shift n moves the atom by n s samples,
+    s = 2^-m / h.  When s is a whole number below the count the rows overlap:
+    every row is a window of one row evaluated on the grid extended by N s
+    samples at each end, and the block is a strided view of it.  Scattered
+    points, and grids with any other s, evaluate each shift.
+    """
+    if isinstance(axis, Grid1D):
+        s = np.ldexp(1.0, -m) / axis.spacing
+        if s.is_integer() and s < axis.count:
+            s = int(s)
+            ext = axis.origin + axis.spacing * np.arange(-N * s, axis.count + N * s)
+            row = ws.atom_values(bit, m, 0, ext, order)
+            return sliding_window_view(row, axis.count)[2 * N * s::-s]
+        axis = axis.points()
+    return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], axis, order)
 
 
 def _shifts(window: IndexWindow):
     return list(product(range(-window.N, window.N + 1), repeat=window.d))
 
 
-def _analysis(ws: WaveletSystem, window: IndexWindow, xs, fw, order: int) -> dict:
+def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw, order: int) -> dict:
     """c_lambda = (-1)^order sum_j fw_j d^order atom_lambda(x_j) over the window.
 
-    ``xs`` holds the points of each axis and ``fw`` the weighted samples on
-    their product (quadrature weights times values, or point masses); one
-    block per axis and scale gives every coefficient of that scale.
+    ``axes`` holds each axis (a ``Grid1D`` or its points) and ``fw`` the
+    weighted samples on their product (quadrature weights times values, or
+    point masses); one block per axis and scale gives every coefficient of
+    that scale.
     """
     shifts = _shifts(window)
     coeffs = {}
-    for eps, m, B in _scale_blocks(ws, window, xs, order):
+    for eps, m, B in _scale_blocks(ws, window, axes, order):
         C = B[0] @ fw
         if window.d == 2:
             C = C @ B[1].T
@@ -208,7 +236,7 @@ def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
     fw = f.values  # times the product trapezoid weights
     for axis, g in enumerate(f.grids):
         fw = fw * g.trapezoid_weights().reshape((-1,) + (1,) * (window.d - axis - 1))
-    coeffs = _analysis(ws, window, [g.points() for g in f.grids], fw, 0)
+    coeffs = _analysis(ws, window, f.grids, fw, 0)
     return CoefficientSet(window=window, coefficients=coeffs,
                           source_descriptor=source_descriptor)
 
@@ -220,7 +248,7 @@ def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
     grids = (grid,) if isinstance(grid, Grid1D) else tuple(grid)[:window.d]
     shifts = _shifts(window)
     out = np.zeros(tuple(g.count for g in grids), dtype=complex)
-    for eps, m, B in _scale_blocks(ws, window, [g.points() for g in grids], 0):
+    for eps, m, B in _scale_blocks(ws, window, grids, 0):
         C = np.array([coeffs.coefficients[WaveletIndex(epsilon=eps, m=m, n=n)]
                       for n in shifts]).reshape((2 * window.N + 1,) * window.d)
         out += C @ B[0] if window.d == 1 else B[0].T @ C @ B[1]

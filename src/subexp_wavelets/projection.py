@@ -51,13 +51,22 @@ class ProjectionError(ValueError):
     pass
 
 
-def _phi_envelope(ws: WaveletSystem) -> DecayFit:
-    """Subexponential envelope of |phi| on [5, 40], exponent fixed at 1/rho2."""
-    grid, vals = ws.dense_table("phi")
-    x = grid.points()
-    sel = (x >= 5.0) & (x <= 40.0)
-    samples = np.column_stack([x[sel], np.abs(vals[sel])])
-    return metrics.subexp_decay_fit(samples, "fixed", rho=ws.rho2)
+def _phi_envelope(ws: WaveletSystem) -> tuple[DecayFit, int, float]:
+    """(fit, K, tail): the subexponential envelope of |phi| on [5, 40], exponent
+    fixed at 1/rho2, and the default truncation ``_default_truncation`` takes
+    from it.
+
+    Both read only the phi table and rho2, so they are computed once per
+    system and kept beside its tables.
+    """
+    if "phi_envelope" not in ws._fits:
+        grid, vals = ws.dense_table("phi")
+        x = grid.points()
+        sel = (x >= 5.0) & (x <= 40.0)
+        samples = np.column_stack([x[sel], np.abs(vals[sel])])
+        fit = metrics.subexp_decay_fit(samples, "fixed", rho=ws.rho2)
+        ws._fits["phi_envelope"] = (fit, *_default_truncation(fit))
+    return ws._fits["phi_envelope"]
 
 
 def _lattice_tail(fit: DecayFit, K: int) -> float:
@@ -67,7 +76,7 @@ def _lattice_tail(fit: DecayFit, K: int) -> float:
     return 2.0 * float(np.sum(term))
 
 
-def _default_truncation(ws: WaveletSystem, fit: DecayFit) -> tuple[int, float]:
+def _default_truncation(fit: DecayFit) -> tuple[int, float]:
     """Smallest K whose lattice-tail estimate drops below 1e-12.
 
     Each dropped term is a product of two phi factors at distance > K from
@@ -95,9 +104,9 @@ class ProjectionKernel:
 
 def build_kernel(ws: WaveletSystem, level: int = 0, dimension: int = 1,
                  truncation_radius: int | None = None) -> ProjectionKernel:
-    fit = _phi_envelope(ws)
+    fit, K, tail = _phi_envelope(ws)
     if truncation_radius is None:
-        truncation_radius, tail = _default_truncation(ws, fit)
+        truncation_radius = K
     else:
         tail = _lattice_tail(fit, truncation_radius)
     return ProjectionKernel(ws=ws, level=level, truncation_radius=truncation_radius,
@@ -191,7 +200,7 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
     ks = np.arange(lo, hi + 1)
     reach = np.concatenate([[grid.origin, grid.last], np.ravel(probes)])
     span = max(hi - np.ldexp(reach.min(), m), np.ldexp(reach.max(), m) - lo)
-    fit = _phi_envelope(pk.ws)
+    fit = _phi_envelope(pk.ws)[0]
     margin = (np.log(fit.amplitude_C / _ALIAS_TARGET) / fit.rate_c) ** (1.0 / fit.exponent)
     band = PHI_BAND[1]
     count = np.ceil(band * (span + margin) / np.pi) + 1

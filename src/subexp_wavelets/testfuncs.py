@@ -24,7 +24,10 @@ class TestFunctionError(ValueError):
 
 
 def gaussian(center: float = 0.0, scale: float = 1.0):
-    """x -> exp(-((x - center)/scale)^2)."""
+    """x -> exp(-((x - center)/scale)^2); the scale must be finite and positive."""
+    if not (np.isfinite(scale) and scale > 0):
+        raise TestFunctionError(f"gaussian scale must be finite and positive, got {scale!r}")
+
     def f(x):
         u = (np.asarray(x, dtype=float) - center) / scale
         return np.exp(-u * u)

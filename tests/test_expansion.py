@@ -2,11 +2,13 @@
 
 import csv
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import subexp_wavelets as sw
+from subexp_wavelets import expansion
 from subexp_wavelets.expansion import ExpansionError
 
 
@@ -140,6 +142,68 @@ class TestAnalysis:
         wts = g.trapezoid_weights()
         manual = np.sum(f2.values * atom * wts[:, None] * wts[None, :])
         assert abs(cs.coefficients[idx] - manual) < 1e-12
+
+
+def _per_shift_block(ws, bit, m, N, grid):
+    return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], grid.points())
+
+
+@contextmanager
+def _wrapped_interpolator(ws, wrap):
+    """Every evaluator ``ws.interpolator(which, order)`` returns, passed
+    through ``wrap(which, evaluator)`` while the block runs."""
+    table = ws.interpolator
+    ws.interpolator = lambda which, order=0: wrap(which, table(which, order))
+    try:
+        yield
+    finally:
+        del ws.interpolator
+
+
+class TestShiftWindowedBlocks:
+    N = 32
+
+    def test_window_blocks_equal_per_shift_blocks(self, ws, expansion_grid):
+        # on the dyadic expand grid the window rows evaluate the very same
+        # arguments as the per-shift rows, so the blocks agree bit for bit
+        for bit in (0, 1):
+            for m in range(-6, 7):
+                block = expansion._axis_block(ws, bit, m, self.N, expansion_grid, 0)
+                assert not block.flags.owndata  # a view of one extended row
+                np.testing.assert_array_equal(
+                    block, _per_shift_block(ws, bit, m, self.N, expansion_grid))
+
+    @pytest.mark.parametrize("grid, scales", [
+        (sw.Grid1D.from_interval(-12.0, 12.0, 257), range(-6, 7)),  # s = 2^-m 32/3
+        (sw.Grid1D(0.0, 1.0 / 128, 257), (-6,)),  # s = 8192 samples >= count
+    ])
+    def test_other_grids_evaluate_each_shift(self, ws, grid, scales):
+        for m in scales:
+            block = expansion._axis_block(ws, 1, m, self.N, grid, 0)
+            assert block.flags.owndata
+            np.testing.assert_array_equal(
+                block, _per_shift_block(ws, 1, m, self.N, grid))
+
+    def test_scaled_psi_table_scales_every_coefficient(self, ws, band_function):
+        window = sw.IndexWindow(2, 8)
+        before = sw.analyze(ws, band_function, window).coefficients
+        with _wrapped_interpolator(ws, lambda which, f: (
+                (lambda x: 1.01 * f(x)) if which == "psi" else f)):
+            after = sw.analyze(ws, band_function, window).coefficients
+        top = max(abs(c) for c in before.values())
+        assert max(abs(after[i] - 1.01 * c) for i, c in before.items()) <= 1e-13 * top
+
+    def test_window_route_evaluates_few_points(self, ws, band_function,
+                                               expansion_grid):
+        # the per-shift route would evaluate 13 * 65 * 20,481 = 17.3M points
+        sizes = []
+        with _wrapped_interpolator(ws, lambda which, f: (
+                lambda x: sizes.append(np.size(x)) or f(x))):
+            sw.analyze(ws, band_function, sw.IndexWindow(6, self.N))
+        h, count = expansion_grid.spacing, expansion_grid.count
+        bound = sum(count + 2 * self.N * round(2.0 ** -m / h) for m in range(-6, 7))
+        assert len(sizes) == 13
+        assert sum(sizes) <= bound
 
 
 class TestParseval:

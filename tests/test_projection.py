@@ -308,6 +308,22 @@ class TestConvergenceExperiment:
             want = np.max(weight * np.abs(qf.values[grid.index_of(x)]))
             assert abs(row["seminorm"] - want) <= 1e-12 * want
 
+    def test_phi_envelope_fitted_once_per_system(self, ws, gaussian_samples,
+                                                 monkeypatch):
+        fresh = sw.build_wavelet_system(1.0, 2.0)
+        fit = projection.metrics.subexp_decay_fit
+        calls = []
+        monkeypatch.setattr(projection.metrics, "subexp_decay_fit",
+                            lambda *a, **k: calls.append(a) or fit(*a, **k))
+        params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
+        rows = sw.mra_convergence_experiment(fresh, gaussian_samples, (0, 1, 2),
+                                             params)
+        pk = sw.build_kernel(fresh, level=3)
+        assert len(calls) == 1
+        assert rows == sw.mra_convergence_experiment(ws, gaussian_samples,
+                                                     (0, 1, 2), params)
+        assert pk.truncation_radius == 57
+
     def test_csv_export(self, ws, gaussian_samples, tmp_path):
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
         rows = sw.mra_convergence_experiment(ws, gaussian_samples, (0,), params)

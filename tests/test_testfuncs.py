@@ -1,6 +1,7 @@
 """Analytic test functions: the grid route against the scattered-point route."""
 
 import numpy as np
+import pytest
 
 import subexp_wavelets as sw
 from subexp_wavelets import testfuncs
@@ -30,3 +31,10 @@ def test_sample_2d_synthesizes_each_axis():
     f = testfuncs.sample_2d(fx, fy, gx, gy)
     want = np.outer(fx(gx.points()), fy(gy.points()))
     assert np.max(np.abs(f.values - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_gaussian_rejects_a_scale_that_is_not_finite_and_positive(scale):
+    # rejected before any sample is taken, so no division warns first
+    with pytest.raises(testfuncs.TestFunctionError, match="scale"):
+        testfuncs.gaussian(scale=scale)
