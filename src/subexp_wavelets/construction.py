@@ -14,9 +14,10 @@ to vanish and makes the shift-orthonormality lattice sums finite.
 
 Physical-space samples and tables are trapezoid quadratures of the spectrum
 on uniform grids, summed by the chirp-z engine ``numerics.chirp_synthesis``;
-scattered points use the direct sum ``numerics.synthesize_values``.  For the
-many-evaluation call sites (atoms, kernels) the system carries lazily built
-dense tables with cubic-spline interpolation, accurate to ~1e-11.
+scattered points use the baby-step/giant-step direct sum
+``numerics.synthesize_values``.  For the many-evaluation call sites (atoms,
+kernels) the system carries lazily built dense tables with cubic-spline
+interpolation, accurate to ~1e-11.
 
 Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are

@@ -9,12 +9,14 @@ these primitives.  Conventions fixed here once and for all:
   integrands that vanish at both grid ends the rule is the periodic trapezoid
   rule and converges faster than any power of the spacing,
 * synthesis onto a uniform grid is one chirp-z transform
-  (``chirp_synthesis``); ``synthesize_values`` keeps the direct O(N*M) sum
-  for scattered points and serves as its oracle.  The same engine sums the
-  dyadic projection's transforms between uniform grids and uniform
+  (``chirp_synthesis``); ``synthesize_values`` sums the same quadrature
+  directly at scattered points and serves as its oracle.  The same engine
+  sums the dyadic projection's transforms between uniform grids and uniform
   frequency nodes, with trailing axes carried along (one transform per
   column of a 2-D array); ``forward_transform_values`` is the direct-sum
-  oracle of its forward half.
+  oracle of its forward half.  Both direct sums run over uniform nodes and
+  factor them baby-step/giant-step (``_direct_sum``): about ``2 sqrt(n)``
+  exponentials a point and one matrix product, not ``n`` exponentials.
 
 Values are complex throughout, even when a quantity is analytically real;
 realness is asserted by tests, never assumed by code.
@@ -23,12 +25,13 @@ realness is asserted by tests, never assumed by code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 from scipy import fft
 
 DERIVATIVE_ORDER_CAP = 60
-_BLOCK_ENTRIES = 2 ** 20  # exponentials per block of the direct sums
+_BLOCK_ENTRIES = 2 ** 20  # table entries per block of rows of the direct sums
 
 
 class NumericsError(ValueError):
@@ -191,8 +194,10 @@ def norm_l2(f: SampledFunction) -> float:
 def synthesize_values(spec: SpectrumOnBand, x_points, order: int = 0) -> np.ndarray:
     """Evaluate ``(1/2pi) int (i xi)^order spec(xi) exp(i x xi) dxi`` at ``x_points``.
 
-    The quadrature runs only over grid points inside the declared support
-    (the rest are exact zeros).  Direct O(N*M); deterministic summation order.
+    The quadrature of ``synthesize``, over the hull of the declared support
+    (the gaps hold literal zeros), summed at scattered points by the
+    lattice-factored direct sum ``_direct_sum``: ``A + B`` exponentials a
+    point for ``n ~ A B`` nodes; deterministic summation order.
     """
     if order < 0 or order > DERIVATIVE_ORDER_CAP:
         raise NumericsError("derivative order cap")
@@ -201,26 +206,50 @@ def synthesize_values(spec: SpectrumOnBand, x_points, order: int = 0) -> np.ndar
         raise NumericsError("no evaluation points")
     if not np.all(np.isfinite(x)):
         raise NumericsError("invalid samples")
-    mask = spec.support_mask()
-    xi = spec.grid.points()[mask]
-    w = spec.grid.trapezoid_weights()[mask]
-    amp = spec.values[mask] * w
+    xi0, amp = _hull_amplitudes(spec)
     if order:
-        amp = amp * (1j * xi) ** order
-    return _direct_sum(x, xi, amp / (2.0 * np.pi), 1j)
+        amp = amp * (1j * (xi0 + spec.grid.spacing * np.arange(amp.size))) ** order
+    return _direct_sum(x, xi0, spec.grid.spacing, amp, 1j)
 
 
-def _direct_sum(rows, cols, amp, phase) -> np.ndarray:
-    """``out[i] = sum_j amp[j] exp(phase * rows[i] * cols[j])``.
+def _hull_amplitudes(spec: SpectrumOnBand) -> tuple[float, np.ndarray]:
+    """(first node, ``spec * trapezoid weights / 2 pi``) over the support's hull."""
+    inside = np.flatnonzero(spec.support_mask())
+    if inside.size == 0:
+        raise NumericsError("no spectral grid point inside declared_support")
+    lo, hi = inside[0], inside[-1] + 1
+    g = spec.grid
+    amp = spec.values[lo:hi] * g.trapezoid_weights()[lo:hi] / (2.0 * np.pi)
+    return g.origin + g.spacing * lo, amp
 
-    The ``exp`` matrix is built in blocks of whole rows holding about
-    ``_BLOCK_ENTRIES`` entries, so the memory a call takes does not grow
-    with the number of rows.
+
+def _direct_sum(rows, col0: float, dcol: float, amp, phase) -> np.ndarray:
+    """``out[i] = sum_j amp[j] exp(phase * rows[i] * (col0 + j * dcol))``.
+
+    The columns are uniform, so with ``j = a B + b`` and ``B = ceil(sqrt(n))``
+    each exponential is a giant step ``exp(phase r (col0 + a B dcol))``
+    times a baby step ``exp(phase r b dcol)``.  A block of rows takes one
+    (h x B) baby table times ``amp`` as a (B x A) matrix, then a row-wise
+    dot with the (h x A) giant table: ``A + B`` exponentials a row instead
+    of ``n``.  Each still comes from its own angle, never from a power of a
+    rounded ``exp``, so the sum is as accurate as the plain one.  Blocks of
+    rows hold about ``_BLOCK_ENTRIES`` table entries, so the memory a call
+    takes does not grow with the number of rows.
     """
+    n = amp.size
+    B = isqrt(n - 1) + 1
+    A = -(-n // B)
+    steps = np.zeros(A * B, dtype=complex)
+    steps[:n] = amp
+    steps = steps.reshape(A, B).T  # steps[b, a] = amp[a B + b], zero padded
+    baby = phase * (dcol * np.arange(B))
+    giant = phase * (col0 + (B * dcol) * np.arange(A))
     out = np.empty(rows.shape, dtype=complex)
-    height = max(1, _BLOCK_ENTRIES // max(cols.size, 1))
+    height = max(1, _BLOCK_ENTRIES // (A + B))
     for i in range(0, rows.size, height):
-        out[i:i + height] = np.exp(phase * np.outer(rows[i:i + height], cols)) @ amp
+        r = rows[i:i + height, None]
+        out[i:i + height] = np.einsum("ia,ia->i", np.exp(r * baby) @ steps,
+                                      np.exp(r * giant))
     return out
 
 
@@ -272,14 +301,9 @@ def synthesize(spec: SpectrumOnBand, x_grid: Grid1D) -> SampledFunction:
     Same quadrature as ``synthesize_values``, summed by ``chirp_synthesis``
     over the hull of the declared support (the gaps hold literal zeros).
     """
-    inside = np.flatnonzero(spec.support_mask())
-    if inside.size == 0:
-        raise NumericsError("no spectral grid point inside declared_support")
-    lo, hi = inside[0], inside[-1] + 1
-    g = spec.grid
-    amp = spec.values[lo:hi] * g.trapezoid_weights()[lo:hi] / (2.0 * np.pi)
-    vals = chirp_synthesis(amp, g.origin + g.spacing * lo, g.spacing,
-                           x_grid.origin, x_grid.spacing, x_grid.count)
+    xi0, amp = _hull_amplitudes(spec)
+    vals = chirp_synthesis(amp, xi0, spec.grid.spacing, x_grid.origin,
+                           x_grid.spacing, x_grid.count)
     return SampledFunction(x_grid, vals)
 
 
@@ -288,7 +312,6 @@ def forward_transform_values(f: SampledFunction, xi_points) -> np.ndarray:
     if f.dimension != 1:
         raise NumericsError("forward transform implemented for 1-D samples")
     (g,) = f.grids
-    x = g.points()
     amp = f.values * g.trapezoid_weights()
     xi = np.atleast_1d(np.asarray(xi_points, dtype=float))
-    return _direct_sum(xi, x, amp, -1j)
+    return _direct_sum(xi, g.origin, g.spacing, amp, -1j)

@@ -298,21 +298,53 @@ def boundary_mass(f: SampledFunction) -> float:
 # ---------------------------------------------------------------------------
 
 def kernel_decay_certificate(pk: ProjectionKernel, probe_count: int = 16,
-                             u_max: float = 20.0, n_u: int = 401) -> DecayFit:
+                             u_max: float = 20.0, per_unit: int = 20) -> DecayFit:
     """Envelope fit of sup_x |q_0(x, x + u)| with the exponent pinned to 1/rho2.
 
-    By integer-shift invariance x only needs to range over one period [0, 1).
+    By integer-shift invariance x only needs to range over one period [0, 1);
+    the offsets are ``u_j = j / per_unit`` on [0, u_max] (see ``_offset_sup``).
     """
-    xs = np.linspace(0.0, 1.0, probe_count, endpoint=False)
-    u = np.linspace(0.0, u_max, n_u)
-    # every (probe, offset) pair in one lattice sum, one row per probe
-    rows = _kernel_eval_1d(pk, np.repeat(xs, n_u), (xs[:, None] + u).ravel())
-    sup = np.abs(rows).reshape(probe_count, n_u).max(axis=0)
-    samples = np.column_stack([u, sup])
+    samples = np.column_stack(_offset_sup(pk, probe_count, u_max, per_unit))
     try:
         return metrics.subexp_decay_fit(samples, "fixed", rho=pk.ws.rho2)
     except metrics.MetricsError as exc:
         raise ProjectionError(f"degenerate fit: {exc}") from exc
+
+
+def _offset_sup(pk: ProjectionKernel, probe_count: int, u_max: float,
+                per_unit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, sup_x |q_0(x, x + u)|) over ``probe_count`` probes x = p / probe_count.
+
+    For a probe x every argument ``x + u_j - k`` of the lattice sum lies on
+    the lattice ``x + i / per_unit``, so each probe takes one spline call on
+    that lattice, a gather with ``_kernel_eval_1d``'s truncation (a term is
+    kept when either point lies within K of k), and one product with
+    ``phi(x - k)``.
+    """
+    if pk.level != 0:
+        raise ProjectionError("the kernel-decay certificate reads the level-0 kernel")
+    if per_unit < 1 or per_unit != int(per_unit):
+        raise ProjectionError("per_unit must be a positive integer")
+    K, per_unit = pk.truncation_radius, int(per_unit)
+    if u_max + K > TABLE_HALF:
+        raise ProjectionError("kernel window")
+    phi = pk.ws.interpolator("phi")
+    j = np.arange(int(u_max * per_unit) + 2)
+    j = j[j / per_unit <= u_max]
+    u = j / per_unit
+    # every k within K of x or of x + u, for x in [0, 1) and u in [0, u_max]
+    ks = np.arange(-K, int(np.ceil(u_max)) + K + 1)
+    # lattice index of x + u_j - k, counted from x - ks[-1]
+    idx = j[:, None] + per_unit * (ks[-1] - ks)
+    lattice = np.arange(idx.max() + 1) - per_unit * ks[-1]
+    sup = np.zeros(u.size)
+    for x in np.arange(probe_count) / probe_count:
+        # x + i / per_unit, rounded once where per_unit * x is exact
+        values = phi((per_unit * x + lattice) / per_unit)
+        kept = (np.abs(x - ks) <= K) | (np.abs(x + u[:, None] - ks) <= K)
+        rows = np.where(kept, values[idx], 0.0) @ values[idx[0]]
+        np.maximum(sup, np.abs(rows), out=sup)
+    return u, sup
 
 
 def polynomial_reproduction(pk: ProjectionKernel, max_degree: int) -> dict:

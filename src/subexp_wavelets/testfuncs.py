@@ -24,7 +24,10 @@ class TestFunctionError(ValueError):
 
 
 def gaussian(center: float = 0.0, scale: float = 1.0):
-    """x -> exp(-((x - center)/scale)^2); the scale must be finite and positive."""
+    """x -> exp(-((x - center)/scale)^2); the center must be finite and the
+    scale finite and positive."""
+    if not np.isfinite(center):
+        raise TestFunctionError(f"gaussian center must be finite, got {center!r}")
     if not (np.isfinite(scale) and scale > 0):
         raise TestFunctionError(f"gaussian scale must be finite and positive, got {scale!r}")
 

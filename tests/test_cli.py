@@ -314,6 +314,8 @@ _BAD_COMMAND_LINES = [
     ("parseval --system {system} --g bogus", 2),
     ("expand --system {system} --f gevrey-band:2,1", 2),
     ("expand --system {system} --f gaussian:0,0", 2),
+    ("expand --system {system} --f gaussian:inf,1", 2),
+    ("expand --system {system} --f gaussian:nan,1", 2),
     ("build --out {tmp}/x.json --window 0", 2),
     ("build --out {tmp}/x.json --window 0.001", 2),
     ("build --out {tmp}/x.json --window nan", 2),

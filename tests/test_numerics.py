@@ -2,8 +2,9 @@
 
 Oracles used here are all independent of the library: the Gaussian integral
 sqrt(pi), the Fourier pair rectangle <-> sin(x)/(pi x), and the Gaussian
-transform pair exp(-x^2) <-> sqrt(pi) exp(-xi^2/4).  The chirp-z engine is
-checked against the direct sum ``synthesize_values``.
+transform pair exp(-x^2) <-> sqrt(pi) exp(-xi^2/4).  The lattice-factored
+direct sum is checked against the plain ``exp(i outer) @ amp`` product, and
+the chirp-z engine against the direct sum ``synthesize_values``.
 """
 
 import tracemalloc
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subexp_wavelets as sw
-from subexp_wavelets.numerics import NumericsError
+from subexp_wavelets import numerics
+from subexp_wavelets.numerics import NumericsError, _direct_sum
 
 
 def _gaussian_samples(lo=-10.0, hi=10.0, n=2001):
@@ -131,21 +133,83 @@ class TestSpectrumOnBand:
         assert np.max(np.abs(got - want)) < 1e-7
 
     def test_direct_sum_memory_is_bounded(self, ws):
-        # 2,000 points against the 5,460 support nodes of psi_hat: one
-        # exp(i outer) block over all of them alone would take 175 MB
+        # 2,000 points against the 7,280 hull nodes of psi_hat: one
+        # exp(i outer) block over all of them alone would take 233 MB
         x = np.linspace(-40.0, 40.0, 2000)
         tracemalloc.start()
         try:
-            ws.evaluate_psi(x)
+            sw.synthesize_values(ws.psi_hat, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 16 * 2 ** 20
 
     def test_derivative_order_cap(self):
         spec = self._rect(n=101)
         with pytest.raises(NumericsError):
             sw.synthesize_values(spec, [0.0], order=61)
+
+
+class TestDirectSum:
+    """The lattice-factored direct sum against the plain ``exp(i outer) @ amp``."""
+
+    @staticmethod
+    def _amplitudes(n, order):
+        rng = np.random.default_rng(n)
+        xi = -2.3 + 0.037 * np.arange(n)
+        amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return xi, amp * (1j * xi) ** order
+
+    @staticmethod
+    def _close(got, want, amp):
+        # relative to the sum of the term magnitudes, the scale of its rounding
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(amp))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 101])  # 7 and 101 pad A * B
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("x", [[0.37], [-3.1, 12.9], np.linspace(-60.0, 45.0, 333)],
+                             ids=["one", "two", "many"])
+    def test_matches_plain_sum(self, n, order, x):
+        xi, amp = self._amplitudes(n, order)
+        x = np.asarray(x)
+        got = _direct_sum(x, xi[0], 0.037, amp, 1j)
+        self._close(got, np.exp(1j * np.outer(x, xi)) @ amp, amp)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 101])
+    def test_far_point(self, n):
+        # dyadic nodes and an integer point keep every angle exact (a few
+        # million radians), so the two routes differ only in the factoring
+        rng = np.random.default_rng(n)
+        xi = -1.5 + np.arange(n) / 64.0
+        amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = np.array([-1e6, 1e6])
+        got = _direct_sum(x, -1.5, 1 / 64.0, amp, 1j)
+        self._close(got, np.exp(1j * np.outer(x, xi)) @ amp, amp)
+
+    def test_rows_beyond_one_block(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 64)
+        xi, amp = self._amplitudes(101, 1)
+        x = np.linspace(-7.0, 9.0, 50)  # 64 // (A + B) = 3 rows a block
+        got = _direct_sum(x, xi[0], 0.037, amp, 1j)
+        self._close(got, np.exp(1j * np.outer(x, xi)) @ amp, amp)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_synthesize_values_matches_plain_sum(self, order):
+        spec = TestChirpSynthesis._two_band_spectrum()
+        g = spec.grid
+        xi = g.points()
+        amp = spec.values * g.trapezoid_weights() * (1j * xi) ** order / (2 * np.pi)
+        x = np.array([-41.3, 0.0, 2.5, 1e3])
+        got = sw.synthesize_values(spec, x, order=order)
+        self._close(got, np.exp(1j * np.outer(x, xi)) @ amp, amp)
+
+    def test_forward_transform_matches_plain_sum(self):
+        g, f = _gaussian_samples(n=101)
+        amp = f.values * g.trapezoid_weights()
+        xi = np.array([-3.3, 0.0, 0.9, 250.0])
+        got = sw.forward_transform_values(f, xi)
+        self._close(got, np.exp(-1j * np.outer(xi, g.points())) @ amp, amp)
 
 
 class TestForwardTransform:

@@ -2,12 +2,14 @@
 
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import subexp_wavelets as sw
 from subexp_wavelets import numerics, projection
+from subexp_wavelets.construction import TABLE_HALF
 from subexp_wavelets.projection import ProjectionError
 from subexp_wavelets.testfuncs import gaussian, gaussian_derivative, sample
 
@@ -268,6 +270,34 @@ class TestCertificates:
         assert fit.rate_c > 0.0
         assert fit.exponent == 0.5
         assert fit.r_squared > 0.95
+
+    @pytest.mark.parametrize("probe_count, u_max, per_unit",
+                             [(16, 20.0, 20), (7, 12.5, 8)])
+    def test_offset_sup_matches_kernel_rows(self, pk, probe_count, u_max, per_unit):
+        u, sup = projection._offset_sup(pk, probe_count, u_max, per_unit)
+        assert np.array_equal(u, np.arange(round(u_max * per_unit) + 1) / per_unit)
+        xs = np.arange(probe_count) / probe_count
+        x, y = np.repeat(xs, u.size), (xs[:, None] + u).ravel()
+        rows = projection._kernel_eval_1d(pk, x, y).reshape(probe_count, u.size)
+        # the same lattice sum over |phi|: the scale of its rounding, which
+        # near the sign changes of q_0 is up to 160 times the sum itself
+        phi = pk.ws.interpolator("phi")
+        absolute = SimpleNamespace(
+            ws=SimpleNamespace(interpolator=lambda which: lambda t: np.abs(phi(t))),
+            level=0, truncation_radius=pk.truncation_radius)
+        scale = projection._kernel_eval_1d(absolute, x, y).reshape(rows.shape)
+        want = np.abs(rows).max(axis=0)
+        assert np.all(np.abs(sup - want) <= 1e-14 * scale.max(axis=0))
+
+    def test_offset_window_must_fit_the_table(self, pk):
+        u_max = TABLE_HALF - pk.truncation_radius
+        assert projection._offset_sup(pk, 2, u_max, 1)[0][-1] == u_max
+        with pytest.raises(ProjectionError, match="kernel window"):
+            sw.kernel_decay_certificate(pk, probe_count=2, u_max=u_max + 1.0)
+
+    def test_offset_sup_reads_the_level_0_kernel(self, ws):
+        with pytest.raises(ProjectionError, match="level-0"):
+            sw.kernel_decay_certificate(sw.build_kernel(ws, level=1))
 
     def test_polynomial_reproduction_low_degrees(self, pk):
         rep = sw.polynomial_reproduction(pk, 1)

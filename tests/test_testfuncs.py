@@ -33,8 +33,14 @@ def test_sample_2d_synthesizes_each_axis():
     assert np.max(np.abs(f.values - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
-def test_gaussian_rejects_a_scale_that_is_not_finite_and_positive(scale):
-    # rejected before any sample is taken, so no division warns first
-    with pytest.raises(testfuncs.TestFunctionError, match="scale"):
-        testfuncs.gaussian(scale=scale)
+@pytest.mark.parametrize("center, scale, what", [
+    pytest.param(0.0, 0.0, "scale", id="0.0"),
+    pytest.param(0.0, -1.0, "scale", id="-1.0"),
+    pytest.param(0.0, float("nan"), "scale", id="nan"),
+    pytest.param(float("inf"), 1.0, "center", id="center-inf"),
+    pytest.param(float("nan"), 1.0, "center", id="center-nan")])
+def test_gaussian_rejects_a_scale_that_is_not_finite_and_positive(center, scale, what):
+    # rejected before any sample is taken, so no division warns first; a
+    # center that is not finite is rejected too (inf would sample zeros)
+    with pytest.raises(testfuncs.TestFunctionError, match=what):
+        testfuncs.gaussian(center=center, scale=scale)
