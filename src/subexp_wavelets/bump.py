@@ -71,13 +71,14 @@ class GevreyBump:
 def build_bump(a: float, rho: float) -> GevreyBump:
     """Construct and normalize the seed bump.
 
-    Requires ``0 < a < pi/3`` (bell support constraint) and ``rho > 1``
-    (compactly supported Gevrey functions only exist above order 1).
+    Requires ``0 < a < pi/3`` (bell support constraint) and a finite
+    ``rho > 1`` (compactly supported Gevrey functions only exist above order
+    1; at ``rho = inf`` the profile is the box ``exp(-1)``).
     """
     if not (0 < a < np.pi / 3):
         raise BumpError("violates a < pi/3")
-    if not (rho > 1):
-        raise BumpError("Gevrey order must exceed 1")
+    if not (1 < rho < np.inf):
+        raise BumpError(f"Gevrey order must be finite and exceed 1, got {rho!r}")
     knots = np.linspace(-a, a, _TABLE_KNOTS)
     h = knots[1] - knots[0]
     raw = _raw_profile(knots, a, rho)

@@ -7,11 +7,12 @@ Every command but ``build`` computes on the system ``main`` loads and
 returns its report body with whether its checks passed; ``main`` alone
 writes the report and maps each outcome to its exit code: 0 every check
 passed; 1 a numerical check failed; 2 a bad flag, config value or input (an
-unknown test function, a range beyond the stored window, a grid with fewer
-than two points or more than 2^20, a non-finite or non-positive window,
-``--h`` or ``--c``, a negative ``--max-beta``, a coefficient window the grid
-cannot resolve); 3 an unreadable or corrupt system file, or an output that
-cannot be written.
+unknown test function, a range beyond the stored window, or for ``decay
+--target phi`` beyond the phi table, a non-finite ``--rho2``, a grid with
+fewer than two points or more than 2^20, a non-finite or non-positive
+window, ``--h`` or ``--c``, a negative ``--max-beta``, a coefficient window
+the grid cannot resolve); 3 an unreadable or corrupt system file, or an
+output that cannot be written.
 
 Reports are deterministic JSON (sorted keys, round-trip-safe floats);
 timestamps live in a separate "metadata" field so byte comparison of the
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import expansion, metrics, numerics, projection, testfuncs
 from .bump import BumpError
-from .construction import (ConstructionError, WaveletSystem,
+from .construction import (TABLE_HALF, ConstructionError, WaveletSystem,
                            build_wavelet_system, checks, decay_profile,
                            sample_grid)
 from .numerics import Grid1D, SampledFunction
@@ -270,6 +271,9 @@ def cmd_decay(args, ws: WaveletSystem) -> tuple[dict, bool]:
     lo, hi = args.range
     if args.target == "psi":
         table = decay_profile(ws, hi, int((hi - 0.0) * 32) + 1)
+    elif hi > TABLE_HALF:
+        raise ConfigError(f"range end {hi} lies beyond the phi table, which "
+                          f"ends at {TABLE_HALF}")
     else:
         grid, vals = ws.dense_table("phi")
         x = grid.points()

@@ -11,9 +11,9 @@ continuous wavelet transform ``cwt`` sampled at (n 2^-m, 2^-m).
 
 Every coefficient, of a sampled function in one or two dimensions or of a
 dual representative (point masses or a density, with derivatives moved onto
-the atom), comes from one loop, ``_analysis``: for each pattern and scale it
-builds one ``WaveletSystem.atom_values`` block per axis and applies it to the
-weighted samples.  ``synthesize_partial`` runs the same blocks transposed.
+the atom), comes from one loop, ``_analysis``, into one window-shaped array:
+per pattern and scale, one ``WaveletSystem.atom_values`` block per axis fills
+a slot.  ``synthesize_partial`` reads the slots through the same blocks.
 This is direct quadrature; there is no filter-bank fast transform here.  On
 a uniform grid whose shift step is a whole number of samples (every scale
 ``analyze`` allows on the dyadic grid of ``expand``), a block costs one
@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -76,36 +77,47 @@ class IndexWindow:
     def __len__(self):
         return (2 ** self.d - 1) * (2 * self.M + 1) * (2 * self.N + 1) ** self.d
 
+    @property
+    def shape(self) -> tuple:
+        return (2 ** self.d - 1, 2 * self.M + 1) + (2 * self.N + 1,) * self.d
+
     def patterns(self):
         return [eps for eps in product((0, 1), repeat=self.d) if any(eps)]
 
     def indices(self):
-        shifts = range(-self.N, self.N + 1)
-        for eps in self.patterns():
-            for m in range(-self.M, self.M + 1):
-                for n in product(shifts, repeat=self.d):
-                    yield WaveletIndex(epsilon=eps, m=m, n=n)
+        shifts = product(range(-self.N, self.N + 1), repeat=self.d)
+        for eps, m, n in product(self.patterns(), range(-self.M, self.M + 1), shifts):
+            yield WaveletIndex(epsilon=eps, m=m, n=n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
+    """A window's coefficients as one complex array of shape ``window.shape``:
+    ``values[p, m + M, n_1 + N, ..., n_d + N]`` belongs to pattern
+    ``window.patterns()[p]``, scale m and shift n, in the C order of
+    ``window.indices()``; ``coefficients`` keys the same numbers by index."""
+
     window: IndexWindow
-    coefficients: dict = field(repr=False)
+    values: np.ndarray = field(repr=False)
     source_descriptor: str = ""
 
     def __post_init__(self):
-        for index in self.window.indices():
-            if index not in self.coefficients:
-                raise ExpansionError(f"missing coefficient for {index}")
-        for c in self.coefficients.values():
-            if not np.isfinite(complex(c)):
-                raise ExpansionError("invalid samples")
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != self.window.shape:
+            raise ExpansionError(f"missing or extra coefficients: {values.shape}")
+        if not np.isfinite(values).all():
+            raise ExpansionError("invalid samples")
+        object.__setattr__(self, "values", values)
+
+    @cached_property
+    def coefficients(self) -> dict:
+        return dict(zip(self.window.indices(), self.values.ravel().tolist()))
 
     def sup_magnitude(self) -> float:
-        return max(abs(c) for c in self.coefficients.values())
+        return float(np.abs(self.values).max())
 
     def energy(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.coefficients.values()))
+        return sum((np.abs(self.values) ** 2).ravel().tolist())  # in index order
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +162,16 @@ def cwt(ws: WaveletSystem, f: SampledFunction, b: float, a: float,
 # ---------------------------------------------------------------------------
 
 def _scale_blocks(ws: WaveletSystem, window: IndexWindow, axes, order: int):
-    """(epsilon, m, blocks) over the window; blocks[i][k, j] is axis i's factor
-    (derivative ``order``) at shift ``-N + k`` and the axis's j-th point.
+    """(slot, blocks): slot (p, m + M) holds pattern p's scale-m shifts in an
+    array; blocks[i][k, j] is axis i's factor (derivative ``order``) at shift
+    ``-N + k`` and the axis's j-th point.
 
     Each axis is a ``Grid1D`` or an array of points; see ``_axis_block``.
     """
-    for eps in window.patterns():
+    for p, eps in enumerate(window.patterns()):
         for m in range(-window.M, window.M + 1):
-            yield eps, m, [_axis_block(ws, e, m, window.N, axis, order)
-                           for e, axis in zip(eps, axes)]
+            yield (p, m + window.M), [_axis_block(ws, e, m, window.N, axis, order)
+                                      for e, axis in zip(eps, axes)]
 
 
 def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis,
@@ -182,27 +195,19 @@ def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis,
     return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], axis, order)
 
 
-def _shifts(window: IndexWindow):
-    return list(product(range(-window.N, window.N + 1), repeat=window.d))
-
-
-def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw, order: int) -> dict:
+def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw, order: int):
     """c_lambda = (-1)^order sum_j fw_j d^order atom_lambda(x_j) over the window.
 
     ``axes`` holds each axis (a ``Grid1D`` or its points) and ``fw`` the
     weighted samples on their product (quadrature weights times values, or
     point masses); one block per axis and scale gives every coefficient of
-    that scale.
+    that scale.  Returns the window-shaped array of ``CoefficientSet``.
     """
-    shifts = _shifts(window)
-    coeffs = {}
-    for eps, m, B in _scale_blocks(ws, window, axes, order):
-        C = B[0] @ fw
-        if window.d == 2:
-            C = C @ B[1].T
-        for n, c in zip(shifts, (-1.0) ** order * C.ravel()):
-            coeffs[WaveletIndex(epsilon=eps, m=m, n=n)] = complex(c)
-    return coeffs
+    out = np.empty(window.shape, dtype=complex)
+    for slot, B in _scale_blocks(ws, window, axes, order):
+        C = B[0] @ fw if window.d == 1 else B[0] @ fw @ B[1].T
+        out[slot] = (-1.0) ** order * C
+    return out
 
 
 def check_resolution(window: IndexWindow, grids) -> None:
@@ -236,21 +241,20 @@ def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
     fw = f.values  # times the product trapezoid weights
     for axis, g in enumerate(f.grids):
         fw = fw * g.trapezoid_weights().reshape((-1,) + (1,) * (window.d - axis - 1))
-    coeffs = _analysis(ws, window, f.grids, fw, 0)
-    return CoefficientSet(window=window, coefficients=coeffs,
-                          source_descriptor=source_descriptor)
+    return CoefficientSet(window, _analysis(ws, window, f.grids, fw, 0),
+                          source_descriptor)
 
 
 def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
                        grid) -> SampledFunction:
     """Partial sum over the window on the given grid (Grid1D, or pair)."""
     window = coeffs.window
-    grids = (grid,) if isinstance(grid, Grid1D) else tuple(grid)[:window.d]
-    shifts = _shifts(window)
+    grids = (grid,) if isinstance(grid, Grid1D) else tuple(grid)
+    if not len(grids) == window.d <= 2:
+        raise ExpansionError(f"{len(grids)} grids for a window of dimension {window.d}")
     out = np.zeros(tuple(g.count for g in grids), dtype=complex)
-    for eps, m, B in _scale_blocks(ws, window, grids, 0):
-        C = np.array([coeffs.coefficients[WaveletIndex(epsilon=eps, m=m, n=n)]
-                      for n in shifts]).reshape((2 * window.N + 1,) * window.d)
+    for slot, B in _scale_blocks(ws, window, grids, 0):
+        C = coeffs.values[slot]
         out += C @ B[0] if window.d == 1 else B[0].T @ C @ B[1]
     return SampledFunction(grids if window.d > 1 else grids[0], out)
 
@@ -282,12 +286,13 @@ class DualRepresentative:
         (grid,) = self.density.grids
         return grid.points(), self.density.values * grid.trapezoid_weights()
 
-    def coefficients(self, ws: WaveletSystem, window: IndexWindow) -> dict:
+    def coefficients(self, ws: WaveletSystem, window: IndexWindow) -> CoefficientSet:
         """<self, atom_lambda> for every index of the (one-dimensional) window."""
         if window.d != 1:
             raise ExpansionError("dual representatives implemented in d = 1")
         x, w = self._nodes()
-        return _analysis(ws, window, [x], w, self.derivative_order)
+        return CoefficientSet(window, _analysis(ws, window, [x], w,
+                                                self.derivative_order))
 
     def pair(self, g: SampledFunction) -> complex:
         (grid,) = g.grids
@@ -308,25 +313,22 @@ def parseval_check(ws: WaveletSystem, f, g: SampledFunction,
     analyzed once.
     """
     if isinstance(f, DualRepresentative):
-        lhs = f.pair(g)
-        cf = f.coefficients(ws, window)
+        lhs, cf = f.pair(g), f.coefficients(ws, window)
     else:
-        lhs = numerics.pairing(f, g)
-        cf = analyze(ws, f, window).coefficients
-    cg = cf if g is f else analyze(ws, g, window).coefficients
-    return _parseval(lhs, cf, cg, window)
+        lhs, cf = numerics.pairing(f, g), analyze(ws, f, window)
+    cg = cf if g is f else analyze(ws, g, window)
+    return _parseval(lhs, cf.values, cg.values)
 
 
 def parseval_from_coefficients(f: SampledFunction,
                                coeffs: CoefficientSet) -> dict:
     """``parseval_check(ws, f, f, coeffs.window)`` from the coefficients of
     ``f`` that ``analyze`` already returned; nothing is analyzed again."""
-    c = coeffs.coefficients
-    return _parseval(numerics.pairing(f, f), c, c, coeffs.window)
+    return _parseval(numerics.pairing(f, f), coeffs.values, coeffs.values)
 
 
-def _parseval(lhs, cf: dict, cg: dict, window: IndexWindow) -> dict:
-    rhs = sum(cf[idx] * cg[idx] for idx in window.indices())
+def _parseval(lhs, cf: np.ndarray, cg: np.ndarray) -> dict:
+    rhs = sum((cf * cg).ravel().tolist())  # in index order, as Python complex
     return {"lhs": complex(lhs), "rhs": complex(rhs),
             "gap": abs(complex(lhs) - complex(rhs))}
 
@@ -334,8 +336,7 @@ def _parseval(lhs, cf: dict, cg: dict, window: IndexWindow) -> dict:
 def bessel_gap(ws: WaveletSystem, f: SampledFunction,
                window: IndexWindow) -> dict:
     """sum |c_lambda|^2 against ||f||^2; the sum must not exceed the norm."""
-    cs = analyze(ws, f, window)
-    energy = cs.energy()
+    energy = analyze(ws, f, window).energy()
     norm_sq = float(numerics.inner_product(f, f).real)
     return {"coefficient_energy": energy, "norm_squared": norm_sq,
             "excess": energy - norm_sq}
@@ -351,8 +352,7 @@ def coefficients_to_csv(coeffs: CoefficientSet, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["epsilon_bits", "m"] + [f"n_{i+1}" for i in range(d)]
                         + ["re", "im"])
-        for index in coeffs.window.indices():
-            c = coeffs.coefficients[index]
+        for index, c in zip(coeffs.window.indices(), coeffs.values.ravel().tolist()):
             writer.writerow(["".join(str(b) for b in index.epsilon), index.m,
                              *index.n, repr(c.real), repr(c.imag)])
 

@@ -78,6 +78,12 @@ class TestValidation:
         with pytest.raises(BumpError, match="exceed 1"):
             sw.build_bump(1.0, 1.0)
 
+    @pytest.mark.parametrize("rho", [np.inf, np.nan])
+    def test_order_must_be_finite(self, rho):
+        # at rho = inf the exponent -1/(rho - 1) is -0 and the bump a box
+        with pytest.raises(BumpError, match="finite"):
+            sw.build_bump(1.0, rho)
+
 
 class TestRegularityCertificate:
     def test_reference_bump_passes(self, bump):

@@ -295,6 +295,8 @@ _BAD_COMMAND_LINES = [
     ("decay --system {system} --range 5", 2),
     ("decay --system {system} --range abc,5", 2),
     ("decay --system {system} --range 5,500", 2),
+    ("decay --system {system} --target phi --range 5,1000", 2),
+    ("decay --system {system} --target phi --range 300,1000", 2),
     ("project --system {system} --levels 0..2 --window 0.001", 2),
     ("project --system {system} --window -3", 2),
     ("project --system {system} --levels 3..1", 2),
@@ -321,6 +323,7 @@ _BAD_COMMAND_LINES = [
     ("build --out {tmp}/x.json --window nan", 2),
     ("build --out {tmp}/x.json --window 1e300", 2),
     ("build --out {tmp}/x.json --spectral-points 1", 2),
+    ("build --out {tmp}/x.json --rho2 inf", 2),
     ("verify --system {system} --report {tmp}/missing/r.json", 3),
     ("build --out {tmp}/missing/s.json", 3),
     ("expand --system {system} --out {tmp}/missing/c.csv", 3),

@@ -40,13 +40,44 @@ class TestCoefficientSet:
     def test_missing_coefficient_rejected(self):
         w = sw.IndexWindow(0, 1)
         with pytest.raises(ExpansionError, match="missing"):
-            sw.CoefficientSet(window=w, coefficients={})
+            sw.CoefficientSet(window=w, values=np.array([], dtype=complex))
 
     def test_nonfinite_rejected(self):
         w = sw.IndexWindow(0, 0)
-        idx = sw.WaveletIndex(epsilon=(1,), m=0, n=(0,))
         with pytest.raises(ExpansionError):
-            sw.CoefficientSet(window=w, coefficients={idx: float("nan")})
+            sw.CoefficientSet(window=w, values=np.full((1, 1, 1), np.nan))
+
+    def test_values_in_index_order(self):
+        # values[p, m + M, n_1 + N, n_2 + N] is the coefficient of pattern p,
+        # scale m and shift n, and the index view keys the same numbers
+        w = sw.IndexWindow(1, 2, d=2)
+        cs = sw.CoefficientSet(w, np.arange(len(w)).reshape(w.shape) * (1 + 1j))
+        assert list(cs.coefficients) == list(w.indices())
+        idx = sw.WaveletIndex(epsilon=(1, 0), m=-1, n=(2, -1))
+        assert cs.coefficients[idx] == cs.values[w.patterns().index((1, 0)), 0, 4, 1]
+
+    def test_array_path_builds_no_index(self, ws, band_function, expansion_grid,
+                                        monkeypatch):
+        # analysis, synthesis and Parseval read and write the window-shaped
+        # arrays; WaveletIndex objects appear only when the index view is read
+        from subexp_wavelets.testfuncs import gaussian, sample_2d
+        built = []
+        post_init = sw.WaveletIndex.__post_init__
+        monkeypatch.setattr(sw.WaveletIndex, "__post_init__",
+                            lambda index: built.append(index) or post_init(index))
+        w1, w2 = sw.IndexWindow(2, 8), sw.IndexWindow(1, 2, d=2)
+        g = sw.Grid1D.from_interval(-16.0, 16.0, 257)
+        f2 = sample_2d(gaussian(), gaussian(), g, g)
+        c1, c2 = sw.analyze(ws, band_function, w1), sw.analyze(ws, f2, w2)
+        sw.synthesize_partial(ws, c1, expansion_grid)
+        sw.synthesize_partial(ws, c2, (g, g))
+        sw.parseval_check(ws, band_function, band_function, w1)
+        sw.parseval_check(ws, f2, f2, w2)
+        delta = sw.DualRepresentative(points=np.array([0.35]),
+                                      weights=np.array([1.0]))
+        sw.parseval_check(ws, delta, band_function, w1)
+        assert built == []
+        assert len(c2.coefficients) == len(built) == len(w2)
 
 
 class TestAtoms:
@@ -123,6 +154,16 @@ class TestAnalysis:
             ps = sw.synthesize_partial(ws, cs, expansion_grid)
             errs.append(np.max(np.abs(ps.values - band_function.values)))
         assert errs[1] < errs[0]
+
+    def test_partial_sum_needs_one_grid_per_axis(self, ws, band_function):
+        # one grid per axis, and synthesis, like analysis, in d = 1 and 2 only
+        g = sw.Grid1D.from_interval(-4.0, 4.0, 65)
+        c1 = sw.analyze(ws, band_function, sw.IndexWindow(1, 2))
+        c2, c3 = (sw.CoefficientSet(w, np.zeros(w.shape)) for w in (
+            sw.IndexWindow(1, 2, d=2), sw.IndexWindow(0, 0, d=3)))
+        for coeffs, grid in ((c1, (g, g)), (c2, g), (c2, (g,)), (c3, (g, g, g))):
+            with pytest.raises(ExpansionError, match="grids"):
+                sw.synthesize_partial(ws, coeffs, grid)
 
     def test_bessel_inequality(self, ws, band_function):
         gap = sw.bessel_gap(ws, band_function, sw.IndexWindow(2, 8))
@@ -230,7 +271,7 @@ class TestParseval:
         g = sw.synthesize(ws.psi_hat, expansion_grid)
         idx = sw.WaveletIndex(epsilon=(1,), m=1, n=(-2,))
         want = ws.atom_values(1, 1, -2, np.array([x0]))[0]
-        got = delta.coefficients(ws, sw.IndexWindow(1, 2))[idx]
+        got = delta.coefficients(ws, sw.IndexWindow(1, 2)).coefficients[idx]
         assert abs(got - want) < 1e-14
         # pair() reads g through a cubic spline of its samples: O(h^4)
         assert abs(delta.pair(g) - ws.evaluate_psi(x0)[0]) < 1e-7
@@ -252,7 +293,7 @@ class TestParseval:
         window = sw.IndexWindow(2, 8)
         dual = sw.DualRepresentative(density=band_function)
         want = sw.analyze(ws, band_function, window)
-        assert dual.coefficients(ws, window) == want.coefficients
+        assert dual.coefficients(ws, window).coefficients == want.coefficients
         x = expansion_grid.points()
         g = sw.SampledFunction(expansion_grid, np.exp(-0.5 * (x - 0.3) ** 2))
         assert abs(dual.pair(g) - sw.pairing(band_function, g)) <= 1e-12

@@ -110,11 +110,10 @@ class TestSeminorm:
 
 
 def _manual_coeffs(values_by_shift):
-    from subexp_wavelets.expansion import CoefficientSet, IndexWindow, WaveletIndex
+    from subexp_wavelets.expansion import CoefficientSet, IndexWindow
     window = IndexWindow(0, 1)
-    coeffs = {WaveletIndex(epsilon=(1,), m=0, n=(n,)): c
-              for n, c in values_by_shift.items()}
-    return CoefficientSet(window=window, coefficients=coeffs)
+    values = np.array([values_by_shift[n] for n in (-1, 0, 1)], dtype=complex)
+    return CoefficientSet(window=window, values=values.reshape(window.shape))
 
 
 class TestSequenceNorm:

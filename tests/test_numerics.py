@@ -132,9 +132,15 @@ class TestSpectrumOnBand:
         want = (x * np.cos(x) - np.sin(x)) / (np.pi * x * x)
         assert np.max(np.abs(got - want)) < 1e-7
 
-    def test_direct_sum_memory_is_bounded(self, ws):
-        # 2,000 points against the 7,280 hull nodes of psi_hat: one
-        # exp(i outer) block over all of them alone would take 233 MB
+    @pytest.mark.parametrize("block_entries, bound_mb", [
+        (numerics._BLOCK_ENTRIES, 16), (2 ** 12, 2)],
+        ids=["default-blocks", "small-blocks"])
+    def test_direct_sum_memory_is_bounded(self, ws, monkeypatch, block_entries,
+                                          bound_mb):
+        # 2,000 points against psi_hat's 7,280 hull nodes, A + B = 171 table
+        # entries a row: measured peaks 8.0 MB at the default block size (one
+        # block of all rows) and 0.38 MB at 2^12 entries (23 rows a block)
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", block_entries)
         x = np.linspace(-40.0, 40.0, 2000)
         tracemalloc.start()
         try:
@@ -142,7 +148,7 @@ class TestSpectrumOnBand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert peak < bound_mb * 2 ** 20
 
     def test_derivative_order_cap(self):
         spec = self._rect(n=101)
