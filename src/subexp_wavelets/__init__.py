@@ -12,13 +12,12 @@ from .construction import (BellFunction, ConstructionError, WaveletSystem,
                            decay_profile, run_certificate_suite,
                            scaling_modulus, spectral_moments, two_scale_gram)
 from .expansion import (CoefficientSet, DualRepresentative, ExpansionError,
-                        IndexWindow, WaveletIndex, analyze, bessel_gap, cwt,
+                        IndexWindow, WaveletIndex, analyze, bessel_gap,
                         parseval_check, parseval_from_coefficients,
                         synthesize_partial, tensor_atom)
-from .metrics import (DecayFit, FeasibleK, HalfplaneParams, MetricsError,
-                      SeminormParams, SequenceNormParams, halfplane_norm_probe,
-                      index_weight, max_feasible_k, seminorm_estimate,
-                      sequence_norm, subexp_decay_fit)
+from .metrics import (DecayFit, FeasibleK, MetricsError, SeminormParams,
+                      SequenceNormParams, index_weight, max_feasible_k,
+                      seminorm_estimate, sequence_norm, subexp_decay_fit)
 from .numerics import (Grid1D, NumericsError, SampledFunction, SpectrumOnBand,
                        chirp_synthesis, forward_transform_values, inner_product,
                        integrate, norm_l2, pairing, synthesize,

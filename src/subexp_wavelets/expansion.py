@@ -6,8 +6,7 @@ and an integer shift n.  Coefficients are quadrature inner products
 ``c_lambda(f) = int f conj(atom)``, each computed once.  The trapezoid sum
 is exact only while the atoms' band lies below the grid's alias frequency,
 so ``analyze`` rejects a window whose top scale M reaches it
-(``check_resolution``).  In one dimension each coefficient is also the
-continuous wavelet transform ``cwt`` sampled at (n 2^-m, 2^-m).
+(``check_resolution``).
 
 Every coefficient, of a sampled function in one or two dimensions or of a
 dual representative (point masses or a density, with derivatives moved onto
@@ -121,7 +120,7 @@ class CoefficientSet:
 
 
 # ---------------------------------------------------------------------------
-# atoms and the continuous transform
+# atoms
 # ---------------------------------------------------------------------------
 
 def tensor_atom(ws: WaveletSystem, index: WaveletIndex, x) -> np.ndarray:
@@ -138,23 +137,6 @@ def tensor_atom(ws: WaveletSystem, index: WaveletIndex, x) -> np.ndarray:
     for i in range(d):
         out = out * ws.atom_values(index.epsilon[i], index.m, index.n[i], pts[:, i])
     return float(out[0]) if scalar else out
-
-
-def cwt(ws: WaveletSystem, f: SampledFunction, b: float, a: float,
-        order: int = 0) -> complex:
-    """d^k/db^k W f(b, a) = (-1)^k a^(-k-1) int f(x) conj(psi^(k))((x - b)/a) dx.
-
-    ``order`` k = 0 is the transform W f itself; one dimension only.
-    """
-    if not a > 0:
-        raise ExpansionError("scale must be positive")
-    if f.dimension != 1:
-        raise ExpansionError("continuous transform implemented in d = 1 only")
-    (grid,) = f.grids
-    psi = ws.interpolator("psi", order)
-    vals = psi((grid.points() - b) / a)  # psi is real: conjugation is the identity
-    fw = f.values * grid.trapezoid_weights()
-    return ((-1.0) ** order / a ** (order + 1)) * np.dot(fw, vals)
 
 
 # ---------------------------------------------------------------------------

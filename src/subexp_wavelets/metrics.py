@@ -6,8 +6,10 @@ Three families of measurements live here:
   ``sup_x sup_beta (h^beta / beta!^rho1) e^{c |x|^{1/rho2}} |f^(beta)(x)|``,
 * subexponential envelope fits ``|f(x)| ~ C exp(-c x^{1/rho})`` with the
   exponent either pinned to ``1/rho2`` or grid-searched,
-* weighted sup norms on wavelet coefficient sets penalizing large ``|m|``
-  and large ``|n / 2^m|``, and the largest feasible weight scale ``k``.
+* weighted sup norms ``sup |c_lambda| e^{k w(lambda)}`` on wavelet
+  coefficient sets, penalizing large ``|m|`` and large ``|n / 2^m|``, and
+  the largest feasible weight scale ``k`` in closed form.  Both read the
+  coefficient array ``values`` against one weight array of the same layout.
 
 Every sup over an infinite set is reported as a lower bound from finite
 probes; reports never claim certified upper bounds.
@@ -21,13 +23,11 @@ from math import lgamma
 
 import numpy as np
 
-from .expansion import cwt
-
 logger = logging.getLogger(__name__)
 
 OVERFLOW_EXPONENT = 700.0  # e^x limit in double precision
 ENVELOPE_FLOOR = 1e-14
-_BISECTION_CAP = 64.0
+_K_CAP = 64.0
 
 
 class MetricsError(ValueError):
@@ -174,37 +174,51 @@ class SequenceNormParams:
             raise MetricsError("requires t > rho2")
         if not self.s > self.rho1:
             raise MetricsError("requires s > rho1")
-        if self.k < 0:
-            raise MetricsError("weight scale k must be nonnegative")
+        if not self.k >= 0:
+            raise MetricsError(f"weight scale k must be nonnegative, got {self.k!r}")
+
+
+def _weight(m, r, params: SequenceNormParams):
+    """w = (2^-m)^(1/(t-rho2)) + (2^m)^(1/(s-rho1)) + (r 2^-m)^(1/t), r = |n|.
+
+    Both scale terms are positive, so every weight is.
+    """
+    return ((2.0 ** -m) ** (1.0 / (params.t - params.rho2))
+            + (2.0 ** m) ** (1.0 / (params.s - params.rho1))
+            + (r * 2.0 ** -m) ** (1.0 / params.t))
 
 
 def index_weight(index, params: SequenceNormParams) -> float:
-    """w(lambda) = (2^-m)^(1/(t-rho2)) + (2^m)^(1/(s-rho1)) + |n 2^-m|^(1/t)."""
-    m = index.m
+    """w(lambda) of one index, with Euclidean |n|."""
     n = np.asarray(index.n, dtype=float)
-    shift = float(np.sqrt(np.sum(n * n))) * 2.0 ** (-m)  # Euclidean |n|
-    return ((2.0 ** (-m)) ** (1.0 / (params.t - params.rho2))
-            + (2.0 ** m) ** (1.0 / (params.s - params.rho1))
-            + shift ** (1.0 / params.t))
+    return float(_weight(index.m, np.sqrt(np.sum(n * n)), params))
+
+
+def _window_weights(window, params: SequenceNormParams) -> np.ndarray:
+    """w(lambda) in the layout of ``CoefficientSet.values`` (``window.shape``)."""
+    n = np.arange(-window.N, window.N + 1, dtype=float)
+    r = np.sqrt(sum(np.meshgrid(*[n * n] * window.d, indexing="ij", sparse=True)))
+    m = np.arange(-window.M, window.M + 1, dtype=float)
+    return np.broadcast_to(_weight(m.reshape((-1,) + (1,) * window.d), r, params),
+                           window.shape)
 
 
 def sequence_norm(coeffs, params: SequenceNormParams) -> float:
-    """sup over the window of |c_lambda| exp(k w(lambda))."""
-    best = 0.0
-    skipped = 0
-    for index, c in coeffs.coefficients.items():
-        mag = abs(c)
-        arg = params.k * index_weight(index, params)
-        if arg > OVERFLOW_EXPONENT:
-            if mag > 1e-300:
-                return float("inf")
-            skipped += 1
-            continue
-        best = max(best, mag * float(np.exp(arg)))
-    if skipped:
+    """sup over the window of |c_lambda| exp(k w(lambda)).
+
+    An entry with k w > OVERFLOW_EXPONENT makes the norm inf unless
+    |c| <= 1e-300; such negligible entries are skipped and logged.
+    """
+    mag = np.abs(coeffs.values)
+    arg = params.k * _window_weights(coeffs.window, params)
+    over = arg > OVERFLOW_EXPONENT
+    if np.any(mag[over] > 1e-300):
+        return float("inf")
+    if over.any():
         logger.info("sequence_norm: %d negligible entries skipped (weight overflow)",
-                    skipped)
-    return best
+                    int(over.sum()))
+    keep = ~over
+    return float(np.max(mag[keep] * np.exp(arg[keep]), initial=0.0))
 
 
 class FeasibleK(float):
@@ -217,78 +231,19 @@ class FeasibleK(float):
 
 
 def max_feasible_k(coeffs, params: SequenceNormParams, budget: float) -> FeasibleK:
-    """Bisection (to 1e-3) for the largest k with sequence_norm <= budget."""
-    if all(abs(c) == 0.0 for c in coeffs.coefficients.values()):
-        return FeasibleK(_BISECTION_CAP, vacuous=True)
+    """Largest k in [0, 64] with sequence_norm <= budget (``params.k`` unused).
 
-    def norm_at(k):
-        p = SequenceNormParams(s=params.s, t=params.t, rho1=params.rho1,
-                               rho2=params.rho2, k=k)
-        return sequence_norm(coeffs, p)
-
-    if norm_at(_BISECTION_CAP) <= budget:
-        return FeasibleK(_BISECTION_CAP)
-    lo, hi = 0.0, _BISECTION_CAP
-    if norm_at(1e-9) > budget:
-        return FeasibleK(0.0)
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if norm_at(mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return FeasibleK(lo)
-
-
-# ---------------------------------------------------------------------------
-# half-plane transform norm probe
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HalfplaneParams:
-    h: float
-    t: float
-    tau1: float
-    tau2: float
-    max_alpha: int = 2
-    max_beta: int = 2
-
-    def __post_init__(self):
-        if self.h <= 0 or self.t <= 0 or self.tau1 <= 0 or self.tau2 <= 0:
-            raise MetricsError("h, t, tau1, tau2 must be positive")
-        if self.max_alpha > 2 or self.max_beta > 2:
-            raise MetricsError("scale/shift derivative orders capped at 2")
-
-
-def halfplane_norm_probe(ws, f, params: HalfplaneParams, samples) -> float:
-    """Weighted sup of the wavelet transform of ``f`` over half-plane samples.
-
-    Phi(b, a) = (1/a) int f(x) psi((x - b)/a) dx.  Shift derivatives go onto
-    the analyzing atom (``expansion.cwt`` of that order, exact via the dense
-    derivative tables); scale derivatives use central differences in log a.
-    Finiteness of this probe
-    over growing sample sets is the desk-scale witness that the transform
-    maps into the weighted half-plane space continuously.
+    Since w > 0, |c| e^{k w} <= budget exactly when
+    k <= (log budget - log|c|) / w; the answer is the least such bound over
+    the nonzero coefficients, with k w kept within the range where
+    ``sequence_norm`` is finite.
     """
-    delta = 1e-3  # log-scale step for d/da stencils
-    best = 0.0
-    for (b, a) in samples:
-        if not a > 0:
-            raise MetricsError("scale samples must have a > 0")
-        warg = params.h * (a ** (1.0 / params.tau1)
-                           + a ** (-1.0 / params.tau2)
-                           + abs(b) ** (1.0 / params.t))
-        if warg > OVERFLOW_EXPONENT:
-            logger.info("halfplane_norm_probe: sample (%g, %g) excluded", b, a)
-            continue
-        weight = float(np.exp(warg))
-        for beta in range(params.max_beta + 1):
-            p0 = cwt(ws, f, b, a, beta)
-            pp = cwt(ws, f, b, a * np.exp(delta), beta)
-            pm = cwt(ws, f, b, a * np.exp(-delta), beta)
-            d1_log = (pp - pm) / (2 * delta)
-            d2_log = (pp - 2 * p0 + pm) / delta ** 2
-            derivs = [p0, d1_log / a, (d2_log - d1_log) / a ** 2]
-            for alpha in range(params.max_alpha + 1):
-                best = max(best, weight * abs(derivs[alpha]))
-    return best
+    if not (np.isfinite(budget) and budget > 0):
+        raise MetricsError(f"budget must be positive and finite, got {budget!r}")
+    mag = np.abs(coeffs.values)
+    nonzero = mag > 0
+    if not nonzero.any():
+        return FeasibleK(_K_CAP, vacuous=True)
+    room = np.minimum(np.log(budget) - np.log(mag[nonzero]), OVERFLOW_EXPONENT)
+    k = np.min(room / _window_weights(coeffs.window, params)[nonzero])
+    return FeasibleK(float(np.clip(k, 0.0, _K_CAP)))

@@ -58,13 +58,16 @@ def gevrey_band(xi0: float, xi1: float, rho: float = 2.0):
     f(x) = (1/pi) int_{xi0}^{xi1} A(xi) cos(x xi) dxi with
     A(xi) = exp(-(1 - u^2)^{-1/(rho-1)}), u the affine map of [xi0, xi1] onto
     [-1, 1]; normalized to unit L2 norm.  When 0 < xi0 all moments vanish.
+    The band must be finite and the order 1 < rho < inf (rho = inf would
+    give a flat box, which is not Gevrey); both are checked before any
+    sample is taken.
     f is ``2 Re`` of the synthesis of its one-sided spectrum ``f.spectrum``
     (direct sum at scattered points; ``sample`` uses the chirp-z engine).
     """
-    if not (xi1 > xi0 >= 0):
-        raise TestFunctionError("need 0 <= xi0 < xi1")
-    if rho <= 1:
-        raise TestFunctionError("Gevrey order must exceed 1")
+    if not (np.isfinite(xi1) and xi1 > xi0 >= 0):
+        raise TestFunctionError(f"need 0 <= xi0 < xi1 < inf, got {xi0!r}, {xi1!r}")
+    if not (np.isfinite(rho) and rho > 1):
+        raise TestFunctionError(f"Gevrey order rho must be finite and exceed 1, got {rho!r}")
     grid = Grid1D.from_interval(xi0, xi1, _BAND_POINTS)
     u = (2 * grid.points() - xi0 - xi1) / (xi1 - xi0)
     amp = np.zeros(_BAND_POINTS)
@@ -78,7 +81,8 @@ def gevrey_band(xi0: float, xi1: float, rho: float = 2.0):
         x = np.asarray(x, dtype=float)
         out = 2.0 * numerics.synthesize_values(spectrum, x).real
         return float(out[0]) if x.ndim == 0 else out
-    f.description = f"gevrey-band({xi0:.6g},{xi1:.6g})"
+    f.description = (f"gevrey-band({xi0:.6g},{xi1:.6g})" if rho == 2.0
+                     else f"gevrey-band({xi0:.6g},{xi1:.6g},rho={rho:.6g})")
     f.spectrum = spectrum
     return f
 

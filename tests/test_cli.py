@@ -315,6 +315,8 @@ _BAD_COMMAND_LINES = [
     ("expand --system {system} --f bogus", 2),
     ("parseval --system {system} --g bogus", 2),
     ("expand --system {system} --f gevrey-band:2,1", 2),
+    ("expand --system {system} --f gevrey-band:pi,2pi,inf", 2),
+    ("expand --system {system} --f gevrey-band:pi,inf", 2),
     ("expand --system {system} --f gaussian:0,0", 2),
     ("expand --system {system} --f gaussian:inf,1", 2),
     ("expand --system {system} --f gaussian:nan,1", 2),

@@ -104,28 +104,6 @@ class TestAtoms:
         assert np.max(np.abs(got - want)) < 1e-13
 
 
-class TestContinuousTransform:
-    def test_scale_validated(self, ws, band_function):
-        with pytest.raises(ExpansionError, match="positive"):
-            sw.cwt(ws, band_function, 0.0, 0.0)
-
-    def test_zero_mean_annihilates_constants(self, ws, expansion_grid):
-        # int psi = 0: the transform of the constant 1 is pure truncation
-        # error of the analyzing window at this scale
-        one = sw.SampledFunction(expansion_grid, np.ones(expansion_grid.count))
-        assert abs(sw.cwt(ws, one, 0.3, 0.7)) < 1e-8
-
-    def test_dyadic_samples_equal_coefficients(self, ws, band_function):
-        # c_{m,n} = 2^{-m/2} W f(n 2^-m, 2^-m): the transform sampled on the
-        # dyadic grid reproduces every coefficient analyze returns
-        cs = sw.analyze(ws, band_function, sw.IndexWindow(2, 4))
-        assert len(cs.coefficients) == len(sw.IndexWindow(2, 4))
-        for index, c in cs.coefficients.items():
-            scale = 2.0 ** (-index.m)
-            sampled = sw.cwt(ws, band_function, index.n[0] * scale, scale)
-            assert abs(c - sampled * 2.0 ** (-index.m / 2.0)) < 1e-9
-
-
 class TestAnalysis:
     def test_single_coefficient_oracle(self, ws, band_function, expansion_grid):
         cs = sw.analyze(ws, band_function, sw.IndexWindow(2, 8))

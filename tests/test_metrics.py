@@ -143,6 +143,27 @@ class TestSequenceNorm:
         with pytest.raises(MetricsError):
             sw.SequenceNormParams(s=3.0, t=4.0, rho1=0.0, rho2=2.0, k=-1.0)
 
+    def test_nan_weight_scale_rejected(self):
+        # k = nan used to pass and make every weighted entry vanish
+        with pytest.raises(MetricsError, match="nonnegative"):
+            sw.SequenceNormParams(k=np.nan, **self.PARAMS)
+
+    @pytest.mark.parametrize("M, N, d", [(2, 4, 1), (2, 8, 2)])
+    def test_weights_follow_the_index_order(self, M, N, d):
+        # the weight array must sit in the layout of values: compare with
+        # a loop over the index-keyed view and index_weight
+        from subexp_wavelets.expansion import CoefficientSet, IndexWindow
+        window = IndexWindow(M, N, d)
+        rng = np.random.default_rng(20190624)
+        values = (rng.standard_normal(window.shape)
+                  + 1j * rng.standard_normal(window.shape))
+        cs = CoefficientSet(window=window, values=values)
+        for k in (0.3, 1.0, 2.5):
+            p = sw.SequenceNormParams(k=k, **self.PARAMS)
+            want = max(abs(c) * np.exp(k * sw.index_weight(index, p))
+                       for index, c in cs.coefficients.items())
+            assert abs(sw.sequence_norm(cs, p) - want) <= 1e-12 * want
+
 
 class TestFeasibleScale:
     PARAMS = dict(s=3.0, t=4.0, rho1=0.0, rho2=2.0)
@@ -153,14 +174,30 @@ class TestFeasibleScale:
         assert k.vacuous
         assert float(k) == 64.0
 
-    def test_bisection_hand_value(self):
+    def test_closed_form_hand_value(self):
         # single unit coefficient at n = 0: norm(k) = exp(2k), so the largest
         # feasible k for budget B is log(B) / 2
         cs = _manual_coeffs({-1: 0.0, 0: 1.0, 1: 0.0})
         p = sw.SequenceNormParams(**self.PARAMS)
         k = sw.max_feasible_k(cs, p, np.exp(4.0))
         assert not k.vacuous
-        assert abs(float(k) - 2.0) < 2e-3
+        assert abs(float(k) - 2.0) < 1e-12
+
+    def test_norm_at_the_feasible_k_meets_the_budget(self):
+        cs = _manual_coeffs({-1: 0.5, 0: 1.0, 1: 0.125j})
+        budget = 7.0
+        k = sw.max_feasible_k(cs, sw.SequenceNormParams(**self.PARAMS), budget)
+        assert 0.0 < float(k) < 64.0
+        at_k = sw.SequenceNormParams(k=float(k), **self.PARAMS)
+        assert sw.sequence_norm(cs, at_k) <= budget * (1 + 1e-12)
+
+    @pytest.mark.parametrize("budget", [np.nan, 0.0, -1.0, np.inf])
+    def test_budget_must_be_positive(self, budget):
+        # nan, 0 and -1 used to return k = 0 without a word; an infinite
+        # budget bounds nothing
+        cs = _manual_coeffs({-1: 0.5, 0: 1.0, 1: 0.125})
+        with pytest.raises(MetricsError, match="budget"):
+            sw.max_feasible_k(cs, sw.SequenceNormParams(**self.PARAMS), budget)
 
     def test_monotone_in_budget(self):
         cs = _manual_coeffs({-1: 0.5, 0: 1.0, 1: 0.125})
@@ -168,20 +205,3 @@ class TestFeasibleScale:
         k_small = sw.max_feasible_k(cs, p, 2.0)
         k_large = sw.max_feasible_k(cs, p, 200.0)
         assert float(k_large) >= float(k_small)
-
-
-class TestHalfplaneProbe:
-    def test_finite_on_small_sample_set(self, ws, expansion_grid):
-        x = expansion_grid.points()
-        f = sw.SampledFunction(expansion_grid, np.exp(-x * x))
-        params = sw.HalfplaneParams(h=0.2, t=4.0, tau1=2.0, tau2=2.0)
-        samples = [(0.0, 1.0), (1.5, 0.5), (-2.0, 2.0)]
-        got = sw.halfplane_norm_probe(ws, f, params, samples)
-        assert np.isfinite(got) and got > 0.0
-
-    def test_nonpositive_scale_rejected(self, ws, expansion_grid):
-        x = expansion_grid.points()
-        f = sw.SampledFunction(expansion_grid, np.exp(-x * x))
-        params = sw.HalfplaneParams(h=0.2, t=4.0, tau1=2.0, tau2=2.0)
-        with pytest.raises(MetricsError):
-            sw.halfplane_norm_probe(ws, f, params, [(0.0, 0.0)])

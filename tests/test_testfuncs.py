@@ -44,3 +44,25 @@ def test_gaussian_rejects_a_scale_that_is_not_finite_and_positive(center, scale,
     # center that is not finite is rejected too (inf would sample zeros)
     with pytest.raises(testfuncs.TestFunctionError, match=what):
         testfuncs.gaussian(center=center, scale=scale)
+
+
+@pytest.mark.parametrize("xi0, xi1, rho, what", [
+    pytest.param(np.pi, 2 * np.pi, np.inf, "rho", id="rho-inf"),
+    pytest.param(np.pi, 2 * np.pi, np.nan, "rho", id="rho-nan"),
+    pytest.param(np.pi, 2 * np.pi, 1.0, "rho", id="rho-1"),
+    pytest.param(np.pi, np.inf, 2.0, "xi1", id="xi1-inf"),
+    pytest.param(np.nan, 2 * np.pi, 2.0, "xi1", id="xi0-nan"),
+    pytest.param(2.0, 1.0, 2.0, "xi1", id="reversed"),
+    pytest.param(-1.0, 1.0, 2.0, "xi1", id="negative")])
+def test_gevrey_band_rejects_a_band_or_order_out_of_range(xi0, xi1, rho, what):
+    # rejected before any sample is taken, so nothing warns first; rho = inf
+    # would give a flat box spectrum, which is not Gevrey
+    with pytest.raises(testfuncs.TestFunctionError, match=what):
+        testfuncs.gevrey_band(xi0, xi1, rho=rho)
+
+
+def test_gevrey_band_description_names_its_order():
+    assert testfuncs.gevrey_band(np.pi, 2 * np.pi).description == \
+        "gevrey-band(3.14159,6.28319)"
+    assert testfuncs.gevrey_band(np.pi, 2 * np.pi, rho=3.0).description == \
+        "gevrey-band(3.14159,6.28319,rho=3)"
