@@ -16,8 +16,8 @@ Physical-space samples and tables are trapezoid quadratures of the spectrum
 on uniform grids, summed by the chirp-z engine ``numerics.chirp_synthesis``;
 scattered points use the baby-step/giant-step direct sum
 ``numerics.synthesize_values``.  For the many-evaluation call sites (atoms,
-kernels) the system carries lazily built dense tables with cubic-spline
-interpolation, accurate to ~1e-11.
+kernels) the system carries lazily built dense tables read by the natural
+cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11.
 
 Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
@@ -31,11 +31,10 @@ import json
 from math import lgamma
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_interp_spline
 
 from . import numerics
 from .bump import GevreyBump, build_bump, stencil_derivative
-from .numerics import Grid1D, SampledFunction, SpectrumOnBand
+from .numerics import Grid1D, NaturalSpline, SampledFunction, SpectrumOnBand
 
 SCHEMA_TAG = "dhws-v1"
 
@@ -194,26 +193,14 @@ class WaveletSystem:
         if key not in self._tables:
             grid, vals = self._even_table(which, order, TABLE_HALF, TABLE_SPACING,
                                           _TABLE_BAND_POINTS)
-            spline = CubicSpline(grid.points(), vals, bc_type="natural")
-            self._tables[key] = (grid, vals, spline)
+            self._tables[key] = (grid, vals, NaturalSpline(grid, vals))
         grid, vals, _ = self._tables[key]
         return grid, vals
 
-    def interpolator(self, which: str, order: int = 0):
+    def interpolator(self, which: str, order: int = 0) -> NaturalSpline:
         """Fast callable: cubic spline over the dense table, 0 outside it."""
         self.dense_table(which, order)
-        _, _, spline = self._tables[(which, order)]
-
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            scalar = x.ndim == 0
-            x = np.atleast_1d(x)
-            out = np.zeros_like(x)
-            inside = np.abs(x) <= TABLE_HALF
-            out[inside] = spline(x[inside])
-            return float(out[0]) if scalar else out
-
-        return evaluate
+        return self._tables[(which, order)][2]
 
     def atom_values(self, bit: int, m: int, n, x, order: int = 0) -> np.ndarray:
         """2^(m/2) 2^(m*order) f^(order)(2^m x - n) with f = phi (bit 0) or psi (bit 1).
@@ -382,16 +369,6 @@ def _gram_check(G: np.ndarray, tol: float) -> dict:
             "atoms": int(G.shape[0])}
 
 
-def _zero_outside(spline, lo: float, hi: float):
-    """``spline`` on [lo, hi], literal zeros beyond."""
-    def evaluate(s):
-        out = np.zeros_like(s)
-        inside = (s >= lo) & (s <= hi)
-        out[inside] = spline(s[inside])
-        return out
-    return evaluate
-
-
 # -- build stage: analytic spectrum and fresh tables, stored in the file ----
 
 def _support_check(ws: WaveletSystem) -> dict:
@@ -499,15 +476,14 @@ def _stored_support(ws: WaveletSystem) -> dict:
 def _stored_orthonormality(ws: WaveletSystem) -> dict:
     """Lattice sums recomputed from the *stored* spectra by interpolation.
 
-    Cubic interpolation of the stored grids limits this file-based rerun to
-    ~1e-8; the build-time certificate uses the analytic bell at 1e-10.
+    Natural cubic interpolation of the stored grids limits this file-based
+    rerun to ~1e-8; the build-time certificate uses the analytic bell at 1e-10.
     """
     tol = 1e-8
     worst = {}
     for name, spec in (("psi", ws.psi_hat), ("phi", ws.phi_hat)):
-        g = spec.grid.points()
-        spline = CubicSpline(g, np.abs(spec.values) ** 2)
-        worst[name] = _lattice_deviation(_zero_outside(spline, g[0], g[-1]))
+        worst[name] = _lattice_deviation(
+            NaturalSpline(spec.grid, np.abs(spec.values) ** 2))
     ok = max(worst.values()) < tol
     return {"pass": bool(ok), "max_deviation": worst, "tolerance": tol,
             "probes": 512}
@@ -534,11 +510,9 @@ def _stored_moments(ws: WaveletSystem) -> dict:
 
 
 def _stored_two_scale(ws: WaveletSystem) -> dict:
-    """Cross-scale Gram from a quintic spline of the stored samples (tol 1e-5)."""
+    """Cross-scale Gram from a natural cubic spline of the stored samples (tol 1e-5)."""
     (grid,) = ws.psi_samples.grids
-    x = grid.points()
-    psi = _zero_outside(make_interp_spline(x, ws.psi_samples.values.real, k=5),
-                        x[0], x[-1])
+    psi = NaturalSpline(grid, ws.psi_samples.values.real)
     return _gram_check(two_scale_gram(
         lambda m, ns, pts: 2.0 ** (m / 2.0) * psi(np.ldexp(pts, m) - ns), grid), 1e-5)
 

@@ -29,11 +29,10 @@ from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import CubicSpline
 
 from . import numerics
 from .construction import PSI_BAND, WaveletSystem
-from .numerics import Grid1D, SampledFunction
+from .numerics import Grid1D, NaturalSpline, SampledFunction
 
 
 class ExpansionError(ValueError):
@@ -278,11 +277,10 @@ class DualRepresentative:
 
     def pair(self, g: SampledFunction) -> complex:
         (grid,) = g.grids
-        spline = CubicSpline(grid.points(), g.values.real)
         k = self.derivative_order
-        target = spline.derivative(k) if k else spline
         x, w = self._nodes()
-        return complex((-1.0) ** k * np.dot(w, target(x)))
+        g_k = NaturalSpline(grid, g.values.real)(x, k)
+        return complex((-1.0) ** k * np.dot(w, g_k))
 
 
 def parseval_check(ws: WaveletSystem, f, g: SampledFunction,

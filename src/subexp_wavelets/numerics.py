@@ -1,13 +1,14 @@
-"""Uniform grids, trapezoid quadrature, and band-limited synthesis.
+"""Uniform grids, quadrature, splines, and band-limited synthesis.
 
 Everything downstream (wavelet construction, projections, expansions) runs on
 these primitives.  Conventions fixed here once and for all:
 
 * forward transform  ``F g(xi) = int g(x) exp(-i x xi) dx``,
 * inverse transform carries the single ``1/(2 pi)`` factor,
-* all integrals are composite trapezoid sums on uniform grids.  For smooth
-  integrands that vanish at both grid ends the rule is the periodic trapezoid
-  rule and converges faster than any power of the spacing,
+* all integrals are composite trapezoid sums on uniform grids, except the
+  cumulative ones (``cumulative_simpson``).  For smooth integrands that
+  vanish at both grid ends the rule is the periodic trapezoid rule and
+  converges faster than any power of the spacing,
 * synthesis onto a uniform grid is one chirp-z transform
   (``chirp_synthesis``); ``synthesize_values`` sums the same quadrature
   directly at scattered points and serves as its oracle.  The same engine
@@ -17,18 +18,24 @@ these primitives.  Conventions fixed here once and for all:
   oracle of its forward half.  Both direct sums run over uniform nodes and
   factor them baby-step/giant-step (``_direct_sum``): about ``2 sqrt(n)``
   exponentials a point and one matrix product, not ``n`` exponentials.
+* tables are read between their nodes by ``NaturalSpline``, the natural
+  cubic spline on uniform knots, which is literal zero outside them.
 
-Values are complex throughout, even when a quantity is analytically real;
-realness is asserted by tests, never assumed by code.
+Everything here is numpy: the FFTs are ``numpy.fft`` at the 11-smooth sizes
+of ``next_fast_len``.
+
+Synthesized values are complex throughout, even when a quantity is
+analytically real; realness is asserted by tests, never assumed by code.
+The spline and the Simpson rule read real samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
-from scipy import fft
 
 DERIVATIVE_ORDER_CAP = 60
 _BLOCK_ENTRIES = 2 ** 20  # table entries per block of rows of the direct sums
@@ -173,6 +180,115 @@ def moments(grid: Grid1D, values, k_max: int) -> np.ndarray:
     return np.array([np.dot(values * w, x ** k) for k in range(k_max + 1)])
 
 
+def cumulative_simpson(y, dx: float) -> np.ndarray:
+    """``int_{x_0}^{x_i} y``, ``0 <= i < n``, for samples ``y`` at spacing ``dx``.
+
+    Cartwright's cumulative Simpson scheme for equal spacing: the quadratic
+    through three consecutive samples integrates over its first interval
+    forward and over its last interval backward, alternately, so
+    each pair of intervals from an even node is Simpson's rule (exact on
+    cubics there) and every node gets a value exact on quadratics.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.size < 3:
+        raise NumericsError("Simpson integration needs at least 3 samples")
+
+    def first_intervals(f):
+        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    forward = first_intervals(y)
+    backward = first_intervals(y[::-1])[::-1]
+    pieces = np.empty(y.size - 1)
+    pieces[:-1:2] = forward[::2]
+    pieces[1::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    return np.concatenate([[0.0], np.cumsum(pieces)])
+
+
+# r = sqrt(3) - 2 solves r^2 + 4 r + 1 = 0, so r^|k| / (r - 1/r) inverts the
+# (1, 4, 1) operator on all integers; its taps beyond |k| = 32 are below 1e-18
+_R141 = np.sqrt(3.0) - 2.0
+_INVERSE_141 = _R141 ** np.abs(np.arange(-32, 33)) / (_R141 - 1.0 / _R141)
+
+
+def natural_second_differences(y) -> np.ndarray:
+    """``h^2 s''(x_i)`` of the natural cubic spline ``s`` through uniform samples.
+
+    They solve ``K_{i-1} + 4 K_i + K_{i+1} = 6 (y_{i+1} - 2 y_i + y_{i-1})``
+    inside with ``K_0 = K_{n-1} = 0``.  One convolution with the inverse
+    ``(1, 4, 1)`` taps solves the interior equations on all integers; the
+    two homogeneous solutions ``A r^i + B r^{n-1-i}`` then make both end
+    values zero, which the convolution alone gets right only for samples
+    that vanish near their ends.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    rhs = np.zeros(n)
+    rhs[1:-1] = 6.0 * (y[2:] - 2.0 * y[1:-1] + y[:-2])
+    k = np.convolve(rhs, _INVERSE_141)[32:32 + n]
+    q = _R141 ** (n - 1)
+    a = (q * k[-1] - k[0]) / (1.0 - q * q)
+    b = (q * k[0] - k[-1]) / (1.0 - q * q)
+    tail = _R141 ** np.arange(min(n, 33))
+    k[:tail.size] += a * tail
+    k[n - tail.size:] += b * tail[::-1]
+    return k
+
+
+class NaturalSpline:
+    """Natural cubic spline through samples on a uniform grid, 0 outside it.
+
+    ``spline(x, order)`` is the ``order``-th derivative (0 to 3) at ``x``.
+    Every slot of ``_poly`` holds a cubic in ``u = (x - x_i)/h``: a zero
+    slot before the first knot, one per interval, one for the last knot
+    alone (the last interval's cubic re-centred there, so it reads that
+    sample exactly), and a zero slot past it.  The lookup is one clipped
+    index, with no mask; NaN reads 0.  A knot reads its sample exactly
+    wherever ``(x - origin) / spacing`` is exact, as on the dyadic tables.
+    """
+
+    def __init__(self, grid: Grid1D, values):
+        y = np.asarray(values, dtype=float)
+        if y.shape != (grid.count,):
+            raise NumericsError("values length does not match grid point count")
+        self.grid = grid
+        k = natural_second_differences(y)
+        # row p holds the u^p coefficients of the slots
+        poly = np.zeros((4, grid.count + 2))
+        a, b, c, d = poly[:, 1:-2]
+        a[:] = y[:-1]
+        b[:] = (y[1:] - y[:-1]) - (2.0 * k[:-1] + k[1:]) / 6.0
+        c[:] = 0.5 * k[:-1]
+        d[:] = (k[1:] - k[:-1]) / 6.0
+        # the last interval's cubic at u = 1 + v, as a cubic in v
+        poly[:, -2] = (y[-1], b[-1] + 2.0 * c[-1] + 3.0 * d[-1],
+                       c[-1] + 3.0 * d[-1], d[-1])
+        self._poly = poly
+
+    def __call__(self, x, order: int = 0):
+        if not 0 <= order <= 3:
+            raise NumericsError("spline derivative order must be 0 to 3")
+        poly = self._poly
+        for _ in range(order):  # d/dx = (1/h) d/du, slot by slot
+            powers = np.arange(1.0, poly.shape[0])[:, None]
+            poly = poly[1:] * powers / self.grid.spacing
+        x = np.asarray(x, dtype=float)
+        last = self.grid.count - 1.0
+        # clipped so that u stays in [-1, 1]; fmax reads NaN as before the grid
+        t = np.fmin(np.fmax((x - self.grid.origin) / self.grid.spacing, -1.0),
+                    last + 0.5)
+        i = np.floor(t)
+        i += x > self.grid.last  # past the last knot: the zero slot
+        u = t - i
+        j = i.astype(np.intp)
+        j += 1
+        out = poly[-1][j]
+        for row in poly[-2::-1]:
+            out *= u
+            out += row[j]
+        return float(out) if out.ndim == 0 else out
+
+
 def inner_product(f: SampledFunction, g: SampledFunction) -> complex:
     """Sesquilinear L2 product ``int f conj(g)``; grids must match exactly."""
     if f.grids != g.grids:
@@ -253,6 +369,26 @@ def _direct_sum(rows, col0: float, dcol: float, amp, phase) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1024)
+def next_fast_len(n: int) -> int:
+    """Smallest ``n' >= n`` whose prime factors are all at most 11.
+
+    The FFT lengths ``chirp_synthesis`` pads to: each odd 11-smooth ``q`` up
+    to the power of two that covers ``n``, times the least power of two
+    that lifts it to ``n``.
+    """
+    cover = 1 << max(n - 1, 0).bit_length()
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        times_p = []
+        for q in odd:
+            while q <= cover:
+                times_p.append(q)
+                q *= p
+        odd = times_p
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd)
+
+
 def chirp_synthesis(coeffs, xi0: float, dxi: float, x0: float, dx: float,
                     count: int) -> np.ndarray:
     """``out[k] = sum_j coeffs[j] exp(i (x0 + k dx)(xi0 + j dxi))``, ``0 <= k < count``.
@@ -278,17 +414,19 @@ def chirp_synthesis(coeffs, xi0: float, dxi: float, x0: float, dx: float,
     theta = dx * dxi
     j = np.arange(n)
     k = np.arange(count)
-    size = fft.next_fast_len(n + count - 1)
-    a = np.zeros(c.shape[:-1] + (size,), dtype=complex)
-    a[..., :n] = c * np.exp(1j * (x0 * dxi * j + 0.5 * theta * (j * j)))
+    size = next_fast_len(n + count - 1)
+    # one FFT call transforms every column of c and, in the last row, the chirp
+    ab = np.zeros((c.size // n + 1, size), dtype=complex)
+    pre = np.exp(1j * (x0 * dxi * j + 0.5 * theta * (j * j)))
+    ab[:-1, :n] = (c * pre).reshape(-1, n)
     d = np.arange(-(n - 1), count)
     chirp = np.exp(-0.5j * theta * (d * d))
-    b = np.zeros(size, dtype=complex)
-    b[:count] = chirp[n - 1:]  # lags 0 .. count - 1
-    b[size - (n - 1):] = chirp[:n - 1]  # lags -(n - 1) .. -1, wrapped
-    spectrum = fft.fft(a, overwrite_x=True)
-    spectrum *= fft.fft(b)
-    out = fft.ifft(spectrum, overwrite_x=True)[..., :count]
+    ab[-1, :count] = chirp[n - 1:]  # lags 0 .. count - 1
+    ab[-1, size - (n - 1):] = chirp[:n - 1]  # lags -(n - 1) .. -1, wrapped
+    spectrum = np.fft.fft(ab)
+    del ab
+    spectrum[:-1] *= spectrum[-1]
+    out = np.fft.ifft(spectrum[:-1])[:, :count].reshape(c.shape[:-1] + (count,))
     post = np.exp(1j * (xi0 * (x0 + dx * k) + 0.5 * theta * (k * k)))
     # post * out, in this order: complex products are not bitwise
     # commutative, and every table keeps the bits it had

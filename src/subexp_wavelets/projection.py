@@ -15,7 +15,8 @@ spline of the phi table, and is the independent route for spot checks.
 
 Also here: the iterated-primitive decomposition ``g = d^r/dy^r g_r`` for a
 function with vanishing moments, built from one-sided tail integrals
-(``-int_y^inf (y-w)^{r-1} g`` for y > 0, the mirrored prefix form for y < 0).
+(``-int_y^inf (y-w)^{r-1} g`` for y > 0, the mirrored prefix form for y < 0)
+whose prefix sums are ``numerics.cumulative_simpson``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import metrics, numerics
 from .construction import PHI_BAND, TABLE_HALF, WaveletSystem
@@ -460,7 +460,7 @@ def primitive_decomposition_1d(g: SampledFunction, r: int,
         raise ProjectionError("moment precondition")
 
     # prefix integrals P_j(y) = int_{x_min}^y w^j g(w) dw (Simpson)
-    prefix = [cumulative_simpson(vals * x ** j, dx=h, initial=0.0)
+    prefix = [numerics.cumulative_simpson(vals * x ** j, h)
               for j in range(r)]
     totals = [p[-1] for p in prefix]
     # binomial expansion of (y - w)^{r-1}; right form uses the tail integrals

@@ -133,7 +133,9 @@ def parse_spec(spec: str):
             parts = [parse_scalar(p) for p in args.split(",")]
             if len(parts) == 1:
                 return gaussian(scale=parts[0])
-            return gaussian(center=parts[0], scale=parts[1])
+            if len(parts) == 2:
+                return gaussian(center=parts[0], scale=parts[1])
+            raise TestFunctionError("gaussian takes scale or center,scale")
         return gaussian()
     match = re.match(r"^gaussian-d(\d+)$", name)
     if match:

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, artifacts, reports, corruption handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -320,6 +323,7 @@ _BAD_COMMAND_LINES = [
     ("expand --system {system} --f gaussian:0,0", 2),
     ("expand --system {system} --f gaussian:inf,1", 2),
     ("expand --system {system} --f gaussian:nan,1", 2),
+    ("expand --system {system} --f gaussian:0,1,7", 2),
     ("build --out {tmp}/x.json --window 0", 2),
     ("build --out {tmp}/x.json --window 0.001", 2),
     ("build --out {tmp}/x.json --window nan", 2),
@@ -340,3 +344,15 @@ def test_bad_command_line_exit_code(system_file, tmp_path, capsys, line, code):
             for token in line.split()]
     assert _exit_code(argv) == code
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_imports_no_scipy():
+    # every command runs in a cold process, which pays for each import; the
+    # package needs numpy alone
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(sw.__file__)))
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, subexp_wavelets.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert run.stdout.strip() == "[]"

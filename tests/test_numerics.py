@@ -4,7 +4,10 @@ Oracles used here are all independent of the library: the Gaussian integral
 sqrt(pi), the Fourier pair rectangle <-> sin(x)/(pi x), and the Gaussian
 transform pair exp(-x^2) <-> sqrt(pi) exp(-xi^2/4).  The lattice-factored
 direct sum is checked against the plain ``exp(i outer) @ amp`` product, and
-the chirp-z engine against the direct sum ``synthesize_values``.
+the chirp-z engine against the direct sum ``synthesize_values``.  The natural
+spline is checked against a dense solve of its tridiagonal system, the
+cumulative Simpson rule against polynomials it integrates exactly, and
+``next_fast_len`` against a brute-force search.
 """
 
 import tracemalloc
@@ -309,3 +312,114 @@ class TestChirpSynthesis:
                                  values=np.zeros(3), declared_support=((0.2, 0.4),))
         with pytest.raises(NumericsError):
             sw.synthesize(spec, self.X_GRID)
+
+
+def _natural_second_differences_dense(y):
+    """``h^2 s''`` at the knots by ``np.linalg.solve`` of the natural system."""
+    n = y.size
+    A = np.zeros((n, n))
+    A[0, 0] = A[-1, -1] = 1.0
+    rhs = np.zeros(n)
+    for i in range(1, n - 1):
+        A[i, i - 1:i + 2] = 1.0, 4.0, 1.0
+        rhs[i] = 6.0 * (y[i + 1] - 2.0 * y[i] + y[i - 1])
+    return np.linalg.solve(A, rhs)
+
+
+class TestNaturalSpline:
+    GRID = sw.Grid1D(-1.5, 0.125, 41)
+
+    @staticmethod
+    def _samples(n, seed=5):
+        # ends well away from zero: the end corrections must carry them
+        y = np.random.default_rng(seed).standard_normal(n)
+        y[[0, -1]] = 3.0, -2.5
+        return y
+
+    @pytest.mark.parametrize("n", [5, 7, 64, 65, 1000])
+    def test_second_derivatives_match_dense_solve(self, n):
+        y = self._samples(n)
+        want = _natural_second_differences_dense(y)
+        got = numerics.natural_second_differences(y)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        g = sw.Grid1D(0.0, 0.5, n)
+        at_knots = numerics.NaturalSpline(g, y)(g.points(), 2) * g.spacing ** 2
+        assert np.max(np.abs(at_knots - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_interpolates_every_knot_exactly(self):
+        y = self._samples(self.GRID.count)
+        spline = numerics.NaturalSpline(self.GRID, y)
+        assert np.array_equal(spline(self.GRID.points()), y)
+        assert spline(self.GRID.last) == y[-1]
+
+    def test_twice_continuously_differentiable_across_knots(self):
+        y = self._samples(self.GRID.count)
+        spline = numerics.NaturalSpline(self.GRID, y)
+        knots = self.GRID.points()[1:-1]
+        below = np.nextafter(knots, -np.inf)  # the left interval, at its end
+        for order in (0, 1, 2):
+            right, left = spline(knots, order), spline(below, order)
+            scale = np.max(np.abs(spline(self.GRID.points(), order)))
+            assert np.max(np.abs(right - left)) <= 1e-12 * scale
+
+    def test_third_derivative_is_constant_on_each_interval(self):
+        spline = numerics.NaturalSpline(self.GRID, self._samples(self.GRID.count))
+        h = self.GRID.spacing
+        starts = self.GRID.points()[:-1]
+        inside = starts[:, None] + h * np.array([0.0, 0.1, 0.5, 0.9, 0.999])
+        third = spline(inside, 3)
+        assert np.all(third == third[:, :1])
+        assert np.any(third[1:, 0] != third[:-1, 0])
+
+    def test_zero_outside_the_knots_and_at_nan(self):
+        spline = numerics.NaturalSpline(self.GRID, self._samples(self.GRID.count))
+        lo, hi = self.GRID.origin, self.GRID.last
+        x = np.array([-np.inf, -1e300, lo - 10.0, np.nextafter(lo, -np.inf),
+                      np.nextafter(hi, np.inf), hi + 0.01, hi + 1e9, np.inf, np.nan])
+        for order in range(4):
+            assert np.all(spline(x, order) == 0.0)
+        assert spline(hi + 1.0) == 0.0 and isinstance(spline(hi + 1.0), float)
+
+    def test_reproduces_a_line(self):
+        x = self.GRID.points()
+        spline = numerics.NaturalSpline(self.GRID, 0.7 * x - 0.2)
+        probes = np.linspace(x[0], x[-1], 333)
+        assert np.max(np.abs(spline(probes) - (0.7 * probes - 0.2))) < 1e-14
+        assert np.max(np.abs(spline(probes, 1) - 0.7)) < 1e-13
+
+    def test_rejects_a_derivative_order_beyond_three(self):
+        spline = numerics.NaturalSpline(self.GRID, np.zeros(self.GRID.count))
+        with pytest.raises(NumericsError):
+            spline(0.0, 4)
+
+
+class TestCumulativeSimpson:
+    @pytest.mark.parametrize("n", [7, 8, 101, 102])
+    def test_exact_on_quadratics_and_on_cubics_at_even_nodes(self, n):
+        x = np.linspace(0.3, 1.9, n)
+        h = x[1] - x[0]
+        got = numerics.cumulative_simpson(x ** 2 - x, h)
+        want = (x ** 3 / 3 - x ** 2 / 2) - (x[0] ** 3 / 3 - x[0] ** 2 / 2)
+        assert np.max(np.abs(got - want)) < 1e-14
+        # each pair of intervals from an even node is Simpson's rule
+        got = numerics.cumulative_simpson(x ** 3, h)
+        want = (x ** 4 - x[0] ** 4) / 4
+        assert np.max(np.abs(got[::2] - want[::2])) < 1e-14
+        assert got[0] == 0.0
+
+    def test_needs_three_samples(self):
+        with pytest.raises(NumericsError):
+            numerics.cumulative_simpson([1.0, 2.0], 0.1)
+
+
+def _eleven_smooth(m):
+    for p in (2, 3, 5, 7, 11):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_next_fast_len_is_the_least_eleven_smooth_size():
+    for n in range(1, 5001):
+        want = next(m for m in range(n, 2 * n + 1) if _eleven_smooth(m))
+        assert numerics.next_fast_len(n) == want, n
