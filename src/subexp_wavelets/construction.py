@@ -17,7 +17,8 @@ on uniform grids, summed by the chirp-z engine ``numerics.chirp_synthesis``;
 scattered points use the baby-step/giant-step direct sum
 ``numerics.synthesize_values``.  For the many-evaluation call sites (atoms,
 kernels) the system carries lazily built dense tables read by the natural
-cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11.
+cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11, and keeps the
+atom rows that expansion reads on uniform grids (``WaveletSystem.grid_row``).
 
 Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
@@ -55,6 +56,9 @@ MAX_SAMPLES = 2 ** 20
 # psi_hat = exp(i xi / 2) bell, phi_hat = exp(i xi) |phi_hat|: each table is
 # the even cosine profile of the modulus, read at x + shift
 _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
+# bytes of atom rows a system keeps (``WaveletSystem.grid_row``); the (6, 32)
+# window on expand's 20,481-point grid takes 10.5 MB
+_ROW_CACHE_BYTES = 32 * 2 ** 20
 
 
 class ConstructionError(ValueError):
@@ -115,6 +119,7 @@ class WaveletSystem:
         self._tables: dict = {}
         self._wide: dict = {}
         self._fits: dict = {}  # fits read off the tables (projection's phi envelope)
+        self._rows: dict = {}  # grid_row's rows, least recently used first
 
     # -- basic geometry ----------------------------------------------------
 
@@ -210,8 +215,31 @@ class WaveletSystem:
         ``A[k, j]`` that projection, analysis and synthesis multiply with.
         """
         f = self.interpolator("psi" if bit else "phi", order)
-        x = np.asarray(x, dtype=float)
-        return (2.0 ** (m * (0.5 + order))) * f(np.ldexp(x, m) - n)
+        return _dilated(f, m, n, x, order)
+
+    def grid_row(self, bit: int, m: int, grid: Grid1D, pad: int,
+                 order: int = 0) -> np.ndarray:
+        """``atom_values(bit, m, 0, x, order)`` at ``x`` = ``grid`` extended by
+        ``pad`` samples at each end, read-only.
+
+        The row is kept under its evaluator (the object ``interpolator``
+        returns), ``m``, ``order``, ``grid`` and ``pad``, so a later call with
+        the same key evaluates nothing, and a replaced or wrapped evaluator
+        misses.  Beyond ``_ROW_CACHE_BYTES`` the least recently used rows are
+        dropped.
+        """
+        f = self.interpolator("psi" if bit else "phi", order)
+        key = (f, m, order, grid, pad)
+        row = self._rows.pop(key, None)
+        if row is None:
+            x = grid.origin + grid.spacing * np.arange(-pad, grid.count + pad)
+            row = _dilated(f, m, 0, x, order)
+            row.flags.writeable = False
+        self._rows[key] = row
+        kept = sum(r.nbytes for r in self._rows.values())
+        while kept > _ROW_CACHE_BYTES:
+            kept -= self._rows.pop(next(iter(self._rows))).nbytes
+        return row
 
     def wide_table(self, which: str):
         """Coarse long-range table for moment-type integrals (spacing 1/16,
@@ -274,6 +302,12 @@ class WaveletSystem:
                    psi_samples=SampledFunction(*arrays(doc["psi_samples"])),
                    phi_samples=SampledFunction(*arrays(doc["phi_samples"])),
                    certificates=doc.get("certificates", {}))
+
+
+def _dilated(f, m: int, n, x, order: int) -> np.ndarray:
+    """2^(m/2) 2^(m*order) f(2^m x - n), for ``f`` an order-th derivative."""
+    x = np.asarray(x, dtype=float)
+    return (2.0 ** (m * (0.5 + order))) * f(np.ldexp(x, m) - n)
 
 
 # ---------------------------------------------------------------------------

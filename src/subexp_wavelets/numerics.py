@@ -39,6 +39,7 @@ import numpy as np
 
 DERIVATIVE_ORDER_CAP = 60
 _BLOCK_ENTRIES = 2 ** 20  # table entries per block of rows of the direct sums
+_SPLINE_BLOCK = 2 ** 16  # points a NaturalSpline call evaluates at a time
 
 
 class NumericsError(ValueError):
@@ -245,6 +246,8 @@ class NaturalSpline:
     sample exactly), and a zero slot past it.  The lookup is one clipped
     index, with no mask; NaN reads 0.  A knot reads its sample exactly
     wherever ``(x - origin) / spacing`` is exact, as on the dyadic tables.
+    A call evaluates ``_SPLINE_BLOCK`` points at a time, which bounds its
+    temporaries and changes no value.
     """
 
     def __init__(self, grid: Grid1D, values):
@@ -273,6 +276,14 @@ class NaturalSpline:
             powers = np.arange(1.0, poly.shape[0])[:, None]
             poly = poly[1:] * powers / self.grid.spacing
         x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        for lo in range(0, flat_x.size, _SPLINE_BLOCK):
+            flat_out[lo:lo + _SPLINE_BLOCK] = self._evaluate(
+                poly, flat_x[lo:lo + _SPLINE_BLOCK])
+        return float(out) if out.ndim == 0 else out
+
+    def _evaluate(self, poly, x):
         last = self.grid.count - 1.0
         # clipped so that u stays in [-1, 1]; fmax reads NaN as before the grid
         t = np.fmin(np.fmax((x - self.grid.origin) / self.grid.spacing, -1.0),
@@ -286,7 +297,7 @@ class NaturalSpline:
         for row in poly[-2::-1]:
             out *= u
             out += row[j]
-        return float(out) if out.ndim == 0 else out
+        return out
 
 
 def inner_product(f: SampledFunction, g: SampledFunction) -> complex:
@@ -423,10 +434,12 @@ def chirp_synthesis(coeffs, xi0: float, dxi: float, x0: float, dx: float,
     chirp = np.exp(-0.5j * theta * (d * d))
     ab[-1, :count] = chirp[n - 1:]  # lags 0 .. count - 1
     ab[-1, size - (n - 1):] = chirp[:n - 1]  # lags -(n - 1) .. -1, wrapped
-    spectrum = np.fft.fft(ab)
-    del ab
+    spectrum = np.fft.fft(ab, out=ab)  # in place, as is the inverse
     spectrum[:-1] *= spectrum[-1]
-    out = np.fft.ifft(spectrum[:-1])[:, :count].reshape(c.shape[:-1] + (count,))
+    np.fft.ifft(spectrum[:-1], out=spectrum[:-1])
+    # a copy of the first count columns, so that the padded array is freed
+    out = np.ascontiguousarray(
+        spectrum[:-1, :count].reshape(c.shape[:-1] + (count,)))
     post = np.exp(1j * (xi0 * (x0 + dx * k) + 0.5 * theta * (k * k)))
     # post * out, in this order: complex products are not bitwise
     # commutative, and every table keeps the bits it had

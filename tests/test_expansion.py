@@ -2,13 +2,14 @@
 
 import csv
 import json
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import subexp_wavelets as sw
-from subexp_wavelets import expansion
+from subexp_wavelets import construction, expansion, numerics
 from subexp_wavelets.expansion import ExpansionError
 
 
@@ -206,6 +207,9 @@ class TestShiftWindowedBlocks:
     def test_scaled_psi_table_scales_every_coefficient(self, ws, band_function):
         window = sw.IndexWindow(2, 8)
         before = sw.analyze(ws, band_function, window).coefficients
+        # warm: the scale-0 row is kept, and the wrapped evaluator must miss it
+        key = (ws.interpolator("psi"), 0, 0, band_function.grids[0], 8 * 128)
+        assert key in ws._rows
         with _wrapped_interpolator(ws, lambda which, f: (
                 (lambda x: 1.01 * f(x)) if which == "psi" else f)):
             after = sw.analyze(ws, band_function, window).coefficients
@@ -223,6 +227,103 @@ class TestShiftWindowedBlocks:
         bound = sum(count + 2 * self.N * round(2.0 ** -m / h) for m in range(-6, 7))
         assert len(sizes) == 13
         assert sum(sizes) <= bound
+
+
+def _count_spline_points(monkeypatch):
+    """Points every ``NaturalSpline`` call evaluates from now on."""
+    sizes = []
+    call = numerics.NaturalSpline.__call__
+    monkeypatch.setattr(numerics.NaturalSpline, "__call__",
+                        lambda self, x, order=0: sizes.append(np.size(x))
+                        or call(self, x, order))
+    return sizes
+
+
+class TestAtomRows:
+    N = 32
+
+    def test_second_analysis_reads_the_kept_rows(self, ws, band_function,
+                                                 expansion_grid, monkeypatch):
+        window = sw.IndexWindow(6, self.N)
+        first = sw.analyze(ws, band_function, window)
+        blocks = [expansion._axis_block(ws, 1, m, self.N, expansion_grid, 0)
+                  for m in range(-6, 7)]
+        sizes = _count_spline_points(monkeypatch)
+        again = sw.analyze(ws, band_function, window)
+        for m, block in zip(range(-6, 7), blocks):
+            assert np.shares_memory(
+                block, expansion._axis_block(ws, 1, m, self.N, expansion_grid, 0))
+        assert sizes == []
+        np.testing.assert_array_equal(again.values, first.values)
+
+    def test_kept_rows_are_read_only(self, ws, band_function):
+        sw.analyze(ws, band_function, sw.IndexWindow(2, 8))
+        assert ws._rows
+        for row in ws._rows.values():
+            assert not row.flags.writeable
+        block = expansion._axis_block(ws, 1, 0, 8, band_function.grids[0], 0)
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+
+    def test_kept_rows_stay_within_their_bound(self, ws):
+        # each grid's (6, 32) rows take 10.5 MB: five grids overflow the bound,
+        # and the least recently used go first
+        window = sw.IndexWindow(6, self.N)
+        grids = [sw.Grid1D(-79.5 + 0.5 * k, 1.0 / 128, 20481) for k in range(5)]
+        for g in grids:
+            sw.analyze(ws, sw.SampledFunction(g, np.exp(-g.points() ** 2)), window)
+        kept = [key[3] for key in ws._rows]
+        assert sum(r.nbytes for r in ws._rows.values()) <= construction._ROW_CACHE_BYTES
+        assert grids[0] not in kept
+        assert kept[-13:] == [grids[-1]] * 13
+
+
+class TestRealContraction:
+    """The real blocks meet the real and imaginary parts of the data."""
+
+    WINDOW = sw.IndexWindow(6, 32)
+
+    @pytest.fixture(scope="class")
+    def complex_input(self, band_function, expansion_grid):
+        x = expansion_grid.points()
+        return sw.SampledFunction(expansion_grid, band_function.values * (0.6 - 0.8j)
+                                  + 0.3j * np.exp(-0.5 * (x - 1.0) ** 2))
+
+    def test_analysis_is_linear_over_the_parts(self, ws, complex_input, expansion_grid):
+        g, v = expansion_grid, complex_input.values
+        got = sw.analyze(ws, complex_input, self.WINDOW).values
+        re, im = (sw.analyze(ws, sw.SampledFunction(g, part), self.WINDOW).values
+                  for part in (v.real, v.imag))
+        fw = v * g.trapezoid_weights()
+        per_shift = np.stack([_per_shift_block(ws, 1, m, 32, g) @ fw
+                              for m in range(-6, 7)])
+        top = np.abs(got).max()
+        assert np.abs(got - (re + 1j * im)).max() <= 1e-14 * top
+        assert np.abs(got[0] - per_shift).max() <= 1e-14 * top
+
+    def test_synthesis_is_linear_over_the_parts(self, ws, complex_input,
+                                                expansion_grid):
+        coeffs = sw.analyze(ws, complex_input, self.WINDOW)
+        got = sw.synthesize_partial(ws, coeffs, expansion_grid).values
+        re, im = (sw.synthesize_partial(ws, sw.CoefficientSet(self.WINDOW, part),
+                                        expansion_grid).values
+                  for part in (coeffs.values.real, coeffs.values.imag))
+        per_shift = sum(c @ _per_shift_block(ws, 1, m, 32, expansion_grid)
+                        for m, c in zip(range(-6, 7), coeffs.values[0]))
+        top = np.abs(got).max()
+        assert np.abs(got - (re + 1j * im)).max() <= 1e-14 * top
+        assert np.abs(got - per_shift).max() <= 1e-14 * top
+
+    def test_warm_analysis_allocates_no_block(self, ws, band_function):
+        # a complex copy of one (65, 20,481) block alone takes 21 MB
+        sw.analyze(ws, band_function, self.WINDOW)
+        tracemalloc.start()
+        try:
+            sw.analyze(ws, band_function, self.WINDOW)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestParseval:
@@ -275,6 +376,15 @@ class TestParseval:
         x = expansion_grid.points()
         g = sw.SampledFunction(expansion_grid, np.exp(-0.5 * (x - 0.3) ** 2))
         assert abs(dual.pair(g) - sw.pairing(band_function, g)) <= 1e-12
+
+    def test_pairing_keeps_the_imaginary_part(self, ws, expansion_grid):
+        delta = sw.DualRepresentative(points=np.array([0.3]),
+                                      weights=np.array([1.0]))
+        x = expansion_grid.points()
+        g = sw.SampledFunction(expansion_grid, np.exp(-0.5 * x ** 2))
+        gc = sw.SampledFunction(expansion_grid, (1 + 1j) * g.values)
+        assert abs(delta.pair(g) - np.exp(-0.045)) < 1e-8
+        assert delta.pair(gc) == (1 + 1j) * delta.pair(g)
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_point_mass_parseval_gap_shrinks_with_window(self, ws, band_function,

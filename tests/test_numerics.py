@@ -387,6 +387,29 @@ class TestNaturalSpline:
         assert np.max(np.abs(spline(probes) - (0.7 * probes - 0.2))) < 1e-14
         assert np.max(np.abs(spline(probes, 1) - 0.7)) < 1e-13
 
+    @pytest.mark.parametrize("order", range(4))
+    def test_blocked_evaluation_is_bit_identical(self, order, monkeypatch):
+        spline = numerics.NaturalSpline(self.GRID, self._samples(self.GRID.count))
+        x = np.random.default_rng(order).uniform(-2.0, 4.0, (3, 2 ** 16 + 5))
+        lo, hi = self.GRID.origin, self.GRID.last
+        x[0, :7] = np.nan, -np.inf, np.inf, -1e300, 1e300, lo, hi
+        blocked = spline(x, order)
+        monkeypatch.setattr(numerics, "_SPLINE_BLOCK", x.size)
+        np.testing.assert_array_equal(blocked, spline(x, order))
+        assert blocked.shape == x.shape
+
+    def test_blocked_evaluation_bounds_its_temporaries(self):
+        # in one block, the temporaries of 2^20 points take 48 MB
+        spline = numerics.NaturalSpline(self.GRID, self._samples(self.GRID.count))
+        x = np.linspace(-2.0, 4.0, 2 ** 20)
+        tracemalloc.start()
+        try:
+            spline(x, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
     def test_rejects_a_derivative_order_beyond_three(self):
         spline = numerics.NaturalSpline(self.GRID, np.zeros(self.GRID.count))
         with pytest.raises(NumericsError):
