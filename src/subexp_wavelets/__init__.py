@@ -6,6 +6,8 @@ the numerical certificates (orthonormality, vanishing moments, decay fits,
 Parseval checks) that quantify each claimed property.
 """
 
+__version__ = "0.1.0"  # read by the CLI report metadata
+
 from .bump import BumpError, GevreyBump, build_bump, certify_gevrey
 from .construction import (BellFunction, ConstructionError, WaveletSystem,
                            build_bell, build_wavelet_system, cross_gram_fourier,
@@ -27,5 +29,3 @@ from .projection import (PrimitiveDecomposition, ProjectionError,
                          kernel_eval, mra_convergence_experiment,
                          polynomial_reproduction, primitive_decomposition_1d,
                          project, project_at)
-
-__version__ = "0.1.0"

@@ -31,11 +31,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import platform
 import sys
 
 import numpy as np
 
-from . import expansion, metrics, numerics, projection, testfuncs
+from . import __version__, expansion, metrics, numerics, projection, testfuncs
 from .bump import BumpError
 from .construction import (TABLE_HALF, ConstructionError, WaveletSystem,
                            build_wavelet_system, checks, decay_profile,
@@ -64,7 +65,11 @@ class CorruptSystemError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _metadata() -> dict:
-    return {"generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    """When and by what the report was made: the time and the versions of this
+    package, numpy and Python.  The report body holds none of it."""
+    return {"generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "package_version": __version__, "numpy_version": np.__version__,
+            "python_version": platform.python_version()}
 
 
 def _emit(report: dict, path: str | None) -> None:

@@ -8,7 +8,7 @@ is exact only while the atoms' band lies below the grid's alias frequency,
 so ``analyze`` rejects a window whose top scale M reaches it
 (``check_resolution``).
 
-Every coefficient, of a sampled function in one or two dimensions or of a
+Every coefficient, of a sampled function on one grid per axis or of a
 dual representative (point masses or a density, with derivatives moved onto
 the atom), comes from one loop, ``_analysis``, into one window-shaped array:
 per pattern and scale, one ``WaveletSystem.atom_values`` block per axis fills
@@ -135,17 +135,19 @@ class CoefficientSet:
 def tensor_atom(ws: WaveletSystem, index: WaveletIndex, x) -> np.ndarray:
     """2^{md/2} prod_i f_{eps_i}(2^m x_i - n_i), f_0 = phi, f_1 = psi.
 
-    ``x`` is (npts,) in d = 1 or (npts, d) for d > 1.  Arguments beyond the
+    ``x`` is (npts,) in d = 1 or (..., d) in d > 1, where any other last axis
+    raises ``ExpansionError``; one point gives a float.  Arguments beyond the
     dense-table range contribute literal zeros (the atom is below 1e-11 there).
     """
     d = index.dimension
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0 or (d > 1 and x.ndim == 1)
-    pts = np.atleast_2d(x.reshape(-1, d) if d > 1 else x.reshape(-1, 1))
+    if d > 1 and x.shape[-1:] != (d,):
+        raise ExpansionError(f"points of shape {x.shape} for an atom in {d} dimensions")
+    pts = x.reshape(-1, d)
     out = np.ones(pts.shape[0])
     for i in range(d):
         out = out * ws.atom_values(index.epsilon[i], index.m, index.n[i], pts[:, i])
-    return float(out[0]) if scalar else out
+    return float(out[0]) if x.ndim == int(d > 1) else out  # one point: float
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +199,15 @@ def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw, order: int):
     The real blocks meet the real and imaginary parts of ``fw`` as the last
     axis of one real array, so no block is copied to complex.  The first
     axis takes one dot per shift row: each row is contiguous in a windowed
-    block, which as a whole is not a BLAS operand.
+    block, which as a whole is not a BLAS operand.  Each further axis, moved
+    next to the last, is one batched product that puts its shifts last.
     """
     out = np.empty(window.shape, dtype=complex)
     F = np.stack([fw.real, fw.imag], -1).reshape(len(fw), -1)
     for slot, B in _scale_blocks(ws, window, axes, order):
         C = np.stack([row @ F for row in B[0]]).reshape((-1,) + fw.shape[1:] + (2,))
-        if window.d == 2:
-            C = B[1] @ C
+        for b in B[1:]:
+            C = b @ np.moveaxis(C, 1, -2)
         out[slot] = (-1.0) ** order * C.view(complex)[..., 0]
     return out
 
@@ -212,7 +215,7 @@ def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw, order: int):
 def check_resolution(window: IndexWindow, grids) -> None:
     """Raise unless every grid resolves the window's finest atoms.
 
-    psi at scale M occupies |xi| <= 2^M * PSI_BAND[1]; the trapezoid sum
+    psi at scale M occupies |xi| up to 2^M * PSI_BAND[1]; the trapezoid sum
     against it aliases once that band reaches 2 pi / h, so Bessel's
     inequality can fail without any other sign.
     """
@@ -234,8 +237,6 @@ def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
     """
     if f.dimension != window.d:
         raise ExpansionError("dimension mismatch between function and window")
-    if window.d > 2:
-        raise ExpansionError("analysis implemented for d = 1 and d = 2")
     check_resolution(window, f.grids)
     fw = f.values  # times the product trapezoid weights
     for axis, g in enumerate(f.grids):
@@ -246,15 +247,17 @@ def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
 
 def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
                        grid) -> SampledFunction:
-    """Partial sum over the window on the given grid (Grid1D, or pair)."""
+    """Partial sum over the window on ``grid``: a Grid1D, or one per axis."""
     window = coeffs.window
     grids = (grid,) if isinstance(grid, Grid1D) else tuple(grid)
-    if not len(grids) == window.d <= 2:
+    if len(grids) != window.d:
         raise ExpansionError(f"{len(grids)} grids for a window of dimension {window.d}")
     out = np.zeros((2,) + tuple(g.count for g in grids))  # real, imaginary
     for slot, B in _scale_blocks(ws, window, grids, 0):
         C = np.stack([coeffs.values[slot].real, coeffs.values[slot].imag])
-        out += C @ B[0] if window.d == 1 else B[0].T @ C @ B[1]
+        for b in B:
+            C = np.moveaxis(C, 1, -1) @ b
+        out += C
     return SampledFunction(grids if window.d > 1 else grids[0], out[0] + 1j * out[1])
 
 

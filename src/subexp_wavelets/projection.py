@@ -98,18 +98,16 @@ class ProjectionKernel:
     tail_bound: float
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise ProjectionError("dimension must be 1 or 2")
+        if not (isinstance(self.dimension, (int, np.integer)) and self.dimension >= 1):
+            raise ProjectionError("dimension must be an integer >= 1")
 
 
 def build_kernel(ws: WaveletSystem, level: int = 0, dimension: int = 1,
                  truncation_radius: int | None = None) -> ProjectionKernel:
     fit, K, tail = _phi_envelope(ws)
-    if truncation_radius is None:
-        truncation_radius = K
-    else:
-        tail = _lattice_tail(fit, truncation_radius)
-    return ProjectionKernel(ws=ws, level=level, truncation_radius=truncation_radius,
+    if truncation_radius is not None:
+        K, tail = truncation_radius, _lattice_tail(fit, truncation_radius)
+    return ProjectionKernel(ws=ws, level=level, truncation_radius=K,
                             dimension=dimension, tail_bound=tail)
 
 
@@ -137,21 +135,22 @@ def _kernel_eval_1d(pk: ProjectionKernel, u: np.ndarray, v: np.ndarray) -> np.nd
 
 
 def kernel_eval(pk: ProjectionKernel, x, y):
-    """Truncated lattice sum q_m(x, y); tensor product of 1-D factors in d = 2."""
-    if pk.dimension == 1:
-        u, v = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                   np.asarray(y, dtype=float))
-        scalar = u.ndim == 0
-        out = _kernel_eval_1d(pk, np.atleast_1d(u).astype(float),
-                              np.atleast_1d(v).astype(float))
-        return float(out[0]) if scalar else out
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    out = np.ones(max(x.shape[0], y.shape[0]))
-    for i in range(2):
-        u, v = np.broadcast_arrays(x[:, i], y[:, i])
-        out = out * _kernel_eval_1d(pk, u.astype(float), v.astype(float))
-    return out
+    """Truncated lattice sum q_m(x, y), the product of one 1-D factor per axis.
+
+    In d = 1 ``x`` and ``y`` broadcast as coordinates (two scalars give a
+    float); in d > 1 each is a point (d,) or points (npts, d), giving (npts,),
+    and any other last axis raises ``ProjectionError``.
+    """
+    d = pk.dimension
+    x, y = (np.asarray(p, dtype=float) for p in (x, y))
+    if d > 1 and not x.shape[-1:] == y.shape[-1:] == (d,):
+        raise ProjectionError(f"points of shapes {x.shape}, {y.shape} in {d} dimensions")
+    x, y = (p[..., None] if d == 1 else np.atleast_2d(p) for p in (x, y))
+    out = 1.0
+    for i in range(d):
+        u, v = np.broadcast_arrays(x[..., i], y[..., i])
+        out = out * _kernel_eval_1d(pk, np.atleast_1d(u), np.atleast_1d(v))
+    return float(out[0]) if u.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +253,8 @@ def project(pk: ProjectionKernel, f: SampledFunction) -> SampledFunction:
         raise ProjectionError("kernel and samples differ in dimension")
     _warn_boundary_mass(f)
     out = f.values
-    for grid in f.grids:  # in 2-D each pass leaves the axes swapped
-        out = _on_grid(*_project_1d(pk, grid, out)[2:], grid).T
+    for grid in f.grids:  # each pass moves its axis last, so d passes restore the order
+        out = np.moveaxis(_on_grid(*_project_1d(pk, grid, out)[2:], grid), 0, -1)
     return SampledFunction(f.grid, out)
 
 
@@ -267,8 +266,7 @@ def project_at(pk: ProjectionKernel, f: SampledFunction, x_points) -> np.ndarray
     x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
     out = np.empty(x_points.size, dtype=complex)
     for i, xp in enumerate(x_points):
-        row = _kernel_eval_1d(pk, np.full(y.size, xp), y.copy())
-        out[i] = np.dot(fw, row)
+        out[i] = np.dot(fw, _kernel_eval_1d(pk, np.full(y.size, xp), y))
     return out
 
 
@@ -286,10 +284,8 @@ def boundary_mass(f: SampledFunction) -> float:
     worst = 0.0
     for axis, g in enumerate(f.grids):
         edge = max(1, g.count // 100)
-        sl = [slice(None)] * vals.ndim
-        for cut in (slice(0, edge), slice(-edge, None)):
-            sl[axis] = cut
-            worst = max(worst, float(np.max(vals[tuple(sl)])))
+        rim = np.moveaxis(vals, axis, 0)
+        worst = max(worst, float(rim[:edge].max()), float(rim[-edge:].max()))
     return worst
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -207,6 +208,17 @@ class TestReport:
         r1, r2 = (_read_report(p) for p in paths)
         assert r1 == r2
         assert r1["certificates"]
+
+    def test_metadata_records_versions(self, system_file, tmp_path):
+        path = tmp_path / "r.json"
+        assert cli.main(["report", "--system", system_file,
+                         "--report", str(path)]) == cli.EXIT_OK
+        with open(path) as fh:
+            meta = json.load(fh)["metadata"]
+        assert meta["package_version"] == sw.__version__
+        assert meta["numpy_version"] == np.__version__
+        assert meta["python_version"] == platform.python_version()
+        assert "generated_at" in meta
 
     def test_unknown_config_key_rejected(self, system_file, tmp_path):
         cfg = tmp_path / "cfg.json"

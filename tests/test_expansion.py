@@ -104,6 +104,22 @@ class TestAtoms:
         want = 2.0 ** 1.5 * ws.interpolator("psi")(8.0 * x + 5.0)
         assert np.max(np.abs(got - want)) < 1e-13
 
+    def test_points_need_a_last_axis_of_length_d(self, ws):
+        idx = sw.WaveletIndex(epsilon=(1, 0), m=0, n=(0, 1))
+        for x in (np.zeros((4, 3)), np.zeros(3), 0.5):
+            with pytest.raises(ExpansionError, match="points"):
+                sw.tensor_atom(ws, idx, x)
+        assert isinstance(sw.tensor_atom(ws, idx, [0.3, 0.4]), float)
+        assert sw.tensor_atom(ws, idx, np.zeros((2, 5, 2))).shape == (10,)
+
+    def test_one_dimensional_points_keep_their_forms(self, ws):
+        idx = sw.WaveletIndex(epsilon=(1,), m=0, n=(1,))
+        x = np.linspace(-1.0, 1.0, 12)
+        assert isinstance(sw.tensor_atom(ws, idx, 0.5), float)
+        assert sw.tensor_atom(ws, idx, [0.5]).shape == (1,)
+        flat = sw.tensor_atom(ws, idx, x)
+        assert np.array_equal(sw.tensor_atom(ws, idx, x.reshape(4, 3)), flat)
+
 
 class TestAnalysis:
     def test_single_coefficient_oracle(self, ws, band_function, expansion_grid):
@@ -135,12 +151,12 @@ class TestAnalysis:
         assert errs[1] < errs[0]
 
     def test_partial_sum_needs_one_grid_per_axis(self, ws, band_function):
-        # one grid per axis, and synthesis, like analysis, in d = 1 and 2 only
+        # one grid per axis
         g = sw.Grid1D.from_interval(-4.0, 4.0, 65)
         c1 = sw.analyze(ws, band_function, sw.IndexWindow(1, 2))
         c2, c3 = (sw.CoefficientSet(w, np.zeros(w.shape)) for w in (
             sw.IndexWindow(1, 2, d=2), sw.IndexWindow(0, 0, d=3)))
-        for coeffs, grid in ((c1, (g, g)), (c2, g), (c2, (g,)), (c3, (g, g, g))):
+        for coeffs, grid in ((c1, (g, g)), (c2, g), (c2, (g,)), (c3, (g, g))):
             with pytest.raises(ExpansionError, match="grids"):
                 sw.synthesize_partial(ws, coeffs, grid)
 
@@ -162,6 +178,66 @@ class TestAnalysis:
         wts = g.trapezoid_weights()
         manual = np.sum(f2.values * atom * wts[:, None] * wts[None, :])
         assert abs(cs.coefficients[idx] - manual) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def separable_3d():
+    """(grids, factors, f): f = f_1 (x) f_2 (x) f_3 on three distinct grids of
+    spacing 1/4, one factor complex, so a swapped or misread axis shows."""
+    grids = (sw.Grid1D.from_interval(-8.0, 8.0, 65),
+             sw.Grid1D.from_interval(-6.0, 10.0, 65),
+             sw.Grid1D.from_interval(-4.0, 8.0, 49))
+    x1, x2, x3 = (g.points() for g in grids)
+    factors = (np.exp(-x1 ** 2), np.exp(-((x2 - 1.5) / 1.3) ** 2),
+               np.exp(-((x3 - 2.0) / 0.8) ** 2 + 1.5j * x3))
+    return grids, factors, sw.SampledFunction(grids, np.einsum(
+        "i,j,k->ijk", *factors))
+
+
+class TestThreeDimensions:
+    """d = 3 through the same per-axis operators as d = 1 and 2."""
+
+    window = sw.IndexWindow(1, 2, d=3)
+
+    @pytest.fixture(scope="class")
+    def coeffs(self, ws, separable_3d):
+        return sw.analyze(ws, separable_3d[2], self.window)
+
+    def test_coefficients_are_products_of_1d_quadratures(self, ws, separable_3d,
+                                                          coeffs):
+        # per axis, bit and scale: one 1-D quadrature against each shift,
+        # psi on the axes with epsilon_i = 1 and phi on the rest
+        grids, factors, _ = separable_3d
+        N = self.window.N
+        shifts = np.arange(-N, N + 1)[:, None]
+        quad = [[[ws.atom_values(bit, m, shifts, g.points())
+                  @ (fac * g.trapezoid_weights()) for m in range(-1, 2)]
+                 for bit in (0, 1)] for g, fac in zip(grids, factors)]
+        want = np.stack([np.einsum("mi,mj,mk->mijk", *(
+            np.array(quad[axis][bit]) for axis, bit in enumerate(eps)))
+            for eps in self.window.patterns()])
+        assert coeffs.values.shape == want.shape == self.window.shape
+        assert np.max(np.abs(coeffs.values - want)) < 1e-12
+
+    @pytest.mark.parametrize("index", [
+        sw.WaveletIndex(epsilon=(1, 0, 1), m=1, n=(1, -2, 0)),
+        sw.WaveletIndex(epsilon=(0, 1, 1), m=-1, n=(0, 2, -1))])
+    def test_coefficient_matches_tensor_atom(self, ws, separable_3d, coeffs, index):
+        grids, _, f = separable_3d
+        pts = np.stack(np.meshgrid(*(g.points() for g in grids), indexing="ij"),
+                       axis=-1)
+        atom = sw.tensor_atom(ws, index, pts).reshape(f.values.shape)
+        manual = sw.integrate(sw.SampledFunction(grids, f.values * atom))
+        assert abs(coeffs.coefficients[index] - manual) < 1e-12
+
+    def test_partial_sum_pairs_to_the_coefficient_energy(self, ws, separable_3d,
+                                                         coeffs):
+        grids, _, f = separable_3d
+        partial = sw.synthesize_partial(ws, coeffs, grids)
+        assert partial.values.shape == f.values.shape
+        pairing = sw.inner_product(f, partial)
+        energy = coeffs.energy()
+        assert abs(pairing - energy) < 1e-10 * energy
 
 
 def _per_shift_block(ws, bit, m, N, grid):

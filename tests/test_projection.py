@@ -37,7 +37,7 @@ class TestKernelConstruction:
 
     def test_dimension_validated(self, ws):
         with pytest.raises(ProjectionError):
-            sw.build_kernel(ws, dimension=3)
+            sw.build_kernel(ws, dimension=0)
 
 
 class TestKernelEvaluation:
@@ -73,6 +73,33 @@ class TestKernelEvaluation:
         got = sw.kernel_eval(pk2, pts_x, pts_y)
         want = (sw.kernel_eval(pk, 0.3, 1.1) * sw.kernel_eval(pk, -0.7, 0.2))
         assert abs(got[0] - want) < 1e-13
+
+    def test_tensor_product_in_3d(self, ws, pk):
+        pk3 = sw.build_kernel(ws, dimension=3)
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-2.0, 2.0, (2, 6, 3))
+        want = np.prod([sw.kernel_eval(pk, x[:, i], y[:, i]) for i in range(3)],
+                       axis=0)
+        got = sw.kernel_eval(pk3, x, y)
+        assert got.shape == (6,)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        assert sw.kernel_eval(pk3, x[0], y).shape == (6,)
+
+    def test_points_need_a_last_axis_of_length_d(self, ws):
+        pk2 = sw.build_kernel(ws, dimension=2)
+        for x, y in ((np.zeros(3), np.zeros(3)), (np.zeros((4, 3)), np.zeros(2)),
+                     (np.zeros(2), np.zeros((4, 1))), (0.0, 0.0)):
+            with pytest.raises(ProjectionError, match="points"):
+                sw.kernel_eval(pk2, x, y)
+        assert sw.kernel_eval(pk2, np.zeros(2), np.zeros((4, 2))).shape == (4,)
+
+    def test_one_dimensional_coordinates_keep_their_forms(self, pk):
+        x = np.linspace(-1.3, 1.7, 11)
+        assert isinstance(sw.kernel_eval(pk, 0.3, 0.7), float)
+        assert sw.kernel_eval(pk, [0.3], 0.7).shape == (1,)
+        grid = sw.kernel_eval(pk, x[:, None], x[None, :])
+        assert grid.shape == (11, 11)
+        assert np.array_equal(grid[3], sw.kernel_eval(pk, x[3], x))
 
 
 class TestProjection:
@@ -147,6 +174,23 @@ class TestProjection:
                         sw.project(pk1, sample(fy, gy)).values)
         assert proj.values.shape == (257, 193)
         assert np.max(np.abs(proj.values - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_3d_projection_is_the_outer_product(self, ws):
+        # three distinct grids, so a pass along the wrong axis fails
+        from subexp_wavelets.testfuncs import sample_2d
+        fns = (gaussian(), gaussian(0.4, 1.2), gaussian(-0.5, 0.9))
+        grids = (sw.Grid1D.from_interval(-8.0, 8.0, 65),
+                 sw.Grid1D.from_interval(-6.0, 7.0, 53),
+                 sw.Grid1D.from_interval(-7.0, 9.0, 41))
+        f12 = sample_2d(fns[0], fns[1], grids[0], grids[1]).values
+        f3 = sample(fns[2], grids[2]).values
+        f = sw.SampledFunction(grids, f12[:, :, None] * f3)
+        proj = sw.project(sw.build_kernel(ws, level=1, dimension=3), f)
+        pk1 = sw.build_kernel(ws, level=1)
+        want = np.einsum("i,j,k->ijk", *(
+            sw.project(pk1, sample(fn, g)).values for fn, g in zip(fns, grids)))
+        assert proj.values.shape == (65, 53, 41)
+        assert np.max(np.abs(proj.values - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_routes_disagree_on_a_scaled_phi_table(self, ws, pk, gaussian_samples):
         # project reads the analytic phi_hat and project_at the spline of the
