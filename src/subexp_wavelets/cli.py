@@ -113,15 +113,14 @@ def _config_args(args: argparse.Namespace) -> list[str]:
 
 
 def _samples_csv(path: str, f: SampledFunction) -> None:
-    import csv
-
+    """``x,re,im`` rows of round-trip floats, as ``csv.writer`` writes them
+    (no field needs quoting), joined and written at once."""
     (grid,) = f.grids
+    lines = [f"{x!r},{re!r},{im!r}\r\n" for x, re, im in
+             zip(grid.points().tolist(), f.values.real.tolist(),
+                 f.values.imag.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re", "im"])
-        for x, v in zip(grid.points(), f.values):
-            writer.writerow([repr(float(x)), repr(float(v.real)),
-                             repr(float(v.imag))])
+        fh.write("x,re,im\r\n" + "".join(lines))
 
 
 def _expansion_grid() -> Grid1D:
@@ -199,9 +198,10 @@ def cmd_build(args) -> int:
                               spectral_points=args.spectral_points,
                               window=args.window)
     out = args.out
+    # json.dumps without indent runs the C encoder; json.dump never does
+    doc = json.dumps(ws.to_json_dict(), sort_keys=True)
     with open(out, "w") as fh:
-        json.dump(ws.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(doc + "\n")
     stem = out[:-5] if out.endswith(".json") else out
     _samples_csv(stem + ".psi.csv", ws.psi_samples)
     _samples_csv(stem + ".phi.csv", ws.phi_samples)

@@ -14,10 +14,14 @@ these primitives.  Conventions fixed here once and for all:
   directly at scattered points and serves as its oracle.  The same engine
   sums the dyadic projection's transforms between uniform grids and uniform
   frequency nodes, with trailing axes carried along (one transform per
-  column of a 2-D array); ``forward_transform_values`` is the direct-sum
-  oracle of its forward half.  Both direct sums run over uniform nodes and
-  factor them baby-step/giant-step (``_direct_sum``): about ``2 sqrt(n)``
-  exponentials a point and one matrix product, not ``n`` exponentials.
+  column of a 2-D array, run through the FFTs in blocks of rows);
+  ``forward_transform_values`` is the direct-sum oracle of its forward
+  half.  A geometry's set-up (its chirps and the chirp's spectrum) is a
+  plan, kept read-only from the geometry's second request on, under a fixed
+  byte budget, so repeated transforms on the same grids skip it.  Both
+  direct sums run over uniform nodes and factor them baby-step/giant-step
+  (``_direct_sum``): about ``2 sqrt(n)`` exponentials a point and one
+  matrix product, not ``n`` exponentials.
 * tables are read between their nodes by ``NaturalSpline``, the natural
   cubic spline on uniform knots, which is literal zero outside them.
 
@@ -31,15 +35,26 @@ The spline and the Simpson rule read real samples.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
+from math import isfinite, isqrt
+from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
 DERIVATIVE_ORDER_CAP = 60
 _BLOCK_ENTRIES = 2 ** 20  # table entries per block of rows of the direct sums
 _SPLINE_BLOCK = 2 ** 16  # points a NaturalSpline call evaluates at a time
+_FFT_BLOCK_ENTRIES = 2 ** 16  # padded entries per block of chirp_synthesis rows
+# bytes of Bluestein plans kept (``_plan_for``); a warm session's
+# projections at levels 0..6 and its 2-D projection keep about 8 MB
+_PLAN_BYTES = 16 * 2 ** 20
+_SEEN_KEYS = 4096  # geometries noted as requested once
+_plans: dict = {}  # geometry -> _ChirpPlan, least recently used first
+_seen: dict = {}  # geometries requested once, oldest first
+_PLAN_LOCK = threading.Lock()
 
 
 class NumericsError(ValueError):
@@ -55,8 +70,12 @@ class Grid1D:
     count: int
 
     def __post_init__(self):
-        if not (self.spacing > 0):
-            raise NumericsError("grid spacing must be positive")
+        if not isinstance(self.count, Integral):
+            raise NumericsError("grid point count must be an integer")
+        if not isfinite(self.origin):
+            raise NumericsError("grid origin must be finite")
+        if not (self.spacing > 0 and isfinite(self.spacing)):
+            raise NumericsError("grid spacing must be positive and finite")
         if self.count < 2:
             raise NumericsError("grid needs at least 2 points")
 
@@ -400,6 +419,74 @@ def next_fast_len(n: int) -> int:
     return min(q << (-(-n // q) - 1).bit_length() for q in odd)
 
 
+class _ChirpPlan(NamedTuple):
+    """What ``chirp_synthesis`` needs of one geometry besides the coefficients:
+    the pre-chirp (length n), the spectrum of the padded chirp (length
+    ``size``) and the post-chirp (length count), all read-only."""
+
+    pre: np.ndarray
+    chirp_spectrum: np.ndarray
+    post: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.pre.nbytes + self.chirp_spectrum.nbytes + self.post.nbytes
+
+
+def _chirp_plan(n: int, count: int, xi0: float, dxi: float, x0: float,
+                dx: float) -> _ChirpPlan:
+    theta = dx * dxi
+    j = np.arange(n)
+    k = np.arange(count)
+    size = next_fast_len(n + count - 1)
+    pre = np.exp(1j * (x0 * dxi * j + 0.5 * theta * (j * j)))
+    d = np.arange(-(n - 1), count)
+    chirp = np.exp(-0.5j * theta * (d * d))
+    row = np.zeros(size, dtype=complex)
+    row[:count] = chirp[n - 1:]  # lags 0 .. count - 1
+    row[size - (n - 1):] = chirp[:n - 1]  # lags -(n - 1) .. -1, wrapped
+    post = np.exp(1j * (xi0 * (x0 + dx * k) + 0.5 * theta * (k * k)))
+    plan = _ChirpPlan(pre, np.fft.fft(row, out=row), post)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _plan_for(n: int, count: int, xi0: float, dxi: float, x0: float,
+              dx: float) -> _ChirpPlan:
+    """The plan of a geometry, kept from its second request onward.
+
+    The store keys a geometry by ``n``, ``count`` and the bits of its four
+    floats, so a kept plan is the one a fresh call would compute.  A first
+    request only notes the key, so one-off geometries (the table syntheses
+    of a build, every call of a cold process) keep nothing.  Beyond
+    ``_PLAN_BYTES`` the least recently used plans are dropped (a plan larger
+    than the whole budget is never kept), and beyond ``_SEEN_KEYS`` the
+    oldest noted keys.  The store is shared by the whole process, which is
+    safe because a kept plan gives every caller the bits of a fresh one.
+    """
+    key = (n, count, np.array([xi0, dxi, x0, dx], dtype=float).tobytes())
+    with _PLAN_LOCK:
+        plan = _plans.pop(key, None)
+        if plan is not None:
+            _plans[key] = plan
+            return plan
+        keep = _seen.pop(key, False)
+        if not keep:
+            _seen[key] = True
+            while len(_seen) > _SEEN_KEYS:
+                del _seen[next(iter(_seen))]
+    plan = _chirp_plan(n, count, xi0, dxi, x0, dx)
+    if keep and plan.nbytes <= _PLAN_BYTES:
+        with _PLAN_LOCK:
+            _plans.pop(key, None)  # kept meanwhile by another thread
+            kept = sum(p.nbytes for p in _plans.values())
+            while kept + plan.nbytes > _PLAN_BYTES:
+                kept -= _plans.pop(next(iter(_plans))).nbytes
+            _plans[key] = plan
+    return plan
+
+
 def chirp_synthesis(coeffs, xi0: float, dxi: float, x0: float, dx: float,
                     count: int) -> np.ndarray:
     """``out[k] = sum_j coeffs[j] exp(i (x0 + k dx)(xi0 + j dxi))``, ``0 <= k < count``.
@@ -407,43 +494,52 @@ def chirp_synthesis(coeffs, xi0: float, dxi: float, x0: float, dx: float,
     Bluestein's chirp-z transform (Rabiner, Schafer and Rader 1969).  With
     ``theta = dx * dxi`` and ``jk = (j^2 + k^2 - (k - j)^2) / 2`` the double
     sum is one linear convolution with the chirp ``exp(-i theta d^2 / 2)``,
-    done by zero-padded FFTs of length ``next_fast_len(n + count - 1)``.
+    done by zero-padded FFTs of length ``size = next_fast_len(n + count - 1)``.
     Every chirp is evaluated from its own angle, with ``d^2`` an exact
     integer, and never as a power of a rounded ``exp(i theta)``: powers near
     ``1e7`` would raise that rounding to errors around 1e-11.
 
+    The set-up of a geometry ``(n, count, xi0, dxi, x0, dx)`` is its plan
+    (``_chirp_plan``): the pre-chirp (n values), the FFT of the padded chirp
+    (``size``) and the post-chirp (count), all read-only.  ``_plan_for``
+    keeps it from the geometry's second request on, least recently used
+    first out beyond ``_PLAN_BYTES``, so a warm caller that transforms on
+    the same grids again skips every ``exp`` and the chirp's FFT, while a
+    one-off geometry keeps nothing.  A kept plan gives the same bits as a
+    fresh one, and no output shares memory with it.
+
     The sum runs along axis 0; trailing axes of ``coeffs`` are carried
-    along, one transform per column in a single FFT pass.  Either spacing
-    may be negative (``dx = -1`` gives ``sum_j c_j exp(-i k xi_j)``), which
-    is how the dyadic projection reads its shift sums.
+    along, one transform per column.  The columns run in blocks of about
+    ``_FFT_BLOCK_ENTRIES`` padded entries: a block is pre-chirped straight
+    into one padded buffer, transformed there forth and back in place, and
+    post-chirped into the output, so the buffer stays small however many
+    columns a call has.  Every column gets the bits it would get alone.
+    Either spacing may be negative (``dx = -1`` gives ``sum_j c_j exp(-i k
+    xi_j)``), which is how the dyadic projection reads its shift sums.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim == 0 or c.size == 0 or count < 1:
         raise NumericsError("no coefficients or no output points")
     c = np.moveaxis(c, 0, -1)  # the FFTs run along the contiguous last axis
     n = c.shape[-1]
-    theta = dx * dxi
-    j = np.arange(n)
-    k = np.arange(count)
-    size = next_fast_len(n + count - 1)
-    # one FFT call transforms every column of c and, in the last row, the chirp
-    ab = np.zeros((c.size // n + 1, size), dtype=complex)
-    pre = np.exp(1j * (x0 * dxi * j + 0.5 * theta * (j * j)))
-    ab[:-1, :n] = (c * pre).reshape(-1, n)
-    d = np.arange(-(n - 1), count)
-    chirp = np.exp(-0.5j * theta * (d * d))
-    ab[-1, :count] = chirp[n - 1:]  # lags 0 .. count - 1
-    ab[-1, size - (n - 1):] = chirp[:n - 1]  # lags -(n - 1) .. -1, wrapped
-    spectrum = np.fft.fft(ab, out=ab)  # in place, as is the inverse
-    spectrum[:-1] *= spectrum[-1]
-    np.fft.ifft(spectrum[:-1], out=spectrum[:-1])
-    # a copy of the first count columns, so that the padded array is freed
-    out = np.ascontiguousarray(
-        spectrum[:-1, :count].reshape(c.shape[:-1] + (count,)))
-    post = np.exp(1j * (xi0 * (x0 + dx * k) + 0.5 * theta * (k * k)))
-    # post * out, in this order: complex products are not bitwise
-    # commutative, and every table keeps the bits it had
-    return np.moveaxis(np.multiply(post, out, out=out), -1, 0)
+    plan = _plan_for(n, count, float(xi0), float(dxi), float(x0), float(dx))
+    size = plan.chirp_spectrum.size
+    rows = c.reshape(-1, n)  # a view unless c has 3 axes and a mixed layout
+    cols = rows.shape[0]
+    out = np.empty((cols, count), dtype=complex)
+    height = max(1, _FFT_BLOCK_ENTRIES // size)
+    block = np.empty((min(height, cols), size), dtype=complex)
+    for lo in range(0, cols, height):
+        b = block[:min(height, cols - lo)]
+        np.multiply(rows[lo:lo + height], plan.pre, out=b[:, :n])
+        b[:, n:] = 0.0
+        np.fft.fft(b, out=b)  # in place, as is the inverse
+        b *= plan.chirp_spectrum
+        np.fft.ifft(b, out=b)
+        # post * values, in this order: complex products are not bitwise
+        # commutative, and every table keeps the bits it had
+        np.multiply(plan.post, b[:, :count], out=out[lo:lo + height])
+    return np.moveaxis(out.reshape(c.shape[:-1] + (count,)), -1, 0)
 
 
 def synthesize(spec: SpectrumOnBand, x_grid: Grid1D) -> SampledFunction:

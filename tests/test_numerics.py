@@ -10,6 +10,8 @@ cumulative Simpson rule against polynomials it integrates exactly, and
 ``next_fast_len`` against a brute-force search.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -47,6 +49,25 @@ class TestGrid1D:
         # rejected before the spacing (hi - lo) / (count - 1) is formed
         with pytest.raises(NumericsError):
             sw.Grid1D.from_interval(0.0, 1.0, 1)
+
+    def test_non_integral_count_rejected(self):
+        with pytest.raises(NumericsError, match="integer"):
+            sw.Grid1D(0.0, 0.5, 3.5)
+        with pytest.raises(NumericsError, match="integer"):
+            sw.Grid1D.from_interval(0.0, 1.0, 4.5)
+        assert sw.Grid1D(0.0, 0.5, np.int64(4)).trapezoid_weights().size == 4
+
+    def test_non_finite_origin_rejected(self):
+        for origin in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NumericsError, match="origin"):
+                sw.Grid1D(origin, 0.5, 4)
+
+    def test_non_finite_spacing_rejected(self):
+        for spacing in (np.inf, np.nan):
+            with pytest.raises(NumericsError, match="spacing"):
+                sw.Grid1D(0.0, spacing, 4)
+        with pytest.raises(NumericsError, match="spacing"):
+            sw.Grid1D.from_interval(0.0, np.inf, 4)
 
     def test_trapezoid_weights_sum_to_extent(self):
         g = sw.Grid1D.from_interval(0.0, 3.0, 7)
@@ -312,6 +333,158 @@ class TestChirpSynthesis:
                                  values=np.zeros(3), declared_support=((0.2, 0.4),))
         with pytest.raises(NumericsError):
             sw.synthesize(spec, self.X_GRID)
+
+
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """An empty Bluestein plan store for one test (restored after it)."""
+    monkeypatch.setattr(numerics, "_plans", {})
+    monkeypatch.setattr(numerics, "_seen", {})
+    return numerics
+
+
+def _random_coeffs(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestChirpPlans:
+    GEOMETRY = (-0.7, 0.05, 2.0, -0.3, 25)
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 3), (40, 3, 2)],
+                             ids=["1-axis", "2-axis", "3-axis"])
+    def test_kept_plan_gives_the_bits_of_a_fresh_one(self, fresh_plans, shape):
+        coeffs = _random_coeffs(shape)
+        fresh = sw.chirp_synthesis(coeffs, *self.GEOMETRY)
+        assert not fresh_plans._plans
+        kept = sw.chirp_synthesis(coeffs, *self.GEOMETRY)  # second request keeps
+        assert len(fresh_plans._plans) == 1
+        hit = sw.chirp_synthesis(coeffs, *self.GEOMETRY)
+        assert len(fresh_plans._plans) == 1
+        assert fresh.shape == (25,) + shape[1:]
+        np.testing.assert_array_equal(kept, fresh)
+        np.testing.assert_array_equal(hit, fresh)
+
+    def test_blocks_give_the_bits_of_one_block(self, fresh_plans, monkeypatch):
+        # 361 columns padded to 1,050 entries run in blocks of 62 rows: 6 blocks
+        coeffs = _random_coeffs((725, 361), seed=1)
+        geometry = (-16.75, 0.046, -10.0, 0.0625, 321)
+        blocked = sw.chirp_synthesis(coeffs, *geometry)
+        assert 361 > numerics._FFT_BLOCK_ENTRIES // numerics.next_fast_len(1045)
+        monkeypatch.setattr(numerics, "_FFT_BLOCK_ENTRIES", 2 ** 30)
+        np.testing.assert_array_equal(blocked, sw.chirp_synthesis(coeffs, *geometry))
+        alone = sw.chirp_synthesis(coeffs[:, 200], *geometry)
+        np.testing.assert_array_equal(blocked[:, 200], alone)
+
+    def test_plans_are_read_only_and_never_returned(self, fresh_plans):
+        coeffs = _random_coeffs((40, 3))
+        outs = [sw.chirp_synthesis(coeffs, *self.GEOMETRY) for _ in range(3)]
+        (plan,) = fresh_plans._plans.values()
+        for array in plan:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            assert not any(np.shares_memory(out, array) for out in outs)
+
+    def test_once_requested_geometry_keeps_nothing(self, fresh_plans):
+        sw.chirp_synthesis(_random_coeffs((40,)), *self.GEOMETRY)
+        assert not fresh_plans._plans
+        assert len(fresh_plans._seen) == 1
+
+    def test_dense_table_build_keeps_nothing(self, ws, fresh_plans):
+        from subexp_wavelets import construction
+
+        ws._even_table("psi", 0, construction.TABLE_HALF,
+                       construction.TABLE_SPACING,
+                       construction._TABLE_BAND_POINTS)
+        assert not fresh_plans._plans
+
+    def test_kept_bytes_stay_within_the_budget(self, fresh_plans, monkeypatch):
+        # one plan here is (40 + 25 + 64) * 16 = 2,064 bytes; room for three
+        monkeypatch.setattr(numerics, "_PLAN_BYTES", 7000)
+        coeffs = _random_coeffs((40,))
+        for shift in range(6):
+            for _ in range(2):
+                sw.chirp_synthesis(coeffs, -0.7, 0.05, 2.0 + shift, -0.3, 25)
+                kept = sum(p.nbytes for p in fresh_plans._plans.values())
+                assert kept <= numerics._PLAN_BYTES
+        assert len(fresh_plans._plans) == 3
+        # a plan larger than the whole budget is not kept, nor does it evict
+        kept = dict(fresh_plans._plans)
+        big = _random_coeffs((400,))
+        for _ in range(2):
+            sw.chirp_synthesis(big, -0.7, 0.05, 2.0, -0.3, 250)
+        assert fresh_plans._plans == kept
+
+    def test_each_geometry_field_keys_its_own_plan(self, fresh_plans):
+        coeffs = _random_coeffs((40,))
+        base = (-0.7, 0.05, 0.0, -0.3, 25)
+        variants = [base, (0.7,) + base[1:], base[:1] + (0.06,) + base[2:],
+                    base[:2] + (-0.0,) + base[3:], base[:3] + (0.3, 25),
+                    base[:4] + (26,)]
+        fresh = [sw.chirp_synthesis(coeffs, *g) for g in variants]
+        fresh.append(sw.chirp_synthesis(coeffs[:39], *base))
+        for _ in range(2):  # keep, then hit
+            got = [sw.chirp_synthesis(coeffs, *g) for g in variants]
+            got.append(sw.chirp_synthesis(coeffs[:39], *base))
+            for a, b in zip(got, fresh):
+                np.testing.assert_array_equal(a, b)
+        assert len(fresh_plans._plans) == len(variants) + 1
+
+    def test_threads_share_the_store_safely(self, fresh_plans, monkeypatch):
+        # more threads than cores, a short switch interval and a budget of
+        # about four plans, so keeps, hits and evictions interleave
+        monkeypatch.setattr(numerics, "_PLAN_BYTES", 9000)
+        coeffs = _random_coeffs((40, 2))
+        geometries = [(-0.7, 0.05, 2.0 + shift, -0.3, 25) for shift in range(8)]
+        want = [sw.chirp_synthesis(coeffs, *g) for g in geometries]
+        fresh_plans._seen.clear()
+        errors, budget_breaches = [], []
+
+        def work(seed):
+            order = np.random.default_rng(seed).integers(0, 8, 200)
+            try:
+                for i in order:
+                    if not np.array_equal(sw.chirp_synthesis(coeffs, *geometries[i]),
+                                          want[i]):
+                        errors.append(f"geometry {i} changed")
+                    if sum(p.nbytes for p in list(fresh_plans._plans.values())) > 9000:
+                        budget_breaches.append(seed)
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append(f"thread {seed}: {exc!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert not budget_breaches
+        assert fresh_plans._plans
+
+    def test_2d_projection_memory_is_bounded(self, ws, fresh_plans):
+        # the level-2 projection on 321 x 321 points: measured peaks 13.4 MB
+        # with the blocked transforms and 17.5 MB with one padded array of
+        # 322 x 1,050 entries a transform
+        g = sw.Grid1D.from_interval(-10.0, 10.0, 321)
+        x = g.points()
+        f = sw.SampledFunction((g, g), np.outer(np.exp(-x * x),
+                                                np.exp(-0.5 * (x - 1.0) ** 2)))
+        pk = sw.build_kernel(ws, level=2, dimension=2)
+        for _ in range(2):  # with a fresh store, then with the kept plans
+            tracemalloc.start()
+            try:
+                sw.project(pk, f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 17.5 * 2 ** 20
 
 
 def _natural_second_differences_dense(y):
