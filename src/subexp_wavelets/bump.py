@@ -5,15 +5,19 @@ The seed is the classical family
     bump(x) = N * exp(-(1 - (x/a)^2)^(-1/(rho-1)))   for |x| < a,   0 otherwise,
 
 which lies in Gevrey class ``rho`` (flatness exponent ``1/(rho-1)`` at the
-support edge).  ``N`` is fixed by quadrature so the total integral is pi/2,
-the mass required by the bell construction downstream.
+support edge).  ``N`` is fixed so the total integral is pi/2, the mass
+required by the bell construction downstream.
 
-The primitive is precomputed as a dense antiderivative table with linear
-interpolation between knots: the bell evaluation calls it millions of times.
-The knot grid is symmetric about 0, which makes the reflection identity
-``cumulative(x) + cumulative(-x) = pi/2`` hold to machine precision; the bell
-orthonormality identities downstream inherit their accuracy from exactly this
-cancellation.
+The primitive, which the bell evaluation calls millions of times, is a dense
+table read as the cubic Hermite spline whose slopes are the bump values: C^1,
+since linear interpolation would put kinks into the bell, and echoes of
+about 1e-10 into phi and psi at 2 pi over the knot spacing.  Each panel is
+``h/2 (v0 + v1) + h^2/12 (d0 - d1)``, the integral of the bump's cubic
+Hermite interpolant with the analytic slope ``d``, and ``N`` comes from the
+same sum.  The upper half of the table is ``pi/2 - cumulative(-x)`` and the
+midpoint exactly pi/4, so ``cumulative(x) + cumulative(-x) = pi/2`` holds
+to machine precision; the bell orthonormality identities downstream inherit
+their accuracy from exactly this cancellation.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import lgamma
 import numpy as np
 
 TARGET_INTEGRAL = np.pi / 2
-_TABLE_KNOTS = 16385  # 16384 trapezoid panels, odd count so 0 is a knot
+_HALF_PANELS = 8192  # panels on [-a, 0]; a power of 2, so 0 is an exact knot
 _MAX_CERTIFY_ORDER = 20
 
 
@@ -48,8 +52,8 @@ class GevreyBump:
     rho: float
     norm_constant: float
     target_integral: float = TARGET_INTEGRAL
-    _knots: np.ndarray = field(default=None, repr=False, compare=False)
     _cumtable: np.ndarray = field(default=None, repr=False, compare=False)
+    _slopes: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -59,13 +63,16 @@ class GevreyBump:
         return out[0] if scalar else out
 
     def cumulative(self, xi) -> np.ndarray:
-        """``int_{-inf}^{xi}`` of the bump: 0 below -a, pi/2 above a."""
-        xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        out = np.interp(xi, self._knots, self._cumtable,
-                        left=0.0, right=self.target_integral)
-        return out[0] if scalar else out
+        """``int_{-inf}^{xi}`` of the bump (0 below -a, pi/2 above a), from the table."""
+        h = self.a / _HALF_PANELS
+        s = (np.clip(np.asarray(xi, dtype=float), -self.a, self.a) + self.a) / h
+        i = np.minimum(np.floor(np.nan_to_num(s)), 2 * _HALF_PANELS - 1).astype(np.intp)
+        t = s - i
+        y0, y1 = self._cumtable[i], self._cumtable[i + 1]
+        d0, d1 = h * self._slopes[i], h * self._slopes[i + 1]
+        out = y0 + t * t * (3.0 - 2.0 * t) * (y1 - y0) \
+            + t * (1.0 - t) * ((1.0 - t) * d0 - t * d1)
+        return np.clip(out, 0.0, self.target_integral)
 
 
 def build_bump(a: float, rho: float) -> GevreyBump:
@@ -79,20 +86,21 @@ def build_bump(a: float, rho: float) -> GevreyBump:
         raise BumpError("violates a < pi/3")
     if not (1 < rho < np.inf):
         raise BumpError(f"Gevrey order must be finite and exceed 1, got {rho!r}")
-    knots = np.linspace(-a, a, _TABLE_KNOTS)
-    h = knots[1] - knots[0]
-    raw = _raw_profile(knots, a, rho)
-    total = np.trapezoid(raw, dx=h)
-    norm_constant = TARGET_INTEGRAL / total
-    vals = norm_constant * raw
-    cumtable = np.concatenate([[0.0], np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))])
-    # the running sum can overshoot the mass by a few ulps just below +a,
-    # which would turn cos(cumulative), and with it the bell, negative there
-    cumtable = np.minimum(cumtable, TARGET_INTEGRAL)
-    # pin the endpoint so saturation beyond +a is bit-exact
-    cumtable[-1] = TARGET_INTEGRAL
+    h = a / _HALF_PANELS
+    lower = -a + h * np.arange(_HALF_PANELS + 1)  # the knots of [-a, 0]
+    v, d = _raw_profile(lower, a, rho), np.zeros(_HALF_PANELS + 1)
+    live = v > 0  # the analytic slope d, where the profile has not underflowed
+    d[live] = (v[live] * -2.0 * lower[live] / (a * a * (rho - 1.0))
+               * (1.0 - (lower[live] / a) ** 2) ** (-rho / (rho - 1.0)))
+    panels = 0.5 * h * (v[:-1] + v[1:]) + h * h / 12.0 * (d[:-1] - d[1:])
+    half = np.concatenate([[0.0], np.cumsum(panels)])
+    norm_constant = 0.5 * TARGET_INTEGRAL / half[-1]
+    half *= norm_constant
+    half[-1] = 0.5 * TARGET_INTEGRAL
+    cumtable = np.concatenate([half, TARGET_INTEGRAL - half[-2::-1]])
+    slopes = norm_constant * np.concatenate([v, v[-2::-1]])
     return GevreyBump(a=a, rho=rho, norm_constant=float(norm_constant),
-                      _knots=knots, _cumtable=cumtable)
+                      _cumtable=cumtable, _slopes=slopes)
 
 
 def stencil_derivative(f, n: int, x: np.ndarray, h: float) -> np.ndarray:

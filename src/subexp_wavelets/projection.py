@@ -2,16 +2,15 @@
 
 The level-0 kernel is the lattice sum ``q_0(x, y) = sum_k phi(x - k) phi(y - k)``
 (phi is real, so no conjugates survive), and ``q_m(x, y) = 2^{md} q_0(2^m x,
-2^m y)``.  ``project`` works in coefficient form,
-``sum_k <f, phi_{m,k}> phi_{m,k}``, on the Fourier side: phi_hat vanishes
-outside |eta| <= 4 pi / 3, so the coefficients and the projection are three
-``chirp_synthesis`` sums over uniform eta nodes of the analytic
-``WaveletSystem.phi_hat_fn`` (see ``_project_1d``), and q_m f comes out as
-its spectrum, which ``_on_grid`` sums onto a uniform grid by one more
-``chirp_synthesis``: the samples, and the seminorm's derivatives of every
-order on uniform probes in one pass.  No spline table is read on this route.
-``project_at`` integrates against the kernel itself, a lattice sum over the
-spline of the phi table, and is the independent route for spot checks.
+2^m y)``.  ``project`` applies ``sum_k <f, phi_{m,k}> phi_{m,k}`` on the
+Fourier side: phi_hat vanishes outside |eta| <= 4 pi / 3, so q_m is a
+2 pi-periodized multiplier of the analytic |phi_hat| (see ``_project_1d``).
+q_m f comes out as its spectrum, one ``chirp_synthesis`` from the samples,
+which ``_on_grid`` sums onto a uniform grid by one more: the samples, and
+the seminorm's derivatives of every order on uniform probes in one pass.
+No spline table is read on this route.  ``project_at`` integrates against
+the kernel itself, a lattice sum over the spline of the phi table, and is
+the independent route for spot checks.
 
 Also here: the iterated-primitive decomposition ``g = d^r/dy^r g_r`` for a
 function with vanishing moments, built from one-sided tail integrals
@@ -29,7 +28,7 @@ from math import lgamma
 import numpy as np
 
 from . import metrics, numerics
-from .construction import PHI_BAND, TABLE_HALF, WaveletSystem
+from .construction import TABLE_HALF, WaveletSystem, scaling_modulus
 from .metrics import DecayFit, SeminormParams
 from .numerics import Grid1D, SampledFunction
 
@@ -40,9 +39,10 @@ _TAIL_TARGET = 1e-12
 # made on [5, 40] and reads low farther out: where it gives 1e-14 (x = 306)
 # |phi| is 1.7e-12, and where it gives 1e-16 (x = 406) |phi| is below 1e-13.
 _ALIAS_TARGET = 1e-16
-# Most shifts, and most eta nodes, one level of _project_1d may take; each
-# costs a few complex FFT entries.  Level 13 on [-40, 40] takes 655,475
-# shifts and peaks near 360 MB; level 14 would need twice that.
+# Most shifts a window may span at one level of _project_1d, and most eta
+# nodes it may take; each node costs a few complex FFT entries.  Level 13 on
+# [-40, 40] spans 655,360 shifts, takes 874,357 nodes and peaks near 85 MB;
+# level 14 would need twice that.
 _MAX_NODES = 2 ** 20
 BOUNDARY_MASS_WARN = 1e-8
 
@@ -158,33 +158,32 @@ def kernel_eval(pk: ProjectionKernel, x, y):
 # ---------------------------------------------------------------------------
 
 def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
-                probes=()) -> tuple[np.ndarray, np.ndarray, Grid1D, np.ndarray]:
-    """(ks, coeffs, zeta, qhat): q_m along axis 0 of ``values``, as a spectrum.
+                probes=()) -> tuple[Grid1D, np.ndarray]:
+    """(zeta, qhat): q_m along axis 0 of ``values``, as a spectrum.
 
-    phi_hat vanishes outside |eta| <= 4 pi / 3, so with
-    ``F(zeta) = sum_j w_j f_j exp(i zeta x_j)`` and ``H(eta) = sum_k c_k
-    exp(-i eta k)`` both the coefficients and the projection are integrals
-    over that band::
+    phi_hat = exp(i eta) |phi_hat| vanishes outside |eta| <= 4 pi / 3, so q_m
+    is a Fourier multiplier whose phases cancel: with ``f_hat(zeta) = sum_j
+    w_j f_j exp(-i zeta x_j)``::
 
-        c_k   = 2^{m/2} / (2 pi) int phi_hat(eta) F(2^m eta) exp(-i eta k) d eta
         q_m f = (1 / 2 pi) int Q(zeta) exp(i zeta x) d zeta,
-        Q(2^m eta) = 2^{-m/2} phi_hat(eta) H(eta).
+        Q(2^m eta) = |phi_hat(eta)| sum_{l = -1, 0, 1}
+                     |phi_hat(eta + 2 pi l)| f_hat(2^m (eta + 2 pi l)).
 
-    ``F``, ``c`` and ``H`` are one ``chirp_synthesis`` each on uniform eta
-    nodes; ``qhat`` holds Q on the nodes ``zeta = 2^m eta``.  phi_hat is
-    smooth and vanishes at the band ends, so the trapezoid rule in eta errs
-    only by aliasing: a read at ``y = 2^m x - k`` picks up phi at
-    ``y + 2 pi r / h``, r != 0.  The spacing ``h`` is therefore
-    ``2 pi / (T + margin)``, where ``T`` bounds |2^m x - k| over the shifts
-    and over x on the grid and at ``probes``, and ``margin`` is where the
-    fitted |phi| envelope drops below ``_ALIAS_TARGET``.  The far echoes of
-    phi at |y| = 2 pi over the knot spacing of the linearly interpolated
-    bump primitive (51,472 and 1.5e-10 for a = 1) fold back as well; inputs
-    with mass at the window edges can meet them.  Trailing axes of
-    ``values`` are carried along, so a 2-D array is projected along its
-    first axis in one pass.  A level that needs more than ``_MAX_NODES``
-    shifts or eta nodes raises ``ProjectionError`` before anything of that
-    size is allocated, and before any float overflows.
+    The eta nodes are symmetric about 0 with spacing ``2 pi / L``, ``L`` an
+    integer, so ``eta +- 2 pi`` are the nodes ``L`` places away and the sum
+    over ``l`` is two shifted adds.  ``f_hat(zeta) = F(-zeta)`` is
+    ``_weighted_transform`` read backwards; ``qhat`` holds Q on the nodes
+    ``zeta = 2^m eta``.  Q is smooth and vanishes at the band ends, so
+    summing q_m f from the nodes errs only by aliasing: a read at x picks up
+    q_m f at ``x + r L / 2^m``, r != 0.  ``L`` is therefore the first
+    integer above ``span + margin``: ``span`` bounds ``2^m |x - x_j|`` over
+    x on the grid and at ``probes`` and ``x_j`` on the grid, and ``margin``
+    is where the fitted |phi| envelope drops below ``_ALIAS_TARGET``.
+    Trailing axes of ``values`` are carried along, so a 2-D array is
+    projected along its first axis in one pass.  A level whose window spans
+    more than ``_MAX_NODES`` shifts, or that needs more eta nodes, raises
+    ``ProjectionError`` before anything of that size is allocated, and
+    before any float overflows.
     """
     m = pk.level
     if m > np.log2(_MAX_NODES / grid.extent):  # 2^m extent shifts at least
@@ -192,34 +191,27 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
                               f"on this window")
     if np.ldexp(grid.extent, m) < 1.0:
         raise ProjectionError("window too small for level shifts")
-    lo = np.floor(np.ldexp(grid.origin, m)) - pk.truncation_radius
-    hi = np.ceil(np.ldexp(grid.last, m)) + pk.truncation_radius
-    _check_nodes("shifts", hi - lo + 1, m)
-    lo, hi = int(lo), int(hi)
-    ks = np.arange(lo, hi + 1)
     reach = np.concatenate([[grid.origin, grid.last], np.ravel(probes)])
-    span = max(hi - np.ldexp(reach.min(), m), np.ldexp(reach.max(), m) - lo)
+    span = np.ldexp(max(reach.max() - grid.origin, grid.last - reach.min()), m)
     fit = _phi_envelope(pk.ws)[0]
     margin = (np.log(fit.amplitude_C / _ALIAS_TARGET) / fit.rate_c) ** (1.0 / fit.exponent)
-    band = PHI_BAND[1]
-    count = np.ceil(band * (span + margin) / np.pi) + 1
-    _check_nodes("eta nodes", count, m)
-    eta = Grid1D.from_interval(-band, band, int(count))
+    L = np.ceil(span + margin)
+    half = np.ceil(2.0 * L / 3.0)  # spacings from 0 to the band end 4 pi / 3
+    if not 2 * half + 1 <= _MAX_NODES:
+        raise ProjectionError(f"level {m} needs {2 * half + 1:.3g} eta nodes on "
+                              f"this window, more than {_MAX_NODES}")
+    L, half = int(L), int(half)
+    eta = Grid1D(-half * (2 * np.pi / L), 2 * np.pi / L, 2 * half + 1)
     zeta = Grid1D(np.ldexp(eta.origin, m), np.ldexp(eta.spacing, m), eta.count)
-    phi_hat = pk.ws.phi_hat_fn(eta.points())
-    F = _weighted_transform(grid, values, zeta)
-    quad = phi_hat * eta.trapezoid_weights() * (2.0 ** (0.5 * m) / (2.0 * np.pi))
-    coeffs = numerics.chirp_synthesis((quad * F.T).T, eta.origin, eta.spacing,
-                                      -lo, -1.0, ks.size)
-    H = numerics.chirp_synthesis(coeffs, -lo, -1.0, eta.origin, eta.spacing,
-                                 eta.count)
-    return ks, coeffs, zeta, ((phi_hat * 2.0 ** (-0.5 * m)) * H.T).T
-
-
-def _check_nodes(what: str, count: float, level: int) -> None:
-    if not count <= _MAX_NODES:
-        raise ProjectionError(f"level {level} needs {count:.3g} {what} on this "
-                              f"window, more than {_MAX_NODES}")
+    modulus = scaling_modulus(pk.ws.bell, eta.points()).reshape(
+        (-1,) + (1,) * (np.ndim(values) - 1))
+    g = _weighted_transform(grid, values, zeta)[::-1]
+    g *= modulus  # in place: the transform is a fresh array
+    qhat = g.copy()
+    qhat[:-L] += g[L:]
+    qhat[L:] += g[:-L]
+    qhat *= modulus
+    return zeta, qhat
 
 
 def _weighted_transform(grid: Grid1D, values: np.ndarray, zeta: Grid1D) -> np.ndarray:
@@ -254,7 +246,7 @@ def project(pk: ProjectionKernel, f: SampledFunction) -> SampledFunction:
     _warn_boundary_mass(f)
     out = f.values
     for grid in f.grids:  # each pass moves its axis last, so d passes restore the order
-        out = np.moveaxis(_on_grid(*_project_1d(pk, grid, out)[2:], grid), 0, -1)
+        out = np.moveaxis(_on_grid(*_project_1d(pk, grid, out), grid), 0, -1)
     return SampledFunction(f.grid, out)
 
 
@@ -400,7 +392,7 @@ def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
     rows = []
     for m in levels:
         pk = build_kernel(ws, level=m, dimension=1)
-        zeta, qhat = _project_1d(pk, grid, f.values, probes)[2:]
+        zeta, qhat = _project_1d(pk, grid, f.values, probes)
         sup_err = float(np.max(np.abs(_on_grid(zeta, qhat, grid) - f.values)))
         # derivatives of q_m f are (i zeta)^beta factors on its spectrum
         spectra = qhat[:, None] * (1j * zeta.points()[:, None]) ** orders

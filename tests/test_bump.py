@@ -50,6 +50,10 @@ class TestCumulative:
     def test_midpoint_is_half_mass(self, bump):
         assert abs(bump.cumulative(0.0) - TARGET_INTEGRAL / 2) < 1e-15
 
+    def test_nan_stays_nan(self, bump):
+        got = bump.cumulative(np.array([np.nan, 0.0]))
+        assert np.isnan(got[0]) and got[1] == TARGET_INTEGRAL / 2
+
     @given(x=st.floats(min_value=-1.0, max_value=1.0,
                        allow_nan=False, allow_infinity=False))
     @settings(max_examples=100, deadline=None)

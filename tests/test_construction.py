@@ -13,8 +13,9 @@ from subexp_wavelets.construction import (_CENTER_SHIFT, _TABLE_BAND_POINTS,
 
 SQRT_HALF = np.sqrt(2.0) / 2.0
 
-# regression anchors from the frozen reference build (a = 1.0, rho2 = 2.0)
-PSI_AT_ZERO = -0.7383702292379513
+# psi(0) of the reference build (a = 1.0, rho2 = 2.0) as benchmarks/oracle.py
+# computes it from the closed-form bump by adaptive quadrature, no tables
+PSI_AT_ZERO = -0.7383702282176404
 
 
 class TestBell:
@@ -94,6 +95,17 @@ class TestSpectra:
 class TestEvaluation:
     def test_value_at_origin_regression(self, ws):
         assert abs(ws.evaluate_psi(0.0).real[0] - PSI_AT_ZERO) < 1e-11
+
+    def test_phi_has_no_far_echo(self, ws):
+        # a linearly interpolated bump primitive has kinks at its knot
+        # spacing h, which echo in phi near |x| = 2 pi / h = 51,472
+        # (1.5e-10); the C^1 primitive leaves about 3e-14 there
+        eta = sw.Grid1D.from_interval(-4 * np.pi / 3, 4 * np.pi / 3, 2_000_001)
+        band = (eta.origin, eta.last)
+        spec = sw.SpectrumOnBand(band=band, grid=eta, declared_support=(band,),
+                                 values=ws.phi_hat_fn(eta.points()))
+        x = np.linspace(51_400.0, 51_550.0, 301)
+        assert np.max(np.abs(sw.synthesize_values(spec, x))) < 1e-12
 
     def test_realness(self, ws):
         x = np.linspace(-17.0, 17.0, 401)

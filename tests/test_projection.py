@@ -146,6 +146,17 @@ class TestProjection:
             with pytest.raises(ProjectionError, match="shifts"):
                 sw.project(sw.build_kernel(ws, level=2000), gaussian_samples)
 
+    def test_two_chirp_passes_per_axis(self, ws, monkeypatch):
+        # one forward transform and one synthesis onto the grid per axis
+        from subexp_wavelets.testfuncs import sample_2d
+        chirp, calls = numerics.chirp_synthesis, []
+        monkeypatch.setattr(numerics, "chirp_synthesis",
+                            lambda *args: calls.append(args) or chirp(*args))
+        g = sw.Grid1D.from_interval(-8.0, 8.0, 129)
+        sw.project(sw.build_kernel(ws, level=1, dimension=2),
+                   sample_2d(gaussian(), gaussian(0.4, 1.2), g, g))
+        assert len(calls) == 4
+
     def test_kernel_and_samples_must_share_dimension(self, ws, gaussian_samples):
         with pytest.raises(ProjectionError, match="dimension"):
             sw.project(sw.build_kernel(ws, dimension=2), gaussian_samples)
@@ -220,10 +231,12 @@ def _as_spectrum(zeta, qhat):
 
 
 class TestChirpRoute:
-    """The eta-node route of ``_project_1d`` against spline atom blocks.
+    """The multiplier route of ``_project_1d`` against spline atom blocks.
 
     On the session's MRA grid every ``2^m x_j - k`` is a node of the phi
-    table, so ``atom_values`` reads exact table values there.
+    table, so ``atom_values`` reads exact table values there.  The oracle is
+    ``sum_k <f, phi_{m,k}> phi_{m,k}`` over the shifts within the truncation
+    radius of the window, the coefficients ``A @ fw`` of the atom block ``A``.
     """
 
     GRID = sw.Grid1D.from_interval(-40.0, 40.0, 5121)
@@ -242,55 +255,86 @@ class TestChirpRoute:
             out[m] = projection._project_1d(pk, self.GRID, f.values, probes)
         return probes, out
 
+    def _atom_coefficients(self, ws, m, values):
+        """(ks, A @ fw) over the shifts within the truncation radius of the
+        window, in blocks of 512 rows (a full block at m = 6 is 27 million
+        spline reads)."""
+        K = sw.build_kernel(ws).truncation_radius
+        ks = np.arange(np.floor(2.0 ** m * self.GRID.origin) - K,
+                       np.ceil(2.0 ** m * self.GRID.last) + K + 1)
+        x = self.GRID.points()
+        fw = values * self.GRID.trapezoid_weights()
+        coeffs = np.concatenate([ws.atom_values(0, m, block[:, None], x) @ fw
+                                 for block in np.array_split(ks, -(-ks.size // 512))])
+        return ks, coeffs
+
+    @pytest.fixture(scope="class")
+    def oracle(self, ws, f):
+        return {m: self._atom_coefficients(ws, m, f.values) for m in self.LEVELS}
+
     def test_weighted_transform_matches_direct_sum(self, f, routes):
         # relative to sum |w_j f_j|, the bound on |F|
         scale = np.sum(np.abs(f.values) * self.GRID.trapezoid_weights())
         rng = np.random.default_rng(7)
         _, out = routes
         for m in self.LEVELS:
-            zeta = out[m][2]
+            zeta = out[m][0]
             idx = rng.choice(zeta.count, 200)
             got = projection._weighted_transform(self.GRID, f.values, zeta)[idx]
             want = sw.forward_transform_values(f, -zeta.points()[idx])
             assert np.max(np.abs(got - want)) < 1e-12 * scale
 
-    def test_coefficients_and_projection_match_atom_blocks(self, ws, f, routes):
-        # every 8th shift against the weighted samples, and every 8th grid
-        # point against the sum over all shifts: a full block at m = 6 is
-        # 27 million spline reads
-        x = self.GRID.points()
-        fw = f.values * self.GRID.trapezoid_weights()
+    def test_coefficients_and_projection_match_atom_blocks(self, ws, routes, oracle):
+        # every 8th grid point against the sum over all shifts
+        x = self.GRID.points()[::8]
         _, out = routes
         for m in self.LEVELS:
-            ks, coeffs, zeta, qhat = out[m]
-            want = ws.atom_values(0, m, ks[::8, None], x) @ fw
-            assert np.max(np.abs(coeffs[::8] - want)) < 1e-11
-            got = projection._on_grid(zeta, qhat, self.GRID)
-            want = coeffs @ ws.atom_values(0, m, ks[:, None], x[::8])
-            assert np.max(np.abs(got[::8] - want)) < 1e-11
+            ks, coeffs = oracle[m]
+            got = projection._on_grid(*out[m], self.GRID)[::8]
+            want = coeffs @ ws.atom_values(0, m, ks[:, None], x)
+            assert np.max(np.abs(got - want)) < 1e-11
 
-    def test_edge_mass_coefficients_stay_at_the_echo_floor(self, ws):
-        # phi_hat_fn interpolates the bump primitive linearly, so phi has
-        # echoes of about 1.5e-10 near |x| = 51,472 (2 pi over the knot
-        # spacing).  The eta nodes fold them back onto the reads: mass at
-        # the window edges meets them (2.7e-11 here), a centred input does
-        # not (1e-13 in the tests above)
+    def test_edge_mass_projection_matches_atom_blocks(self, ws):
+        # the eta nodes alias phi from far out onto the reads, and mass at
+        # the window edges meets it: the echo of a linearly interpolated bump
+        # primitive (1.5e-10 near |x| = 51,472) gives 4.1e-12 here, the C^1
+        # primitive 4.1e-13
         x = self.GRID.points()
         f = gaussian(37.0)(x) + gaussian(-36.5, 0.8)(x)
-        ks, coeffs = projection._project_1d(sw.build_kernel(ws), self.GRID, f)[:2]
-        want = ws.atom_values(0, 0, ks[:, None], x) @ (f * self.GRID.trapezoid_weights())
-        assert np.max(np.abs(coeffs - want)) < 1e-10
+        got = projection._on_grid(*projection._project_1d(sw.build_kernel(ws),
+                                                          self.GRID, f), self.GRID)
+        ks, coeffs = self._atom_coefficients(ws, 0, f)
+        want = coeffs @ ws.atom_values(0, 0, ks[:, None], x)
+        assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_spectrum_derivatives_match_atom_sums(self, ws, routes):
+    def test_spectrum_derivatives_match_atom_sums(self, ws, routes, oracle):
         # scaled by 2^(m order), the size of an atom's order-th derivative
         probes, out = routes
         for m in self.LEVELS:
-            ks, coeffs, zeta, qhat = out[m]
-            spec = _as_spectrum(zeta, qhat)
+            ks, coeffs = oracle[m]
+            spec = _as_spectrum(*out[m])
             for order in range(3):
                 got = numerics.synthesize_values(spec, probes, order)
                 want = coeffs @ ws.atom_values(0, m, ks[:, None], probes, order)
                 assert np.max(np.abs(got - want)) < 1e-10 * 2.0 ** (m * order)
+
+    def test_low_band_is_reproduced(self, ws, f, routes):
+        # V_m contains every function band-limited to 2^m 2 pi / 3, and
+        # (q_m f)^ vanishes beyond 2^m 4 pi / 3.  Every low-band node against
+        # the direct sum, to the rounding of the chirp's phases, which reach
+        # the grid extent times the band (1.5e-12 of sum |w f| at m = 6)
+        scale = np.sum(np.abs(f.values) * self.GRID.trapezoid_weights())
+        _, out = routes
+        for m in self.LEVELS:
+            zeta, qhat = out[m]
+            nodes = zeta.points()
+            band = 2.0 ** m * 4 * np.pi / 3
+            assert qhat[0] == qhat[-1] == 0  # the nodes cover the band
+            low = np.abs(nodes) <= band / 2
+            want = sw.forward_transform_values(f, nodes[low])
+            rounding = np.finfo(float).eps * self.GRID.extent * band
+            assert np.max(np.abs(qhat[low] - want)) < rounding * scale
+            assert np.all(qhat[np.abs(nodes) >= band] == 0)
 
     def test_seminorm_column_matches_direct_sums(self, ws, f):
         # one chirp-z pass over all orders against one direct sum per order
@@ -301,7 +345,7 @@ class TestChirpRoute:
         for m, row in zip(self.LEVELS, rows):
             pk = sw.build_kernel(ws, level=m)
             spec = _as_spectrum(*projection._project_1d(pk, self.GRID, f.values,
-                                                        probes)[2:])
+                                                        probes))
             derivatives = [numerics.synthesize_values(spec, probes, beta)
                            for beta in range(params.max_beta + 1)]
             want = sw.seminorm_estimate(derivatives, params, probes)
