@@ -118,7 +118,7 @@ class WaveletSystem:
         self.certificates = certificates if certificates is not None else {}
         self._tables: dict = {}
         self._wide: dict = {}
-        self._fits: dict = {}  # fits read off the tables (projection's phi envelope)
+        self._fits: dict = {}  # values read off the tables (projection._phi_tail)
         self._rows: dict = {}  # grid_row's rows, least recently used first
 
     # -- basic geometry ----------------------------------------------------

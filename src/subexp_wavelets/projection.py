@@ -8,7 +8,9 @@ Fourier side: phi_hat vanishes outside |eta| <= 4 pi / 3, so q_m is a
 q_m f comes out as its spectrum, one ``chirp_synthesis`` from the samples,
 which ``_on_grid`` sums onto a uniform grid by one more: the samples, and
 the seminorm's derivatives of every order on uniform probes in one pass.
-No spline table is read on this route.  ``project_at`` integrates against
+No spline table is read on this route: its alias margin, like the kernel's
+truncation radius and tail bound, comes from the running sup of |phi| on
+the wide table (``_phi_tail``).  ``project_at`` integrates against
 the kernel itself, a lattice sum over the spline of the phi table, and is
 the independent route for spot checks.
 
@@ -35,13 +37,12 @@ from .numerics import Grid1D, SampledFunction
 logger = logging.getLogger(__name__)
 
 _TAIL_TARGET = 1e-12
-# Fitted |phi| envelope at the alias distance of the eta nodes.  The fit is
-# made on [5, 40] and reads low farther out: where it gives 1e-14 (x = 306)
-# |phi| is 1.7e-12, and where it gives 1e-16 (x = 406) |phi| is below 1e-13.
-_ALIAS_TARGET = 1e-16
+# |phi| at the alias distance of the eta nodes, above the wide table's floor
+# of about 1e-14
+_ALIAS_TARGET = 1e-13
 # Most shifts a window may span at one level of _project_1d, and most eta
 # nodes it may take; each node costs a few complex FFT entries.  Level 13 on
-# [-40, 40] spans 655,360 shifts, takes 874,357 nodes and peaks near 85 MB;
+# [-40, 40] spans 655,360 shifts, takes 874,337 nodes and peaks near 85 MB;
 # level 14 would need twice that.
 _MAX_NODES = 2 ** 20
 BOUNDARY_MASS_WARN = 1e-8
@@ -51,42 +52,28 @@ class ProjectionError(ValueError):
     pass
 
 
-def _phi_envelope(ws: WaveletSystem) -> tuple[DecayFit, int, float]:
-    """(fit, K, tail): the subexponential envelope of |phi| on [5, 40], exponent
-    fixed at 1/rho2, and the default truncation ``_default_truncation`` takes
-    from it.
+def _phi_tail(ws: WaveletSystem) -> tuple[np.ndarray, int, float]:
+    """(tails, K, margin) from ``S(r) = sup_{|t| >= r} |phi(t)|`` on the wide table.
 
-    Both read only the phi table and rho2, so they are computed once per
-    system and kept beside its tables.
+    ``tails[K] = 2 sum_{j >= K} S(j)^2`` bounds the lattice terms a kernel of
+    radius K drops: the n-th dropped shift on each side lies at distance
+    >= K + n - 1 from either point, so by Cauchy-Schwarz the dropped sum is
+    at most ``tails[K]``.  K is the first radius with ``tails[K] <
+    _TAIL_TARGET``, and ``margin`` the first r with ``S(r) < _ALIAS_TARGET``.
+    All three read only the phi table, so they are computed once per system
+    and kept beside its tables.
     """
-    if "phi_envelope" not in ws._fits:
-        grid, vals = ws.dense_table("phi")
-        x = grid.points()
-        sel = (x >= 5.0) & (x <= 40.0)
-        samples = np.column_stack([x[sel], np.abs(vals[sel])])
-        fit = metrics.subexp_decay_fit(samples, "fixed", rho=ws.rho2)
-        ws._fits["phi_envelope"] = (fit, *_default_truncation(fit))
-    return ws._fits["phi_envelope"]
-
-
-def _lattice_tail(fit: DecayFit, K: int) -> float:
-    """Envelope-squared estimate of the lattice terms dropped beyond radius K."""
-    j = np.arange(K + 1, K + 400, dtype=float)
-    term = (fit.amplitude_C * np.exp(-fit.rate_c * j ** fit.exponent)) ** 2
-    return 2.0 * float(np.sum(term))
-
-
-def _default_truncation(fit: DecayFit) -> tuple[int, float]:
-    """Smallest K whose lattice-tail estimate drops below 1e-12.
-
-    Each dropped term is a product of two phi factors at distance > K from
-    their centers, so the tail is summed with the envelope squared.
-    """
-    for K in range(4, int(TABLE_HALF)):
-        tail = _lattice_tail(fit, K)
-        if tail < _TAIL_TARGET:
-            return K, tail
-    raise ProjectionError("no truncation radius reaches the tail target")
+    if "phi_tail" not in ws._fits:
+        grid, vals = ws.wide_table("phi")
+        mid = grid.count // 2  # t = 0
+        folded = np.maximum(np.abs(vals[mid:]), np.abs(vals[mid::-1]))
+        sup = np.maximum.accumulate(folded[::-1])[::-1]  # S at t = i spacing
+        tails = 2.0 * np.cumsum(sup[::round(1.0 / grid.spacing)][::-1] ** 2)[::-1]
+        if not (tails[-1] < _TAIL_TARGET and sup[-1] < _ALIAS_TARGET):
+            raise ProjectionError("the phi table's tail stays above its targets")
+        ws._fits["phi_tail"] = (tails, int(np.argmax(tails < _TAIL_TARGET)),
+                                float(np.argmax(sup < _ALIAS_TARGET) * grid.spacing))
+    return ws._fits["phi_tail"]
 
 
 @dataclass(frozen=True)
@@ -95,20 +82,28 @@ class ProjectionKernel:
     level: int
     truncation_radius: int
     dimension: int
-    tail_bound: float
 
     def __post_init__(self):
         if not (isinstance(self.dimension, (int, np.integer)) and self.dimension >= 1):
             raise ProjectionError("dimension must be an integer >= 1")
+        K = self.truncation_radius
+        if not (isinstance(K, (int, np.integer)) and 0 <= K <= TABLE_HALF):
+            raise ProjectionError(f"truncation radius must be an integer in "
+                                  f"[0, {TABLE_HALF:g}]")
+
+    @property
+    def tail_bound(self) -> float:
+        """Bound on the lattice terms dropped at ``truncation_radius``
+        (``_phi_tail``)."""
+        return float(_phi_tail(self.ws)[0][self.truncation_radius])
 
 
 def build_kernel(ws: WaveletSystem, level: int = 0, dimension: int = 1,
                  truncation_radius: int | None = None) -> ProjectionKernel:
-    fit, K, tail = _phi_envelope(ws)
-    if truncation_radius is not None:
-        K, tail = truncation_radius, _lattice_tail(fit, truncation_radius)
-    return ProjectionKernel(ws=ws, level=level, truncation_radius=K,
-                            dimension=dimension, tail_bound=tail)
+    if truncation_radius is None:
+        truncation_radius = _phi_tail(ws)[1]
+    return ProjectionKernel(ws=ws, level=level, truncation_radius=truncation_radius,
+                            dimension=dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +173,8 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
     q_m f at ``x + r L / 2^m``, r != 0.  ``L`` is therefore the first
     integer above ``span + margin``: ``span`` bounds ``2^m |x - x_j|`` over
     x on the grid and at ``probes`` and ``x_j`` on the grid, and ``margin``
-    is where the fitted |phi| envelope drops below ``_ALIAS_TARGET``.
+    is where the running sup of |phi| drops below ``_ALIAS_TARGET``
+    (``_phi_tail``).
     Trailing axes of ``values`` are carried along, so a 2-D array is
     projected along its first axis in one pass.  A level whose window spans
     more than ``_MAX_NODES`` shifts, or that needs more eta nodes, raises
@@ -193,9 +189,7 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
         raise ProjectionError("window too small for level shifts")
     reach = np.concatenate([[grid.origin, grid.last], np.ravel(probes)])
     span = np.ldexp(max(reach.max() - grid.origin, grid.last - reach.min()), m)
-    fit = _phi_envelope(pk.ws)[0]
-    margin = (np.log(fit.amplitude_C / _ALIAS_TARGET) / fit.rate_c) ** (1.0 / fit.exponent)
-    L = np.ceil(span + margin)
+    L = np.ceil(span + _phi_tail(pk.ws)[2])
     half = np.ceil(2.0 * L / 3.0)  # spacings from 0 to the band end 4 pi / 3
     if not 2 * half + 1 <= _MAX_NODES:
         raise ProjectionError(f"level {m} needs {2 * half + 1:.3g} eta nodes on "

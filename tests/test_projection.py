@@ -27,8 +27,28 @@ def gaussian_samples():
 
 class TestKernelConstruction:
     def test_truncation_radius_regression(self, pk):
-        assert pk.truncation_radius == 57
+        assert pk.truncation_radius == 66
         assert pk.tail_bound < 1e-12
+
+    def test_tail_bound_covers_dropped_terms(self, ws, pk):
+        x = np.arange(64) / 64.0
+        full = sw.build_kernel(ws, truncation_radius=200)
+        dropped = (projection._kernel_eval_1d(pk, x, x)
+                   - projection._kernel_eval_1d(full, x, x))
+        assert np.max(np.abs(dropped)) <= pk.tail_bound
+
+    def test_heavier_tail_raises_radius_and_margin(self, ws):
+        grid, vals = ws.wide_table("phi")
+        tampered = np.where(np.abs(grid.points()) > 40.0, 10.0 * vals, vals)
+        heavy = SimpleNamespace(_fits={}, wide_table=lambda which: (grid, tampered))
+        _, K, margin = projection._phi_tail(ws)
+        _, heavy_K, heavy_margin = projection._phi_tail(heavy)
+        assert heavy_K > K and heavy_margin > margin
+        assert sw.build_kernel(heavy).truncation_radius == heavy_K
+        flat = SimpleNamespace(_fits={},
+                               wide_table=lambda which: (grid, np.ones_like(vals)))
+        with pytest.raises(ProjectionError, match="tail stays above"):
+            projection._phi_tail(flat)
 
     def test_explicit_radius_respected(self, ws):
         pk = sw.build_kernel(ws, truncation_radius=30)
@@ -38,6 +58,11 @@ class TestKernelConstruction:
     def test_dimension_validated(self, ws):
         with pytest.raises(ProjectionError):
             sw.build_kernel(ws, dimension=0)
+
+    @pytest.mark.parametrize("radius", [-3, 2.5, 30.0, TABLE_HALF + 1, "30"])
+    def test_truncation_radius_validated(self, ws, radius):
+        with pytest.raises(ProjectionError, match="truncation radius"):
+            sw.build_kernel(ws, truncation_radius=radius)
 
 
 class TestKernelEvaluation:
@@ -426,21 +451,25 @@ class TestConvergenceExperiment:
             want = np.max(weight * np.abs(qf.values[grid.index_of(x)]))
             assert abs(row["seminorm"] - want) <= 1e-12 * want
 
-    def test_phi_envelope_fitted_once_per_system(self, ws, gaussian_samples,
-                                                 monkeypatch):
-        fresh = sw.build_wavelet_system(1.0, 2.0)
-        fit = projection.metrics.subexp_decay_fit
-        calls = []
+    def test_phi_tail_measured_once_per_system(self, ws, gaussian_samples,
+                                                monkeypatch):
+        fresh = sw.WaveletSystem.from_json_dict(ws.to_json_dict())
+        reads = []
+        wide_table = fresh.wide_table
+        monkeypatch.setattr(fresh, "wide_table",
+                            lambda which: reads.append(which) or wide_table(which))
         monkeypatch.setattr(projection.metrics, "subexp_decay_fit",
-                            lambda *a, **k: calls.append(a) or fit(*a, **k))
+                            lambda *a, **k: pytest.fail("decay fit"))
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
         rows = sw.mra_convergence_experiment(fresh, gaussian_samples, (0, 1, 2),
                                              params)
         pk = sw.build_kernel(fresh, level=3)
-        assert len(calls) == 1
+        sw.project(pk, gaussian_samples)
+        assert fresh._tables == {}  # no spline table on the projection route
+        assert reads == ["phi"]
         assert rows == sw.mra_convergence_experiment(ws, gaussian_samples,
                                                      (0, 1, 2), params)
-        assert pk.truncation_radius == 57
+        assert pk.truncation_radius == 66
 
     def test_csv_export(self, ws, gaussian_samples, tmp_path):
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
