@@ -103,12 +103,19 @@ def build_bump(a: float, rho: float) -> GevreyBump:
                       _cumtable=cumtable, _slopes=slopes)
 
 
-def stencil_derivative(f, n: int, x: np.ndarray, h: float) -> np.ndarray:
-    """Central binomial stencil f^(n)(x) ~ h^-n sum_k (-1)^k C(n,k) f(x + (n/2-k)h)."""
+def stencil(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, coeff) of the central binomial stencil of order n and step h:
+    f^(n)(x) ~ h^-n sum_k coeff_k f(x + offsets_k), coeff_k = (-1)^k C(n,k),
+    offsets_k = (n/2 - k) h."""
     ks = np.arange(n + 1)
     coeff = (-1.0) ** ks * np.exp(
         lgamma(n + 1) - np.array([lgamma(k + 1) + lgamma(n - k + 1) for k in ks]))
-    offsets = (n / 2.0 - ks) * h
+    return (n / 2.0 - ks) * h, coeff
+
+
+def stencil_derivative(f, n: int, x: np.ndarray, h: float) -> np.ndarray:
+    """Central binomial stencil f^(n)(x) ~ h^-n sum_k (-1)^k C(n,k) f(x + (n/2-k)h)."""
+    offsets, coeff = stencil(n, h)
     vals = f(x[:, None] + offsets[None, :])
     return (vals @ coeff) / h ** n
 

@@ -18,7 +18,8 @@ scattered points use the baby-step/giant-step direct sum
 ``numerics.synthesize_values``.  For the many-evaluation call sites (atoms,
 kernels) the system carries lazily built dense tables read by the natural
 cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11, and keeps the
-atom rows that expansion reads on uniform grids (``WaveletSystem.grid_row``).
+atom rows read on uniform grids (``WaveletSystem.grid_row``): the blocks of
+expansion and of two build certificates are windows of them (``_axis_block``).
 
 Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
@@ -32,9 +33,10 @@ import json
 from math import lgamma
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics
-from .bump import GevreyBump, build_bump, stencil_derivative
+from .bump import GevreyBump, build_bump, stencil
 from .numerics import Grid1D, NaturalSpline, SampledFunction, SpectrumOnBand
 
 SCHEMA_TAG = "dhws-v1"
@@ -57,7 +59,8 @@ MAX_SAMPLES = 2 ** 20
 # the even cosine profile of the modulus, read at x + shift
 _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
 # bytes of atom rows a system keeps (``WaveletSystem.grid_row``); the (6, 32)
-# window on expand's 20,481-point grid takes 10.5 MB
+# window on expand's 20,481-point grid takes 10.5 MB, and the two-scale and
+# low-pass certificates about 0.6 MB
 _ROW_CACHE_BYTES = 32 * 2 ** 20
 
 
@@ -310,6 +313,37 @@ def _dilated(f, m: int, n, x, order: int) -> np.ndarray:
     return (2.0 ** (m * (0.5 + order))) * f(np.ldexp(x, m) - n)
 
 
+def _window_stride(m: int, axis) -> int | None:
+    """Samples s = 2^-m / h between the scale-m shifts on a ``Grid1D`` axis,
+    when that is a whole number below the count; else None."""
+    if isinstance(axis, Grid1D):
+        s = np.ldexp(1.0, -m) / axis.spacing
+        if s.is_integer() and s < axis.count:
+            return int(s)
+    return None
+
+
+def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis,
+                order: int = 0) -> np.ndarray:
+    """Rows ``k`` = shift ``-N + k`` of one axis's scale-m atom factor.
+
+    On a ``Grid1D`` of spacing h, shift n moves the atom by n s samples,
+    s = 2^-m / h.  When s is a whole number below the count the rows overlap:
+    every row is a window of one row evaluated on the grid extended by N s
+    samples at each end (``WaveletSystem.grid_row``, which keeps it), and the
+    block is a read-only strided view of it: row k starts at sample
+    ``(2N - k) s`` of the kept row.  Scattered points, and grids with any
+    other s, evaluate each shift.
+    """
+    s = _window_stride(m, axis)
+    if s is not None:
+        row = ws.grid_row(bit, m, axis, N * s, order)
+        return sliding_window_view(row, axis.count)[2 * N * s::-s]
+    if isinstance(axis, Grid1D):
+        axis = axis.points()
+    return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], axis, order)
+
+
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
@@ -378,8 +412,8 @@ def _lattice_deviation(sq_modulus) -> float:
     """max |sum_{|k| <= 2} sq_modulus(xi + 2 pi k) - 1| over 512 probes of [-pi, pi]."""
     xi = np.linspace(-np.pi, np.pi, 512)
     total = np.zeros_like(xi)
-    for k in range(-2, 3):
-        total += sq_modulus(xi + 2 * np.pi * k)
+    for shifted in sq_modulus(xi + 2 * np.pi * np.arange(-2, 3)[:, None]):
+        total += shifted  # in the order k = -2..2
     return float(np.max(np.abs(total - 1.0)))
 
 
@@ -391,10 +425,13 @@ def two_scale_gram(atom, grid: Grid1D, m_range=(-1, 0, 1),
     column of shifts ``ns``.
     """
     x = grid.points()
-    w = grid.trapezoid_weights()
     ns = np.array(list(n_range))
-    A = np.vstack([atom(m, ns[:, None], x) for m in m_range])
-    return (A * w) @ A.T
+    return _gram(np.vstack([atom(m, ns[:, None], x) for m in m_range]), grid)
+
+
+def _gram(A: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Trapezoid Gram matrix on ``grid`` of the rows of ``A``."""
+    return (A * grid.trapezoid_weights()) @ A.T
 
 
 def _gram_check(G: np.ndarray, tol: float) -> dict:
@@ -417,23 +454,30 @@ def _shift_orthonormality(modulus, tol: float = 1e-10) -> dict:
 
 
 def _two_scale_check(ws: WaveletSystem, tol: float = 1e-7) -> dict:
+    """``two_scale_gram`` of psi at m = -1, 0, 1 and n = -3..3 on [-80, 80] at
+    spacing 1/64: each scale's 7 atoms are windows of one kept row."""
     grid = Grid1D.from_interval(-80.0, 80.0, 2 * 80 * 64 + 1)
-    return _gram_check(two_scale_gram(
-        lambda m, ns, x: ws.atom_values(1, m, ns, x), grid), tol)
+    A = np.vstack([_axis_block(ws, 1, m, 3, grid) for m in (-1, 0, 1)])
+    return _gram_check(_gram(A, grid), tol)
 
 
 def spectral_moments(ws: WaveletSystem, k_max: int = 10) -> np.ndarray:
     """Moments via the transform-side identity: int x^k psi = i^k psi_hat^(k)(0).
 
     The k-th derivative at 0 is taken by the central binomial stencil
-    ``bump.stencil_derivative`` (step 0.02) on the analytic spectrum.  The
+    ``bump.stencil`` (step 0.02) on the analytic spectrum.  The
     stencil footprint (k/2 * step <= 0.1) sits deep inside the spectral dead
     zone around the origin, where the bell is a literal zero, so this also
     exercises the exact-support bookkeeping.
     """
-    origin, step = np.zeros(1), 0.02
-    return np.array([(1j) ** k * stencil_derivative(ws.psi_hat_fn, k, origin, step)[0]
-                     for k in range(k_max + 1)])
+    step = 0.02
+    stencils = [stencil(k, step) for k in range(k_max + 1)]
+    # one spectrum call for every stencil point, split back per order
+    vals = ws.psi_hat_fn(np.concatenate([offsets for offsets, _ in stencils]))
+    per_order = np.split(vals, np.cumsum(np.arange(1, k_max + 1)))  # k + 1 each
+    # each order's (1, k + 1) row times its weights, as stencil_derivative sums
+    return np.array([(1j) ** k * (v[None, :] @ coeff)[0] / step ** k
+                     for k, (v, (_, coeff)) in enumerate(zip(per_order, stencils))])
 
 
 def _moment_check(ws: WaveletSystem, k_max: int = 10, base_tol: float = 1e-7,
@@ -465,11 +509,15 @@ def _realness_check(ws: WaveletSystem, tol: float = 1e-10) -> dict:
 
 
 def _scaling_lowpass_check(ws: WaveletSystem, tol: float = 1e-8) -> dict:
+    """sum_n phi(x - n), n = -250..250, at the 64 probes x = i / 64 of [0, 1).
+
+    phi on the lattice t = -250 + r + i / 64 is one kept row (``grid_row``),
+    so its (501, 64) reshape holds phi(x_i - n) at r = 250 - n.
+    """
     phi0 = abs(complex(ws.phi_hat_fn(0.0)))
-    phi = ws.interpolator("phi")
-    probes = np.linspace(0.0, 1.0, 64, endpoint=False)
-    ns = np.arange(-250, 251)
-    sums = phi(probes[:, None] - ns[None, :]).sum(axis=1)
+    row = ws.grid_row(0, 0, Grid1D(-250.0, 1.0 / 64, 501 * 64), 0)
+    # rows by n ascending, each probe's terms contiguous, as the sum reads them
+    sums = np.ascontiguousarray(row.reshape(501, 64)[::-1].T).sum(axis=1)
     dev = float(np.max(np.abs(sums - 1.0)))
     ok = abs(phi0 - 1.0) < 1e-14 and dev < tol
     return {"pass": ok, "phi_hat_at_zero": phi0, "max_partition_deviation": dev,

@@ -11,22 +11,25 @@ so ``analyze`` rejects a window whose top scale M reaches it
 Every coefficient, of a sampled function on one grid per axis or of a
 dual representative (point masses or a density, with derivatives moved onto
 the atom), comes from one loop, ``_analysis``, into one window-shaped array:
-per pattern and scale, one ``WaveletSystem.atom_values`` block per axis fills
-a slot.  ``synthesize_partial`` reads the slots through the same blocks.
-This is direct quadrature; there is no filter-bank fast transform here.  On
-a uniform grid whose shift step is a whole number of samples (every scale
+per pattern and scale, one atom block per axis fills a slot.
+``synthesize_partial`` reads the slots through the same blocks.  This is
+direct quadrature; there is no filter-bank fast transform here.  On a uniform
+grid whose shift step is a whole number of samples s (every scale
 ``analyze`` allows on the dyadic grid of ``expand``), a block costs one
-spline row per scale instead of one per shift (``_axis_block``).
+spline row per scale instead of one per shift: its rows are windows of one
+row, kept by the system (``construction._axis_block``, ``grid_row``).  The
+(6, 32) window on expand's 20,481-point grid keeps 10.5 MB; a replaced or
+wrapped evaluator misses the kept rows.
 
-The system keeps each such row (``WaveletSystem.grid_row``), read-only,
-under its evaluator (the object ``interpolator`` returns), scale, derivative
-order, grid and pad ``N s``: the analyses and the partial sum of one
-``expand`` evaluate it once, and the (6, 32) window on its 20,481-point grid
-keeps 10.5 MB.  Past 32 MB the least recently used rows are dropped.  A
-replaced or wrapped evaluator is a different key, so it misses the kept
-rows.  The blocks are real and the samples complex; the two parts of the
-samples meet each block as the last axis of one real array, and no block is
-copied to complex.
+Such a windowed block is not itself a BLAS operand (its rows overlap), so
+one pair of window kernels multiplies with it: ``_window_apply`` (analysis)
+and its exact transpose ``_window_transpose`` (partial sums).  With few
+phases of s columns, each phase of the reversed block is a contiguous
+matrix of the kept row and one BLAS product; otherwise each shift is one
+dot or axpy over the samples where the atom can be nonzero, which the dense
+table's range fixes.  The blocks are real and the samples complex; the two
+parts of the samples meet each block as the last axis of one real array,
+and no block is copied to complex.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics
-from .construction import PSI_BAND, WaveletSystem
+from .construction import (PSI_BAND, TABLE_HALF, WaveletSystem, _axis_block,
+                           _window_stride)
 from .numerics import Grid1D, NaturalSpline, SampledFunction
 
 
@@ -79,6 +82,9 @@ class IndexWindow:
     d: int = 1
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.M, self.N, self.d)):
+            raise ExpansionError(f"window sizes must be integers: M={self.M!r}, "
+                                 f"N={self.N!r}, d={self.d!r}")
         if self.M < 0 or self.N < 0 or self.d < 1:
             raise ExpansionError("window must be nonempty")
 
@@ -154,38 +160,117 @@ def tensor_atom(ws: WaveletSystem, index: WaveletIndex, x) -> np.ndarray:
 # analysis / synthesis: one loop over (epsilon, m) atom blocks
 # ---------------------------------------------------------------------------
 
+# Phases per shift up to which the window kernels take one BLAS product per
+# phase: on expand's grid (K = 65) the phase products win at Q = 641 (scale 2)
+# and the per-shift products at Q = 1,281 (scale 3).
+_PHASES_PER_SHIFT = 16
+
+
 def _scale_blocks(ws: WaveletSystem, window: IndexWindow, axes, order: int):
     """(slot, blocks): slot (p, m + M) holds pattern p's scale-m shifts in an
-    array; blocks[i][k, j] is axis i's factor (derivative ``order``) at shift
-    ``-N + k`` and the axis's j-th point.
+    array; blocks[i] is (B, geometry), where B[k, j] is axis i's factor
+    (derivative ``order``) at shift ``-N + k`` and the axis's j-th point.
 
-    Each axis is a ``Grid1D`` or an array of points; see ``_axis_block``.
+    Each axis is a ``Grid1D`` or an array of points.  ``geometry`` is
+    ``(s, span)`` when B is a window of a kept row (``_axis_block``, whose
+    rows start s samples apart), for the window kernels; else None.
     """
     for p, eps in enumerate(window.patterns()):
         for m in range(-window.M, window.M + 1):
-            yield (p, m + window.M), [_axis_block(ws, e, m, window.N, axis, order)
+            yield (p, m + window.M), [(_axis_block(ws, e, m, window.N, axis, order),
+                                       _row_geometry(m, window.N, axis))
                                       for e, axis in zip(eps, axes)]
 
 
-def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis,
-                order: int) -> np.ndarray:
-    """Rows ``k`` = shift ``-N + k`` of one axis's scale-m atom factor.
+def _row_geometry(m: int, N: int, axis):
+    """(s, (a, b)) for a windowed scale-m block on ``axis``, else None.
 
-    On a ``Grid1D`` of spacing h, shift n moves the atom by n s samples,
-    s = 2^-m / h.  When s is a whole number below the count the rows overlap:
-    every row is a window of one row evaluated on the grid extended by N s
-    samples at each end (``WaveletSystem.grid_row``, which keeps it), and the
-    block is a read-only strided view of it.  Scattered points, and grids with
-    any other s, evaluate each shift.
+    Samples ``a <= i < b`` of the kept row (the grid extended by N s samples
+    at each end) are the only ones that can be nonzero: sample i sits at
+    ``2^m x = 2^m origin + (i - N s) / s``, and the dense table reads 0
+    beyond +-TABLE_HALF.  One sample more at each end absorbs rounding.
     """
-    if isinstance(axis, Grid1D):
-        s = np.ldexp(1.0, -m) / axis.spacing
-        if s.is_integer() and s < axis.count:
-            s = int(s)
-            row = ws.grid_row(bit, m, axis, N * s, order)
-            return sliding_window_view(row, axis.count)[2 * N * s::-s]
-        axis = axis.points()
-    return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], axis, order)
+    s = _window_stride(m, axis)
+    if s is None:
+        return None
+    centre = N * s - axis.origin / axis.spacing
+    return s, (max(int(np.floor(centre - TABLE_HALF * s)) - 1, 0),
+               min(int(np.ceil(centre + TABLE_HALF * s)) + 2, axis.count + 2 * N * s))
+
+
+def _phases(B: np.ndarray, s: int):
+    """(whole, tail) of a windowed block B (K, n) when it has few phases, else
+    None.
+
+    Reversed row i reads the kept row R from sample i s, so phase q (columns
+    q s to (q + 1) s) holds the K consecutive pieces ``R[(q + i) s:][:s]``: a
+    contiguous (K, s) matrix, one BLAS operand.  ``whole[q]`` is phase q for
+    the n // s whole phases, ``tail`` the last n % s columns (a (K, n % s)
+    view of stride s).  Few means Q = ceil(n / s) <= ``_PHASES_PER_SHIFT`` K.
+    """
+    K, n = B.shape
+    if -(-n // s) > _PHASES_PER_SHIFT * K:
+        return None
+    R, cut = B[::-1], n - n % s
+    return R[:, :cut].reshape(K, cut // s, s).transpose(1, 0, 2), R[:, cut:]
+
+
+def _shift_columns(B: np.ndarray, s: int, span):
+    """(k, lo, hi): the columns lo:hi of each row k of a windowed block where
+    the kept row can be nonzero (its samples ``span``, ``_row_geometry``)."""
+    K, n = B.shape
+    a, b = span
+    for k in range(K):
+        start = (K - 1 - k) * s  # row k reads the kept row from here
+        lo, hi = max(a - start, 0), min(b - start, n)
+        if lo < hi:
+            yield k, lo, hi
+
+
+def _window_apply(B: np.ndarray, s: int, span, F: np.ndarray) -> np.ndarray:
+    """c_k = sum_j B[k, j] F_j for a windowed block (``_scale_blocks``), so
+    ``c_k = sum_j R[(2N - k) s + j] F_j``; F is (n, columns).
+
+    With few phases, one BLAS product per phase (``_phases``), batched so
+    that no temporary outgrows F; otherwise one dot per shift over the
+    columns where the row can be nonzero (``_shift_columns``).
+    """
+    K, n = B.shape
+    phases = _phases(B, s)
+    if phases is None:
+        c = np.zeros((K, F.shape[1]))
+        for k, lo, hi in _shift_columns(B, s, span):
+            c[k] = B[k, lo:hi] @ F[lo:hi]
+        return c
+    whole, tail = phases
+    cut = whole.shape[0] * s
+    c = tail @ F[cut:]
+    parts = F[:cut].reshape(whole.shape[0], s, -1)
+    step = max(1, n // K)  # phases per batch: a (step, K, columns) result
+    for q in range(0, whole.shape[0], step):
+        c += np.matmul(whole[q:q + step], parts[q:q + step]).sum(axis=0)
+    return c[::-1]
+
+
+def _window_transpose(B: np.ndarray, s: int, span, C: np.ndarray) -> np.ndarray:
+    """out_j = sum_k C_k B[k, j] for C of shape (..., K): the exact transpose
+    of ``_window_apply``, in the same regime.  Each phase is one BLAS
+    product written into its own columns; or one axpy per shift."""
+    K, n = B.shape
+    C2 = C.reshape(-1, K)
+    out = np.zeros((C2.shape[0], n))
+    phases = _phases(B, s)
+    if phases is None:
+        for k, lo, hi in _shift_columns(B, s, span):
+            out[:, lo:hi] += C2[:, k, None] * B[k, lo:hi]
+    else:
+        whole, tail = phases
+        cut = whole.shape[0] * s
+        rev = C2[:, ::-1]  # shifts in the order of the reversed rows
+        np.matmul(rev, tail, out=out[:, cut:])
+        np.matmul(rev, whole, out=out[:, :cut].reshape(-1, whole.shape[0], s)
+                  .transpose(1, 0, 2))
+    return out.reshape(C.shape[:-1] + (n,))
 
 
 def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw, order: int):
@@ -198,15 +283,17 @@ def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw, order: int):
 
     The real blocks meet the real and imaginary parts of ``fw`` as the last
     axis of one real array, so no block is copied to complex.  The first
-    axis takes one dot per shift row: each row is contiguous in a windowed
-    block, which as a whole is not a BLAS operand.  Each further axis, moved
-    next to the last, is one batched product that puts its shifts last.
+    axis takes ``_window_apply`` on a windowed block and one dot per shift
+    row on any other.  Each further axis, moved next to the last, is one
+    batched product that puts its shifts last.
     """
     out = np.empty(window.shape, dtype=complex)
     F = np.stack([fw.real, fw.imag], -1).reshape(len(fw), -1)
-    for slot, B in _scale_blocks(ws, window, axes, order):
-        C = np.stack([row @ F for row in B[0]]).reshape((-1,) + fw.shape[1:] + (2,))
-        for b in B[1:]:
+    for slot, ((b0, geometry), *rest) in _scale_blocks(ws, window, axes, order):
+        C = (_window_apply(b0, *geometry, F) if geometry
+             else np.stack([row @ F for row in b0]))
+        C = C.reshape((-1,) + fw.shape[1:] + (2,))
+        for b, _ in rest:
             C = b @ np.moveaxis(C, 1, -2)
         out[slot] = (-1.0) ** order * C.view(complex)[..., 0]
     return out
@@ -253,10 +340,11 @@ def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
     if len(grids) != window.d:
         raise ExpansionError(f"{len(grids)} grids for a window of dimension {window.d}")
     out = np.zeros((2,) + tuple(g.count for g in grids))  # real, imaginary
-    for slot, B in _scale_blocks(ws, window, grids, 0):
+    for slot, blocks in _scale_blocks(ws, window, grids, 0):
         C = np.stack([coeffs.values[slot].real, coeffs.values[slot].imag])
-        for b in B:
-            C = np.moveaxis(C, 1, -1) @ b
+        for b, geometry in blocks:
+            C = np.moveaxis(C, 1, -1)
+            C = _window_transpose(b, *geometry, C) if geometry else C @ b
         out += C
     return SampledFunction(grids if window.d > 1 else grids[0], out[0] + 1j * out[1])
 
@@ -293,7 +381,9 @@ class DualRepresentative:
         if window.d != 1:
             raise ExpansionError("dual representatives implemented in d = 1")
         x, w = self._nodes()
-        return CoefficientSet(window, _analysis(ws, window, [x], w,
+        # a density's grid takes the windowed blocks of ``analyze``
+        axis = x if self.points is not None else self.density.grids[0]
+        return CoefficientSet(window, _analysis(ws, window, [axis], w,
                                                 self.derivative_order))
 
     def pair(self, g: SampledFunction) -> complex:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import metrics, numerics
 from .construction import TABLE_HALF, WaveletSystem, scaling_modulus
@@ -298,10 +299,15 @@ def _offset_sup(pk: ProjectionKernel, probe_count: int, u_max: float,
     """(u, sup_x |q_0(x, x + u)|) over ``probe_count`` probes x = p / probe_count.
 
     For a probe x every argument ``x + u_j - k`` of the lattice sum lies on
-    the lattice ``x + i / per_unit``, so each probe takes one spline call on
-    that lattice, a gather with ``_kernel_eval_1d``'s truncation (a term is
-    kept when either point lies within K of k), and one product with
-    ``phi(x - k)``.
+    the lattice ``x + i / per_unit``, so one spline call on the probes'
+    lattices gives every term; per probe, a strided view of its lattice holds
+    phi(x + u_j - k) at row k, and one product with ``phi(x - k)`` sums the
+    rows.  A term is kept as in ``_kernel_eval_1d``: when either point lies
+    within K of k.  While ``u_max <= 2K`` the two windows overlap, so the kept
+    k are one interval, ``x - K <= k <= x + u + K``: phi(x - k) is cut where
+    its argument exceeds K, and phi(x + u - k) where its argument falls below
+    -K.  Beyond that the kept set is two intervals, ``|x - k| <= K`` and,
+    past it, ``|x + u - k| <= K``: one product each.
     """
     if pk.level != 0:
         raise ProjectionError("the kernel-decay certificate reads the level-0 kernel")
@@ -316,17 +322,26 @@ def _offset_sup(pk: ProjectionKernel, probe_count: int, u_max: float,
     u = j / per_unit
     # every k within K of x or of x + u, for x in [0, 1) and u in [0, u_max]
     ks = np.arange(-K, int(np.ceil(u_max)) + K + 1)
-    # lattice index of x + u_j - k, counted from x - ks[-1]
-    idx = j[:, None] + per_unit * (ks[-1] - ks)
-    lattice = np.arange(idx.max() + 1) - per_unit * ks[-1]
-    sup = np.zeros(u.size)
-    for x in np.arange(probe_count) / probe_count:
-        # x + i / per_unit, rounded once where per_unit * x is exact
-        values = phi((per_unit * x + lattice) / per_unit)
-        kept = (np.abs(x - ks) <= K) | (np.abs(x + u[:, None] - ks) <= K)
-        rows = np.where(kept, values[idx], 0.0) @ values[idx[0]]
-        np.maximum(sup, np.abs(rows), out=sup)
-    return u, sup
+    # lattice index of x + u_j - k is j + first - per_unit (k - ks[0]),
+    # counted from x - ks[-1]
+    first = per_unit * (ks.size - 1)
+    lattice = np.arange(j.size + first) - per_unit * ks[-1]
+    # x + i / per_unit for every probe x, rounded once where per_unit * x is exact
+    t = (per_unit * (np.arange(probe_count) / probe_count)[:, None] + lattice) / per_unit
+    values = phi(t)
+    near, t_near = values[:, first::-per_unit], t[:, first::-per_unit]  # at x - k
+
+    def rows(a, v):  # sum_k a_k v(x + u_j - k), per probe
+        return np.einsum("pk,pkj->pj", a, sliding_window_view(
+            v, j.size, axis=1)[:, first::-per_unit])
+
+    if u_max <= 2 * K:
+        sums = rows(np.where(t_near <= K, near, 0.0), np.where(t >= -K, values, 0.0))
+    else:
+        sums = (rows(np.where(np.abs(t_near) <= K, near, 0.0), values)
+                + rows(np.where(t_near < -K, near, 0.0),
+                       np.where(np.abs(t) <= K, values, 0.0)))
+    return u, np.abs(sums).max(axis=0)
 
 
 def polynomial_reproduction(pk: ProjectionKernel, max_degree: int) -> dict:

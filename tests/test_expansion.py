@@ -36,6 +36,17 @@ class TestIndices:
         with pytest.raises(ExpansionError):
             sw.IndexWindow(-1, 2)
 
+    @pytest.mark.parametrize("sizes", [
+        dict(M=1.5, N=2), dict(M=1, N=2.0), dict(M=1, N=2, d=1.0),
+        dict(M="1", N=2), dict(M=None, N=2)])
+    def test_non_integer_sizes_rejected(self, sizes):
+        with pytest.raises(ExpansionError, match="integers"):
+            sw.IndexWindow(**sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        w = sw.IndexWindow(np.int64(1), np.int32(2), d=np.int8(1))
+        assert len(w) == 3 * 5
+
 
 class TestCoefficientSet:
     def test_missing_coefficient_rejected(self):
@@ -264,7 +275,7 @@ class TestShiftWindowedBlocks:
         # arguments as the per-shift rows, so the blocks agree bit for bit
         for bit in (0, 1):
             for m in range(-6, 7):
-                block = expansion._axis_block(ws, bit, m, self.N, expansion_grid, 0)
+                block = construction._axis_block(ws, bit, m, self.N, expansion_grid, 0)
                 assert not block.flags.owndata  # a view of one extended row
                 np.testing.assert_array_equal(
                     block, _per_shift_block(ws, bit, m, self.N, expansion_grid))
@@ -275,7 +286,7 @@ class TestShiftWindowedBlocks:
     ])
     def test_other_grids_evaluate_each_shift(self, ws, grid, scales):
         for m in scales:
-            block = expansion._axis_block(ws, 1, m, self.N, grid, 0)
+            block = construction._axis_block(ws, 1, m, self.N, grid, 0)
             assert block.flags.owndata
             np.testing.assert_array_equal(
                 block, _per_shift_block(ws, 1, m, self.N, grid))
@@ -400,6 +411,90 @@ class TestRealContraction:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+
+class TestWindowKernels:
+    """``_window_apply`` and its transpose against the dense products of the
+    windowed blocks, in both regimes."""
+
+    N = 8
+
+    @pytest.mark.parametrize("grid, per_shift", [
+        # expand's grid: a partial last phase at every scale
+        (sw.Grid1D(-80.0, 1.0 / 128, 20481), [1, 2, 3, 4, 5, 6]),
+        # whole phases only at s = 64, 32, ...
+        (sw.Grid1D(-8.0, 1.0 / 16, 256), []),
+    ])
+    def test_kernels_match_dense_products(self, ws, grid, per_shift):
+        rng = np.random.default_rng(7)
+        F = rng.standard_normal((grid.count, 3))
+        C = rng.standard_normal((2, 3, 2 * self.N + 1))
+        shifts = []
+        for m in range(-6, 7):
+            geometry = expansion._row_geometry(m, self.N, grid)
+            if geometry is None:
+                continue
+            B = construction._axis_block(ws, 1, m, self.N, grid)
+            dense = np.array(B)
+            if expansion._phases(B, geometry[0]) is None:
+                shifts.append(m)
+            got = expansion._window_apply(B, *geometry, F)
+            assert np.abs(got - dense @ F).max() <= 1e-14 * (np.abs(dense) @ np.abs(F)).max()
+            got = expansion._window_transpose(B, *geometry, C)
+            assert got.shape == (2, 3, grid.count)
+            assert np.abs(got - C @ dense).max() <= 1e-14 * (np.abs(C) @ np.abs(dense)).max()
+        assert shifts == per_shift
+
+    def test_both_regimes_on_the_expand_grid(self, ws, expansion_grid):
+        per_shift = [m for m in range(-6, 7) if expansion._phases(
+            construction._axis_block(ws, 1, m, 32, expansion_grid),
+            round(2.0 ** -m * 128)) is None]
+        assert per_shift == [3, 4, 5, 6]
+
+    def test_span_covers_every_nonzero_sample(self, ws, expansion_grid):
+        for m in range(-6, 7):
+            s, (a, b) = expansion._row_geometry(m, 32, expansion_grid)
+            row = ws.grid_row(1, m, expansion_grid, 32 * s)
+            nonzero = np.flatnonzero(row)
+            assert a <= nonzero[0] and nonzero[-1] < b
+            assert b - a <= nonzero[-1] - nonzero[0] + 4
+
+    def test_synthesis_is_the_transpose_of_analysis(self, ws, expansion_grid):
+        # window (6, 32) takes phase products at m <= 2 and per-shift ones above
+        rng = np.random.default_rng(2024)
+        window = sw.IndexWindow(6, 32)
+        c = sw.CoefficientSet(window, rng.standard_normal(window.shape)
+                              + 1j * rng.standard_normal(window.shape))
+        g = sw.SampledFunction(expansion_grid, rng.standard_normal(expansion_grid.count))
+        partial = sw.synthesize_partial(ws, c, expansion_grid).values
+        lhs = np.sum(expansion_grid.trapezoid_weights() * g.values * partial)
+        rhs = np.sum(c.values * sw.analyze(ws, g, window).values)
+        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+
+
+class TestCertificateRows:
+    """``TWO_SCALE_CROSS`` and ``SCALING_LOWPASS`` read kept atom rows; an
+    evaluator replaced after a warm suite must miss them and fail."""
+
+    def _warm(self, ws):
+        certs = construction.run_certificate_suite(ws)
+        assert all(c["pass"] for c in certs.values())
+        two_scale = sw.Grid1D.from_interval(-80.0, 80.0, 10241)
+        lattice = sw.Grid1D(-250.0, 1.0 / 64, 501 * 64)
+        assert (ws.interpolator("psi"), 0, 0, two_scale, 3 * 64) in ws._rows
+        assert (ws.interpolator("phi"), 0, 0, lattice, 0) in ws._rows
+
+    @pytest.mark.parametrize("which, name, deviation, gap", [
+        ("psi", "TWO_SCALE_CROSS", "max_deviation", 2e-2),
+        ("phi", "SCALING_LOWPASS", "max_partition_deviation", 1e-2)])
+    def test_scaled_evaluator_fails_its_certificate(self, ws, which, name,
+                                                    deviation, gap):
+        self._warm(ws)
+        with _wrapped_interpolator(ws, lambda w, f: (
+                (lambda x: 1.01 * f(x)) if w == which else f)):
+            certs = construction.run_certificate_suite(ws)
+        assert [n for n, c in certs.items() if not c["pass"]] == [name]
+        assert certs[name][deviation] == pytest.approx(gap, rel=0.01)
 
 
 class TestParseval:

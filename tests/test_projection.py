@@ -402,6 +402,17 @@ class TestCertificates:
         want = np.abs(rows).max(axis=0)
         assert np.all(np.abs(sup - want) <= 1e-14 * scale.max(axis=0))
 
+    def test_offset_sup_keeps_two_intervals_beyond_2k(self, ws):
+        # with K = 4, offsets past 2K = 8 keep |x - k| <= K and |x + u - k| <= K
+        # as two intervals; the sup still equals that of the kernel rows
+        pk = sw.build_kernel(ws, truncation_radius=4)
+        u, sup = projection._offset_sup(pk, 5, 14.0, 4)
+        xs = np.arange(5) / 5
+        x, y = np.repeat(xs, u.size), (xs[:, None] + u).ravel()
+        want = np.abs(projection._kernel_eval_1d(pk, x, y)).reshape(5, u.size).max(axis=0)
+        assert np.all(np.abs(sup - want) <= 1e-14 * want.max())
+        assert want[u > 8.0].max() > 1e-6
+
     def test_offset_window_must_fit_the_table(self, pk):
         u_max = TABLE_HALF - pk.truncation_radius
         assert projection._offset_sup(pk, 2, u_max, 1)[0][-1] == u_max
