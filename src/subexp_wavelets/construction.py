@@ -335,13 +335,29 @@ def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis,
     ``(2N - k) s`` of the kept row.  Scattered points, and grids with any
     other s, evaluate each shift.
     """
+    return _axis_window(ws, bit, m, N, axis, order)[0]
+
+
+def _axis_window(ws: WaveletSystem, bit: int, m: int, N: int, axis,
+                 order: int = 0):
+    """(B, geometry): the block of ``_axis_block`` and, when B is a window of a
+    kept row, ``(s, (a, b))``, else None.
+
+    Samples ``a <= i < b`` of the kept row are the only ones that can be
+    nonzero: sample i sits at ``2^m x = 2^m origin + (i - N s) / s``, and the
+    dense-table evaluator reads 0 beyond +-TABLE_HALF.  One sample more at
+    each end absorbs rounding.
+    """
     s = _window_stride(m, axis)
-    if s is not None:
-        row = ws.grid_row(bit, m, axis, N * s, order)
-        return sliding_window_view(row, axis.count)[2 * N * s::-s]
-    if isinstance(axis, Grid1D):
-        axis = axis.points()
-    return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], axis, order)
+    if s is None:
+        if isinstance(axis, Grid1D):
+            axis = axis.points()
+        return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], axis, order), None
+    row = ws.grid_row(bit, m, axis, N * s, order)
+    centre = N * s - axis.origin / axis.spacing
+    span = (max(int(np.floor(centre - TABLE_HALF * s)) - 1, 0),
+            min(int(np.ceil(centre + TABLE_HALF * s)) + 2, row.size))
+    return sliding_window_view(row, axis.count)[2 * N * s::-s], (s, span)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,7 @@ from itertools import product
 import numpy as np
 
 from . import numerics
-from .construction import (PSI_BAND, TABLE_HALF, WaveletSystem, _axis_block,
-                           _window_stride)
+from .construction import PSI_BAND, WaveletSystem, _axis_block, _axis_window
 from .numerics import Grid1D, NaturalSpline, SampledFunction
 
 
@@ -172,30 +171,14 @@ def _scale_blocks(ws: WaveletSystem, window: IndexWindow, axes, order: int):
     (derivative ``order``) at shift ``-N + k`` and the axis's j-th point.
 
     Each axis is a ``Grid1D`` or an array of points.  ``geometry`` is
-    ``(s, span)`` when B is a window of a kept row (``_axis_block``, whose
-    rows start s samples apart), for the window kernels; else None.
+    ``(s, span)`` when B is a window of a kept row (``_axis_window``, whose
+    rows start s samples apart and read only the row's samples ``span``), for
+    the window kernels; else None.
     """
     for p, eps in enumerate(window.patterns()):
         for m in range(-window.M, window.M + 1):
-            yield (p, m + window.M), [(_axis_block(ws, e, m, window.N, axis, order),
-                                       _row_geometry(m, window.N, axis))
+            yield (p, m + window.M), [_axis_window(ws, e, m, window.N, axis, order)
                                       for e, axis in zip(eps, axes)]
-
-
-def _row_geometry(m: int, N: int, axis):
-    """(s, (a, b)) for a windowed scale-m block on ``axis``, else None.
-
-    Samples ``a <= i < b`` of the kept row (the grid extended by N s samples
-    at each end) are the only ones that can be nonzero: sample i sits at
-    ``2^m x = 2^m origin + (i - N s) / s``, and the dense table reads 0
-    beyond +-TABLE_HALF.  One sample more at each end absorbs rounding.
-    """
-    s = _window_stride(m, axis)
-    if s is None:
-        return None
-    centre = N * s - axis.origin / axis.spacing
-    return s, (max(int(np.floor(centre - TABLE_HALF * s)) - 1, 0),
-               min(int(np.ceil(centre + TABLE_HALF * s)) + 2, axis.count + 2 * N * s))
 
 
 def _phases(B: np.ndarray, s: int):
@@ -217,7 +200,7 @@ def _phases(B: np.ndarray, s: int):
 
 def _shift_columns(B: np.ndarray, s: int, span):
     """(k, lo, hi): the columns lo:hi of each row k of a windowed block where
-    the kept row can be nonzero (its samples ``span``, ``_row_geometry``)."""
+    the kept row can be nonzero (its samples ``span``, ``_axis_window``)."""
     K, n = B.shape
     a, b = span
     for k in range(K):

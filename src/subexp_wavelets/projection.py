@@ -303,10 +303,7 @@ def _offset_sup(pk: ProjectionKernel, probe_count: int, u_max: float,
     lattices gives every term; per probe, a strided view of its lattice holds
     phi(x + u_j - k) at row k, and one product with ``phi(x - k)`` sums the
     rows.  A term is kept as in ``_kernel_eval_1d``: when either point lies
-    within K of k.  While ``u_max <= 2K`` the two windows overlap, so the kept
-    k are one interval, ``x - K <= k <= x + u + K``: phi(x - k) is cut where
-    its argument exceeds K, and phi(x + u - k) where its argument falls below
-    -K.  Beyond that the kept set is two intervals, ``|x - k| <= K`` and,
+    within K of k.  For u >= 0 that is two intervals, ``|x - k| <= K`` and,
     past it, ``|x + u - k| <= K``: one product each.
     """
     if pk.level != 0:
@@ -335,12 +332,9 @@ def _offset_sup(pk: ProjectionKernel, probe_count: int, u_max: float,
         return np.einsum("pk,pkj->pj", a, sliding_window_view(
             v, j.size, axis=1)[:, first::-per_unit])
 
-    if u_max <= 2 * K:
-        sums = rows(np.where(t_near <= K, near, 0.0), np.where(t >= -K, values, 0.0))
-    else:
-        sums = (rows(np.where(np.abs(t_near) <= K, near, 0.0), values)
-                + rows(np.where(t_near < -K, near, 0.0),
-                       np.where(np.abs(t) <= K, values, 0.0)))
+    sums = (rows(np.where(np.abs(t_near) <= K, near, 0.0), values)
+            + rows(np.where(t_near < -K, near, 0.0),
+                   np.where(np.abs(t) <= K, values, 0.0)))
     return u, np.abs(sums).max(axis=0)
 
 
