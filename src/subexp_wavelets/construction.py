@@ -324,29 +324,21 @@ def _window_stride(m: int, axis) -> int | None:
 
 
 def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis,
-                order: int = 0) -> np.ndarray:
-    """Rows ``k`` = shift ``-N + k`` of one axis's scale-m atom factor.
+                order: int = 0):
+    """(B, geometry): rows ``k`` = shift ``-N + k`` of one axis's scale-m atom
+    factor, and how B lies in a kept row.
 
     On a ``Grid1D`` of spacing h, shift n moves the atom by n s samples,
     s = 2^-m / h.  When s is a whole number below the count the rows overlap:
     every row is a window of one row evaluated on the grid extended by N s
-    samples at each end (``WaveletSystem.grid_row``, which keeps it), and the
-    block is a read-only strided view of it: row k starts at sample
-    ``(2N - k) s`` of the kept row.  Scattered points, and grids with any
-    other s, evaluate each shift.
-    """
-    return _axis_window(ws, bit, m, N, axis, order)[0]
-
-
-def _axis_window(ws: WaveletSystem, bit: int, m: int, N: int, axis,
-                 order: int = 0):
-    """(B, geometry): the block of ``_axis_block`` and, when B is a window of a
-    kept row, ``(s, (a, b))``, else None.
-
-    Samples ``a <= i < b`` of the kept row are the only ones that can be
-    nonzero: sample i sits at ``2^m x = 2^m origin + (i - N s) / s``, and the
-    dense-table evaluator reads 0 beyond +-TABLE_HALF.  One sample more at
-    each end absorbs rounding.
+    samples at each end (``WaveletSystem.grid_row``, which keeps it), and B
+    is a read-only strided view of it: row k starts at sample ``(2N - k) s``
+    of the kept row.  Then ``geometry`` is ``(s, (a, b))``: samples
+    ``a <= i < b`` of the kept row are the only ones that can be nonzero,
+    since sample i sits at ``2^m x = 2^m origin + (i - N s) / s`` and the
+    dense-table evaluator reads 0 beyond +-TABLE_HALF (one sample more at
+    each end absorbs rounding).  Scattered points, and grids with any other
+    s, evaluate each shift, and ``geometry`` is None.
     """
     s = _window_stride(m, axis)
     if s is None:
@@ -473,7 +465,7 @@ def _two_scale_check(ws: WaveletSystem, tol: float = 1e-7) -> dict:
     """``two_scale_gram`` of psi at m = -1, 0, 1 and n = -3..3 on [-80, 80] at
     spacing 1/64: each scale's 7 atoms are windows of one kept row."""
     grid = Grid1D.from_interval(-80.0, 80.0, 2 * 80 * 64 + 1)
-    A = np.vstack([_axis_block(ws, 1, m, 3, grid) for m in (-1, 0, 1)])
+    A = np.vstack([_axis_block(ws, 1, m, 3, grid)[0] for m in (-1, 0, 1)])
     return _gram_check(_gram(A, grid), tol)
 
 

@@ -23,13 +23,11 @@ wrapped evaluator misses the kept rows.
 
 Such a windowed block is not itself a BLAS operand (its rows overlap), so
 one pair of window kernels multiplies with it: ``_window_apply`` (analysis)
-and its exact transpose ``_window_transpose`` (partial sums).  With few
-phases of s columns, each phase of the reversed block is a contiguous
-matrix of the kept row and one BLAS product; otherwise each shift is one
-dot or axpy over the samples where the atom can be nonzero, which the dense
-table's range fixes.  The blocks are real and the samples complex; the two
-parts of the samples meet each block as the last axis of one real array,
-and no block is copied to complex.
+and its exact transpose ``_window_transpose`` (partial sums) take one BLAS
+product per phase of s columns that meets the atom's nonzero span.  The
+blocks are real and the samples complex; the two parts of the samples meet
+each block as the last axis of one real array, and no block is copied to
+complex.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from . import numerics
-from .construction import PSI_BAND, WaveletSystem, _axis_block, _axis_window
+from .construction import PSI_BAND, WaveletSystem, _axis_block
 from .numerics import Grid1D, NaturalSpline, SampledFunction
 
 
@@ -159,100 +157,69 @@ def tensor_atom(ws: WaveletSystem, index: WaveletIndex, x) -> np.ndarray:
 # analysis / synthesis: one loop over (epsilon, m) atom blocks
 # ---------------------------------------------------------------------------
 
-# Phases per shift up to which the window kernels take one BLAS product per
-# phase: on expand's grid (K = 65) the phase products win at Q = 641 (scale 2)
-# and the per-shift products at Q = 1,281 (scale 3).
-_PHASES_PER_SHIFT = 16
-
-
 def _scale_blocks(ws: WaveletSystem, window: IndexWindow, axes, order: int):
     """(slot, blocks): slot (p, m + M) holds pattern p's scale-m shifts in an
-    array; blocks[i] is (B, geometry), where B[k, j] is axis i's factor
-    (derivative ``order``) at shift ``-N + k`` and the axis's j-th point.
-
-    Each axis is a ``Grid1D`` or an array of points.  ``geometry`` is
-    ``(s, span)`` when B is a window of a kept row (``_axis_window``, whose
-    rows start s samples apart and read only the row's samples ``span``), for
-    the window kernels; else None.
+    array; blocks[i] is axis i's ``(B, geometry)`` (``_axis_block``), where
+    B[k, j] is the factor (derivative ``order``) at shift ``-N + k`` and the
+    axis's j-th point.  Each axis is a ``Grid1D`` or an array of points.
     """
     for p, eps in enumerate(window.patterns()):
         for m in range(-window.M, window.M + 1):
-            yield (p, m + window.M), [_axis_window(ws, e, m, window.N, axis, order)
+            yield (p, m + window.M), [_axis_block(ws, e, m, window.N, axis, order)
                                       for e, axis in zip(eps, axes)]
 
 
-def _phases(B: np.ndarray, s: int):
-    """(whole, tail) of a windowed block B (K, n) when it has few phases, else
-    None.
+def _phases(B: np.ndarray, s: int, span):
+    """(whole, tail, q0, q1) of a windowed block B (K, n) of stride s.
 
     Reversed row i reads the kept row R from sample i s, so phase q (columns
     q s to (q + 1) s) holds the K consecutive pieces ``R[(q + i) s:][:s]``: a
-    contiguous (K, s) matrix, one BLAS operand.  ``whole[q]`` is phase q for
-    the n // s whole phases, ``tail`` the last n % s columns (a (K, n % s)
-    view of stride s).  Few means Q = ceil(n / s) <= ``_PHASES_PER_SHIFT`` K.
+    contiguous (K, s) matrix of samples q s to (q + K) s, one BLAS operand.
+    ``whole[q]`` is phase q for the n // s whole phases, ``tail`` the last
+    n % s columns (a (K, n % s) view of stride s).  Only phases
+    ``q0 <= q < q1`` meet the samples ``span = (a, b)`` where R can be
+    nonzero; every other whole phase is zero.
     """
     K, n = B.shape
-    if -(-n // s) > _PHASES_PER_SHIFT * K:
-        return None
-    R, cut = B[::-1], n - n % s
-    return R[:, :cut].reshape(K, cut // s, s).transpose(1, 0, 2), R[:, cut:]
-
-
-def _shift_columns(B: np.ndarray, s: int, span):
-    """(k, lo, hi): the columns lo:hi of each row k of a windowed block where
-    the kept row can be nonzero (its samples ``span``, ``_axis_window``)."""
-    K, n = B.shape
     a, b = span
-    for k in range(K):
-        start = (K - 1 - k) * s  # row k reads the kept row from here
-        lo, hi = max(a - start, 0), min(b - start, n)
-        if lo < hi:
-            yield k, lo, hi
+    R, cut = B[::-1], n - n % s
+    q1 = min(-(-b // s), cut // s)
+    q0 = max(a // s - K + 1, 0)
+    return R[:, :cut].reshape(K, cut // s, s).transpose(1, 0, 2), R[:, cut:], q0, q1
 
 
 def _window_apply(B: np.ndarray, s: int, span, F: np.ndarray) -> np.ndarray:
     """c_k = sum_j B[k, j] F_j for a windowed block (``_scale_blocks``), so
     ``c_k = sum_j R[(2N - k) s + j] F_j``; F is (n, columns).
 
-    With few phases, one BLAS product per phase (``_phases``), batched so
-    that no temporary outgrows F; otherwise one dot per shift over the
-    columns where the row can be nonzero (``_shift_columns``).
+    One product for the tail and one BLAS product per phase that meets the
+    span (``_phases``), batched so that no temporary outgrows F.
     """
     K, n = B.shape
-    phases = _phases(B, s)
-    if phases is None:
-        c = np.zeros((K, F.shape[1]))
-        for k, lo, hi in _shift_columns(B, s, span):
-            c[k] = B[k, lo:hi] @ F[lo:hi]
-        return c
-    whole, tail = phases
+    whole, tail, q0, q1 = _phases(B, s, span)
     cut = whole.shape[0] * s
     c = tail @ F[cut:]
     parts = F[:cut].reshape(whole.shape[0], s, -1)
     step = max(1, n // K)  # phases per batch: a (step, K, columns) result
-    for q in range(0, whole.shape[0], step):
-        c += np.matmul(whole[q:q + step], parts[q:q + step]).sum(axis=0)
+    for q in range(q0, q1, step):
+        batch = slice(q, min(q + step, q1))
+        c += np.matmul(whole[batch], parts[batch]).sum(axis=0)
     return c[::-1]
 
 
 def _window_transpose(B: np.ndarray, s: int, span, C: np.ndarray) -> np.ndarray:
     """out_j = sum_k C_k B[k, j] for C of shape (..., K): the exact transpose
-    of ``_window_apply``, in the same regime.  Each phase is one BLAS
-    product written into its own columns; or one axpy per shift."""
+    of ``_window_apply``.  The tail and each phase that meets the span is one
+    BLAS product written into its own columns; the other columns stay zero."""
     K, n = B.shape
     C2 = C.reshape(-1, K)
     out = np.zeros((C2.shape[0], n))
-    phases = _phases(B, s)
-    if phases is None:
-        for k, lo, hi in _shift_columns(B, s, span):
-            out[:, lo:hi] += C2[:, k, None] * B[k, lo:hi]
-    else:
-        whole, tail = phases
-        cut = whole.shape[0] * s
-        rev = C2[:, ::-1]  # shifts in the order of the reversed rows
-        np.matmul(rev, tail, out=out[:, cut:])
-        np.matmul(rev, whole, out=out[:, :cut].reshape(-1, whole.shape[0], s)
-                  .transpose(1, 0, 2))
+    whole, tail, q0, q1 = _phases(B, s, span)
+    cut = whole.shape[0] * s
+    rev = C2[:, ::-1]  # shifts in the order of the reversed rows
+    np.matmul(rev, tail, out=out[:, cut:])
+    np.matmul(rev, whole[q0:q1], out=out[:, :cut].reshape(-1, whole.shape[0], s)
+              [:, q0:q1].transpose(1, 0, 2))
     return out.reshape(C.shape[:-1] + (n,))
 
 
@@ -265,19 +232,18 @@ def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw, order: int):
     that scale.  Returns the window-shaped array of ``CoefficientSet``.
 
     The real blocks meet the real and imaginary parts of ``fw`` as the last
-    axis of one real array, so no block is copied to complex.  The first
-    axis takes ``_window_apply`` on a windowed block and one dot per shift
-    row on any other.  Each further axis, moved next to the last, is one
-    batched product that puts its shifts last.
+    axis of one real array, so no block is copied to complex.  Each axis in
+    turn, moved first, is ``_window_apply`` on a windowed block or one BLAS
+    product on any other, and its shifts go next to the last axis.
     """
     out = np.empty(window.shape, dtype=complex)
-    F = np.stack([fw.real, fw.imag], -1).reshape(len(fw), -1)
-    for slot, ((b0, geometry), *rest) in _scale_blocks(ws, window, axes, order):
-        C = (_window_apply(b0, *geometry, F) if geometry
-             else np.stack([row @ F for row in b0]))
-        C = C.reshape((-1,) + fw.shape[1:] + (2,))
-        for b, _ in rest:
-            C = b @ np.moveaxis(C, 1, -2)
+    F = np.stack([fw.real, fw.imag], -1)
+    for slot, blocks in _scale_blocks(ws, window, axes, order):
+        C = F
+        for b, geometry in blocks:
+            rows = C.reshape(len(C), -1)
+            rows = _window_apply(b, *geometry, rows) if geometry else b @ rows
+            C = np.moveaxis(rows.reshape((-1,) + C.shape[1:]), 0, -2)
         out[slot] = (-1.0) ** order * C.view(complex)[..., 0]
     return out
 
@@ -344,7 +310,9 @@ class DualRepresentative:
     distributional derivative of an integrable density; pairings move the
     derivatives onto the smooth partner.  Both kinds act through one
     (nodes, weights) form: the point masses, or the density's grid with its
-    values times the trapezoid weights.
+    values times the trapezoid weights.  ``ExpansionError`` rejects anything
+    but finite 1-D points and weights of one length, or a density alone,
+    and a derivative order that is not a non-negative integer.
     """
 
     points: np.ndarray = None
@@ -352,10 +320,31 @@ class DualRepresentative:
     density: SampledFunction = None
     derivative_order: int = 0
 
+    def __post_init__(self):
+        if (self.points is None) == (self.density is None) or (
+                (self.points is None) != (self.weights is None)):
+            raise ExpansionError("a dual representative takes points with "
+                                 "weights, or a density")
+        k = self.derivative_order
+        if not isinstance(k, (int, np.integer)) or k < 0:
+            raise ExpansionError(f"derivative order must be a non-negative "
+                                 f"integer: {k!r}")
+        if self.points is None:
+            return
+        x, w = np.asarray(self.points), np.asarray(self.weights)
+        if x.ndim != 1 or w.shape != x.shape:
+            raise ExpansionError(f"points {x.shape} and weights {w.shape} must "
+                                 f"be 1-D of one length")
+        if (x.dtype.kind not in "iuf" or w.dtype.kind not in "iufc"
+                or not (np.isfinite(x).all() and np.isfinite(w).all())):
+            raise ExpansionError("points and weights must be finite numbers")
+        object.__setattr__(self, "points", x.astype(float))
+        object.__setattr__(self, "weights", w)
+
     def _nodes(self):
         """(x_j, w_j) with <self, g> = (-1)^k sum_j w_j g^(k)(x_j)."""
         if self.points is not None:
-            return np.asarray(self.points, dtype=float), np.asarray(self.weights)
+            return self.points, self.weights
         (grid,) = self.density.grids
         return grid.points(), self.density.values * grid.trapezoid_weights()
 

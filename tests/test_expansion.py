@@ -275,7 +275,7 @@ class TestShiftWindowedBlocks:
         # arguments as the per-shift rows, so the blocks agree bit for bit
         for bit in (0, 1):
             for m in range(-6, 7):
-                block = construction._axis_block(ws, bit, m, self.N, expansion_grid, 0)
+                block, _ = construction._axis_block(ws, bit, m, self.N, expansion_grid, 0)
                 assert not block.flags.owndata  # a view of one extended row
                 np.testing.assert_array_equal(
                     block, _per_shift_block(ws, bit, m, self.N, expansion_grid))
@@ -286,7 +286,7 @@ class TestShiftWindowedBlocks:
     ])
     def test_other_grids_evaluate_each_shift(self, ws, grid, scales):
         for m in scales:
-            block = construction._axis_block(ws, 1, m, self.N, grid, 0)
+            block, _ = construction._axis_block(ws, 1, m, self.N, grid, 0)
             assert block.flags.owndata
             np.testing.assert_array_equal(
                 block, _per_shift_block(ws, 1, m, self.N, grid))
@@ -333,13 +333,13 @@ class TestAtomRows:
                                                  expansion_grid, monkeypatch):
         window = sw.IndexWindow(6, self.N)
         first = sw.analyze(ws, band_function, window)
-        blocks = [expansion._axis_block(ws, 1, m, self.N, expansion_grid, 0)
+        blocks = [expansion._axis_block(ws, 1, m, self.N, expansion_grid, 0)[0]
                   for m in range(-6, 7)]
         sizes = _count_spline_points(monkeypatch)
         again = sw.analyze(ws, band_function, window)
         for m, block in zip(range(-6, 7), blocks):
             assert np.shares_memory(
-                block, expansion._axis_block(ws, 1, m, self.N, expansion_grid, 0))
+                block, expansion._axis_block(ws, 1, m, self.N, expansion_grid, 0)[0])
         assert sizes == []
         np.testing.assert_array_equal(again.values, first.values)
 
@@ -348,7 +348,7 @@ class TestAtomRows:
         assert ws._rows
         for row in ws._rows.values():
             assert not row.flags.writeable
-        block = expansion._axis_block(ws, 1, 0, 8, band_function.grids[0], 0)
+        block, _ = expansion._axis_block(ws, 1, 0, 8, band_function.grids[0], 0)
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
 
@@ -412,47 +412,62 @@ class TestRealContraction:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
+    def test_warm_partial_sum_allocates_no_block(self, ws, band_function,
+                                                 expansion_grid):
+        coeffs = sw.analyze(ws, band_function, self.WINDOW)
+        sw.synthesize_partial(ws, coeffs, expansion_grid)
+        tracemalloc.start()
+        try:
+            sw.synthesize_partial(ws, coeffs, expansion_grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
 
 class TestWindowKernels:
     """``_window_apply`` and its transpose against the dense products of the
-    windowed blocks, in both regimes."""
+    windowed blocks, which read only the phases that meet the kept row's
+    nonzero span."""
 
-    @pytest.mark.parametrize("grid, N, per_shift", [
+    @pytest.mark.parametrize("grid, N", [
         # expand's grid: a partial last phase at every scale
-        (sw.Grid1D(-80.0, 1.0 / 128, 20481), 8, [1, 2, 3, 4, 5, 6]),
-        (sw.Grid1D(-80.0, 1.0 / 128, 20481), 32, [3, 4, 5, 6]),
+        (sw.Grid1D(-80.0, 1.0 / 128, 20481), 8),
+        (sw.Grid1D(-80.0, 1.0 / 128, 20481), 32),
         # whole phases only at s = 64, 32, ...
-        (sw.Grid1D(-8.0, 1.0 / 16, 256), 8, []),
+        (sw.Grid1D(-8.0, 1.0 / 16, 256), 8),
     ])
-    def test_kernels_match_dense_products(self, ws, grid, N, per_shift):
+    def test_kernels_match_dense_products(self, ws, grid, N):
         rng = np.random.default_rng(7)
         F = rng.standard_normal((grid.count, 3))
         C = rng.standard_normal((2, 3, 2 * N + 1))
-        shifts = []
         for m in range(-6, 7):
-            B, geometry = construction._axis_window(ws, 1, m, N, grid)
+            B, geometry = construction._axis_block(ws, 1, m, N, grid)
             if geometry is None:
                 continue
             dense = np.array(B)
-            if expansion._phases(B, geometry[0]) is None:
-                shifts.append(m)
             got = expansion._window_apply(B, *geometry, F)
             assert np.abs(got - dense @ F).max() <= 1e-14 * (np.abs(dense) @ np.abs(F)).max()
             got = expansion._window_transpose(B, *geometry, C)
             assert got.shape == (2, 3, grid.count)
             assert np.abs(got - C @ dense).max() <= 1e-14 * (np.abs(C) @ np.abs(dense)).max()
-        assert shifts == per_shift
+            # the skipped phases are zero, and a fall-back to every phase
+            # exceeds the phases that meet the span on expand's grid
+            s, (a, b) = geometry
+            whole, _, q0, q1 = expansion._phases(B, *geometry)
+            assert not whole[:q0].any() and not whole[q1:].any()
+            assert q1 - q0 <= -(-(b - a) // s) + 2 * N + 1
 
     def test_span_covers_every_nonzero_sample(self, ws, expansion_grid):
         for m in range(-6, 7):
-            s, (a, b) = construction._axis_window(ws, 1, m, 32, expansion_grid)[1]
+            s, (a, b) = construction._axis_block(ws, 1, m, 32, expansion_grid)[1]
             row = ws.grid_row(1, m, expansion_grid, 32 * s)
             nonzero = np.flatnonzero(row)
             assert a <= nonzero[0] and nonzero[-1] < b
             assert b - a <= nonzero[-1] - nonzero[0] + 4
 
     def test_synthesis_is_the_transpose_of_analysis(self, ws, expansion_grid):
-        # window (6, 32) takes phase products at m <= 2 and per-shift ones above
+        # window (6, 32): the kernels skip the phases beyond each kept row's span
         rng = np.random.default_rng(2024)
         window = sw.IndexWindow(6, 32)
         c = sw.CoefficientSet(window, rng.standard_normal(window.shape)
@@ -539,6 +554,32 @@ class TestParseval:
         x = expansion_grid.points()
         g = sw.SampledFunction(expansion_grid, np.exp(-0.5 * (x - 0.3) ** 2))
         assert abs(dual.pair(g) - sw.pairing(band_function, g)) <= 1e-12
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(points=[0.3], weights=[1.0], derivative_order=-1),
+        dict(points=[0.3], weights=[1.0], derivative_order=1.5),
+        dict(points=[0.3], weights=[1.0], derivative_order="1"),
+        dict(points=[np.nan], weights=[1.0]),
+        dict(points=[0.3], weights=[np.inf]),
+        dict(points=[0.3]),  # no weights
+        dict(weights=[1.0]),  # no points
+        dict(),  # neither points nor a density
+        dict(points=[0.3, 0.4], weights=[1.0]),
+        dict(points=[[0.3]], weights=[[1.0]]),
+        dict(points=["a"], weights=[1.0]),
+        dict(points=[0.3], weights=[1.0],
+             density=sw.SampledFunction(sw.Grid1D(0.0, 1.0, 3), np.ones(3))),
+    ])
+    def test_malformed_dual_rejected(self, kwargs):
+        with pytest.raises(ExpansionError):
+            sw.DualRepresentative(**kwargs)
+
+    def test_numpy_integer_derivative_order_accepted(self, ws):
+        got, want = (sw.DualRepresentative(points=[0.3], weights=[1.0],
+                                           derivative_order=k)
+                     .coefficients(ws, sw.IndexWindow(0, 1)).values
+                     for k in (np.int64(1), 1))
+        np.testing.assert_array_equal(got, want)
 
     def test_pairing_keeps_the_imaginary_part(self, ws, expansion_grid):
         delta = sw.DualRepresentative(points=np.array([0.3]),
