@@ -17,9 +17,10 @@ on uniform grids, summed by the chirp-z engine ``numerics.chirp_synthesis``;
 scattered points use the baby-step/giant-step direct sum
 ``numerics.synthesize_values``.  For the many-evaluation call sites (atoms,
 kernels) the system carries lazily built dense tables read by the natural
-cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11, and keeps the
-atom rows read on uniform grids (``WaveletSystem.grid_row``): the blocks of
-expansion and of two build certificates are windows of them (``_axis_block``).
+cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11, and keeps every
+atom block it reads on a uniform grid in one ``numerics.Kept`` store: the
+blocks of expansion and of two build certificates (``_axis_block``), each
+either a window of one kept row or a kept per-shift block.
 
 Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
@@ -58,10 +59,10 @@ MAX_SAMPLES = 2 ** 20
 # psi_hat = exp(i xi / 2) bell, phi_hat = exp(i xi) |phi_hat|: each table is
 # the even cosine profile of the modulus, read at x + shift
 _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
-# bytes of atom rows a system keeps (``WaveletSystem.grid_row``); the (6, 32)
-# window on expand's 20,481-point grid takes 10.5 MB, and the two-scale and
+# bytes of atom blocks a system keeps (``_axis_block``); the (6, 32) window
+# on expand's 20,481-point grid takes 10.5 MB, and the two-scale and
 # low-pass certificates about 0.6 MB
-_ROW_CACHE_BYTES = 32 * 2 ** 20
+_BLOCK_BYTES = 32 * 2 ** 20
 
 
 class ConstructionError(ValueError):
@@ -122,7 +123,7 @@ class WaveletSystem:
         self._tables: dict = {}
         self._wide: dict = {}
         self._fits: dict = {}  # values read off the tables (projection._phi_tail)
-        self._rows: dict = {}  # grid_row's rows, least recently used first
+        self._blocks = numerics.Kept(_BLOCK_BYTES)  # uniform-grid atom blocks
 
     # -- basic geometry ----------------------------------------------------
 
@@ -220,30 +221,6 @@ class WaveletSystem:
         f = self.interpolator("psi" if bit else "phi", order)
         return _dilated(f, m, n, x, order)
 
-    def grid_row(self, bit: int, m: int, grid: Grid1D, pad: int,
-                 order: int = 0) -> np.ndarray:
-        """``atom_values(bit, m, 0, x, order)`` at ``x`` = ``grid`` extended by
-        ``pad`` samples at each end, read-only.
-
-        The row is kept under its evaluator (the object ``interpolator``
-        returns), ``m``, ``order``, ``grid`` and ``pad``, so a later call with
-        the same key evaluates nothing, and a replaced or wrapped evaluator
-        misses.  Beyond ``_ROW_CACHE_BYTES`` the least recently used rows are
-        dropped.
-        """
-        f = self.interpolator("psi" if bit else "phi", order)
-        key = (f, m, order, grid, pad)
-        row = self._rows.pop(key, None)
-        if row is None:
-            x = grid.origin + grid.spacing * np.arange(-pad, grid.count + pad)
-            row = _dilated(f, m, 0, x, order)
-            row.flags.writeable = False
-        self._rows[key] = row
-        kept = sum(r.nbytes for r in self._rows.values())
-        while kept > _ROW_CACHE_BYTES:
-            kept -= self._rows.pop(next(iter(self._rows))).nbytes
-        return row
-
     def wide_table(self, which: str):
         """Coarse long-range table for moment-type integrals (spacing 1/16,
         on [-_WIDE_HALF, _WIDE_HALF])."""
@@ -313,43 +290,45 @@ def _dilated(f, m: int, n, x, order: int) -> np.ndarray:
     return (2.0 ** (m * (0.5 + order))) * f(np.ldexp(x, m) - n)
 
 
-def _window_stride(m: int, axis) -> int | None:
-    """Samples s = 2^-m / h between the scale-m shifts on a ``Grid1D`` axis,
-    when that is a whole number below the count; else None."""
-    if isinstance(axis, Grid1D):
-        s = np.ldexp(1.0, -m) / axis.spacing
-        if s.is_integer() and s < axis.count:
-            return int(s)
-    return None
-
-
 def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis,
                 order: int = 0):
     """(B, geometry): rows ``k`` = shift ``-N + k`` of one axis's scale-m atom
     factor, and how B lies in a kept row.
 
-    On a ``Grid1D`` of spacing h, shift n moves the atom by n s samples,
-    s = 2^-m / h.  When s is a whole number below the count the rows overlap:
-    every row is a window of one row evaluated on the grid extended by N s
-    samples at each end (``WaveletSystem.grid_row``, which keeps it), and B
-    is a read-only strided view of it: row k starts at sample ``(2N - k) s``
-    of the kept row.  Then ``geometry`` is ``(s, (a, b))``: samples
-    ``a <= i < b`` of the kept row are the only ones that can be nonzero,
-    since sample i sits at ``2^m x = 2^m origin + (i - N s) / s`` and the
-    dense-table evaluator reads 0 beyond +-TABLE_HALF (one sample more at
-    each end absorbs rounding).  Scattered points, and grids with any other
-    s, evaluate each shift, and ``geometry`` is None.
+    Scattered points evaluate each shift and keep nothing.  On a ``Grid1D``
+    the system keeps what it evaluates (``ws._blocks``), read-only, under
+    the evaluator (the object ``interpolator`` returns), ``m``, ``order``,
+    the grid and ``N``, so a replaced or wrapped evaluator misses.  Shift n
+    moves the atom by n s samples, s = 2^-m / h.  When s is a whole number
+    below the count, the kept value is one row on the grid extended by N s
+    samples at each end, and B a read-only strided view of windows of it:
+    row k starts at sample ``(2N - k) s``.  Then ``geometry`` is
+    ``(s, (a, b))``: samples ``a <= i < b`` of the kept row are the only
+    ones that can be nonzero, since sample i sits at ``2^m x = 2^m origin +
+    (i - N s) / s`` and the dense-table evaluator reads 0 beyond
+    +-TABLE_HALF (one sample more at each end absorbs rounding).  For any
+    other s, B itself is kept and ``geometry`` is None.
     """
-    s = _window_stride(m, axis)
-    if s is None:
-        if isinstance(axis, Grid1D):
-            axis = axis.points()
-        return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], axis, order), None
-    row = ws.grid_row(bit, m, axis, N * s, order)
+    ns = np.arange(-N, N + 1)[:, None]
+    if not isinstance(axis, Grid1D):
+        return ws.atom_values(bit, m, ns, axis, order), None
+    f = ws.interpolator("psi" if bit else "phi", order)
+    s = np.ldexp(1.0, -m) / axis.spacing
+    s = int(s) if s.is_integer() and s < axis.count else 0  # 0: no windows
+
+    def make():  # the row every window reads, or the grid's per-shift block
+        x = axis.origin + axis.spacing * np.arange(-N * s, axis.count + N * s)
+        value = _dilated(f, m, 0 if s else ns, x, order)
+        value.flags.writeable = False
+        return value
+
+    kept = ws._blocks.get((f, m, order, axis, N), make)
+    if not s:
+        return kept, None
     centre = N * s - axis.origin / axis.spacing
     span = (max(int(np.floor(centre - TABLE_HALF * s)) - 1, 0),
-            min(int(np.ceil(centre + TABLE_HALF * s)) + 2, row.size))
-    return sliding_window_view(row, axis.count)[2 * N * s::-s], (s, span)
+            min(int(np.ceil(centre + TABLE_HALF * s)) + 2, kept.size))
+    return sliding_window_view(kept, axis.count)[2 * N * s::-s], (s, span)
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +498,12 @@ def _realness_check(ws: WaveletSystem, tol: float = 1e-10) -> dict:
 def _scaling_lowpass_check(ws: WaveletSystem, tol: float = 1e-8) -> dict:
     """sum_n phi(x - n), n = -250..250, at the 64 probes x = i / 64 of [0, 1).
 
-    phi on the lattice t = -250 + r + i / 64 is one kept row (``grid_row``),
-    so its (501, 64) reshape holds phi(x_i - n) at r = 250 - n.
+    phi on the lattice t = -250 + r + i / 64 is one kept row (the one row
+    of ``_axis_block`` with N = 0), so its (501, 64) reshape holds
+    phi(x_i - n) at r = 250 - n.
     """
     phi0 = abs(complex(ws.phi_hat_fn(0.0)))
-    row = ws.grid_row(0, 0, Grid1D(-250.0, 1.0 / 64, 501 * 64), 0)
+    row = _axis_block(ws, 0, 0, 0, Grid1D(-250.0, 1.0 / 64, 501 * 64))[0][0]
     # rows by n ascending, each probe's terms contiguous, as the sum reads them
     sums = np.ascontiguousarray(row.reshape(501, 64)[::-1].T).sum(axis=1)
     dev = float(np.max(np.abs(sums - 1.0)))

@@ -13,13 +13,14 @@ dual representative (point masses or a density, with derivatives moved onto
 the atom), comes from one loop, ``_analysis``, into one window-shaped array:
 per pattern and scale, one atom block per axis fills a slot.
 ``synthesize_partial`` reads the slots through the same blocks.  This is
-direct quadrature; there is no filter-bank fast transform here.  On a uniform
-grid whose shift step is a whole number of samples s (every scale
-``analyze`` allows on the dyadic grid of ``expand``), a block costs one
-spline row per scale instead of one per shift: its rows are windows of one
-row, kept by the system (``construction._axis_block``, ``grid_row``).  The
-(6, 32) window on expand's 20,481-point grid keeps 10.5 MB; a replaced or
-wrapped evaluator misses the kept rows.
+direct quadrature; there is no filter-bank fast transform here.  The system
+keeps every block it evaluates on a uniform grid (``construction._axis_block``),
+so a warm call evaluates no spline.  Where the shift step is a whole number
+of samples s (every scale ``analyze`` allows on the dyadic grid of
+``expand``), a block costs one spline row per scale instead of one per
+shift: its rows are windows of one kept row.  The (6, 32) window on
+expand's 20,481-point grid keeps 10.5 MB; a replaced or wrapped evaluator
+misses the kept blocks.
 
 Such a windowed block is not itself a BLAS operand (its rows overlap), so
 one pair of window kernels multiplies with it: ``_window_apply`` (analysis)
@@ -311,8 +312,9 @@ class DualRepresentative:
     derivatives onto the smooth partner.  Both kinds act through one
     (nodes, weights) form: the point masses, or the density's grid with its
     values times the trapezoid weights.  ``ExpansionError`` rejects anything
-    but finite 1-D points and weights of one length, or a density alone,
-    and a derivative order that is not a non-negative integer.
+    but finite 1-D points and weights of one length, or a 1-D
+    ``SampledFunction`` density alone, and a derivative order that is not a
+    non-negative integer.
     """
 
     points: np.ndarray = None
@@ -330,6 +332,9 @@ class DualRepresentative:
             raise ExpansionError(f"derivative order must be a non-negative "
                                  f"integer: {k!r}")
         if self.points is None:
+            if not (isinstance(self.density, SampledFunction)
+                    and self.density.dimension == 1):
+                raise ExpansionError("a density must be a 1-D SampledFunction")
             return
         x, w = np.asarray(self.points), np.asarray(self.weights)
         if x.ndim != 1 or w.shape != x.shape:

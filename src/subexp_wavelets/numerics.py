@@ -17,9 +17,10 @@ these primitives.  Conventions fixed here once and for all:
   column of a 2-D array, run through the FFTs in blocks of rows);
   ``forward_transform_values`` is the direct-sum oracle of its forward
   half.  A geometry's set-up (its chirps and the chirp's spectrum) is a
-  plan, kept read-only from the geometry's second request on, under a fixed
-  byte budget, so repeated transforms on the same grids skip it.  Both
-  direct sums run over uniform nodes and factor them baby-step/giant-step
+  plan, kept read-only from the geometry's second request on in a ``Kept``
+  store (the one byte-budgeted LRU, which also keeps a system's atom
+  blocks), so repeated transforms on the same grids skip it.  Both direct
+  sums run over uniform nodes and factor them baby-step/giant-step
   (``_direct_sum``): about ``2 sqrt(n)`` exponentials a point and one
   matrix product, not ``n`` exponentials.
 * tables are read between their nodes by ``NaturalSpline``, the natural
@@ -48,17 +49,53 @@ DERIVATIVE_ORDER_CAP = 60
 _BLOCK_ENTRIES = 2 ** 20  # table entries per block of rows of the direct sums
 _SPLINE_BLOCK = 2 ** 16  # points a NaturalSpline call evaluates at a time
 _FFT_BLOCK_ENTRIES = 2 ** 16  # padded entries per block of chirp_synthesis rows
-# bytes of Bluestein plans kept (``_plan_for``); a warm session's
-# projections at levels 0..6 and its 2-D projection keep about 8 MB
-_PLAN_BYTES = 16 * 2 ** 20
-_SEEN_KEYS = 4096  # geometries noted as requested once
-_plans: dict = {}  # geometry -> _ChirpPlan, least recently used first
-_seen: dict = {}  # geometries requested once, oldest first
-_PLAN_LOCK = threading.Lock()
+_NOTED_KEYS = 4096  # keys a Kept store notes as requested once
 
 
 class NumericsError(ValueError):
     """Raised on invalid grids, samples, or operation parameters."""
+
+
+class Kept:
+    """Values kept under their keys within ``budget`` bytes (their ``nbytes``).
+
+    ``get(key, make)`` returns the value kept under ``key``, else ``make()``,
+    which it keeps from the key's first request on, or with ``from_second``
+    from its second, so that one-off keys keep nothing (a first request only
+    notes the key, among the last ``_NOTED_KEYS``).  Beyond the budget the
+    least recently used values go first; a value larger than the whole
+    budget is never kept.  ``make`` returns a read-only value with the bits
+    of a fresh call, so threads may share a store: one lock guards it, and
+    ``make`` runs outside the lock.
+    """
+
+    def __init__(self, budget: int, from_second: bool = False):
+        self.budget = budget
+        self.from_second = from_second
+        self._values: dict = {}  # key -> value, least recently used first
+        self._noted: dict = {}  # keys requested once, oldest first
+        self._lock = threading.Lock()
+
+    def get(self, key, make):
+        with self._lock:
+            value = self._values.pop(key, None)
+            if value is not None:
+                self._values[key] = value
+                return value
+            keep = not self.from_second or self._noted.pop(key, False)
+            if not keep:
+                self._noted[key] = True
+                while len(self._noted) > _NOTED_KEYS:
+                    del self._noted[next(iter(self._noted))]
+        value = make()
+        if keep and value.nbytes <= self.budget:
+            with self._lock:
+                self._values.pop(key, None)  # kept meanwhile by another thread
+                kept = sum(v.nbytes for v in self._values.values())
+                while kept + value.nbytes > self.budget:
+                    kept -= self._values.pop(next(iter(self._values))).nbytes
+                self._values[key] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -452,39 +489,9 @@ def _chirp_plan(n: int, count: int, xi0: float, dxi: float, x0: float,
     return plan
 
 
-def _plan_for(n: int, count: int, xi0: float, dxi: float, x0: float,
-              dx: float) -> _ChirpPlan:
-    """The plan of a geometry, kept from its second request onward.
-
-    The store keys a geometry by ``n``, ``count`` and the bits of its four
-    floats, so a kept plan is the one a fresh call would compute.  A first
-    request only notes the key, so one-off geometries (the table syntheses
-    of a build, every call of a cold process) keep nothing.  Beyond
-    ``_PLAN_BYTES`` the least recently used plans are dropped (a plan larger
-    than the whole budget is never kept), and beyond ``_SEEN_KEYS`` the
-    oldest noted keys.  The store is shared by the whole process, which is
-    safe because a kept plan gives every caller the bits of a fresh one.
-    """
-    key = (n, count, np.array([xi0, dxi, x0, dx], dtype=float).tobytes())
-    with _PLAN_LOCK:
-        plan = _plans.pop(key, None)
-        if plan is not None:
-            _plans[key] = plan
-            return plan
-        keep = _seen.pop(key, False)
-        if not keep:
-            _seen[key] = True
-            while len(_seen) > _SEEN_KEYS:
-                del _seen[next(iter(_seen))]
-    plan = _chirp_plan(n, count, xi0, dxi, x0, dx)
-    if keep and plan.nbytes <= _PLAN_BYTES:
-        with _PLAN_LOCK:
-            _plans.pop(key, None)  # kept meanwhile by another thread
-            kept = sum(p.nbytes for p in _plans.values())
-            while kept + plan.nbytes > _PLAN_BYTES:
-                kept -= _plans.pop(next(iter(_plans))).nbytes
-            _plans[key] = plan
-    return plan
+# Bluestein plans (``chirp_synthesis``); a warm session's projections at
+# levels 0..6 and its 2-D projection keep about 8 MB
+_CHIRP_PLANS = Kept(16 * 2 ** 20, from_second=True)
 
 
 def chirp_synthesis(coeffs, xi0: float, dxi: float, x0: float, dx: float,
@@ -501,12 +508,13 @@ def chirp_synthesis(coeffs, xi0: float, dxi: float, x0: float, dx: float,
 
     The set-up of a geometry ``(n, count, xi0, dxi, x0, dx)`` is its plan
     (``_chirp_plan``): the pre-chirp (n values), the FFT of the padded chirp
-    (``size``) and the post-chirp (count), all read-only.  ``_plan_for``
-    keeps it from the geometry's second request on, least recently used
-    first out beyond ``_PLAN_BYTES``, so a warm caller that transforms on
+    (``size``) and the post-chirp (count), all read-only.  ``_CHIRP_PLANS``
+    keeps it from the geometry's second request on, under ``n``, ``count``
+    and the bits of the four floats, so a warm caller that transforms on
     the same grids again skips every ``exp`` and the chirp's FFT, while a
-    one-off geometry keeps nothing.  A kept plan gives the same bits as a
-    fresh one, and no output shares memory with it.
+    one-off geometry (the table syntheses of a build, every call of a cold
+    process) keeps nothing.  A kept plan gives the same bits as a fresh
+    one, and no output shares memory with it.
 
     The sum runs along axis 0; trailing axes of ``coeffs`` are carried
     along, one transform per column.  The columns run in blocks of about
@@ -522,7 +530,9 @@ def chirp_synthesis(coeffs, xi0: float, dxi: float, x0: float, dx: float,
         raise NumericsError("no coefficients or no output points")
     c = np.moveaxis(c, 0, -1)  # the FFTs run along the contiguous last axis
     n = c.shape[-1]
-    plan = _plan_for(n, count, float(xi0), float(dxi), float(x0), float(dx))
+    floats = (float(xi0), float(dxi), float(x0), float(dx))
+    plan = _CHIRP_PLANS.get((n, count, np.array(floats).tobytes()),
+                            lambda: _chirp_plan(n, count, *floats))
     size = plan.chirp_spectrum.size
     rows = c.reshape(-1, n)  # a view unless c has 3 axes and a mixed layout
     cols = rows.shape[0]

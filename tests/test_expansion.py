@@ -295,8 +295,8 @@ class TestShiftWindowedBlocks:
         window = sw.IndexWindow(2, 8)
         before = sw.analyze(ws, band_function, window).coefficients
         # warm: the scale-0 row is kept, and the wrapped evaluator must miss it
-        key = (ws.interpolator("psi"), 0, 0, band_function.grids[0], 8 * 128)
-        assert key in ws._rows
+        key = (ws.interpolator("psi"), 0, 0, band_function.grids[0], 8)
+        assert key in ws._blocks._values
         with _wrapped_interpolator(ws, lambda which, f: (
                 (lambda x: 1.01 * f(x)) if which == "psi" else f)):
             after = sw.analyze(ws, band_function, window).coefficients
@@ -343,10 +343,35 @@ class TestAtomRows:
         assert sizes == []
         np.testing.assert_array_equal(again.values, first.values)
 
+    def test_per_shift_blocks_are_kept(self, ws, monkeypatch):
+        # s = 2^-m 32/3 is never whole on 257 points over [-12, 12], so each
+        # block is per shift; both axes share the grid and so the blocks
+        g = sw.Grid1D.from_interval(-12.0, 12.0, 257)
+        x = g.points()
+        f = sw.SampledFunction((g, g), np.outer(np.exp(-0.5 * x ** 2),
+                                                np.exp(-0.5 * (x - 1.0) ** 2)))
+        window = sw.IndexWindow(2, 8, d=2)
+
+        def fresh():
+            return sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_hat, ws.phi_hat,
+                                    ws.psi_samples, ws.phi_samples)
+
+        system = fresh()
+        sizes = _count_spline_points(monkeypatch)
+        first = sw.analyze(system, f, window)
+        assert len(sizes) == 10  # phi and psi at each of 5 scales
+        sizes.clear()
+        again = sw.analyze(system, f, window)
+        partial = sw.synthesize_partial(system, again, (g, g))
+        assert sizes == []
+        np.testing.assert_array_equal(again.values, first.values)
+        np.testing.assert_array_equal(
+            partial.values, sw.synthesize_partial(fresh(), first, (g, g)).values)
+
     def test_kept_rows_are_read_only(self, ws, band_function):
         sw.analyze(ws, band_function, sw.IndexWindow(2, 8))
-        assert ws._rows
-        for row in ws._rows.values():
+        assert ws._blocks._values
+        for row in ws._blocks._values.values():
             assert not row.flags.writeable
         block, _ = expansion._axis_block(ws, 1, 0, 8, band_function.grids[0], 0)
         with pytest.raises(ValueError):
@@ -359,8 +384,9 @@ class TestAtomRows:
         grids = [sw.Grid1D(-79.5 + 0.5 * k, 1.0 / 128, 20481) for k in range(5)]
         for g in grids:
             sw.analyze(ws, sw.SampledFunction(g, np.exp(-g.points() ** 2)), window)
-        kept = [key[3] for key in ws._rows]
-        assert sum(r.nbytes for r in ws._rows.values()) <= construction._ROW_CACHE_BYTES
+        kept = [key[3] for key in ws._blocks._values]
+        assert (sum(r.nbytes for r in ws._blocks._values.values())
+                <= ws._blocks.budget)
         assert grids[0] not in kept
         assert kept[-13:] == [grids[-1]] * 13
 
@@ -461,7 +487,7 @@ class TestWindowKernels:
     def test_span_covers_every_nonzero_sample(self, ws, expansion_grid):
         for m in range(-6, 7):
             s, (a, b) = construction._axis_block(ws, 1, m, 32, expansion_grid)[1]
-            row = ws.grid_row(1, m, expansion_grid, 32 * s)
+            row = ws._blocks._values[(ws.interpolator("psi"), m, 0, expansion_grid, 32)]
             nonzero = np.flatnonzero(row)
             assert a <= nonzero[0] and nonzero[-1] < b
             assert b - a <= nonzero[-1] - nonzero[0] + 4
@@ -488,8 +514,8 @@ class TestCertificateRows:
         assert all(c["pass"] for c in certs.values())
         two_scale = sw.Grid1D.from_interval(-80.0, 80.0, 10241)
         lattice = sw.Grid1D(-250.0, 1.0 / 64, 501 * 64)
-        assert (ws.interpolator("psi"), 0, 0, two_scale, 3 * 64) in ws._rows
-        assert (ws.interpolator("phi"), 0, 0, lattice, 0) in ws._rows
+        assert (ws.interpolator("psi"), 0, 0, two_scale, 3) in ws._blocks._values
+        assert (ws.interpolator("phi"), 0, 0, lattice, 0) in ws._blocks._values
 
     @pytest.mark.parametrize("which, name, deviation, gap", [
         ("psi", "TWO_SCALE_CROSS", "max_deviation", 2e-2),
@@ -569,6 +595,10 @@ class TestParseval:
         dict(points=["a"], weights=[1.0]),
         dict(points=[0.3], weights=[1.0],
              density=sw.SampledFunction(sw.Grid1D(0.0, 1.0, 3), np.ones(3))),
+        dict(density=sw.SampledFunction((sw.Grid1D(0.0, 1.0, 3),) * 2,
+                                        np.ones((3, 3)))),  # 2-D density
+        dict(density=np.ones(3)),  # samples without their grid
+        dict(density="gaussian"),
     ])
     def test_malformed_dual_rejected(self, kwargs):
         with pytest.raises(ExpansionError):

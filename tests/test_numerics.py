@@ -335,12 +335,24 @@ class TestChirpSynthesis:
             sw.synthesize(spec, self.X_GRID)
 
 
+def _fresh_plan_store(monkeypatch, budget=None):
+    """An empty Bluestein plan store admitting as the process's does, with
+    its budget unless one is given (the process's store is restored after
+    the test)."""
+    kept = numerics._CHIRP_PLANS
+    store = numerics.Kept(budget or kept.budget, from_second=kept.from_second)
+    monkeypatch.setattr(numerics, "_CHIRP_PLANS", store)
+    return store
+
+
 @pytest.fixture
 def fresh_plans(monkeypatch):
-    """An empty Bluestein plan store for one test (restored after it)."""
-    monkeypatch.setattr(numerics, "_plans", {})
-    monkeypatch.setattr(numerics, "_seen", {})
-    return numerics
+    """An empty Bluestein plan store for one test."""
+    return _fresh_plan_store(monkeypatch)
+
+
+def _kept_bytes(store):
+    return sum(v.nbytes for v in list(store._values.values()))
 
 
 def _random_coeffs(shape, seed=0):
@@ -356,11 +368,11 @@ class TestChirpPlans:
     def test_kept_plan_gives_the_bits_of_a_fresh_one(self, fresh_plans, shape):
         coeffs = _random_coeffs(shape)
         fresh = sw.chirp_synthesis(coeffs, *self.GEOMETRY)
-        assert not fresh_plans._plans
+        assert not fresh_plans._values
         kept = sw.chirp_synthesis(coeffs, *self.GEOMETRY)  # second request keeps
-        assert len(fresh_plans._plans) == 1
+        assert len(fresh_plans._values) == 1
         hit = sw.chirp_synthesis(coeffs, *self.GEOMETRY)
-        assert len(fresh_plans._plans) == 1
+        assert len(fresh_plans._values) == 1
         assert fresh.shape == (25,) + shape[1:]
         np.testing.assert_array_equal(kept, fresh)
         np.testing.assert_array_equal(hit, fresh)
@@ -379,7 +391,7 @@ class TestChirpPlans:
     def test_plans_are_read_only_and_never_returned(self, fresh_plans):
         coeffs = _random_coeffs((40, 3))
         outs = [sw.chirp_synthesis(coeffs, *self.GEOMETRY) for _ in range(3)]
-        (plan,) = fresh_plans._plans.values()
+        (plan,) = fresh_plans._values.values()
         for array in plan:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -388,8 +400,8 @@ class TestChirpPlans:
 
     def test_once_requested_geometry_keeps_nothing(self, fresh_plans):
         sw.chirp_synthesis(_random_coeffs((40,)), *self.GEOMETRY)
-        assert not fresh_plans._plans
-        assert len(fresh_plans._seen) == 1
+        assert not fresh_plans._values
+        assert len(fresh_plans._noted) == 1
 
     def test_dense_table_build_keeps_nothing(self, ws, fresh_plans):
         from subexp_wavelets import construction
@@ -397,24 +409,27 @@ class TestChirpPlans:
         ws._even_table("psi", 0, construction.TABLE_HALF,
                        construction.TABLE_SPACING,
                        construction._TABLE_BAND_POINTS)
-        assert not fresh_plans._plans
+        assert not fresh_plans._values
 
-    def test_kept_bytes_stay_within_the_budget(self, fresh_plans, monkeypatch):
+    def test_kept_bytes_stay_within_the_budget(self, monkeypatch):
         # one plan here is (40 + 25 + 64) * 16 = 2,064 bytes; room for three
-        monkeypatch.setattr(numerics, "_PLAN_BYTES", 7000)
+        store = _fresh_plan_store(monkeypatch, budget=7000)
         coeffs = _random_coeffs((40,))
-        for shift in range(6):
+        geometries = [(-0.7, 0.05, 2.0 + shift, -0.3, 25) for shift in range(6)]
+        for g in geometries:
             for _ in range(2):
-                sw.chirp_synthesis(coeffs, -0.7, 0.05, 2.0 + shift, -0.3, 25)
-                kept = sum(p.nbytes for p in fresh_plans._plans.values())
-                assert kept <= numerics._PLAN_BYTES
-        assert len(fresh_plans._plans) == 3
+                sw.chirp_synthesis(coeffs, *g)
+                assert _kept_bytes(store) <= 7000
+        assert len(store._values) == 3
+        # the least recently used go first: the last three geometries stay
+        assert [key[2] for key in store._values] == [
+            np.array(g[:4]).tobytes() for g in geometries[3:]]
         # a plan larger than the whole budget is not kept, nor does it evict
-        kept = dict(fresh_plans._plans)
+        kept = dict(store._values)
         big = _random_coeffs((400,))
         for _ in range(2):
             sw.chirp_synthesis(big, -0.7, 0.05, 2.0, -0.3, 250)
-        assert fresh_plans._plans == kept
+        assert store._values == kept
 
     def test_each_geometry_field_keys_its_own_plan(self, fresh_plans):
         coeffs = _random_coeffs((40,))
@@ -429,16 +444,15 @@ class TestChirpPlans:
             got.append(sw.chirp_synthesis(coeffs[:39], *base))
             for a, b in zip(got, fresh):
                 np.testing.assert_array_equal(a, b)
-        assert len(fresh_plans._plans) == len(variants) + 1
+        assert len(fresh_plans._values) == len(variants) + 1
 
     def test_threads_share_the_store_safely(self, fresh_plans, monkeypatch):
         # more threads than cores, a short switch interval and a budget of
         # about four plans, so keeps, hits and evictions interleave
-        monkeypatch.setattr(numerics, "_PLAN_BYTES", 9000)
         coeffs = _random_coeffs((40, 2))
         geometries = [(-0.7, 0.05, 2.0 + shift, -0.3, 25) for shift in range(8)]
         want = [sw.chirp_synthesis(coeffs, *g) for g in geometries]
-        fresh_plans._seen.clear()
+        store = _fresh_plan_store(monkeypatch, budget=9000)
         errors, budget_breaches = [], []
 
         def work(seed):
@@ -448,7 +462,7 @@ class TestChirpPlans:
                     if not np.array_equal(sw.chirp_synthesis(coeffs, *geometries[i]),
                                           want[i]):
                         errors.append(f"geometry {i} changed")
-                    if sum(p.nbytes for p in list(fresh_plans._plans.values())) > 9000:
+                    if _kept_bytes(store) > 9000:
                         budget_breaches.append(seed)
             except Exception as exc:  # reported below, with the thread's seed
                 errors.append(f"thread {seed}: {exc!r}")
@@ -466,7 +480,7 @@ class TestChirpPlans:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert not budget_breaches
-        assert fresh_plans._plans
+        assert store._values
 
     def test_2d_projection_memory_is_bounded(self, ws, fresh_plans):
         # the level-2 projection on 321 x 321 points: measured peaks 13.4 MB
