@@ -12,7 +12,7 @@ from .bump import BumpError, GevreyBump, build_bump, certify_gevrey
 from .construction import (BellFunction, ConstructionError, WaveletSystem,
                            build_bell, build_wavelet_system, cross_gram_fourier,
                            decay_profile, run_certificate_suite,
-                           scaling_modulus, spectral_moments, two_scale_gram)
+                           scaling_modulus, spectral_moments)
 from .expansion import (CoefficientSet, DualRepresentative, ExpansionError,
                         IndexWindow, WaveletIndex, analyze, bessel_gap,
                         parseval_check, parseval_from_coefficients,
@@ -24,8 +24,7 @@ from .numerics import (Grid1D, NumericsError, SampledFunction, SpectrumOnBand,
                        chirp_synthesis, forward_transform_values, inner_product,
                        integrate, norm_l2, pairing, synthesize,
                        synthesize_values)
-from .projection import (PrimitiveDecomposition, ProjectionError,
-                         ProjectionKernel, build_kernel, kernel_decay_certificate,
-                         kernel_eval, mra_convergence_experiment,
-                         polynomial_reproduction, primitive_decomposition_1d,
+from .projection import (ProjectionError, ProjectionKernel, build_kernel,
+                         kernel_decay_certificate, kernel_eval,
+                         mra_convergence_experiment, polynomial_reproduction,
                          project, project_at)

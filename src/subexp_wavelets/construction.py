@@ -404,18 +404,6 @@ def _lattice_deviation(sq_modulus) -> float:
     return float(np.max(np.abs(total - 1.0)))
 
 
-def two_scale_gram(atom, grid: Grid1D, m_range=(-1, 0, 1),
-                   n_range=range(-3, 4)) -> np.ndarray:
-    """Trapezoid Gram matrix on ``grid`` of the dyadic atoms, ideally the identity.
-
-    ``atom(m, ns, x)`` returns the block ``2^(m/2) psi(2^m x - n)`` for a
-    column of shifts ``ns``.
-    """
-    x = grid.points()
-    ns = np.array(list(n_range))
-    return _gram(np.vstack([atom(m, ns[:, None], x) for m in m_range]), grid)
-
-
 def _gram(A: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Trapezoid Gram matrix on ``grid`` of the rows of ``A``."""
     return (A * grid.trapezoid_weights()) @ A.T
@@ -441,8 +429,9 @@ def _shift_orthonormality(modulus, tol: float = 1e-10) -> dict:
 
 
 def _two_scale_check(ws: WaveletSystem, tol: float = 1e-7) -> dict:
-    """``two_scale_gram`` of psi at m = -1, 0, 1 and n = -3..3 on [-80, 80] at
-    spacing 1/64: each scale's 7 atoms are windows of one kept row."""
+    """Trapezoid Gram matrix of ``2^(m/2) psi(2^m x - n)`` at m = -1, 0, 1 and
+    n = -3..3 on [-80, 80] at spacing 1/64, ideally the identity: each
+    scale's 7 atoms are windows of one kept row."""
     grid = Grid1D.from_interval(-80.0, 80.0, 2 * 80 * 64 + 1)
     A = np.vstack([_axis_block(ws, 1, m, 3, grid)[0] for m in (-1, 0, 1)])
     return _gram_check(_gram(A, grid), tol)
@@ -583,8 +572,9 @@ def _stored_two_scale(ws: WaveletSystem) -> dict:
     """Cross-scale Gram from a natural cubic spline of the stored samples (tol 1e-5)."""
     (grid,) = ws.psi_samples.grids
     psi = NaturalSpline(grid, ws.psi_samples.values.real)
-    return _gram_check(two_scale_gram(
-        lambda m, ns, pts: 2.0 ** (m / 2.0) * psi(np.ldexp(pts, m) - ns), grid), 1e-5)
+    x, ns = grid.points(), np.arange(-3, 4)[:, None]
+    A = np.vstack([2.0 ** (m / 2.0) * psi(np.ldexp(x, m) - ns) for m in (-1, 0, 1)])
+    return _gram_check(_gram(A, grid), 1e-5)
 
 
 def _kernel_decay(ws: WaveletSystem) -> dict:

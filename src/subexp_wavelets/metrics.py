@@ -49,8 +49,11 @@ class SeminormParams:
     def __post_init__(self):
         if not all(np.isfinite(v) and v > 0 for v in (self.rho2, self.h, self.c)):
             raise MetricsError("rho2, h, c must be positive and finite")
-        if self.rho1 < 0 or self.max_beta < 0:
-            raise MetricsError("rho1 and max_beta must be nonnegative")
+        if not (np.isfinite(self.rho1) and self.rho1 >= 0):
+            raise MetricsError(f"rho1 must be finite and nonnegative, got {self.rho1!r}")
+        if not (isinstance(self.max_beta, (int, np.integer)) and self.max_beta >= 0):
+            raise MetricsError(f"max_beta must be a nonnegative integer, "
+                               f"got {self.max_beta!r}")
 
 
 def seminorm_estimate(derivatives, params: SeminormParams, probe_points) -> float:
@@ -131,6 +134,8 @@ def subexp_decay_fit(samples, exponent_mode: str = "fixed",
     ``exponent_mode="free"`` the exponent 1/rho is grid-searched over
     rho in [1, 4] (step 0.05) maximizing R^2.
     """
+    if exponent_mode == "fixed" and not (np.isfinite(rho) and rho > 0):
+        raise MetricsError(f"rho must be positive and finite, got {rho!r}")
     samples = np.asarray(samples, dtype=float)
     x, v = samples[:, 0], np.abs(samples[:, 1])
     order = np.argsort(x)

@@ -5,10 +5,9 @@ these primitives.  Conventions fixed here once and for all:
 
 * forward transform  ``F g(xi) = int g(x) exp(-i x xi) dx``,
 * inverse transform carries the single ``1/(2 pi)`` factor,
-* all integrals are composite trapezoid sums on uniform grids, except the
-  cumulative ones (``cumulative_simpson``).  For smooth integrands that
-  vanish at both grid ends the rule is the periodic trapezoid rule and
-  converges faster than any power of the spacing,
+* all integrals are composite trapezoid sums on uniform grids.  For smooth
+  integrands that vanish at both grid ends the rule is the periodic
+  trapezoid rule and converges faster than any power of the spacing,
 * synthesis onto a uniform grid is one chirp-z transform
   (``chirp_synthesis``); ``synthesize_values`` sums the same quadrature
   directly at scattered points and serves as its oracle.  The same engine
@@ -31,7 +30,7 @@ of ``next_fast_len``.
 
 Synthesized values are complex throughout, even when a quantity is
 analytically real; realness is asserted by tests, never assumed by code.
-The spline and the Simpson rule read real samples.
+The spline reads real samples.
 """
 
 from __future__ import annotations
@@ -235,31 +234,6 @@ def moments(grid: Grid1D, values, k_max: int) -> np.ndarray:
     x = grid.points()
     w = grid.trapezoid_weights()
     return np.array([np.dot(values * w, x ** k) for k in range(k_max + 1)])
-
-
-def cumulative_simpson(y, dx: float) -> np.ndarray:
-    """``int_{x_0}^{x_i} y``, ``0 <= i < n``, for samples ``y`` at spacing ``dx``.
-
-    Cartwright's cumulative Simpson scheme for equal spacing: the quadratic
-    through three consecutive samples integrates over its first interval
-    forward and over its last interval backward, alternately, so
-    each pair of intervals from an even node is Simpson's rule (exact on
-    cubics there) and every node gets a value exact on quadratics.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size < 3:
-        raise NumericsError("Simpson integration needs at least 3 samples")
-
-    def first_intervals(f):
-        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
-
-    forward = first_intervals(y)
-    backward = first_intervals(y[::-1])[::-1]
-    pieces = np.empty(y.size - 1)
-    pieces[:-1:2] = forward[::2]
-    pieces[1::2] = backward[::2]
-    pieces[-1] = backward[-1]
-    return np.concatenate([[0.0], np.cumsum(pieces)])
 
 
 # r = sqrt(3) - 2 solves r^2 + 4 r + 1 = 0, so r^|k| / (r - 1/r) inverts the

@@ -13,11 +13,6 @@ truncation radius and tail bound, comes from the running sup of |phi| on
 the wide table (``_phi_tail``).  ``project_at`` integrates against
 the kernel itself, a lattice sum over the spline of the phi table, and is
 the independent route for spot checks.
-
-Also here: the iterated-primitive decomposition ``g = d^r/dy^r g_r`` for a
-function with vanishing moments, built from one-sided tail integrals
-(``-int_y^inf (y-w)^{r-1} g`` for y > 0, the mirrored prefix form for y < 0)
-whose prefix sums are ``numerics.cumulative_simpson``.
 """
 
 from __future__ import annotations
@@ -85,6 +80,8 @@ class ProjectionKernel:
     dimension: int
 
     def __post_init__(self):
+        if not isinstance(self.level, (int, np.integer)):
+            raise ProjectionError(f"level must be an integer, got {self.level!r}")
         if not (isinstance(self.dimension, (int, np.integer)) and self.dimension >= 1):
             raise ProjectionError("dimension must be an integer >= 1")
         K = self.truncation_radius
@@ -414,83 +411,3 @@ def convergence_csv(rows: list[dict], path) -> None:
             writer.writerow([row["m"], repr(row["sup_error"]),
                              repr(row["seminorm"]), repr(row["boundary_mass"])])
 
-
-# ---------------------------------------------------------------------------
-# iterated primitives
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrimitiveDecomposition:
-    r: int
-    g: SampledFunction
-    g_r: SampledFunction
-    bound_constants: dict
-
-
-def primitive_decomposition_1d(g: SampledFunction, r: int,
-                               rho: float = 2.0) -> PrimitiveDecomposition:
-    """Write g as the r-th derivative of a single primitive g_r.
-
-    Requires the moments of g through order r to vanish (else the one-sided
-    primitives fail to decay); verifies d^r g_r = g by repeated 4th-order
-    stencil differentiation and records a fitted decay bound for g_r.
-    """
-    if r < 1:
-        raise ProjectionError("order r must be >= 1")
-    (grid,) = g.grids
-    x = grid.points()
-    h = grid.spacing
-    vals = np.real_if_close(g.values, tol=1e6)
-    if np.iscomplexobj(vals):
-        vals = vals.real
-    w = grid.trapezoid_weights()
-    moments = numerics.moments(grid, vals, r)
-    scales = np.array([max(1.0, abs(np.dot(np.abs(vals) * w, np.abs(x) ** j)))
-                       for j in range(r + 1)])
-    if np.any(np.abs(moments) / scales > 1e-8):
-        raise ProjectionError("moment precondition")
-
-    # prefix integrals P_j(y) = int_{x_min}^y w^j g(w) dw (Simpson)
-    prefix = [numerics.cumulative_simpson(vals * x ** j, h)
-              for j in range(r)]
-    totals = [p[-1] for p in prefix]
-    # binomial expansion of (y - w)^{r-1}; right form uses the tail integrals
-    fact = np.exp(lgamma(r))
-    left = np.zeros_like(x)
-    right = np.zeros_like(x)
-    for j in range(r):
-        binom = np.exp(lgamma(r) - lgamma(j + 1) - lgamma(r - j))
-        term = binom * x ** (r - 1 - j) * (-1.0) ** j
-        left += term * prefix[j]
-        right += term * (prefix[j] - totals[j])
-    # right form: -int_y^inf (y-w)^{r-1} g = sum_j term_j (P_j - T_j)
-    g_r = SampledFunction(grid, np.where(x > 0, right, left) / fact)
-
-    # verification: r-fold 4th-order first-derivative stencil, interior only
-    d = g_r.values.real.copy()
-    for _ in range(r):
-        dd = np.full_like(d, np.nan)
-        dd[2:-2] = (d[:-4] - 8 * d[1:-3] + 8 * d[3:-1] - d[4:]) / (12 * h)
-        d = dd
-    interior = slice(2 * r, x.size - 2 * r)
-    mismatch = float(np.max(np.abs(d[interior] - vals[interior])))
-    ref = max(float(np.max(np.abs(vals))), 1e-30)
-    if mismatch / ref > 1e-5:
-        raise ProjectionError("decomposition failed")
-
-    if np.max(np.abs(g_r.values)) > 0:
-        try:
-            half = x.size // 2
-            fit = metrics.subexp_decay_fit(
-                np.column_stack([x[half:], np.abs(g_r.values[half:])]),
-                "fixed", rho=rho)
-            bounds = {"amplitude_C": fit.amplitude_C, "rate_c": fit.rate_c,
-                      "exponent": fit.exponent, "r_squared": fit.r_squared}
-        except metrics.MetricsError:
-            bounds = {"amplitude_C": float(np.max(np.abs(g_r.values))),
-                      "rate_c": 0.0, "exponent": 1.0 / rho, "r_squared": 0.0}
-    else:
-        bounds = {"amplitude_C": 0.0, "rate_c": 0.0, "exponent": 1.0 / rho,
-                  "r_squared": 1.0}
-    bounds["derivative_mismatch"] = mismatch / ref
-    return PrimitiveDecomposition(r=r, g=g, g_r=g_r, bound_constants=bounds)

@@ -145,20 +145,6 @@ def test_projection_convergence(ws):
             f"seminorm ratio {max(sems) / sems[0]:.3f}")
 
 
-def test_iterated_primitive_oracle():
-    t0 = time.time()
-    grid = sw.Grid1D.from_interval(-12.0, 12.0, 6145)
-    g = testfuncs.sample(testfuncs.gaussian_derivative(3), grid)
-    dec = sw.primitive_decomposition_1d(g, 2)
-    y = grid.points()
-    sup_err = float(np.max(np.abs(dec.g_r.values.real
-                                  + 2.0 * y * np.exp(-y * y))))
-    integral = abs(sw.integrate(dec.g_r))
-    ok = sup_err < 1e-8 and integral < 1e-9
-    _finish("second primitive of the Gaussian third derivative", 5.0, t0, ok,
-            f"sup error {sup_err:.2e}, integral {integral:.2e}")
-
-
 def test_partial_sums_parseval_bessel(ws, band_function, expansion_grid):
     t0 = time.time()
     sups = []

@@ -57,6 +57,13 @@ class TestDecayFit:
         with pytest.raises(MetricsError):
             sw.subexp_decay_fit(_synthetic(1.0, 0.5), "adaptive")
 
+    @pytest.mark.parametrize("rho", [0.0, -2.0, np.nan, np.inf])
+    def test_fixed_rho_must_be_positive_and_finite(self, rho):
+        # rho = 0 used to divide by zero, nan to fail inside LAPACK, and
+        # rho = -2 to return a fit with exponent -0.5
+        with pytest.raises(MetricsError, match="rho must be positive"):
+            sw.subexp_decay_fit(_synthetic(1.0, 0.5), "fixed", rho=rho)
+
     def test_json_dict_keys(self):
         fit = sw.subexp_decay_fit(_synthetic(1.0, 0.5), "fixed", rho=2.0)
         doc = fit.to_json_dict()
@@ -107,6 +114,25 @@ class TestSeminorm:
             for bad in (np.nan, np.inf):
                 with pytest.raises(MetricsError, match="finite"):
                     sw.SeminormParams(**{**good, key: bad})
+
+    @pytest.mark.parametrize("rho1", [np.nan, np.inf])
+    def test_rho1_must_be_finite(self, rho1):
+        # rho1 = nan or inf used to pass, and the seminorm of a Gaussian
+        # then read 0.0
+        with pytest.raises(MetricsError, match="rho1 must be finite"):
+            sw.SeminormParams(rho1=rho1, rho2=2.0, h=1.0, c=0.5, max_beta=0)
+
+    @pytest.mark.parametrize("max_beta", [1.5, 2.0, "2", None, -1])
+    def test_max_beta_must_be_a_nonnegative_integer(self, max_beta):
+        with pytest.raises(MetricsError, match="max_beta must be a nonnegative integer"):
+            sw.SeminormParams(rho1=0.0, rho2=2.0, h=1.0, c=0.5, max_beta=max_beta)
+
+    def test_numpy_integer_max_beta_accepted(self):
+        params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=1.0, c=0.5,
+                                   max_beta=np.int64(1))
+        probes = np.linspace(-3.0, 3.0, 161)
+        got = sw.seminorm_estimate(np.ones((2, probes.size)), params, probes)
+        assert got > 0.0
 
 
 def _manual_coeffs(values_by_shift):

@@ -5,8 +5,7 @@ sqrt(pi), the Fourier pair rectangle <-> sin(x)/(pi x), and the Gaussian
 transform pair exp(-x^2) <-> sqrt(pi) exp(-xi^2/4).  The lattice-factored
 direct sum is checked against the plain ``exp(i outer) @ amp`` product, and
 the chirp-z engine against the direct sum ``synthesize_values``.  The natural
-spline is checked against a dense solve of its tridiagonal system, the
-cumulative Simpson rule against polynomials it integrates exactly, and
+spline is checked against a dense solve of its tridiagonal system, and
 ``next_fast_len`` against a brute-force search.
 """
 
@@ -601,25 +600,6 @@ class TestNaturalSpline:
         spline = numerics.NaturalSpline(self.GRID, np.zeros(self.GRID.count))
         with pytest.raises(NumericsError):
             spline(0.0, 4)
-
-
-class TestCumulativeSimpson:
-    @pytest.mark.parametrize("n", [7, 8, 101, 102])
-    def test_exact_on_quadratics_and_on_cubics_at_even_nodes(self, n):
-        x = np.linspace(0.3, 1.9, n)
-        h = x[1] - x[0]
-        got = numerics.cumulative_simpson(x ** 2 - x, h)
-        want = (x ** 3 / 3 - x ** 2 / 2) - (x[0] ** 3 / 3 - x[0] ** 2 / 2)
-        assert np.max(np.abs(got - want)) < 1e-14
-        # each pair of intervals from an even node is Simpson's rule
-        got = numerics.cumulative_simpson(x ** 3, h)
-        want = (x ** 4 - x[0] ** 4) / 4
-        assert np.max(np.abs(got[::2] - want[::2])) < 1e-14
-        assert got[0] == 0.0
-
-    def test_needs_three_samples(self):
-        with pytest.raises(NumericsError):
-            numerics.cumulative_simpson([1.0, 2.0], 0.1)
 
 
 def _eleven_smooth(m):

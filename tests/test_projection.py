@@ -1,4 +1,4 @@
-"""Projection kernels, projections, reproduction and primitive decomposition."""
+"""Projection kernels, projections, reproduction and their certificates."""
 
 import tracemalloc
 import warnings
@@ -11,7 +11,7 @@ import subexp_wavelets as sw
 from subexp_wavelets import numerics, projection
 from subexp_wavelets.construction import TABLE_HALF
 from subexp_wavelets.projection import ProjectionError
-from subexp_wavelets.testfuncs import gaussian, gaussian_derivative, sample
+from subexp_wavelets.testfuncs import gaussian, sample
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,19 @@ class TestKernelConstruction:
     def test_dimension_validated(self, ws):
         with pytest.raises(ProjectionError):
             sw.build_kernel(ws, dimension=0)
+
+    @pytest.mark.parametrize("level", [0.5, 1.0, "1", None])
+    def test_level_validated(self, ws, level):
+        # level 0.5 used to build a kernel of no q_m; "1" and None failed
+        # later, inside numpy
+        with pytest.raises(ProjectionError, match="level must be an integer"):
+            sw.build_kernel(ws, level=level)
+
+    def test_numpy_integer_level_accepted(self, ws, pk):
+        pk1 = sw.build_kernel(ws, level=np.int64(1))
+        x = np.array([0.1, 0.3])
+        assert np.array_equal(sw.kernel_eval(pk1, x, x),
+                              sw.kernel_eval(sw.build_kernel(ws, level=1), x, x))
 
     @pytest.mark.parametrize("radius", [-3, 2.5, 30.0, TABLE_HALF + 1, "30"])
     def test_truncation_radius_validated(self, ws, radius):
@@ -492,32 +505,3 @@ class TestConvergenceExperiment:
         assert lines[0] == "m,sup_error,seminorm,boundary_mass"
         assert len(lines) == 2
 
-
-class TestPrimitiveDecomposition:
-    GRID = sw.Grid1D.from_interval(-12.0, 12.0, 6145)
-
-    def test_third_derivative_of_gaussian(self):
-        # the second primitive of (d^3/dy^3) e^{-y^2} is (d/dy) e^{-y^2}
-        g = sample(gaussian_derivative(3), self.GRID)
-        dec = sw.primitive_decomposition_1d(g, 2)
-        y = self.GRID.points()
-        oracle = -2.0 * y * np.exp(-y * y)
-        assert np.max(np.abs(dec.g_r.values.real - oracle)) < 1e-8
-        assert abs(sw.integrate(dec.g_r)) < 1e-9
-        assert dec.bound_constants["derivative_mismatch"] < 1e-5
-
-    def test_moment_precondition_enforced(self):
-        g = sample(gaussian(), self.GRID)  # nonzero mean
-        with pytest.raises(ProjectionError, match="moment precondition"):
-            sw.primitive_decomposition_1d(g, 1)
-
-    def test_order_validated(self):
-        g = sample(gaussian_derivative(3), self.GRID)
-        with pytest.raises(ProjectionError):
-            sw.primitive_decomposition_1d(g, 0)
-
-    def test_decay_bound_recorded(self):
-        g = sample(gaussian_derivative(4), self.GRID)
-        dec = sw.primitive_decomposition_1d(g, 2)
-        assert dec.bound_constants["amplitude_C"] > 0.0
-        assert dec.bound_constants["exponent"] == 0.5
