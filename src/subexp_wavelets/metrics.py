@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import lgamma
+from numbers import Real
 
 import numpy as np
 
@@ -47,9 +48,10 @@ class SeminormParams:
     max_beta: int
 
     def __post_init__(self):
-        if not all(np.isfinite(v) and v > 0 for v in (self.rho2, self.h, self.c)):
+        if not all(isinstance(v, Real) and 0 < v < np.inf
+                   for v in (self.rho2, self.h, self.c)):
             raise MetricsError("rho2, h, c must be positive and finite")
-        if not (np.isfinite(self.rho1) and self.rho1 >= 0):
+        if not (isinstance(self.rho1, Real) and 0 <= self.rho1 < np.inf):
             raise MetricsError(f"rho1 must be finite and nonnegative, got {self.rho1!r}")
         if not (isinstance(self.max_beta, (int, np.integer)) and self.max_beta >= 0):
             raise MetricsError(f"max_beta must be a nonnegative integer, "

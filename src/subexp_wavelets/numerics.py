@@ -62,10 +62,12 @@ class Kept:
     which it keeps from the key's first request on, or with ``from_second``
     from its second, so that one-off keys keep nothing (a first request only
     notes the key, among the last ``_NOTED_KEYS``).  Beyond the budget the
-    least recently used values go first; a value larger than the whole
-    budget is never kept.  ``make`` returns a read-only value with the bits
-    of a fresh call, so threads may share a store: one lock guards it, and
-    ``make`` runs outside the lock.
+    least recently used values go first.  A value larger than a quarter of
+    the budget is never kept: a few such values, requested in turn, would
+    evict one another, and everything else, before their next use.
+    ``make`` returns a read-only value with the bits of a fresh call, so
+    threads may share a store: one lock guards it, and ``make`` runs
+    outside the lock.
     """
 
     def __init__(self, budget: int, from_second: bool = False):
@@ -87,7 +89,7 @@ class Kept:
                 while len(self._noted) > _NOTED_KEYS:
                     del self._noted[next(iter(self._noted))]
         value = make()
-        if keep and value.nbytes <= self.budget:
+        if keep and 4 * value.nbytes <= self.budget:
             with self._lock:
                 self._values.pop(key, None)  # kept meanwhile by another thread
                 kept = sum(v.nbytes for v in self._values.values())

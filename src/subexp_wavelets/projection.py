@@ -8,11 +8,11 @@ Fourier side: phi_hat vanishes outside |eta| <= 4 pi / 3, so q_m is a
 q_m f comes out as its spectrum, one ``chirp_synthesis`` from the samples,
 which ``_on_grid`` sums onto a uniform grid by one more: the samples, and
 the seminorm's derivatives of every order on uniform probes in one pass.
-No spline table is read on this route: its alias margin, like the kernel's
-truncation radius and tail bound, comes from the running sup of |phi| on
-the wide table (``_phi_tail``).  ``project_at`` integrates against
-the kernel itself, a lattice sum over the spline of the phi table, and is
-the independent route for spot checks.
+The kernel-decay certificate reads q_0 off this route, as the projections
+of point masses, and no spline table is read on it: the alias margin, like
+the kernel's truncation radius and tail bound, comes from the running sup
+of |phi| on the wide table (``_phi_tail``).  The lattice sum over the phi
+spline (``kernel_eval``, ``project_at``) is the independent reference.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import csv
 import logging
 from dataclasses import dataclass
 from math import lgamma
+from numbers import Real
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import metrics, numerics
 from .construction import TABLE_HALF, WaveletSystem, scaling_modulus
@@ -281,58 +281,33 @@ def kernel_decay_certificate(pk: ProjectionKernel, probe_count: int = 16,
                              u_max: float = 20.0, per_unit: int = 20) -> DecayFit:
     """Envelope fit of sup_x |q_0(x, x + u)| with the exponent pinned to 1/rho2.
 
-    By integer-shift invariance x only needs to range over one period [0, 1);
-    the offsets are ``u_j = j / per_unit`` on [0, u_max] (see ``_offset_sup``).
+    By integer-shift invariance x only needs to range over one period: the
+    probes are ``x_p = p / probe_count``, the offsets ``u_j = j / per_unit``
+    on [0, u_max].  ``q_0(x_p, .)`` projects a point mass at x_p: one
+    ``_project_1d`` pass takes the masses as columns over a uniform grid on
+    [0, 1], each ``1 / w`` at its node (transform ``exp(i zeta x_p)``), and
+    one ``_on_grid`` reads each spectrum times ``exp(i zeta x_p)`` at u.
     """
-    samples = np.column_stack(_offset_sup(pk, probe_count, u_max, per_unit))
+    if pk.level != 0:
+        raise ProjectionError("the kernel-decay certificate reads the level-0 kernel")
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (probe_count, per_unit)):
+        raise ProjectionError(f"probe_count and per_unit must be positive integers, "
+                              f"got {probe_count!r}, {per_unit!r}")
+    if not (isinstance(u_max, Real) and u_max > 0
+            and probe_count * (probe_count + u_max * per_unit) <= _MAX_NODES):
+        raise ProjectionError(f"u_max must be positive, and probe_count * (probe_count + "
+                              f"u_max * per_unit) at most {_MAX_NODES}, got {u_max!r}")
+    masses = Grid1D(0.0, 1.0 / probe_count, probe_count + 1)
+    values = np.eye(masses.count, probe_count) / masses.trapezoid_weights()[:, None]
+    zeta, qhat = _project_1d(pk, masses, values, u_max + 1.0)
+    qhat *= np.exp(1j * np.outer(zeta.points(), masses.points()[:-1]))
+    u = np.arange(int(u_max * per_unit) + 2) / per_unit
+    sup = np.abs(_on_grid(zeta, qhat, Grid1D(0.0, 1.0 / per_unit, u.size))).max(axis=1)
+    samples = np.column_stack([u, sup])[u <= u_max]
     try:
         return metrics.subexp_decay_fit(samples, "fixed", rho=pk.ws.rho2)
     except metrics.MetricsError as exc:
         raise ProjectionError(f"degenerate fit: {exc}") from exc
-
-
-def _offset_sup(pk: ProjectionKernel, probe_count: int, u_max: float,
-                per_unit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u, sup_x |q_0(x, x + u)|) over ``probe_count`` probes x = p / probe_count.
-
-    For a probe x every argument ``x + u_j - k`` of the lattice sum lies on
-    the lattice ``x + i / per_unit``, so one spline call on the probes'
-    lattices gives every term; per probe, a strided view of its lattice holds
-    phi(x + u_j - k) at row k, and one product with ``phi(x - k)`` sums the
-    rows.  A term is kept as in ``_kernel_eval_1d``: when either point lies
-    within K of k.  For u >= 0 that is two intervals, ``|x - k| <= K`` and,
-    past it, ``|x + u - k| <= K``: one product each.
-    """
-    if pk.level != 0:
-        raise ProjectionError("the kernel-decay certificate reads the level-0 kernel")
-    if per_unit < 1 or per_unit != int(per_unit):
-        raise ProjectionError("per_unit must be a positive integer")
-    K, per_unit = pk.truncation_radius, int(per_unit)
-    if u_max + K > TABLE_HALF:
-        raise ProjectionError("kernel window")
-    phi = pk.ws.interpolator("phi")
-    j = np.arange(int(u_max * per_unit) + 2)
-    j = j[j / per_unit <= u_max]
-    u = j / per_unit
-    # every k within K of x or of x + u, for x in [0, 1) and u in [0, u_max]
-    ks = np.arange(-K, int(np.ceil(u_max)) + K + 1)
-    # lattice index of x + u_j - k is j + first - per_unit (k - ks[0]),
-    # counted from x - ks[-1]
-    first = per_unit * (ks.size - 1)
-    lattice = np.arange(j.size + first) - per_unit * ks[-1]
-    # x + i / per_unit for every probe x, rounded once where per_unit * x is exact
-    t = (per_unit * (np.arange(probe_count) / probe_count)[:, None] + lattice) / per_unit
-    values = phi(t)
-    near, t_near = values[:, first::-per_unit], t[:, first::-per_unit]  # at x - k
-
-    def rows(a, v):  # sum_k a_k v(x + u_j - k), per probe
-        return np.einsum("pk,pkj->pj", a, sliding_window_view(
-            v, j.size, axis=1)[:, first::-per_unit])
-
-    sums = (rows(np.where(np.abs(t_near) <= K, near, 0.0), values)
-            + rows(np.where(t_near < -K, near, 0.0),
-                   np.where(np.abs(t) <= K, values, 0.0)))
-    return u, np.abs(sums).max(axis=0)
 
 
 def polynomial_reproduction(pk: ProjectionKernel, max_degree: int) -> dict:

@@ -390,6 +390,21 @@ class TestAtomRows:
         assert grids[0] not in kept
         assert kept[-13:] == [grids[-1]] * 13
 
+    def test_per_shift_blocks_over_a_quarter_of_the_bound_are_not_kept(
+            self, ws, monkeypatch):
+        # 20,000 points over [-80, 80] make every scale's block per shift,
+        # (65, 20000) floats or 10.4 MB, over a quarter of the bound: three
+        # filled it, each evicted before its next use, and none was read again
+        system = sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_hat, ws.phi_hat,
+                                  ws.psi_samples, ws.phi_samples)
+        g = sw.Grid1D.from_interval(-80.0, 80.0, 20000)
+        f = sw.SampledFunction(g, np.exp(-g.points() ** 2))
+        sizes = _count_spline_points(monkeypatch)
+        for _ in range(2):
+            sw.analyze(system, f, sw.IndexWindow(6, self.N))
+        assert len(sizes) == 26
+        assert not system._blocks._values
+
 
 class TestRealContraction:
     """The real blocks meet the real and imaginary parts of the data."""

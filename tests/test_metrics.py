@@ -127,6 +127,19 @@ class TestSeminorm:
         with pytest.raises(MetricsError, match="max_beta must be a nonnegative integer"):
             sw.SeminormParams(rho1=0.0, rho2=2.0, h=1.0, c=0.5, max_beta=max_beta)
 
+    @pytest.mark.parametrize("key", ["rho1", "rho2", "h", "c"])
+    @pytest.mark.parametrize("bad", ["2", None])
+    def test_non_numbers_are_rejected(self, key, bad):
+        # a string or None used to reach np.isfinite and raise a bare TypeError
+        good = {"rho1": 0.0, "rho2": 2.0, "h": 1.0, "c": 0.5, "max_beta": 0}
+        with pytest.raises(MetricsError, match="finite"):
+            sw.SeminormParams(**{**good, key: bad})
+
+    def test_numpy_floats_accepted(self):
+        params = sw.SeminormParams(rho1=np.float32(0.5), rho2=np.float64(2.0),
+                                   h=np.float32(1.0), c=np.int64(1), max_beta=0)
+        assert params.rho2 == 2.0
+
     def test_numpy_integer_max_beta_accepted(self):
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=1.0, c=0.5,
                                    max_beta=np.int64(1))

@@ -411,24 +411,33 @@ class TestChirpPlans:
         assert not fresh_plans._values
 
     def test_kept_bytes_stay_within_the_budget(self, monkeypatch):
-        # one plan here is (40 + 25 + 64) * 16 = 2,064 bytes; room for three
-        store = _fresh_plan_store(monkeypatch, budget=7000)
+        # one plan here is (40 + 25 + 64) * 16 = 2,064 bytes, under a quarter
+        # of the budget; room for four
+        store = _fresh_plan_store(monkeypatch, budget=8400)
         coeffs = _random_coeffs((40,))
         geometries = [(-0.7, 0.05, 2.0 + shift, -0.3, 25) for shift in range(6)]
         for g in geometries:
             for _ in range(2):
                 sw.chirp_synthesis(coeffs, *g)
-                assert _kept_bytes(store) <= 7000
-        assert len(store._values) == 3
-        # the least recently used go first: the last three geometries stay
+                assert _kept_bytes(store) <= 8400
+        assert len(store._values) == 4
+        # the least recently used go first: the last four geometries stay
         assert [key[2] for key in store._values] == [
-            np.array(g[:4]).tobytes() for g in geometries[3:]]
-        # a plan larger than the whole budget is not kept, nor does it evict
+            np.array(g[:4]).tobytes() for g in geometries[2:]]
+        # a plan larger than a quarter of the budget is not kept, nor does
+        # it evict
         kept = dict(store._values)
         big = _random_coeffs((400,))
         for _ in range(2):
             sw.chirp_synthesis(big, -0.7, 0.05, 2.0, -0.3, 250)
         assert store._values == kept
+
+    def test_values_over_a_quarter_of_the_budget_are_not_kept(self):
+        store = numerics.Kept(4000)
+        small, large = np.zeros(125), np.zeros(126)  # 1,000 and 1,008 bytes
+        assert store.get("small", lambda: small) is small
+        assert store.get("large", lambda: large) is large
+        assert list(store._values) == ["small"]
 
     def test_each_geometry_field_keys_its_own_plan(self, fresh_plans):
         coeffs = _random_coeffs((40,))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import subexp_wavelets as sw
-from subexp_wavelets import numerics, projection
+from subexp_wavelets import construction, metrics, numerics, projection
 from subexp_wavelets.construction import TABLE_HALF
 from subexp_wavelets.projection import ProjectionError
 from subexp_wavelets.testfuncs import gaussian, sample
@@ -17,6 +17,31 @@ from subexp_wavelets.testfuncs import gaussian, sample
 @pytest.fixture(scope="module")
 def pk(ws):
     return sw.build_kernel(ws)
+
+
+@pytest.fixture(scope="module", params=[1.5, 2.0, 2.5], ids=lambda r: f"rho2={r}")
+def order_kernel(request, ws):
+    """The level-0 kernel of the a = 1 system at each of three Gevrey orders."""
+    rho2 = request.param
+    return sw.build_kernel(ws if rho2 == 2.0 else sw.build_wavelet_system(1.0, rho2))
+
+
+def _decay_profile(pk, *args):
+    """(u, sup_x |q_0(x, x + u)|), the rows ``kernel_decay_certificate`` fits."""
+    seen = []
+    fit = metrics.subexp_decay_fit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "subexp_decay_fit",
+                   lambda samples, *a, **k: seen.append(samples) or fit(samples, *a, **k))
+        sw.kernel_decay_certificate(pk, *args)
+    return seen[0].T
+
+
+def _lattice_rows(pk, probe_count, u):
+    """q_0(x_p, x_p + u) from the lattice sum, one row per probe x_p = p / probe_count."""
+    xs = np.arange(probe_count) / probe_count
+    x, y = np.repeat(xs, u.size), (xs[:, None] + u).ravel()
+    return projection._kernel_eval_1d(pk, x, y).reshape(probe_count, u.size)
 
 
 @pytest.fixture(scope="module")
@@ -399,42 +424,69 @@ class TestCertificates:
 
     @pytest.mark.parametrize("probe_count, u_max, per_unit",
                              [(16, 20.0, 20), (7, 12.5, 8)])
-    def test_offset_sup_matches_kernel_rows(self, pk, probe_count, u_max, per_unit):
-        u, sup = projection._offset_sup(pk, probe_count, u_max, per_unit)
+    def test_decay_profile_matches_kernel_rows(self, order_kernel, probe_count,
+                                               u_max, per_unit):
+        # the multiplier route against the lattice sum over the phi spline,
+        # at the spline tables' floor
+        pk = order_kernel
+        u, sup = _decay_profile(pk, probe_count, u_max, per_unit)
         assert np.array_equal(u, np.arange(round(u_max * per_unit) + 1) / per_unit)
-        xs = np.arange(probe_count) / probe_count
-        x, y = np.repeat(xs, u.size), (xs[:, None] + u).ravel()
-        rows = projection._kernel_eval_1d(pk, x, y).reshape(probe_count, u.size)
-        # the same lattice sum over |phi|: the scale of its rounding, which
-        # near the sign changes of q_0 is up to 160 times the sum itself
-        phi = pk.ws.interpolator("phi")
-        absolute = SimpleNamespace(
-            ws=SimpleNamespace(interpolator=lambda which: lambda t: np.abs(phi(t))),
-            level=0, truncation_radius=pk.truncation_radius)
-        scale = projection._kernel_eval_1d(absolute, x, y).reshape(rows.shape)
-        want = np.abs(rows).max(axis=0)
-        assert np.all(np.abs(sup - want) <= 1e-14 * scale.max(axis=0))
+        rows = _lattice_rows(pk, probe_count, u)
+        assert np.max(np.abs(sup - np.abs(rows).max(axis=0))) <= 5e-11
 
-    def test_offset_sup_keeps_two_intervals_beyond_2k(self, ws):
-        # with K = 4, offsets past 2K = 8 keep |x - k| <= K and |x + u - k| <= K
-        # as two intervals; the sup still equals that of the kernel rows
-        pk = sw.build_kernel(ws, truncation_radius=4)
-        u, sup = projection._offset_sup(pk, 5, 14.0, 4)
-        xs = np.arange(5) / 5
-        x, y = np.repeat(xs, u.size), (xs[:, None] + u).ravel()
-        want = np.abs(projection._kernel_eval_1d(pk, x, y)).reshape(5, u.size).max(axis=0)
-        assert np.all(np.abs(sup - want) <= 1e-14 * want.max())
-        assert want[u > 8.0].max() > 1e-6
+    def test_decay_profile_reads_no_phi_table(self, ws, pk):
+        # a phi spline scaled by 1 + 1e-6 moves the lattice rows, and leaves
+        # the certificate's profile bit for bit
+        u, sup = _decay_profile(pk, 16, 20.0, 20)
+        rows = _lattice_rows(pk, 16, u)
+        table = ws.interpolator
 
-    def test_offset_window_must_fit_the_table(self, pk):
-        u_max = TABLE_HALF - pk.truncation_radius
-        assert projection._offset_sup(pk, 2, u_max, 1)[0][-1] == u_max
-        with pytest.raises(ProjectionError, match="kernel window"):
-            sw.kernel_decay_certificate(pk, probe_count=2, u_max=u_max + 1.0)
+        def scaled(which, order=0):
+            f = table(which, order)
+            return (lambda t: (1.0 + 1e-6) * f(t)) if which == "phi" else f
 
-    def test_offset_sup_reads_the_level_0_kernel(self, ws):
+        ws.interpolator = scaled
+        try:
+            scaled_u, scaled_sup = _decay_profile(pk, 16, 20.0, 20)
+            scaled_rows = _lattice_rows(pk, 16, u)
+        finally:
+            del ws.interpolator
+        assert np.max(np.abs(scaled_rows - rows)) > 1e-7
+        assert np.array_equal(scaled_u, u) and np.array_equal(scaled_sup, sup)
+
+    def test_verify_suites_build_no_phi_table(self, ws):
+        loaded = sw.WaveletSystem.from_json_dict(ws.to_json_dict())
+        for check in construction.checks("verify").values():
+            assert check(loaded)["pass"]
+        assert ("phi", 0) not in loaded._tables
+
+    def test_kernel_decay_reads_the_level_0_kernel(self, ws):
         with pytest.raises(ProjectionError, match="level-0"):
             sw.kernel_decay_certificate(sw.build_kernel(ws, level=1))
+
+    @pytest.mark.parametrize("key", ["probe_count", "per_unit"])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, 16.0, np.nan, np.inf, "16", None])
+    def test_counts_must_be_positive_integers(self, pk, key, bad):
+        with pytest.raises(ProjectionError, match="must be positive integers"):
+            sw.kernel_decay_certificate(pk, **{key: bad})
+
+    @pytest.mark.parametrize("u_max", [0.0, -1.0, np.nan, np.inf, 1e300, "20", None])
+    def test_u_max_must_be_positive_and_bounded(self, pk, u_max):
+        with pytest.raises(ProjectionError, match="u_max must be positive"):
+            sw.kernel_decay_certificate(pk, u_max=u_max)
+
+    @pytest.mark.parametrize("probe_count, u_max", [(16, 3276.5), (1024, 1e-3)])
+    def test_reads_are_bounded_before_allocating(self, pk, probe_count, u_max):
+        # the masses and the reads take probe_count * (probe_count + u_max *
+        # per_unit) values: 16 probes at 20 offsets per unit reach 2^20 at
+        # u_max = 3276, and 1024 probes at any u_max
+        with pytest.raises(ProjectionError, match="at most 1048576"):
+            sw.kernel_decay_certificate(pk, probe_count, u_max)
+
+    def test_numpy_arguments_accepted(self, pk):
+        want = sw.kernel_decay_certificate(pk, 7, 12.5, 8)
+        assert sw.kernel_decay_certificate(
+            pk, np.int64(7), np.float32(12.5), np.int32(8)) == want
 
     def test_polynomial_reproduction_low_degrees(self, pk):
         rep = sw.polynomial_reproduction(pk, 1)
