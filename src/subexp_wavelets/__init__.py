@@ -8,9 +8,9 @@ Parseval checks) that quantify each claimed property.
 
 __version__ = "0.1.0"  # read by the CLI report metadata
 
-from .bump import BumpError, GevreyBump, build_bump, certify_gevrey
+from .bump import BumpError, GevreyBump, build_bump
 from .construction import (BellFunction, ConstructionError, WaveletSystem,
-                           build_bell, build_wavelet_system, cross_gram_fourier,
+                           build_wavelet_system, cross_gram_fourier,
                            decay_profile, run_certificate_suite,
                            scaling_modulus, spectral_moments)
 from .expansion import (CoefficientSet, DualRepresentative, ExpansionError,

@@ -29,14 +29,14 @@ import numpy as np
 
 TARGET_INTEGRAL = np.pi / 2
 _HALF_PANELS = 8192  # panels on [-a, 0]; a power of 2, so 0 is an exact knot
-_MAX_CERTIFY_ORDER = 20
 
 
 class BumpError(ValueError):
     pass
 
 
-def _raw_profile(x: np.ndarray, a: float, rho: float) -> np.ndarray:
+def gevrey_profile(x: np.ndarray, a: float, rho: float) -> np.ndarray:
+    """exp(-(1 - (x/a)^2)^(-1/(rho-1))) for |x| < a, 0 otherwise (unnormalized)."""
     out = np.zeros_like(x, dtype=float)
     inside = np.abs(x) < a
     t = 1.0 - (x[inside] / a) ** 2
@@ -51,7 +51,6 @@ class GevreyBump:
     a: float
     rho: float
     norm_constant: float
-    target_integral: float = TARGET_INTEGRAL
     _cumtable: np.ndarray = field(default=None, repr=False, compare=False)
     _slopes: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -59,7 +58,7 @@ class GevreyBump:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = self.norm_constant * _raw_profile(x, self.a, self.rho)
+        out = self.norm_constant * gevrey_profile(x, self.a, self.rho)
         return out[0] if scalar else out
 
     def cumulative(self, xi) -> np.ndarray:
@@ -72,7 +71,7 @@ class GevreyBump:
         d0, d1 = h * self._slopes[i], h * self._slopes[i + 1]
         out = y0 + t * t * (3.0 - 2.0 * t) * (y1 - y0) \
             + t * (1.0 - t) * ((1.0 - t) * d0 - t * d1)
-        return np.clip(out, 0.0, self.target_integral)
+        return np.clip(out, 0.0, TARGET_INTEGRAL)
 
 
 def build_bump(a: float, rho: float) -> GevreyBump:
@@ -88,7 +87,7 @@ def build_bump(a: float, rho: float) -> GevreyBump:
         raise BumpError(f"Gevrey order must be finite and exceed 1, got {rho!r}")
     h = a / _HALF_PANELS
     lower = -a + h * np.arange(_HALF_PANELS + 1)  # the knots of [-a, 0]
-    v, d = _raw_profile(lower, a, rho), np.zeros(_HALF_PANELS + 1)
+    v, d = gevrey_profile(lower, a, rho), np.zeros(_HALF_PANELS + 1)
     live = v > 0  # the analytic slope d, where the profile has not underflowed
     d[live] = (v[live] * -2.0 * lower[live] / (a * a * (rho - 1.0))
                * (1.0 - (lower[live] / a) ** 2) ** (-rho / (rho - 1.0)))
@@ -111,50 +110,3 @@ def stencil(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     coeff = (-1.0) ** ks * np.exp(
         lgamma(n + 1) - np.array([lgamma(k + 1) + lgamma(n - k + 1) for k in ks]))
     return (n / 2.0 - ks) * h, coeff
-
-
-def stencil_derivative(f, n: int, x: np.ndarray, h: float) -> np.ndarray:
-    """Central binomial stencil f^(n)(x) ~ h^-n sum_k (-1)^k C(n,k) f(x + (n/2-k)h)."""
-    offsets, coeff = stencil(n, h)
-    vals = f(x[:, None] + offsets[None, :])
-    return (vals @ coeff) / h ** n
-
-
-def certify_gevrey(bump: GevreyBump, max_order: int) -> dict:
-    """Heuristic Gevrey-regularity certificate (not a proof).
-
-    Estimates ``sup |bump^(n)|`` for n = 0..max_order by Richardson-extrapolated
-    central differences (the bump is not band-limited, so spectral
-    differentiation is unavailable) and forms the normalized ratios
-
-        r_n = (sup |bump^(n)|)^(1/n) / n!^(rho/n).
-
-    The certificate passes when the tail of ``{r_n}`` is bounded: max/min
-    ratio of the last 5 terms below 10.
-    """
-    if max_order > _MAX_CERTIFY_ORDER:
-        raise BumpError("finite-difference noise dominates beyond order 20")
-    if max_order < 1:
-        raise BumpError("max_order must be >= 1")
-    x = np.linspace(-bump.a * 0.999, bump.a * 0.999, 801)
-    sups = [float(bump(0.0))]  # n = 0: even, maximum at the origin
-    for n in range(1, max_order + 1):
-        # step tuned per order against 2^n eps / h^n roundoff
-        h = (2.0 ** n * 1e-16) ** (1.0 / (n + 4))
-        h = min(max(h, 1e-4), 0.15 * bump.a)
-        d_h = stencil_derivative(bump, n, x, h)
-        d_h2 = stencil_derivative(bump, n, x, h / 2.0)
-        rich = (4.0 * d_h2 - d_h) / 3.0
-        sups.append(float(np.max(np.abs(rich))))
-    ratios = [sups[0]]
-    for n in range(1, max_order + 1):
-        ratios.append(sups[n] ** (1.0 / n) / np.exp(bump.rho * lgamma(n + 1) / n))
-    tail = np.array(ratios[max(1, max_order - 4):])
-    bounded = bool(tail.max() / tail.min() < 10.0)
-    return {
-        "sup_derivatives": sups,
-        "ratios": ratios,
-        "h_estimate": float(np.median(np.array(ratios[1:]))),
-        "passes": bounded,
-        "note": "heuristic certificate via Richardson-extrapolated stencils, not a proof",
-    }

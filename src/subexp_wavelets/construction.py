@@ -91,10 +91,6 @@ class BellFunction:
         return float(b[0]) if scalar else b
 
 
-def build_bell(bump: GevreyBump) -> BellFunction:
-    return BellFunction(bump)
-
-
 def scaling_modulus(bell: BellFunction, xi) -> np.ndarray:
     """|phi_hat|: 1 on the low band, bell(2 xi) on the transition band, 0 beyond."""
     xi = np.asarray(xi, dtype=float)
@@ -276,7 +272,7 @@ class WaveletSystem:
                                                          d["declared_support"]))
 
         params = doc["parameters"]
-        bell = build_bell(build_bump(params["a"], params["rho2"]))
+        bell = BellFunction(build_bump(params["a"], params["rho2"]))
         return cls(a=params["a"], rho2=params["rho2"], bell=bell,
                    psi_hat=read_spec(doc["psi_hat"]), phi_hat=read_spec(doc["phi_hat"]),
                    psi_samples=SampledFunction(*arrays(doc["psi_samples"])),
@@ -359,8 +355,7 @@ def build_wavelet_system(a: float, rho2: float, *,
     Certificate failures are recorded in ``certificates`` with pass=False,
     never raised: the system is returned with the failures flagged.
     """
-    bump = build_bump(a, rho2)  # raises on a >= pi/3 or rho2 <= 1
-    bell = build_bell(bump)
+    bell = BellFunction(build_bump(a, rho2))  # raises on a >= pi/3 or rho2 <= 1
 
     sg = Grid1D.from_interval(-_SPECTRAL_HALF, _SPECTRAL_HALF, spectral_points)
     xi = sg.points()
@@ -423,18 +418,19 @@ def _support_check(ws: WaveletSystem) -> dict:
             "probes": 200}
 
 
-def _shift_orthonormality(modulus, tol: float = 1e-10) -> dict:
+def _shift_orthonormality(modulus) -> dict:
+    tol = 1e-10
     dev = _lattice_deviation(lambda s: modulus(s) ** 2)
     return {"pass": dev < tol, "max_deviation": dev, "tolerance": tol, "probes": 512}
 
 
-def _two_scale_check(ws: WaveletSystem, tol: float = 1e-7) -> dict:
+def _two_scale_check(ws: WaveletSystem) -> dict:
     """Trapezoid Gram matrix of ``2^(m/2) psi(2^m x - n)`` at m = -1, 0, 1 and
     n = -3..3 on [-80, 80] at spacing 1/64, ideally the identity: each
     scale's 7 atoms are windows of one kept row."""
     grid = Grid1D.from_interval(-80.0, 80.0, 2 * 80 * 64 + 1)
     A = np.vstack([_axis_block(ws, 1, m, 3, grid)[0] for m in (-1, 0, 1)])
-    return _gram_check(_gram(A, grid), tol)
+    return _gram_check(_gram(A, grid), 1e-7)
 
 
 def spectral_moments(ws: WaveletSystem, k_max: int = 10) -> np.ndarray:
@@ -451,13 +447,12 @@ def spectral_moments(ws: WaveletSystem, k_max: int = 10) -> np.ndarray:
     # one spectrum call for every stencil point, split back per order
     vals = ws.psi_hat_fn(np.concatenate([offsets for offsets, _ in stencils]))
     per_order = np.split(vals, np.cumsum(np.arange(1, k_max + 1)))  # k + 1 each
-    # each order's (1, k + 1) row times its weights, as stencil_derivative sums
+    # each order's (1, k + 1) row times its weights: (v @ coeff) / step^k
     return np.array([(1j) ** k * (v[None, :] @ coeff)[0] / step ** k
                      for k, (v, (_, coeff)) in enumerate(zip(per_order, stencils))])
 
 
-def _moment_check(ws: WaveletSystem, k_max: int = 10, base_tol: float = 1e-7,
-                  physical_k_max: int = 2) -> dict:
+def _moment_check(ws: WaveletSystem) -> dict:
     """Vanishing moments, both routes.
 
     Spectral route (all k): i^k psi_hat^(k)(0), exact because the spectrum is
@@ -467,7 +462,8 @@ def _moment_check(ws: WaveletSystem, k_max: int = 10, base_tol: float = 1e-7,
     x^k over the integration window far past the tolerance, a double-precision
     limit rather than a property failure.
     """
-    tols = np.array([base_tol * np.exp(ws.rho2 * lgamma(k + 1))
+    k_max, physical_k_max = 10, 2
+    tols = np.array([1e-7 * np.exp(ws.rho2 * lgamma(k + 1))
                      for k in range(k_max + 1)])
     spectral = np.abs(spectral_moments(ws, k_max))
     phys = np.abs(ws.moments(physical_k_max))
@@ -478,19 +474,21 @@ def _moment_check(ws: WaveletSystem, k_max: int = 10, base_tol: float = 1e-7,
             "physical_k_max": physical_k_max}
 
 
-def _realness_check(ws: WaveletSystem, tol: float = 1e-10) -> dict:
+def _realness_check(ws: WaveletSystem) -> dict:
+    tol = 1e-10
     im = max(float(np.max(np.abs(ws.psi_samples.values.imag))),
              float(np.max(np.abs(ws.phi_samples.values.imag))))
     return {"pass": im < tol, "max_imag": im, "tolerance": tol}
 
 
-def _scaling_lowpass_check(ws: WaveletSystem, tol: float = 1e-8) -> dict:
+def _scaling_lowpass_check(ws: WaveletSystem) -> dict:
     """sum_n phi(x - n), n = -250..250, at the 64 probes x = i / 64 of [0, 1).
 
     phi on the lattice t = -250 + r + i / 64 is one kept row (the one row
     of ``_axis_block`` with N = 0), so its (501, 64) reshape holds
     phi(x_i - n) at r = 250 - n.
     """
+    tol = 1e-8
     phi0 = abs(complex(ws.phi_hat_fn(0.0)))
     row = _axis_block(ws, 0, 0, 0, Grid1D(-250.0, 1.0 / 64, 501 * 64))[0][0]
     # rows by n ascending, each probe's terms contiguous, as the sum reads them
@@ -501,7 +499,8 @@ def _scaling_lowpass_check(ws: WaveletSystem, tol: float = 1e-8) -> dict:
             "tolerance": tol, "probes": 64}
 
 
-def _normalization_check(ws: WaveletSystem, tol: float = 1e-8) -> dict:
+def _normalization_check(ws: WaveletSystem) -> dict:
+    tol = 1e-8
     # Plancherel: ||psi||^2 = (1/2pi) int |psi_hat|^2
     sg = ws.psi_hat.grid
     w = sg.trapezoid_weights()

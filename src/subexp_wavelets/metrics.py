@@ -139,6 +139,9 @@ def subexp_decay_fit(samples, exponent_mode: str = "fixed",
     if exponent_mode == "fixed" and not (np.isfinite(rho) and rho > 0):
         raise MetricsError(f"rho must be positive and finite, got {rho!r}")
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 2:
+        raise MetricsError(f"samples must be an (N, 2) table, "
+                           f"got shape {samples.shape}")
     x, v = samples[:, 0], np.abs(samples[:, 1])
     order = np.argsort(x)
     x, v = x[order], v[order]
@@ -177,12 +180,17 @@ class SequenceNormParams:
     k: float = 1.0
 
     def __post_init__(self):
+        for name in ("s", "t", "rho1", "rho2"):
+            v = getattr(self, name)
+            if not (isinstance(v, Real) and -np.inf < v < np.inf):
+                raise MetricsError(f"{name} must be a finite real number, got {v!r}")
+        if not (isinstance(self.k, Real) and 0 <= self.k < np.inf):
+            raise MetricsError(f"weight scale k must be finite and nonnegative, "
+                               f"got {self.k!r}")
         if not self.t > self.rho2:
             raise MetricsError("requires t > rho2")
         if not self.s > self.rho1:
             raise MetricsError("requires s > rho1")
-        if not self.k >= 0:
-            raise MetricsError(f"weight scale k must be nonnegative, got {self.k!r}")
 
 
 def _weight(m, r, params: SequenceNormParams):

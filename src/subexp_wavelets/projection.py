@@ -42,6 +42,7 @@ _ALIAS_TARGET = 1e-13
 # level 14 would need twice that.
 _MAX_NODES = 2 ** 20
 BOUNDARY_MASS_WARN = 1e-8
+_SEMINORM_PROBES = Grid1D.from_interval(-8.0, 8.0, 161)
 
 
 class ProjectionError(ValueError):
@@ -348,20 +349,18 @@ def polynomial_reproduction(pk: ProjectionKernel, max_degree: int) -> dict:
 
 
 def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
-                               levels, seminorm_params: SeminormParams,
-                               seminorm_probes: Grid1D | None = None) -> list[dict]:
+                               levels, seminorm_params: SeminormParams) -> list[dict]:
     """Rows (m, sup_error, seminorm, boundary_mass) for q_m f across levels.
 
     sup_error is the grid sup of |q_m f - f|; the seminorm column is the
-    fixed-(h, c) weighted estimate of q_m f on a uniform probe grid, whose
-    boundedness across m is the second ingredient of the convergence argument.
+    fixed-(h, c) weighted estimate of q_m f on 161 uniform probes of
+    [-8, 8], whose boundedness across m is the second ingredient of the
+    convergence argument.
     """
-    if seminorm_probes is None:
-        seminorm_probes = Grid1D.from_interval(-8.0, 8.0, 161)
     if seminorm_params.max_beta > numerics.DERIVATIVE_ORDER_CAP:
         raise numerics.NumericsError("derivative order cap")
     (grid,) = f.grids
-    probes = seminorm_probes.points()
+    probes = _SEMINORM_PROBES.points()
     orders = np.arange(seminorm_params.max_beta + 1)
     bmass = _warn_boundary_mass(f)
     rows = []
@@ -371,7 +370,7 @@ def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
         sup_err = float(np.max(np.abs(_on_grid(zeta, qhat, grid) - f.values)))
         # derivatives of q_m f are (i zeta)^beta factors on its spectrum
         spectra = qhat[:, None] * (1j * zeta.points()[:, None]) ** orders
-        derivatives = _on_grid(zeta, spectra, seminorm_probes).T
+        derivatives = _on_grid(zeta, spectra, _SEMINORM_PROBES).T
         sem = metrics.seminorm_estimate(derivatives, seminorm_params, probes)
         rows.append({"m": int(m), "sup_error": sup_err, "seminorm": sem,
                      "boundary_mass": bmass})

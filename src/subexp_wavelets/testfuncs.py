@@ -14,6 +14,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from . import numerics
+from .bump import gevrey_profile
 from .numerics import Grid1D, SampledFunction, SpectrumOnBand
 
 _BAND_POINTS = 4096  # spectral nodes of a gevrey-band function
@@ -56,8 +57,9 @@ def gevrey_band(xi0: float, xi1: float, rho: float = 2.0):
     """Real function whose spectrum is a Gevrey bump on [xi0, xi1] (+ mirror).
 
     f(x) = (1/pi) int_{xi0}^{xi1} A(xi) cos(x xi) dxi with
-    A(xi) = exp(-(1 - u^2)^{-1/(rho-1)}), u the affine map of [xi0, xi1] onto
-    [-1, 1]; normalized to unit L2 norm.  When 0 < xi0 all moments vanish.
+    A(xi) = exp(-(1 - u^2)^{-1/(rho-1)}) (the seed bump's ``gevrey_profile``),
+    u the affine map of [xi0, xi1] onto [-1, 1]; normalized to unit L2 norm.
+    When 0 < xi0 all moments vanish.
     The band must be finite and the order 1 < rho < inf (rho = inf would
     give a flat box, which is not Gevrey); both are checked before any
     sample is taken.
@@ -69,10 +71,7 @@ def gevrey_band(xi0: float, xi1: float, rho: float = 2.0):
     if not (np.isfinite(rho) and rho > 1):
         raise TestFunctionError(f"Gevrey order rho must be finite and exceed 1, got {rho!r}")
     grid = Grid1D.from_interval(xi0, xi1, _BAND_POINTS)
-    u = (2 * grid.points() - xi0 - xi1) / (xi1 - xi0)
-    amp = np.zeros(_BAND_POINTS)
-    inner = np.abs(u) < 1
-    amp[inner] = np.exp(-(1.0 - u[inner] ** 2) ** (-1.0 / (rho - 1.0)))
+    amp = gevrey_profile((2 * grid.points() - xi0 - xi1) / (xi1 - xi0), 1.0, rho)
     amp /= np.sqrt(np.sum(amp * amp * grid.trapezoid_weights()) / np.pi)
     spectrum = SpectrumOnBand(band=(xi0, xi1), grid=grid, values=amp,
                               declared_support=((xi0, xi1),))

@@ -1,4 +1,4 @@
-"""Seed bump: closed-form values, primitive table, and regularity heuristics."""
+"""Seed bump: closed-form values, primitive table, and input validation."""
 
 import numpy as np
 import pytest
@@ -87,21 +87,3 @@ class TestValidation:
         # at rho = inf the exponent -1/(rho - 1) is -0 and the bump a box
         with pytest.raises(BumpError, match="finite"):
             sw.build_bump(1.0, rho)
-
-
-class TestRegularityCertificate:
-    def test_reference_bump_passes(self, bump):
-        report = sw.certify_gevrey(bump, 10)
-        assert report["passes"]
-        assert len(report["ratios"]) == 11
-
-    def test_order_cap(self, bump):
-        with pytest.raises(BumpError):
-            sw.certify_gevrey(bump, 21)
-
-    def test_higher_order_decays_faster(self):
-        # the derivative-growth ratio of the smoother family (rho = 3) decays
-        # relative to the rougher one (rho = 1.2) as the order grows
-        r_rough = sw.certify_gevrey(sw.build_bump(1.0, 1.2), 10)["ratios"]
-        r_smooth = sw.certify_gevrey(sw.build_bump(1.0, 3.0), 10)["ratios"]
-        assert r_smooth[10] / r_rough[10] < r_smooth[5] / r_rough[5]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subexp_wavelets as sw
+from subexp_wavelets import construction
 from subexp_wavelets.construction import (_CENTER_SHIFT, _TABLE_BAND_POINTS,
                                           _WIDE_BAND_POINTS, TABLE_HALF)
 
@@ -51,7 +52,60 @@ class TestBell:
         assert np.min(ws.bell(xi)) >= 0.0
 
 
+def _wrap_bell(wrap):
+    def tamper(ws):
+        bell = ws.bell
+        ws.bell = lambda xi: wrap(np.asarray(xi, dtype=float), bell(xi))
+    return tamper
+
+
+def _scale_interpolator(which):
+    # a wrapped evaluator is a new key: the atom blocks kept under the
+    # table's own spline miss
+    def tamper(ws):
+        table = ws.interpolator
+        ws.interpolator = lambda w, order=0: (
+            (lambda x: 1.01 * table(w, order)(x)) if w == which else table(w, order))
+    return tamper
+
+
+def _raise_wide_psi(ws):
+    _, vals = ws.wide_table("psi")
+    vals += 1e-6
+
+
+def _imaginary_psi_samples(ws):
+    ws.psi_samples.values[...] += 1e-9j
+
+
+def _scale_psi_hat(ws):
+    ws.psi_hat.values[...] *= 1.01
+
+
+# build certificate -> a tamper of a fresh system that must make it fail
+BUILD_TAMPERS = {
+    "SUPPORT": _wrap_bell(lambda xi, b: b + 1e-3 * (np.abs(xi) < 1)),
+    "SHIFT_ORTHONORMALITY_PSI": _wrap_bell(lambda xi, b: 1.01 * b),
+    "SHIFT_ORTHONORMALITY_PHI": _wrap_bell(lambda xi, b: 1.01 * b),
+    "TWO_SCALE_CROSS": _scale_interpolator("psi"),
+    "MOMENTS": _raise_wide_psi,
+    "REALNESS": _imaginary_psi_samples,
+    "SCALING_LOWPASS": _scale_interpolator("phi"),
+    "NORMALIZATION": _scale_psi_hat,
+}
+
+
 class TestCertificates:
+    @pytest.mark.parametrize("name", list(construction.checks("build")))
+    def test_every_build_certificate_fails_when_tampered(self, name):
+        # a new build certificate must come with a tamper that it catches
+        assert name in BUILD_TAMPERS, f"no tamper for {name}"
+        check = construction.checks("build")[name]
+        fresh = sw.build_wavelet_system(1.0, 2.0, run_certificates=False)
+        assert check(fresh)["pass"]
+        BUILD_TAMPERS[name](fresh)
+        assert not check(fresh)["pass"]
+
     def test_all_pass(self, ws):
         assert ws.certificates, "reference build must carry certificates"
         failures = [name for name, cert in ws.certificates.items()

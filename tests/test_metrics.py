@@ -64,6 +64,14 @@ class TestDecayFit:
         with pytest.raises(MetricsError, match="rho must be positive"):
             sw.subexp_decay_fit(_synthetic(1.0, 0.5), "fixed", rho=rho)
 
+    @pytest.mark.parametrize("samples", [np.arange(30.0), np.ones((30, 3))],
+                             ids=["1d", "three-columns"])
+    def test_samples_must_be_an_n_by_2_table(self, samples):
+        # a 1-d array used to raise a bare IndexError; a third column was
+        # silently dropped
+        with pytest.raises(MetricsError, match=r"\(N, 2\) table"):
+            sw.subexp_decay_fit(samples, "fixed", rho=2.0)
+
     def test_json_dict_keys(self):
         fit = sw.subexp_decay_fit(_synthetic(1.0, 0.5), "fixed", rho=2.0)
         doc = fit.to_json_dict()
@@ -186,6 +194,16 @@ class TestSequenceNorm:
         # k = nan used to pass and make every weighted entry vanish
         with pytest.raises(MetricsError, match="nonnegative"):
             sw.SequenceNormParams(k=np.nan, **self.PARAMS)
+
+    @pytest.mark.parametrize("field, value", [
+        ("s", "3"), ("s", np.inf), ("t", None), ("t", np.inf),
+        ("rho1", None), ("rho1", -np.inf), ("rho2", "2"), ("rho2", -np.inf),
+        ("k", np.inf), ("k", "1")])
+    def test_params_must_be_finite_reals(self, field, value):
+        # strings and None used to raise a bare TypeError from a comparison;
+        # the infinities passed, and k = inf made every nonzero norm inf
+        with pytest.raises(MetricsError, match="finite"):
+            sw.SequenceNormParams(**{**self.PARAMS, "k": 1.0, field: value})
 
     @pytest.mark.parametrize("M, N, d", [(2, 4, 1), (2, 8, 2)])
     def test_weights_follow_the_index_order(self, M, N, d):

@@ -511,19 +511,20 @@ class TestConvergenceExperiment:
         sems = [r["seminorm"] for r in rows]
         assert max(sems) <= 3.0 * sems[0]
 
-    def test_seminorm_reuses_projection_coefficients(self, ws, gaussian_samples):
+    def test_seminorm_reuses_projection_coefficients(self, ws):
         # with beta = 0 and probes on grid points the seminorm column is the
-        # weighted sup of the projection itself
+        # weighted sup of the projection itself; the seminorm's probes (0.1
+        # apart on [-8, 8]) are every 8th point of this grid
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=0)
-        (grid,) = gaussian_samples.grids
-        probes = sw.Grid1D.from_interval(-6.0, 6.0, 49)
+        grid = sw.Grid1D.from_interval(-12.0, 12.0, 1921)
+        f = sample(gaussian(), grid)
+        x = projection._SEMINORM_PROBES.points()
+        assert np.allclose(grid.points()[grid.index_of(x)], x, rtol=0, atol=1e-12)
         levels = (0, 1, 3)
-        rows = sw.mra_convergence_experiment(ws, gaussian_samples, levels,
-                                             params, probes)
-        x = probes.points()
+        rows = sw.mra_convergence_experiment(ws, f, levels, params)
         weight = np.exp(0.5 * np.abs(x) ** 0.5)
         for m, row in zip(levels, rows):
-            qf = sw.project(sw.build_kernel(ws, level=m), gaussian_samples)
+            qf = sw.project(sw.build_kernel(ws, level=m), f)
             want = np.max(weight * np.abs(qf.values[grid.index_of(x)]))
             assert abs(row["seminorm"] - want) <= 1e-12 * want
 
