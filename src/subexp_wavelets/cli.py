@@ -194,9 +194,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    ws = build_wavelet_system(a=args.a, rho2=args.rho2,
-                              spectral_points=args.spectral_points,
-                              window=args.window)
+    ws = build_wavelet_system(a=args.a, rho2=args.rho2, window=args.window)
     out = args.out
     # json.dumps without indent runs the C encoder; json.dump never does
     doc = json.dumps(ws.to_json_dict(), sort_keys=True)
@@ -221,8 +219,6 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args, ws: WaveletSystem) -> tuple[dict, bool]:
     suites = checks("verify")
-    if args.suite != "all" and args.suite not in suites:
-        raise ConfigError(f"unknown suite {args.suite!r}")
     names = list(suites) if args.suite == "all" else [args.suite]
     results = {name: suites[name](ws) for name in names}
     for name in names:
@@ -325,12 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct a wavelet system")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--rho2", type=float, default=2.0)
-    p.add_argument("--spectral-points", type=int, default=8192)
     p.add_argument("--window", type=_positive_float, default=40.0)
     p.add_argument("--out", default="system.json")
 
     p = sub.add_parser("verify", help="rerun check suites on a stored system")
-    p.add_argument("--suite", default="all")
+    p.add_argument("--suite", choices=["all", *checks("verify")], default="all")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("project", help="projection convergence experiment")

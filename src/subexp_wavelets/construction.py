@@ -45,6 +45,9 @@ SCHEMA_TAG = "dhws-v1"
 PSI_BAND = (2 * np.pi / 3, 8 * np.pi / 3)
 PHI_BAND = (0.0, 4 * np.pi / 3)
 _SPECTRAL_HALF = 3 * np.pi  # stored spectra live on [-3 pi, 3 pi]
+_SPECTRAL_POINTS = 8192
+# vanishing moments int x^k psi certified for k = 0.._MOMENT_K_MAX
+_MOMENT_K_MAX = 10
 
 # dense-table layout: spacing fine enough that cubic interpolation of a
 # band-limited function (|xi| <= 8 pi / 3) stays below ~1e-11
@@ -227,10 +230,6 @@ class WaveletSystem:
 
     # -- named checks ------------------------------------------------------
 
-    def moments(self, k_max: int = 10) -> np.ndarray:
-        """Physical-side moments int x^k psi dx, k = 0..k_max, wide window."""
-        return numerics.moments(*self.wide_table("psi"), k_max)
-
     def certificate_digest(self) -> str:
         blob = json.dumps(self.certificates, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -343,21 +342,19 @@ def sample_grid(window: float) -> Grid1D:
     return Grid1D.from_interval(-window, window, 2 * int(round(window * 64)) + 1)
 
 
-def build_wavelet_system(a: float, rho2: float, *,
-                         spectral_points: int = 8192,
-                         window: float = 40.0,
+def build_wavelet_system(a: float, rho2: float, *, window: float = 40.0,
                          run_certificates: bool = True) -> WaveletSystem:
     """Assemble spectra and samples; run and store the named certificates.
 
-    The spectra are stored on [-3 pi, 3 pi], the samples on [-window, window]
-    at spacing 1/64.
+    The spectra are stored at 8192 points of [-3 pi, 3 pi], the samples on
+    [-window, window] at spacing 1/64.
 
     Certificate failures are recorded in ``certificates`` with pass=False,
     never raised: the system is returned with the failures flagged.
     """
     bell = BellFunction(build_bump(a, rho2))  # raises on a >= pi/3 or rho2 <= 1
 
-    sg = Grid1D.from_interval(-_SPECTRAL_HALF, _SPECTRAL_HALF, spectral_points)
+    sg = Grid1D.from_interval(-_SPECTRAL_HALF, _SPECTRAL_HALF, _SPECTRAL_POINTS)
     xi = sg.points()
     psi_vals = np.exp(0.5j * xi) * bell(xi)
     phi_vals = np.exp(1j * xi) * scaling_modulus(bell, xi)
@@ -433,8 +430,9 @@ def _two_scale_check(ws: WaveletSystem) -> dict:
     return _gram_check(_gram(A, grid), 1e-7)
 
 
-def spectral_moments(ws: WaveletSystem, k_max: int = 10) -> np.ndarray:
-    """Moments via the transform-side identity: int x^k psi = i^k psi_hat^(k)(0).
+def spectral_moments(ws: WaveletSystem) -> np.ndarray:
+    """Moments via the transform-side identity: int x^k psi = i^k psi_hat^(k)(0),
+    k = 0.._MOMENT_K_MAX.
 
     The k-th derivative at 0 is taken by the central binomial stencil
     ``bump.stencil`` (step 0.02) on the analytic spectrum.  The
@@ -443,10 +441,10 @@ def spectral_moments(ws: WaveletSystem, k_max: int = 10) -> np.ndarray:
     exercises the exact-support bookkeeping.
     """
     step = 0.02
-    stencils = [stencil(k, step) for k in range(k_max + 1)]
+    stencils = [stencil(k, step) for k in range(_MOMENT_K_MAX + 1)]
     # one spectrum call for every stencil point, split back per order
     vals = ws.psi_hat_fn(np.concatenate([offsets for offsets, _ in stencils]))
-    per_order = np.split(vals, np.cumsum(np.arange(1, k_max + 1)))  # k + 1 each
+    per_order = np.split(vals, np.cumsum(np.arange(1, _MOMENT_K_MAX + 1)))  # k + 1 each
     # each order's (1, k + 1) row times its weights: (v @ coeff) / step^k
     return np.array([(1j) ** k * (v[None, :] @ coeff)[0] / step ** k
                      for k, (v, (_, coeff)) in enumerate(zip(per_order, stencils))])
@@ -462,11 +460,11 @@ def _moment_check(ws: WaveletSystem) -> dict:
     x^k over the integration window far past the tolerance, a double-precision
     limit rather than a property failure.
     """
-    k_max, physical_k_max = 10, 2
+    physical_k_max = 2
     tols = np.array([1e-7 * np.exp(ws.rho2 * lgamma(k + 1))
-                     for k in range(k_max + 1)])
-    spectral = np.abs(spectral_moments(ws, k_max))
-    phys = np.abs(ws.moments(physical_k_max))
+                     for k in range(_MOMENT_K_MAX + 1)])
+    spectral = np.abs(spectral_moments(ws))
+    phys = np.abs(numerics.moments(*ws.wide_table("psi"), physical_k_max))
     ok = bool(np.all(spectral < tols)
               and np.all(phys < tols[:physical_k_max + 1]))
     return {"pass": ok, "spectral_moments": spectral.tolist(),
@@ -591,7 +589,7 @@ def _polynomial(ws: WaveletSystem) -> dict:
     from . import projection  # projection imports this module
 
     pk = projection.build_kernel(ws, level=0, dimension=1)
-    rep = projection.polynomial_reproduction(pk, max_degree=1)
+    rep = projection.polynomial_reproduction(pk)
     devs = rep["max_deviation_per_degree"]
     ok = devs[0] < 1e-8 and devs[1] < 1e-8
     return {"pass": bool(ok), "max_deviation_per_degree":

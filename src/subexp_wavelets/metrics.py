@@ -142,6 +142,8 @@ def subexp_decay_fit(samples, exponent_mode: str = "fixed",
     if samples.ndim != 2 or samples.shape[1] != 2:
         raise MetricsError(f"samples must be an (N, 2) table, "
                            f"got shape {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise MetricsError("samples must be finite")
     x, v = samples[:, 0], np.abs(samples[:, 1])
     order = np.argsort(x)
     x, v = x[order], v[order]

@@ -167,10 +167,7 @@ class SampledFunction:
         vals = np.asarray(self.values, dtype=complex)
         shape = tuple(g.count for g in grids)
         if vals.shape != shape:
-            if vals.size == int(np.prod(shape)):
-                vals = vals.reshape(shape)
-            else:
-                raise NumericsError("values length does not match grid point count")
+            raise NumericsError(f"values of shape {vals.shape} on a grid of shape {shape}")
         if not (np.all(np.isfinite(vals.real)) and np.all(np.isfinite(vals.imag))):
             raise NumericsError("invalid samples")
         object.__setattr__(self, "values", vals)

@@ -20,8 +20,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from math import lgamma
-from numbers import Real
 
 import numpy as np
 
@@ -43,6 +41,8 @@ _ALIAS_TARGET = 1e-13
 _MAX_NODES = 2 ** 20
 BOUNDARY_MASS_WARN = 1e-8
 _SEMINORM_PROBES = Grid1D.from_interval(-8.0, 8.0, 161)
+# kernel-decay probes x_p = p / 16, and offsets u_j = j / 20 on [0, 20]
+_DECAY_PROBES, _DECAY_U_MAX, _DECAY_PER_UNIT = 16, 20.0, 20
 
 
 class ProjectionError(ValueError):
@@ -97,11 +97,10 @@ class ProjectionKernel:
         return float(_phi_tail(self.ws)[0][self.truncation_radius])
 
 
-def build_kernel(ws: WaveletSystem, level: int = 0, dimension: int = 1,
-                 truncation_radius: int | None = None) -> ProjectionKernel:
-    if truncation_radius is None:
-        truncation_radius = _phi_tail(ws)[1]
-    return ProjectionKernel(ws=ws, level=level, truncation_radius=truncation_radius,
+def build_kernel(ws: WaveletSystem, level: int = 0,
+                 dimension: int = 1) -> ProjectionKernel:
+    """The level-m kernel at the radius ``_phi_tail`` reads off the phi table."""
+    return ProjectionKernel(ws=ws, level=level, truncation_radius=_phi_tail(ws)[1],
                             dimension=dimension)
 
 
@@ -278,74 +277,53 @@ def boundary_mass(f: SampledFunction) -> float:
 # certificates
 # ---------------------------------------------------------------------------
 
-def kernel_decay_certificate(pk: ProjectionKernel, probe_count: int = 16,
-                             u_max: float = 20.0, per_unit: int = 20) -> DecayFit:
+def kernel_decay_certificate(pk: ProjectionKernel) -> DecayFit:
     """Envelope fit of sup_x |q_0(x, x + u)| with the exponent pinned to 1/rho2.
 
     By integer-shift invariance x only needs to range over one period: the
-    probes are ``x_p = p / probe_count``, the offsets ``u_j = j / per_unit``
-    on [0, u_max].  ``q_0(x_p, .)`` projects a point mass at x_p: one
-    ``_project_1d`` pass takes the masses as columns over a uniform grid on
-    [0, 1], each ``1 / w`` at its node (transform ``exp(i zeta x_p)``), and
-    one ``_on_grid`` reads each spectrum times ``exp(i zeta x_p)`` at u.
+    probes are ``x_p = p / 16``, the offsets ``u_j = j / 20`` on [0, 20].
+    ``q_0(x_p, .)`` projects a point mass at x_p: one ``_project_1d`` pass
+    takes the masses as columns over a uniform grid on [0, 1], each ``1 / w``
+    at its node (transform ``exp(i zeta x_p)``), and one ``_on_grid`` reads
+    each spectrum times ``exp(i zeta x_p)`` at u.
     """
     if pk.level != 0:
         raise ProjectionError("the kernel-decay certificate reads the level-0 kernel")
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (probe_count, per_unit)):
-        raise ProjectionError(f"probe_count and per_unit must be positive integers, "
-                              f"got {probe_count!r}, {per_unit!r}")
-    if not (isinstance(u_max, Real) and u_max > 0
-            and probe_count * (probe_count + u_max * per_unit) <= _MAX_NODES):
-        raise ProjectionError(f"u_max must be positive, and probe_count * (probe_count + "
-                              f"u_max * per_unit) at most {_MAX_NODES}, got {u_max!r}")
-    masses = Grid1D(0.0, 1.0 / probe_count, probe_count + 1)
-    values = np.eye(masses.count, probe_count) / masses.trapezoid_weights()[:, None]
-    zeta, qhat = _project_1d(pk, masses, values, u_max + 1.0)
+    masses = Grid1D(0.0, 1.0 / _DECAY_PROBES, _DECAY_PROBES + 1)
+    values = np.eye(masses.count, _DECAY_PROBES) / masses.trapezoid_weights()[:, None]
+    zeta, qhat = _project_1d(pk, masses, values, _DECAY_U_MAX + 1.0)
     qhat *= np.exp(1j * np.outer(zeta.points(), masses.points()[:-1]))
-    u = np.arange(int(u_max * per_unit) + 2) / per_unit
-    sup = np.abs(_on_grid(zeta, qhat, Grid1D(0.0, 1.0 / per_unit, u.size))).max(axis=1)
-    samples = np.column_stack([u, sup])[u <= u_max]
+    u = np.arange(int(_DECAY_U_MAX * _DECAY_PER_UNIT) + 2) / _DECAY_PER_UNIT
+    reads = _on_grid(zeta, qhat, Grid1D(0.0, 1.0 / _DECAY_PER_UNIT, u.size))
+    samples = np.column_stack([u, np.abs(reads).max(axis=1)])[u <= _DECAY_U_MAX]
     try:
         return metrics.subexp_decay_fit(samples, "fixed", rho=pk.ws.rho2)
     except metrics.MetricsError as exc:
         raise ProjectionError(f"degenerate fit: {exc}") from exc
 
 
-def polynomial_reproduction(pk: ProjectionKernel, max_degree: int) -> dict:
-    """Deviation of int q_0(x, y) (y - x)^alpha dy from its ideal value.
+def polynomial_reproduction(pk: ProjectionKernel) -> dict:
+    """Deviation of int q_0(x, y) (y - x)^alpha dy from its ideal value, alpha = 0, 1.
 
     The y-integral is expanded per lattice site: with u = y - k it splits into
     translate moments M_j of phi, leaving the absolutely convergent sum
     sum_k phi(x - k) * sum_j C(alpha, j) (k - x)^(alpha - j) M_j, which the
     long-range table covers to |k - x| ~ 1400 (no y-truncation error at all).
-    Ideal values: 1 at degree 0, 0 for 1 <= alpha <= max_degree.
+    Ideal values: 1 at degree 0, 0 at degree 1.
     """
-    if max_degree > 6:
-        raise ProjectionError("polynomial degree capped at 6")
-    ws = pk.ws
-    grid, table = ws.wide_table("phi")
+    grid, table = pk.ws.wide_table("phi")
     # translate moments M_j = int phi(u) u^j du over the long-range table
-    M = numerics.moments(grid, table, max_degree)
+    M0, M1 = numerics.moments(grid, table, 1)
     # probes on the table lattice so every phi(x - k) is an exact table read
     xs = np.arange(32) / 16.0
     kmax = int(grid.last) - 3
     ks = np.arange(-kmax, kmax + 1)
-    idx_base = grid.index_of(xs[:, None] - ks[None, :])
-    phi_vals = table[idx_base]  # (32, nk)
-    dev = {}
-    for alpha in range(max_degree + 1):
-        js = np.arange(alpha + 1)
-        binom = np.exp(lgamma(alpha + 1) - np.array(
-            [lgamma(j + 1) + lgamma(alpha - j + 1) for j in js]))
-        km = ks[None, :] - xs[:, None]
-        inner = np.zeros_like(phi_vals)
-        for j in js:
-            inner += binom[j] * M[j] * km ** (alpha - j)
-        total = np.sum(phi_vals * inner, axis=1)
-        target = 1.0 if alpha == 0 else 0.0
-        dev[alpha] = float(np.max(np.abs(total - target)))
-    return {"max_deviation_per_degree": dev, "probes": 32,
-            "lattice_extent": int(kmax)}
+    phi_vals = table[grid.index_of(xs[:, None] - ks[None, :])]  # (32, nk)
+    km = ks[None, :] - xs[:, None]
+    totals = (np.sum(phi_vals * M0, axis=1) - 1.0,  # ideal 1 at degree 0
+              np.sum(phi_vals * (M0 * km + M1), axis=1))  # ideal 0 at degree 1
+    dev = {alpha: float(np.max(np.abs(t))) for alpha, t in enumerate(totals)}
+    return {"max_deviation_per_degree": dev, "probes": 32, "lattice_extent": int(kmax)}
 
 
 def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import subexp_wavelets as sw
-from subexp_wavelets import testfuncs
+from subexp_wavelets import numerics, testfuncs
 
 def _finish(name, budget, t0, ok, detail):
     elapsed = time.time() - t0
@@ -75,7 +75,7 @@ def test_vanishing_moments(ws):
     """
     t0 = time.time()
     spectral = sw.spectral_moments(ws)
-    physical = ws.moments(2)
+    physical = numerics.moments(*ws.wide_table("psi"), 2)
     tols = np.array([1e-7 * factorial(k) ** 2 for k in range(11)])
     ok = bool(np.all(np.abs(spectral) < tols)
               and np.all(np.abs(physical) < tols[:3]))
@@ -105,7 +105,7 @@ def test_subexponential_decay_free_fit(ws):
 def test_kernel_decay(ws):
     t0 = time.time()
     pk = sw.build_kernel(ws)
-    fit = sw.kernel_decay_certificate(pk, probe_count=16, u_max=20.0)
+    fit = sw.kernel_decay_certificate(pk)
     ok = fit.rate_c > 0.0 and fit.exponent == 0.5 and fit.r_squared > 0.95
     _finish("projection kernel off-diagonal decay", 10.0, t0, ok,
             f"rate {fit.rate_c:.3f}, R^2 {fit.r_squared:.4f}")
@@ -114,7 +114,7 @@ def test_kernel_decay(ws):
 def test_polynomial_reproduction(ws):
     t0 = time.time()
     pk = sw.build_kernel(ws)
-    rep = sw.polynomial_reproduction(pk, 1)
+    rep = sw.polynomial_reproduction(pk)
     dev = rep["max_deviation_per_degree"]
     ok = dev[0] < 1e-8 and dev[1] < 1e-8 and rep["probes"] == 32
     _finish("kernel mass and first-moment annihilation", 10.0, t0, ok,

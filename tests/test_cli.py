@@ -84,10 +84,11 @@ class TestVerify:
         assert all(suite["pass"] for suite in doc["suites"].values())
         assert doc["suites"]["support"]["stored_max_outside_support"] == 0.0
 
-    def test_unknown_suite_is_config_error(self, system_file):
-        code = cli.main(["verify", "--system", system_file,
-                         "--suite", "frobnicate"])
-        assert code == cli.EXIT_CONFIG_ERROR
+    def test_unknown_suite_is_config_error(self, system_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--system", system_file, "--suite", "frobnicate"])
+        assert exc.value.code == cli.EXIT_CONFIG_ERROR
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_corrupt_json_is_io_error(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -340,7 +341,6 @@ _BAD_COMMAND_LINES = [
     ("build --out {tmp}/x.json --window 0.001", 2),
     ("build --out {tmp}/x.json --window nan", 2),
     ("build --out {tmp}/x.json --window 1e300", 2),
-    ("build --out {tmp}/x.json --spectral-points 1", 2),
     ("build --out {tmp}/x.json --rho2 inf", 2),
     ("verify --system {system} --report {tmp}/missing/r.json", 3),
     ("build --out {tmp}/missing/s.json", 3),

@@ -1,5 +1,6 @@
 """Bell, spectra, dense tables, certificates, and serialization."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subexp_wavelets as sw
-from subexp_wavelets import construction
+from subexp_wavelets import construction, projection
 from subexp_wavelets.construction import (_CENTER_SHIFT, _TABLE_BAND_POINTS,
                                           _WIDE_BAND_POINTS, TABLE_HALF)
 
@@ -95,6 +96,52 @@ BUILD_TAMPERS = {
 }
 
 
+def _write_spectrum(key, xi_target, value):
+    """Widen ``key``'s declared support to the whole band, then write
+    ``value`` at the stored node nearest ``xi_target``."""
+    def tamper(ws, monkeypatch):
+        spec = getattr(ws, key)
+        values = spec.values.copy()
+        values[np.argmin(np.abs(spec.grid.points() - xi_target))] = value
+        setattr(ws, key, dataclasses.replace(spec, values=values,
+                                             declared_support=(spec.band,)))
+    return tamper
+
+
+def _zero_psi_hat_top(ws, monkeypatch):
+    # the translate energy sum of |psi_hat|^2 drops below 1
+    xi = ws.psi_hat.grid.points()
+    ws.psi_hat.values[(xi >= 2 * np.pi) & (xi <= 8 * np.pi / 3)] = 0.0
+
+
+def _scale_psi_samples(ws, monkeypatch):
+    ws.psi_samples.values[...] *= 1.01
+
+
+def _scale_wide_phi(ws, monkeypatch):
+    _, vals = ws.wide_table("phi")
+    vals *= 1.01
+
+
+def _linear_scaling_modulus(ws, monkeypatch):
+    # continuous on the eta nodes' band [-4 pi / 3, 4 pi / 3], where it still
+    # reads 1/2 at the ends: the multiplier jumps there, and q_0 decays
+    # algebraically
+    monkeypatch.setattr(projection, "scaling_modulus", lambda bell, xi: np.clip(
+        1.5 - 3.0 * np.abs(xi) / (4 * np.pi), 0.0, 1.0))
+
+
+# verify suite -> a tamper of a loaded system that must make it fail
+VERIFY_TAMPERS = {
+    "support": _write_spectrum("phi_hat", 5.0, 1e-6),
+    "moments": _write_spectrum("psi_hat", 0.1, 1e-6),
+    "two-scale": _scale_psi_samples,
+    "orthonormality": _zero_psi_hat_top,
+    "polynomial": _scale_wide_phi,
+    "kernel-decay": _linear_scaling_modulus,
+}
+
+
 class TestCertificates:
     @pytest.mark.parametrize("name", list(construction.checks("build")))
     def test_every_build_certificate_fails_when_tampered(self, name):
@@ -105,6 +152,16 @@ class TestCertificates:
         assert check(fresh)["pass"]
         BUILD_TAMPERS[name](fresh)
         assert not check(fresh)["pass"]
+
+    @pytest.mark.parametrize("name", list(construction.checks("verify")))
+    def test_every_verify_suite_fails_when_tampered(self, ws, monkeypatch, name):
+        # a new verify suite must come with a tamper that it catches
+        assert name in VERIFY_TAMPERS, f"no tamper for {name}"
+        check = construction.checks("verify")[name]
+        loaded = sw.WaveletSystem.from_json_dict(ws.to_json_dict())
+        assert check(loaded)["pass"]
+        VERIFY_TAMPERS[name](loaded, monkeypatch)
+        assert not check(loaded)["pass"]
 
     def test_all_pass(self, ws):
         assert ws.certificates, "reference build must carry certificates"

@@ -72,6 +72,16 @@ class TestDecayFit:
         with pytest.raises(MetricsError, match=r"\(N, 2\) table"):
             sw.subexp_decay_fit(samples, "fixed", rho=2.0)
 
+    @pytest.mark.parametrize("column, bad", [(1, np.inf), (1, np.nan), (0, np.nan)],
+                             ids=["inf-value", "nan-value", "nan-x"])
+    def test_samples_must_be_finite(self, column, bad):
+        # an inf value used to give a nan fit, a nan value a clean fit over
+        # the other samples, and a nan x a fit over a quarter of the envelope
+        samples = _synthetic(3.0, 0.5)
+        samples[100, column] = bad
+        with pytest.raises(MetricsError, match="must be finite"):
+            sw.subexp_decay_fit(samples, "fixed", rho=2.0)
+
     def test_json_dict_keys(self):
         fit = sw.subexp_decay_fit(_synthetic(1.0, 0.5), "fixed", rho=2.0)
         doc = fit.to_json_dict()

@@ -109,6 +109,15 @@ class TestQuadrature:
         with pytest.raises(NumericsError):
             sw.inner_product(f, h)
 
+    @pytest.mark.parametrize("counts, shape", [((64,), (1, 64)), ((64,), (8, 8)),
+                                               ((8, 8), (64,)), ((8, 8), (4, 16))],
+                             ids=["1d-row", "1d-square", "2d-flat", "2d-4x16"])
+    def test_values_must_have_the_grid_shape(self, counts, shape):
+        # values of the right size used to be reshaped to the grid silently
+        grids = tuple(sw.Grid1D(0.0, 1.0, n) for n in counts)
+        with pytest.raises(NumericsError, match="on a grid of shape"):
+            sw.SampledFunction(grids, np.ones(shape))
+
     @given(alpha=st.floats(min_value=-100.0, max_value=100.0,
                            allow_nan=False, allow_infinity=False))
     @settings(max_examples=25, deadline=None)
