@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import platform
 import sys
 
@@ -64,12 +65,20 @@ class CorruptSystemError(ValueError):
 # plumbing
 # ---------------------------------------------------------------------------
 
+# the thread counts the BLAS behind numpy's matrix products reads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _metadata() -> dict:
-    """When and by what the report was made: the time and the versions of this
-    package, numpy and Python.  The report body holds none of it."""
+    """When and by what the report was made: the time, the versions of this
+    package, numpy and Python, numpy's BLAS and the thread counts set for it
+    (None where unset).  The report body holds none of it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "package_version": __version__, "numpy_version": np.__version__,
-            "python_version": platform.python_version()}
+            "python_version": platform.python_version(),
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}}
 
 
 def _emit(report: dict, path: str | None) -> None:

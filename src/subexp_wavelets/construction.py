@@ -62,9 +62,10 @@ MAX_SAMPLES = 2 ** 20
 # psi_hat = exp(i xi / 2) bell, phi_hat = exp(i xi) |phi_hat|: each table is
 # the even cosine profile of the modulus, read at x + shift
 _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
-# bytes of atom blocks a system keeps (``_axis_block``); the (6, 32) window
-# on expand's 20,481-point grid takes 10.5 MB, and the two-scale and
-# low-pass certificates about 0.6 MB
+# bytes of atom blocks a system keeps (``_axis_block``), with projection's
+# kept matrices and |phi_hat| nodes; the (6, 32) window on expand's
+# 20,481-point grid takes 10.5 MB, the two-scale and low-pass certificates
+# about 0.6 MB, and a q_m matrix on 321 points 1.6 MB
 _BLOCK_BYTES = 32 * 2 ** 20
 
 
@@ -122,7 +123,8 @@ class WaveletSystem:
         self._tables: dict = {}
         self._wide: dict = {}
         self._fits: dict = {}  # values read off the tables (projection._phi_tail)
-        self._blocks = numerics.Kept(_BLOCK_BYTES)  # uniform-grid atom blocks
+        # uniform-grid atom blocks, kept q_m matrices and |phi_hat| nodes
+        self._blocks = numerics.Kept(_BLOCK_BYTES)
 
     # -- basic geometry ----------------------------------------------------
 

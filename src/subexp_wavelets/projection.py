@@ -8,6 +8,9 @@ Fourier side: phi_hat vanishes outside |eta| <= 4 pi / 3, so q_m is a
 q_m f comes out as its spectrum, one ``chirp_synthesis`` from the samples,
 which ``_on_grid`` sums onto a uniform grid by one more: the samples, and
 the seminorm's derivatives of every order on uniform probes in one pass.
+Along an axis of at most 724 points q_m is also kept as its (n, n) matrix
+(``_projector``), built by the same route from a call with at least n
+columns, so that ``project`` applies it as one matrix product.
 The kernel-decay certificate reads q_0 off this route, as the projections
 of point masses, and no spline table is read on it: the alias margin, like
 the kernel's truncation radius and tail bound, comes from the running sup
@@ -180,6 +183,22 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
     before any float overflows.
     """
     m = pk.level
+    L, eta = _eta_nodes(pk, grid, probes)
+    zeta = Grid1D(np.ldexp(eta.origin, m), np.ldexp(eta.spacing, m), eta.count)
+    modulus = _kept(pk, eta, "modulus", lambda: scaling_modulus(
+        pk.ws.bell, eta.points())).reshape((-1,) + (1,) * (np.ndim(values) - 1))
+    g = _weighted_transform(grid, values, zeta)[::-1]
+    g *= modulus  # in place: the transform is a fresh array
+    qhat = g.copy()
+    qhat[:-L] += g[L:]
+    qhat[L:] += g[:-L]
+    qhat *= modulus
+    return zeta, qhat
+
+
+def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=()) -> tuple[int, Grid1D]:
+    """(L, eta) of ``_project_1d``, or ``ProjectionError`` for a level it refuses."""
+    m = pk.level
     if m > np.log2(_MAX_NODES / grid.extent):  # 2^m extent shifts at least
         raise ProjectionError(f"level {m} needs more than {_MAX_NODES} shifts "
                               f"on this window")
@@ -193,17 +212,24 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
         raise ProjectionError(f"level {m} needs {2 * half + 1:.3g} eta nodes on "
                               f"this window, more than {_MAX_NODES}")
     L, half = int(L), int(half)
-    eta = Grid1D(-half * (2 * np.pi / L), 2 * np.pi / L, 2 * half + 1)
-    zeta = Grid1D(np.ldexp(eta.origin, m), np.ldexp(eta.spacing, m), eta.count)
-    modulus = scaling_modulus(pk.ws.bell, eta.points()).reshape(
-        (-1,) + (1,) * (np.ndim(values) - 1))
-    g = _weighted_transform(grid, values, zeta)[::-1]
-    g *= modulus  # in place: the transform is a fresh array
-    qhat = g.copy()
-    qhat[:-L] += g[L:]
-    qhat[L:] += g[:-L]
-    qhat *= modulus
-    return zeta, qhat
+    return L, Grid1D(-half * (2 * np.pi / L), 2 * np.pi / L, 2 * half + 1)
+
+
+def _kept(pk: ProjectionKernel, grid: Grid1D, name: str, make=None):
+    """The system's kept ``name`` of level ``pk.level`` on ``grid``
+    (``ws._blocks``), read-only; ``make()`` on a miss, else None.
+
+    The key holds ``scaling_modulus`` and the bell as this call reads them,
+    so a replaced modulus or bell misses, as a replaced evaluator misses
+    ``_axis_block``'s rows.
+    """
+    def kept():
+        value = make()
+        value.flags.writeable = False
+        return value
+
+    key = (name, scaling_modulus, pk.ws.bell, pk.level, grid)
+    return pk.ws._blocks.get(key, kept if make else None)
 
 
 def _weighted_transform(grid: Grid1D, values: np.ndarray, zeta: Grid1D) -> np.ndarray:
@@ -227,18 +253,44 @@ def _on_grid(zeta: Grid1D, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
                                     grid.spacing, grid.count)
 
 
+def _projector(pk: ProjectionKernel, grid: Grid1D, columns: int):
+    """q_m along one axis of ``grid`` as its kept (n, n) matrix, or None.
+
+    Column j is q_m of the j-th unit vector, by the chirp route.  A call
+    that carries at least n columns builds it, at no more cost than the
+    chirp pass it replaces, and only when ``16 n^2`` bytes fit a quarter of
+    the system's block budget (n <= 724 at 32 MiB), which ``ws._blocks``
+    keeps; any other call uses a kept matrix and never builds one.
+    """
+    n = grid.count
+    if columns < n or 64 * n * n > pk.ws._blocks.budget:
+        return _kept(pk, grid, "projector")
+
+    def make():
+        _eta_nodes(pk, grid)  # refuses a level before the identity is allocated
+        return _on_grid(*_project_1d(pk, grid, np.eye(n)), grid)
+
+    return _kept(pk, grid, "projector", make)
+
+
 def project(pk: ProjectionKernel, f: SampledFunction) -> SampledFunction:
     """Orthogonal projection sum_k <f, phi_{m,k}> phi_{m,k} onto the level-m space.
 
     The level-m operator runs along each axis in turn, every column at once:
-    the spectrum of ``_project_1d``, summed onto the grid by ``_on_grid``.
+    one product with the axis's kept matrix (``_projector``), else the
+    spectrum of ``_project_1d``, summed onto the grid by ``_on_grid``.
     """
     if f.dimension != pk.dimension:
         raise ProjectionError("kernel and samples differ in dimension")
     _warn_boundary_mass(f)
     out = f.values
     for grid in f.grids:  # each pass moves its axis last, so d passes restore the order
-        out = np.moveaxis(_on_grid(*_project_1d(pk, grid, out), grid), 0, -1)
+        q = _projector(pk, grid, out.size // grid.count)
+        if q is None:
+            out = _on_grid(*_project_1d(pk, grid, out), grid)
+        else:
+            out = (q @ out.reshape(grid.count, -1)).reshape(out.shape)
+        out = np.moveaxis(out, 0, -1)
     return SampledFunction(f.grid, out)
 
 
@@ -264,12 +316,12 @@ def _warn_boundary_mass(f: SampledFunction) -> float:
 
 def boundary_mass(f: SampledFunction) -> float:
     """Largest |f| over the outermost 1% of grid points on every axis."""
-    vals = np.abs(f.values)
     worst = 0.0
     for axis, g in enumerate(f.grids):
         edge = max(1, g.count // 100)
-        rim = np.moveaxis(vals, axis, 0)
-        worst = max(worst, float(rim[:edge].max()), float(rim[-edge:].max()))
+        rim = np.moveaxis(f.values, axis, 0)
+        worst = max(worst, float(np.abs(rim[:edge]).max()),
+                    float(np.abs(rim[-edge:]).max()))
     return worst
 
 

@@ -210,7 +210,9 @@ class TestReport:
         assert r1 == r2
         assert r1["certificates"]
 
-    def test_metadata_records_versions(self, system_file, tmp_path):
+    def test_metadata_records_versions(self, system_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         path = tmp_path / "r.json"
         assert cli.main(["report", "--system", system_file,
                          "--report", str(path)]) == cli.EXIT_OK
@@ -220,6 +222,11 @@ class TestReport:
         assert meta["numpy_version"] == np.__version__
         assert meta["python_version"] == platform.python_version()
         assert "generated_at" in meta
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert meta["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert meta["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "3"}
 
     def test_unknown_config_key_rejected(self, system_file, tmp_path):
         cfg = tmp_path / "cfg.json"

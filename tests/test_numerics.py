@@ -170,8 +170,8 @@ class TestSpectrumOnBand:
     def test_direct_sum_memory_is_bounded(self, ws, monkeypatch, block_entries,
                                           bound_mb):
         # 2,000 points against psi_hat's 7,280 hull nodes, A + B = 171 table
-        # entries a row: measured peaks 8.0 MB at the default block size (one
-        # block of all rows) and 0.38 MB at 2^12 entries (23 rows a block)
+        # entries a row: measured peaks 6.6 MB at the default block size (one
+        # block of all rows) and 0.43 MB at 2^12 entries (23 rows a block)
         monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", block_entries)
         x = np.linspace(-40.0, 40.0, 2000)
         tracemalloc.start()
@@ -241,6 +241,38 @@ class TestDirectSum:
         x = np.array([-41.3, 0.0, 2.5, 1e3])
         got = sw.synthesize_values(spec, x, order=order)
         self._close(got, np.exp(1j * np.outer(x, xi)) @ amp, amp)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double has float64's precision here")
+    @pytest.mark.parametrize("which", ["psi", "phi"])
+    def test_wavelet_sums_match_a_long_double_sum(self, ws, which):
+        # every term of the hull quadrature summed in long double, at 2,000
+        # uniform points on [-40, 40] (as the benchmark's scattered points)
+        # and three far ones.  Each term's exponential is the product of a
+        # long-double exponential of x (xi0 + a B h) and one of x b h, so the
+        # oracle is off by about 1e-18; the float64 sum is held to 5e-15.
+        spec = ws.psi_hat if which == "psi" else ws.phi_hat
+        x = np.concatenate([np.random.default_rng(41).uniform(-40.0, 40.0, 2000),
+                            [1e3, -2.5e3, 1e4]])
+        xi0, amp = numerics._hull_amplitudes(spec)
+        n, h = amp.size, spec.grid.spacing
+        B = int(np.ceil(np.sqrt(n)))
+        A = -(-n // B)
+        ld = np.longdouble
+        xl = x.astype(ld)[:, None]
+        xi = ld(xi0) + ld(h) * np.arange(n)
+        amps = [amp.astype(np.clongdouble) * (1j * xi) ** order for order in range(3)]
+        steps = np.zeros((3, A * B), dtype=np.clongdouble)
+        for order, a in enumerate(amps):
+            steps[order, :n] = a
+        steps = steps.reshape(3 * A, B).T  # steps[b, order A + a] = amp[a B + b]
+        baby = np.exp(1j * xl * (ld(h) * np.arange(B)))
+        giant = np.exp(1j * xl * (ld(xi0) + ld(h) * B * np.arange(A)))
+        sums = (baby @ steps).reshape(x.size, 3, A) @ giant[:, :, None]
+        for order, a in enumerate(amps):
+            got = sw.synthesize_values(spec, x, order=order)
+            err = np.max(np.abs(got - sums[:, order, 0].astype(complex)))
+            assert err <= 5e-15 * float(np.sum(np.abs(a))), (order, err)
 
     def test_forward_transform_matches_plain_sum(self):
         g, f = _gaussian_samples(n=101)

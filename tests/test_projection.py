@@ -1,5 +1,6 @@
 """Projection kernels, projections, reproduction and their certificates."""
 
+import copy
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -214,17 +215,6 @@ class TestProjection:
             with pytest.raises(ProjectionError, match="shifts"):
                 sw.project(sw.build_kernel(ws, level=2000), gaussian_samples)
 
-    def test_two_chirp_passes_per_axis(self, ws, monkeypatch):
-        # one forward transform and one synthesis onto the grid per axis
-        from subexp_wavelets.testfuncs import sample_2d
-        chirp, calls = numerics.chirp_synthesis, []
-        monkeypatch.setattr(numerics, "chirp_synthesis",
-                            lambda *args: calls.append(args) or chirp(*args))
-        g = sw.Grid1D.from_interval(-8.0, 8.0, 129)
-        sw.project(sw.build_kernel(ws, level=1, dimension=2),
-                   sample_2d(gaussian(), gaussian(0.4, 1.2), g, g))
-        assert len(calls) == 4
-
     def test_kernel_and_samples_must_share_dimension(self, ws, gaussian_samples):
         with pytest.raises(ProjectionError, match="dimension"):
             sw.project(sw.build_kernel(ws, dimension=2), gaussian_samples)
@@ -290,6 +280,123 @@ class TestProjection:
         (grid,) = proj.grids
         on_grid = proj.values.real[grid.index_of(probes)]
         assert np.max(np.abs(spot.real - on_grid)) > 1e-10
+
+
+def _fresh(ws, budget=None):
+    """``ws`` with an empty block store: it shares the tables, not the kept values."""
+    system = copy.copy(ws)
+    system._blocks = numerics.Kept(budget or ws._blocks.budget)
+    return system
+
+
+def _projectors(system):
+    return [key for key in system._blocks._values if key[0] == "projector"]
+
+
+class TestKeptProjector:
+    """q_m along an axis of a small grid as a kept matrix (``_projector``)."""
+
+    GRID = sw.Grid1D.from_interval(-8.0, 8.0, 129)
+
+    @pytest.fixture
+    def chirps(self, ws, monkeypatch):
+        """The engine's calls from here on, after ``ws`` has built its wide
+        phi table (``_phi_tail``), which its copies share."""
+        projection._phi_tail(ws)
+        chirp, calls = numerics.chirp_synthesis, []
+        monkeypatch.setattr(numerics, "chirp_synthesis",
+                            lambda *args: calls.append(args) or chirp(*args))
+        return calls
+
+    def _square(self, grid=GRID):
+        from subexp_wavelets.testfuncs import sample_2d
+        return sample_2d(gaussian(), gaussian(0.4, 1.2), grid, grid)
+
+    def test_square_call_builds_once_and_repeats_take_no_chirp(self, ws, chirps):
+        system = _fresh(ws)
+        pk2 = sw.build_kernel(system, level=1, dimension=2)
+        first = sw.project(pk2, self._square())
+        assert len(chirps) == 2  # one build: both axes share the grid and level
+        assert len(_projectors(system)) == 1
+        again = sw.project(pk2, self._square())
+        assert len(chirps) == 2
+        np.testing.assert_array_equal(again.values, first.values)
+
+    def test_one_dimensional_call_keeps_no_projector(self, ws, chirps):
+        system = _fresh(ws)
+        sw.project(sw.build_kernel(system, level=1), sample(gaussian(), self.GRID))
+        assert len(chirps) == 2
+        assert [key[0] for key in system._blocks._values] == ["modulus"]
+
+    def test_later_calls_use_the_kept_matrix(self, ws, chirps):
+        system = _fresh(ws)
+        sw.project(sw.build_kernel(system, level=1, dimension=2), self._square())
+        sw.project(sw.build_kernel(system, level=1), sample(gaussian(), self.GRID))
+        assert len(chirps) == 2
+
+    def test_grid_over_the_cap_never_builds(self, ws, chirps, monkeypatch):
+        # a matrix of 16 n^2 bytes is built only within a quarter of the budget
+        assert 64 * 724 ** 2 <= construction._BLOCK_BYTES < 64 * 725 ** 2
+        project_1d, builds_seen = projection._project_1d, []
+        monkeypatch.setattr(projection, "_project_1d", lambda pk, grid, values, *a: (
+            builds_seen.append(np.array_equal(values, np.eye(grid.count)))
+            or project_1d(pk, grid, values, *a)))
+        for n, builds in ((65, True), (66, False)):
+            system = _fresh(ws, budget=64 * 65 ** 2)
+            chirps.clear()
+            builds_seen.clear()
+            grid = sw.Grid1D.from_interval(-8.0, 8.0, n)
+            sw.project(sw.build_kernel(system, level=1, dimension=2), self._square(grid))
+            assert len(chirps) == (2 if builds else 4)
+            assert builds_seen == ([True] if builds else [False, False])
+            assert len(_projectors(system)) == builds
+
+    def test_kept_matrix_matches_both_routes(self, ws):
+        grid = sw.Grid1D.from_interval(-12.0, 12.0, 385)
+        f = sample(gaussian(), grid)
+        system = _fresh(ws)
+        pk = sw.build_kernel(system)
+        chirp = sw.project(pk, f).values
+        sw.project(sw.build_kernel(system, dimension=2), self._square(grid))
+        assert len(_projectors(system)) == 1
+        kept = sw.project(pk, f).values
+        assert np.max(np.abs(kept - chirp)) < 1e-14 * np.max(np.abs(chirp))
+        probes = np.arange(-4.0, 4.01, 0.5)  # on grid points
+        spot = sw.project_at(pk, f, probes)
+        assert np.max(np.abs(spot.real - kept.real[grid.index_of(probes)])) < 1e-10
+
+    def test_replaced_modulus_misses_the_kept_matrix(self, ws, monkeypatch):
+        system = _fresh(ws)
+        pk2 = sw.build_kernel(system, level=1, dimension=2)
+        before = sw.project(pk2, self._square()).values
+        modulus = projection.scaling_modulus
+        monkeypatch.setattr(projection, "scaling_modulus",
+                            lambda bell, xi: 0.5 * modulus(bell, xi))
+        after = sw.project(pk2, self._square()).values
+        np.testing.assert_allclose(after, before / 16.0, atol=1e-15)
+
+    def test_kept_modulus_gives_the_same_bits(self, ws, monkeypatch):
+        system = _fresh(ws)
+        modulus, calls = projection.scaling_modulus, []
+        monkeypatch.setattr(projection, "scaling_modulus",
+                            lambda bell, xi: calls.append(xi) or modulus(bell, xi))
+        pk, f = sw.build_kernel(system, level=2), sample(gaussian(), self.GRID)
+        first = sw.project(pk, f).values
+        np.testing.assert_array_equal(sw.project(pk, f).values, first)
+        assert len(calls) == 1
+
+    def test_refused_level_allocates_no_identity(self, ws):
+        grid = sw.Grid1D.from_interval(-8.0, 8.0, 513)  # its identity is 2 MB
+        f = self._square(grid)
+        pk = sw.build_kernel(_fresh(ws), level=40, dimension=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProjectionError, match="shifts"):
+                sw.project(pk, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _as_spectrum(zeta, qhat):
