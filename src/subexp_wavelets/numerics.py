@@ -62,11 +62,11 @@ class Kept:
     ``get(key, make)`` returns the value kept under ``key``, else ``make()``,
     which it keeps from the key's first request on, or with ``from_second``
     from its second, so that one-off keys keep nothing (a first request only
-    notes the key, among the last ``_NOTED_KEYS``).  Without ``make`` it
-    only looks: a miss returns None and notes nothing.  Beyond the budget the
+    notes the key, among the last ``_NOTED_KEYS``).  Beyond the budget the
     least recently used values go first.  A value larger than a quarter of
-    the budget is never kept: a few such values, requested in turn, would
-    evict one another, and everything else, before their next use.
+    the budget is never kept (``fits``): a few such values, requested in
+    turn, would evict one another, and everything else, before their next
+    use.
     ``make`` returns a read-only value with the bits of a fresh call, so
     threads may share a store: one lock guards it, and ``make`` runs
     outside the lock.
@@ -79,21 +79,23 @@ class Kept:
         self._noted: dict = {}  # keys requested once, oldest first
         self._lock = threading.Lock()
 
-    def get(self, key, make=None):
+    def fits(self, nbytes: int) -> bool:
+        """Whether a value of ``nbytes`` bytes would be kept."""
+        return 4 * nbytes <= self.budget
+
+    def get(self, key, make):
         with self._lock:
             value = self._values.pop(key, None)
             if value is not None:
                 self._values[key] = value
                 return value
-            if make is None:
-                return None
             keep = not self.from_second or self._noted.pop(key, False)
             if not keep:
                 self._noted[key] = True
                 while len(self._noted) > _NOTED_KEYS:
                     del self._noted[next(iter(self._noted))]
         value = make()
-        if keep and 4 * value.nbytes <= self.budget:
+        if keep and self.fits(value.nbytes):
             with self._lock:
                 self._values.pop(key, None)  # kept meanwhile by another thread
                 kept = sum(v.nbytes for v in self._values.values())

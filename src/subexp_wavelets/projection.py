@@ -8,9 +8,9 @@ Fourier side: phi_hat vanishes outside |eta| <= 4 pi / 3, so q_m is a
 q_m f comes out as its spectrum, one ``chirp_synthesis`` from the samples,
 which ``_on_grid`` sums onto a uniform grid by one more: the samples, and
 the seminorm's derivatives of every order on uniform probes in one pass.
-Along an axis of at most 724 points q_m is also kept as its (n, n) matrix
-(``_projector``), built by the same route from a call with at least n
-columns, so that ``project`` applies it as one matrix product.
+Along an axis of at most 724 points, a call with at least n columns keeps
+q_m as its (n, n) matrix (``_projector``), built by the same route, and
+applies it as one matrix product; other calls take the chirp route.
 The kernel-decay certificate reads q_0 off this route, as the projections
 of point masses, and no spline table is read on it: the alias margin, like
 the kernel's truncation radius and tail bound, comes from the running sup
@@ -215,9 +215,9 @@ def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=()) -> tuple[int, Grid
     return L, Grid1D(-half * (2 * np.pi / L), 2 * np.pi / L, 2 * half + 1)
 
 
-def _kept(pk: ProjectionKernel, grid: Grid1D, name: str, make=None):
+def _kept(pk: ProjectionKernel, grid: Grid1D, name: str, make):
     """The system's kept ``name`` of level ``pk.level`` on ``grid``
-    (``ws._blocks``), read-only; ``make()`` on a miss, else None.
+    (``ws._blocks``), read-only, else ``make()``.
 
     The key holds ``scaling_modulus`` and the bell as this call reads them,
     so a replaced modulus or bell misses, as a replaced evaluator misses
@@ -229,7 +229,7 @@ def _kept(pk: ProjectionKernel, grid: Grid1D, name: str, make=None):
         return value
 
     key = (name, scaling_modulus, pk.ws.bell, pk.level, grid)
-    return pk.ws._blocks.get(key, kept if make else None)
+    return pk.ws._blocks.get(key, kept)
 
 
 def _weighted_transform(grid: Grid1D, values: np.ndarray, zeta: Grid1D) -> np.ndarray:
@@ -256,15 +256,16 @@ def _on_grid(zeta: Grid1D, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
 def _projector(pk: ProjectionKernel, grid: Grid1D, columns: int):
     """q_m along one axis of ``grid`` as its kept (n, n) matrix, or None.
 
-    Column j is q_m of the j-th unit vector, by the chirp route.  A call
-    that carries at least n columns builds it, at no more cost than the
-    chirp pass it replaces, and only when ``16 n^2`` bytes fit a quarter of
-    the system's block budget (n <= 724 at 32 MiB), which ``ws._blocks``
-    keeps; any other call uses a kept matrix and never builds one.
+    Column j is q_m of the j-th unit vector, by the chirp route.  Only a
+    call that carries at least n columns uses it, and only when its ``16
+    n^2`` bytes fit the system's block store (n <= 724 at 32 MiB): such a
+    call builds it with one chirp pass over n columns, and its repeats on
+    the same grid and level read it.  Every other call takes the chirp
+    route, so its result does not depend on what the store holds.
     """
     n = grid.count
-    if columns < n or 64 * n * n > pk.ws._blocks.budget:
-        return _kept(pk, grid, "projector")
+    if columns < n or not pk.ws._blocks.fits(16 * n * n):
+        return None
 
     def make():
         _eta_nodes(pk, grid)  # refuses a level before the identity is allocated

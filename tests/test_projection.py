@@ -328,15 +328,10 @@ class TestKeptProjector:
         assert len(chirps) == 2
         assert [key[0] for key in system._blocks._values] == ["modulus"]
 
-    def test_later_calls_use_the_kept_matrix(self, ws, chirps):
-        system = _fresh(ws)
-        sw.project(sw.build_kernel(system, level=1, dimension=2), self._square())
-        sw.project(sw.build_kernel(system, level=1), sample(gaussian(), self.GRID))
-        assert len(chirps) == 2
-
     def test_grid_over_the_cap_never_builds(self, ws, chirps, monkeypatch):
-        # a matrix of 16 n^2 bytes is built only within a quarter of the budget
-        assert 64 * 724 ** 2 <= construction._BLOCK_BYTES < 64 * 725 ** 2
+        # a matrix of 16 n^2 bytes is built only where the store keeps it
+        store = _fresh(ws)._blocks
+        assert store.fits(16 * 724 ** 2) and not store.fits(16 * 725 ** 2)
         project_1d, builds_seen = projection._project_1d, []
         monkeypatch.setattr(projection, "_project_1d", lambda pk, grid, values, *a: (
             builds_seen.append(np.array_equal(values, np.eye(grid.count)))
@@ -351,19 +346,25 @@ class TestKeptProjector:
             assert builds_seen == ([True] if builds else [False, False])
             assert len(_projectors(system)) == builds
 
-    def test_kept_matrix_matches_both_routes(self, ws):
+    def test_kept_matrix_matches_both_routes(self, ws, chirps):
+        # q_m is separable: the 2-D projection by the kept matrix is the
+        # outer product of the 1-D projections, which take the chirp route
         grid = sw.Grid1D.from_interval(-12.0, 12.0, 385)
-        f = sample(gaussian(), grid)
+        fx, fy = gaussian(), gaussian(0.4, 1.2)
         system = _fresh(ws)
         pk = sw.build_kernel(system)
-        chirp = sw.project(pk, f).values
-        sw.project(sw.build_kernel(system, dimension=2), self._square(grid))
+        kept = sw.project(sw.build_kernel(system, dimension=2),
+                          self._square(grid)).values
         assert len(_projectors(system)) == 1
-        kept = sw.project(pk, f).values
+        chirps.clear()
+        qx, qy = (sw.project(pk, sample(f, grid)).values for f in (fx, fy))
+        assert len(chirps) == 4  # not the kept matrix
+        chirp = np.outer(qx, qy)
         assert np.max(np.abs(kept - chirp)) < 1e-14 * np.max(np.abs(chirp))
         probes = np.arange(-4.0, 4.01, 0.5)  # on grid points
-        spot = sw.project_at(pk, f, probes)
-        assert np.max(np.abs(spot.real - kept.real[grid.index_of(probes)])) < 1e-10
+        spot = np.outer(*(sw.project_at(pk, sample(f, grid), probes) for f in (fx, fy)))
+        on_grid = kept[np.ix_(grid.index_of(probes), grid.index_of(probes))]
+        assert np.max(np.abs(spot - on_grid)) < 1e-10
 
     def test_replaced_modulus_misses_the_kept_matrix(self, ws, monkeypatch):
         system = _fresh(ws)
