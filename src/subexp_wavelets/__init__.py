@@ -10,16 +10,16 @@ __version__ = "0.1.0"  # read by the CLI report metadata
 
 from .bump import BumpError, GevreyBump, build_bump
 from .construction import (BellFunction, ConstructionError, WaveletSystem,
-                           build_wavelet_system, cross_gram_fourier,
-                           decay_profile, run_certificate_suite,
-                           scaling_modulus, spectral_moments)
+                           build_wavelet_system, decay_profile,
+                           run_certificate_suite, scaling_modulus,
+                           spectral_moments)
 from .expansion import (CoefficientSet, DualRepresentative, ExpansionError,
                         IndexWindow, WaveletIndex, analyze, bessel_gap,
                         parseval_check, parseval_from_coefficients,
-                        synthesize_partial, tensor_atom)
+                        synthesize_partial)
 from .metrics import (DecayFit, FeasibleK, MetricsError, SeminormParams,
-                      SequenceNormParams, index_weight, max_feasible_k,
-                      seminorm_estimate, sequence_norm, subexp_decay_fit)
+                      SequenceNormParams, max_feasible_k, seminorm_estimate,
+                      sequence_norm, subexp_decay_fit)
 from .numerics import (Grid1D, NumericsError, SampledFunction, SpectrumOnBand,
                        chirp_synthesis, forward_transform_values, inner_product,
                        integrate, norm_l2, pairing, synthesize,

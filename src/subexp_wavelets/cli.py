@@ -280,7 +280,7 @@ def cmd_expand(args, ws: WaveletSystem) -> tuple[dict, bool]:
 def cmd_decay(args, ws: WaveletSystem) -> tuple[dict, bool]:
     lo, hi = args.range
     if args.target == "psi":
-        table = decay_profile(ws, hi, int((hi - 0.0) * 32) + 1)
+        table = decay_profile(ws, hi)
     elif hi > TABLE_HALF:
         raise ConfigError(f"range end {hi} lies beyond the phi table, which "
                           f"ends at {TABLE_HALF}")

@@ -344,8 +344,8 @@ def sample_grid(window: float) -> Grid1D:
     return Grid1D.from_interval(-window, window, 2 * int(round(window * 64)) + 1)
 
 
-def build_wavelet_system(a: float, rho2: float, *, window: float = 40.0,
-                         run_certificates: bool = True) -> WaveletSystem:
+def build_wavelet_system(a: float, rho2: float, *,
+                         window: float = 40.0) -> WaveletSystem:
     """Assemble spectra and samples; run and store the named certificates.
 
     The spectra are stored at 8192 points of [-3 pi, 3 pi], the samples on
@@ -373,8 +373,7 @@ def build_wavelet_system(a: float, rho2: float, *, window: float = 40.0,
 
     ws = WaveletSystem(a=a, rho2=rho2, bell=bell, psi_hat=psi_hat, phi_hat=phi_hat,
                        psi_samples=psi_samples, phi_samples=phi_samples)
-    if run_certificates:
-        ws.certificates = run_certificate_suite(ws)
+    ws.certificates = run_certificate_suite(ws)
     return ws
 
 
@@ -629,34 +628,12 @@ def run_certificate_suite(ws: WaveletSystem) -> dict:
     return {name: check(ws) for name, check in checks("build").items()}
 
 
-def decay_profile(ws: WaveletSystem, x_max: float, n_points: int) -> np.ndarray:
-    """|psi| sampled on [0, x_max]; rows (x, |psi(x)|)."""
-    if x_max > ws.window:
-        raise ConstructionError("requested range exceeds the physical window")
-    x = np.linspace(0.0, x_max, n_points)
+def decay_profile(ws: WaveletSystem, x_max: float) -> np.ndarray:
+    """|psi| sampled on [0, x_max] at spacing about 1/32 (``int(32 x_max) + 1``
+    points); rows (x, |psi(x)|)."""
+    if not 0.0 <= x_max <= ws.window:
+        raise ConstructionError(f"range end {x_max:g} lies outside [0, {ws.window:g}], "
+                                f"the physical window")
+    x = np.linspace(0.0, x_max, int(x_max * 32) + 1)
     vals = np.abs(ws.interpolator("psi")(x))
     return np.column_stack([x, vals])
-
-
-def cross_gram_fourier(ws: WaveletSystem, m_values, n_values) -> np.ndarray:
-    """Gram matrix of atoms psi_{m,n} computed on the Fourier side.
-
-    Each atom's spectrum is 2^(-m/2) exp(-i xi n / 2^m) psi_hat(xi / 2^m),
-    compactly supported, so a single fine trapezoid grid (32768 nodes)
-    covering the union of the scaled bands gives every pairwise inner product
-    at once.
-    """
-    m_values = list(m_values)
-    n_values = list(n_values)
-    top = max(2.0 ** m for m in m_values) * (8 * np.pi / 3)
-    grid = Grid1D.from_interval(-top, top, 32768)
-    xi = grid.points()
-    w = grid.trapezoid_weights()
-    rows = []
-    for m in m_values:
-        scale = 2.0 ** (-m)
-        base = 2.0 ** (-m / 2.0) * ws.psi_hat_fn(xi * scale)
-        for n in n_values:
-            rows.append(base * np.exp(-1j * xi * n * scale))
-    A = np.array(rows)
-    return ((A * w) @ np.conj(A.T)) / (2 * np.pi)

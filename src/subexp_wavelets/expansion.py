@@ -133,28 +133,6 @@ class CoefficientSet:
 
 
 # ---------------------------------------------------------------------------
-# atoms
-# ---------------------------------------------------------------------------
-
-def tensor_atom(ws: WaveletSystem, index: WaveletIndex, x) -> np.ndarray:
-    """2^{md/2} prod_i f_{eps_i}(2^m x_i - n_i), f_0 = phi, f_1 = psi.
-
-    ``x`` is (npts,) in d = 1 or (..., d) in d > 1, where any other last axis
-    raises ``ExpansionError``; one point gives a float.  Arguments beyond the
-    dense-table range contribute literal zeros (the atom is below 1e-11 there).
-    """
-    d = index.dimension
-    x = np.asarray(x, dtype=float)
-    if d > 1 and x.shape[-1:] != (d,):
-        raise ExpansionError(f"points of shape {x.shape} for an atom in {d} dimensions")
-    pts = x.reshape(-1, d)
-    out = np.ones(pts.shape[0])
-    for i in range(d):
-        out = out * ws.atom_values(index.epsilon[i], index.m, index.n[i], pts[:, i])
-    return float(out[0]) if x.ndim == int(d > 1) else out  # one point: float
-
-
-# ---------------------------------------------------------------------------
 # analysis / synthesis: one loop over (epsilon, m) atom blocks
 # ---------------------------------------------------------------------------
 

@@ -205,12 +205,6 @@ def _weight(m, r, params: SequenceNormParams):
             + (r * 2.0 ** -m) ** (1.0 / params.t))
 
 
-def index_weight(index, params: SequenceNormParams) -> float:
-    """w(lambda) of one index, with Euclidean |n|."""
-    n = np.asarray(index.n, dtype=float)
-    return float(_weight(index.m, np.sqrt(np.sum(n * n)), params))
-
-
 def _window_weights(window, params: SequenceNormParams) -> np.ndarray:
     """w(lambda) in the layout of ``CoefficientSet.values`` (``window.shape``)."""
     n = np.arange(-window.N, window.N + 1, dtype=float)

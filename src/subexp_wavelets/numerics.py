@@ -480,7 +480,12 @@ def _chirp_plan(n: int, count: int, xi0: float, dxi: float, x0: float,
 
 
 # Bluestein plans (``chirp_synthesis``); a warm session's projections at
-# levels 0..6 and its 2-D projection keep about 8 MB
+# levels 0..6 and its 2-D projection keep about 8 MB.  Plans are kept from a
+# geometry's second request on because a cold command asks for most of its
+# geometries once: keeping them from the first request raises the peak RSS
+# of a cold ``build`` from 58 to 65 MB, ``expand --parseval`` from 60 to
+# 65 MB, ``project --levels 0..6`` from 41 to 46 MB and ``verify`` from 43
+# to 44 MB (one BLAS thread, median of 3 cold runs)
 _CHIRP_PLANS = Kept(16 * 2 ** 20, from_second=True)
 
 

@@ -14,8 +14,8 @@ applies it as one matrix product; other calls take the chirp route.
 The kernel-decay certificate reads q_0 off this route, as the projections
 of point masses, and no spline table is read on it: the alias margin, like
 the kernel's truncation radius and tail bound, comes from the running sup
-of |phi| on the wide table (``_phi_tail``).  The lattice sum over the phi
-spline (``kernel_eval``, ``project_at``) is the independent reference.
+of |phi| on the wide table (``_phi_tail``).  The 1-D lattice sum over the
+phi spline (``kernel_eval``, ``project_at``) is the independent reference.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ def _phi_tail(ws: WaveletSystem) -> tuple[np.ndarray, int, float]:
 class ProjectionKernel:
     ws: WaveletSystem
     level: int
-    truncation_radius: int
     dimension: int
 
     def __post_init__(self):
@@ -88,10 +87,11 @@ class ProjectionKernel:
             raise ProjectionError(f"level must be an integer, got {self.level!r}")
         if not (isinstance(self.dimension, (int, np.integer)) and self.dimension >= 1):
             raise ProjectionError("dimension must be an integer >= 1")
-        K = self.truncation_radius
-        if not (isinstance(K, (int, np.integer)) and 0 <= K <= TABLE_HALF):
-            raise ProjectionError(f"truncation radius must be an integer in "
-                                  f"[0, {TABLE_HALF:g}]")
+
+    @property
+    def truncation_radius(self) -> int:
+        """The radius K that ``_phi_tail`` reads off the phi table."""
+        return _phi_tail(self.ws)[1]
 
     @property
     def tail_bound(self) -> float:
@@ -102,9 +102,10 @@ class ProjectionKernel:
 
 def build_kernel(ws: WaveletSystem, level: int = 0,
                  dimension: int = 1) -> ProjectionKernel:
-    """The level-m kernel at the radius ``_phi_tail`` reads off the phi table."""
-    return ProjectionKernel(ws=ws, level=level, truncation_radius=_phi_tail(ws)[1],
-                            dimension=dimension)
+    """The level-m kernel; a system whose phi tail misses its targets
+    (``_phi_tail``) is refused here."""
+    _phi_tail(ws)
+    return ProjectionKernel(ws=ws, level=level, dimension=dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -115,37 +116,31 @@ def _kernel_eval_1d(pk: ProjectionKernel, u: np.ndarray, v: np.ndarray) -> np.nd
     """q_level on scalar coordinates (already broadcast to a common shape)."""
     scale = 2.0 ** pk.level
     su, sv = scale * u, scale * v
-    if np.max(np.abs(su - sv), initial=0.0) + pk.truncation_radius > TABLE_HALF:
+    K = pk.truncation_radius
+    if np.max(np.abs(su - sv), initial=0.0) + K > TABLE_HALF:
         raise ProjectionError("kernel window")
     phi = pk.ws.interpolator("phi")
-    lo = int(np.floor(min(su.min(), sv.min()))) - pk.truncation_radius
-    hi = int(np.ceil(max(su.max(), sv.max()))) + pk.truncation_radius
+    lo = int(np.floor(min(su.min(), sv.min()))) - K
+    hi = int(np.ceil(max(su.max(), sv.max()))) + K
     out = np.zeros_like(su)
     for k in range(lo, hi + 1):
         # terms beyond the truncation radius of *both* points are dropped
-        near = (np.abs(su - k) <= pk.truncation_radius) | \
-               (np.abs(sv - k) <= pk.truncation_radius)
+        near = (np.abs(su - k) <= K) | (np.abs(sv - k) <= K)
         if np.any(near):
             out[near] += phi(su[near] - k) * phi(sv[near] - k)
     return scale * out
 
 
 def kernel_eval(pk: ProjectionKernel, x, y):
-    """Truncated lattice sum q_m(x, y), the product of one 1-D factor per axis.
+    """Truncated lattice sum q_m(x, y) of a 1-D kernel.
 
-    In d = 1 ``x`` and ``y`` broadcast as coordinates (two scalars give a
-    float); in d > 1 each is a point (d,) or points (npts, d), giving (npts,),
-    and any other last axis raises ``ProjectionError``.
+    ``x`` and ``y`` broadcast as coordinates, and two scalars give a float.
+    A kernel of any other dimension raises ``ProjectionError``.
     """
-    d = pk.dimension
-    x, y = (np.asarray(p, dtype=float) for p in (x, y))
-    if d > 1 and not x.shape[-1:] == y.shape[-1:] == (d,):
-        raise ProjectionError(f"points of shapes {x.shape}, {y.shape} in {d} dimensions")
-    x, y = (p[..., None] if d == 1 else np.atleast_2d(p) for p in (x, y))
-    out = 1.0
-    for i in range(d):
-        u, v = np.broadcast_arrays(x[..., i], y[..., i])
-        out = out * _kernel_eval_1d(pk, np.atleast_1d(u), np.atleast_1d(v))
+    if pk.dimension != 1:
+        raise ProjectionError(f"kernel_eval takes a 1-D kernel, not {pk.dimension}-D")
+    u, v = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in (x, y)))
+    out = _kernel_eval_1d(pk, np.atleast_1d(u), np.atleast_1d(v))
     return float(out[0]) if u.ndim == 0 else out
 
 

@@ -105,18 +105,18 @@ _PI_TOKEN = re.compile(r"^(-?\d*\.?\d*)\s*pi$")
 
 
 def parse_scalar(token: str) -> float:
-    """Parse '2pi', 'pi', '1.5pi', or a plain decimal."""
+    """Parse '2pi', 'pi', '1.5pi', or a plain decimal; anything else, '.pi'
+    included, raises ``TestFunctionError``."""
     token = token.strip().lower()
     match = _PI_TOKEN.match(token)
-    if match:
-        mult = match.group(1)
-        if mult in ("", "-"):
-            mult += "1"
-        return float(mult) * np.pi
+    number = match.group(1) if match else token
+    if match and number in ("", "-"):
+        number += "1"
     try:
-        return float(token)
+        value = float(number)
     except ValueError as exc:
         raise TestFunctionError(f"cannot parse scalar {token!r}") from exc
+    return value * np.pi if match else value
 
 
 def parse_spec(spec: str):

@@ -35,3 +35,33 @@ def band_function(expansion_grid):
     fn = testfuncs.gevrey_band(np.pi, 2 * np.pi)
     f = testfuncs.sample(fn, expansion_grid)
     return f
+
+
+def _cross_gram_fourier(ws, m_values, n_values):
+    """Gram matrix of atoms psi_{m,n} computed on the Fourier side.
+
+    Each atom's spectrum is 2^(-m/2) exp(-i xi n / 2^m) psi_hat(xi / 2^m),
+    compactly supported, so a single fine trapezoid grid (32768 nodes)
+    covering the union of the scaled bands gives every pairwise inner product
+    at once: an oracle that reads no table or sample of the system.
+    """
+    m_values = list(m_values)
+    n_values = list(n_values)
+    top = max(2.0 ** m for m in m_values) * (8 * np.pi / 3)
+    grid = sw.Grid1D.from_interval(-top, top, 32768)
+    xi = grid.points()
+    w = grid.trapezoid_weights()
+    rows = []
+    for m in m_values:
+        scale = 2.0 ** (-m)
+        base = 2.0 ** (-m / 2.0) * ws.psi_hat_fn(xi * scale)
+        for n in n_values:
+            rows.append(base * np.exp(-1j * xi * n * scale))
+    A = np.array(rows)
+    return ((A * w) @ np.conj(A.T)) / (2 * np.pi)
+
+
+@pytest.fixture(scope="session")
+def cross_gram_fourier():
+    """``(ws, m_values, n_values) -> G``, the Fourier-side Gram oracle."""
+    return _cross_gram_fourier

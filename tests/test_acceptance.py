@@ -46,7 +46,7 @@ def test_bell_support_and_edge_values(ws):
             f"exact zeros outside the band, edge deviation {edge_dev:.2e}")
 
 
-def test_orthonormality(ws):
+def test_orthonormality(ws, cross_gram_fourier):
     t0 = time.time()
     xi = np.linspace(-np.pi, np.pi, 512)
     ks = np.arange(-6, 7)
@@ -54,7 +54,7 @@ def test_orthonormality(ws):
     phi_sum = sum(np.abs(ws.phi_hat_fn(xi + 2 * np.pi * k)) ** 2 for k in ks)
     translate_dev = max(float(np.max(np.abs(psi_sum - 1.0))),
                         float(np.max(np.abs(phi_sum - 1.0))))
-    gram = sw.cross_gram_fourier(ws, range(-3, 4), range(-3, 4))
+    gram = cross_gram_fourier(ws, range(-3, 4), range(-3, 4))
     gram_dev = float(np.max(np.abs(gram - np.eye(49))))
     ok = translate_dev < 1e-10 and gram_dev < 1e-7
     _finish("orthonormality", 30.0, t0, ok,
@@ -86,7 +86,7 @@ def test_vanishing_moments(ws):
 
 def test_subexponential_decay_free_fit(ws):
     t0 = time.time()
-    table = sw.decay_profile(ws, 40.0, 1281)
+    table = sw.decay_profile(ws, 40.0)
     table = table[table[:, 0] >= 5.0]
     free = sw.subexp_decay_fit(table, exponent_mode="free")
     exponential = sw.subexp_decay_fit(table, exponent_mode="fixed", rho=1.0)

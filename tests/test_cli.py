@@ -151,7 +151,7 @@ class TestDecay:
         doc = _read_report(report)
         fit = doc["fit"]
         # same computation through the library entry points
-        table = sw.decay_profile(ws, 40.0, 1281)
+        table = sw.decay_profile(ws, 40.0)
         want = sw.subexp_decay_fit(table[table[:, 0] >= 5.0], "free")
         assert abs(fit["exponent"] - want.exponent) < 1e-12
         assert abs(fit["rate_c"] - want.rate_c) < 1e-9
@@ -320,6 +320,7 @@ _BAD_COMMAND_LINES = [
     ("decay --system {system} --range 5,500", 2),
     ("decay --system {system} --target phi --range 5,1000", 2),
     ("decay --system {system} --target phi --range 300,1000", 2),
+    ("decay --system {system} --range=-5,-1", 2),
     ("project --system {system} --levels 0..2 --window 0.001", 2),
     ("project --system {system} --window -3", 2),
     ("project --system {system} --levels 3..1", 2),
@@ -340,6 +341,7 @@ _BAD_COMMAND_LINES = [
     ("expand --system {system} --f gevrey-band:2,1", 2),
     ("expand --system {system} --f gevrey-band:pi,2pi,inf", 2),
     ("expand --system {system} --f gevrey-band:pi,inf", 2),
+    ("expand --system {system} --f gevrey-band:.pi,2pi", 2),
     ("expand --system {system} --f gaussian:0,0", 2),
     ("expand --system {system} --f gaussian:inf,1", 2),
     ("expand --system {system} --f gaussian:nan,1", 2),

@@ -83,7 +83,8 @@ def _scale_psi_hat(ws):
     ws.psi_hat.values[...] *= 1.01
 
 
-# build certificate -> a tamper of a fresh system that must make it fail
+# build certificate -> a tamper of a fresh copy of the system that must make it
+# fail
 BUILD_TAMPERS = {
     "SUPPORT": _wrap_bell(lambda xi, b: b + 1e-3 * (np.abs(xi) < 1)),
     "SHIFT_ORTHONORMALITY_PSI": _wrap_bell(lambda xi, b: 1.01 * b),
@@ -144,11 +145,12 @@ VERIFY_TAMPERS = {
 
 class TestCertificates:
     @pytest.mark.parametrize("name", list(construction.checks("build")))
-    def test_every_build_certificate_fails_when_tampered(self, name):
+    def test_every_build_certificate_fails_when_tampered(self, ws, name):
         # a new build certificate must come with a tamper that it catches
         assert name in BUILD_TAMPERS, f"no tamper for {name}"
         check = construction.checks("build")[name]
-        fresh = sw.build_wavelet_system(1.0, 2.0, run_certificates=False)
+        # a loaded copy, as ``verify`` reads it: no tables yet
+        fresh = sw.WaveletSystem.from_json_dict(ws.to_json_dict())
         assert check(fresh)["pass"]
         BUILD_TAMPERS[name](fresh)
         assert not check(fresh)["pass"]
@@ -264,11 +266,11 @@ class TestEvaluation:
         direct = 2.0 * sw.synthesize_values(band, x, order=order).real
         assert np.max(np.abs(vals[idx] - direct)) < 1e-12
 
-    def test_dense_table_build_memory(self):
-        ws = sw.build_wavelet_system(1.0, 2.0, run_certificates=False)
+    def test_dense_table_build_memory(self, ws):
+        fresh = sw.WaveletSystem.from_json_dict(ws.to_json_dict())  # no tables
         tracemalloc.start()
         try:
-            ws.dense_table("psi")
+            fresh.dense_table("psi")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -282,22 +284,22 @@ class TestEvaluation:
 
 
 class TestCrossGram:
-    def test_small_gram_is_identity(self, ws):
-        G = sw.cross_gram_fourier(ws, range(-1, 2), range(-1, 2))
+    def test_small_gram_is_identity(self, ws, cross_gram_fourier):
+        G = cross_gram_fourier(ws, range(-1, 2), range(-1, 2))
         assert G.shape == (9, 9)
         assert np.max(np.abs(G - np.eye(9))) < 1e-10
 
 
 class TestDecayProfile:
     def test_shape_and_range(self, ws):
-        table = sw.decay_profile(ws, 40.0, 1281)
+        table = sw.decay_profile(ws, 40.0)
         assert table.shape == (1281, 2)
         assert table[0, 0] == 0.0
         assert np.isclose(table[-1, 0], 40.0)
         assert np.all(table[:, 1] >= 0.0)
 
     def test_envelope_below_center_value(self, ws):
-        table = sw.decay_profile(ws, 40.0, 1281)
+        table = sw.decay_profile(ws, 40.0)
         far = table[table[:, 0] > 5.0]
         assert np.all(far[:, 1] < abs(PSI_AT_ZERO))
 
@@ -324,6 +326,6 @@ class TestSerialization:
 class TestBuildValidation:
     def test_invalid_parameters_propagate(self):
         with pytest.raises(sw.BumpError):
-            sw.build_wavelet_system(1.2, 2.0, run_certificates=False)
+            sw.build_wavelet_system(1.2, 2.0)
         with pytest.raises(sw.BumpError):
-            sw.build_wavelet_system(1.0, 0.9, run_certificates=False)
+            sw.build_wavelet_system(1.0, 0.9)

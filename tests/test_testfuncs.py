@@ -66,3 +66,16 @@ def test_gevrey_band_description_names_its_order():
         "gevrey-band(3.14159,6.28319)"
     assert testfuncs.gevrey_band(np.pi, 2 * np.pi, rho=3.0).description == \
         "gevrey-band(3.14159,6.28319,rho=3)"
+
+
+@pytest.mark.parametrize("token", [".pi", "-.pi"])
+def test_parse_scalar_rejects_a_pi_multiple_without_digits(token):
+    # float(".") used to raise a bare ValueError, which the CLI let through
+    # as a traceback
+    with pytest.raises(testfuncs.TestFunctionError, match="cannot parse"):
+        testfuncs.parse_scalar(token)
+
+
+def test_parse_scalar_reads_a_pi_multiple_with_a_leading_point():
+    assert testfuncs.parse_scalar(".5pi") == 0.5 * np.pi
+    assert testfuncs.parse_scalar("-.5pi") == -0.5 * np.pi
