@@ -17,7 +17,8 @@ on uniform grids, summed by the chirp-z engine ``numerics.chirp_synthesis``;
 scattered points use the baby-step/giant-step direct sum
 ``numerics.synthesize_values``.  For the many-evaluation call sites (atoms,
 kernels) the system carries lazily built dense tables read by the natural
-cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11, and keeps every
+cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11 and itself built
+on its first read, and keeps every
 atom block it reads on a uniform grid in one ``numerics.Kept`` store: the
 blocks of expansion and of two build certificates (``_axis_block``), each
 either a window of one kept row or a kept per-shift block.
@@ -65,7 +66,7 @@ _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
 # bytes of atom blocks a system keeps (``_axis_block``), with projection's
 # kept matrices and |phi_hat| nodes; the (6, 32) window on expand's
 # 20,481-point grid takes 10.5 MB, the two-scale and low-pass certificates
-# about 0.6 MB, and a q_m matrix on 321 points 1.6 MB
+# about 0.6 MB, and a (real) q_m matrix on 321 points 0.8 MB
 _BLOCK_BYTES = 32 * 2 ** 20
 
 
@@ -121,6 +122,7 @@ class WaveletSystem:
         self.phi_samples = phi_samples
         self.certificates = certificates if certificates is not None else {}
         self._tables: dict = {}
+        self._splines: dict = {}  # interpolator's splines, built on first read
         self._wide: dict = {}
         self._fits: dict = {}  # values read off the tables (projection._phi_tail)
         # uniform-grid atom blocks, kept q_m matrices and |phi_hat| nodes
@@ -198,19 +200,26 @@ class WaveletSystem:
         return grid, vals
 
     def dense_table(self, which: str, order: int = 0):
-        """(grid, values) of psi/phi (derivative) on [-TABLE_HALF, TABLE_HALF]."""
+        """(grid, values) of psi/phi (derivative) on [-TABLE_HALF, TABLE_HALF],
+        kept read-only; no spline is built here."""
         key = (which, order)
         if key not in self._tables:
             grid, vals = self._even_table(which, order, TABLE_HALF, TABLE_SPACING,
                                           _TABLE_BAND_POINTS)
-            self._tables[key] = (grid, vals, NaturalSpline(grid, vals))
-        grid, vals, _ = self._tables[key]
-        return grid, vals
+            vals.flags.writeable = False
+            self._tables[key] = (grid, vals)
+        return self._tables[key]
 
     def interpolator(self, which: str, order: int = 0) -> NaturalSpline:
-        """Fast callable: cubic spline over the dense table, 0 outside it."""
-        self.dense_table(which, order)
-        return self._tables[(which, order)][2]
+        """Fast callable: cubic spline over the dense table, 0 outside it.
+
+        Built on the first call and kept, sharing the table's samples; later
+        calls return the same object, on which ``_axis_block`` keys its rows.
+        """
+        key = (which, order)
+        if key not in self._splines:
+            self._splines[key] = NaturalSpline(*self.dense_table(which, order))
+        return self._splines[key]
 
     def atom_values(self, bit: int, m: int, n, x, order: int = 0) -> np.ndarray:
         """2^(m/2) 2^(m*order) f^(order)(2^m x - n) with f = phi (bit 0) or psi (bit 1).

@@ -47,7 +47,7 @@ import numpy as np
 
 DERIVATIVE_ORDER_CAP = 60
 _BLOCK_ENTRIES = 2 ** 20  # table entries per block of rows of the direct sums
-_SPLINE_BLOCK = 2 ** 16  # points a NaturalSpline call evaluates at a time
+_SPLINE_BLOCK = 2 ** 14  # points a NaturalSpline call evaluates at a time
 _FFT_BLOCK_ENTRIES = 2 ** 16  # padded entries per block of chirp_synthesis rows
 _NOTED_KEYS = 4096  # keys a Kept store notes as requested once
 
@@ -275,14 +275,19 @@ class NaturalSpline:
     """Natural cubic spline through samples on a uniform grid, 0 outside it.
 
     ``spline(x, order)`` is the ``order``-th derivative (0 to 3) at ``x``.
-    Every slot of ``_poly`` holds a cubic in ``u = (x - x_i)/h``: a zero
-    slot before the first knot, one per interval, one for the last knot
-    alone (the last interval's cubic re-centred there, so it reads that
-    sample exactly), and a zero slot past it.  The lookup is one clipped
-    index, with no mask; NaN reads 0.  A knot reads its sample exactly
-    wherever ``(x - origin) / spacing`` is exact, as on the dyadic tables.
-    A call evaluates ``_SPLINE_BLOCK`` points at a time, which bounds its
-    temporaries and changes no value.
+    The spline holds two rows: the samples ``values`` (the caller's float
+    array itself, not a copy) and their ``natural_second_differences`` k.
+    A point reads its slot's cubic in ``u = (x - x_i)/h``, formed from
+    those two rows at the point: on interval i, ``a = y_i``, ``b = (y_{i+1}
+    - y_i) - (2 k_i + k_{i+1})/6``, ``c = k_i / 2`` and ``d = (k_{i+1} -
+    k_i)/6``.  The last knot has a slot of its own (the last interval's
+    cubic re-centred there, so it reads that sample exactly), and the slots
+    before the first knot and past the last read 0; NaN reads 0.  So the
+    values are bit-identical to reading a stored table of the slots'
+    coefficients, at a quarter of its memory.  A knot reads its sample
+    exactly wherever ``(x - origin) / spacing`` is exact, as on the dyadic
+    tables.  A call evaluates ``_SPLINE_BLOCK`` points at a time, which
+    bounds its temporaries and changes no value.
     """
 
     def __init__(self, grid: Grid1D, values):
@@ -290,49 +295,69 @@ class NaturalSpline:
         if y.shape != (grid.count,):
             raise NumericsError("values length does not match grid point count")
         self.grid = grid
-        k = natural_second_differences(y)
-        # row p holds the u^p coefficients of the slots
-        poly = np.zeros((4, grid.count + 2))
-        a, b, c, d = poly[:, 1:-2]
-        a[:] = y[:-1]
-        b[:] = (y[1:] - y[:-1]) - (2.0 * k[:-1] + k[1:]) / 6.0
-        c[:] = 0.5 * k[:-1]
-        d[:] = (k[1:] - k[:-1]) / 6.0
-        # the last interval's cubic at u = 1 + v, as a cubic in v
-        poly[:, -2] = (y[-1], b[-1] + 2.0 * c[-1] + 3.0 * d[-1],
-                       c[-1] + 3.0 * d[-1], d[-1])
-        self._poly = poly
+        self.values = y
+        self.second_differences = natural_second_differences(y)
 
     def __call__(self, x, order: int = 0):
         if not 0 <= order <= 3:
             raise NumericsError("spline derivative order must be 0 to 3")
-        poly = self._poly
-        for _ in range(order):  # d/dx = (1/h) d/du, slot by slot
-            powers = np.arange(1.0, poly.shape[0])[:, None]
-            poly = poly[1:] * powers / self.grid.spacing
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape)
         flat_x, flat_out = x.reshape(-1), out.reshape(-1)
         for lo in range(0, flat_x.size, _SPLINE_BLOCK):
-            flat_out[lo:lo + _SPLINE_BLOCK] = self._evaluate(
-                poly, flat_x[lo:lo + _SPLINE_BLOCK])
+            self._evaluate(flat_x[lo:lo + _SPLINE_BLOCK],
+                           flat_out[lo:lo + _SPLINE_BLOCK], order)
         return float(out) if out.ndim == 0 else out
 
-    def _evaluate(self, poly, x):
-        last = self.grid.count - 1.0
+    def _evaluate(self, x, out, order):
+        g, y, k = self.grid, self.values, self.second_differences
+        last = g.count - 1.0
         # clipped so that u stays in [-1, 1]; fmax reads NaN as before the grid
-        t = np.fmin(np.fmax((x - self.grid.origin) / self.grid.spacing, -1.0),
-                    last + 0.5)
-        i = np.floor(t)
-        i += x > self.grid.last  # past the last knot: the zero slot
-        u = t - i
-        j = i.astype(np.intp)
-        j += 1
-        out = poly[-1][j]
-        for row in poly[-2::-1]:
-            out *= u
-            out += row[j]
-        return out
+        u = np.subtract(x, g.origin)
+        u /= g.spacing
+        np.fmax(u, -1.0, out=u)
+        np.fmin(u, last + 0.5, out=u)
+        i = np.floor(u)
+        i[x > g.last] += 1.0  # past the last knot: the zero slot
+        u -= i
+        slot = i.astype(np.intp)  # -1 and count read 0, count - 1 the last knot
+        # the cubic a + b u + c u^2 + d u^3 of interval ``slot``, clipped to
+        # the intervals, as far as derivative ``order`` reads it
+        c, d = (row.take(slot, mode="clip") for row in (k[:-1], k[1:]))  # k_i, k_i+1
+        if order <= 1:
+            a, b = (row.take(slot, mode="clip") for row in (y[:-1], y[1:]))
+            b -= a
+            w = 2.0 * c
+            w += d
+            w /= 6.0
+            b -= w
+        d -= c
+        d /= 6.0
+        c *= 0.5
+        # points off the intervals; as an unsigned index, -1 wraps past them all
+        edges = np.count_nonzero(slot.view(np.uintp) > g.count - 2)
+        tail = np.flatnonzero(slot == g.count - 1) if edges else ()
+        if len(tail):  # the last interval's cubic at u = 1 + v, in v
+            if order <= 1:
+                a[tail] = y[-1]
+                b[tail] = b[tail] + 2.0 * c[tail] + 3.0 * d[tail]
+            c[tail] = c[tail] + 3.0 * d[tail]
+        rows = [a, b, c, d][order:] if order <= 1 else [c, d][order - 2:]
+        for q, row in enumerate(rows, order):  # d/dx = (1/h) d/du, order times
+            for p in range(q, q - order, -1):
+                if p > 1:
+                    row *= p
+                row /= g.spacing
+        if len(rows) == 1:
+            np.copyto(out, rows[0])
+        else:
+            np.multiply(rows[-1], u, out=out)
+            out += rows[-2]
+            for row in rows[-3::-1]:
+                out *= u
+                out += row
+        if len(tail) < edges:  # slots -1 and count read 0
+            out[slot.view(np.uintp) > g.count - 1] = 0.0
 
 
 def inner_product(f: SampledFunction, g: SampledFunction) -> complex:

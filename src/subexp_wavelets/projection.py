@@ -9,8 +9,8 @@ q_m f comes out as its spectrum, one ``chirp_synthesis`` from the samples,
 which ``_on_grid`` sums onto a uniform grid by one more: the samples, and
 the seminorm's derivatives of every order on uniform probes in one pass.
 Along an axis of at most 724 points, a call with at least n columns keeps
-q_m as its (n, n) matrix (``_projector``), built by the same route, and
-applies it as one matrix product; other calls take the chirp route.
+q_m as its real (n, n) matrix (``_projector``), built by the same route, and
+applies it as one real matrix product; other calls take the chirp route.
 The kernel-decay certificate reads q_0 off this route, as the projections
 of point masses, and no spline table is read on it: the alias margin, like
 the kernel's truncation radius and tail bound, comes from the running sup
@@ -249,14 +249,17 @@ def _on_grid(zeta: Grid1D, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 
 def _projector(pk: ProjectionKernel, grid: Grid1D, columns: int):
-    """q_m along one axis of ``grid`` as its kept (n, n) matrix, or None.
+    """q_m along one axis of ``grid`` as its kept real (n, n) matrix, or None.
 
-    Column j is q_m of the j-th unit vector, by the chirp route.  Only a
-    call that carries at least n columns uses it, and only when its ``16
-    n^2`` bytes fit the system's block store (n <= 724 at 32 MiB): such a
-    call builds it with one chirp pass over n columns, and its repeats on
-    the same grid and level read it.  Every other call takes the chirp
-    route, so its result does not depend on what the store holds.
+    Column j is q_m of the j-th unit vector, by the chirp route.  phi is
+    real, so q_m is too: the matrix keeps the real part of that complex
+    result (its imaginary part is the chirp's rounding, below 2e-14 of the
+    largest entry), a contiguous float64 array of ``8 n^2`` bytes.  Only a
+    call that carries at least n columns uses it, and only when the build's
+    complex ``16 n^2`` bytes fit the system's block store (n <= 724 at 32
+    MiB): such a call builds it with one chirp pass over n columns, and its
+    repeats on the same grid and level read it.  Every other call takes the
+    chirp route, so its result does not depend on what the store holds.
     """
     n = grid.count
     if columns < n or not pk.ws._blocks.fits(16 * n * n):
@@ -264,7 +267,8 @@ def _projector(pk: ProjectionKernel, grid: Grid1D, columns: int):
 
     def make():
         _eta_nodes(pk, grid)  # refuses a level before the identity is allocated
-        return _on_grid(*_project_1d(pk, grid, np.eye(n)), grid)
+        return np.ascontiguousarray(
+            _on_grid(*_project_1d(pk, grid, np.eye(n)), grid).real)
 
     return _kept(pk, grid, "projector", make)
 
@@ -273,8 +277,9 @@ def project(pk: ProjectionKernel, f: SampledFunction) -> SampledFunction:
     """Orthogonal projection sum_k <f, phi_{m,k}> phi_{m,k} onto the level-m space.
 
     The level-m operator runs along each axis in turn, every column at once:
-    one product with the axis's kept matrix (``_projector``), else the
-    spectrum of ``_project_1d``, summed onto the grid by ``_on_grid``.
+    one real product of the axis's kept matrix (``_projector``) with the
+    columns' real and imaginary parts side by side, else the spectrum of
+    ``_project_1d``, summed onto the grid by ``_on_grid``.
     """
     if f.dimension != pk.dimension:
         raise ProjectionError("kernel and samples differ in dimension")
@@ -285,13 +290,21 @@ def project(pk: ProjectionKernel, f: SampledFunction) -> SampledFunction:
         if q is None:
             out = _on_grid(*_project_1d(pk, grid, out), grid)
         else:
-            out = (q @ out.reshape(grid.count, -1)).reshape(out.shape)
+            columns = np.ascontiguousarray(out.reshape(grid.count, -1))
+            out = (q @ columns.view(float)).view(complex).reshape(out.shape)
         out = np.moveaxis(out, 0, -1)
     return SampledFunction(f.grid, out)
 
 
 def project_at(pk: ProjectionKernel, f: SampledFunction, x_points) -> np.ndarray:
-    """Kernel-form projection values int f(y) q_m(x, y) dy at chosen points."""
+    """Kernel-form projection values int f(y) q_m(x, y) dy at chosen points.
+
+    Like ``kernel_eval``, it takes a 1-D kernel and samples only; anything
+    else raises ``ProjectionError``.
+    """
+    if pk.dimension != 1 or f.dimension != 1:
+        raise ProjectionError(f"project_at takes a 1-D kernel and 1-D samples, "
+                              f"not {pk.dimension}-D and {f.dimension}-D")
     (grid,) = f.grids
     y = grid.points()
     fw = f.values * grid.trapezoid_weights()

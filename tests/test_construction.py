@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subexp_wavelets as sw
-from subexp_wavelets import construction, projection
+from subexp_wavelets import construction, numerics, projection
 from subexp_wavelets.construction import (_CENTER_SHIFT, _TABLE_BAND_POINTS,
                                           _WIDE_BAND_POINTS, TABLE_HALF)
 
@@ -275,6 +275,20 @@ class TestEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    def test_tables_build_no_spline_and_each_spline_is_built_once(self, ws, monkeypatch):
+        fresh = sw.WaveletSystem.from_json_dict(ws.to_json_dict())  # no tables
+        init, built = numerics.NaturalSpline.__init__, []
+        monkeypatch.setattr(numerics.NaturalSpline, "__init__", lambda self, *a: (
+            built.append(self) or init(self, *a)))
+        for order in (0, 1, 2):
+            grid, vals = fresh.dense_table("phi", order)
+            assert not vals.flags.writeable
+        assert built == []
+        spline = fresh.interpolator("phi", 1)
+        assert built == [spline] and spline.values is fresh.dense_table("phi", 1)[1]
+        assert fresh.interpolator("phi", 1) is spline and len(built) == 1
+        assert fresh.interpolator("phi") is not spline and len(built) == 2
 
     def test_atom_values_scaling_identity(self, ws):
         x = np.linspace(-3.0, 3.0, 41)

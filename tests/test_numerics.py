@@ -562,8 +562,74 @@ def _natural_second_differences_dense(y):
     return np.linalg.solve(A, rhs)
 
 
+class _FourRowSpline:
+    """The natural spline's earlier layout, kept as the reference: one
+    ``(4, n + 2)`` array of the slots' cubic coefficients in ``u``, zero
+    slots at both ends and the last knot's slot re-centred there."""
+
+    def __init__(self, grid, y):
+        self.grid = grid
+        k = numerics.natural_second_differences(y)
+        poly = np.zeros((4, grid.count + 2))
+        a, b, c, d = poly[:, 1:-2]
+        a[:] = y[:-1]
+        b[:] = (y[1:] - y[:-1]) - (2.0 * k[:-1] + k[1:]) / 6.0
+        c[:] = 0.5 * k[:-1]
+        d[:] = (k[1:] - k[:-1]) / 6.0
+        poly[:, -2] = (y[-1], b[-1] + 2.0 * c[-1] + 3.0 * d[-1],
+                       c[-1] + 3.0 * d[-1], d[-1])
+        self.poly = poly
+
+    def __call__(self, x, order=0):
+        poly = self.poly
+        for _ in range(order):
+            powers = np.arange(1.0, poly.shape[0])[:, None]
+            poly = poly[1:] * powers / self.grid.spacing
+        x = np.asarray(x, dtype=float)
+        last = self.grid.count - 1.0
+        t = np.fmin(np.fmax((x - self.grid.origin) / self.grid.spacing, -1.0),
+                    last + 0.5)
+        i = np.floor(t)
+        i += x > self.grid.last
+        u = t - i
+        j = i.astype(np.intp) + 1
+        out = poly[-1][j]
+        for row in poly[-2::-1]:
+            out *= u
+            out += row[j]
+        return out
+
+
 class TestNaturalSpline:
     GRID = sw.Grid1D(-1.5, 0.125, 41)
+
+    @pytest.mark.parametrize("grid", [
+        sw.Grid1D(-264.0, 1.0 / 256, 135169), sw.Grid1D(-40.0, 1.0 / 64, 5121),
+        sw.Grid1D(-1.5, 0.125, 7), sw.Grid1D(0.3, 0.7, 2)], ids=lambda g: str(g.count))
+    def test_matches_the_four_row_reference(self, grid):
+        y = self._samples(grid.count)
+        spline, reference = numerics.NaturalSpline(grid, y), _FourRowSpline(grid, y)
+        knots, lo, hi = grid.points(), grid.origin, grid.last
+        x = np.concatenate([
+            np.random.default_rng(3).uniform(lo - 0.2 * (hi - lo) - 1.0,
+                                             hi + 0.2 * (hi - lo) + 1.0, 20000),
+            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            knots + 0.5 * grid.spacing,
+            [hi, np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf), lo - 1e-300,
+             np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0]])
+        for order in range(4):
+            got, want = spline(x, order), reference(x, order)
+            assert np.array_equal(got, want), order
+            assert np.array_equal(np.signbit(got), np.signbit(want)), order
+
+    def test_holds_its_samples_and_their_second_differences(self):
+        y = self._samples(self.GRID.count)
+        spline = numerics.NaturalSpline(self.GRID, y)
+        assert spline.values is y
+        np.testing.assert_array_equal(spline.second_differences,
+                                      numerics.natural_second_differences(y))
+        arrays = [v for v in vars(spline).values() if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays] == [(self.GRID.count,)] * 2
 
     @staticmethod
     def _samples(n, seed=5):
@@ -635,7 +701,7 @@ class TestNaturalSpline:
         assert blocked.shape == x.shape
 
     def test_blocked_evaluation_bounds_its_temporaries(self):
-        # in one block, the temporaries of 2^20 points take 48 MB
+        # in one block, the temporaries of 2^20 points take about 65 MiB
         spline = numerics.NaturalSpline(self.GRID, self._samples(self.GRID.count))
         x = np.linspace(-2.0, 4.0, 2 ** 20)
         tracemalloc.start()

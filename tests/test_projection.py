@@ -126,6 +126,14 @@ class TestKernelEvaluation:
             with pytest.raises(ProjectionError, match="1-D kernel"):
                 sw.kernel_eval(sw.build_kernel(ws, dimension=d), 0.3, 0.7)
 
+    def test_project_at_refuses_other_dimensions(self, ws, gaussian_samples):
+        from subexp_wavelets.testfuncs import sample_2d
+        pk2 = sw.build_kernel(ws, level=1, dimension=2)
+        g = sw.Grid1D.from_interval(-8.0, 8.0, 65)
+        for f in (gaussian_samples, sample_2d(gaussian(), gaussian(), g, g)):
+            with pytest.raises(ProjectionError, match="1-D kernel"):
+                sw.project_at(pk2, f, [0.1, 0.5])
+
     def test_one_dimensional_coordinates_keep_their_forms(self, pk):
         x = np.linspace(-1.3, 1.7, 11)
         assert isinstance(sw.kernel_eval(pk, 0.3, 0.7), float)
@@ -282,6 +290,9 @@ class TestKeptProjector:
         first = sw.project(pk2, self._square())
         assert len(chirps) == 2  # one build: both axes share the grid and level
         assert len(_projectors(system)) == 1
+        (q,) = (system._blocks._values[key] for key in _projectors(system))
+        assert q.dtype == np.float64 and q.flags.c_contiguous
+        assert q.nbytes == 8 * self.GRID.count ** 2
         again = sw.project(pk2, self._square())
         assert len(chirps) == 2
         np.testing.assert_array_equal(again.values, first.values)
@@ -325,10 +336,31 @@ class TestKeptProjector:
         assert len(chirps) == 4  # not the kept matrix
         chirp = np.outer(qx, qy)
         assert np.max(np.abs(kept - chirp)) < 1e-14 * np.max(np.abs(chirp))
+        assert np.all(kept.imag == 0.0)  # a real matrix on real samples
         probes = np.arange(-4.0, 4.01, 0.5)  # on grid points
         spot = np.outer(*(sw.project_at(pk, sample(f, grid), probes) for f in (fx, fy)))
         on_grid = kept[np.ix_(grid.index_of(probes), grid.index_of(probes))]
         assert np.max(np.abs(spot - on_grid)) < 1e-10
+
+    def test_kept_matrix_projects_complex_samples(self, ws):
+        # real and imaginary parts go through the one real product; against
+        # the outer product of 1-D chirp projections the gap measured
+        # 7.5e-15 max|q f| (the chirp route's own rounding, which the real
+        # matrix drops), so the gate is 5e-14 max|q f|
+        from subexp_wavelets.testfuncs import gevrey_band
+        grid = sw.Grid1D.from_interval(-12.0, 12.0, 385)
+        fa, fb, fc = (sample(f, grid).values for f in (
+            gevrey_band(np.pi, 2 * np.pi), gevrey_band(0.5 * np.pi, 1.5 * np.pi, rho=3.0),
+            gevrey_band(0.25 * np.pi, np.pi)))
+        fx = fa + 1j * fb
+        system = _fresh(ws)
+        pk = sw.build_kernel(system)
+        kept = sw.project(sw.build_kernel(system, dimension=2),
+                          sw.SampledFunction((grid, grid), np.outer(fx, fc))).values
+        assert len(_projectors(system)) == 1
+        chirp = np.outer(*(sw.project(pk, sw.SampledFunction(grid, f)).values
+                           for f in (fx, fc)))
+        assert np.max(np.abs(kept - chirp)) < 5e-14 * np.max(np.abs(chirp))
 
     def test_replaced_modulus_misses_the_kept_matrix(self, ws, monkeypatch):
         system = _fresh(ws)
