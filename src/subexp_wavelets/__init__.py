@@ -13,8 +13,8 @@ from .construction import (BellFunction, ConstructionError, WaveletSystem,
                            build_wavelet_system, decay_profile,
                            run_certificate_suite, scaling_modulus,
                            spectral_moments)
-from .expansion import (CoefficientSet, DualRepresentative, ExpansionError,
-                        IndexWindow, WaveletIndex, analyze, bessel_gap,
+from .expansion import (CoefficientSet, ExpansionError, IndexWindow,
+                        WaveletIndex, analyze, analyze_spectrum, bessel_gap,
                         parseval_check, parseval_from_coefficients,
                         synthesize_partial)
 from .metrics import (DecayFit, FeasibleK, MetricsError, SeminormParams,

@@ -18,10 +18,11 @@ scattered points use the baby-step/giant-step direct sum
 ``numerics.synthesize_values``.  For the many-evaluation call sites (atoms,
 kernels) the system carries lazily built dense tables read by the natural
 cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11 and itself built
-on its first read, and keeps every
-atom block it reads on a uniform grid in one ``numerics.Kept`` store: the
-blocks of expansion and of two build certificates (``_axis_block``), each
-either a window of one kept row or a kept per-shift block.
+on its first read.  ``atom_values`` reads dilated, shifted psi and phi, no
+derivative, and the system keeps every atom block it reads on a uniform
+grid in one ``numerics.Kept`` store: the blocks of expansion and of two
+build certificates (``_axis_block``), each either a window of one kept row
+or a kept per-shift block.
 
 Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
@@ -221,15 +222,15 @@ class WaveletSystem:
             self._splines[key] = NaturalSpline(*self.dense_table(which, order))
         return self._splines[key]
 
-    def atom_values(self, bit: int, m: int, n, x, order: int = 0) -> np.ndarray:
-        """2^(m/2) 2^(m*order) f^(order)(2^m x - n) with f = phi (bit 0) or psi (bit 1).
+    def atom_values(self, bit: int, m: int, n, x) -> np.ndarray:
+        """2^(m/2) f(2^m x - n) with f = phi (bit 0) or psi (bit 1).
 
         The one evaluator of dilated and shifted atoms.  A column of shifts
         ``n = ns[:, None]`` broadcasts against points ``x`` to the atom block
         ``A[k, j]`` that projection, analysis and synthesis multiply with.
         """
-        f = self.interpolator("psi" if bit else "phi", order)
-        return _dilated(f, m, n, x, order)
+        f = self.interpolator("psi" if bit else "phi")
+        return (2.0 ** (m * 0.5)) * f(np.ldexp(np.asarray(x, dtype=float), m) - n)
 
     def wide_table(self, which: str):
         """Coarse long-range table for moment-type integrals (spacing 1/16,
@@ -290,21 +291,13 @@ class WaveletSystem:
                    certificates=doc.get("certificates", {}))
 
 
-def _dilated(f, m: int, n, x, order: int) -> np.ndarray:
-    """2^(m/2) 2^(m*order) f(2^m x - n), for ``f`` an order-th derivative."""
-    x = np.asarray(x, dtype=float)
-    return (2.0 ** (m * (0.5 + order))) * f(np.ldexp(x, m) - n)
-
-
-def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis,
-                order: int = 0):
+def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis: Grid1D):
     """(B, geometry): rows ``k`` = shift ``-N + k`` of one axis's scale-m atom
-    factor, and how B lies in a kept row.
+    factor on a grid, and how B lies in a kept row.
 
-    Scattered points evaluate each shift and keep nothing.  On a ``Grid1D``
-    the system keeps what it evaluates (``ws._blocks``), read-only, under
-    the evaluator (the object ``interpolator`` returns), ``m``, ``order``,
-    the grid and ``N``, so a replaced or wrapped evaluator misses.  Shift n
+    The system keeps what it evaluates (``ws._blocks``), read-only, under
+    the evaluator (the object ``interpolator`` returns), ``m``, the grid
+    and ``N``, so a replaced or wrapped evaluator misses.  Shift n
     moves the atom by n s samples, s = 2^-m / h.  When s is a whole number
     below the count, the kept value is one row on the grid extended by N s
     samples at each end, and B a read-only strided view of windows of it:
@@ -316,19 +309,17 @@ def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis,
     other s, B itself is kept and ``geometry`` is None.
     """
     ns = np.arange(-N, N + 1)[:, None]
-    if not isinstance(axis, Grid1D):
-        return ws.atom_values(bit, m, ns, axis, order), None
-    f = ws.interpolator("psi" if bit else "phi", order)
+    f = ws.interpolator("psi" if bit else "phi")
     s = np.ldexp(1.0, -m) / axis.spacing
     s = int(s) if s.is_integer() and s < axis.count else 0  # 0: no windows
 
     def make():  # the row every window reads, or the grid's per-shift block
         x = axis.origin + axis.spacing * np.arange(-N * s, axis.count + N * s)
-        value = _dilated(f, m, 0 if s else ns, x, order)
+        value = ws.atom_values(bit, m, 0 if s else ns, x)
         value.flags.writeable = False
         return value
 
-    kept = ws._blocks.get((f, m, order, axis, N), make)
+    kept = ws._blocks.get((f, m, axis, N), make)
     if not s:
         return kept, None
     centre = N * s - axis.origin / axis.spacing

@@ -8,10 +8,9 @@ is exact only while the atoms' band lies below the grid's alias frequency,
 so ``analyze`` rejects a window whose top scale M reaches it
 (``check_resolution``).
 
-Every coefficient, of a sampled function on one grid per axis or of a
-dual representative (point masses or a density, with derivatives moved onto
-the atom), comes from one loop, ``_analysis``, into one window-shaped array:
-per pattern and scale, one atom block per axis fills a slot.
+Every coefficient of a sampled function, on one grid per axis, comes from
+one loop, ``_analysis``, into one window-shaped array: per pattern and
+scale, one atom block per axis fills a slot.
 ``synthesize_partial`` reads the slots through the same blocks.  This is
 direct quadrature; there is no filter-bank fast transform here.  The system
 keeps every block it evaluates on a uniform grid (``construction._axis_block``),
@@ -29,6 +28,10 @@ product per phase of s columns that meets the atom's nonzero span.  The
 blocks are real and the samples complex; the two parts of the samples meet
 each block as the last axis of one real array, and no block is copied to
 complex.
+
+A functional known by its spectrum (point masses and their derivatives,
+ultradistributions) takes ``analyze_spectrum``: one chirp-z sum in n per
+scale over psi's band, of the analytic psi_hat, with no table or spline.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ import numpy as np
 
 from . import numerics
 from .construction import PSI_BAND, WaveletSystem, _axis_block
-from .numerics import Grid1D, NaturalSpline, SampledFunction
+from .numerics import Grid1D, SampledFunction
+from .projection import _MAX_NODES, _phi_tail
 
 
 class ExpansionError(ValueError):
@@ -136,15 +140,15 @@ class CoefficientSet:
 # analysis / synthesis: one loop over (epsilon, m) atom blocks
 # ---------------------------------------------------------------------------
 
-def _scale_blocks(ws: WaveletSystem, window: IndexWindow, axes, order: int):
+def _scale_blocks(ws: WaveletSystem, window: IndexWindow, axes):
     """(slot, blocks): slot (p, m + M) holds pattern p's scale-m shifts in an
     array; blocks[i] is axis i's ``(B, geometry)`` (``_axis_block``), where
-    B[k, j] is the factor (derivative ``order``) at shift ``-N + k`` and the
-    axis's j-th point.  Each axis is a ``Grid1D`` or an array of points.
+    B[k, j] is the factor at shift ``-N + k`` and the axis's j-th point.
+    Each axis is a ``Grid1D``.
     """
     for p, eps in enumerate(window.patterns()):
         for m in range(-window.M, window.M + 1):
-            yield (p, m + window.M), [_axis_block(ws, e, m, window.N, axis, order)
+            yield (p, m + window.M), [_axis_block(ws, e, m, window.N, axis)
                                       for e, axis in zip(eps, axes)]
 
 
@@ -202,13 +206,13 @@ def _window_transpose(B: np.ndarray, s: int, span, C: np.ndarray) -> np.ndarray:
     return out.reshape(C.shape[:-1] + (n,))
 
 
-def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw, order: int):
-    """c_lambda = (-1)^order sum_j fw_j d^order atom_lambda(x_j) over the window.
+def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw):
+    """c_lambda = sum_j fw_j atom_lambda(x_j) over the window.
 
-    ``axes`` holds each axis (a ``Grid1D`` or its points) and ``fw`` the
-    weighted samples on their product (quadrature weights times values, or
-    point masses); one block per axis and scale gives every coefficient of
-    that scale.  Returns the window-shaped array of ``CoefficientSet``.
+    ``axes`` holds each axis's ``Grid1D`` and ``fw`` the weighted samples on
+    their product (quadrature weights times values); one block per axis and
+    scale gives every coefficient of that scale.  Returns the window-shaped
+    array of ``CoefficientSet``.
 
     The real blocks meet the real and imaginary parts of ``fw`` as the last
     axis of one real array, so no block is copied to complex.  Each axis in
@@ -217,13 +221,13 @@ def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw, order: int):
     """
     out = np.empty(window.shape, dtype=complex)
     F = np.stack([fw.real, fw.imag], -1)
-    for slot, blocks in _scale_blocks(ws, window, axes, order):
+    for slot, blocks in _scale_blocks(ws, window, axes):
         C = F
         for b, geometry in blocks:
             rows = C.reshape(len(C), -1)
             rows = _window_apply(b, *geometry, rows) if geometry else b @ rows
             C = np.moveaxis(rows.reshape((-1,) + C.shape[1:]), 0, -2)
-        out[slot] = (-1.0) ** order * C.view(complex)[..., 0]
+        out[slot] = C.view(complex)[..., 0]
     return out
 
 
@@ -256,7 +260,7 @@ def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
     fw = f.values  # times the product trapezoid weights
     for axis, g in enumerate(f.grids):
         fw = fw * g.trapezoid_weights().reshape((-1,) + (1,) * (window.d - axis - 1))
-    return CoefficientSet(window, _analysis(ws, window, f.grids, fw, 0),
+    return CoefficientSet(window, _analysis(ws, window, f.grids, fw),
                           source_descriptor)
 
 
@@ -268,7 +272,7 @@ def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
     if len(grids) != window.d:
         raise ExpansionError(f"{len(grids)} grids for a window of dimension {window.d}")
     out = np.zeros((2,) + tuple(g.count for g in grids))  # real, imaginary
-    for slot, blocks in _scale_blocks(ws, window, grids, 0):
+    for slot, blocks in _scale_blocks(ws, window, grids):
         C = np.stack([coeffs.values[slot].real, coeffs.values[slot].imag])
         for b, geometry in blocks:
             C = np.moveaxis(C, 1, -1)
@@ -277,80 +281,59 @@ def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
     return SampledFunction(grids if window.d > 1 else grids[0], out[0] + 1j * out[1])
 
 
-# ---------------------------------------------------------------------------
-# dual representatives and the Parseval identity
-# ---------------------------------------------------------------------------
+def analyze_spectrum(ws: WaveletSystem, fhat, window: IndexWindow,
+                     reach: float) -> CoefficientSet:
+    """The 1-D window's coefficients ``<f, psi_{m,n}>`` of a functional f
+    from its spectrum ``fhat``, a callable on arrays of xi.
 
-@dataclass(frozen=True)
-class DualRepresentative:
-    """Extensional stand-in for an ultradistribution at desk scale.
+    f may be a function, a distribution (``delta^(k)_{x0}`` has spectrum
+    ``(i xi)^k exp(-i x0 xi)``) or an ultradistribution whose spectrum
+    outgrows every polynomial.  psi is real and band-limited, so each
+    coefficient is a finite integral of the analytic ``ws.psi_hat_fn``,
+    ``2^(m/2)/(2 pi) int fhat(2^m eta) conj(psi_hat(eta)) exp(i n eta)``
+    over ``eta in +-PSI_BAND``.  Its trapezoid sum at spacing ``2 pi / L``
+    is one ``chirp_synthesis`` in n per scale, the two band sides as two
+    columns.  The sum aliases in the coefficients at shifts ``n + r L``, r
+    != 0, whose atoms lie ``L - N - 2^m reach`` or more from f; ``L =
+    ceil(2^m reach + N + margin)`` puts them where |phi|, and so |psi|,
+    stays below 1e-13 (``projection._phi_tail``).  ``reach`` bounds |x| on
+    the support of f, which no spectrum tells: ``max |x_j|`` for point
+    masses, a grid's half-extent for samples, 0 at the origin.
 
-    Either a finite point-mass combination (points, weights) or the k-th
-    distributional derivative of an integrable density; pairings move the
-    derivatives onto the smooth partner.  Both kinds act through one
-    (nodes, weights) form: the point masses, or the density's grid with its
-    values times the trapezoid weights.  ``ExpansionError`` rejects anything
-    but finite 1-D points and weights of one length, or a 1-D
-    ``SampledFunction`` density alone, and a derivative order that is not a
-    non-negative integer.
+    Before ``fhat`` is called, ``ExpansionError`` rejects d != 1, a
+    ``reach`` that is negative or not finite, and a top scale that needs
+    more than ``_MAX_NODES`` nodes a band side.
     """
-
-    points: np.ndarray = None
-    weights: np.ndarray = None
-    density: SampledFunction = None
-    derivative_order: int = 0
-
-    def __post_init__(self):
-        if (self.points is None) == (self.density is None) or (
-                (self.points is None) != (self.weights is None)):
-            raise ExpansionError("a dual representative takes points with "
-                                 "weights, or a density")
-        k = self.derivative_order
-        if not isinstance(k, (int, np.integer)) or k < 0:
-            raise ExpansionError(f"derivative order must be a non-negative "
-                                 f"integer: {k!r}")
-        if self.points is None:
-            if not (isinstance(self.density, SampledFunction)
-                    and self.density.dimension == 1):
-                raise ExpansionError("a density must be a 1-D SampledFunction")
-            return
-        x, w = np.asarray(self.points), np.asarray(self.weights)
-        if x.ndim != 1 or w.shape != x.shape:
-            raise ExpansionError(f"points {x.shape} and weights {w.shape} must "
-                                 f"be 1-D of one length")
-        if (x.dtype.kind not in "iuf" or w.dtype.kind not in "iufc"
-                or not (np.isfinite(x).all() and np.isfinite(w).all())):
-            raise ExpansionError("points and weights must be finite numbers")
-        object.__setattr__(self, "points", x.astype(float))
-        object.__setattr__(self, "weights", w)
-
-    def _nodes(self):
-        """(x_j, w_j) with <self, g> = (-1)^k sum_j w_j g^(k)(x_j)."""
-        if self.points is not None:
-            return self.points, self.weights
-        (grid,) = self.density.grids
-        return grid.points(), self.density.values * grid.trapezoid_weights()
-
-    def coefficients(self, ws: WaveletSystem, window: IndexWindow) -> CoefficientSet:
-        """<self, atom_lambda> for every index of the (one-dimensional) window."""
-        if window.d != 1:
-            raise ExpansionError("dual representatives implemented in d = 1")
-        x, w = self._nodes()
-        # a density's grid takes the windowed blocks of ``analyze``
-        axis = x if self.points is not None else self.density.grids[0]
-        return CoefficientSet(window, _analysis(ws, window, [axis], w,
-                                                self.derivative_order))
-
-    def pair(self, g: SampledFunction) -> complex:
-        (grid,) = g.grids
-        k = self.derivative_order
-        x, w = self._nodes()
-        re, im = (np.dot(w, NaturalSpline(grid, part)(x, k))
-                  for part in (g.values.real, g.values.imag))
-        return complex((-1.0) ** k * (re + 1j * im))
+    if window.d != 1:
+        raise ExpansionError("spectral analysis is implemented in d = 1")
+    if not 0.0 <= reach < np.inf:
+        raise ExpansionError(f"reach must be finite and non-negative: {reach!r}")
+    margin = _phi_tail(ws)[2]
+    with np.errstate(over="ignore"):  # an infinite L fails the check below
+        top = np.ceil(np.ldexp(reach, window.M) + window.N + margin)
+    if not top + 1 <= _MAX_NODES:
+        raise ExpansionError(f"scale {window.M} needs {top + 1:.3g} nodes a band "
+                             f"side, more than {_MAX_NODES}")
+    out = np.empty(window.shape, dtype=complex)
+    for m in range(-window.M, window.M + 1):
+        L = int(np.ceil(np.ldexp(reach, m) + window.N + margin))
+        step = 2 * np.pi / L
+        eta = PSI_BAND[0] + step * np.arange(L + 1)
+        nodes = np.concatenate([eta, -eta])
+        amp = np.conj(ws.psi_hat_fn(nodes)) * fhat(np.ldexp(nodes, m))
+        amp *= 2.0 ** (m / 2) * step / (2 * np.pi)
+        sums = numerics.chirp_synthesis(amp.reshape(2, -1).T, PSI_BAND[0], step,
+                                        -window.N, 1.0, 2 * window.N + 1)
+        # the negative side's exp(i n (-eta)) is the column's entry at -n
+        out[0, m + window.M] = sums[:, 0] + sums[::-1, 1]
+    return CoefficientSet(window, out)
 
 
-def parseval_check(ws: WaveletSystem, f, g: SampledFunction,
+# ---------------------------------------------------------------------------
+# the Parseval identity
+# ---------------------------------------------------------------------------
+
+def parseval_check(ws: WaveletSystem, f: SampledFunction, g: SampledFunction,
                    window: IndexWindow) -> dict:
     """Bilinear pairing <f, g> against the coefficient sum over the window.
 
@@ -359,12 +342,9 @@ def parseval_check(ws: WaveletSystem, f, g: SampledFunction,
     since psi and phi are real).  An input passed as both f and g is
     analyzed once.
     """
-    if isinstance(f, DualRepresentative):
-        lhs, cf = f.pair(g), f.coefficients(ws, window)
-    else:
-        lhs, cf = numerics.pairing(f, g), analyze(ws, f, window)
+    cf = analyze(ws, f, window)
     cg = cf if g is f else analyze(ws, g, window)
-    return _parseval(lhs, cf.values, cg.values)
+    return _parseval(numerics.pairing(f, g), cf.values, cg.values)
 
 
 def parseval_from_coefficients(f: SampledFunction,

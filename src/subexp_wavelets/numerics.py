@@ -274,10 +274,10 @@ def natural_second_differences(y) -> np.ndarray:
 class NaturalSpline:
     """Natural cubic spline through samples on a uniform grid, 0 outside it.
 
-    ``spline(x, order)`` is the ``order``-th derivative (0 to 3) at ``x``.
-    The spline holds two rows: the samples ``values`` (the caller's float
-    array itself, not a copy) and their ``natural_second_differences`` k.
-    A point reads its slot's cubic in ``u = (x - x_i)/h``, formed from
+    ``spline(x)`` is its value at ``x``; it reads no derivative.  The
+    spline holds two rows: the samples ``values`` (the caller's float array
+    itself, not a copy) and their ``natural_second_differences`` k.  A
+    point reads its slot's cubic in ``u = (x - x_i)/h``, formed from
     those two rows at the point: on interval i, ``a = y_i``, ``b = (y_{i+1}
     - y_i) - (2 k_i + k_{i+1})/6``, ``c = k_i / 2`` and ``d = (k_{i+1} -
     k_i)/6``.  The last knot has a slot of its own (the last interval's
@@ -298,18 +298,16 @@ class NaturalSpline:
         self.values = y
         self.second_differences = natural_second_differences(y)
 
-    def __call__(self, x, order: int = 0):
-        if not 0 <= order <= 3:
-            raise NumericsError("spline derivative order must be 0 to 3")
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape)
         flat_x, flat_out = x.reshape(-1), out.reshape(-1)
         for lo in range(0, flat_x.size, _SPLINE_BLOCK):
             self._evaluate(flat_x[lo:lo + _SPLINE_BLOCK],
-                           flat_out[lo:lo + _SPLINE_BLOCK], order)
+                           flat_out[lo:lo + _SPLINE_BLOCK])
         return float(out) if out.ndim == 0 else out
 
-    def _evaluate(self, x, out, order):
+    def _evaluate(self, x, out):
         g, y, k = self.grid, self.values, self.second_differences
         last = g.count - 1.0
         # clipped so that u stays in [-1, 1]; fmax reads NaN as before the grid
@@ -322,15 +320,14 @@ class NaturalSpline:
         u -= i
         slot = i.astype(np.intp)  # -1 and count read 0, count - 1 the last knot
         # the cubic a + b u + c u^2 + d u^3 of interval ``slot``, clipped to
-        # the intervals, as far as derivative ``order`` reads it
+        # the intervals
         c, d = (row.take(slot, mode="clip") for row in (k[:-1], k[1:]))  # k_i, k_i+1
-        if order <= 1:
-            a, b = (row.take(slot, mode="clip") for row in (y[:-1], y[1:]))
-            b -= a
-            w = 2.0 * c
-            w += d
-            w /= 6.0
-            b -= w
+        a, b = (row.take(slot, mode="clip") for row in (y[:-1], y[1:]))
+        b -= a
+        w = 2.0 * c
+        w += d
+        w /= 6.0
+        b -= w
         d -= c
         d /= 6.0
         c *= 0.5
@@ -338,24 +335,14 @@ class NaturalSpline:
         edges = np.count_nonzero(slot.view(np.uintp) > g.count - 2)
         tail = np.flatnonzero(slot == g.count - 1) if edges else ()
         if len(tail):  # the last interval's cubic at u = 1 + v, in v
-            if order <= 1:
-                a[tail] = y[-1]
-                b[tail] = b[tail] + 2.0 * c[tail] + 3.0 * d[tail]
+            a[tail] = y[-1]
+            b[tail] = b[tail] + 2.0 * c[tail] + 3.0 * d[tail]
             c[tail] = c[tail] + 3.0 * d[tail]
-        rows = [a, b, c, d][order:] if order <= 1 else [c, d][order - 2:]
-        for q, row in enumerate(rows, order):  # d/dx = (1/h) d/du, order times
-            for p in range(q, q - order, -1):
-                if p > 1:
-                    row *= p
-                row /= g.spacing
-        if len(rows) == 1:
-            np.copyto(out, rows[0])
-        else:
-            np.multiply(rows[-1], u, out=out)
-            out += rows[-2]
-            for row in rows[-3::-1]:
-                out *= u
-                out += row
+        np.multiply(d, u, out=out)
+        out += c
+        for row in (b, a):
+            out *= u
+            out += row
         if len(tail) < edges:  # slots -1 and count read 0
             out[slot.view(np.uintp) > g.count - 1] = 0.0
 

@@ -122,10 +122,10 @@ def parse_scalar(token: str) -> float:
 def parse_spec(spec: str):
     """Resolve a CLI test-function descriptor to a callable.
 
-    Supported: 'gaussian', 'gaussian:center,scale', 'gaussian-d<k>',
-    'gevrey-band:xi0,xi1[,rho]'.
+    Supported: 'gaussian', 'gaussian:center,scale', 'gaussian-d<k>' (no
+    arguments), 'gevrey-band:xi0,xi1[,rho]'.
     """
-    name, _, args = spec.partition(":")
+    name, colon, args = spec.partition(":")
     name = name.strip().lower()
     if name == "gaussian":
         if args:
@@ -138,6 +138,8 @@ def parse_spec(spec: str):
         return gaussian()
     match = re.match(r"^gaussian-d(\d+)$", name)
     if match:
+        if colon:
+            raise TestFunctionError(f"{name} takes no arguments: {spec!r}")
         return gaussian_derivative(int(match.group(1)))
     if name == "gevrey-band":
         parts = [parse_scalar(p) for p in args.split(",") if p.strip()]

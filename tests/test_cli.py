@@ -346,6 +346,7 @@ _BAD_COMMAND_LINES = [
     ("expand --system {system} --f gaussian:inf,1", 2),
     ("expand --system {system} --f gaussian:nan,1", 2),
     ("expand --system {system} --f gaussian:0,1,7", 2),
+    ("expand --system {system} --f gaussian-d2:5,7", 2),
     ("build --out {tmp}/x.json --window 0", 2),
     ("build --out {tmp}/x.json --window 0.001", 2),
     ("build --out {tmp}/x.json --window nan", 2),

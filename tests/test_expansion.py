@@ -1,4 +1,5 @@
-"""Tensor atoms, coefficient windows, partial sums, duals, Parseval checks."""
+"""Tensor atoms, coefficient windows, partial sums, spectral coefficients,
+Parseval checks."""
 
 import csv
 import json
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 import subexp_wavelets as sw
-from subexp_wavelets import construction, expansion, numerics
+from subexp_wavelets import construction, expansion, numerics, projection
 from subexp_wavelets.expansion import ExpansionError
-from subexp_wavelets.testfuncs import gaussian, gaussian_derivative, sample
+from subexp_wavelets.testfuncs import (gaussian, gaussian_derivative, gevrey_band,
+                                       sample)
 
 
 def _tensor_atom(ws, index, x):
@@ -99,9 +101,7 @@ class TestCoefficientSet:
         sw.synthesize_partial(ws, c2, (g, g))
         sw.parseval_check(ws, band_function, band_function, w1)
         sw.parseval_check(ws, f2, f2, w2)
-        delta = sw.DualRepresentative(points=np.array([0.35]),
-                                      weights=np.array([1.0]))
-        sw.parseval_check(ws, delta, band_function, w1)
+        sw.analyze_spectrum(ws, lambda xi: np.exp(-0.35j * xi), w1, 0.35)
         assert built == []
         assert len(c2.coefficients) == len(built) == len(w2)
 
@@ -273,7 +273,7 @@ class TestShiftWindowedBlocks:
         # arguments as the per-shift rows, so the blocks agree bit for bit
         for bit in (0, 1):
             for m in range(-6, 7):
-                block, _ = construction._axis_block(ws, bit, m, self.N, expansion_grid, 0)
+                block, _ = construction._axis_block(ws, bit, m, self.N, expansion_grid)
                 assert not block.flags.owndata  # a view of one extended row
                 np.testing.assert_array_equal(
                     block, _per_shift_block(ws, bit, m, self.N, expansion_grid))
@@ -284,7 +284,7 @@ class TestShiftWindowedBlocks:
     ])
     def test_other_grids_evaluate_each_shift(self, ws, grid, scales):
         for m in scales:
-            block, _ = construction._axis_block(ws, 1, m, self.N, grid, 0)
+            block, _ = construction._axis_block(ws, 1, m, self.N, grid)
             assert block.flags.owndata
             np.testing.assert_array_equal(
                 block, _per_shift_block(ws, 1, m, self.N, grid))
@@ -293,7 +293,7 @@ class TestShiftWindowedBlocks:
         window = sw.IndexWindow(2, 8)
         before = sw.analyze(ws, band_function, window).coefficients
         # warm: the scale-0 row is kept, and the wrapped evaluator must miss it
-        key = (ws.interpolator("psi"), 0, 0, band_function.grids[0], 8)
+        key = (ws.interpolator("psi"), 0, band_function.grids[0], 8)
         assert key in ws._blocks._values
         with _wrapped_interpolator(ws, lambda which, f: (
                 (lambda x: 1.01 * f(x)) if which == "psi" else f)):
@@ -319,8 +319,7 @@ def _count_spline_points(monkeypatch):
     sizes = []
     call = numerics.NaturalSpline.__call__
     monkeypatch.setattr(numerics.NaturalSpline, "__call__",
-                        lambda self, x, order=0: sizes.append(np.size(x))
-                        or call(self, x, order))
+                        lambda self, x: sizes.append(np.size(x)) or call(self, x))
     return sizes
 
 
@@ -331,13 +330,13 @@ class TestAtomRows:
                                                  expansion_grid, monkeypatch):
         window = sw.IndexWindow(6, self.N)
         first = sw.analyze(ws, band_function, window)
-        blocks = [expansion._axis_block(ws, 1, m, self.N, expansion_grid, 0)[0]
+        blocks = [expansion._axis_block(ws, 1, m, self.N, expansion_grid)[0]
                   for m in range(-6, 7)]
         sizes = _count_spline_points(monkeypatch)
         again = sw.analyze(ws, band_function, window)
         for m, block in zip(range(-6, 7), blocks):
             assert np.shares_memory(
-                block, expansion._axis_block(ws, 1, m, self.N, expansion_grid, 0)[0])
+                block, expansion._axis_block(ws, 1, m, self.N, expansion_grid)[0])
         assert sizes == []
         np.testing.assert_array_equal(again.values, first.values)
 
@@ -371,7 +370,7 @@ class TestAtomRows:
         assert ws._blocks._values
         for row in ws._blocks._values.values():
             assert not row.flags.writeable
-        block, _ = expansion._axis_block(ws, 1, 0, 8, band_function.grids[0], 0)
+        block, _ = expansion._axis_block(ws, 1, 0, 8, band_function.grids[0])
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
 
@@ -382,7 +381,7 @@ class TestAtomRows:
         grids = [sw.Grid1D(-79.5 + 0.5 * k, 1.0 / 128, 20481) for k in range(5)]
         for g in grids:
             sw.analyze(ws, sw.SampledFunction(g, np.exp(-g.points() ** 2)), window)
-        kept = [key[3] for key in ws._blocks._values]
+        kept = [key[2] for key in ws._blocks._values]
         assert (sum(r.nbytes for r in ws._blocks._values.values())
                 <= ws._blocks.budget)
         assert grids[0] not in kept
@@ -500,7 +499,7 @@ class TestWindowKernels:
     def test_span_covers_every_nonzero_sample(self, ws, expansion_grid):
         for m in range(-6, 7):
             s, (a, b) = construction._axis_block(ws, 1, m, 32, expansion_grid)[1]
-            row = ws._blocks._values[(ws.interpolator("psi"), m, 0, expansion_grid, 32)]
+            row = ws._blocks._values[(ws.interpolator("psi"), m, expansion_grid, 32)]
             nonzero = np.flatnonzero(row)
             assert a <= nonzero[0] and nonzero[-1] < b
             assert b - a <= nonzero[-1] - nonzero[0] + 4
@@ -527,8 +526,8 @@ class TestCertificateRows:
         assert all(c["pass"] for c in certs.values())
         two_scale = sw.Grid1D.from_interval(-80.0, 80.0, 10241)
         lattice = sw.Grid1D(-250.0, 1.0 / 64, 501 * 64)
-        assert (ws.interpolator("psi"), 0, 0, two_scale, 3) in ws._blocks._values
-        assert (ws.interpolator("phi"), 0, 0, lattice, 0) in ws._blocks._values
+        assert (ws.interpolator("psi"), 0, two_scale, 3) in ws._blocks._values
+        assert (ws.interpolator("phi"), 0, lattice, 0) in ws._blocks._values
 
     @pytest.mark.parametrize("which, name, deviation, gap", [
         ("psi", "TWO_SCALE_CROSS", "max_deviation", 2e-2),
@@ -559,125 +558,183 @@ class TestParseval:
         assert (sw.parseval_from_coefficients(band_function, coeffs)
                 == sw.parseval_check(ws, band_function, band_function, window))
 
-    def test_point_mass_dual(self, ws, expansion_grid):
-        # f = delta at x0: lhs is g(x0), coefficients are atom values at x0
-        x0 = 0.35
-        delta = sw.DualRepresentative(points=np.array([x0]),
-                                      weights=np.array([1.0]))
-        g = sw.synthesize(ws.psi_hat, expansion_grid)
-        idx = sw.WaveletIndex(epsilon=(1,), m=1, n=(-2,))
-        want = ws.atom_values(1, 1, -2, np.array([x0]))[0]
-        got = delta.coefficients(ws, sw.IndexWindow(1, 2)).coefficients[idx]
-        assert abs(got - want) < 1e-14
-        # pair() reads g through a cubic spline of its samples: O(h^4)
-        assert abs(delta.pair(g) - ws.evaluate_psi(x0)[0]) < 1e-7
-
-    def test_derivative_dual_moves_onto_partner(self, ws, expansion_grid):
-        # delta' pairs to minus the derivative of the partner at the point
-        x0 = -0.6
-        dual = sw.DualRepresentative(points=np.array([x0]),
-                                     weights=np.array([1.0]),
-                                     derivative_order=1)
-        g = sw.synthesize(ws.psi_hat, expansion_grid)
-        want = -ws.evaluate_psi(np.array([x0]), 1)[0]
-        # spline-derivative accuracy is O(h^3) on the 1/128 sample grid
-        assert abs(dual.pair(g) - want) < 1e-4
-
-    def test_density_dual_of_order_zero_is_the_function(self, ws, band_function,
-                                                        expansion_grid):
-        # a density dual without derivatives acts as its density does
-        window = sw.IndexWindow(2, 8)
-        dual = sw.DualRepresentative(density=band_function)
-        want = sw.analyze(ws, band_function, window)
-        assert dual.coefficients(ws, window).coefficients == want.coefficients
-        x = expansion_grid.points()
-        g = sw.SampledFunction(expansion_grid, np.exp(-0.5 * (x - 0.3) ** 2))
-        assert abs(dual.pair(g) - sw.pairing(band_function, g)) <= 1e-12
+    WINDOWS = [sw.IndexWindow(2, 8), sw.IndexWindow(4, 16), sw.IndexWindow(6, 32)]
 
     @staticmethod
-    def _derivative_gap(ws, grid, order, window):
-        """(gap, max|c|): the order-k density dual of exp(-x^2) against
-        ``analyze`` of its closed-form k-th derivative, since <g^(k), atom>
-        = (-1)^k int g atom^(k) = int g^(k) atom."""
-        dual = sw.DualRepresentative(density=sample(gaussian(), grid),
-                                     derivative_order=order)
-        got = dual.coefficients(ws, window).values
-        want = sw.analyze(ws, sample(gaussian_derivative(order), grid), window).values
+    def _point_mass_gap(ws, k, x0, window):
+        """(gap, max|c|): ``analyze_spectrum`` of delta^(k) at x0, spectrum
+        ``(i xi)^k exp(-i x0 xi)``, against ``(-1)^k psi_{m,n}^(k)(x0) =
+        (-1)^k 2^(m (1/2 + k)) psi^(k)(2^m x0 - n)`` by ``evaluate_psi``'s
+        direct sums."""
+        got = sw.analyze_spectrum(ws, _point_mass(k, x0), window, abs(x0)).values[0]
+        ns = np.arange(-window.N, window.N + 1)
+        want = np.array([(-1.0) ** k * 2.0 ** (m * (0.5 + k))
+                         * ws.evaluate_psi(np.ldexp(x0, m) - ns, k)
+                         for m in range(-window.M, window.M + 1)])
         return float(np.max(np.abs(got - want))), float(np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("order, M, N, gate", [
-        (1, 2, 8, 1e-13), (1, 4, 16, 1e-13), (2, 4, 16, 1e-11)])
-    def test_density_dual_of_order_k_is_the_derivative(self, ws, expansion_grid,
-                                                       order, M, N, gate):
-        # the dual reads the order-k tables, analyze the order-0 ones; gaps
-        # measured 4.3e-16, 2.4e-15 and 3.6e-13 (max|c| 0.584, 0.584, 1.03)
-        gap, top = self._derivative_gap(ws, expansion_grid, order,
-                                        sw.IndexWindow(M, N))
-        assert gap < gate * top
+    def test_point_mass_dual(self, ws):
+        # measured 1.2e-13, 8.1e-14 and 1.2e-13 of max|c|; the physical
+        # route's spline blocks erred by 3.7e-10
+        for window in self.WINDOWS:
+            gap, top = self._point_mass_gap(ws, 0, 0.3, window)
+            assert gap <= 1e-12 * top
 
-    def test_density_dual_sees_a_scaled_derivative_table(self, ws, expansion_grid):
-        # psi' read 1.0001 times too large must fail the order-1 gate; a
-        # wrapped evaluator misses the kept blocks
-        loaded = sw.WaveletSystem.from_json_dict(ws.to_json_dict())
-        table = loaded.interpolator
-        loaded.interpolator = lambda which, order=0: (
-            (lambda x: 1.0001 * table(which, order)(x))
-            if (which, order) == ("psi", 1) else table(which, order))
-        gap, top = self._derivative_gap(loaded, expansion_grid, 1,
-                                        sw.IndexWindow(2, 8))
-        assert gap > 1e-13 * top
+    def test_derivative_dual_moves_onto_partner(self, ws):
+        # <delta^(k), psi_{m,n}> = (-1)^k psi_{m,n}^(k): measured at most
+        # 4.0e-14 (k = 1) and 2.8e-14 (k = 2) of max|c|
+        for k in (1, 2):
+            for window in self.WINDOWS:
+                gap, top = self._point_mass_gap(ws, k, 0.3, window)
+                assert gap <= 1e-12 * top, (k, window)
+
+    @staticmethod
+    def _density_gap(ws, grid, order, window):
+        """(gap, max|c|): the closed-form spectrum of the order-k derivative
+        of exp(-x^2) against ``analyze`` of its samples on ``grid``."""
+        got = sw.analyze_spectrum(ws, _gaussian_derivative_hat(order), window, 10.0)
+        want = sw.analyze(ws, sample(gaussian_derivative(order), grid), window).values
+        return float(np.max(np.abs(got.values - want))), float(np.max(np.abs(want)))
+
+    def test_density_dual_of_order_zero_is_the_function(self, ws, expansion_grid):
+        # measured 2.9e-10, 3.3e-10 and 3.3e-10 of max|c|: analyze's spline
+        # floor, not the spectral route's
+        for window in self.WINDOWS:
+            gap, top = self._density_gap(ws, expansion_grid, 0, window)
+            assert gap <= 1e-9 * top
+
+    @pytest.mark.parametrize("order, M, N", [(1, 2, 8), (1, 4, 16), (2, 4, 16)])
+    def test_density_dual_of_order_k_is_the_derivative(self, ws, expansion_grid,
+                                                       order, M, N):
+        # measured 6.1e-11, 6.1e-11 and 2.5e-10 of max|c|
+        gap, top = self._density_gap(ws, expansion_grid, order, sw.IndexWindow(M, N))
+        assert gap <= 1e-9 * top
 
     @pytest.mark.parametrize("kwargs", [
-        dict(points=[0.3], weights=[1.0], derivative_order=-1),
-        dict(points=[0.3], weights=[1.0], derivative_order=1.5),
-        dict(points=[0.3], weights=[1.0], derivative_order="1"),
-        dict(points=[np.nan], weights=[1.0]),
-        dict(points=[0.3], weights=[np.inf]),
-        dict(points=[0.3]),  # no weights
-        dict(weights=[1.0]),  # no points
-        dict(),  # neither points nor a density
-        dict(points=[0.3, 0.4], weights=[1.0]),
-        dict(points=[[0.3]], weights=[[1.0]]),
-        dict(points=["a"], weights=[1.0]),
-        dict(points=[0.3], weights=[1.0],
-             density=sw.SampledFunction(sw.Grid1D(0.0, 1.0, 3), np.ones(3))),
-        dict(density=sw.SampledFunction((sw.Grid1D(0.0, 1.0, 3),) * 2,
-                                        np.ones((3, 3)))),  # 2-D density
-        dict(density=np.ones(3)),  # samples without their grid
-        dict(density="gaussian"),
+        dict(window=sw.IndexWindow(1, 2, d=2), reach=0.0),
+        dict(window=sw.IndexWindow(1, 2), reach=-1.0),
+        dict(window=sw.IndexWindow(1, 2), reach=np.nan),
+        dict(window=sw.IndexWindow(1, 2), reach=np.inf),
+        dict(window=sw.IndexWindow(1, 2), reach=-np.inf),
+        dict(window=sw.IndexWindow(20, 2), reach=1.0),  # 2^20 + 394 nodes a side
+        dict(window=sw.IndexWindow(1, 2 ** 20), reach=0.0),
+        dict(window=sw.IndexWindow(2000, 2), reach=1.0),  # 2^2000 overflows
     ])
-    def test_malformed_dual_rejected(self, kwargs):
+    def test_malformed_dual_rejected(self, ws, kwargs):
+        # the spectral route's input checks, raised before fhat is called
+        calls = []
         with pytest.raises(ExpansionError):
-            sw.DualRepresentative(**kwargs)
-
-    def test_numpy_integer_derivative_order_accepted(self, ws):
-        got, want = (sw.DualRepresentative(points=[0.3], weights=[1.0],
-                                           derivative_order=k)
-                     .coefficients(ws, sw.IndexWindow(0, 1)).values
-                     for k in (np.int64(1), 1))
-        np.testing.assert_array_equal(got, want)
-
-    def test_pairing_keeps_the_imaginary_part(self, ws, expansion_grid):
-        delta = sw.DualRepresentative(points=np.array([0.3]),
-                                      weights=np.array([1.0]))
-        x = expansion_grid.points()
-        g = sw.SampledFunction(expansion_grid, np.exp(-0.5 * x ** 2))
-        gc = sw.SampledFunction(expansion_grid, (1 + 1j) * g.values)
-        assert abs(delta.pair(g) - np.exp(-0.045)) < 1e-8
-        assert delta.pair(gc) == (1 + 1j) * delta.pair(g)
+            sw.analyze_spectrum(ws, lambda xi: calls.append(xi) or np.ones_like(xi),
+                                **kwargs)
+        assert calls == []
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_point_mass_parseval_gap_shrinks_with_window(self, ws, band_function,
                                                          order):
-        # measured gaps: order 0 1.2e-5, 1.4e-6, 1.1e-9;
-        # order 1 1.9e-4, 1.1e-5, 3.2e-7
-        dual = sw.DualRepresentative(points=np.array([0.35]),
-                                     weights=np.array([1.0]),
-                                     derivative_order=order)
-        gaps = [sw.parseval_check(ws, dual, band_function,
-                                  sw.IndexWindow(M, N))["gap"]
-                for (M, N) in ((2, 8), (4, 16), (6, 32))]
+        # <delta^(k)_x0, g> = (-1)^k g^(k)(x0), read off the band function's
+        # spectrum, against sum c(delta^(k)) c(g); measured gaps:
+        # order 0 1.2e-5, 1.4e-6, 1.2e-9; order 1 1.9e-4, 1.1e-5, 1.4e-8
+        x0, fn = 0.35, gevrey_band(np.pi, 2 * np.pi)
+        lhs = (-1.0) ** order * 2.0 * sw.synthesize_values(fn.spectrum, x0, order)[0].real
+        delta = _point_mass(order, x0)
+        gaps = [abs(lhs - np.sum(sw.analyze_spectrum(ws, delta, w, x0).values
+                                 * sw.analyze(ws, band_function, w).values))
+                for w in self.WINDOWS]
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+def _point_mass(k, x0):
+    """The spectrum of delta^(k) at x0, which pairs with g to (-1)^k g^(k)(x0)."""
+    return lambda xi: (1j * xi) ** k * np.exp(-1j * x0 * xi)
+
+
+def _gaussian_derivative_hat(k):
+    """The spectrum of the k-th derivative of exp(-x^2)."""
+    return lambda xi: (1j * xi) ** k * np.sqrt(np.pi) * np.exp(-0.25 * xi ** 2)
+
+
+class TestSpectrumRoute:
+    """``analyze_spectrum``: the coefficients of a functional from its
+    spectrum and the analytic psi_hat, with no table and no spline."""
+
+    def test_non_finite_spectrum_rejected(self, ws):
+        with pytest.raises(ExpansionError):
+            sw.analyze_spectrum(ws, lambda xi: np.where(xi > 10.0, np.nan, 1.0),
+                                sw.IndexWindow(2, 4), 0.0)
+
+    @pytest.mark.parametrize("M, N", [(2, 8), (4, 16)])
+    def test_sampled_density_matches_its_closed_form(self, ws, M, N):
+        # exp(-x^2) on 1,537 points of [-12, 12], read through
+        # ``forward_transform_values``; measured 1.9e-16 to 1.9e-12 of max|c|.
+        # Scale 6 would alias on the grid's spacing 1/64
+        grid = sw.Grid1D.from_interval(-12.0, 12.0, 1537)
+        f, window = sample(gaussian(), grid), sw.IndexWindow(M, N)
+        for k in range(3):
+            got = sw.analyze_spectrum(ws, lambda xi: (1j * xi) ** k
+                                      * sw.forward_transform_values(f, xi), window, 12.0)
+            want = sw.analyze_spectrum(ws, _gaussian_derivative_hat(k), window, 12.0)
+            assert np.max(np.abs(got.values - want.values)) <= 1e-11 * want.sup_magnitude()
+
+    def test_scaled_psi_table_moves_only_the_sampled_route(self, ws, expansion_grid):
+        # two routes with different arithmetic: the psi table read 1.01 times
+        # too large moves analyze by 1e-2 of max|c|, and the spectral route
+        # not by a bit
+        window, f = sw.IndexWindow(2, 8), sample(gaussian(), expansion_grid)
+        routes = [lambda: sw.analyze(ws, f, window).values,
+                  lambda: sw.analyze_spectrum(ws, _gaussian_derivative_hat(0),
+                                              window, 10.0).values]
+        before = [route() for route in routes]
+        with _wrapped_interpolator(ws, lambda which, g: (
+                (lambda x: 1.01 * g(x)) if which == "psi" else g)):
+            after = [route() for route in routes]
+        top = np.abs(before[0]).max()
+        assert np.abs(after[0] - before[0]).max() == pytest.approx(1e-2 * top, rel=1e-6)
+        np.testing.assert_array_equal(after[1], before[1])
+
+    def test_scaled_psi_hat_moves_the_spectral_route(self, ws):
+        window = sw.IndexWindow(2, 8)
+        before = sw.analyze_spectrum(ws, _point_mass(1, 0.3), window, 0.3).values
+        psi_hat = ws.psi_hat_fn
+        ws.psi_hat_fn = lambda xi: (1 + 1e-6) * psi_hat(xi)
+        try:
+            after = sw.analyze_spectrum(ws, _point_mass(1, 0.3), window, 0.3).values
+        finally:
+            del ws.psi_hat_fn
+        top = np.abs(before).max()
+        assert np.abs(after - before).max() == pytest.approx(1e-6 * top, rel=1e-3)
+
+    def test_non_tempered_ultradistribution_pairs_by_its_coefficients(self, ws):
+        # T_hat = exp(|xi|^(1/2)) outgrows every polynomial, so T is no
+        # tempered distribution; it pairs with g, the fourth derivative of
+        # exp(-x^2), through sum c(T) c(g).  Measured gaps 1.2e-1, 9.7e-5,
+        # 1.1e-7 and 1.4e-10
+        def t_hat(xi):
+            return np.exp(np.sqrt(np.abs(xi)))
+
+        g_hat = _gaussian_derivative_hat(4)
+        xi = np.linspace(-80.0, 80.0, 160001)
+        pairing = np.trapezoid(t_hat(xi) * g_hat(-xi), xi).real / (2 * np.pi)
+        assert pairing == pytest.approx(69.13989, abs=1e-5)
+        gaps = []
+        for M, N in ((2, 8), (4, 16), (6, 32), (8, 64)):
+            window = sw.IndexWindow(M, N)
+            c_t = sw.analyze_spectrum(ws, t_hat, window, 0.0).values
+            c_g = sw.analyze_spectrum(ws, g_hat, window, 10.0).values
+            gaps.append(abs(np.sum(c_t * c_g) - pairing))
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-9
+
+    @pytest.mark.parametrize("rho2", [1.5, 2.0, 2.5])
+    def test_psi_tail_is_inside_the_phi_margin(self, rho2):
+        # analyze_spectrum sizes its nodes by phi's margin, for psi's tail:
+        # measured 195.5 vs 196.1 (1.5), 390.6 vs 391.1 (2), 879.1 vs 879.6
+        bell = construction.BellFunction(sw.build_bump(1.0, rho2))
+        system = sw.WaveletSystem(1.0, rho2, bell, None, None, None, None)
+        grid, vals = system.wide_table("psi")
+        mid = grid.count // 2  # t = 0
+        folded = np.maximum(np.abs(vals[mid:]), np.abs(vals[mid::-1]))
+        sup = np.maximum.accumulate(folded[::-1])[::-1]
+        assert np.argmax(sup < 1e-13) * grid.spacing <= projection._phi_tail(system)[2]
 
 
 class TestSerialization:

@@ -68,6 +68,13 @@ def test_gevrey_band_description_names_its_order():
         "gevrey-band(3.14159,6.28319,rho=3)"
 
 
+@pytest.mark.parametrize("spec", ["gaussian-d2:5,7", "gaussian-d0:1", "gaussian-d3:"])
+def test_gaussian_derivative_descriptor_takes_no_arguments(spec):
+    # the arguments were dropped, and the report named the plain derivative
+    with pytest.raises(testfuncs.TestFunctionError, match="no arguments"):
+        testfuncs.parse_spec(spec)
+
+
 @pytest.mark.parametrize("token", [".pi", "-.pi"])
 def test_parse_scalar_rejects_a_pi_multiple_without_digits(token):
     # float(".") used to raise a bare ValueError, which the CLI let through
