@@ -24,7 +24,7 @@ from .numerics import (Grid1D, NumericsError, SampledFunction, SpectrumOnBand,
                        chirp_synthesis, forward_transform_values, inner_product,
                        integrate, norm_l2, pairing, synthesize,
                        synthesize_values)
-from .projection import (ProjectionError, ProjectionKernel, build_kernel,
-                         kernel_decay_certificate, kernel_eval,
+from .projection import (PhiTailError, ProjectionError, ProjectionKernel,
+                         build_kernel, kernel_decay_certificate,
                          mra_convergence_experiment, polynomial_reproduction,
-                         project, project_at)
+                         project)

@@ -398,7 +398,7 @@ def main(argv=None) -> int:
         _emit(report, args.report)
         return EXIT_OK if ok else EXIT_CHECK_FAILURE
     except (ConfigError, BumpError, ConstructionError, numerics.NumericsError,
-            testfuncs.TestFunctionError) as exc:
+            testfuncs.TestFunctionError, projection.PhiTailError) as exc:
         return _fail(exc, EXIT_CONFIG_ERROR)
     except (expansion.ExpansionError, metrics.MetricsError,
             projection.ProjectionError) as exc:

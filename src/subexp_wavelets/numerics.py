@@ -30,8 +30,10 @@ Everything here is numpy: the FFTs are ``numpy.fft`` at the 11-smooth sizes
 of ``next_fast_len``.
 
 Synthesized values are complex throughout, even when a quantity is
-analytically real; realness is asserted by tests, never assumed by code.
-The spline reads real samples.
+analytically real.  Realness is never assumed but observed exactly:
+``real_if_real`` gives the real part of values whose imaginary part is
+exactly zero, on which the projections and expansions carry one real part
+instead of two.  The spline reads real samples.
 """
 
 from __future__ import annotations
@@ -223,6 +225,12 @@ class SpectrumOnBand:
         for (slo, shi) in self.declared_support:
             mask |= (xi >= slo - 1e-12) & (xi <= shi + 1e-12)
         return mask
+
+
+def real_if_real(values: np.ndarray) -> np.ndarray:
+    """The real part of ``values`` (a view) if their imaginary part is exactly
+    zero, else ``values`` itself."""
+    return values if values.imag.any() else values.real
 
 
 def integrate(f: SampledFunction) -> complex:
@@ -572,7 +580,12 @@ def synthesize(spec: SpectrumOnBand, x_grid: Grid1D) -> SampledFunction:
 
 
 def forward_transform_values(f: SampledFunction, xi_points) -> np.ndarray:
-    """Trapezoid approximation of ``int f(x) exp(-i x xi) dx`` (1-D only)."""
+    """Trapezoid approximation of ``int f(x) exp(-i x xi) dx`` (1-D only).
+
+    The sum is periodic in xi with period ``2 pi / h`` (h the grid
+    spacing), so beyond ``|xi| = pi / h`` it returns the periodic alias of
+    the transform, with no error: the caller must keep xi inside.
+    """
     if f.dimension != 1:
         raise NumericsError("forward transform implemented for 1-D samples")
     (g,) = f.grids

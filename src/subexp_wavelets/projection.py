@@ -14,8 +14,16 @@ applies it as one real matrix product; other calls take the chirp route.
 The kernel-decay certificate reads q_0 off this route, as the projections
 of point masses, and no spline table is read on it: the alias margin, like
 the kernel's truncation radius and tail bound, comes from the running sup
-of |phi| on the wide table (``_phi_tail``).  The 1-D lattice sum over the
-phi spline (``kernel_eval``, ``project_at``) is the independent reference.
+of |phi| on the wide table (``_phi_tail``).
+
+phi is real, so q_m maps real samples to real samples.  Samples whose
+imaginary part is exactly zero (every sampled test function, and the
+certificate's point masses) are projected as real arrays: their spectra are
+Hermitian, so ``_project_1d`` transforms them on the nodes zeta >= 0 only,
+``_on_grid`` sums that half to a real result, and the kept matrix multiplies
+the real parts alone.  Complex samples take the full nodes.  A system whose
+phi decays too slowly for the wide table (rho2 above ``MAX_RHO2`` at a = 1)
+is refused with ``PhiTailError``.
 """
 
 from __future__ import annotations
@@ -23,17 +31,21 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics, numerics
-from .construction import TABLE_HALF, WaveletSystem, scaling_modulus
+from .construction import WaveletSystem, scaling_modulus
 from .metrics import DecayFit, SeminormParams
 from .numerics import Grid1D, SampledFunction
 
 logger = logging.getLogger(__name__)
 
 _TAIL_TARGET = 1e-12
+# the largest Gevrey order, at a = 1, whose phi tail meets both targets
+# inside the wide table (measured: 2.8 meets them, 2.85 and 3 miss)
+MAX_RHO2 = 2.8
 # |phi| at the alias distance of the eta nodes, above the wide table's floor
 # of about 1e-14
 _ALIAS_TARGET = 1e-13
@@ -50,6 +62,11 @@ _DECAY_PROBES, _DECAY_U_MAX, _DECAY_PER_UNIT = 16, 20.0, 20
 
 class ProjectionError(ValueError):
     pass
+
+
+class PhiTailError(ProjectionError):
+    """The system's phi decays too slowly for its wide table (``_phi_tail``):
+    an order rho2 the projections do not support, not a failed check."""
 
 
 def _phi_tail(ws: WaveletSystem) -> tuple[np.ndarray, int, float]:
@@ -70,7 +87,10 @@ def _phi_tail(ws: WaveletSystem) -> tuple[np.ndarray, int, float]:
         sup = np.maximum.accumulate(folded[::-1])[::-1]  # S at t = i spacing
         tails = 2.0 * np.cumsum(sup[::round(1.0 / grid.spacing)][::-1] ** 2)[::-1]
         if not (tails[-1] < _TAIL_TARGET and sup[-1] < _ALIAS_TARGET):
-            raise ProjectionError("the phi table's tail stays above its targets")
+            raise PhiTailError(
+                f"rho2 = {ws.rho2:g}: the phi table's tail stays above its "
+                f"targets (|phi| must fall below {_ALIAS_TARGET:g} within "
+                f"{grid.last:g}); at a = 1 projections support rho2 <= {MAX_RHO2:g}")
         ws._fits["phi_tail"] = (tails, int(np.argmax(tails < _TAIL_TARGET)),
                                 float(np.argmax(sup < _ALIAS_TARGET) * grid.spacing))
     return ws._fits["phi_tail"]
@@ -109,48 +129,23 @@ def build_kernel(ws: WaveletSystem, level: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# kernel evaluation
-# ---------------------------------------------------------------------------
-
-def _kernel_eval_1d(pk: ProjectionKernel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """q_level on scalar coordinates (already broadcast to a common shape)."""
-    scale = 2.0 ** pk.level
-    su, sv = scale * u, scale * v
-    K = pk.truncation_radius
-    if np.max(np.abs(su - sv), initial=0.0) + K > TABLE_HALF:
-        raise ProjectionError("kernel window")
-    phi = pk.ws.interpolator("phi")
-    lo = int(np.floor(min(su.min(), sv.min()))) - K
-    hi = int(np.ceil(max(su.max(), sv.max()))) + K
-    out = np.zeros_like(su)
-    for k in range(lo, hi + 1):
-        # terms beyond the truncation radius of *both* points are dropped
-        near = (np.abs(su - k) <= K) | (np.abs(sv - k) <= K)
-        if np.any(near):
-            out[near] += phi(su[near] - k) * phi(sv[near] - k)
-    return scale * out
-
-
-def kernel_eval(pk: ProjectionKernel, x, y):
-    """Truncated lattice sum q_m(x, y) of a 1-D kernel.
-
-    ``x`` and ``y`` broadcast as coordinates, and two scalars give a float.
-    A kernel of any other dimension raises ``ProjectionError``.
-    """
-    if pk.dimension != 1:
-        raise ProjectionError(f"kernel_eval takes a 1-D kernel, not {pk.dimension}-D")
-    u, v = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in (x, y)))
-    out = _kernel_eval_1d(pk, np.atleast_1d(u), np.atleast_1d(v))
-    return float(out[0]) if u.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
 # projection
 # ---------------------------------------------------------------------------
 
+class Spectrum(NamedTuple):
+    """q_m f as ``_project_1d`` returns it: Q on the nodes ``zeta``, along
+    axis 0 of ``values``.  A ``half`` spectrum is the Hermitian half of a
+    real function's, on the nodes ``zeta >= 0`` only: ``Q(-zeta) = conj
+    Q(zeta)`` gives the rest."""
+
+    zeta: Grid1D
+    values: np.ndarray
+    half: bool
+
+
 def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
-                probes=()) -> tuple[Grid1D, np.ndarray]:
-    """(zeta, qhat): q_m along axis 0 of ``values``, as a spectrum.
+                probes=()) -> Spectrum:
+    """q_m along axis 0 of ``values``, as a spectrum.
 
     phi_hat = exp(i eta) |phi_hat| vanishes outside |eta| <= 4 pi / 3, so q_m
     is a Fourier multiplier whose phases cancel: with ``f_hat(zeta) = sum_j
@@ -163,8 +158,15 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
     The eta nodes are symmetric about 0 with spacing ``2 pi / L``, ``L`` an
     integer, so ``eta +- 2 pi`` are the nodes ``L`` places away and the sum
     over ``l`` is two shifted adds.  ``f_hat(zeta) = F(-zeta)`` is
-    ``_weighted_transform`` read backwards; ``qhat`` holds Q on the nodes
-    ``zeta = 2^m eta``.  Q is smooth and vanishes at the band ends, so
+    ``_weighted_transform`` read backwards; the spectrum holds Q on the
+    nodes ``zeta = 2^m eta``.
+
+    A real array ``values`` (real samples, or real point masses) gives a
+    ``half`` spectrum: ``f_hat(-zeta) = conj f_hat(zeta)``, so F is taken on
+    the nodes ``eta >= 0`` alone and conjugated.  There the term ``l = 1``
+    lies beyond the band, and the term ``l = -1`` at eta is the conjugate of
+    the node ``L`` places before the mirror of eta.  Q is smooth and
+    vanishes at the band ends, so
     summing q_m f from the nodes errs only by aliasing: a read at x picks up
     q_m f at ``x + r L / 2^m``, r != 0.  ``L`` is therefore the first
     integer above ``span + margin``: ``span`` bounds ``2^m |x - x_j|`` over
@@ -178,21 +180,30 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
     before any float overflows.
     """
     m = pk.level
-    L, eta = _eta_nodes(pk, grid, probes)
+    half = np.isrealobj(values)
+    L, eta = _eta_nodes(pk, grid, probes, half)
     zeta = Grid1D(np.ldexp(eta.origin, m), np.ldexp(eta.spacing, m), eta.count)
     modulus = _kept(pk, eta, "modulus", lambda: scaling_modulus(
         pk.ws.bell, eta.points())).reshape((-1,) + (1,) * (np.ndim(values) - 1))
-    g = _weighted_transform(grid, values, zeta)[::-1]
+    g = _weighted_transform(grid, values, zeta)
+    g = np.conjugate(g, out=g) if half else g[::-1]
     g *= modulus  # in place: the transform is a fresh array
     qhat = g.copy()
-    qhat[:-L] += g[L:]
-    qhat[L:] += g[:-L]
+    if half:  # eta_i - 2 pi = -eta_(L - i), where g is conj g[L - i]
+        mirrored = slice(L - (eta.count - 1), None)
+        qhat[mirrored] += np.conj(g[mirrored][::-1])
+    else:
+        qhat[:-L] += g[L:]
+        qhat[L:] += g[:-L]
     qhat *= modulus
-    return zeta, qhat
+    return Spectrum(zeta, qhat, half)
 
 
-def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=()) -> tuple[int, Grid1D]:
-    """(L, eta) of ``_project_1d``, or ``ProjectionError`` for a level it refuses."""
+def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=(),
+               half: bool = False) -> tuple[int, Grid1D]:
+    """(L, eta) of ``_project_1d``, or ``ProjectionError`` for a level it
+    refuses; with ``half``, only the nodes ``eta >= 0``.  Both forms refuse
+    the same levels."""
     m = pk.level
     if m > np.log2(_MAX_NODES / grid.extent):  # 2^m extent shifts at least
         raise ProjectionError(f"level {m} needs more than {_MAX_NODES} shifts "
@@ -202,12 +213,14 @@ def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=()) -> tuple[int, Grid
     reach = np.concatenate([[grid.origin, grid.last], np.ravel(probes)])
     span = np.ldexp(max(reach.max() - grid.origin, grid.last - reach.min()), m)
     L = np.ceil(span + _phi_tail(pk.ws)[2])
-    half = np.ceil(2.0 * L / 3.0)  # spacings from 0 to the band end 4 pi / 3
-    if not 2 * half + 1 <= _MAX_NODES:
-        raise ProjectionError(f"level {m} needs {2 * half + 1:.3g} eta nodes on "
+    top = np.ceil(2.0 * L / 3.0)  # spacings from 0 to the band end 4 pi / 3
+    if not 2 * top + 1 <= _MAX_NODES:
+        raise ProjectionError(f"level {m} needs {2 * top + 1:.3g} eta nodes on "
                               f"this window, more than {_MAX_NODES}")
-    L, half = int(L), int(half)
-    return L, Grid1D(-half * (2 * np.pi / L), 2 * np.pi / L, 2 * half + 1)
+    L, top = int(L), int(top)
+    if half:
+        return L, Grid1D(0.0, 2 * np.pi / L, top + 1)
+    return L, Grid1D(-top * (2 * np.pi / L), 2 * np.pi / L, 2 * top + 1)
 
 
 def _kept(pk: ProjectionKernel, grid: Grid1D, name: str, make):
@@ -238,23 +251,31 @@ def _weighted_transform(grid: Grid1D, values: np.ndarray, zeta: Grid1D) -> np.nd
                                     zeta.spacing, zeta.count)
 
 
-def _on_grid(zeta: Grid1D, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """``(1/2 pi) sum_l qhat_l exp(i zeta_l x) dzeta`` on ``grid``, along axis 0.
+def _on_grid(spectrum: Spectrum, grid: Grid1D) -> np.ndarray:
+    """``(1/2 pi) sum_l Q_l exp(i zeta_l x) dzeta`` on ``grid``, along axis 0.
 
-    Q vanishes at the band ends, so every node takes the full spacing.
+    Q vanishes at the band ends, so every node takes the full spacing.  A
+    ``half`` spectrum sums to the real array ``(1/2 pi) Re sum_l w_l Q_l
+    exp(i zeta_l x) dzeta``, with ``w = 1`` at ``zeta = 0`` and 2 at every
+    other node, which stands for its mirror too.
     """
-    return numerics.chirp_synthesis(qhat * (zeta.spacing / (2.0 * np.pi)),
-                                    zeta.origin, zeta.spacing, grid.origin,
-                                    grid.spacing, grid.count)
+    zeta, qhat, half = spectrum
+    amp = qhat * (zeta.spacing / (2.0 * np.pi))
+    if half:
+        amp[1:] *= 2.0
+    out = numerics.chirp_synthesis(amp, zeta.origin, zeta.spacing, grid.origin,
+                                   grid.spacing, grid.count)
+    return out.real if half else out
 
 
 def _projector(pk: ProjectionKernel, grid: Grid1D, columns: int):
     """q_m along one axis of ``grid`` as its kept real (n, n) matrix, or None.
 
-    Column j is q_m of the j-th unit vector, by the chirp route.  phi is
-    real, so q_m is too: the matrix keeps the real part of that complex
-    result (its imaginary part is the chirp's rounding, below 2e-14 of the
-    largest entry), a contiguous float64 array of ``8 n^2`` bytes.  Only a
+    Column j is q_m of the j-th unit vector, by the chirp route on all the
+    nodes (a complex identity).  phi is real, so q_m is too: the matrix
+    keeps the real part of that complex result (its imaginary part is the
+    chirp's rounding, below 2e-14 of the largest entry), a contiguous
+    float64 array of ``8 n^2`` bytes.  Only a
     call that carries at least n columns uses it, and only when the build's
     complex ``16 n^2`` bytes fit the system's block store (n <= 724 at 32
     MiB): such a call builds it with one chirp pass over n columns, and its
@@ -267,8 +288,8 @@ def _projector(pk: ProjectionKernel, grid: Grid1D, columns: int):
 
     def make():
         _eta_nodes(pk, grid)  # refuses a level before the identity is allocated
-        return np.ascontiguousarray(
-            _on_grid(*_project_1d(pk, grid, np.eye(n)), grid).real)
+        identity = np.eye(n, dtype=complex)
+        return np.ascontiguousarray(_on_grid(_project_1d(pk, grid, identity), grid).real)
 
     return _kept(pk, grid, "projector", make)
 
@@ -278,41 +299,23 @@ def project(pk: ProjectionKernel, f: SampledFunction) -> SampledFunction:
 
     The level-m operator runs along each axis in turn, every column at once:
     one real product of the axis's kept matrix (``_projector``) with the
-    columns' real and imaginary parts side by side, else the spectrum of
-    ``_project_1d``, summed onto the grid by ``_on_grid``.
+    columns' parts, else the spectrum of ``_project_1d``, summed onto the
+    grid by ``_on_grid``.  Real samples (imaginary part exactly zero) give a
+    projection whose imaginary part is exactly 0.
     """
     if f.dimension != pk.dimension:
         raise ProjectionError("kernel and samples differ in dimension")
     _warn_boundary_mass(f)
-    out = f.values
+    out = numerics.real_if_real(f.values)
     for grid in f.grids:  # each pass moves its axis last, so d passes restore the order
         q = _projector(pk, grid, out.size // grid.count)
         if q is None:
-            out = _on_grid(*_project_1d(pk, grid, out), grid)
+            out = _on_grid(_project_1d(pk, grid, out), grid)
         else:
             columns = np.ascontiguousarray(out.reshape(grid.count, -1))
-            out = (q @ columns.view(float)).view(complex).reshape(out.shape)
+            out = (q @ columns.view(float)).view(out.dtype).reshape(out.shape)
         out = np.moveaxis(out, 0, -1)
     return SampledFunction(f.grid, out)
-
-
-def project_at(pk: ProjectionKernel, f: SampledFunction, x_points) -> np.ndarray:
-    """Kernel-form projection values int f(y) q_m(x, y) dy at chosen points.
-
-    Like ``kernel_eval``, it takes a 1-D kernel and samples only; anything
-    else raises ``ProjectionError``.
-    """
-    if pk.dimension != 1 or f.dimension != 1:
-        raise ProjectionError(f"project_at takes a 1-D kernel and 1-D samples, "
-                              f"not {pk.dimension}-D and {f.dimension}-D")
-    (grid,) = f.grids
-    y = grid.points()
-    fw = f.values * grid.trapezoid_weights()
-    x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
-    out = np.empty(x_points.size, dtype=complex)
-    for i, xp in enumerate(x_points):
-        out[i] = np.dot(fw, _kernel_eval_1d(pk, np.full(y.size, xp), y))
-    return out
 
 
 def _warn_boundary_mass(f: SampledFunction) -> float:
@@ -346,16 +349,18 @@ def kernel_decay_certificate(pk: ProjectionKernel) -> DecayFit:
     ``q_0(x_p, .)`` projects a point mass at x_p: one ``_project_1d`` pass
     takes the masses as columns over a uniform grid on [0, 1], each ``1 / w``
     at its node (transform ``exp(i zeta x_p)``), and one ``_on_grid`` reads
-    each spectrum times ``exp(i zeta x_p)`` at u.
+    each spectrum times ``exp(i zeta x_p)`` at u.  The masses are real, so
+    their spectra, shifted or not, are Hermitian halves.
     """
     if pk.level != 0:
         raise ProjectionError("the kernel-decay certificate reads the level-0 kernel")
     masses = Grid1D(0.0, 1.0 / _DECAY_PROBES, _DECAY_PROBES + 1)
     values = np.eye(masses.count, _DECAY_PROBES) / masses.trapezoid_weights()[:, None]
-    zeta, qhat = _project_1d(pk, masses, values, _DECAY_U_MAX + 1.0)
+    spectrum = _project_1d(pk, masses, values, _DECAY_U_MAX + 1.0)
+    zeta, qhat, _ = spectrum
     qhat *= np.exp(1j * np.outer(zeta.points(), masses.points()[:-1]))
     u = np.arange(int(_DECAY_U_MAX * _DECAY_PER_UNIT) + 2) / _DECAY_PER_UNIT
-    reads = _on_grid(zeta, qhat, Grid1D(0.0, 1.0 / _DECAY_PER_UNIT, u.size))
+    reads = _on_grid(spectrum, Grid1D(0.0, 1.0 / _DECAY_PER_UNIT, u.size))
     samples = np.column_stack([u, np.abs(reads).max(axis=1)])[u <= _DECAY_U_MAX]
     try:
         return metrics.subexp_decay_fit(samples, "fixed", rho=pk.ws.rho2)
@@ -399,17 +404,22 @@ def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
     if seminorm_params.max_beta > numerics.DERIVATIVE_ORDER_CAP:
         raise numerics.NumericsError("derivative order cap")
     (grid,) = f.grids
+    values = numerics.real_if_real(f.values)
     probes = _SEMINORM_PROBES.points()
-    orders = np.arange(seminorm_params.max_beta + 1)
     bmass = _warn_boundary_mass(f)
     rows = []
     for m in levels:
         pk = build_kernel(ws, level=m, dimension=1)
-        zeta, qhat = _project_1d(pk, grid, f.values, probes)
-        sup_err = float(np.max(np.abs(_on_grid(zeta, qhat, grid) - f.values)))
-        # derivatives of q_m f are (i zeta)^beta factors on its spectrum
-        spectra = qhat[:, None] * (1j * zeta.points()[:, None]) ** orders
-        derivatives = _on_grid(zeta, spectra, _SEMINORM_PROBES).T
+        spectrum = _project_1d(pk, grid, values, probes)
+        sup_err = float(np.max(np.abs(_on_grid(spectrum, grid) - values)))
+        # derivatives of q_m f are (i zeta)^beta factors on its spectrum,
+        # each order the last one times i zeta
+        step = 1j * spectrum.zeta.points()
+        spectra = np.empty((step.size, seminorm_params.max_beta + 1), dtype=complex)
+        spectra[:, 0] = spectrum.values
+        for beta in range(1, seminorm_params.max_beta + 1):
+            np.multiply(spectra[:, beta - 1], step, out=spectra[:, beta])
+        derivatives = _on_grid(spectrum._replace(values=spectra), _SEMINORM_PROBES).T
         sem = metrics.seminorm_estimate(derivatives, seminorm_params, probes)
         rows.append({"m": int(m), "sup_error": sup_err, "seminorm": sem,
                      "boundary_mass": bmass})

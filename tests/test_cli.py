@@ -378,3 +378,24 @@ def test_cli_imports_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True)
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("rho2", [1.5, 2.0, 2.5, 3.0])
+def test_every_command_at_each_gevrey_order(rho2, tmp_path, capsys):
+    # each command exits 0 with its report, except where the order's phi
+    # tail is too heavy for the projections (rho2 = 3): verify and project
+    # then refuse the order with exit 2, naming it, and write no report
+    system = str(tmp_path / "s.json")
+    assert cli.main(["build", "--rho2", str(rho2), "--out", system]) == cli.EXIT_OK
+    refused = rho2 > 2.8
+    for argv in (["verify"], ["project", "--levels", "0..6"], ["expand", "--parseval"]):
+        report = tmp_path / f"{argv[0]}.json"
+        capsys.readouterr()
+        code = cli.main(argv + ["--system", system, "--report", str(report)])
+        if refused and argv[0] != "expand":
+            assert code == cli.EXIT_CONFIG_ERROR
+            assert f"rho2 = {rho2:g}" in capsys.readouterr().err
+            assert not report.exists()
+        else:
+            assert code == cli.EXIT_OK
+            assert _read_report(report)["certificate_digest"]

@@ -439,6 +439,25 @@ class TestRealContraction:
         assert np.abs(got - (re + 1j * im)).max() <= 1e-14 * top
         assert np.abs(got - per_shift).max() <= 1e-14 * top
 
+    def test_real_samples_give_exactly_real_results(self, ws, band_function,
+                                                    expansion_grid):
+        # one real part: the coefficients and their partial sums, in 1-D and
+        # 2-D, have imaginary part 0, and a real part within rounding of the
+        # two-part route's (a complex input whose real part is the samples)
+        grid = sw.Grid1D.from_interval(-12.0, 12.0, 257)
+        from subexp_wavelets.testfuncs import gevrey_band, sample_2d
+        band_2d = sample_2d(gevrey_band(np.pi, 2 * np.pi),
+                            gevrey_band(0.9 * np.pi, 2.1 * np.pi), grid, grid)
+        for f, window, grids in ((band_function, self.WINDOW, expansion_grid),
+                                 (band_2d, sw.IndexWindow(2, 8, 2), (grid, grid))):
+            assert not f.values.imag.any()
+            coeffs = sw.analyze(ws, f, window)
+            partial = sw.synthesize_partial(ws, coeffs, grids).values
+            assert not coeffs.values.imag.any() and not partial.imag.any()
+            tagged = sw.analyze(ws, sw.SampledFunction(f.grid, f.values + 1e-300j), window)
+            top = np.abs(coeffs.values).max()
+            assert np.abs(tagged.values.real - coeffs.values.real).max() <= 1e-14 * top
+
     def test_warm_analysis_allocates_no_block(self, ws, band_function):
         # a complex copy of one (65, 20,481) block alone takes 21 MB
         sw.analyze(ws, band_function, self.WINDOW)
@@ -476,6 +495,8 @@ class TestWindowKernels:
         (sw.Grid1D(-8.0, 1.0 / 16, 256), 8),
     ])
     def test_kernels_match_dense_products(self, ws, grid, N):
+        # three columns and (2, 3) rows, and the one part of real samples:
+        # one column, one row
         rng = np.random.default_rng(7)
         F = rng.standard_normal((grid.count, 3))
         C = rng.standard_normal((2, 3, 2 * N + 1))
@@ -484,11 +505,15 @@ class TestWindowKernels:
             if geometry is None:
                 continue
             dense = np.array(B)
-            got = expansion._window_apply(B, *geometry, F)
-            assert np.abs(got - dense @ F).max() <= 1e-14 * (np.abs(dense) @ np.abs(F)).max()
-            got = expansion._window_transpose(B, *geometry, C)
-            assert got.shape == (2, 3, grid.count)
-            assert np.abs(got - C @ dense).max() <= 1e-14 * (np.abs(C) @ np.abs(dense)).max()
+            for F_, C_ in ((F, C), (F[:, :1], C[0, :1])):
+                got = expansion._window_apply(B, *geometry, F_)
+                assert got.shape == (2 * N + 1, F_.shape[1])
+                assert (np.abs(got - dense @ F_).max()
+                        <= 1e-14 * (np.abs(dense) @ np.abs(F_)).max())
+                got = expansion._window_transpose(B, *geometry, C_)
+                assert got.shape == C_.shape[:-1] + (grid.count,)
+                assert (np.abs(got - C_ @ dense).max()
+                        <= 1e-14 * (np.abs(C_) @ np.abs(dense)).max())
             # the skipped phases are zero, and a fall-back to every phase
             # exceeds the phases that meet the span on expand's grid
             s, (a, b) = geometry

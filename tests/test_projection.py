@@ -1,8 +1,15 @@
-"""Projection kernels, projections, reproduction and their certificates."""
+"""Projection kernels, projections, reproduction and their certificates.
+
+The library projects on the Fourier side, from the analytic |phi_hat|.  Its
+independent reference here is the lattice sum ``q_m(x, y) = 2^m sum_k
+phi(2^m x - k) phi(2^m y - k)`` over the phi spline (``_lattice_kernel``,
+``_project_at``), which no command reads.
+"""
 
 import copy
 import tracemalloc
 import warnings
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,11 +44,36 @@ def _decay_profile(pk):
     return seen[0].T
 
 
+def _lattice_kernel(pk, x, y):
+    """q_m(x, y) of a 1-D kernel by the lattice sum over the phi spline, on
+    coordinates that broadcast; terms beyond the truncation radius of both
+    points are dropped (``pk.tail_bound`` bounds them)."""
+    scale = 2.0 ** pk.level
+    su, sv = (scale * np.asarray(p, dtype=float) for p in np.broadcast_arrays(x, y))
+    K = pk.truncation_radius
+    assert np.max(np.abs(su - sv), initial=0.0) + K <= construction.TABLE_HALF
+    phi = pk.ws.interpolator("phi")
+    out = np.zeros_like(su)
+    lo = int(np.floor(min(su.min(), sv.min()))) - K
+    for k in range(lo, int(np.ceil(max(su.max(), sv.max()))) + K + 1):
+        near = (np.abs(su - k) <= K) | (np.abs(sv - k) <= K)
+        if np.any(near):
+            out[near] += phi(su[near] - k) * phi(sv[near] - k)
+    return scale * out
+
+
+def _project_at(pk, f, x_points):
+    """``int f(y) q_m(x, y) dy`` at ``x_points`` by the lattice sum, for 1-D samples."""
+    (grid,) = f.grids
+    y = grid.points()
+    fw = f.values * grid.trapezoid_weights()
+    return np.array([fw @ _lattice_kernel(pk, xp, y) for xp in x_points])
+
+
 def _lattice_rows(pk, probe_count, u):
     """q_0(x_p, x_p + u) from the lattice sum, one row per probe x_p = p / probe_count."""
     xs = np.arange(probe_count) / probe_count
-    x, y = np.repeat(xs, u.size), (xs[:, None] + u).ravel()
-    return projection._kernel_eval_1d(pk, x, y).reshape(probe_count, u.size)
+    return _lattice_kernel(pk, xs[:, None], xs[:, None] + u)
 
 
 @pytest.fixture(scope="module")
@@ -59,20 +91,21 @@ class TestKernelConstruction:
         x = np.arange(64) / 64.0
         ks = np.arange(-200, 201)  # q_0(x, x) summed over |k| <= 200
         full = np.sum(ws.atom_values(0, 0, ks[:, None], x) ** 2, axis=0)
-        dropped = projection._kernel_eval_1d(pk, x, x) - full
+        dropped = _lattice_kernel(pk, x, x) - full
         assert np.max(np.abs(dropped)) <= pk.tail_bound
 
     def test_heavier_tail_raises_radius_and_margin(self, ws):
         grid, vals = ws.wide_table("phi")
         tampered = np.where(np.abs(grid.points()) > 40.0, 10.0 * vals, vals)
-        heavy = SimpleNamespace(_fits={}, wide_table=lambda which: (grid, tampered))
+        heavy = SimpleNamespace(_fits={}, rho2=2.0,
+                                wide_table=lambda which: (grid, tampered))
         _, K, margin = projection._phi_tail(ws)
         _, heavy_K, heavy_margin = projection._phi_tail(heavy)
         assert heavy_K > K and heavy_margin > margin
         assert sw.build_kernel(heavy).truncation_radius == heavy_K
-        flat = SimpleNamespace(_fits={},
+        flat = SimpleNamespace(_fits={}, rho2=2.5,
                                wide_table=lambda which: (grid, np.ones_like(vals)))
-        with pytest.raises(ProjectionError, match="tail stays above"):
+        with pytest.raises(projection.PhiTailError, match="rho2 = 2.5: .*tail stays above"):
             projection._phi_tail(flat)
 
     def test_dimension_validated(self, ws):
@@ -89,58 +122,33 @@ class TestKernelConstruction:
     def test_numpy_integer_level_accepted(self, ws, pk):
         pk1 = sw.build_kernel(ws, level=np.int64(1))
         x = np.array([0.1, 0.3])
-        assert np.array_equal(sw.kernel_eval(pk1, x, x),
-                              sw.kernel_eval(sw.build_kernel(ws, level=1), x, x))
+        assert np.array_equal(_lattice_kernel(pk1, x, x),
+                              _lattice_kernel(sw.build_kernel(ws, level=1), x, x))
 
 
 class TestKernelEvaluation:
+    """Properties of q_m that the lattice-sum reference must have."""
+
     def test_symmetry(self, pk):
         x = np.linspace(-1.3, 1.7, 11)
         y = np.linspace(-0.9, 2.1, 11)
-        assert np.max(np.abs(sw.kernel_eval(pk, x, y)
-                             - sw.kernel_eval(pk, y, x))) < 1e-13
+        assert np.max(np.abs(_lattice_kernel(pk, x, y)
+                             - _lattice_kernel(pk, y, x))) < 1e-13
 
     def test_level_scaling_identity(self, ws, pk):
         # q_m(x, y) = 2^m q_0(2^m x, 2^m y), here at m = 1
         pk1 = sw.build_kernel(ws, level=1)
         x = np.linspace(-1.3, 1.7, 11)
         y = np.linspace(-0.9, 2.1, 11)
-        got = sw.kernel_eval(pk1, x, y)
-        want = 2.0 * sw.kernel_eval(pk, 2 * x, 2 * y)
+        got = _lattice_kernel(pk1, x, y)
+        want = 2.0 * _lattice_kernel(pk, 2 * x, 2 * y)
         assert np.max(np.abs(got - want)) < 1e-13
 
     def test_integer_shift_invariance(self, pk):
         x = np.linspace(-0.4, 0.9, 7)
         y = x + 0.3
-        assert np.max(np.abs(sw.kernel_eval(pk, x + 1.0, y + 1.0)
-                             - sw.kernel_eval(pk, x, y))) < 1e-12
-
-    def test_window_guard(self, pk):
-        with pytest.raises(ProjectionError, match="kernel window"):
-            sw.kernel_eval(pk, 0.0, 300.0)
-
-    def test_other_dimensions_refused(self, ws):
-        # the lattice sum is the 1-D reference; d > 1 projections are
-        # checked against outer products of 1-D ones
-        for d in (2, 3):
-            with pytest.raises(ProjectionError, match="1-D kernel"):
-                sw.kernel_eval(sw.build_kernel(ws, dimension=d), 0.3, 0.7)
-
-    def test_project_at_refuses_other_dimensions(self, ws, gaussian_samples):
-        from subexp_wavelets.testfuncs import sample_2d
-        pk2 = sw.build_kernel(ws, level=1, dimension=2)
-        g = sw.Grid1D.from_interval(-8.0, 8.0, 65)
-        for f in (gaussian_samples, sample_2d(gaussian(), gaussian(), g, g)):
-            with pytest.raises(ProjectionError, match="1-D kernel"):
-                sw.project_at(pk2, f, [0.1, 0.5])
-
-    def test_one_dimensional_coordinates_keep_their_forms(self, pk):
-        x = np.linspace(-1.3, 1.7, 11)
-        assert isinstance(sw.kernel_eval(pk, 0.3, 0.7), float)
-        assert sw.kernel_eval(pk, [0.3], 0.7).shape == (1,)
-        grid = sw.kernel_eval(pk, x[:, None], x[None, :])
-        assert grid.shape == (11, 11)
-        assert np.array_equal(grid[3], sw.kernel_eval(pk, x[3], x))
+        assert np.max(np.abs(_lattice_kernel(pk, x + 1.0, y + 1.0)
+                             - _lattice_kernel(pk, x, y))) < 1e-12
 
 
 class TestProjection:
@@ -148,7 +156,7 @@ class TestProjection:
         proj = sw.project(pk, gaussian_samples)
         (grid,) = proj.grids
         probes = np.arange(-4.0, 4.01, 0.5)  # on grid points: no interpolation
-        spot = sw.project_at(pk, gaussian_samples, probes)
+        spot = _project_at(pk, gaussian_samples, probes)
         on_grid = proj.values.real[grid.index_of(probes)]
         assert np.max(np.abs(spot.real - on_grid)) < 1e-10
 
@@ -234,7 +242,7 @@ class TestProjection:
         assert np.max(np.abs(proj.values - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_routes_disagree_on_a_scaled_phi_table(self, ws, pk, gaussian_samples):
-        # project reads the analytic phi_hat and project_at the spline of the
+        # project reads the analytic phi_hat and _project_at the spline of the
         # phi table, so a table scaled by 1.01 must break their agreement
         table = ws.interpolator
 
@@ -246,7 +254,7 @@ class TestProjection:
         try:
             proj = sw.project(pk, gaussian_samples)
             probes = np.arange(-4.0, 4.01, 0.5)
-            spot = sw.project_at(pk, gaussian_samples, probes)
+            spot = _project_at(pk, gaussian_samples, probes)
         finally:
             del ws.interpolator
         (grid,) = proj.grids
@@ -263,6 +271,77 @@ def _fresh(ws, budget=None):
 
 def _projectors(system):
     return [key for key in system._blocks._values if key[0] == "projector"]
+
+
+class TestRealRoute:
+    """Samples with an exactly zero imaginary part take the real route (one
+    real part, Hermitian half spectra) and project to an imaginary part that
+    is exactly 0.  Complex samples ``f + i g`` take all the nodes, and equal
+    the real route's results for f and g combined up to the chirp's
+    rounding, ``eps * extent * 2^m 4 pi / 3`` of the largest value (as in
+    ``TestChirpRoute.test_low_band_is_reproduced``); measured at a fifth to
+    a half of it.  The kept matrix carries no chirp: there the parts agree
+    to 1e-14."""
+
+    GRID = sw.Grid1D.from_interval(-12.0, 12.0, 385)  # resolves levels up to 4
+    LEVELS = (0, 2, 4)
+
+    def _parts(self, grid=GRID):
+        x = grid.points()
+        return gaussian(0.3, 1.4)(x), gaussian(-1.1, 0.8)(x) * np.sin(x)
+
+    def _rounding(self, m):
+        return np.finfo(float).eps * self.GRID.extent * 2.0 ** m * 4 * np.pi / 3
+
+    def test_complex_samples_project_as_their_parts(self, ws):
+        f, g = self._parts()
+        for m in self.LEVELS:
+            pk = sw.build_kernel(ws, level=m)
+            qf, qg = (sw.project(pk, sw.SampledFunction(self.GRID, v)).values
+                      for v in (f, g))
+            assert not qf.imag.any() and not qg.imag.any()
+            got = sw.project(pk, sw.SampledFunction(self.GRID, f + 1j * g)).values
+            assert np.abs(got - (qf + 1j * qg)).max() <= self._rounding(m) * np.abs(got).max()
+
+    def test_complex_samples_take_the_kept_matrix_as_their_parts(self, ws):
+        grid = sw.Grid1D.from_interval(-8.0, 8.0, 129)
+        (f, g), h = self._parts(grid), gaussian(0.4, 1.2)(grid.points())
+        system = _fresh(ws)
+        pk2 = sw.build_kernel(system, level=1, dimension=2)
+        qf, qg = (sw.project(pk2, sw.SampledFunction((grid, grid), np.outer(v, h))).values
+                  for v in (f, g))
+        assert len(_projectors(system)) == 1
+        assert not qf.imag.any() and not qg.imag.any()
+        got = sw.project(pk2, sw.SampledFunction((grid, grid), np.outer(f + 1j * g, h)))
+        assert np.abs(got.values - (qf + 1j * qg)).max() <= 1e-14 * np.abs(qf).max()
+
+    def test_mra_rows_of_complex_samples_combine_their_parts(self, ws, monkeypatch):
+        # the rows' sup errors, and the derivatives each row's seminorm reads:
+        # the rounding times |zeta|^beta at the band end, as the derivative
+        # of order beta amplifies it
+        f, g = self._parts()
+        params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
+        estimate, seen = metrics.seminorm_estimate, []
+        monkeypatch.setattr(metrics, "seminorm_estimate",
+                            lambda d, *a: seen.append(d) or estimate(d, *a))
+        runs = {}
+        for name, v in (("f", f), ("g", g), ("f + ig", f + 1j * g)):
+            seen.clear()
+            rows = sw.mra_convergence_experiment(ws, sw.SampledFunction(self.GRID, v),
+                                                 self.LEVELS, params)
+            runs[name] = rows, list(seen)
+        assert all(np.isrealobj(d) for d in runs["f"][1] + runs["g"][1])
+        for i, m in enumerate(self.LEVELS):
+            qf, qg = (sw.project(sw.build_kernel(ws, level=m),
+                                 sw.SampledFunction(self.GRID, v)).values for v in (f, g))
+            error = np.abs(qf + 1j * qg - (f + 1j * g)).max()
+            top = np.abs(f + 1j * g).max()
+            assert abs(runs["f + ig"][0][i]["sup_error"] - error) <= self._rounding(m) * top
+            want = runs["f"][1][i] + 1j * runs["g"][1][i]
+            band = 2.0 ** m * 4 * np.pi / 3
+            for beta, got in enumerate(runs["f + ig"][1][i]):
+                gap = np.abs(got - want[beta]).max()
+                assert gap <= self._rounding(m) * band ** beta * np.abs(want[0]).max()
 
 
 class TestKeptProjector:
@@ -338,7 +417,7 @@ class TestKeptProjector:
         assert np.max(np.abs(kept - chirp)) < 1e-14 * np.max(np.abs(chirp))
         assert np.all(kept.imag == 0.0)  # a real matrix on real samples
         probes = np.arange(-4.0, 4.01, 0.5)  # on grid points
-        spot = np.outer(*(sw.project_at(pk, sample(f, grid), probes) for f in (fx, fy)))
+        spot = np.outer(*(_project_at(pk, sample(f, grid), probes) for f in (fx, fy)))
         on_grid = kept[np.ix_(grid.index_of(probes), grid.index_of(probes))]
         assert np.max(np.abs(spot - on_grid)) < 1e-10
 
@@ -396,8 +475,20 @@ class TestKeptProjector:
         assert peak < 1 << 20
 
 
-def _as_spectrum(zeta, qhat):
-    """``_project_1d``'s spectrum of q_m f as one ``numerics.synthesize_values`` reads."""
+def _full(spectrum):
+    """(zeta, Q) of a ``_project_1d`` spectrum on all its nodes: a Hermitian
+    half is mirrored to zeta < 0 by ``Q(-zeta) = conj Q(zeta)``."""
+    zeta, qhat, half = spectrum
+    if not half:
+        return zeta, qhat
+    nodes = sw.Grid1D(-zeta.last, zeta.spacing, 2 * zeta.count - 1)
+    return nodes, np.concatenate([np.conj(qhat[:0:-1]), qhat])
+
+
+def _as_spectrum(spectrum):
+    """A ``_project_1d`` spectrum of q_m f, on all its nodes, as one
+    ``numerics.synthesize_values`` reads."""
+    zeta, qhat = _full(spectrum)
     band = (zeta.origin, zeta.last)
     return sw.SpectrumOnBand(band=band, grid=zeta, values=qhat, declared_support=(band,))
 
@@ -405,54 +496,64 @@ def _as_spectrum(zeta, qhat):
 class TestChirpRoute:
     """The multiplier route of ``_project_1d`` against spline atom blocks.
 
-    On the session's MRA grid every ``2^m x_j - k`` is a node of the phi
-    table, so ``atom_values`` reads exact table values there.  The oracle is
-    ``sum_k <f, phi_{m,k}> phi_{m,k}`` over the shifts within the truncation
-    radius of the window, the coefficients ``A @ fw`` of the atom block ``A``.
+    Every test runs on a real input, whose spectrum is a Hermitian half, and
+    on a complex one, which takes all the nodes.  On the session's MRA grid
+    every ``2^m x_j - k`` is a node of the phi table, so ``atom_values``
+    reads exact table values there.  The oracle is ``sum_k <f, phi_{m,k}>
+    phi_{m,k}`` over the shifts within the truncation radius of the window,
+    the coefficients ``A @ fw`` of the atom block ``A``.
     """
 
     GRID = sw.Grid1D.from_interval(-40.0, 40.0, 5121)
     LEVELS = range(7)
+    KINDS = ("real", "complex")
 
     @pytest.fixture(scope="class")
-    def f(self):
-        return sample(gaussian(0.3, 1.4), self.GRID)
+    def inputs(self):
+        """Real samples as a real array, and complex samples ``f + i g``."""
+        f, g = (sample(fn, self.GRID).values.real
+                for fn in (gaussian(0.3, 1.4), gaussian(-1.1, 0.8)))
+        return {"real": f, "complex": f + 1j * g * np.sin(self.GRID.points())}
 
     @pytest.fixture(scope="class")
-    def routes(self, ws, f):
+    def routes(self, ws, inputs):
         probes = np.sort(np.random.default_rng(11).uniform(-8.0, 8.0, 40))
         out = {}
-        for m in self.LEVELS:
+        for kind, m in product(self.KINDS, self.LEVELS):
             pk = sw.build_kernel(ws, level=m)
-            out[m] = projection._project_1d(pk, self.GRID, f.values, probes)
+            out[kind, m] = projection._project_1d(pk, self.GRID, inputs[kind], probes)
+            assert out[kind, m].half == (kind == "real")
         return probes, out
 
     def _atom_coefficients(self, ws, m, values):
         """(ks, A @ fw) over the shifts within the truncation radius of the
-        window, in blocks of 512 rows (a full block at m = 6 is 27 million
-        spline reads)."""
+        window, for ``values`` with one input a column, in blocks of 512 rows
+        (a full block at m = 6 is 27 million spline reads)."""
         K = sw.build_kernel(ws).truncation_radius
         ks = np.arange(np.floor(2.0 ** m * self.GRID.origin) - K,
                        np.ceil(2.0 ** m * self.GRID.last) + K + 1)
         x = self.GRID.points()
-        fw = values * self.GRID.trapezoid_weights()
+        fw = values * self.GRID.trapezoid_weights()[:, None]
         coeffs = np.concatenate([ws.atom_values(0, m, block[:, None], x) @ fw
                                  for block in np.array_split(ks, -(-ks.size // 512))])
         return ks, coeffs
 
     @pytest.fixture(scope="class")
-    def oracle(self, ws, f):
-        return {m: self._atom_coefficients(ws, m, f.values) for m in self.LEVELS}
+    def oracle(self, ws, inputs):
+        """m -> (ks, coefficients), one column per kind."""
+        values = np.column_stack([inputs[kind] for kind in self.KINDS])
+        return {m: self._atom_coefficients(ws, m, values) for m in self.LEVELS}
 
-    def test_weighted_transform_matches_direct_sum(self, f, routes):
+    def test_weighted_transform_matches_direct_sum(self, inputs, routes):
         # relative to sum |w_j f_j|, the bound on |F|
-        scale = np.sum(np.abs(f.values) * self.GRID.trapezoid_weights())
         rng = np.random.default_rng(7)
         _, out = routes
-        for m in self.LEVELS:
-            zeta = out[m][0]
+        for kind, m in product(self.KINDS, self.LEVELS):
+            f = sw.SampledFunction(self.GRID, inputs[kind])
+            scale = np.sum(np.abs(f.values) * self.GRID.trapezoid_weights())
+            zeta = out[kind, m].zeta
             idx = rng.choice(zeta.count, 200)
-            got = projection._weighted_transform(self.GRID, f.values, zeta)[idx]
+            got = projection._weighted_transform(self.GRID, inputs[kind], zeta)[idx]
             want = sw.forward_transform_values(f, -zeta.points()[idx])
             assert np.max(np.abs(got - want)) < 1e-12 * scale
 
@@ -460,10 +561,10 @@ class TestChirpRoute:
         # every 8th grid point against the sum over all shifts
         x = self.GRID.points()[::8]
         _, out = routes
-        for m in self.LEVELS:
+        for (col, kind), m in product(enumerate(self.KINDS), self.LEVELS):
             ks, coeffs = oracle[m]
-            got = projection._on_grid(*out[m], self.GRID)[::8]
-            want = coeffs @ ws.atom_values(0, m, ks[:, None], x)
+            got = projection._on_grid(out[kind, m], self.GRID)[::8]
+            want = coeffs[:, col] @ ws.atom_values(0, m, ks[:, None], x)
             assert np.max(np.abs(got - want)) < 1e-11
 
     def test_edge_mass_projection_matches_atom_blocks(self, ws):
@@ -473,34 +574,38 @@ class TestChirpRoute:
         # primitive 4.1e-13
         x = self.GRID.points()
         f = gaussian(37.0)(x) + gaussian(-36.5, 0.8)(x)
-        got = projection._on_grid(*projection._project_1d(sw.build_kernel(ws),
-                                                          self.GRID, f), self.GRID)
-        ks, coeffs = self._atom_coefficients(ws, 0, f)
-        want = coeffs @ ws.atom_values(0, 0, ks[:, None], x)
-        assert np.max(np.abs(got - want)) < 1e-12
+        values = np.column_stack([f, f + 1j * gaussian(-37.5, 0.9)(x)])
+        ks, coeffs = self._atom_coefficients(ws, 0, values)
+        pk = sw.build_kernel(ws)
+        for col, kind in enumerate(self.KINDS):
+            v = values[:, col].real if kind == "real" else values[:, col]
+            got = projection._on_grid(projection._project_1d(pk, self.GRID, v), self.GRID)
+            want = coeffs[:, col] @ ws.atom_values(0, 0, ks[:, None], x)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_spectrum_derivatives_match_atom_sums(self, ws, routes, oracle):
         # scaled by 2^(m order), the size of an atom's order-th derivative
         probes, out = routes
-        for m in self.LEVELS:
+        for (col, kind), m in product(enumerate(self.KINDS), self.LEVELS):
             ks, coeffs = oracle[m]
-            spec = _as_spectrum(*out[m])
+            spec = _as_spectrum(out[kind, m])
             for order in range(3):
                 got = numerics.synthesize_values(spec, probes, order)
                 phi = ws.interpolator("phi", order)  # the phi^(order) table
                 atoms = 2.0 ** (m * (0.5 + order)) * phi(np.ldexp(probes, m) - ks[:, None])
-                want = coeffs @ atoms
+                want = coeffs[:, col] @ atoms
                 assert np.max(np.abs(got - want)) < 1e-10 * 2.0 ** (m * order)
 
-    def test_low_band_is_reproduced(self, ws, f, routes):
+    def test_low_band_is_reproduced(self, ws, inputs, routes):
         # V_m contains every function band-limited to 2^m 2 pi / 3, and
         # (q_m f)^ vanishes beyond 2^m 4 pi / 3.  Every low-band node against
         # the direct sum, to the rounding of the chirp's phases, which reach
         # the grid extent times the band (1.5e-12 of sum |w f| at m = 6)
-        scale = np.sum(np.abs(f.values) * self.GRID.trapezoid_weights())
         _, out = routes
-        for m in self.LEVELS:
-            zeta, qhat = out[m]
+        for kind, m in product(self.KINDS, self.LEVELS):
+            f = sw.SampledFunction(self.GRID, inputs[kind])
+            scale = np.sum(np.abs(f.values) * self.GRID.trapezoid_weights())
+            zeta, qhat = _full(out[kind, m])
             nodes = zeta.points()
             band = 2.0 ** m * 4 * np.pi / 3
             assert qhat[0] == qhat[-1] == 0  # the nodes cover the band
@@ -510,20 +615,22 @@ class TestChirpRoute:
             assert np.max(np.abs(qhat[low] - want)) < rounding * scale
             assert np.all(qhat[np.abs(nodes) >= band] == 0)
 
-    def test_seminorm_column_matches_direct_sums(self, ws, f):
+    def test_seminorm_column_matches_direct_sums(self, ws, inputs):
         # one chirp-z pass over all orders against one direct sum per order
         # of the same spectrum, at the default probes
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
         probes = np.linspace(-8.0, 8.0, 161)
-        rows = sw.mra_convergence_experiment(ws, f, self.LEVELS, params)
-        for m, row in zip(self.LEVELS, rows):
-            pk = sw.build_kernel(ws, level=m)
-            spec = _as_spectrum(*projection._project_1d(pk, self.GRID, f.values,
-                                                        probes))
-            derivatives = [numerics.synthesize_values(spec, probes, beta)
-                           for beta in range(params.max_beta + 1)]
-            want = sw.seminorm_estimate(derivatives, params, probes)
-            assert abs(row["seminorm"] - want) <= 1e-12 * want
+        for kind in self.KINDS:
+            f = sw.SampledFunction(self.GRID, inputs[kind])
+            rows = sw.mra_convergence_experiment(ws, f, self.LEVELS, params)
+            for m, row in zip(self.LEVELS, rows):
+                pk = sw.build_kernel(ws, level=m)
+                spec = _as_spectrum(projection._project_1d(pk, self.GRID, inputs[kind],
+                                                           probes))
+                derivatives = [numerics.synthesize_values(spec, probes, beta)
+                               for beta in range(params.max_beta + 1)]
+                want = sw.seminorm_estimate(derivatives, params, probes)
+                assert abs(row["seminorm"] - want) <= 1e-12 * want
 
 
 class TestCertificates:
