@@ -25,6 +25,6 @@ from .numerics import (Grid1D, NumericsError, SampledFunction, SpectrumOnBand,
                        integrate, norm_l2, pairing, synthesize,
                        synthesize_values)
 from .projection import (PhiTailError, ProjectionError, ProjectionKernel,
-                         build_kernel, kernel_decay_certificate,
-                         mra_convergence_experiment, polynomial_reproduction,
-                         project)
+                         UnresolvedLevelError, build_kernel,
+                         kernel_decay_certificate, mra_convergence_experiment,
+                         polynomial_reproduction, project)

@@ -11,8 +11,9 @@ unknown test function, a range beyond the stored window, or for ``decay
 --target phi`` beyond the phi table, a non-finite ``--rho2``, a grid with
 fewer than two points or more than 2^20, a non-finite or non-positive
 window, ``--h`` or ``--c``, a negative ``--max-beta``, a coefficient window
-the grid cannot resolve); 3 an unreadable or corrupt system file, or an
-output that cannot be written.
+or a projection level the grid cannot resolve); 3 an unreadable or corrupt
+system file (one of another schema included), or an output that cannot be
+written.
 
 Reports are deterministic JSON (sorted keys, round-trip-safe floats);
 timestamps live in a separate "metadata" field so byte comparison of the
@@ -398,7 +399,8 @@ def main(argv=None) -> int:
         _emit(report, args.report)
         return EXIT_OK if ok else EXIT_CHECK_FAILURE
     except (ConfigError, BumpError, ConstructionError, numerics.NumericsError,
-            testfuncs.TestFunctionError, projection.PhiTailError) as exc:
+            testfuncs.TestFunctionError, projection.PhiTailError,
+            projection.UnresolvedLevelError) as exc:
         return _fail(exc, EXIT_CONFIG_ERROR)
     except (expansion.ExpansionError, metrics.MetricsError,
             projection.ProjectionError) as exc:

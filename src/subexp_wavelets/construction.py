@@ -27,6 +27,12 @@ or a kept per-shift block.
 Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
 stored in the system file; "verify" suites (lowercase) rerun on a loaded file.
+
+The system file (schema ``SCHEMA_TAG``) holds each real number once: each
+stored spectrum as its modulus, whose phase ``_with_phase`` applies at build
+and on load alike, and each sample array as its real part, since psi and phi
+are real; the build keeps only that real part.  A file of another schema is
+refused, not converted.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from . import numerics
 from .bump import GevreyBump, build_bump, stencil
 from .numerics import Grid1D, NaturalSpline, SampledFunction, SpectrumOnBand
 
-SCHEMA_TAG = "dhws-v1"
+SCHEMA_TAG = "dhws-v2"
 
 PSI_BAND = (2 * np.pi / 3, 8 * np.pi / 3)
 PHI_BAND = (0.0, 4 * np.pi / 3)
@@ -73,6 +79,13 @@ _BLOCK_BYTES = 32 * 2 ** 20
 
 class ConstructionError(ValueError):
     pass
+
+
+def resolves(band_end: float, m: int, spacing: float) -> bool:
+    """Whether samples at ``spacing`` h resolve a scale-m atom whose spectrum
+    ends at ``band_end``: ``2^m band_end < 2 pi / h``.  Past that, the
+    samples' trapezoid transform reads its alias copy inside the band."""
+    return np.ldexp(spacing, m) * band_end < 2.0 * np.pi
 
 
 class BellFunction:
@@ -144,11 +157,15 @@ class WaveletSystem:
 
     def psi_hat_fn(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        return np.exp(0.5j * xi) * self.bell(xi)
+        return _with_phase("psi", xi, self.bell(xi))
 
     def phi_hat_fn(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        return np.exp(1j * xi) * scaling_modulus(self.bell, xi)
+        return _with_phase("phi", xi, scaling_modulus(self.bell, xi))
+
+    def modulus(self, which: str, xi) -> np.ndarray:
+        """|psi_hat| (the bell) or |phi_hat| at ``xi``."""
+        return self.bell(xi) if which == "psi" else scaling_modulus(self.bell, xi)
 
     # -- physical-space evaluation ----------------------------------------
 
@@ -172,9 +189,8 @@ class WaveletSystem:
         else:
             lo, hi = PHI_BAND
         grid = Grid1D.from_interval(lo, hi, n_band)
-        xi = grid.points()
-        amp = self.bell(xi) if which == "psi" else scaling_modulus(self.bell, xi)
-        return SpectrumOnBand(band=(lo, hi), grid=grid, values=amp,
+        return SpectrumOnBand(band=(lo, hi), grid=grid,
+                              values=self.modulus(which, grid.points()),
                               declared_support=((lo, hi),))
 
     def _even_table(self, which: str, order: int, x_max: float, spacing: float,
@@ -249,46 +265,82 @@ class WaveletSystem:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def arrays(g: Grid1D, vals: np.ndarray) -> dict:
-            return {"grid": {"origin": g.origin, "spacing": g.spacing, "count": g.count},
-                    "re": vals.real.tolist(), "im": vals.imag.tolist()}
+        """The system file (schema ``SCHEMA_TAG``): each real quantity once.
 
-        def spec_dict(s: SpectrumOnBand) -> dict:
-            return {"band": list(s.band), **arrays(s.grid, s.values),
+        A spectrum is written as the construction's ``modulus`` (the bell,
+        or |phi_hat|) on its grid, since its phase is fixed: the build forms
+        the held values from that modulus by ``_with_phase``, as the reader
+        does.  A sample array is its ``re`` part, since psi and phi are real.
+        """
+        def spec_dict(which: str, s: SpectrumOnBand) -> dict:
+            return {"band": list(s.band),
+                    **_grid_dict(s.grid, "modulus", self.modulus(which, s.grid.points())),
                     "declared_support": [list(iv) for iv in s.declared_support]}
 
         return {
             "schema": SCHEMA_TAG,
             "parameters": {"a": self.a, "rho2": self.rho2},
-            "psi_hat": spec_dict(self.psi_hat),
-            "phi_hat": spec_dict(self.phi_hat),
-            "psi_samples": arrays(self.psi_samples.grids[0], self.psi_samples.values),
-            "phi_samples": arrays(self.phi_samples.grids[0], self.phi_samples.values),
+            "psi_hat": spec_dict("psi", self.psi_hat),
+            "phi_hat": spec_dict("phi", self.phi_hat),
+            "psi_samples": _grid_dict(self.psi_samples.grids[0], "re",
+                                      self.psi_samples.values.real),
+            "phi_samples": _grid_dict(self.phi_samples.grids[0], "re",
+                                      self.phi_samples.values.real),
             "certificates": self.certificates,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WaveletSystem":
-        if doc.get("schema") != SCHEMA_TAG:
-            raise ConstructionError(f"unknown schema tag: {doc.get('schema')!r}")
+        """The system a file holds; ``ConstructionError`` for another schema
+        (the file is rebuilt, not converted), a negative modulus, or an
+        array whose length is not its grid's count."""
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != SCHEMA_TAG:
+            raise ConstructionError(f"system file schema {schema!r} is not "
+                                    f"{SCHEMA_TAG!r}: rebuild it with `build`")
 
-        def arrays(d) -> tuple:
-            re, im = (np.asarray(d[part], dtype=float) for part in ("re", "im"))
-            return Grid1D(**d["grid"]), re + 1j * im
-
-        def read_spec(d) -> SpectrumOnBand:
-            g, vals = arrays(d)
-            return SpectrumOnBand(band=tuple(d["band"]), grid=g, values=vals,
+        def read_spec(which: str) -> SpectrumOnBand:
+            d = doc[which + "_hat"]
+            grid, modulus = _read_grid_dict(d, "modulus")
+            if not np.all(modulus >= 0.0):
+                raise ConstructionError(f"{which}_hat modulus has a negative entry")
+            return SpectrumOnBand(band=tuple(d["band"]), grid=grid,
+                                  values=_with_phase(which, grid.points(), modulus),
                                   declared_support=tuple(tuple(iv) for iv in
                                                          d["declared_support"]))
 
         params = doc["parameters"]
         bell = BellFunction(build_bump(params["a"], params["rho2"]))
         return cls(a=params["a"], rho2=params["rho2"], bell=bell,
-                   psi_hat=read_spec(doc["psi_hat"]), phi_hat=read_spec(doc["phi_hat"]),
-                   psi_samples=SampledFunction(*arrays(doc["psi_samples"])),
-                   phi_samples=SampledFunction(*arrays(doc["phi_samples"])),
+                   psi_hat=read_spec("psi"), phi_hat=read_spec("phi"),
+                   psi_samples=SampledFunction(*_read_grid_dict(doc["psi_samples"], "re")),
+                   phi_samples=SampledFunction(*_read_grid_dict(doc["phi_samples"], "re")),
                    certificates=doc.get("certificates", {}))
+
+
+def _with_phase(which: str, xi, modulus) -> np.ndarray:
+    """psi_hat or phi_hat from its modulus: ``exp(i shift xi) modulus``, the
+    shift ``_CENTER_SHIFT[which]``.  The build and the file reader both form
+    the stored spectra here, so they agree bit for bit."""
+    return np.exp(1j * _CENTER_SHIFT[which] * xi) * modulus
+
+
+def _grid_dict(grid: Grid1D, part: str, values: np.ndarray) -> dict:
+    """One grid-and-values block of the system file: the grid, and the real
+    ``values`` under ``part``."""
+    return {"grid": {"origin": grid.origin, "spacing": grid.spacing, "count": grid.count},
+            part: values.tolist()}
+
+
+def _read_grid_dict(d: dict, part: str) -> tuple[Grid1D, np.ndarray]:
+    """(grid, values) of a ``_grid_dict`` block; a length other than the
+    grid's count raises ``ConstructionError``."""
+    grid = Grid1D(**d["grid"])
+    values = np.asarray(d[part], dtype=float)
+    if values.shape != (grid.count,):
+        raise ConstructionError(f"{part} holds {values.size} values on a grid of "
+                                f"{grid.count} points")
+    return grid, values
 
 
 def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis: Grid1D):
@@ -358,8 +410,8 @@ def build_wavelet_system(a: float, rho2: float, *,
 
     sg = Grid1D.from_interval(-_SPECTRAL_HALF, _SPECTRAL_HALF, _SPECTRAL_POINTS)
     xi = sg.points()
-    psi_vals = np.exp(0.5j * xi) * bell(xi)
-    phi_vals = np.exp(1j * xi) * scaling_modulus(bell, xi)
+    psi_vals = _with_phase("psi", xi, bell(xi))
+    phi_vals = _with_phase("phi", xi, scaling_modulus(bell, xi))
     psi_hat = SpectrumOnBand(
         band=(-_SPECTRAL_HALF, _SPECTRAL_HALF), grid=sg, values=psi_vals,
         declared_support=((-PSI_BAND[1], -PSI_BAND[0]), (PSI_BAND[0], PSI_BAND[1])))
@@ -368,8 +420,9 @@ def build_wavelet_system(a: float, rho2: float, *,
         declared_support=((-PHI_BAND[1], PHI_BAND[1]),))
 
     pg = sample_grid(window)
-    psi_samples = numerics.synthesize(psi_hat, pg)
-    phi_samples = numerics.synthesize(phi_hat, pg)
+    # psi and phi are real: the synthesis's imaginary part is rounding
+    psi_samples = SampledFunction(pg, numerics.synthesize(psi_hat, pg).values.real)
+    phi_samples = SampledFunction(pg, numerics.synthesize(phi_hat, pg).values.real)
 
     ws = WaveletSystem(a=a, rho2=rho2, bell=bell, psi_hat=psi_hat, phi_hat=phi_hat,
                        psi_samples=psi_samples, phi_samples=phi_samples)
@@ -474,10 +527,18 @@ def _moment_check(ws: WaveletSystem) -> dict:
 
 
 def _realness_check(ws: WaveletSystem) -> dict:
+    """Hermitian symmetry of the stored spectra: ``max |v_i - conj v_(n-1-i)|``
+    over psi_hat and phi_hat, whose grids are symmetric about 0.
+
+    A real function has ``f_hat(-xi) = conj f_hat(xi)``.  The samples keep
+    the real part of the synthesis, whose imaginary part this deviation
+    bounds (times the quadrature's total weight over 2 pi, which is 3); the
+    mirrored nodes themselves agree only to about 2e-15.
+    """
     tol = 1e-10
-    im = max(float(np.max(np.abs(ws.psi_samples.values.imag))),
-             float(np.max(np.abs(ws.phi_samples.values.imag))))
-    return {"pass": im < tol, "max_imag": im, "tolerance": tol}
+    dev = max(float(np.max(np.abs(s.values - np.conj(s.values[::-1]))))
+              for s in (ws.psi_hat, ws.phi_hat))
+    return {"pass": dev < tol, "max_hermitian_deviation": dev, "tolerance": tol}
 
 
 def _scaling_lowpass_check(ws: WaveletSystem) -> dict:

@@ -47,7 +47,7 @@ from itertools import product
 import numpy as np
 
 from . import numerics
-from .construction import PSI_BAND, WaveletSystem, _axis_block
+from .construction import PSI_BAND, WaveletSystem, _axis_block, resolves
 from .numerics import Grid1D, SampledFunction
 from .projection import _MAX_NODES, _phi_tail
 
@@ -241,11 +241,11 @@ def check_resolution(window: IndexWindow, grids) -> None:
     """Raise unless every grid resolves the window's finest atoms.
 
     psi at scale M occupies |xi| up to 2^M * PSI_BAND[1]; the trapezoid sum
-    against it aliases once that band reaches 2 pi / h, so Bessel's
-    inequality can fail without any other sign.
+    against it aliases once that band reaches 2 pi / h (``resolves``), so
+    Bessel's inequality can fail without any other sign.
     """
     for g in grids:
-        if np.ldexp(g.spacing, window.M) * PSI_BAND[1] >= 2.0 * np.pi:
+        if not resolves(PSI_BAND[1], window.M, g.spacing):
             raise ExpansionError(
                 f"scale {window.M} aliases on a grid of spacing {g.spacing}: "
                 f"needs 2^M * h * {PSI_BAND[1]:.4f} < 2 pi")

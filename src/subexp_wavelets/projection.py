@@ -23,7 +23,8 @@ Hermitian, so ``_project_1d`` transforms them on the nodes zeta >= 0 only,
 ``_on_grid`` sums that half to a real result, and the kept matrix multiplies
 the real parts alone.  Complex samples take the full nodes.  A system whose
 phi decays too slowly for the wide table (rho2 above ``MAX_RHO2`` at a = 1)
-is refused with ``PhiTailError``.
+is refused with ``PhiTailError``, and a level whose band ``2^m 4 pi / 3``
+reaches the samples' alias ``2 pi / h`` with ``UnresolvedLevelError``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics, numerics
-from .construction import WaveletSystem, scaling_modulus
+from .construction import PHI_BAND, WaveletSystem, resolves, scaling_modulus
 from .metrics import DecayFit, SeminormParams
 from .numerics import Grid1D, SampledFunction
 
@@ -67,6 +68,12 @@ class ProjectionError(ValueError):
 class PhiTailError(ProjectionError):
     """The system's phi decays too slowly for its wide table (``_phi_tail``):
     an order rho2 the projections do not support, not a failed check."""
+
+
+class UnresolvedLevelError(ProjectionError):
+    """A level whose band ``2^m 4 pi / 3`` reaches the samples' alias at
+    ``2 pi / h`` (``construction.resolves``): a level the grid cannot
+    carry, not a failed check."""
 
 
 def _phi_tail(ws: WaveletSystem) -> tuple[np.ndarray, int, float]:
@@ -177,7 +184,9 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
     projected along its first axis in one pass.  A level whose window spans
     more than ``_MAX_NODES`` shifts, or that needs more eta nodes, raises
     ``ProjectionError`` before anything of that size is allocated, and
-    before any float overflows.
+    before any float overflows.  A level the grid does not resolve
+    (``construction.resolves``: ``2^m 4 pi / 3 < 2 pi / h``) raises
+    ``UnresolvedLevelError``.
     """
     m = pk.level
     half = np.isrealobj(values)
@@ -217,6 +226,10 @@ def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=(),
     if not 2 * top + 1 <= _MAX_NODES:
         raise ProjectionError(f"level {m} needs {2 * top + 1:.3g} eta nodes on "
                               f"this window, more than {_MAX_NODES}")
+    if not resolves(PHI_BAND[1], m, grid.spacing):
+        raise UnresolvedLevelError(
+            f"level {m} aliases on a grid of spacing {grid.spacing:g}: needs "
+            f"2^m * h * {PHI_BAND[1]:.4f} < 2 pi")
     L, top = int(L), int(top)
     if half:
         return L, Grid1D(0.0, 2 * np.pi / L, top + 1)
@@ -399,17 +412,21 @@ def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
     sup_error is the grid sup of |q_m f - f|; the seminorm column is the
     fixed-(h, c) weighted estimate of q_m f on 161 uniform probes of
     [-8, 8], whose boundedness across m is the second ingredient of the
-    convergence argument.
+    convergence argument.  Every level is checked (``_eta_nodes``) before
+    any is computed.
     """
     if seminorm_params.max_beta > numerics.DERIVATIVE_ORDER_CAP:
         raise numerics.NumericsError("derivative order cap")
     (grid,) = f.grids
     values = numerics.real_if_real(f.values)
     probes = _SEMINORM_PROBES.points()
+    kernels = [build_kernel(ws, level=m, dimension=1) for m in levels]
+    for pk in kernels:
+        _eta_nodes(pk, grid, probes)
     bmass = _warn_boundary_mass(f)
     rows = []
-    for m in levels:
-        pk = build_kernel(ws, level=m, dimension=1)
+    for pk in kernels:
+        m = pk.level
         spectrum = _project_1d(pk, grid, values, probes)
         sup_err = float(np.max(np.abs(_on_grid(spectrum, grid) - values)))
         # derivatives of q_m f are (i zeta)^beta factors on its spectrum,

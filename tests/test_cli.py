@@ -39,15 +39,18 @@ def _write_spectrum(doc, key, xi_target, value):
     """
     spec = doc[key]
     spec["declared_support"] = [list(spec["band"])]
+    spec["modulus"][_nearest_node(spec, xi_target)] = value
+
+
+def _nearest_node(spec, xi_target):
+    """Index of the stored node of ``spec`` nearest ``xi_target``."""
     grid = spec["grid"]
     xi = grid["origin"] + grid["spacing"] * np.arange(grid["count"])
-    spec["re"][int(np.argmin(np.abs(xi - xi_target)))] = value
+    return int(np.argmin(np.abs(xi - xi_target)))
 
 
 def _scale_psi_samples(doc):
-    for part in ("re", "im"):
-        doc["psi_samples"][part] = (1.01 * np.asarray(
-            doc["psi_samples"][part])).tolist()
+    doc["psi_samples"]["re"] = (1.01 * np.asarray(doc["psi_samples"]["re"])).tolist()
 
 
 def _read_report(path):
@@ -96,6 +99,11 @@ class TestVerify:
         code = cli.main(["verify", "--system", str(bad)])
         assert code == cli.EXIT_IO_ERROR
 
+    def test_json_other_than_an_object_is_io_error(self, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert cli.main(["verify", "--system", str(bad)]) == cli.EXIT_IO_ERROR
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = cli.main(["verify", "--system", str(tmp_path / "nope.json")])
         assert code == cli.EXIT_IO_ERROR
@@ -109,10 +117,9 @@ class TestVerify:
         grid = doc["psi_hat"]["grid"]
         xi = grid["origin"] + grid["spacing"] * np.arange(grid["count"])
         kill = (xi >= 2 * np.pi) & (xi <= 8 * np.pi / 3)
-        for part in ("re", "im"):
-            vals = np.asarray(doc["psi_hat"][part])
-            vals[kill] = 0.0
-            doc["psi_hat"][part] = vals.tolist()
+        modulus = np.asarray(doc["psi_hat"]["modulus"])
+        modulus[kill] = 0.0
+        doc["psi_hat"]["modulus"] = modulus.tolist()
         tampered = tmp_path / "tampered.json"
         with open(tampered, "w") as fh:
             json.dump(doc, fh)
@@ -130,6 +137,28 @@ class TestVerify:
         code = cli.main(["verify", "--system", tampered])
         assert code == cli.EXIT_CHECK_FAILURE
         assert "support: FAIL" in capsys.readouterr().out.splitlines()
+
+    def test_other_schema_is_io_error(self, system_file, tmp_path, capsys):
+        # a file of the former schema is rebuilt, not read
+        tampered = _tampered(system_file, tmp_path,
+                             lambda doc: doc.update(schema="dhws-v1"))
+        code = cli.main(["verify", "--system", tampered])
+        assert code == cli.EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert "'dhws-v1'" in err and "rebuild" in err
+
+    @pytest.mark.parametrize("tamper", [
+        # a sign flip in psi_hat's modulus passes every suite, which read
+        # |psi_hat| only, yet moves evaluate_psi
+        lambda doc: doc["psi_hat"]["modulus"].__setitem__(
+            _nearest_node(doc["psi_hat"], 5.0), -0.5),
+        lambda doc: doc["phi_samples"]["re"].pop(),
+    ], ids=["negative-modulus", "short-samples"])
+    def test_malformed_array_is_io_error(self, system_file, tmp_path, capsys,
+                                         tamper):
+        tampered = _tampered(system_file, tmp_path, tamper)
+        assert cli.main(["verify", "--system", tampered]) == cli.EXIT_IO_ERROR
+        assert "cannot read system file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite, tamper", [
         ("support", lambda doc: _write_spectrum(doc, "phi_hat", 5.0, 1e-6)),
@@ -332,6 +361,7 @@ _BAD_COMMAND_LINES = [
     ("project --system {system} --max-beta -1", 2),
     ("project --system {system} --max-beta 61", 2),
     ("project --system {system} --levels 2000", 1),
+    ("project --system {system} --levels 5..8", 2),
     ("project --system {system} --h nan", 2),
     ("project --system {system} --c inf", 2),
     ("expand --system {system} --window 7,32", 2),

@@ -195,6 +195,13 @@ class TestProjection:
             with pytest.raises(ProjectionError, match="shifts"):
                 sw.project(sw.build_kernel(ws, level=2000), gaussian_samples)
 
+    def test_level_beyond_the_grid_alias_refused(self, ws, gaussian_samples):
+        # spacing 1/64: 2^6 * 4 pi / 3 ~ 268 stays below 2 pi / h ~ 402, and
+        # 2^7 * 4 pi / 3 ~ 536 reaches it
+        sw.project(sw.build_kernel(ws, level=6), gaussian_samples)
+        with pytest.raises(projection.UnresolvedLevelError, match="level 7 aliases"):
+            sw.project(sw.build_kernel(ws, level=7), gaussian_samples)
+
     def test_kernel_and_samples_must_share_dimension(self, ws, gaussian_samples):
         with pytest.raises(ProjectionError, match="dimension"):
             sw.project(sw.build_kernel(ws, dimension=2), gaussian_samples)
@@ -736,6 +743,15 @@ class TestConvergenceExperiment:
         assert rows == sw.mra_convergence_experiment(ws, gaussian_samples,
                                                      (0, 1, 2), params)
         assert pk.truncation_radius == 66
+
+    def test_unresolved_level_refused_before_any_level_runs(self, ws,
+                                                             gaussian_samples,
+                                                             monkeypatch):
+        monkeypatch.setattr(projection, "_project_1d",
+                            lambda *a, **k: pytest.fail("a level ran"))
+        params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
+        with pytest.raises(projection.UnresolvedLevelError, match="level 7"):
+            sw.mra_convergence_experiment(ws, gaussian_samples, (5, 6, 7, 8), params)
 
     def test_csv_export(self, ws, gaussian_samples, tmp_path):
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
