@@ -11,9 +11,10 @@ unknown test function, a range beyond the stored window, or for ``decay
 --target phi`` beyond the phi table, a non-finite ``--rho2``, a grid with
 fewer than two points or more than 2^20, a non-finite or non-positive
 window, ``--h`` or ``--c``, a negative ``--max-beta``, a coefficient window
-or a projection level the grid cannot resolve); 3 an unreadable or corrupt
-system file (one of another schema included), or an output that cannot be
-written.
+the grid cannot resolve, or a projection level the grid cannot carry: one
+its spacing does not resolve, or too deep or too shallow for its window); 3
+an unreadable or corrupt system file (one of another schema included), or
+an output that cannot be written.
 
 Reports are deterministic JSON (sorted keys, round-trip-safe floats);
 timestamps live in a separate "metadata" field so byte comparison of the

@@ -18,7 +18,10 @@ these primitives.  Conventions fixed here once and for all:
   half.  A geometry's set-up (its chirps and the chirp's spectrum) is a
   plan, kept read-only from the geometry's second request on in a ``Kept``
   store (the one byte-budgeted LRU, which also keeps a system's atom
-  blocks), so repeated transforms on the same grids skip it.  Both direct
+  blocks), so repeated transforms on the same grids skip it.  Where the
+  frequency nodes are the bins of a DFT on the grid, real columns take
+  ``real_dft`` and its real inverse ``real_dft_sum`` instead: one ``rfft``
+  or ``irfft`` each, with no plan and no chirp phase.  Both direct
   sums run over uniform nodes and factor them baby-step/giant-step
   (``_direct_sum``), each step table itself the product of two smaller
   ones: about ``4 n^(1/4)`` exponentials a point (38 at the psi hull's
@@ -26,7 +29,7 @@ these primitives.  Conventions fixed here once and for all:
 * tables are read between their nodes by ``NaturalSpline``, the natural
   cubic spline on uniform knots, which is literal zero outside them.
 
-Everything here is numpy: the FFTs are ``numpy.fft`` at the 11-smooth sizes
+Everything here is numpy: the FFTs are ``numpy.fft`` at the smooth sizes
 of ``next_fast_len``.
 
 Synthesized values are complex throughout, even when a quantity is
@@ -447,16 +450,16 @@ def _direct_sum(rows, col0: float, dcol: float, amp, phase) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def next_fast_len(n: int) -> int:
-    """Smallest ``n' >= n`` whose prime factors are all at most 11.
+def next_fast_len(n: int, odd_primes: tuple = (3, 5, 7, 11)) -> int:
+    """Smallest ``n' >= n`` whose odd prime factors are all in ``odd_primes``.
 
-    The FFT lengths ``chirp_synthesis`` pads to: each odd 11-smooth ``q`` up
-    to the power of two that covers ``n``, times the least power of two
-    that lifts it to ``n``.
+    The FFT lengths ``chirp_synthesis`` pads to (11-smooth): each odd
+    smooth ``q`` up to the power of two that covers ``n``, times the least
+    power of two that lifts it to ``n``.
     """
     cover = 1 << max(n - 1, 0).bit_length()
     odd = [1]
-    for p in (3, 5, 7, 11):
+    for p in odd_primes:
         times_p = []
         for q in odd:
             while q <= cover:
@@ -500,7 +503,8 @@ def _chirp_plan(n: int, count: int, xi0: float, dxi: float, x0: float,
 
 
 # Bluestein plans (``chirp_synthesis``); a warm session's projections at
-# levels 0..6 and its 2-D projection keep about 8 MB.  Plans are kept from a
+# levels 0..6, its 2-D projection and its kernel-decay certificate keep 13,
+# about 0.9 MB (the DFT route needs none).  Plans are kept from a
 # geometry's second request on because a cold command asks for most of its
 # geometries once: keeping them from the first request raises the peak RSS
 # of a cold ``build`` from 58 to 65 MB, ``expand --parseval`` from 60 to
@@ -565,6 +569,52 @@ def chirp_synthesis(coeffs, xi0: float, dxi: float, x0: float, dx: float,
         # commutative, and every table keeps the bits it had
         np.multiply(plan.post, b[:, :count], out=out[lo:lo + height])
     return np.moveaxis(out.reshape(c.shape[:-1] + (count,)), -1, 0)
+
+
+def real_dft(values, size: int, count: int) -> np.ndarray:
+    """``out[k] = sum_j values[j] exp(-2 pi i j k / size)``, ``0 <= k < count <= size``.
+
+    The DFT of length ``size`` of real ``values`` (at most ``size`` of them,
+    zero-padded), by one ``rfft``: a bin ``k`` past ``size / 2`` is the
+    conjugate of bin ``size - k``.  Its phases are the FFT's own, exact
+    roots of unity, so it carries no phase rounding that grows with the
+    length.  The sum runs along axis 0, trailing axes carried along, in
+    blocks of about ``_FFT_BLOCK_ENTRIES`` entries as in
+    ``chirp_synthesis``.
+    """
+    v = np.asarray(values, dtype=float)
+    rows = v.reshape(v.shape[0], -1).T  # the FFTs run along the last axis
+    height, half = max(1, _FFT_BLOCK_ENTRIES // size), size // 2
+    out = np.empty((rows.shape[0], count), dtype=complex)
+    for lo in range(0, rows.shape[0], height):
+        bins = np.fft.rfft(rows[lo:lo + height], size)
+        out[lo:lo + height, :half + 1] = bins[:, :count]
+        mirrored = bins[:, size - count + 1:size - half]  # bins size - k, k > size / 2
+        out[lo:lo + height, half + 1:] = np.conj(mirrored[:, ::-1])
+    return out.T.reshape((count,) + v.shape[1:])
+
+
+def real_dft_sum(coeffs, size: int, count: int) -> np.ndarray:
+    """``out[j] = Re sum_k coeffs[k] exp(2 pi i j k / size)``, ``0 <= j < count <= size``.
+
+    The real inverse of ``real_dft``, by one ``irfft`` of length ``size``
+    over at most ``size`` coefficients: a term ``k`` past ``size / 2``
+    joins bin ``size - k`` conjugated, and every bin but 0 and ``size / 2``
+    is halved (exactly), since ``irfft`` counts it twice.  Along axis 0,
+    in blocks of columns.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    rows = c.reshape(c.shape[0], -1).T
+    height, half, terms = max(1, _FFT_BLOCK_ENTRIES // size), size // 2, c.shape[0]
+    out = np.empty((rows.shape[0], count))
+    for lo in range(0, rows.shape[0], height):
+        block = rows[lo:lo + height]
+        bins = np.zeros((block.shape[0], half + 1), dtype=complex)
+        bins[:, :terms] = block[:, :half + 1]
+        bins[:, size - terms + 1:size - half] += np.conj(block[:, half + 1:][:, ::-1])
+        bins[:, 1:(size + 1) // 2] *= 0.5
+        out[lo:lo + height] = np.fft.irfft(bins, size, norm="forward")[:, :count]
+    return out.T.reshape((count,) + c.shape[1:])
 
 
 def synthesize(spec: SpectrumOnBand, x_grid: Grid1D) -> SampledFunction:

@@ -5,26 +5,45 @@ The level-0 kernel is the lattice sum ``q_0(x, y) = sum_k phi(x - k) phi(y - k)`
 2^m y)``.  ``project`` applies ``sum_k <f, phi_{m,k}> phi_{m,k}`` on the
 Fourier side: phi_hat vanishes outside |eta| <= 4 pi / 3, so q_m is a
 2 pi-periodized multiplier of the analytic |phi_hat| (see ``_project_1d``).
-q_m f comes out as its spectrum, one ``chirp_synthesis`` from the samples,
-which ``_on_grid`` sums onto a uniform grid by one more: the samples, and
-the seminorm's derivatives of every order on uniform probes in one pass.
-Along an axis of at most 724 points, a call with at least n columns keeps
-q_m as its real (n, n) matrix (``_projector``), built by the same route, and
-applies it as one real matrix product; other calls take the chirp route.
-The kernel-decay certificate reads q_0 off this route, as the projections
-of point masses, and no spline table is read on it: the alias margin, like
-the kernel's truncation radius and tail bound, comes from the running sup
-of |phi| on the wide table (``_phi_tail``).
+q_m f comes out as its spectrum on uniform nodes, taken from the samples by
+one transform, which ``_on_grid`` sums onto a uniform grid by one more: the
+samples, and the seminorm's derivatives of every order on uniform probes in
+one pass.  Along an axis of at most 724 points, a call with at least n
+columns keeps q_m as its real (n, n) matrix (``_projector``), built by the
+same route from the real identity, and applies it as one real matrix
+product.  The kernel-decay certificate reads q_0 off this route, as the
+projections of point masses, and no spline table is read on it: the alias
+margin, like the kernel's truncation radius and tail bound, comes from the
+running sup of |phi| on the wide table (``_phi_tail``).
 
 phi is real, so q_m maps real samples to real samples.  Samples whose
 imaginary part is exactly zero (every sampled test function, and the
 certificate's point masses) are projected as real arrays: their spectra are
 Hermitian, so ``_project_1d`` transforms them on the nodes zeta >= 0 only,
 ``_on_grid`` sums that half to a real result, and the kept matrix multiplies
-the real parts alone.  Complex samples take the full nodes.  A system whose
-phi decays too slowly for the wide table (rho2 above ``MAX_RHO2`` at a = 1)
-is refused with ``PhiTailError``, and a level whose band ``2^m 4 pi / 3``
-reaches the samples' alias ``2 pi / h`` with ``UnresolvedLevelError``.
+the real parts alone.  Complex samples take the full nodes.
+
+The transforms take one of two routes.  Real samples on a grid whose
+spacing the nodes can match (``2^m h`` a dyadic rational of small
+denominator: ``sample_grid``'s 1/64, say) take the DFT route: ``_eta_nodes``
+lifts the node count ``L`` so that the nodes are the bins of a DFT of
+5-smooth length ``L / (2^m h)`` on the samples' grid (``_dft_size``), and
+both transforms are one real FFT each (``numerics.real_dft`` and
+``real_dft_sum``), exact trapezoid sums with no chirp phase to round.  The
+route is taken only where that length is at most ``_DFT_RATIO`` times the
+chirp route's.  Every other call takes the chirp route, two Bluestein sums
+(``numerics.chirp_synthesis``) on the least ``L``: complex samples, the
+certificate's point masses, the derivative pass onto the seminorm's probes,
+level 0 of the reference grid, and any grid of another spacing.  On
+``project``'s default input the DFT route takes levels 1..6, where the sup
+error at levels 3..6 is 3e-16 to 4e-16; the chirp route's phases left 1.7e-13
+to 2.5e-13 there.
+
+A system whose phi decays too slowly for the wide table (rho2 above
+``MAX_RHO2`` at a = 1) is refused with ``PhiTailError``, and a level the
+grid cannot carry (its band ``2^m 4 pi / 3`` reaches the samples' alias
+``2 pi / h``, or its window spans too many shifts or too few) with
+``UnresolvedLevelError``.
 """
 
 from __future__ import annotations
@@ -71,9 +90,11 @@ class PhiTailError(ProjectionError):
 
 
 class UnresolvedLevelError(ProjectionError):
-    """A level whose band ``2^m 4 pi / 3`` reaches the samples' alias at
-    ``2 pi / h`` (``construction.resolves``): a level the grid cannot
-    carry, not a failed check."""
+    """A level the samples' grid cannot carry, not a failed check: its band
+    ``2^m 4 pi / 3`` reaches their alias at ``2 pi / h``
+    (``construction.resolves``), or its window spans more shifts or needs
+    more eta nodes than ``_MAX_NODES``, or spans less than one shift
+    (``_eta_nodes``)."""
 
 
 def _phi_tail(ws: WaveletSystem) -> tuple[np.ndarray, int, float]:
@@ -139,19 +160,32 @@ def build_kernel(ws: WaveletSystem, level: int = 0,
 # projection
 # ---------------------------------------------------------------------------
 
+class _Bins(NamedTuple):
+    """Nodes that are DFT bins of the grid the samples lie on: ``zeta_k = 2
+    pi k / (size h)`` on ``grid`` (origin x0, spacing h), with ``phase[k] =
+    exp(-i zeta_k x0)``."""
+
+    grid: Grid1D
+    size: int
+    phase: np.ndarray
+
+
 class Spectrum(NamedTuple):
     """q_m f as ``_project_1d`` returns it: Q on the nodes ``zeta``, along
     axis 0 of ``values``.  A ``half`` spectrum is the Hermitian half of a
     real function's, on the nodes ``zeta >= 0`` only: ``Q(-zeta) = conj
-    Q(zeta)`` gives the rest."""
+    Q(zeta)`` gives the rest.  ``bins`` is set where the nodes are DFT bins
+    of the samples' grid (``_dft_size``), so that ``_on_grid`` sums the
+    spectrum back onto that grid by one real FFT."""
 
     zeta: Grid1D
     values: np.ndarray
     half: bool
+    bins: _Bins | None = None
 
 
 def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
-                probes=()) -> Spectrum:
+                probes=(), nodes=None) -> Spectrum:
     """q_m along axis 0 of ``values``, as a spectrum.
 
     phi_hat = exp(i eta) |phi_hat| vanishes outside |eta| <= 4 pi / 3, so q_m
@@ -164,38 +198,50 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
 
     The eta nodes are symmetric about 0 with spacing ``2 pi / L``, ``L`` an
     integer, so ``eta +- 2 pi`` are the nodes ``L`` places away and the sum
-    over ``l`` is two shifted adds.  ``f_hat(zeta) = F(-zeta)`` is
-    ``_weighted_transform`` read backwards; the spectrum holds Q on the
-    nodes ``zeta = 2^m eta``.
+    over ``l`` is two shifted adds.  The spectrum holds Q on the nodes
+    ``zeta = 2^m eta``.
 
     A real array ``values`` (real samples, or real point masses) gives a
-    ``half`` spectrum: ``f_hat(-zeta) = conj f_hat(zeta)``, so F is taken on
-    the nodes ``eta >= 0`` alone and conjugated.  There the term ``l = 1``
-    lies beyond the band, and the term ``l = -1`` at eta is the conjugate of
-    the node ``L`` places before the mirror of eta.  Q is smooth and
-    vanishes at the band ends, so
-    summing q_m f from the nodes errs only by aliasing: a read at x picks up
-    q_m f at ``x + r L / 2^m``, r != 0.  ``L`` is therefore the first
-    integer above ``span + margin``: ``span`` bounds ``2^m |x - x_j|`` over
-    x on the grid and at ``probes`` and ``x_j`` on the grid, and ``margin``
-    is where the running sup of |phi| drops below ``_ALIAS_TARGET``
-    (``_phi_tail``).
+    ``half`` spectrum: ``f_hat(-zeta) = conj f_hat(zeta)``, so f_hat is
+    taken on the nodes ``eta >= 0`` alone.  There the term ``l = 1`` lies
+    beyond the band, and the term ``l = -1`` at eta is the conjugate of the
+    node ``L`` places before the mirror of eta.  Q is smooth and vanishes at
+    the band ends, so summing q_m f from the nodes errs only by aliasing: a
+    read at x picks up q_m f at ``x + r L / 2^m``, r != 0.  ``L`` is
+    therefore at least the first integer above ``span + margin``: ``span``
+    bounds ``2^m |x - x_j|`` over x on the grid and at ``probes`` and
+    ``x_j`` on the grid, and ``margin`` is where the running sup of |phi|
+    drops below ``_ALIAS_TARGET`` (``_phi_tail``).
+
+    f_hat takes one of two routes (``_eta_nodes`` picks it).  Where the
+    nodes are the bins of a DFT of length ``size`` on the grid (``zeta_k =
+    2 pi k / (size h)``, ``_dft_size``), ``f_hat(zeta_k) = exp(-i zeta_k
+    x0) real_dft(w f)[k]``: the trapezoid sums exactly, with no chirp phase.
+    Every other call, complex samples included, sums ``_weighted_transform``
+    read backwards.
+
     Trailing axes of ``values`` are carried along, so a 2-D array is
-    projected along its first axis in one pass.  A level whose window spans
-    more than ``_MAX_NODES`` shifts, or that needs more eta nodes, raises
-    ``ProjectionError`` before anything of that size is allocated, and
-    before any float overflows.  A level the grid does not resolve
-    (``construction.resolves``: ``2^m 4 pi / 3 < 2 pi / h``) raises
-    ``UnresolvedLevelError``.
+    projected along its first axis in one pass.  ``nodes`` is
+    ``_eta_nodes``'s result for these arguments, if the caller has it.  A
+    level ``_eta_nodes`` refuses raises ``UnresolvedLevelError`` before
+    anything of its size is allocated, and before any float overflows.
     """
     m = pk.level
     half = np.isrealobj(values)
-    L, eta = _eta_nodes(pk, grid, probes, half)
+    L, eta, size = nodes or _eta_nodes(pk, grid, probes, half)
     zeta = Grid1D(np.ldexp(eta.origin, m), np.ldexp(eta.spacing, m), eta.count)
+    column = (-1,) + (1,) * (np.ndim(values) - 1)
     modulus = _kept(pk, eta, "modulus", lambda: scaling_modulus(
-        pk.ws.bell, eta.points())).reshape((-1,) + (1,) * (np.ndim(values) - 1))
-    g = _weighted_transform(grid, values, zeta)
-    g = np.conjugate(g, out=g) if half else g[::-1]
+        pk.ws.bell, eta.points())).reshape(column)
+    bins = None
+    if size:
+        bins = _Bins(grid, size, _kept(pk, (eta, grid), "phase",
+                                       lambda: _dft_phase(grid, size, eta.count)))
+        g = numerics.real_dft((values.T * grid.trapezoid_weights()).T, size, eta.count)
+        g *= bins.phase.reshape(column)
+    else:
+        g = _weighted_transform(grid, values, zeta)
+        g = np.conjugate(g, out=g) if half else g[::-1]
     g *= modulus  # in place: the transform is a fresh array
     qhat = g.copy()
     if half:  # eta_i - 2 pi = -eta_(L - i), where g is conj g[L - i]
@@ -205,40 +251,94 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
         qhat[:-L] += g[L:]
         qhat[L:] += g[:-L]
     qhat *= modulus
-    return Spectrum(zeta, qhat, half)
+    return Spectrum(zeta, qhat, half, bins)
+
+
+# The DFT route's longest length, as a multiple of the length the chirp
+# route's FFTs pad to.  Measured per level (``_project_1d`` and ``_on_grid``
+# with kept chirp plans, one thread): the routes break even near 4, from
+# 3.1 to 4.3 over grids of 129 to 5,121 points; level 0 of the reference
+# grid, at 5.6, is 1.4 times faster by chirp.  5-smooth lengths ran 10-20%
+# faster than the 11-smooth ones between them (8,640 against 8,400)
+_DFT_RATIO = 4
+_DFT_PRIMES = (3, 5)
 
 
 def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=(),
-               half: bool = False) -> tuple[int, Grid1D]:
-    """(L, eta) of ``_project_1d``, or ``ProjectionError`` for a level it
-    refuses; with ``half``, only the nodes ``eta >= 0``.  Both forms refuse
-    the same levels."""
+               half: bool = False) -> tuple[int, Grid1D, int]:
+    """(L, eta, size) of ``_project_1d``; with ``half``, only the nodes
+    ``eta >= 0``, and ``size`` the length of the DFT whose bins they are
+    (``_dft_size``), else 0.
+
+    A level is refused with ``UnresolvedLevelError`` when its window spans
+    more than ``_MAX_NODES`` shifts, or needs more eta nodes, or spans less
+    than one shift, or when the grid does not resolve it
+    (``construction.resolves``: ``2^m 4 pi / 3 < 2 pi / h``).  Each guard
+    runs before anything of the level's size is allocated, and the first
+    before any float overflows.  Both forms refuse the same levels.
+    """
     m = pk.level
     if m > np.log2(_MAX_NODES / grid.extent):  # 2^m extent shifts at least
-        raise ProjectionError(f"level {m} needs more than {_MAX_NODES} shifts "
-                              f"on this window")
+        raise UnresolvedLevelError(f"level {m} needs more than {_MAX_NODES} "
+                                   f"shifts on this window")
     if np.ldexp(grid.extent, m) < 1.0:
-        raise ProjectionError("window too small for level shifts")
+        raise UnresolvedLevelError("window too small for level shifts")
     reach = np.concatenate([[grid.origin, grid.last], np.ravel(probes)])
     span = np.ldexp(max(reach.max() - grid.origin, grid.last - reach.min()), m)
-    L = np.ceil(span + _phi_tail(pk.ws)[2])
-    top = np.ceil(2.0 * L / 3.0)  # spacings from 0 to the band end 4 pi / 3
+    L = int(np.ceil(span + _phi_tail(pk.ws)[2]))
+    top = -(-2 * L // 3)  # spacings from 0 to the band end 4 pi / 3
     if not 2 * top + 1 <= _MAX_NODES:
-        raise ProjectionError(f"level {m} needs {2 * top + 1:.3g} eta nodes on "
-                              f"this window, more than {_MAX_NODES}")
+        raise UnresolvedLevelError(f"level {m} needs {2 * top + 1:.3g} eta nodes "
+                                   f"on this window, more than {_MAX_NODES}")
     if not resolves(PHI_BAND[1], m, grid.spacing):
         raise UnresolvedLevelError(
             f"level {m} aliases on a grid of spacing {grid.spacing:g}: needs "
             f"2^m * h * {PHI_BAND[1]:.4f} < 2 pi")
-    L, top = int(L), int(top)
-    if half:
-        return L, Grid1D(0.0, 2 * np.pi / L, top + 1)
-    return L, Grid1D(-top * (2 * np.pi / L), 2 * np.pi / L, 2 * top + 1)
+    if not half:
+        return L, Grid1D(-top * (2 * np.pi / L), 2 * np.pi / L, 2 * top + 1), 0
+    L, size = _dft_size(m, grid, L)
+    return L, Grid1D(0.0, 2 * np.pi / L, -(-2 * L // 3) + 1), size
 
 
-def _kept(pk: ProjectionKernel, grid: Grid1D, name: str, make):
-    """The system's kept ``name`` of level ``pk.level`` on ``grid``
-    (``ws._blocks``), read-only, else ``make()``.
+def _dft_size(m: int, grid: Grid1D, L: int) -> tuple[int, int]:
+    """(L, size) of the DFT route for half nodes of at least ``L`` spacings
+    per 2 pi, else ``(L, 0)``.
+
+    With ``2^m h = a / b`` in lowest terms, the nodes ``2 pi k / L'`` are
+    the bins ``zeta_k = 2 pi k / (size h)`` of a DFT of length ``size = b t``
+    when ``L' = a t``; ``t`` is the least 5-smooth integer (``_DFT_PRIMES``)
+    with ``a t >= L``.  The route is taken when its nodes fit within
+    ``size`` and ``_MAX_NODES``, and ``size`` is at most ``_DFT_RATIO``
+    times the length the chirp route pads to.  A grid whose spacing is no
+    dyadic rational of small denominator (2/99, say) gets a ``size`` far
+    past that, and keeps the chirp route.
+    """
+    a, b = float(np.ldexp(grid.spacing, m)).as_integer_ratio()
+    if a > L:  # L' would be a multiple of a, past what L asks for
+        return L, 0
+    t = numerics.next_fast_len(-(-L // a), _DFT_PRIMES)
+    top, size = -(-2 * a * t // 3), b * t
+    chirp = numerics.next_fast_len(grid.count + -(-2 * L // 3))
+    if top < size and 2 * top + 1 <= _MAX_NODES and size <= _DFT_RATIO * chirp:
+        return a * t, size
+    return L, 0
+
+
+def _dft_phase(grid: Grid1D, size: int, count: int) -> np.ndarray:
+    """``exp(-i zeta_k x0)`` at the bins ``zeta_k = 2 pi k / (size h)``, ``0
+    <= k < count``: the angle ``2 pi k t / size``, ``t = x0 / h``, reduced
+    modulo ``2 pi`` in integers for the whole part of t."""
+    t = grid.origin / grid.spacing
+    whole = round(t)
+    k = np.arange(count)
+    turns = k * (whole % size) % size + k * (t - whole)
+    return np.exp(turns * (-2j * np.pi / size))
+
+
+def _kept(pk: ProjectionKernel, grid, name: str, make):
+    """The system's kept ``name`` of level ``pk.level`` on ``grid`` (a grid,
+    or a tuple of the grids it depends on), read-only, from ``ws._blocks``,
+    else ``make()``.
 
     The key holds ``scaling_modulus`` and the bell as this call reads them,
     so a replaced modulus or bell misses, as a replaced evaluator misses
@@ -270,12 +370,19 @@ def _on_grid(spectrum: Spectrum, grid: Grid1D) -> np.ndarray:
     Q vanishes at the band ends, so every node takes the full spacing.  A
     ``half`` spectrum sums to the real array ``(1/2 pi) Re sum_l w_l Q_l
     exp(i zeta_l x) dzeta``, with ``w = 1`` at ``zeta = 0`` and 2 at every
-    other node, which stands for its mirror too.
+    other node, which stands for its mirror too.  On the grid whose DFT
+    bins the nodes are (``Spectrum.bins``) that sum is one
+    ``numerics.real_dft_sum`` of ``w_l Q_l exp(i zeta_l x0)``, nodes past
+    half the length folded onto their mirrors; onto any other grid it is one
+    ``chirp_synthesis``.
     """
-    zeta, qhat, half = spectrum
+    zeta, qhat, half, bins = spectrum
     amp = qhat * (zeta.spacing / (2.0 * np.pi))
     if half:
         amp[1:] *= 2.0
+    if bins is not None and bins.grid == grid:
+        amp *= np.conj(bins.phase).reshape((-1,) + (1,) * (amp.ndim - 1))
+        return numerics.real_dft_sum(amp, bins.size, grid.count)
     out = numerics.chirp_synthesis(amp, zeta.origin, zeta.spacing, grid.origin,
                                    grid.spacing, grid.count)
     return out.real if half else out
@@ -284,25 +391,25 @@ def _on_grid(spectrum: Spectrum, grid: Grid1D) -> np.ndarray:
 def _projector(pk: ProjectionKernel, grid: Grid1D, columns: int):
     """q_m along one axis of ``grid`` as its kept real (n, n) matrix, or None.
 
-    Column j is q_m of the j-th unit vector, by the chirp route on all the
-    nodes (a complex identity).  phi is real, so q_m is too: the matrix
-    keeps the real part of that complex result (its imaginary part is the
-    chirp's rounding, below 2e-14 of the largest entry), a contiguous
-    float64 array of ``8 n^2`` bytes.  Only a
-    call that carries at least n columns uses it, and only when the build's
-    complex ``16 n^2`` bytes fit the system's block store (n <= 724 at 32
-    MiB): such a call builds it with one chirp pass over n columns, and its
-    repeats on the same grid and level read it.  Every other call takes the
-    chirp route, so its result does not depend on what the store holds.
+    Column j is q_m of the j-th unit vector, by the real route of
+    ``_project_1d`` and ``_on_grid`` (a real identity, Hermitian half
+    spectra, and the DFT route where ``_eta_nodes`` takes it), a contiguous
+    float64 array of ``8 n^2`` bytes.  Only a call that carries at least n
+    columns uses it, and only when ``16 n^2`` bytes fit the system's block
+    store (n <= 724 at 32 MiB): such a call builds it with one pass over n
+    columns, and its repeats on the same grid and level read it.  Every
+    other call takes the route of ``_project_1d``, so its result does not
+    depend on what the store holds.
     """
     n = grid.count
     if columns < n or not pk.ws._blocks.fits(16 * n * n):
         return None
 
     def make():
-        _eta_nodes(pk, grid)  # refuses a level before the identity is allocated
-        identity = np.eye(n, dtype=complex)
-        return np.ascontiguousarray(_on_grid(_project_1d(pk, grid, identity), grid).real)
+        # refuses a level before the identity is allocated
+        nodes = _eta_nodes(pk, grid, half=True)
+        return np.ascontiguousarray(_on_grid(_project_1d(pk, grid, np.eye(n), (), nodes),
+                                             grid))
 
     return _kept(pk, grid, "projector", make)
 
@@ -370,7 +477,7 @@ def kernel_decay_certificate(pk: ProjectionKernel) -> DecayFit:
     masses = Grid1D(0.0, 1.0 / _DECAY_PROBES, _DECAY_PROBES + 1)
     values = np.eye(masses.count, _DECAY_PROBES) / masses.trapezoid_weights()[:, None]
     spectrum = _project_1d(pk, masses, values, _DECAY_U_MAX + 1.0)
-    zeta, qhat, _ = spectrum
+    zeta, qhat = spectrum[:2]
     qhat *= np.exp(1j * np.outer(zeta.points(), masses.points()[:-1]))
     u = np.arange(int(_DECAY_U_MAX * _DECAY_PER_UNIT) + 2) / _DECAY_PER_UNIT
     reads = _on_grid(spectrum, Grid1D(0.0, 1.0 / _DECAY_PER_UNIT, u.size))
@@ -421,13 +528,12 @@ def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
     values = numerics.real_if_real(f.values)
     probes = _SEMINORM_PROBES.points()
     kernels = [build_kernel(ws, level=m, dimension=1) for m in levels]
-    for pk in kernels:
-        _eta_nodes(pk, grid, probes)
+    nodes = [_eta_nodes(pk, grid, probes, np.isrealobj(values)) for pk in kernels]
     bmass = _warn_boundary_mass(f)
     rows = []
-    for pk in kernels:
+    for pk, level_nodes in zip(kernels, nodes):
         m = pk.level
-        spectrum = _project_1d(pk, grid, values, probes)
+        spectrum = _project_1d(pk, grid, values, probes, level_nodes)
         sup_err = float(np.max(np.abs(_on_grid(spectrum, grid) - values)))
         # derivatives of q_m f are (i zeta)^beta factors on its spectrum,
         # each order the last one times i zeta

@@ -353,14 +353,14 @@ _BAD_COMMAND_LINES = [
     ("project --system {system} --levels 0..2 --window 0.001", 2),
     ("project --system {system} --window -3", 2),
     ("project --system {system} --levels 3..1", 2),
-    ("project --system {system} --levels 40", 1),
-    ("project --system {system} --levels 20", 1),
+    ("project --system {system} --levels 40", 2),
+    ("project --system {system} --levels 20", 2),
     ("project --system {system} --window nan", 2),
     ("project --system {system} --window inf", 2),
     ("project --system {system} --window 1e300", 2),
     ("project --system {system} --max-beta -1", 2),
     ("project --system {system} --max-beta 61", 2),
-    ("project --system {system} --levels 2000", 1),
+    ("project --system {system} --levels 2000", 2),
     ("project --system {system} --levels 5..8", 2),
     ("project --system {system} --h nan", 2),
     ("project --system {system} --c inf", 2),

@@ -714,8 +714,8 @@ class TestNaturalSpline:
         assert peak < 16 * 2 ** 20
 
 
-def _eleven_smooth(m):
-    for p in (2, 3, 5, 7, 11):
+def _eleven_smooth(m, primes=(2, 3, 5, 7, 11)):
+    for p in primes:
         while m % p == 0:
             m //= p
     return m == 1
@@ -725,3 +725,47 @@ def test_next_fast_len_is_the_least_eleven_smooth_size():
     for n in range(1, 5001):
         want = next(m for m in range(n, 2 * n + 1) if _eleven_smooth(m))
         assert numerics.next_fast_len(n) == want, n
+
+
+def test_next_fast_len_takes_its_odd_primes():
+    for n in range(1, 3001):
+        want = next(m for m in range(n, 2 * n + 1) if _eleven_smooth(m, (2, 3, 5)))
+        assert numerics.next_fast_len(n, (3, 5)) == want, n
+
+
+class TestRealDft:
+    """``real_dft`` and ``real_dft_sum`` against the DFT sums they stand for,
+    written out as matrices whose phases are reduced in integers."""
+
+    @staticmethod
+    def _matrix(size, rows, cols, sign):
+        turns = np.outer(np.arange(rows), np.arange(cols)) % size
+        return np.exp(sign * 2j * np.pi * turns / size)
+
+    @pytest.mark.parametrize("size, count", [(64, 20), (64, 33), (64, 50), (63, 50), (45, 45)],
+                             ids=["low-bins", "to-nyquist", "past-nyquist", "odd", "all-bins"])
+    @pytest.mark.parametrize("shape", [(40,), (40, 3), (40, 3, 2)],
+                             ids=["1-axis", "2-axis", "3-axis"])
+    def test_bins_and_sums_match_the_dft(self, size, count, shape):
+        rng = np.random.default_rng(size + count)
+        values = rng.standard_normal(shape)
+        rows = values.reshape(shape[0], -1)
+        got = numerics.real_dft(values, size, count)
+        want = self._matrix(size, count, shape[0], -1) @ rows
+        assert got.shape == (count,) + shape[1:]
+        assert np.abs(got.reshape(count, -1) - want).max() < 1e-13
+        coeffs = _random_coeffs((count,) + shape[1:])
+        got = numerics.real_dft_sum(coeffs, size, shape[0])
+        want = (self._matrix(size, shape[0], count, 1) @ coeffs.reshape(count, -1)).real
+        assert got.shape == shape and got.dtype == np.float64
+        assert np.abs(got.reshape(shape[0], -1) - want).max() < 1e-13
+
+    def test_blocks_give_each_column_its_own_bits(self, monkeypatch):
+        # 5 columns in blocks of 2: every column as it would be alone
+        values = np.random.default_rng(3).standard_normal((40, 5))
+        monkeypatch.setattr(numerics, "_FFT_BLOCK_ENTRIES", 2 * 64)
+        bins = numerics.real_dft(values, 64, 50)
+        sums = numerics.real_dft_sum(bins, 64, 40)
+        for j in range(5):
+            np.testing.assert_array_equal(bins[:, j], numerics.real_dft(values[:, j], 64, 50))
+            np.testing.assert_array_equal(sums[:, j], numerics.real_dft_sum(bins[:, j], 64, 40))

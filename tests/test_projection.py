@@ -18,7 +18,7 @@ import pytest
 import subexp_wavelets as sw
 from subexp_wavelets import construction, metrics, numerics, projection
 from subexp_wavelets.projection import ProjectionError
-from subexp_wavelets.testfuncs import gaussian, sample
+from subexp_wavelets.testfuncs import gaussian, gevrey_band, sample
 
 
 @pytest.fixture(scope="module")
@@ -358,12 +358,15 @@ class TestKeptProjector:
 
     @pytest.fixture
     def chirps(self, ws, monkeypatch):
-        """The engine's calls from here on, after ``ws`` has built its wide
-        phi table (``_phi_tail``), which its copies share."""
+        """The transforms of both routes from here on (chirp-z sums, and the
+        real DFTs and their sums), after ``ws`` has built its wide phi table
+        (``_phi_tail``), which its copies share."""
         projection._phi_tail(ws)
-        chirp, calls = numerics.chirp_synthesis, []
-        monkeypatch.setattr(numerics, "chirp_synthesis",
-                            lambda *args: calls.append(args) or chirp(*args))
+        calls = []
+        for name in ("chirp_synthesis", "real_dft", "real_dft_sum"):
+            engine = getattr(numerics, name)
+            monkeypatch.setattr(numerics, name, lambda *args, engine=engine: (
+                calls.append(args) or engine(*args)))
         return calls
 
     def _square(self, grid=GRID):
@@ -485,7 +488,7 @@ class TestKeptProjector:
 def _full(spectrum):
     """(zeta, Q) of a ``_project_1d`` spectrum on all its nodes: a Hermitian
     half is mirrored to zeta < 0 by ``Q(-zeta) = conj Q(zeta)``."""
-    zeta, qhat, half = spectrum
+    zeta, qhat, half = spectrum[:3]
     if not half:
         return zeta, qhat
     nodes = sw.Grid1D(-zeta.last, zeta.spacing, 2 * zeta.count - 1)
@@ -606,19 +609,26 @@ class TestChirpRoute:
     def test_low_band_is_reproduced(self, ws, inputs, routes):
         # V_m contains every function band-limited to 2^m 2 pi / 3, and
         # (q_m f)^ vanishes beyond 2^m 4 pi / 3.  Every low-band node against
-        # the direct sum, to the rounding of the chirp's phases, which reach
-        # the grid extent times the band (1.5e-12 of sum |w f| at m = 6)
+        # the direct sum: on the chirp route to the rounding of its phases,
+        # which reach the grid extent times the band (1.5e-12 of sum |w f|
+        # at m = 6); on the DFT route (real samples at m >= 1), which has no
+        # such phases, to a flat 1e-14 (measured: 1.1e-15)
         _, out = routes
         for kind, m in product(self.KINDS, self.LEVELS):
             f = sw.SampledFunction(self.GRID, inputs[kind])
             scale = np.sum(np.abs(f.values) * self.GRID.trapezoid_weights())
             zeta, qhat = _full(out[kind, m])
             nodes = zeta.points()
+            if out[kind, m].half:  # mirrored exactly: -zeta.last + i dzeta
+                half = out[kind, m].zeta.points()  # is off by up to 3e-14
+                nodes = np.concatenate([-half[:0:-1], half])
             band = 2.0 ** m * 4 * np.pi / 3
             assert qhat[0] == qhat[-1] == 0  # the nodes cover the band
             low = np.abs(nodes) <= band / 2
             want = sw.forward_transform_values(f, nodes[low])
-            rounding = np.finfo(float).eps * self.GRID.extent * band
+            dft = out[kind, m].bins is not None
+            assert dft == (kind == "real" and m >= 1)
+            rounding = 1e-14 if dft else np.finfo(float).eps * self.GRID.extent * band
             assert np.max(np.abs(qhat[low] - want)) < rounding * scale
             assert np.all(qhat[np.abs(nodes) >= band] == 0)
 
@@ -638,6 +648,82 @@ class TestChirpRoute:
                                for beta in range(params.max_beta + 1)]
                 want = sw.seminorm_estimate(derivatives, params, probes)
                 assert abs(row["seminorm"] - want) <= 1e-12 * want
+
+
+class TestDftRoute:
+    """Real samples on a grid whose spacing the eta nodes can match take the
+    DFT route (``_dft_size``): f_hat on the nodes is one real FFT of the
+    weighted samples, and q_m f on the grid one more.  Every other caller
+    keeps the chirp route and the node count ``L`` it always had, which is
+    the full nodes' ``L``."""
+
+    GRID = sw.Grid1D.from_interval(-40.0, 40.0, 5121)  # ``sample_grid(40)``
+    INPUTS = {"gaussian": gaussian(0.3, 1.4),
+              "gevrey-band": gevrey_band(np.pi, 2 * np.pi)}
+
+    @pytest.fixture
+    def no_dft(self, monkeypatch):
+        for name in ("real_dft", "real_dft_sum"):
+            monkeypatch.setattr(numerics, name,
+                                lambda *a, name=name: pytest.fail(f"{name} called"))
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_low_band_nodes_match_direct_and_chirp_sums(self, ws, name):
+        # against the direct sum at 1e-14 sum |w f| (measured: up to 2.7e-15),
+        # and against the chirp-z sum on the same nodes at the chirp's floor
+        f = sample(self.INPUTS[name], self.GRID)
+        values = f.values.real
+        scale = np.sum(np.abs(values) * self.GRID.trapezoid_weights())
+        for m in range(1, 7):
+            spectrum = projection._project_1d(sw.build_kernel(ws, level=m), self.GRID, values)
+            assert spectrum.half and spectrum.bins is not None
+            nodes = spectrum.zeta.points()
+            band = 2.0 ** m * 4 * np.pi / 3
+            low = nodes <= band / 2
+            got = spectrum.values[low]
+            direct = sw.forward_transform_values(f, nodes[low])
+            assert np.max(np.abs(got - direct)) <= 1e-14 * scale
+            chirp = np.conj(projection._weighted_transform(self.GRID, values, spectrum.zeta))
+            floor = np.finfo(float).eps * self.GRID.extent * band
+            assert np.max(np.abs(got - chirp[low])) <= floor * scale
+
+    def _same_nodes_as_full(self, ws, grid, levels, probes=()):
+        for m in levels:
+            pk = sw.build_kernel(ws, level=m)
+            half = projection._eta_nodes(pk, grid, probes, half=True)
+            full = projection._eta_nodes(pk, grid, probes, half=False)
+            assert half[2] == full[2] == 0 and half[0] == full[0]
+
+    def test_complex_samples_keep_the_chirp_route(self, ws, no_dft):
+        x = self.GRID.points()
+        f = sw.SampledFunction(self.GRID, gaussian(0.3, 1.4)(x) * np.exp(0.5j * x))
+        for m in range(7):
+            spectrum = projection._project_1d(sw.build_kernel(ws, level=m), self.GRID, f.values)
+            assert not spectrum.half and spectrum.bins is None
+            assert np.iscomplexobj(sw.project(sw.build_kernel(ws, level=m), f).values)
+
+    def test_kernel_decay_certificate_keeps_the_chirp_route(self, ws, pk, no_dft):
+        masses = sw.Grid1D(0.0, 1.0 / 16, 17)
+        self._same_nodes_as_full(ws, masses, (0,), 21.0)
+        assert sw.kernel_decay_certificate(pk).r_squared > 0.95
+
+    def test_grid_of_no_dyadic_spacing_keeps_the_chirp_route(self, ws, no_dft):
+        grid = sw.Grid1D(-6.0, 2.0 / 99, 600)
+        self._same_nodes_as_full(ws, grid, range(4))
+        f = sample(gaussian(), grid)
+        for m in range(4):
+            assert not sw.project(sw.build_kernel(ws, level=m), f).values.imag.any()
+
+    def test_project_error_floor_on_the_default_input(self, ws):
+        # project's default input, e^{-x^2} on [-40, 40]: no chirp phase is
+        # left to round at levels 3..6 (2.5e-13 on the chirp route)
+        f = sample(gaussian(), construction.sample_grid(40.0))
+        params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
+        rows = sw.mra_convergence_experiment(ws, f, range(3, 7), params)
+        assert all(row["sup_error"] <= 1e-14 for row in rows)
+        for m in range(3, 7):
+            q = sw.project(sw.build_kernel(ws, level=m), f).values
+            assert np.max(np.abs(q - f.values)) <= 1e-14
 
 
 class TestCertificates:
@@ -752,6 +838,15 @@ class TestConvergenceExperiment:
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
         with pytest.raises(projection.UnresolvedLevelError, match="level 7"):
             sw.mra_convergence_experiment(ws, gaussian_samples, (5, 6, 7, 8), params)
+
+    def test_levels_take_their_nodes_once(self, ws, gaussian_samples, monkeypatch):
+        # the pre-check's nodes are the ones each level projects on
+        eta_nodes, calls = projection._eta_nodes, []
+        monkeypatch.setattr(projection, "_eta_nodes",
+                            lambda pk, *a: calls.append(pk.level) or eta_nodes(pk, *a))
+        params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
+        sw.mra_convergence_experiment(ws, gaussian_samples, (0, 1, 2, 3), params)
+        assert calls == [0, 1, 2, 3]
 
     def test_csv_export(self, ws, gaussian_samples, tmp_path):
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
