@@ -19,10 +19,11 @@ scattered points use the baby-step/giant-step direct sum
 kernels) the system carries lazily built dense tables read by the natural
 cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11 and itself built
 on its first read.  ``atom_values`` reads dilated, shifted psi and phi, no
-derivative, and the system keeps every atom block it reads on a uniform
-grid in one ``numerics.Kept`` store: the blocks of expansion and of two
-build certificates (``_axis_block``), each either a window of one kept row
-or a kept per-shift block.
+derivative.  An atom block on a uniform grid (``_axis_block``, read by
+expansion and two build certificates) is the spline's own two rows where
+each knot interval holds four or more samples, and otherwise a block the
+system keeps in one ``numerics.Kept`` store: a window of one kept row or a
+kept per-shift block.
 
 Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
@@ -72,8 +73,10 @@ MAX_SAMPLES = 2 ** 20
 _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
 # bytes of atom blocks a system keeps (``_axis_block``), with projection's
 # kept matrices and |phi_hat| nodes; the (6, 32) window on expand's
-# 20,481-point grid takes 10.5 MB, the two-scale and low-pass certificates
-# about 0.6 MB, and a (real) q_m matrix on 321 points 0.8 MB
+# 20,481-point grid keeps 2.0 MB of rows at m = -2..6 (m = -6..-3 read the
+# spline's rows, where the rows would take 8.5 MB more), the two-scale and
+# low-pass certificates about 0.6 MB, and a (real) q_m matrix on 321 points
+# 0.8 MB
 _BLOCK_BYTES = 32 * 2 ** 20
 
 
@@ -345,23 +348,28 @@ def _read_grid_dict(d: dict, part: str) -> tuple[Grid1D, np.ndarray]:
 
 def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis: Grid1D):
     """(B, geometry): rows ``k`` = shift ``-N + k`` of one axis's scale-m atom
-    factor on a grid, and how B lies in a kept row.
+    factor on a grid, and how B lies in the rows it reads.
 
-    The system keeps what it evaluates (``ws._blocks``), read-only, under
-    the evaluator (the object ``interpolator`` returns), ``m``, the grid
-    and ``N``, so a replaced or wrapped evaluator misses.  Shift n
-    moves the atom by n s samples, s = 2^-m / h.  When s is a whole number
-    below the count, the kept value is one row on the grid extended by N s
-    samples at each end, and B a read-only strided view of windows of it:
-    row k starts at sample ``(2N - k) s``.  Then ``geometry`` is
+    Where each knot interval of the spline holds r >= 4 samples, B is the
+    spline's own two rows (``_knot_windows``) and nothing is evaluated or
+    kept.  Otherwise the system keeps what it evaluates (``ws._blocks``),
+    read-only, under the evaluator (the object ``interpolator`` returns),
+    ``m``, the grid and ``N``, so a replaced or wrapped evaluator misses.
+    Shift n moves the atom by n s samples, s = 2^-m / h.  When s is a whole
+    number below the count, the kept value is one row on the grid extended
+    by N s samples at each end, and B a read-only strided view of windows of
+    it: row k starts at sample ``(2N - k) s``.  Then ``geometry`` is
     ``(s, (a, b))``: samples ``a <= i < b`` of the kept row are the only
     ones that can be nonzero, since sample i sits at ``2^m x = 2^m origin +
     (i - N s) / s`` and the dense-table evaluator reads 0 beyond
     +-TABLE_HALF (one sample more at each end absorbs rounding).  For any
     other s, B itself is kept and ``geometry`` is None.
     """
-    ns = np.arange(-N, N + 1)[:, None]
     f = ws.interpolator("psi" if bit else "phi")
+    moments = _knot_windows(f, m, N, axis)
+    if moments is not None:
+        return moments
+    ns = np.arange(-N, N + 1)[:, None]
     s = np.ldexp(1.0, -m) / axis.spacing
     s = int(s) if s.is_integer() and s < axis.count else 0  # 0: no windows
 
@@ -378,6 +386,45 @@ def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis: Grid1D):
     span = (max(int(np.floor(centre - TABLE_HALF * s)) - 1, 0),
             min(int(np.ceil(centre + TABLE_HALF * s)) + 2, kept.size))
     return sliding_window_view(kept, axis.count)[2 * N * s::-s], (s, span)
+
+
+def _knot_windows(f, m: int, N: int, axis: Grid1D):
+    """((Y, K), (t, span, W, count)): the scale-m atom block of the spline f
+    on ``axis`` as the spline's own rows, or None where they do not serve.
+
+    They serve when f is a ``NaturalSpline`` (a wrapped or replaced
+    evaluator has no rows to read), each knot interval holds a whole number
+    ``r = 2^-m spacing_table / h >= 4`` of samples, ``2^m origin`` sits on
+    knot tau_0, and every window below lies inside the table.  Then sample
+    ``j = p r + i`` of shift n lies in interval ``q = tau_0 + p - t n`` (t
+    knots per unit shift) at ``u = i / r``, where the spline reads
+    ``y_q (1 - u) + k_q b0(u) + y_(q+1) u + k_(q+1) b1(u)``, ``b0 = -u (1 - u)
+    (2 - u) / 6`` and ``b1 = u (u - 1) (u + 1) / 6``.  Y and K are read-only
+    windows of the samples y and second differences k in the layout of a
+    windowed block of stride t: shift n's row holds the P + 1 knots from
+    ``tau_0 - t n``, P the intervals that meet the grid.  ``W`` (r, 4) holds
+    ``2^(m/2)`` times the four weights of sample i, left knot (y, k) then
+    right knot.
+    """
+    if type(f) is not NaturalSpline:
+        return None
+    table = f.grid
+    r = np.ldexp(table.spacing, -m) / axis.spacing
+    t = 1.0 / table.spacing
+    tau0 = (np.ldexp(axis.origin, m) - table.origin) / table.spacing
+    if not (r >= 4 and r.is_integer() and t.is_integer() and tau0.is_integer()):
+        return None
+    r, t, tau0 = int(r), int(t), int(tau0)
+    P = -(-axis.count // r)
+    lo = tau0 - N * t
+    if lo < 0 or tau0 + N * t + P >= table.count:
+        return None
+    Y, K = (sliding_window_view(row[lo:tau0 + N * t + P + 1], P + 1)[2 * N * t::-t]
+            for row in (f.values, f.second_differences))
+    u = np.arange(r) / r
+    W = 2.0 ** (m * 0.5) * np.stack([1.0 - u, -u * (1.0 - u) * (2.0 - u) / 6.0,
+                                     u, u * (u - 1.0) * (u + 1.0) / 6.0], -1)
+    return (Y, K), (t, (0, 2 * N * t + P + 1), W, axis.count)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,29 @@ Every coefficient of a sampled function, on one grid per axis, comes from
 one loop, ``_analysis``, into one window-shaped array: per pattern and
 scale, one atom block per axis fills a slot.
 ``synthesize_partial`` reads the slots through the same blocks.  This is
-direct quadrature; there is no filter-bank fast transform here.  The system
-keeps every block it evaluates on a uniform grid (``construction._axis_block``),
-so a warm call evaluates no spline.  Where the shift step is a whole number
-of samples s (every scale ``analyze`` allows on the dyadic grid of
-``expand``), a block costs one spline row per scale instead of one per
-shift: its rows are windows of one kept row.  The (6, 32) window on
-expand's 20,481-point grid keeps 10.5 MB; a replaced or wrapped evaluator
-misses the kept blocks.
+direct quadrature; there is no filter-bank fast transform here.  A block
+on a uniform grid (``construction._axis_block``) takes one of three forms,
+and a warm call evaluates no spline in any of them:
 
-Such a windowed block is not itself a BLAS operand (its rows overlap), so
-one pair of window kernels multiplies with it: ``_window_apply`` (analysis)
-and its exact transpose ``_window_transpose`` (partial sums) take one BLAS
+* where each knot interval of the spline holds r >= 4 samples and
+  ``2^m origin`` is a knot (m = -6..-3 on the dyadic grid of ``expand``),
+  the spline's own two rows, samples y and second differences k: nothing
+  is evaluated or kept.  ``_moments_apply`` takes each interval's four
+  moments of the data in one product and meets them with windows of y and
+  k; ``_moments_transpose`` is its exact transpose.  The sums are those of
+  the evaluated rows, regrouped, so coefficients move only by rounding;
+* where the shift step is a whole number of samples s (the other scales
+  ``analyze`` allows on expand's grid), windows of one kept spline row per
+  scale instead of one row per shift;
+* elsewhere a kept per-shift block.
+
+The (6, 32) window on expand's 20,481-point grid keeps 2.0 MB of rows,
+and a replaced or wrapped evaluator reads no spline rows and misses the
+kept blocks.
+
+A windowed block is not itself a BLAS operand (its rows overlap), so one
+pair of window kernels multiplies with it: ``_window_apply`` (analysis) and
+its exact transpose ``_window_transpose`` (partial sums) take one BLAS
 product per phase of s columns that meets the atom's nonzero span.  The
 blocks are real, and the data meet them as real parts on the last axis of
 one real array, so no block is copied to complex.  Complex data carry two
@@ -145,8 +156,9 @@ class CoefficientSet:
 def _scale_blocks(ws: WaveletSystem, window: IndexWindow, axes):
     """(slot, blocks): slot (p, m + M) holds pattern p's scale-m shifts in an
     array; blocks[i] is axis i's ``(B, geometry)`` (``_axis_block``), where
-    B[k, j] is the factor at shift ``-N + k`` and the axis's j-th point.
-    Each axis is a ``Grid1D``.
+    B[k, j] is the factor at shift ``-N + k`` and the axis's j-th point (or,
+    read from the spline's rows, the pair of windows that forms it).  Each
+    axis is a ``Grid1D``.
     """
     for p, eps in enumerate(window.patterns()):
         for m in range(-window.M, window.M + 1):
@@ -184,7 +196,7 @@ def _window_apply(B: np.ndarray, s: int, span, F: np.ndarray) -> np.ndarray:
     whole, tail, q0, q1 = _phases(B, s, span)
     cut = whole.shape[0] * s
     c = tail @ F[cut:]
-    parts = F[:cut].reshape(whole.shape[0], s, -1)
+    parts = F[:cut].reshape(whole.shape[0], s, F.shape[1])
     step = max(1, n // K)  # phases per batch: a (step, K, columns) result
     for q in range(q0, q1, step):
         batch = slice(q, min(q + step, q1))
@@ -205,9 +217,59 @@ def _window_transpose(B: np.ndarray, s: int, span, C: np.ndarray) -> np.ndarray:
     if len(rev) == 1:  # one reversed row multiplies 1.3-5 times faster contiguous
         rev = rev.copy()
     np.matmul(rev, tail, out=out[:, cut:])
-    np.matmul(rev, whole[q0:q1], out=out[:, :cut].reshape(-1, whole.shape[0], s)
+    np.matmul(rev, whole[q0:q1], out=out[:, :cut].reshape(len(C2), whole.shape[0], s)
               [:, q0:q1].transpose(1, 0, 2))
     return out.reshape(C.shape[:-1] + (n,))
+
+
+def _moments_apply(YK, t: int, span, W: np.ndarray, count: int,
+                   F: np.ndarray) -> np.ndarray:
+    """c = B F for a block of the spline's own rows (``_knot_windows``), F
+    of shape (count, columns).
+
+    One (P, r) @ (r, 4) product takes each knot interval's four moments of
+    F: A and C against its left knot's y and k weights, B and D against its
+    right knot's.  Knot q gathers ``G_y[q] = A_q + B_(q-1)`` and ``G_k[q] =
+    C_q + D_(q-1)``, and c is ``_window_apply`` of Y on ``G_y`` plus of K on
+    ``G_k``.
+    """
+    Y, K = YK
+    r, P = len(W), Y.shape[1] - 1
+    parts = np.zeros((F.shape[1], P * r))
+    parts[:, :count] = F.T
+    moments = (parts.reshape(-1, r) @ W).reshape(len(parts), P, 2, 2)
+    G = np.zeros((2, P + 1, len(parts)))  # (y, k) by knot and column
+    G[:, :-1] = moments[:, :, 0].T
+    G[:, 1:] += moments[:, :, 1].T
+    return _window_apply(Y, t, span, G[0]) + _window_apply(K, t, span, G[1])
+
+
+def _moments_transpose(YK, t: int, span, W: np.ndarray, count: int,
+                       C: np.ndarray) -> np.ndarray:
+    """out_j = sum_k C_k B[k, j] for C of shape (..., K): the exact transpose
+    of ``_moments_apply``.  ``_window_transpose`` gives each knot's y and k
+    sums, and one (P, 4) @ (4, r) product spreads each interval's left and
+    right knots over its r samples."""
+    Y, K = YK
+    G = np.stack([_window_transpose(Y, t, span, C), _window_transpose(K, t, span, C)], -1)
+    moments = np.concatenate([G[..., :-1, :], G[..., 1:, :]], -1)  # (..., P, 4)
+    out = moments.reshape(-1, 4) @ W.T
+    return out.reshape(C.shape[:-1] + (-1,))[..., :count]
+
+
+def _block_apply(b, geometry, F: np.ndarray) -> np.ndarray:
+    """B F for a block of ``_axis_block``, F of shape (n, columns)."""
+    if geometry is None:
+        return b @ F
+    return (_window_apply if len(geometry) == 2 else _moments_apply)(b, *geometry, F)
+
+
+def _block_transpose(b, geometry, C: np.ndarray) -> np.ndarray:
+    """C B for a block of ``_axis_block``, C of shape (..., K)."""
+    if geometry is None:
+        return C @ b
+    return (_window_transpose if len(geometry) == 2 else _moments_transpose)(
+        b, *geometry, C)
 
 
 def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw):
@@ -221,8 +283,9 @@ def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw):
     The real blocks meet the parts of ``fw``, one if it is real and two
     (real, imaginary) if complex, as the last axis of one real array, so no
     block is copied to complex.  Each axis in turn, moved first, is
-    ``_window_apply`` on a windowed block or one BLAS product on any other,
-    and its shifts go next to the last axis.
+    ``_moments_apply`` on the spline's rows, ``_window_apply`` on a windowed
+    block or one BLAS product on a per-shift block (``_block_apply``), and
+    its shifts go next to the last axis.
     """
     out = np.empty(window.shape, dtype=complex)
     real = np.isrealobj(fw)
@@ -230,8 +293,7 @@ def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw):
     for slot, blocks in _scale_blocks(ws, window, axes):
         C = F
         for b, geometry in blocks:
-            rows = C.reshape(len(C), -1)
-            rows = _window_apply(b, *geometry, rows) if geometry else b @ rows
+            rows = _block_apply(b, geometry, C.reshape(len(C), -1))
             C = np.moveaxis(rows.reshape((-1,) + C.shape[1:]), 0, -2)
         out[slot] = C[..., 0] if real else C.view(complex)[..., 0]
     return out
@@ -290,7 +352,7 @@ def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
         C = np.stack([part[slot] for part in parts])
         for b, geometry in blocks:
             C = np.moveaxis(C, 1, -1)
-            C = _window_transpose(b, *geometry, C) if geometry else C @ b
+            C = _block_transpose(b, geometry, C)
         out += C
     total = out[0] if len(parts) == 1 else out[0] + 1j * out[1]
     return SampledFunction(grids if window.d > 1 else grids[0], total)

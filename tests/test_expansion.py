@@ -253,6 +253,12 @@ def _per_shift_block(ws, bit, m, N, grid):
     return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], grid.points())
 
 
+# expand's grid moved by one sample: 2^m origin is off the spline's knots
+# (multiples of 1/256) at every m <= -2, so every scale keeps an atom row,
+# while on expand's grid itself m = -6..-3 read the spline's own rows
+_OFF_KNOTS = sw.Grid1D(-80.0 + 1.0 / 128, 1.0 / 128, 20481)
+
+
 @contextmanager
 def _wrapped_interpolator(ws, wrap):
     """Every evaluator ``ws.interpolator(which, order)`` returns, passed
@@ -269,18 +275,22 @@ class TestShiftWindowedBlocks:
     N = 32
 
     def test_window_blocks_equal_per_shift_blocks(self, ws, expansion_grid):
-        # on the dyadic expand grid the window rows evaluate the very same
-        # arguments as the per-shift rows, so the blocks agree bit for bit
-        for bit in (0, 1):
-            for m in range(-6, 7):
-                block, _ = construction._axis_block(ws, bit, m, self.N, expansion_grid)
-                assert not block.flags.owndata  # a view of one extended row
-                np.testing.assert_array_equal(
-                    block, _per_shift_block(ws, bit, m, self.N, expansion_grid))
+        # on a dyadic grid the window rows evaluate the very same arguments
+        # as the per-shift rows, so the blocks agree bit for bit: expand's
+        # grid keeps rows at m >= -2, the grid off the knots at every scale
+        for grid, scales in ((expansion_grid, range(-2, 7)), (_OFF_KNOTS, range(-6, 7))):
+            for bit in (0, 1):
+                for m in scales:
+                    block, geometry = construction._axis_block(ws, bit, m, self.N, grid)
+                    assert len(geometry) == 2
+                    assert not block.flags.owndata  # a view of one extended row
+                    np.testing.assert_array_equal(
+                        block, _per_shift_block(ws, bit, m, self.N, grid))
 
     @pytest.mark.parametrize("grid, scales", [
         (sw.Grid1D.from_interval(-12.0, 12.0, 257), range(-6, 7)),  # s = 2^-m 32/3
-        (sw.Grid1D(0.0, 1.0 / 128, 257), (-6,)),  # s = 8192 samples >= count
+        # s = 8192 samples >= count, and 2^-6 origin off the knots
+        (sw.Grid1D(2.0 ** -10, 1.0 / 128, 257), (-6,)),
     ])
     def test_other_grids_evaluate_each_shift(self, ws, grid, scales):
         for m in scales:
@@ -328,17 +338,42 @@ class TestAtomRows:
 
     def test_second_analysis_reads_the_kept_rows(self, ws, band_function,
                                                  expansion_grid, monkeypatch):
+        # m >= -2 reads kept rows, m <= -3 the spline's own two rows
         window = sw.IndexWindow(6, self.N)
         first = sw.analyze(ws, band_function, window)
         blocks = [expansion._axis_block(ws, 1, m, self.N, expansion_grid)[0]
-                  for m in range(-6, 7)]
+                  for m in range(-2, 7)]
         sizes = _count_spline_points(monkeypatch)
         again = sw.analyze(ws, band_function, window)
-        for m, block in zip(range(-6, 7), blocks):
+        for m, block in zip(range(-2, 7), blocks):
             assert np.shares_memory(
                 block, expansion._axis_block(ws, 1, m, self.N, expansion_grid)[0])
+        spline = ws.interpolator("psi")
+        for m in range(-6, -2):
+            (Y, K), _ = expansion._axis_block(ws, 1, m, self.N, expansion_grid)
+            assert np.shares_memory(Y, spline.values)
+            assert np.shares_memory(K, spline.second_differences)
         assert sizes == []
         np.testing.assert_array_equal(again.values, first.values)
+
+    def test_second_coarse_analysis_evaluates_no_spline(self, ws, band_function,
+                                                        monkeypatch):
+        # (6, 64): a kept m = -6 row would take 8.6 MB, over a quarter of the
+        # bound, and be evaluated afresh (1.07M points) on every call
+        window = sw.IndexWindow(6, 64)
+        first = sw.analyze(ws, band_function, window)
+        sizes = _count_spline_points(monkeypatch)
+        np.testing.assert_array_equal(sw.analyze(ws, band_function, window).values,
+                                      first.values)
+        assert sizes == []
+
+    def test_coarse_scales_keep_no_rows(self, ws, band_function):
+        # rows of m = -6..-3 would keep 8.5 of the window's 10.5 MB
+        system = sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_hat, ws.phi_hat,
+                                  ws.psi_samples, ws.phi_samples)
+        sw.analyze(system, band_function, sw.IndexWindow(6, self.N))
+        assert sorted(key[1] for key in system._blocks._values) == list(range(-2, 7))
+        assert sum(r.nbytes for r in system._blocks._values.values()) <= 2.5e6
 
     def test_per_shift_blocks_are_kept(self, ws, monkeypatch):
         # s = 2^-m 32/3 is never whole on 257 points over [-12, 12], so each
@@ -375,10 +410,11 @@ class TestAtomRows:
             block[0, 0] = 1.0
 
     def test_kept_rows_stay_within_their_bound(self, ws):
-        # each grid's (6, 32) rows take 10.5 MB: five grids overflow the bound,
-        # and the least recently used go first
+        # off the knots each grid keeps (6, 32) rows at every scale, 10.5 MB:
+        # five grids overflow the bound, and the least recently used go first
         window = sw.IndexWindow(6, self.N)
-        grids = [sw.Grid1D(-79.5 + 0.5 * k, 1.0 / 128, 20481) for k in range(5)]
+        grids = [sw.Grid1D(_OFF_KNOTS.origin + 0.5 * k, 1.0 / 128, 20481)
+                 for k in range(5)]
         for g in grids:
             sw.analyze(ws, sw.SampledFunction(g, np.exp(-g.points() ** 2)), window)
         kept = [key[2] for key in ws._blocks._values]
@@ -488,9 +524,10 @@ class TestWindowKernels:
     nonzero span."""
 
     @pytest.mark.parametrize("grid, N", [
-        # expand's grid: a partial last phase at every scale
-        (sw.Grid1D(-80.0, 1.0 / 128, 20481), 8),
-        (sw.Grid1D(-80.0, 1.0 / 128, 20481), 32),
+        # expand's grid off the knots: a row and a partial last phase at
+        # every scale
+        (_OFF_KNOTS, 8),
+        (_OFF_KNOTS, 32),
         # whole phases only at s = 64, 32, ...
         (sw.Grid1D(-8.0, 1.0 / 16, 256), 8),
     ])
@@ -502,7 +539,7 @@ class TestWindowKernels:
         C = rng.standard_normal((2, 3, 2 * N + 1))
         for m in range(-6, 7):
             B, geometry = construction._axis_block(ws, 1, m, N, grid)
-            if geometry is None:
+            if geometry is None or len(geometry) != 2:  # not a windowed row
                 continue
             dense = np.array(B)
             for F_, C_ in ((F, C), (F[:, :1], C[0, :1])):
@@ -521,25 +558,174 @@ class TestWindowKernels:
             assert not whole[:q0].any() and not whole[q1:].any()
             assert q1 - q0 <= -(-(b - a) // s) + 2 * N + 1
 
-    def test_span_covers_every_nonzero_sample(self, ws, expansion_grid):
+    def test_span_covers_every_nonzero_sample(self, ws):
         for m in range(-6, 7):
-            s, (a, b) = construction._axis_block(ws, 1, m, 32, expansion_grid)[1]
-            row = ws._blocks._values[(ws.interpolator("psi"), m, expansion_grid, 32)]
+            s, (a, b) = construction._axis_block(ws, 1, m, 32, _OFF_KNOTS)[1]
+            row = ws._blocks._values[(ws.interpolator("psi"), m, _OFF_KNOTS, 32)]
             nonzero = np.flatnonzero(row)
             assert a <= nonzero[0] and nonzero[-1] < b
             assert b - a <= nonzero[-1] - nonzero[0] + 4
 
     def test_synthesis_is_the_transpose_of_analysis(self, ws, expansion_grid):
-        # window (6, 32): the kernels skip the phases beyond each kept row's span
+        # windows (6, 32) and (6, 64): the kernels skip the phases beyond each
+        # kept row's span, and m <= -3 reads the spline's rows by moments
         rng = np.random.default_rng(2024)
-        window = sw.IndexWindow(6, 32)
-        c = sw.CoefficientSet(window, rng.standard_normal(window.shape)
-                              + 1j * rng.standard_normal(window.shape))
         g = sw.SampledFunction(expansion_grid, rng.standard_normal(expansion_grid.count))
-        partial = sw.synthesize_partial(ws, c, expansion_grid).values
-        lhs = np.sum(expansion_grid.trapezoid_weights() * g.values * partial)
-        rhs = np.sum(c.values * sw.analyze(ws, g, window).values)
-        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+        for window in (sw.IndexWindow(6, 32), sw.IndexWindow(6, 64)):
+            c = sw.CoefficientSet(window, rng.standard_normal(window.shape)
+                                  + 1j * rng.standard_normal(window.shape))
+            partial = sw.synthesize_partial(ws, c, expansion_grid).values
+            lhs = np.sum(expansion_grid.trapezoid_weights() * g.values * partial)
+            rhs = np.sum(c.values * sw.analyze(ws, g, window).values)
+            assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_needs_extended = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="the exact reference needs an extended-precision longdouble")
+
+
+def _exact(a, b):
+    """a @ b in extended precision, the reference both routes round from."""
+    return (np.asarray(a).astype(np.clongdouble)
+            @ np.asarray(b).astype(np.clongdouble))
+
+
+class TestKnotMoments:
+    """Scales whose knot intervals hold r >= 4 samples, with ``2^m origin``
+    on a knot, read the spline's samples y and second differences k by
+    interval moments (``_knot_windows``): the same sums against the same
+    cubic, regrouped.  Against the exact products with the dense per-shift
+    block B, their coefficients stay within 1e-15 of ``|B| |F|``, and their
+    partial sums within ``(2N + 1) u |C| |B|``, the worst-case rounding of a
+    sum of 2N + 1 products (u the unit roundoff; the dense product in
+    double precision itself reaches 2.7e-15 here).  Every other scale keeps
+    its row, whose block is the per-shift block bit for bit."""
+
+    @staticmethod
+    def _check_scales(ws, f, window, moment_scales):
+        """analyze and one-scale partial sums of f against the dense blocks."""
+        grid = f.grids[0]
+        fw = f.values * grid.trapezoid_weights()
+        coeffs = sw.analyze(ws, f, window).values
+        for m in range(-window.M, window.M + 1):
+            B, geometry = construction._axis_block(ws, 1, m, window.N, grid)
+            dense = _per_shift_block(ws, 1, m, window.N, grid)
+            assert (len(geometry) == 4) == (m in moment_scales), m
+            if m not in moment_scales:
+                np.testing.assert_array_equal(B, dense)
+                continue
+            got = coeffs[0, m + window.M]
+            bound = np.abs(dense) @ np.abs(fw)
+            assert np.all(np.abs(got - _exact(dense, fw)) <= 1e-15 * bound), m
+            only = np.zeros(window.shape, dtype=complex)
+            only[0, m + window.M] = got
+            partial = sw.synthesize_partial(ws, sw.CoefficientSet(window, only),
+                                            grid).values
+            bound = (2 * window.N + 1) * _UNIT_ROUNDOFF * (np.abs(got) @ np.abs(dense))
+            assert np.all(np.abs(partial - _exact(got, dense)) <= bound), m
+
+    @_needs_extended
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_every_scale_matches_the_dense_blocks(self, ws, band_function,
+                                                  expansion_grid, N):
+        # real samples (one part) and complex samples (two parts)
+        x = expansion_grid.points()
+        complex_input = sw.SampledFunction(
+            expansion_grid, band_function.values * (0.6 - 0.8j)
+            + 0.3j * np.exp(-0.5 * ((x - 1.0) / 10.0) ** 2))
+        for f in (band_function, complex_input):
+            self._check_scales(ws, f, sw.IndexWindow(6, N), range(-6, -2))
+
+    @_needs_extended
+    @pytest.mark.parametrize("origin, moment_scales", [
+        (-79.75, range(-6, -2)),  # 2^m origin a whole number of knots at m >= -6
+        (-80.0 + 1.0 / 32, (-3,)),  # ... only at m = -3
+    ])
+    def test_origins_on_whole_knots(self, ws, origin, moment_scales):
+        grid = sw.Grid1D(origin, 1.0 / 128, 20481)
+        x = grid.points()
+        f = sw.SampledFunction(grid, np.exp(-0.5 * ((x - 3.0) / 10.0) ** 2))
+        self._check_scales(ws, f, sw.IndexWindow(6, 8), moment_scales)
+
+    @_needs_extended
+    def test_multi_column_kernels(self, ws, expansion_grid):
+        # three columns of samples, and (2, 3) rows of coefficients
+        rng = np.random.default_rng(39)
+        F = rng.standard_normal((expansion_grid.count, 3))
+        C = rng.standard_normal((2, 3, 65))
+        for m in range(-6, -2):
+            B, geometry = construction._axis_block(ws, 1, m, 32, expansion_grid)
+            dense = _per_shift_block(ws, 1, m, 32, expansion_grid)
+            got = expansion._block_apply(B, geometry, F)
+            assert got.shape == (65, 3)
+            assert np.all(np.abs(got - _exact(dense, F))
+                          <= 1e-15 * (np.abs(dense) @ np.abs(F)))
+            got = expansion._block_transpose(B, geometry, C)
+            assert got.shape == (2, 3, expansion_grid.count)
+            assert np.all(np.abs(got - _exact(C, dense))
+                          <= 65 * _UNIT_ROUNDOFF * (np.abs(C) @ np.abs(dense)))
+
+    @_needs_extended
+    @pytest.mark.parametrize("origin, N", [
+        (-80.0, 262),  # the windows of shift n = N reach knot 0
+        (0.0, 263),  # those of n = -N the table's last knot
+    ])
+    def test_windows_leaving_the_table_fall_back_to_rows(self, ws, origin, N):
+        # 257 points: r = 32 at m = -6, where s = 8192 samples >= count makes
+        # the fall-back a per-shift block
+        grid = sw.Grid1D(origin, 1.0 / 128, 257)
+        rng = np.random.default_rng(N)
+        F, C = rng.standard_normal((257, 2)), rng.standard_normal((2, 2 * N + 1))
+        B, geometry = construction._axis_block(ws, 1, -6, N, grid)
+        dense = _per_shift_block(ws, 1, -6, N, grid)
+        assert len(geometry) == 4
+        assert np.all(np.abs(expansion._block_apply(B, geometry, F) - _exact(dense, F))
+                      <= 1e-15 * (np.abs(dense) @ np.abs(F)))
+        assert np.all(np.abs(expansion._block_transpose(B, geometry, C) - _exact(C, dense))
+                      <= (2 * N + 1) * _UNIT_ROUNDOFF * (np.abs(C) @ np.abs(dense)))
+        B, geometry = construction._axis_block(ws, 1, -6, N + 1, grid)
+        assert geometry is None
+        np.testing.assert_array_equal(B, _per_shift_block(ws, 1, -6, N + 1, grid))
+
+    def test_tensor_axes_carry_trailing_columns(self, ws):
+        # m = -3 takes moments on both axes (r = 4), the other axes' samples
+        # and the two parts of complex samples as trailing columns
+        grids = (sw.Grid1D(-4.0, 1.0 / 128, 1025), sw.Grid1D(-2.0, 1.0 / 128, 769))
+        x1, x2 = (g.points() for g in grids)
+        factors = (np.exp(-x1 ** 2), np.exp(-((x2 - 0.5) / 0.7) ** 2 + 1j * x2))
+        window = sw.IndexWindow(3, 2, d=2)
+        assert len(construction._axis_block(ws, 1, -3, 2, grids[1])[1]) == 4
+        got = sw.analyze(ws, sw.SampledFunction(grids, np.outer(*factors)), window)
+        shifts = np.arange(-2, 3)[:, None]
+        quad = [[np.array([ws.atom_values(bit, m, shifts, g.points())
+                           @ (fac * g.trapezoid_weights()) for m in range(-3, 4)])
+                 for bit in (0, 1)] for g, fac in zip(grids, factors)]
+        want = np.stack([np.einsum("mi,mj->mij", quad[0][e1], quad[1][e2])
+                         for e1, e2 in window.patterns()])
+        assert np.abs(got.values - want).max() <= 1e-14 * np.abs(want).max()
+        partial = sw.synthesize_partial(ws, got, grids)
+        pairing = sw.inner_product(partial, sw.SampledFunction(grids, np.outer(*factors)))
+        assert abs(pairing - got.energy()) <= 1e-14 * got.energy()
+
+    def test_wrapped_evaluator_takes_rows_and_scales_every_coefficient(
+            self, ws, expansion_grid):
+        # a wrapped evaluator has no rows to read: every scale falls back to
+        # evaluated rows, which move every coefficient by its factor; this
+        # wide Gaussian's coefficients are largest at m = -6..-3
+        x = expansion_grid.points()
+        f = sw.SampledFunction(expansion_grid, np.exp(-0.5 * (x / 10.0) ** 2))
+        window = sw.IndexWindow(6, 32)
+        before = sw.analyze(ws, f, window).values
+        with _wrapped_interpolator(ws, lambda which, g: (
+                (lambda x: 1.01 * g(x)) if which == "psi" else g)):
+            for m in range(-6, -2):
+                assert len(construction._axis_block(ws, 1, m, 32, expansion_grid)[1]) == 2
+            after = sw.analyze(ws, f, window).values
+        top = np.abs(before).max()
+        assert np.abs(before[0, :4]).max(axis=1).min() > 1e-4 * top
+        assert np.abs(after - 1.01 * before).max() <= 1e-13 * top
 
 
 class TestCertificateRows:
