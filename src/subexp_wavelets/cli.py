@@ -7,14 +7,14 @@ Every command but ``build`` computes on the system ``main`` loads and
 returns its report body with whether its checks passed; ``main`` alone
 writes the report and maps each outcome to its exit code: 0 every check
 passed; 1 a numerical check failed; 2 a bad flag, config value or input (an
-unknown test function, a range beyond the stored window, or for ``decay
---target phi`` beyond the phi table, a non-finite ``--rho2``, a grid with
-fewer than two points or more than 2^20, a non-finite or non-positive
-window, ``--h`` or ``--c``, a negative ``--max-beta``, a coefficient window
-the grid cannot resolve, or a projection level the grid cannot carry: one
-its spacing does not resolve, or too deep or too shallow for its window); 3
-an unreadable or corrupt system file (one of another schema included), or
-an output that cannot be written.
+unknown test function, a range end outside the stored window, or for
+``decay --target phi`` outside the phi table, a non-finite ``--rho2``, a
+grid with fewer than two points or more than 2^20, a non-finite or
+non-positive window, ``--h`` or ``--c``, a negative ``--max-beta``, a
+coefficient window the grid cannot resolve, or a projection level the grid
+cannot carry: one its spacing does not resolve, or too deep or too shallow
+for its window); 3 an unreadable or corrupt system file (one of another
+schema included), or an output that cannot be written.
 
 Reports are deterministic JSON (sorted keys, round-trip-safe floats);
 timestamps live in a separate "metadata" field so byte comparison of the
@@ -283,9 +283,9 @@ def cmd_decay(args, ws: WaveletSystem) -> tuple[dict, bool]:
     lo, hi = args.range
     if args.target == "psi":
         table = decay_profile(ws, hi)
-    elif hi > TABLE_HALF:
-        raise ConfigError(f"range end {hi} lies beyond the phi table, which "
-                          f"ends at {TABLE_HALF}")
+    elif not 0.0 <= hi <= TABLE_HALF:
+        raise ConfigError(f"range end {hi:g} lies outside [0, {TABLE_HALF:g}], "
+                          f"the phi table")
     else:
         grid, vals = ws.dense_table("phi")
         x = grid.points()

@@ -272,30 +272,28 @@ def _block_transpose(b, geometry, C: np.ndarray) -> np.ndarray:
         b, *geometry, C)
 
 
-def _analysis(ws: WaveletSystem, window: IndexWindow, axes, fw):
-    """c_lambda = sum_j fw_j atom_lambda(x_j) over the window.
+def _analysis(ws: WaveletSystem, window: IndexWindow, axes, F):
+    """c_lambda = sum_j F_j atom_lambda(x_j) over the window.
 
-    ``axes`` holds each axis's ``Grid1D`` and ``fw`` the weighted samples on
-    their product (quadrature weights times values), a real or a complex
-    array; one block per axis and scale gives every coefficient of that
-    scale.  Returns the window-shaped array of ``CoefficientSet``.
+    ``axes`` holds each axis's ``Grid1D`` and ``F`` the weighted samples on
+    their product (quadrature weights times values) as their parts on a
+    last axis (``numerics.split_parts``); one block per axis and scale gives
+    every coefficient of that scale.  Returns the window-shaped array of
+    ``CoefficientSet``.
 
-    The real blocks meet the parts of ``fw``, one if it is real and two
-    (real, imaginary) if complex, as the last axis of one real array, so no
-    block is copied to complex.  Each axis in turn, moved first, is
+    The real blocks meet the parts as the last axis of one real array, so
+    no block is copied to complex.  Each axis in turn, moved first, is
     ``_moments_apply`` on the spline's rows, ``_window_apply`` on a windowed
     block or one BLAS product on a per-shift block (``_block_apply``), and
     its shifts go next to the last axis.
     """
     out = np.empty(window.shape, dtype=complex)
-    real = np.isrealobj(fw)
-    F = fw[..., None] if real else np.stack([fw.real, fw.imag], -1)
     for slot, blocks in _scale_blocks(ws, window, axes):
         C = F
         for b, geometry in blocks:
             rows = _block_apply(b, geometry, C.reshape(len(C), -1))
             C = np.moveaxis(rows.reshape((-1,) + C.shape[1:]), 0, -2)
-        out[slot] = C[..., 0] if real else C.view(complex)[..., 0]
+        out[slot] = numerics.join_parts(C)
     return out
 
 
@@ -327,10 +325,10 @@ def analyze(ws: WaveletSystem, f: SampledFunction, window: IndexWindow,
     if f.dimension != window.d:
         raise ExpansionError("dimension mismatch between function and window")
     check_resolution(window, f.grids)
-    fw = numerics.real_if_real(f.values)  # times the product trapezoid weights
+    F = numerics.split_parts(f.values)  # times the product trapezoid weights
     for axis, g in enumerate(f.grids):
-        fw = fw * g.trapezoid_weights().reshape((-1,) + (1,) * (window.d - axis - 1))
-    return CoefficientSet(window, _analysis(ws, window, f.grids, fw),
+        F = F * g.trapezoid_weights().reshape((-1,) + (1,) * (window.d - axis))
+    return CoefficientSet(window, _analysis(ws, window, f.grids, F),
                           source_descriptor)
 
 
@@ -345,17 +343,16 @@ def synthesize_partial(ws: WaveletSystem, coeffs: CoefficientSet,
     grids = (grid,) if isinstance(grid, Grid1D) else tuple(grid)
     if len(grids) != window.d:
         raise ExpansionError(f"{len(grids)} grids for a window of dimension {window.d}")
-    values = numerics.real_if_real(coeffs.values)
-    parts = [values] if np.isrealobj(values) else [values.real, values.imag]
-    out = np.zeros((len(parts),) + tuple(g.count for g in grids))
+    parts = numerics.split_parts(coeffs.values)
+    out = np.zeros(parts.shape[-1:] + tuple(g.count for g in grids))
     for slot, blocks in _scale_blocks(ws, window, grids):
-        C = np.stack([part[slot] for part in parts])
+        C = np.ascontiguousarray(np.moveaxis(parts[slot], -1, 0))
         for b, geometry in blocks:
             C = np.moveaxis(C, 1, -1)
             C = _block_transpose(b, geometry, C)
         out += C
-    total = out[0] if len(parts) == 1 else out[0] + 1j * out[1]
-    return SampledFunction(grids if window.d > 1 else grids[0], total)
+    return SampledFunction(grids if window.d > 1 else grids[0],
+                           numerics.join_parts(np.moveaxis(out, 0, -1)))
 
 
 def analyze_spectrum(ws: WaveletSystem, fhat, window: IndexWindow,

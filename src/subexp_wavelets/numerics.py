@@ -33,10 +33,10 @@ Everything here is numpy: the FFTs are ``numpy.fft`` at the smooth sizes
 of ``next_fast_len``.
 
 Synthesized values are complex throughout, even when a quantity is
-analytically real.  Realness is never assumed but observed exactly:
-``real_if_real`` gives the real part of values whose imaginary part is
-exactly zero, on which the projections and expansions carry one real part
-instead of two.  The spline reads real samples.
+analytically real.  Realness is never assumed but observed exactly: the
+projections and expansions carry values as real parts on a last axis
+(``split_parts``, read back by ``join_parts``), one where the imaginary
+part is exactly zero and two otherwise.  The spline reads real samples.
 """
 
 from __future__ import annotations
@@ -230,10 +230,21 @@ class SpectrumOnBand:
         return mask
 
 
-def real_if_real(values: np.ndarray) -> np.ndarray:
-    """The real part of ``values`` (a view) if their imaginary part is exactly
-    zero, else ``values`` itself."""
-    return values if values.imag.any() else values.real
+def split_parts(values: np.ndarray) -> np.ndarray:
+    """``values`` as a float array whose last axis holds their parts: one,
+    the real part, if their imaginary part is exactly zero, else two (real,
+    imaginary).  ``join_parts`` is its inverse."""
+    if not values.imag.any():
+        return values.real[..., None]
+    return np.stack([values.real, values.imag], -1)
+
+
+def join_parts(parts: np.ndarray) -> np.ndarray:
+    """The complex values whose parts (one or two) lie on the last axis of
+    ``parts``; two are read as one complex number, every bit kept."""
+    if parts.shape[-1] == 1:
+        return parts[..., 0].astype(complex)
+    return np.ascontiguousarray(parts).view(complex)[..., 0]
 
 
 def integrate(f: SampledFunction) -> complex:

@@ -9,22 +9,23 @@ q_m f comes out as its spectrum on uniform nodes, taken from the samples by
 one transform, which ``_on_grid`` sums onto a uniform grid by one more: the
 samples, and the seminorm's derivatives of every order on uniform probes in
 one pass.  Along an axis of at most 724 points, a call with at least n
-columns keeps q_m as its real (n, n) matrix (``_projector``), built by the
-same route from the real identity, and applies it as one real matrix
+real columns keeps q_m as its real (n, n) matrix (``_projector``), built by
+the same route from the real identity, and applies it as one real matrix
 product.  The kernel-decay certificate reads q_0 off this route, as the
 projections of point masses, and no spline table is read on it: the alias
 margin, like the kernel's truncation radius and tail bound, comes from the
 running sup of |phi| on the wide table (``_phi_tail``).
 
-phi is real, so q_m maps real samples to real samples.  Samples whose
-imaginary part is exactly zero (every sampled test function, and the
-certificate's point masses) are projected as real arrays: their spectra are
-Hermitian, so ``_project_1d`` transforms them on the nodes zeta >= 0 only,
-``_on_grid`` sums that half to a real result, and the kept matrix multiplies
-the real parts alone.  Complex samples take the full nodes.
+phi is real, so q_m acts on the real and imaginary parts of samples apart:
+``project`` and ``mra_convergence_experiment`` carry them on a last axis
+(``numerics.split_parts``), one where the imaginary part is exactly zero
+(every sampled test function), else two.  Every array the transforms see
+is real, as are the certificate's point masses, so ``_project_1d`` takes
+its Hermitian spectrum on the nodes zeta >= 0 only, and ``_on_grid`` sums
+that half to a real array.
 
-The transforms take one of two routes.  Real samples on a grid whose
-spacing the nodes can match (``2^m h`` a dyadic rational of small
+The transforms take one of two routes.  Samples on a grid whose spacing
+the nodes can match (``2^m h`` a dyadic rational of small
 denominator: ``sample_grid``'s 1/64, say) take the DFT route: ``_eta_nodes``
 lifts the node count ``L`` so that the nodes are the bins of a DFT of
 5-smooth length ``L / (2^m h)`` on the samples' grid (``_dft_size``), and
@@ -32,9 +33,9 @@ both transforms are one real FFT each (``numerics.real_dft`` and
 ``real_dft_sum``), exact trapezoid sums with no chirp phase to round.  The
 route is taken only where that length is at most ``_DFT_RATIO`` times the
 chirp route's.  Every other call takes the chirp route, two Bluestein sums
-(``numerics.chirp_synthesis``) on the least ``L``: complex samples, the
-certificate's point masses, the derivative pass onto the seminorm's probes,
-level 0 of the reference grid, and any grid of another spacing.  On
+(``numerics.chirp_synthesis``) on the least ``L``: the certificate's point
+masses, the derivative pass onto the seminorm's probes, level 0 of the
+reference grid, and any grid of another spacing.  On
 ``project``'s default input the DFT route takes levels 1..6, where the sup
 error at levels 3..6 is 3e-16 to 4e-16; the chirp route's phases left 1.7e-13
 to 2.5e-13 there.
@@ -171,22 +172,21 @@ class _Bins(NamedTuple):
 
 
 class Spectrum(NamedTuple):
-    """q_m f as ``_project_1d`` returns it: Q on the nodes ``zeta``, along
-    axis 0 of ``values``.  A ``half`` spectrum is the Hermitian half of a
-    real function's, on the nodes ``zeta >= 0`` only: ``Q(-zeta) = conj
-    Q(zeta)`` gives the rest.  ``bins`` is set where the nodes are DFT bins
-    of the samples' grid (``_dft_size``), so that ``_on_grid`` sums the
-    spectrum back onto that grid by one real FFT."""
+    """q_m f of real f as ``_project_1d`` returns it: Q on the nodes
+    ``zeta >= 0``, along axis 0 of ``values``, the Hermitian half of the
+    spectrum (``Q(-zeta) = conj Q(zeta)`` gives the rest).  ``bins`` is set
+    where the nodes are DFT bins of the samples' grid (``_dft_size``), so
+    that ``_on_grid`` sums the spectrum back onto that grid by one real
+    FFT."""
 
     zeta: Grid1D
     values: np.ndarray
-    half: bool
     bins: _Bins | None = None
 
 
 def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
                 probes=(), nodes=None) -> Spectrum:
-    """q_m along axis 0 of ``values``, as a spectrum.
+    """q_m along axis 0 of the real array ``values``, as a spectrum.
 
     phi_hat = exp(i eta) |phi_hat| vanishes outside |eta| <= 4 pi / 3, so q_m
     is a Fourier multiplier whose phases cancel: with ``f_hat(zeta) = sum_j
@@ -196,29 +196,24 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
         Q(2^m eta) = |phi_hat(eta)| sum_{l = -1, 0, 1}
                      |phi_hat(eta + 2 pi l)| f_hat(2^m (eta + 2 pi l)).
 
-    The eta nodes are symmetric about 0 with spacing ``2 pi / L``, ``L`` an
-    integer, so ``eta +- 2 pi`` are the nodes ``L`` places away and the sum
-    over ``l`` is two shifted adds.  The spectrum holds Q on the nodes
-    ``zeta = 2^m eta``.
-
-    A real array ``values`` (real samples, or real point masses) gives a
-    ``half`` spectrum: ``f_hat(-zeta) = conj f_hat(zeta)``, so f_hat is
-    taken on the nodes ``eta >= 0`` alone.  There the term ``l = 1`` lies
-    beyond the band, and the term ``l = -1`` at eta is the conjugate of the
-    node ``L`` places before the mirror of eta.  Q is smooth and vanishes at
-    the band ends, so summing q_m f from the nodes errs only by aliasing: a
-    read at x picks up q_m f at ``x + r L / 2^m``, r != 0.  ``L`` is
-    therefore at least the first integer above ``span + margin``: ``span``
-    bounds ``2^m |x - x_j|`` over x on the grid and at ``probes`` and
-    ``x_j`` on the grid, and ``margin`` is where the running sup of |phi|
-    drops below ``_ALIAS_TARGET`` (``_phi_tail``).
+    f is real, so ``f_hat(-zeta) = conj f_hat(zeta)``, and f_hat is taken
+    on the nodes ``eta >= 0`` alone, of spacing ``2 pi / L``, ``L`` an
+    integer; the spectrum holds Q on the nodes ``zeta = 2^m eta``.  There
+    the term ``l = 1`` lies beyond the band, and the term ``l = -1`` at eta
+    is the conjugate of the node ``L`` places before the mirror of eta, a
+    shifted add.  Q is smooth and vanishes at the band ends, so summing
+    q_m f from the nodes errs only by aliasing: a read at x picks up q_m f
+    at ``x + r L / 2^m``, r != 0.  ``L`` is therefore at least the first
+    integer above ``span + margin``: ``span`` bounds ``2^m |x - x_j|`` over
+    x on the grid and at ``probes`` and ``x_j`` on the grid, and ``margin``
+    is where the running sup of |phi| drops below ``_ALIAS_TARGET``
+    (``_phi_tail``).
 
     f_hat takes one of two routes (``_eta_nodes`` picks it).  Where the
     nodes are the bins of a DFT of length ``size`` on the grid (``zeta_k =
     2 pi k / (size h)``, ``_dft_size``), ``f_hat(zeta_k) = exp(-i zeta_k
     x0) real_dft(w f)[k]``: the trapezoid sums exactly, with no chirp phase.
-    Every other call, complex samples included, sums ``_weighted_transform``
-    read backwards.
+    Every other call sums ``_weighted_transform``, conjugated.
 
     Trailing axes of ``values`` are carried along, so a 2-D array is
     projected along its first axis in one pass.  ``nodes`` is
@@ -227,8 +222,7 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
     anything of its size is allocated, and before any float overflows.
     """
     m = pk.level
-    half = np.isrealobj(values)
-    L, eta, size = nodes or _eta_nodes(pk, grid, probes, half)
+    L, eta, size = nodes or _eta_nodes(pk, grid, probes)
     zeta = Grid1D(np.ldexp(eta.origin, m), np.ldexp(eta.spacing, m), eta.count)
     column = (-1,) + (1,) * (np.ndim(values) - 1)
     modulus = _kept(pk, eta, "modulus", lambda: scaling_modulus(
@@ -241,17 +235,13 @@ def _project_1d(pk: ProjectionKernel, grid: Grid1D, values: np.ndarray,
         g *= bins.phase.reshape(column)
     else:
         g = _weighted_transform(grid, values, zeta)
-        g = np.conjugate(g, out=g) if half else g[::-1]
+        np.conjugate(g, out=g)
     g *= modulus  # in place: the transform is a fresh array
     qhat = g.copy()
-    if half:  # eta_i - 2 pi = -eta_(L - i), where g is conj g[L - i]
-        mirrored = slice(L - (eta.count - 1), None)
-        qhat[mirrored] += np.conj(g[mirrored][::-1])
-    else:
-        qhat[:-L] += g[L:]
-        qhat[L:] += g[:-L]
+    mirrored = slice(L - (eta.count - 1), None)  # eta_i - 2 pi = -eta_(L - i)
+    qhat[mirrored] += np.conj(g[mirrored][::-1])
     qhat *= modulus
-    return Spectrum(zeta, qhat, half, bins)
+    return Spectrum(zeta, qhat, bins)
 
 
 # The DFT route's longest length, as a multiple of the length the chirp
@@ -264,18 +254,17 @@ _DFT_RATIO = 4
 _DFT_PRIMES = (3, 5)
 
 
-def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=(),
-               half: bool = False) -> tuple[int, Grid1D, int]:
-    """(L, eta, size) of ``_project_1d``; with ``half``, only the nodes
-    ``eta >= 0``, and ``size`` the length of the DFT whose bins they are
-    (``_dft_size``), else 0.
+def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=()) -> tuple[int, Grid1D, int]:
+    """(L, eta, size) of ``_project_1d``: the nodes ``eta >= 0``, and
+    ``size`` the length of the DFT whose bins they are (``_dft_size``),
+    else 0.
 
     A level is refused with ``UnresolvedLevelError`` when its window spans
     more than ``_MAX_NODES`` shifts, or needs more eta nodes, or spans less
     than one shift, or when the grid does not resolve it
     (``construction.resolves``: ``2^m 4 pi / 3 < 2 pi / h``).  Each guard
     runs before anything of the level's size is allocated, and the first
-    before any float overflows.  Both forms refuse the same levels.
+    before any float overflows.
     """
     m = pk.level
     if m > np.log2(_MAX_NODES / grid.extent):  # 2^m extent shifts at least
@@ -294,14 +283,12 @@ def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=(),
         raise UnresolvedLevelError(
             f"level {m} aliases on a grid of spacing {grid.spacing:g}: needs "
             f"2^m * h * {PHI_BAND[1]:.4f} < 2 pi")
-    if not half:
-        return L, Grid1D(-top * (2 * np.pi / L), 2 * np.pi / L, 2 * top + 1), 0
     L, size = _dft_size(m, grid, L)
     return L, Grid1D(0.0, 2 * np.pi / L, -(-2 * L // 3) + 1), size
 
 
 def _dft_size(m: int, grid: Grid1D, L: int) -> tuple[int, int]:
-    """(L, size) of the DFT route for half nodes of at least ``L`` spacings
+    """(L, size) of the DFT route for nodes of at least ``L`` spacings
     per 2 pi, else ``(L, 0)``.
 
     With ``2^m h = a / b`` in lowest terms, the nodes ``2 pi k / L'`` are
@@ -367,8 +354,8 @@ def _weighted_transform(grid: Grid1D, values: np.ndarray, zeta: Grid1D) -> np.nd
 def _on_grid(spectrum: Spectrum, grid: Grid1D) -> np.ndarray:
     """``(1/2 pi) sum_l Q_l exp(i zeta_l x) dzeta`` on ``grid``, along axis 0.
 
-    Q vanishes at the band ends, so every node takes the full spacing.  A
-    ``half`` spectrum sums to the real array ``(1/2 pi) Re sum_l w_l Q_l
+    Q vanishes at the band ends, so every node takes the full spacing.  The
+    Hermitian half sums to the real array ``(1/2 pi) Re sum_l w_l Q_l
     exp(i zeta_l x) dzeta``, with ``w = 1`` at ``zeta = 0`` and 2 at every
     other node, which stands for its mirror too.  On the grid whose DFT
     bins the nodes are (``Spectrum.bins``) that sum is one
@@ -376,30 +363,28 @@ def _on_grid(spectrum: Spectrum, grid: Grid1D) -> np.ndarray:
     half the length folded onto their mirrors; onto any other grid it is one
     ``chirp_synthesis``.
     """
-    zeta, qhat, half, bins = spectrum
+    zeta, qhat, bins = spectrum
     amp = qhat * (zeta.spacing / (2.0 * np.pi))
-    if half:
-        amp[1:] *= 2.0
+    amp[1:] *= 2.0
     if bins is not None and bins.grid == grid:
         amp *= np.conj(bins.phase).reshape((-1,) + (1,) * (amp.ndim - 1))
         return numerics.real_dft_sum(amp, bins.size, grid.count)
     out = numerics.chirp_synthesis(amp, zeta.origin, zeta.spacing, grid.origin,
                                    grid.spacing, grid.count)
-    return out.real if half else out
+    return out.real
 
 
 def _projector(pk: ProjectionKernel, grid: Grid1D, columns: int):
     """q_m along one axis of ``grid`` as its kept real (n, n) matrix, or None.
 
-    Column j is q_m of the j-th unit vector, by the real route of
-    ``_project_1d`` and ``_on_grid`` (a real identity, Hermitian half
-    spectra, and the DFT route where ``_eta_nodes`` takes it), a contiguous
+    Column j is q_m of the j-th unit vector, by ``_project_1d`` and
+    ``_on_grid`` (the DFT route where ``_eta_nodes`` takes it), a contiguous
     float64 array of ``8 n^2`` bytes.  Only a call that carries at least n
-    columns uses it, and only when ``16 n^2`` bytes fit the system's block
-    store (n <= 724 at 32 MiB): such a call builds it with one pass over n
-    columns, and its repeats on the same grid and level read it.  Every
-    other call takes the route of ``_project_1d``, so its result does not
-    depend on what the store holds.
+    real columns uses it, and only when ``16 n^2`` bytes fit the system's
+    block store (n <= 724 at 32 MiB): such a call builds it with one pass
+    over n columns, and its repeats on the same grid and level read it.
+    Every other call takes the route of ``_project_1d``, so its result does
+    not depend on what the store holds.
     """
     n = grid.count
     if columns < n or not pk.ws._blocks.fits(16 * n * n):
@@ -407,7 +392,7 @@ def _projector(pk: ProjectionKernel, grid: Grid1D, columns: int):
 
     def make():
         # refuses a level before the identity is allocated
-        nodes = _eta_nodes(pk, grid, half=True)
+        nodes = _eta_nodes(pk, grid)
         return np.ascontiguousarray(_on_grid(_project_1d(pk, grid, np.eye(n), (), nodes),
                                              grid))
 
@@ -417,25 +402,25 @@ def _projector(pk: ProjectionKernel, grid: Grid1D, columns: int):
 def project(pk: ProjectionKernel, f: SampledFunction) -> SampledFunction:
     """Orthogonal projection sum_k <f, phi_{m,k}> phi_{m,k} onto the level-m space.
 
-    The level-m operator runs along each axis in turn, every column at once:
-    one real product of the axis's kept matrix (``_projector``) with the
-    columns' parts, else the spectrum of ``_project_1d``, summed onto the
-    grid by ``_on_grid``.  Real samples (imaginary part exactly zero) give a
+    The samples' parts (``numerics.split_parts``) are the real columns of
+    the level-m operator, which runs along each axis in turn, every column
+    at once: one real product of the axis's kept matrix (``_projector``),
+    else the spectrum of ``_project_1d``, summed onto the grid by
+    ``_on_grid``.  Real samples (imaginary part exactly zero) give a
     projection whose imaginary part is exactly 0.
     """
     if f.dimension != pk.dimension:
         raise ProjectionError("kernel and samples differ in dimension")
     _warn_boundary_mass(f)
-    out = numerics.real_if_real(f.values)
-    for grid in f.grids:  # each pass moves its axis last, so d passes restore the order
+    out = numerics.split_parts(f.values)
+    for grid in f.grids:  # each pass moves its axis before the parts: d passes restore the order
         q = _projector(pk, grid, out.size // grid.count)
         if q is None:
             out = _on_grid(_project_1d(pk, grid, out), grid)
         else:
-            columns = np.ascontiguousarray(out.reshape(grid.count, -1))
-            out = (q @ columns.view(float)).view(out.dtype).reshape(out.shape)
-        out = np.moveaxis(out, 0, -1)
-    return SampledFunction(f.grid, out)
+            out = (q @ np.ascontiguousarray(out.reshape(grid.count, -1))).reshape(out.shape)
+        out = np.moveaxis(out, 0, -2)
+    return SampledFunction(f.grid, numerics.join_parts(out))
 
 
 def _warn_boundary_mass(f: SampledFunction) -> float:
@@ -469,8 +454,9 @@ def kernel_decay_certificate(pk: ProjectionKernel) -> DecayFit:
     ``q_0(x_p, .)`` projects a point mass at x_p: one ``_project_1d`` pass
     takes the masses as columns over a uniform grid on [0, 1], each ``1 / w``
     at its node (transform ``exp(i zeta x_p)``), and one ``_on_grid`` reads
-    each spectrum times ``exp(i zeta x_p)`` at u.  The masses are real, so
-    their spectra, shifted or not, are Hermitian halves.
+    each spectrum times ``exp(i zeta x_p)`` at u.  The masses are real, and
+    a spectrum shifted that way is still the Hermitian half of a real
+    function's.
     """
     if pk.level != 0:
         raise ProjectionError("the kernel-decay certificate reads the level-0 kernel")
@@ -525,27 +511,25 @@ def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
     if seminorm_params.max_beta > numerics.DERIVATIVE_ORDER_CAP:
         raise numerics.NumericsError("derivative order cap")
     (grid,) = f.grids
-    values = numerics.real_if_real(f.values)
+    values = numerics.split_parts(f.values)
     probes = _SEMINORM_PROBES.points()
     kernels = [build_kernel(ws, level=m, dimension=1) for m in levels]
-    nodes = [_eta_nodes(pk, grid, probes, np.isrealobj(values)) for pk in kernels]
+    nodes = [_eta_nodes(pk, grid, probes) for pk in kernels]
     bmass = _warn_boundary_mass(f)
     rows = []
     for pk, level_nodes in zip(kernels, nodes):
-        m = pk.level
         spectrum = _project_1d(pk, grid, values, probes, level_nodes)
-        sup_err = float(np.max(np.abs(_on_grid(spectrum, grid) - values)))
+        error = numerics.join_parts(_on_grid(spectrum, grid) - values)
         # derivatives of q_m f are (i zeta)^beta factors on its spectrum,
         # each order the last one times i zeta
-        step = 1j * spectrum.zeta.points()
-        spectra = np.empty((step.size, seminorm_params.max_beta + 1), dtype=complex)
-        spectra[:, 0] = spectrum.values
-        for beta in range(1, seminorm_params.max_beta + 1):
-            np.multiply(spectra[:, beta - 1], step, out=spectra[:, beta])
-        derivatives = _on_grid(spectrum._replace(values=spectra), _SEMINORM_PROBES).T
+        step, spectra = 1j * spectrum.zeta.points()[:, None], [spectrum.values]
+        for _ in range(seminorm_params.max_beta):
+            spectra.append(spectra[-1] * step)
+        derivatives = numerics.join_parts(_on_grid(
+            spectrum._replace(values=np.stack(spectra, 1)), _SEMINORM_PROBES)).T
         sem = metrics.seminorm_estimate(derivatives, seminorm_params, probes)
-        rows.append({"m": int(m), "sup_error": sup_err, "seminorm": sem,
-                     "boundary_mass": bmass})
+        rows.append({"m": int(pk.level), "sup_error": float(np.max(np.abs(error))),
+                     "seminorm": sem, "boundary_mass": bmass})
     return rows
 
 

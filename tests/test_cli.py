@@ -350,6 +350,7 @@ _BAD_COMMAND_LINES = [
     ("decay --system {system} --target phi --range 5,1000", 2),
     ("decay --system {system} --target phi --range 300,1000", 2),
     ("decay --system {system} --range=-5,-1", 2),
+    ("decay --system {system} --target phi --range=-5,-1", 2),
     ("project --system {system} --levels 0..2 --window 0.001", 2),
     ("project --system {system} --window -3", 2),
     ("project --system {system} --levels 3..1", 2),

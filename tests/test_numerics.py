@@ -127,6 +127,36 @@ class TestQuadrature:
         assert abs(sw.integrate(scaled) - alpha * sw.integrate(f)) < 1e-10
 
 
+class TestParts:
+    def _bits(self, values):
+        return np.ascontiguousarray(values).view(np.uint64)
+
+    def test_exactly_zero_imaginary_part_gives_one_part(self):
+        values = np.array([[1.5, -0.0], [2.0, 3.0]]) + 0j * np.array([1.0, -1.0])
+        parts = numerics.split_parts(values)
+        assert parts.shape == (2, 2, 1) and parts.dtype == np.float64
+        assert np.array_equal(self._bits(parts[..., 0]), self._bits(values.real))
+        assert np.array_equal(numerics.split_parts(values.real), parts)
+
+    def test_two_parts_join_bit_for_bit(self):
+        # -0.0 real parts survive the join, where re + 1j * im gives +0.0
+        values = np.array([-0.0 + 1.0j, 2.5 - 0.0j, -0.0 - 3.0j, 1e-300 + 0.0j])
+        parts = numerics.split_parts(values)
+        assert parts.shape == (4, 2)
+        joined = numerics.join_parts(parts)
+        assert np.array_equal(self._bits(joined.view(float)), self._bits(values.view(float)))
+
+    def test_join_reads_a_parts_axis_of_any_layout(self):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        strided = np.moveaxis(np.stack([values.real, values.imag]), 0, -1)
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(numerics.join_parts(strided), values)
+        one = numerics.join_parts(numerics.split_parts(values.real))
+        assert one.dtype == complex and np.array_equal(one, values.real)
+        assert not one.imag.any()
+
+
 class TestSpectrumOnBand:
     def _rect(self, n=20001):
         g = sw.Grid1D.from_interval(-1.0, 1.0, n)
