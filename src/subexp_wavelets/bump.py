@@ -65,7 +65,8 @@ class GevreyBump:
         """``int_{-inf}^{xi}`` of the bump (0 below -a, pi/2 above a), from the table."""
         h = self.a / _HALF_PANELS
         s = (np.clip(np.asarray(xi, dtype=float), -self.a, self.a) + self.a) / h
-        i = np.minimum(np.floor(np.nan_to_num(s)), 2 * _HALF_PANELS - 1).astype(np.intp)
+        # s >= 0 after the clip; fmax takes a NaN s to slot 0, where t is NaN
+        i = np.minimum(np.fmax(np.floor(s), 0.0), 2 * _HALF_PANELS - 1).astype(np.intp)
         t = s - i
         y0, y1 = self._cumtable[i], self._cumtable[i + 1]
         d0, d1 = h * self._slopes[i], h * self._slopes[i + 1]

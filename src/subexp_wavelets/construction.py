@@ -14,8 +14,9 @@ to vanish and makes the shift-orthonormality lattice sums finite.
 
 Physical-space samples and tables are trapezoid quadratures of the spectrum
 on uniform grids, summed by the chirp-z engine ``numerics.chirp_synthesis``;
-scattered points use the baby-step/giant-step direct sum
-``numerics.synthesize_values``.  For the many-evaluation call sites (atoms,
+point values at scattered points are ``2 Re`` of the baby-step/giant-step
+direct sum over the nodes ``xi > 0`` (``numerics.synthesize_real_values``),
+since psi and phi are real.  For the many-evaluation call sites (atoms,
 kernels) the system carries lazily built dense tables read by the natural
 cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11 and itself built
 on its first read.  ``atom_values`` reads dilated, shifted psi and phi, no
@@ -105,11 +106,15 @@ class BellFunction:
         xi = np.asarray(xi, dtype=float)
         scalar = xi.ndim == 0
         u = np.abs(np.atleast_1d(xi))
-        s = np.sin(self.bump.cumulative(u - np.pi))
-        # primitive of the half-dilated bump: cum2(v) = cum(v / 2)
-        c = np.cos(self.bump.cumulative(u / 2.0 - np.pi))
-        b = s * c
-        b[(u <= self.support_lo) | (u >= self.support_hi)] = 0.0
+        b = np.zeros(u.shape)
+        # the primitives are read on the support alone; NaN counts as on it
+        on = ~((u <= self.support_lo) | (u >= self.support_hi))
+        if on.any():
+            v = u[on]
+            s = np.sin(self.bump.cumulative(v - np.pi))
+            # primitive of the half-dilated bump: cum2(v) = cum(v / 2)
+            c = np.cos(self.bump.cumulative(v / 2.0 - np.pi))
+            b[on] = s * c
         return float(b[0]) if scalar else b
 
 
@@ -173,11 +178,15 @@ class WaveletSystem:
     # -- physical-space evaluation ----------------------------------------
 
     def evaluate_psi(self, x, derivative_order: int = 0) -> np.ndarray:
-        """Spectral-quadrature evaluation of psi (or a derivative) anywhere."""
-        return numerics.synthesize_values(self.psi_hat, x, order=derivative_order)
+        """psi (or a derivative) anywhere, a real array: the stored spectrum's
+        quadrature as ``2 Re`` of its sum over the nodes ``xi > 0``
+        (``numerics.synthesize_real_values``), since psi is real and the
+        stored spectrum Hermitian (``REALNESS``)."""
+        return numerics.synthesize_real_values(self.psi_hat, x, order=derivative_order)
 
     def evaluate_phi(self, x, derivative_order: int = 0) -> np.ndarray:
-        return numerics.synthesize_values(self.phi_hat, x, order=derivative_order)
+        """phi (or a derivative) anywhere, as ``evaluate_psi`` reads psi."""
+        return numerics.synthesize_real_values(self.phi_hat, x, order=derivative_order)
 
     # -- dense tables (fast evaluation backbone) ---------------------------
 
@@ -295,8 +304,10 @@ class WaveletSystem:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WaveletSystem":
         """The system a file holds; ``ConstructionError`` for another schema
-        (the file is rebuilt, not converted), a negative modulus, or an
-        array whose length is not its grid's count."""
+        (the file is rebuilt, not converted), a negative modulus, a spectral
+        grid not symmetric about 0 (``origin != -last``: the point values
+        pair each node with its mirror), or an array whose length is not
+        its grid's count."""
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != SCHEMA_TAG:
             raise ConstructionError(f"system file schema {schema!r} is not "
@@ -305,6 +316,9 @@ class WaveletSystem:
         def read_spec(which: str) -> SpectrumOnBand:
             d = doc[which + "_hat"]
             grid, modulus = _read_grid_dict(d, "modulus")
+            if grid.origin != -grid.last:
+                raise ConstructionError(f"{which}_hat grid [{grid.origin!r}, "
+                                        f"{grid.last!r}] is not symmetric about 0")
             if not np.all(modulus >= 0.0):
                 raise ConstructionError(f"{which}_hat modulus has a negative entry")
             return SpectrumOnBand(band=tuple(d["band"]), grid=grid,
@@ -481,25 +495,49 @@ def build_wavelet_system(a: float, rho2: float, *,
 # certificates: one registry for build and verify
 # ---------------------------------------------------------------------------
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# the fixed probe sets of the checks, built once: 200 probes off the bell's
+# support (|xi| < 2 pi/3 and |xi| > 8 pi/3), the lattice xi + 2 pi k of the
+# orthonormality sums (rows k = -2..2, 512 probes of [-pi, pi] each), and
+# the stencils of ``spectral_moments`` (step 0.02) with their offsets in one
+# row
+_OFF_SUPPORT_PROBES = _read_only(np.concatenate([
+    np.linspace(-(2 * np.pi / 3 - 1e-9), 2 * np.pi / 3 - 1e-9, 100),
+    np.linspace(8 * np.pi / 3 + 1e-9, 3 * np.pi + 4, 50),
+    -np.linspace(8 * np.pi / 3 + 1e-9, 3 * np.pi + 4, 50)]))
+_LATTICE = _read_only(np.linspace(-np.pi, np.pi, 512) + 2 * np.pi * np.arange(-2, 3)[:, None])
+_MOMENT_STEP = 0.02
+_MOMENT_STENCILS = tuple((_read_only(offsets), _read_only(coeff)) for offsets, coeff in
+                         (stencil(k, _MOMENT_STEP) for k in range(_MOMENT_K_MAX + 1)))
+_MOMENT_OFFSETS = _read_only(np.concatenate([offsets for offsets, _ in _MOMENT_STENCILS]))
+
+
 def _bell_off_support(bell: BellFunction) -> np.ndarray:
-    """|bell| at 200 probes off its support: |xi| < 2 pi/3 and |xi| > 8 pi/3."""
-    inner = np.linspace(-(2 * np.pi / 3 - 1e-9), 2 * np.pi / 3 - 1e-9, 100)
-    outer = np.linspace(8 * np.pi / 3 + 1e-9, 3 * np.pi + 4, 50)
-    return np.abs(bell(np.concatenate([inner, outer, -outer])))
+    """|bell| at the 200 probes ``_OFF_SUPPORT_PROBES``."""
+    return np.abs(bell(_OFF_SUPPORT_PROBES))
 
 
 def _lattice_deviation(sq_modulus) -> float:
     """max |sum_{|k| <= 2} sq_modulus(xi + 2 pi k) - 1| over 512 probes of [-pi, pi]."""
-    xi = np.linspace(-np.pi, np.pi, 512)
-    total = np.zeros_like(xi)
-    for shifted in sq_modulus(xi + 2 * np.pi * np.arange(-2, 3)[:, None]):
+    total = np.zeros(_LATTICE.shape[1])
+    for shifted in sq_modulus(_LATTICE):
         total += shifted  # in the order k = -2..2
     return float(np.max(np.abs(total - 1.0)))
 
 
 def _gram(A: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Trapezoid Gram matrix on ``grid`` of the rows of ``A``."""
-    return (A * grid.trapezoid_weights()) @ A.T
+    """Trapezoid Gram matrix on ``grid`` of the rows of ``A``: ``h A A^T``
+    less the half-weight terms of the two end samples, with no weighted
+    copy of A.  ``A @ A.T`` of a contiguous A is one symmetric product
+    (BLAS ``syrk``), which forms half the entries of ``(A w) @ A.T``."""
+    G = A @ A.T
+    G -= 0.5 * (np.outer(A[:, 0], A[:, 0]) + np.outer(A[:, -1], A[:, -1]))
+    G *= grid.spacing
+    return G
 
 
 def _gram_check(G: np.ndarray, tol: float) -> dict:
@@ -541,14 +579,12 @@ def spectral_moments(ws: WaveletSystem) -> np.ndarray:
     zone around the origin, where the bell is a literal zero, so this also
     exercises the exact-support bookkeeping.
     """
-    step = 0.02
-    stencils = [stencil(k, step) for k in range(_MOMENT_K_MAX + 1)]
     # one spectrum call for every stencil point, split back per order
-    vals = ws.psi_hat_fn(np.concatenate([offsets for offsets, _ in stencils]))
+    vals = ws.psi_hat_fn(_MOMENT_OFFSETS)
     per_order = np.split(vals, np.cumsum(np.arange(1, _MOMENT_K_MAX + 1)))  # k + 1 each
     # each order's (1, k + 1) row times its weights: (v @ coeff) / step^k
-    return np.array([(1j) ** k * (v[None, :] @ coeff)[0] / step ** k
-                     for k, (v, (_, coeff)) in enumerate(zip(per_order, stencils))])
+    return np.array([(1j) ** k * (v[None, :] @ coeff)[0] / _MOMENT_STEP ** k
+                     for k, (v, (_, coeff)) in enumerate(zip(per_order, _MOMENT_STENCILS))])
 
 
 def _moment_check(ws: WaveletSystem) -> dict:

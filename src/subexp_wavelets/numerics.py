@@ -24,8 +24,11 @@ these primitives.  Conventions fixed here once and for all:
   or ``irfft`` each, with no plan and no chirp phase.  Both direct
   sums run over uniform nodes and factor them baby-step/giant-step
   (``_direct_sum``), each step table itself the product of two smaller
-  ones: about ``4 n^(1/4)`` exponentials a point (38 at the psi hull's
-  7,280 nodes) and one matrix product, not ``n`` exponentials.
+  ones: about ``4 n^(1/4)`` exponentials a point and one matrix product,
+  not ``n`` exponentials.  ``synthesize_real_values`` sums a Hermitian
+  spectrum's half band alone, ``xi > 0``, as psi's and phi's point values
+  do: 30 exponentials at psi's 2,730 nodes and 28 at phi's 1,820, where
+  the full hulls (7,280 and 3,641 nodes) take 38 and 32.
 * tables are read between their nodes by ``NaturalSpline``, the natural
   cubic spline on uniform knots, which is literal zero outside them.
 
@@ -259,8 +262,8 @@ def integrate(f: SampledFunction) -> complex:
 def moments(grid: Grid1D, values, k_max: int) -> np.ndarray:
     """Trapezoid moments ``int x^k f dx``, ``k = 0..k_max``, of samples on ``grid``."""
     x = grid.points()
-    w = grid.trapezoid_weights()
-    return np.array([np.dot(values * w, x ** k) for k in range(k_max + 1)])
+    weighted = values * grid.trapezoid_weights()
+    return np.array([np.dot(weighted, x ** k) for k in range(k_max + 1)])
 
 
 # r = sqrt(3) - 2 solves r^2 + 4 r + 1 = 0, so r^|k| / (r - 1/r) inverts the
@@ -395,6 +398,37 @@ def synthesize_values(spec: SpectrumOnBand, x_points, order: int = 0) -> np.ndar
     lattice-factored direct sum ``_direct_sum``: about ``4 n^(1/4)``
     exponentials a point for ``n`` nodes; deterministic summation order.
     """
+    x = _scattered_points(x_points, order)
+    xi0, amp = _hull_amplitudes(spec, order)
+    return _direct_sum(x, xi0, spec.grid.spacing, amp, 1j)
+
+
+def synthesize_real_values(spec: SpectrumOnBand, x_points, order: int = 0) -> np.ndarray:
+    """``synthesize_values`` of a Hermitian spectrum, ``spec(-xi) = conj
+    spec(xi)`` (the transform of a real function), as a real array.
+
+    The nodes ``xi < 0`` mirror those ``xi > 0``, so the sum is ``2 Re`` of
+    the sum over the nodes ``xi > 0`` inside the declared support (their
+    hull), each with the full grid's trapezoid weight and ``(i xi)^order``;
+    a node at ``xi = 0`` (an odd count) counts half.  That pairing needs a
+    grid symmetric about 0, ``origin == -last``, else ``NumericsError``.
+    Hermitian symmetry is the caller's to know: this reads one half only.
+    """
+    g = spec.grid
+    if g.origin != -g.last:
+        raise NumericsError(f"spectral grid [{g.origin!r}, {g.last!r}] is not "
+                            f"symmetric about 0")
+    x = _scattered_points(x_points, order)
+    half = g.count // 2
+    xi0, amp = _hull_amplitudes(spec, order, half)
+    if g.count % 2 and spec.support_mask()[half]:  # the hull starts at xi = 0
+        amp[0] *= 0.5
+    return 2.0 * _direct_sum(x, xi0, g.spacing, amp, 1j).real
+
+
+def _scattered_points(x_points, order: int) -> np.ndarray:
+    """The points of a scattered-point synthesis as a 1-D float array, after
+    the checks of the points and the derivative order."""
     if order < 0 or order > DERIVATIVE_ORDER_CAP:
         raise NumericsError("derivative order cap")
     x = np.atleast_1d(np.asarray(x_points, dtype=float))
@@ -402,21 +436,23 @@ def synthesize_values(spec: SpectrumOnBand, x_points, order: int = 0) -> np.ndar
         raise NumericsError("no evaluation points")
     if not np.all(np.isfinite(x)):
         raise NumericsError("invalid samples")
-    xi0, amp = _hull_amplitudes(spec)
-    if order:
-        amp = amp * (1j * (xi0 + spec.grid.spacing * np.arange(amp.size))) ** order
-    return _direct_sum(x, xi0, spec.grid.spacing, amp, 1j)
+    return x
 
 
-def _hull_amplitudes(spec: SpectrumOnBand) -> tuple[float, np.ndarray]:
-    """(first node, ``spec * trapezoid weights / 2 pi``) over the support's hull."""
-    inside = np.flatnonzero(spec.support_mask())
+def _hull_amplitudes(spec: SpectrumOnBand, order: int = 0,
+                     first: int = 0) -> tuple[float, np.ndarray]:
+    """(first node, ``spec (i xi)^order * trapezoid weights / 2 pi``) over
+    the hull of the support's nodes from index ``first`` on."""
+    inside = first + np.flatnonzero(spec.support_mask()[first:])
     if inside.size == 0:
         raise NumericsError("no spectral grid point inside declared_support")
     lo, hi = inside[0], inside[-1] + 1
     g = spec.grid
     amp = spec.values[lo:hi] * g.trapezoid_weights()[lo:hi] / (2.0 * np.pi)
-    return g.origin + g.spacing * lo, amp
+    xi0 = g.origin + g.spacing * lo
+    if order:
+        amp = amp * (1j * (xi0 + g.spacing * np.arange(amp.size))) ** order
+    return xi0, amp
 
 
 def _direct_sum(rows, col0: float, dcol: float, amp, phase) -> np.ndarray:
@@ -431,7 +467,7 @@ def _direct_sum(rows, col0: float, dcol: float, amp, phase) -> np.ndarray:
     baby table, the outer product of its two factors, times ``amp`` as a (B
     x A) matrix, then contracts that with the fine giant steps over ``a0``
     and with the coarse ones over ``a1``.  So a row takes about ``4
-    n^(1/4)`` exponentials (38 at the psi hull's 7,280 nodes) instead of
+    n^(1/4)`` exponentials (30 at psi's 2,730 nodes ``xi > 0``) instead of
     ``n``.  Each factor still comes from its own angle, never from a power
     of a rounded ``exp``, so the sum is as accurate as the plain one.
     Blocks of rows hold about ``_BLOCK_ENTRIES`` table entries, so the
@@ -513,9 +549,12 @@ def _chirp_plan(n: int, count: int, xi0: float, dxi: float, x0: float,
     return plan
 
 
-# Bluestein plans (``chirp_synthesis``); a warm session's projections at
-# levels 0..6, its 2-D projection and its kernel-decay certificate keep 13,
-# about 0.9 MB (the DFT route needs none).  Plans are kept from a
+# Bluestein plans (``chirp_synthesis``); a warm session keeps 14, 3.3 MB:
+# the phi dense-table plan, 2.3 MB (the table's three orders share its
+# geometry, so the second keeps it), two of 0.14 MB that sample its
+# band-limited inputs, and 11 of its level-0 projection, its seminorm
+# probes at levels 0..6 and its kernel-decay certificate, 0.7 MB (the DFT
+# route and the kept 2-D matrices need none).  Plans are kept from a
 # geometry's second request on because a cold command asks for most of its
 # geometries once: keeping them from the first request raises the peak RSS
 # of a cold ``build`` from 58 to 65 MB, ``expand --parseval`` from 60 to

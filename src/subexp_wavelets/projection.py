@@ -71,9 +71,12 @@ MAX_RHO2 = 2.8
 # of about 1e-14
 _ALIAS_TARGET = 1e-13
 # Most shifts a window may span at one level of _project_1d, and most eta
-# nodes it may take; each node costs a few complex FFT entries.  Level 13 on
-# [-40, 40] spans 655,360 shifts, takes 874,337 nodes and peaks near 85 MB;
-# level 14 would need twice that.
+# nodes (eta >= 0) it may take; each node costs a few complex FFT entries.
+# Level 13 on [-40, 40] spans 655,360 shifts and takes 437,169 nodes: a
+# Gaussian's ``project`` on its 600,001 points (the chirp route) peaks at
+# 89 MB of allocations (tracemalloc), and on 2^19 + 1 points (the DFT
+# route) at 38 MB.  Level 13 on [-64, 64] spans the most shifts, 2^20, and
+# takes 699,313 nodes: 143 MB on 960,001 points.
 _MAX_NODES = 2 ** 20
 BOUNDARY_MASS_WARN = 1e-8
 _SEMINORM_PROBES = Grid1D.from_interval(-8.0, 8.0, 161)
@@ -276,8 +279,8 @@ def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=()) -> tuple[int, Grid
     span = np.ldexp(max(reach.max() - grid.origin, grid.last - reach.min()), m)
     L = int(np.ceil(span + _phi_tail(pk.ws)[2]))
     top = -(-2 * L // 3)  # spacings from 0 to the band end 4 pi / 3
-    if not 2 * top + 1 <= _MAX_NODES:
-        raise UnresolvedLevelError(f"level {m} needs {2 * top + 1:.3g} eta nodes "
+    if not top + 1 <= _MAX_NODES:
+        raise UnresolvedLevelError(f"level {m} needs {top + 1:.3g} eta nodes "
                                    f"on this window, more than {_MAX_NODES}")
     if not resolves(PHI_BAND[1], m, grid.spacing):
         raise UnresolvedLevelError(
@@ -306,7 +309,7 @@ def _dft_size(m: int, grid: Grid1D, L: int) -> tuple[int, int]:
     t = numerics.next_fast_len(-(-L // a), _DFT_PRIMES)
     top, size = -(-2 * a * t // 3), b * t
     chirp = numerics.next_fast_len(grid.count + -(-2 * L // 3))
-    if top < size and 2 * top + 1 <= _MAX_NODES and size <= _DFT_RATIO * chirp:
+    if top < size and top + 1 <= _MAX_NODES and size <= _DFT_RATIO * chirp:
         return a * t, size
     return L, 0
 

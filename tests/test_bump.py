@@ -6,12 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subexp_wavelets as sw
-from subexp_wavelets.bump import BumpError, TARGET_INTEGRAL
+from subexp_wavelets.bump import _HALF_PANELS, BumpError, TARGET_INTEGRAL
 
 
 @pytest.fixture(scope="module")
 def bump():
     return sw.build_bump(1.0, 2.0)
+
+
+def _edge_probes(*ends) -> np.ndarray:
+    """Each of ``+-end`` and one ulp either side of it, 0, a negative
+    value, +-inf and NaN."""
+    ends = np.array(ends, dtype=float)
+    ends = np.concatenate([ends, -ends])
+    return np.concatenate([np.nextafter(ends, -np.inf), ends, np.nextafter(ends, np.inf),
+                           [0.0, -0.3, np.inf, -np.inf, np.nan]])
+
+
+def _cumulative_reference(bump, xi):
+    """``GevreyBump.cumulative`` as first written, with ``nan_to_num``."""
+    h = bump.a / _HALF_PANELS
+    s = (np.clip(np.asarray(xi, dtype=float), -bump.a, bump.a) + bump.a) / h
+    i = np.minimum(np.floor(np.nan_to_num(s)), 2 * _HALF_PANELS - 1).astype(np.intp)
+    t = s - i
+    y0, y1 = bump._cumtable[i], bump._cumtable[i + 1]
+    d0, d1 = h * bump._slopes[i], h * bump._slopes[i + 1]
+    out = y0 + t * t * (3.0 - 2.0 * t) * (y1 - y0) \
+        + t * (1.0 - t) * ((1.0 - t) * d0 - t * d1)
+    return np.clip(out, 0.0, TARGET_INTEGRAL)
 
 
 class TestProfile:
@@ -62,6 +84,18 @@ class TestCumulative:
         # bell orthonormality identities downstream rely on it
         got = bump.cumulative(x) + bump.cumulative(-x)
         assert abs(got - TARGET_INTEGRAL) < 1e-13
+
+    def test_bits_of_the_nan_to_num_formula(self, bump):
+        # the slot index as np.floor(np.nan_to_num(s)) formed it: every
+        # value, NaN and the infinities included, keeps its bits
+        for x in _edge_probes(bump.a):
+            for arg in (x, np.array([x])):
+                got, want = bump.cumulative(arg), _cumulative_reference(bump, arg)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x
+        probes = _edge_probes(bump.a)
+        assert bump.cumulative(probes).tobytes() == _cumulative_reference(
+            bump, probes).tobytes()
 
     def test_monotone_nondecreasing(self, bump):
         # the endpoint knot is pinned to the exact mass, which can sit one

@@ -53,6 +53,15 @@ def _scale_psi_samples(doc):
     doc["psi_samples"]["re"] = (1.01 * np.asarray(doc["psi_samples"]["re"])).tolist()
 
 
+def _drop_first_node(doc):
+    """psi_hat without its first node, a literal zero: a well-formed
+    spectrum on [-3 pi + h, 3 pi], not symmetric about 0."""
+    spec = doc["psi_hat"]
+    spec["modulus"].pop(0)
+    spec["grid"]["origin"] += spec["grid"]["spacing"]
+    spec["grid"]["count"] -= 1
+
+
 def _read_report(path):
     with open(path) as fh:
         doc = json.load(fh)
@@ -153,7 +162,9 @@ class TestVerify:
         lambda doc: doc["psi_hat"]["modulus"].__setitem__(
             _nearest_node(doc["psi_hat"], 5.0), -0.5),
         lambda doc: doc["phi_samples"]["re"].pop(),
-    ], ids=["negative-modulus", "short-samples"])
+        # the point values pair each spectral node with its mirror
+        _drop_first_node,
+    ], ids=["negative-modulus", "short-samples", "asymmetric-spectral-grid"])
     def test_malformed_array_is_io_error(self, system_file, tmp_path, capsys,
                                          tamper):
         tampered = _tampered(system_file, tmp_path, tamper)

@@ -47,11 +47,41 @@ class TestBell:
         v = float(ws.bell(xi))
         assert 0.0 <= v <= 1.0
 
+    def test_bits_of_the_full_formula(self, ws):
+        # the bell as first written, which read both primitives everywhere
+        # and zeroed the off-support values after: the ends of the support
+        # and of each factor's ramp, one ulp either side, their mirrors, 0,
+        # +-inf and NaN keep their bits, as scalars and as arrays
+        bell, a = ws.bell, ws.bell.bump.a
+        ends = np.array([np.pi - a, np.pi + a, 2 * np.pi - 2 * a, 2 * np.pi + 2 * a])
+        ends = np.concatenate([ends, -ends])
+        probes = np.concatenate([np.nextafter(ends, -np.inf), ends,
+                                 np.nextafter(ends, np.inf),
+                                 [0.0, -4.0, np.inf, -np.inf, np.nan]])
+        assert bell(probes).tobytes() == _bell_reference(bell, probes).tobytes()
+        for x in probes:
+            got, want = bell(x), _bell_reference(bell, x)
+            assert type(got) is type(want) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
+            got = bell(np.array([x]))
+            assert got.tobytes() == _bell_reference(bell, np.array([x])).tobytes()
+
     def test_nonnegative_below_upper_support_edge(self, ws):
         # just under 2 pi + 2a the bump primitive sits at its full mass, where
         # an overshoot of a few ulps would make the cos factor negative
         xi = np.linspace(8.2, 8.283, 20001)
         assert np.min(ws.bell(xi)) >= 0.0
+
+
+def _bell_reference(bell, xi):
+    """``BellFunction.__call__`` as first written: both primitives read at
+    every point, the off-support values zeroed after."""
+    xi = np.asarray(xi, dtype=float)
+    scalar = xi.ndim == 0
+    u = np.abs(np.atleast_1d(xi))
+    b = np.sin(bell.bump.cumulative(u - np.pi)) * np.cos(bell.bump.cumulative(u / 2.0 - np.pi))
+    b[(u <= bell.support_lo) | (u >= bell.support_hi)] = 0.0
+    return float(b[0]) if scalar else b
 
 
 def _wrap_bell(wrap):
@@ -223,9 +253,25 @@ class TestEvaluation:
         assert np.max(np.abs(sw.synthesize_values(spec, x))) < 1e-12
 
     def test_realness(self, ws):
+        # the stored spectra are Hermitian: the full-hull sum's imaginary
+        # part is rounding
         x = np.linspace(-17.0, 17.0, 401)
-        assert np.max(np.abs(ws.evaluate_psi(x).imag)) < 1e-12
-        assert np.max(np.abs(ws.evaluate_phi(x).imag)) < 1e-12
+        for spec in (ws.psi_hat, ws.phi_hat):
+            assert np.max(np.abs(sw.synthesize_values(spec, x).imag)) < 1e-12
+
+    @pytest.mark.parametrize("which", ["psi", "phi"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_point_values_are_the_real_part_of_the_full_hull(self, ws, which, order):
+        # 2 Re of the half band against the full hull's sum: gate 1e-14
+        # times |xi|^order at the band end 8 pi / 3, ten times the 9.4e-16
+        # a first measurement of order 0 gave
+        x = np.random.default_rng(2000).uniform(-40.0, 40.0, 2000)
+        spec, evaluate = ((ws.psi_hat, ws.evaluate_psi) if which == "psi"
+                          else (ws.phi_hat, ws.evaluate_phi))
+        got = evaluate(x, order)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        full = sw.synthesize_values(spec, x, order).real
+        assert np.max(np.abs(got - full)) <= 1e-14 * (8 * np.pi / 3) ** order
 
     def test_interpolator_matches_direct_synthesis(self, ws):
         x = np.array([-31.37, -7.21, -0.4, 0.93, 5.55, 18.01, 44.4])
@@ -300,6 +346,17 @@ class TestEvaluation:
 
 
 class TestCrossGram:
+    def test_gram_is_the_weighted_product(self, ws):
+        # the two-scale certificate's rows against the product with the
+        # trapezoid weights applied to a copy
+        grid = sw.Grid1D.from_interval(-80.0, 80.0, 10241)
+        A = np.vstack([construction._axis_block(ws, 1, m, N, grid)[0]
+                       for m, N in ((-1, 1), (0, 3), (1, 2))])
+        want = (A * grid.trapezoid_weights()) @ A.T
+        got = construction._gram(A, grid)
+        assert got.shape == (15, 15) and np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) < 1e-14
+
     def test_small_gram_is_identity(self, ws, cross_gram_fourier):
         G = cross_gram_fourier(ws, range(-1, 2), range(-1, 2))
         assert G.shape == (9, 9)

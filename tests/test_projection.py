@@ -202,6 +202,29 @@ class TestProjection:
         with pytest.raises(projection.UnresolvedLevelError, match="level 7 aliases"):
             sw.project(sw.build_kernel(ws, level=7), gaussian_samples)
 
+    def test_node_guard_counts_the_half_nodes(self, ws):
+        # level 13 on [-50, 50]: 819,200 shifts, and 546,751 nodes eta >= 0,
+        # within _MAX_NODES though the full set (twice that, less one) is not
+        grid = sw.Grid1D(-50.0, 100.0 / 2 ** 20, 2 ** 20 + 1)
+        L, eta, size = projection._eta_nodes(sw.build_kernel(ws, level=13), grid)
+        assert eta.count == -(-2 * L // 3) + 1
+        assert eta.count <= projection._MAX_NODES < 2 * eta.count - 1
+
+    def test_too_many_half_nodes_refused_before_allocating(self, ws):
+        # a probe at 150 stretches the span to 2^13 * 200: 1.09e6 nodes
+        grid = sw.Grid1D(-50.0, 100.0 / 2 ** 20, 2 ** 20 + 1)
+        pk = sw.build_kernel(ws, level=13)
+        projection._phi_tail(ws)  # kept beside the tables, as after any projection
+        tracemalloc.start()
+        try:
+            with pytest.raises(projection.UnresolvedLevelError,
+                               match=r"needs 1\.09e\+06 eta nodes"):
+                projection._eta_nodes(pk, grid, np.array([150.0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_kernel_and_samples_must_share_dimension(self, ws, gaussian_samples):
         with pytest.raises(ProjectionError, match="dimension"):
             sw.project(sw.build_kernel(ws, dimension=2), gaussian_samples)
