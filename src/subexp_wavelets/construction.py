@@ -17,14 +17,15 @@ on uniform grids, summed by the chirp-z engine ``numerics.chirp_synthesis``;
 point values at scattered points are ``2 Re`` of the baby-step/giant-step
 direct sum over the nodes ``xi > 0`` (``numerics.synthesize_real_values``),
 since psi and phi are real.  For the many-evaluation call sites (atoms,
-kernels) the system carries lazily built dense tables read by the natural
-cubic spline ``numerics.NaturalSpline``, accurate to ~1e-11 and itself built
-on its first read.  ``atom_values`` reads dilated, shifted psi and phi, no
-derivative.  An atom block on a uniform grid (``_axis_block``, read by
-expansion and two build certificates) is the spline's own two rows where
-each knot interval holds four or more samples, and otherwise a block the
-system keeps in one ``numerics.Kept`` store: a window of one kept row or a
-kept per-shift block.
+kernels) the system carries lazily built dense tables read by the local
+8-point interpolant ``numerics.LagrangeInterpolant``, within about 1.5e-13
+of psi's direct sums and itself built on its first read.  ``atom_values``
+reads dilated, shifted psi and phi, no derivative.  An atom block on a
+uniform grid (``_axis_block``, read by expansion and two build
+certificates) is one window of the interpolant's samples where each knot
+interval holds four or more samples, and otherwise a block the system
+keeps in one ``numerics.Kept`` store: a window of one kept row or a kept
+per-shift block.
 
 Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
@@ -48,7 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics
 from .bump import GevreyBump, build_bump, stencil
-from .numerics import Grid1D, NaturalSpline, SampledFunction, SpectrumOnBand
+from .numerics import Grid1D, LagrangeInterpolant, SampledFunction, SpectrumOnBand
 
 SCHEMA_TAG = "dhws-v2"
 
@@ -59,8 +60,8 @@ _SPECTRAL_POINTS = 8192
 # vanishing moments int x^k psi certified for k = 0.._MOMENT_K_MAX
 _MOMENT_K_MAX = 10
 
-# dense-table layout: spacing fine enough that cubic interpolation of a
-# band-limited function (|xi| <= 8 pi / 3) stays below ~1e-11
+# dense-table layout: spacing fine enough that the 8-point interpolant of a
+# band-limited function (|xi| <= 8 pi / 3) stays below ~2e-13
 TABLE_SPACING = 1.0 / 256
 TABLE_HALF = 264.0
 _TABLE_BAND_POINTS = 4096
@@ -74,10 +75,10 @@ MAX_SAMPLES = 2 ** 20
 _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
 # bytes of atom blocks a system keeps (``_axis_block``), with projection's
 # kept matrices and |phi_hat| nodes; the (6, 32) window on expand's
-# 20,481-point grid keeps 2.0 MB of rows at m = -2..6 (m = -6..-3 read the
-# spline's rows, where the rows would take 8.5 MB more), the two-scale and
-# low-pass certificates about 0.6 MB, and a (real) q_m matrix on 321 points
-# 0.8 MB
+# 20,481-point grid keeps 2.0 MB of rows at m = -2..6 (m = -6..-3 read a
+# window of the interpolant's samples, where the rows would take 8.5 MB
+# more), the two-scale and low-pass certificates about 0.6 MB, and a (real)
+# q_m matrix on 321 points 0.8 MB
 _BLOCK_BYTES = 32 * 2 ** 20
 
 
@@ -144,7 +145,7 @@ class WaveletSystem:
         self.phi_samples = phi_samples
         self.certificates = certificates if certificates is not None else {}
         self._tables: dict = {}
-        self._splines: dict = {}  # interpolator's splines, built on first read
+        self._interpolants: dict = {}  # built on interpolator's first read
         self._wide: dict = {}
         self._fits: dict = {}  # values read off the tables (projection._phi_tail)
         # uniform-grid atom blocks, kept q_m matrices and |phi_hat| nodes
@@ -230,7 +231,7 @@ class WaveletSystem:
 
     def dense_table(self, which: str, order: int = 0):
         """(grid, values) of psi/phi (derivative) on [-TABLE_HALF, TABLE_HALF],
-        kept read-only; no spline is built here."""
+        kept read-only; no interpolant is built here."""
         key = (which, order)
         if key not in self._tables:
             grid, vals = self._even_table(which, order, TABLE_HALF, TABLE_SPACING,
@@ -239,16 +240,17 @@ class WaveletSystem:
             self._tables[key] = (grid, vals)
         return self._tables[key]
 
-    def interpolator(self, which: str, order: int = 0) -> NaturalSpline:
-        """Fast callable: cubic spline over the dense table, 0 outside it.
+    def interpolator(self, which: str, order: int = 0) -> LagrangeInterpolant:
+        """Fast callable: the local Lagrange interpolant of the dense table,
+        0 outside it.
 
         Built on the first call and kept, sharing the table's samples; later
         calls return the same object, on which ``_axis_block`` keys its rows.
         """
         key = (which, order)
-        if key not in self._splines:
-            self._splines[key] = NaturalSpline(*self.dense_table(which, order))
-        return self._splines[key]
+        if key not in self._interpolants:
+            self._interpolants[key] = LagrangeInterpolant(*self.dense_table(which, order))
+        return self._interpolants[key]
 
     def atom_values(self, bit: int, m: int, n, x) -> np.ndarray:
         """2^(m/2) f(2^m x - n) with f = phi (bit 0) or psi (bit 1).
@@ -364,11 +366,12 @@ def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis: Grid1D):
     """(B, geometry): rows ``k`` = shift ``-N + k`` of one axis's scale-m atom
     factor on a grid, and how B lies in the rows it reads.
 
-    Where each knot interval of the spline holds r >= 4 samples, B is the
-    spline's own two rows (``_knot_windows``) and nothing is evaluated or
-    kept.  Otherwise the system keeps what it evaluates (``ws._blocks``),
-    read-only, under the evaluator (the object ``interpolator`` returns),
-    ``m``, the grid and ``N``, so a replaced or wrapped evaluator misses.
+    Where each knot interval of the table holds r >= 4 samples, B is a
+    window of the interpolant's samples (``_knot_windows``) and nothing is
+    evaluated or kept.  Otherwise the system keeps what it evaluates
+    (``ws._blocks``), read-only, under the evaluator (the object
+    ``interpolator`` returns), ``m``, the grid and ``N``, so a replaced or
+    wrapped evaluator misses.
     Shift n moves the atom by n s samples, s = 2^-m / h.  When s is a whole
     number below the count, the kept value is one row on the grid extended
     by N s samples at each end, and B a read-only strided view of windows of
@@ -389,7 +392,7 @@ def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis: Grid1D):
 
     def make():  # the row every window reads, or the grid's per-shift block
         x = axis.origin + axis.spacing * np.arange(-N * s, axis.count + N * s)
-        value = ws.atom_values(bit, m, 0 if s else ns, x)
+        value = _aligned(ws.atom_values(bit, m, 0, x)) if s else ws.atom_values(bit, m, ns, x)
         value.flags.writeable = False
         return value
 
@@ -402,25 +405,36 @@ def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis: Grid1D):
     return sliding_window_view(kept, axis.count)[2 * N * s::-s], (s, span)
 
 
-def _knot_windows(f, m: int, N: int, axis: Grid1D):
-    """((Y, K), (t, span, W, count)): the scale-m atom block of the spline f
-    on ``axis`` as the spline's own rows, or None where they do not serve.
+def _aligned(values: np.ndarray) -> np.ndarray:
+    """A copy of ``values`` whose data start on a 64-byte boundary.  Each
+    phase of a windowed block starts at the kept row's own alignment when s
+    is a multiple of 8, and the window kernels' BLAS products ran up to 1.7
+    times faster on 64-byte aligned phases than on 16-byte aligned ones
+    (OpenBLAS 0.3.31, one thread, a 2-core Xeon)."""
+    buffer = np.empty(values.size + 8)
+    start = (-buffer.ctypes.data % 64) // 8
+    out = buffer[start:start + values.size].reshape(values.shape)
+    out[...] = values
+    return out
 
-    They serve when f is a ``NaturalSpline`` (a wrapped or replaced
-    evaluator has no rows to read), each knot interval holds a whole number
-    ``r = 2^-m spacing_table / h >= 4`` of samples, ``2^m origin`` sits on
-    knot tau_0, and every window below lies inside the table.  Then sample
-    ``j = p r + i`` of shift n lies in interval ``q = tau_0 + p - t n`` (t
-    knots per unit shift) at ``u = i / r``, where the spline reads
-    ``y_q (1 - u) + k_q b0(u) + y_(q+1) u + k_(q+1) b1(u)``, ``b0 = -u (1 - u)
-    (2 - u) / 6`` and ``b1 = u (u - 1) (u + 1) / 6``.  Y and K are read-only
-    windows of the samples y and second differences k in the layout of a
-    windowed block of stride t: shift n's row holds the P + 1 knots from
-    ``tau_0 - t n``, P the intervals that meet the grid.  ``W`` (r, 4) holds
-    ``2^(m/2)`` times the four weights of sample i, left knot (y, k) then
-    right knot.
+
+def _knot_windows(f, m: int, N: int, axis: Grid1D):
+    """(Y, (t, span, W, count)): the scale-m atom block of the interpolant
+    f on ``axis`` as windows of its samples, or None where they do not serve.
+
+    They serve when f is a ``LagrangeInterpolant`` (a wrapped or replaced
+    evaluator has no samples to read), each knot interval holds a whole
+    number ``r = 2^-m spacing_table / h >= 4`` of samples, ``2^m origin``
+    sits on knot tau_0, and every stencil below lies inside the table, so
+    none is shifted at an end.  Then sample ``j = p r + i`` of shift n lies
+    in interval ``q = tau_0 + p - t n`` (t knots per unit shift) at ``u = i
+    / r``, where f reads ``sum_o y_(q+o) L_o(u)`` over the offsets ``o =
+    -3..4``.  Y is a read-only window of the samples y in the layout of a
+    windowed block of stride t: shift n's row holds the P + 7 knots from
+    ``tau_0 - t n - 3``, P the intervals that meet the grid.  ``W`` (r, 8)
+    holds ``2^(m/2)`` times the eight weights of sample i.
     """
-    if type(f) is not NaturalSpline:
+    if type(f) is not LagrangeInterpolant:
         return None
     table = f.grid
     r = np.ldexp(table.spacing, -m) / axis.spacing
@@ -429,16 +443,14 @@ def _knot_windows(f, m: int, N: int, axis: Grid1D):
     if not (r >= 4 and r.is_integer() and t.is_integer() and tau0.is_integer()):
         return None
     r, t, tau0 = int(r), int(t), int(tau0)
-    P = -(-axis.count // r)
-    lo = tau0 - N * t
-    if lo < 0 or tau0 + N * t + P >= table.count:
+    P, width = -(-axis.count // r), numerics.STENCIL
+    left = width // 2 - 1  # stencil knots before an interval
+    lo, hi = tau0 - N * t - left, tau0 + N * t + P + width - left  # knots lo <= q < hi
+    if lo < 0 or hi > table.count:
         return None
-    Y, K = (sliding_window_view(row[lo:tau0 + N * t + P + 1], P + 1)[2 * N * t::-t]
-            for row in (f.values, f.second_differences))
-    u = np.arange(r) / r
-    W = 2.0 ** (m * 0.5) * np.stack([1.0 - u, -u * (1.0 - u) * (2.0 - u) / 6.0,
-                                     u, u * (u - 1.0) * (u + 1.0) / 6.0], -1)
-    return (Y, K), (t, (0, 2 * N * t + P + 1), W, axis.count)
+    Y = sliding_window_view(f.values[lo:hi], P + width - 1)[2 * N * t::-t]
+    W = 2.0 ** (m * 0.5) * numerics.lagrange_weights(left + np.arange(r) / r).T
+    return Y, (t, (0, hi - lo), W, axis.count)
 
 
 # ---------------------------------------------------------------------------
@@ -677,14 +689,15 @@ def _stored_support(ws: WaveletSystem) -> dict:
 def _stored_orthonormality(ws: WaveletSystem) -> dict:
     """Lattice sums recomputed from the *stored* spectra by interpolation.
 
-    Natural cubic interpolation of the stored grids limits this file-based
-    rerun to ~1e-8; the build-time certificate uses the analytic bell at 1e-10.
+    Interpolating the stored grids (``LagrangeInterpolant``) reads about
+    3e-15 on the reference build; the tolerance, 1e-8, leaves room for
+    coarser files.  The build-time certificate uses the analytic bell.
     """
     tol = 1e-8
     worst = {}
     for name, spec in (("psi", ws.psi_hat), ("phi", ws.phi_hat)):
         worst[name] = _lattice_deviation(
-            NaturalSpline(spec.grid, np.abs(spec.values) ** 2))
+            LagrangeInterpolant(spec.grid, np.abs(spec.values) ** 2))
     ok = max(worst.values()) < tol
     return {"pass": bool(ok), "max_deviation": worst, "tolerance": tol,
             "probes": 512}
@@ -711,9 +724,9 @@ def _stored_moments(ws: WaveletSystem) -> dict:
 
 
 def _stored_two_scale(ws: WaveletSystem) -> dict:
-    """Cross-scale Gram from a natural cubic spline of the stored samples (tol 1e-5)."""
+    """Cross-scale Gram from the interpolant of the stored samples (tol 1e-5)."""
     (grid,) = ws.psi_samples.grids
-    psi = NaturalSpline(grid, ws.psi_samples.values.real)
+    psi = LagrangeInterpolant(grid, ws.psi_samples.values.real)
     x, ns = grid.points(), np.arange(-3, 4)[:, None]
     A = np.vstack([2.0 ** (m / 2.0) * psi(np.ldexp(x, m) - ns) for m in (-1, 0, 1)])
     return _gram_check(_gram(A, grid), 1e-5)

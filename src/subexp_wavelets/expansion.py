@@ -14,23 +14,24 @@ scale, one atom block per axis fills a slot.
 ``synthesize_partial`` reads the slots through the same blocks.  This is
 direct quadrature; there is no filter-bank fast transform here.  A block
 on a uniform grid (``construction._axis_block``) takes one of three forms,
-and a warm call evaluates no spline in any of them:
+and a warm call evaluates no interpolant in any of them:
 
-* where each knot interval of the spline holds r >= 4 samples and
+* where each knot interval of the table holds r >= 4 samples and
   ``2^m origin`` is a knot (m = -6..-3 on the dyadic grid of ``expand``),
-  the spline's own two rows, samples y and second differences k: nothing
-  is evaluated or kept.  ``_moments_apply`` takes each interval's four
-  moments of the data in one product and meets them with windows of y and
-  k; ``_moments_transpose`` is its exact transpose.  The sums are those of
-  the evaluated rows, regrouped, so coefficients move only by rounding;
+  one window of the interpolant's own samples y: nothing is evaluated or
+  kept.  ``_moments_apply`` takes each interval's eight moments of the
+  data, one per stencil knot, in one product, folds them onto the knots
+  and meets them with the window of y; ``_moments_transpose`` is its exact
+  transpose.  The sums are those of the evaluated rows, regrouped, so
+  coefficients move only by rounding;
 * where the shift step is a whole number of samples s (the other scales
-  ``analyze`` allows on expand's grid), windows of one kept spline row per
+  ``analyze`` allows on expand's grid), windows of one kept atom row per
   scale instead of one row per shift;
 * elsewhere a kept per-shift block.
 
 The (6, 32) window on expand's 20,481-point grid keeps 2.0 MB of rows,
-and a replaced or wrapped evaluator reads no spline rows and misses the
-kept blocks.
+and a replaced or wrapped evaluator reads no samples and misses the kept
+blocks.
 
 A windowed block is not itself a BLAS operand (its rows overlap), so one
 pair of window kernels multiplies with it: ``_window_apply`` (analysis) and
@@ -44,7 +45,7 @@ of real coefficients, are real, and half the products drop out.
 
 A functional known by its spectrum (point masses and their derivatives,
 ultradistributions) takes ``analyze_spectrum``: one chirp-z sum in n per
-scale over psi's band, of the analytic psi_hat, with no table or spline.
+scale over psi's band, of the analytic psi_hat, with no table or interpolant.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _scale_blocks(ws: WaveletSystem, window: IndexWindow, axes):
     """(slot, blocks): slot (p, m + M) holds pattern p's scale-m shifts in an
     array; blocks[i] is axis i's ``(B, geometry)`` (``_axis_block``), where
     B[k, j] is the factor at shift ``-N + k`` and the axis's j-th point (or,
-    read from the spline's rows, the pair of windows that forms it).  Each
+    read from the interpolant's samples, the window that forms it).  Each
     axis is a ``Grid1D``.
     """
     for p, eps in enumerate(window.patterns()):
@@ -222,38 +223,38 @@ def _window_transpose(B: np.ndarray, s: int, span, C: np.ndarray) -> np.ndarray:
     return out.reshape(C.shape[:-1] + (n,))
 
 
-def _moments_apply(YK, t: int, span, W: np.ndarray, count: int,
+def _moments_apply(Y, t: int, span, W: np.ndarray, count: int,
                    F: np.ndarray) -> np.ndarray:
-    """c = B F for a block of the spline's own rows (``_knot_windows``), F
-    of shape (count, columns).
+    """c = B F for a block read from the interpolant's samples
+    (``_knot_windows``), F of shape (count, columns).
 
-    One (P, r) @ (r, 4) product takes each knot interval's four moments of
-    F: A and C against its left knot's y and k weights, B and D against its
-    right knot's.  Knot q gathers ``G_y[q] = A_q + B_(q-1)`` and ``G_k[q] =
-    C_q + D_(q-1)``, and c is ``_window_apply`` of Y on ``G_y`` plus of K on
-    ``G_k``.
+    One (P, r) @ (r, 8) product takes each knot interval's eight moments of
+    F, one against each knot of its stencil.  Knot q gathers the moments of
+    the eight intervals whose stencils hold it, and c is ``_window_apply``
+    of Y on those sums.
     """
-    Y, K = YK
-    r, P = len(W), Y.shape[1] - 1
+    r, width = W.shape
+    P = Y.shape[1] - width + 1
     parts = np.zeros((F.shape[1], P * r))
     parts[:, :count] = F.T
-    moments = (parts.reshape(-1, r) @ W).reshape(len(parts), P, 2, 2)
-    G = np.zeros((2, P + 1, len(parts)))  # (y, k) by knot and column
-    G[:, :-1] = moments[:, :, 0].T
-    G[:, 1:] += moments[:, :, 1].T
-    return _window_apply(Y, t, span, G[0]) + _window_apply(K, t, span, G[1])
+    moments = (parts.reshape(-1, r) @ W).reshape(len(parts), P, width)
+    G = np.zeros((Y.shape[1], len(parts)))  # by knot and column
+    for o in range(width):
+        G[o:o + P] += moments[:, :, o].T
+    return _window_apply(Y, t, span, G)
 
 
-def _moments_transpose(YK, t: int, span, W: np.ndarray, count: int,
+def _moments_transpose(Y, t: int, span, W: np.ndarray, count: int,
                        C: np.ndarray) -> np.ndarray:
     """out_j = sum_k C_k B[k, j] for C of shape (..., K): the exact transpose
-    of ``_moments_apply``.  ``_window_transpose`` gives each knot's y and k
-    sums, and one (P, 4) @ (4, r) product spreads each interval's left and
-    right knots over its r samples."""
-    Y, K = YK
-    G = np.stack([_window_transpose(Y, t, span, C), _window_transpose(K, t, span, C)], -1)
-    moments = np.concatenate([G[..., :-1, :], G[..., 1:, :]], -1)  # (..., P, 4)
-    out = moments.reshape(-1, 4) @ W.T
+    of ``_moments_apply``.  ``_window_transpose`` gives each knot's sum, and
+    one (P, 8) @ (8, r) product spreads each interval's eight stencil knots
+    over its r samples."""
+    r, width = W.shape
+    G = _window_transpose(Y, t, span, C)
+    P = G.shape[-1] - width + 1
+    moments = np.stack([G[..., o:o + P] for o in range(width)], -1)  # (..., P, 8)
+    out = moments.reshape(-1, width) @ W.T
     return out.reshape(C.shape[:-1] + (-1,))[..., :count]
 
 
@@ -283,9 +284,9 @@ def _analysis(ws: WaveletSystem, window: IndexWindow, axes, F):
 
     The real blocks meet the parts as the last axis of one real array, so
     no block is copied to complex.  Each axis in turn, moved first, is
-    ``_moments_apply`` on the spline's rows, ``_window_apply`` on a windowed
-    block or one BLAS product on a per-shift block (``_block_apply``), and
-    its shifts go next to the last axis.
+    ``_moments_apply`` on the interpolant's samples, ``_window_apply`` on a
+    windowed block or one BLAS product on a per-shift block
+    (``_block_apply``), and its shifts go next to the last axis.
     """
     out = np.empty(window.shape, dtype=complex)
     for slot, blocks in _scale_blocks(ws, window, axes):

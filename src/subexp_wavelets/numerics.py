@@ -1,4 +1,4 @@
-"""Uniform grids, quadrature, splines, and band-limited synthesis.
+"""Uniform grids, quadrature, interpolation, and band-limited synthesis.
 
 Everything downstream (wavelet construction, projections, expansions) runs on
 these primitives.  Conventions fixed here once and for all:
@@ -29,8 +29,9 @@ these primitives.  Conventions fixed here once and for all:
   spectrum's half band alone, ``xi > 0``, as psi's and phi's point values
   do: 30 exponentials at psi's 2,730 nodes and 28 at phi's 1,820, where
   the full hulls (7,280 and 3,641 nodes) take 38 and 32.
-* tables are read between their nodes by ``NaturalSpline``, the natural
-  cubic spline on uniform knots, which is literal zero outside them.
+* tables are read between their nodes by ``LagrangeInterpolant``, the
+  local 8-point Lagrange interpolant on uniform knots, with no global
+  solve; it is literal zero outside them.
 
 Everything here is numpy: the FFTs are ``numpy.fft`` at the smooth sizes
 of ``next_fast_len``.
@@ -39,7 +40,8 @@ Synthesized values are complex throughout, even when a quantity is
 analytically real.  Realness is never assumed but observed exactly: the
 projections and expansions carry values as real parts on a last axis
 (``split_parts``, read back by ``join_parts``), one where the imaginary
-part is exactly zero and two otherwise.  The spline reads real samples.
+part is exactly zero and two otherwise.  The interpolant reads real
+samples.
 """
 
 from __future__ import annotations
@@ -47,15 +49,17 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isfinite, isqrt
+from math import factorial, isfinite, isqrt
 from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 DERIVATIVE_ORDER_CAP = 60
+# knots a LagrangeInterpolant reads per point: offsets -3..4 from its interval
+STENCIL = 8
 _BLOCK_ENTRIES = 2 ** 20  # table entries per block of rows of the direct sums
-_SPLINE_BLOCK = 2 ** 14  # points a NaturalSpline call evaluates at a time
+_INTERPOLANT_BLOCK = 2 ** 14  # points a LagrangeInterpolant call evaluates at a time
 _FFT_BLOCK_ENTRIES = 2 ** 16  # padded entries per block of chirp_synthesis rows
 _NOTED_KEYS = 4096  # keys a Kept store notes as requested once
 
@@ -266,53 +270,43 @@ def moments(grid: Grid1D, values, k_max: int) -> np.ndarray:
     return np.array([np.dot(weighted, x ** k) for k in range(k_max + 1)])
 
 
-# r = sqrt(3) - 2 solves r^2 + 4 r + 1 = 0, so r^|k| / (r - 1/r) inverts the
-# (1, 4, 1) operator on all integers; its taps beyond |k| = 32 are below 1e-18
-_R141 = np.sqrt(3.0) - 2.0
-_INVERSE_141 = _R141 ** np.abs(np.arange(-32, 33)) / (_R141 - 1.0 / _R141)
+def lagrange_weights(v, width: int = STENCIL) -> np.ndarray:
+    """``(width, ...)``: the Lagrange basis on the nodes ``0 .. width - 1``
+    at each ``v``, ``L_j(v) = prod_(k != j) (v - k) / (j - k)``.
 
-
-def natural_second_differences(y) -> np.ndarray:
-    """``h^2 s''(x_i)`` of the natural cubic spline ``s`` through uniform samples.
-
-    They solve ``K_{i-1} + 4 K_i + K_{i+1} = 6 (y_{i+1} - 2 y_i + y_{i-1})``
-    inside with ``K_0 = K_{n-1} = 0``.  One convolution with the inverse
-    ``(1, 4, 1)`` taps solves the interior equations on all integers; the
-    two homogeneous solutions ``A r^i + B r^{n-1-i}`` then make both end
-    values zero, which the convolution alone gets right only for samples
-    that vanish near their ends.
+    The product form: at a node ``v = j`` every factor is an exact integer,
+    so ``L_j`` is exactly 1 and every other weight an exact zero.  The
+    products run in place in the one output array, with one scratch row.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    rhs = np.zeros(n)
-    rhs[1:-1] = 6.0 * (y[2:] - 2.0 * y[1:-1] + y[:-2])
-    k = np.convolve(rhs, _INVERSE_141)[32:32 + n]
-    q = _R141 ** (n - 1)
-    a = (q * k[-1] - k[0]) / (1.0 - q * q)
-    b = (q * k[0] - k[-1]) / (1.0 - q * q)
-    tail = _R141 ** np.arange(min(n, 33))
-    k[:tail.size] += a * tail
-    k[n - tail.size:] += b * tail[::-1]
-    return k
+    v = np.asarray(v, dtype=float)
+    w = np.empty((width,) + v.shape)
+    w[-1] = 1.0
+    for j in range(width - 2, -1, -1):  # prod_(k > j) (v - k)
+        np.subtract(v, j + 1, out=w[j])
+        w[j] *= w[j + 1]
+    left, d = np.array(v), np.empty(v.shape)
+    for j in range(1, width):  # times prod_(k < j) (v - k)
+        w[j] *= left
+        left *= np.subtract(v, j, out=d)
+    for j in range(width):  # over prod_(k != j) (j - k)
+        w[j] /= (-1) ** (width - 1 - j) * factorial(j) * factorial(width - 1 - j)
+    return w
 
 
-class NaturalSpline:
-    """Natural cubic spline through samples on a uniform grid, 0 outside it.
+class LagrangeInterpolant:
+    """Local Lagrange interpolant of samples on a uniform grid, 0 outside it.
 
-    ``spline(x)`` is its value at ``x``; it reads no derivative.  The
-    spline holds two rows: the samples ``values`` (the caller's float array
-    itself, not a copy) and their ``natural_second_differences`` k.  A
-    point reads its slot's cubic in ``u = (x - x_i)/h``, formed from
-    those two rows at the point: on interval i, ``a = y_i``, ``b = (y_{i+1}
-    - y_i) - (2 k_i + k_{i+1})/6``, ``c = k_i / 2`` and ``d = (k_{i+1} -
-    k_i)/6``.  The last knot has a slot of its own (the last interval's
-    cubic re-centred there, so it reads that sample exactly), and the slots
-    before the first knot and past the last read 0; NaN reads 0.  So the
-    values are bit-identical to reading a stored table of the slots'
-    coefficients, at a quarter of its memory.  A knot reads its sample
-    exactly wherever ``(x - origin) / spacing`` is exact, as on the dyadic
-    tables.  A call evaluates ``_SPLINE_BLOCK`` points at a time, which
-    bounds its temporaries and changes no value.
+    ``f(x)`` reads the ``STENCIL`` knots around x: those of offsets -3..4
+    from x's interval, shifted inward where they would pass a table end, or
+    every knot of a grid with fewer.  Its weights are ``lagrange_weights``
+    at x's place in the stencil, so a knot reads its sample bit for bit
+    wherever ``(x - origin) / spacing`` is exact, as on the dyadic tables.
+    Its error is ``O(h^8 max|f^(8)|)`` for f sampled at spacing h (Berrut
+    and Trefethen, SIAM Review 46, 2004), with no global solve.  The
+    samples ``values`` (the caller's float array itself, not a copy) are
+    its only row.  Points before the first knot, past the last, and NaN
+    read 0.  A call evaluates ``_INTERPOLANT_BLOCK`` points at a time,
+    which bounds its temporaries and changes no value.
     """
 
     def __init__(self, grid: Grid1D, values):
@@ -321,55 +315,35 @@ class NaturalSpline:
             raise NumericsError("values length does not match grid point count")
         self.grid = grid
         self.values = y
-        self.second_differences = natural_second_differences(y)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape)
         flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-        for lo in range(0, flat_x.size, _SPLINE_BLOCK):
-            self._evaluate(flat_x[lo:lo + _SPLINE_BLOCK],
-                           flat_out[lo:lo + _SPLINE_BLOCK])
+        for lo in range(0, flat_x.size, _INTERPOLANT_BLOCK):
+            self._evaluate(flat_x[lo:lo + _INTERPOLANT_BLOCK],
+                           flat_out[lo:lo + _INTERPOLANT_BLOCK])
         return float(out) if out.ndim == 0 else out
 
     def _evaluate(self, x, out):
-        g, y, k = self.grid, self.values, self.second_differences
-        last = g.count - 1.0
-        # clipped so that u stays in [-1, 1]; fmax reads NaN as before the grid
-        u = np.subtract(x, g.origin)
-        u /= g.spacing
-        np.fmax(u, -1.0, out=u)
-        np.fmin(u, last + 0.5, out=u)
-        i = np.floor(u)
-        i[x > g.last] += 1.0  # past the last knot: the zero slot
-        u -= i
-        slot = i.astype(np.intp)  # -1 and count read 0, count - 1 the last knot
-        # the cubic a + b u + c u^2 + d u^3 of interval ``slot``, clipped to
-        # the intervals
-        c, d = (row.take(slot, mode="clip") for row in (k[:-1], k[1:]))  # k_i, k_i+1
-        a, b = (row.take(slot, mode="clip") for row in (y[:-1], y[1:]))
-        b -= a
-        w = 2.0 * c
-        w += d
-        w /= 6.0
-        b -= w
-        d -= c
-        d /= 6.0
-        c *= 0.5
-        # points off the intervals; as an unsigned index, -1 wraps past them all
-        edges = np.count_nonzero(slot.view(np.uintp) > g.count - 2)
-        tail = np.flatnonzero(slot == g.count - 1) if edges else ()
-        if len(tail):  # the last interval's cubic at u = 1 + v, in v
-            a[tail] = y[-1]
-            b[tail] = b[tail] + 2.0 * c[tail] + 3.0 * d[tail]
-            c[tail] = c[tail] + 3.0 * d[tail]
-        np.multiply(d, u, out=out)
-        out += c
-        for row in (b, a):
-            out *= u
-            out += row
-        if len(tail) < edges:  # slots -1 and count read 0
-            out[slot.view(np.uintp) > g.count - 1] = 0.0
+        g, y = self.grid, self.values
+        width = min(STENCIL, g.count)
+        outside = ~((x >= g.origin) & (x <= g.last))  # NaN is outside
+        v = np.subtract(x, g.origin)
+        v /= g.spacing
+        v[outside] = 0.0
+        start = np.floor(v)
+        start -= STENCIL // 2 - 1
+        np.clip(start, 0, g.count - width, out=start)
+        v -= start
+        knot = start.astype(np.intp)
+        weights = lagrange_weights(v, width)
+        np.multiply(weights[0], y.take(knot), out=out)
+        for w in weights[1:]:
+            knot += 1
+            w *= y.take(knot)
+            out += w
+        out[outside] = 0.0
 
 
 def inner_product(f: SampledFunction, g: SampledFunction) -> complex:

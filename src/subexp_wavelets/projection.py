@@ -12,7 +12,7 @@ one pass.  Along an axis of at most 724 points, a call with at least n
 real columns keeps q_m as its real (n, n) matrix (``_projector``), built by
 the same route from the real identity, and applies it as one real matrix
 product.  The kernel-decay certificate reads q_0 off this route, as the
-projections of point masses, and no spline table is read on it: the alias
+projections of point masses, and no dense table is read on it: the alias
 margin, like the kernel's truncation radius and tail bound, comes from the
 running sup of |phi| on the wide table (``_phi_tail``).
 
@@ -467,7 +467,8 @@ def kernel_decay_certificate(pk: ProjectionKernel) -> DecayFit:
     values = np.eye(masses.count, _DECAY_PROBES) / masses.trapezoid_weights()[:, None]
     spectrum = _project_1d(pk, masses, values, _DECAY_U_MAX + 1.0)
     zeta, qhat = spectrum[:2]
-    qhat *= np.exp(1j * np.outer(zeta.points(), masses.points()[:-1]))
+    qhat *= _kept(pk, (zeta, masses), "shift", lambda: np.exp(
+        1j * np.outer(zeta.points(), masses.points()[:-1])))
     u = np.arange(int(_DECAY_U_MAX * _DECAY_PER_UNIT) + 2) / _DECAY_PER_UNIT
     reads = _on_grid(spectrum, Grid1D(0.0, 1.0 / _DECAY_PER_UNIT, u.size))
     samples = np.column_stack([u, np.abs(reads).max(axis=1)])[u <= _DECAY_U_MAX]

@@ -182,6 +182,16 @@ class TestVerify:
         code = cli.main(["verify", "--system", tampered, "--suite", suite])
         assert code == cli.EXIT_CHECK_FAILURE
 
+    def test_seven_stored_samples_fail_two_scale(self, tmp_path):
+        # --window 0.05 stores 7 samples, fewer than the interpolant's
+        # 8-knot stencil: it reads them all and the Gram check fails
+        out = str(tmp_path / "small.json")
+        assert cli.main(["build", "--window", "0.05", "--out", out]) == cli.EXIT_OK
+        with open(out) as fh:
+            assert json.load(fh)["psi_samples"]["grid"]["count"] == 7
+        code = cli.main(["verify", "--system", out, "--suite", "two-scale"])
+        assert code == cli.EXIT_CHECK_FAILURE
+
 
 class TestDecay:
     def test_report_matches_library_fit(self, ws, system_file, tmp_path):

@@ -253,9 +253,9 @@ def _per_shift_block(ws, bit, m, N, grid):
     return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], grid.points())
 
 
-# expand's grid moved by one sample: 2^m origin is off the spline's knots
+# expand's grid moved by one sample: 2^m origin is off the table's knots
 # (multiples of 1/256) at every m <= -2, so every scale keeps an atom row,
-# while on expand's grid itself m = -6..-3 read the spline's own rows
+# while on expand's grid itself m = -6..-3 read the interpolant's samples
 _OFF_KNOTS = sw.Grid1D(-80.0 + 1.0 / 128, 1.0 / 128, 20481)
 
 
@@ -324,11 +324,11 @@ class TestShiftWindowedBlocks:
         assert sum(sizes) <= bound
 
 
-def _count_spline_points(monkeypatch):
-    """Points every ``NaturalSpline`` call evaluates from now on."""
+def _count_interpolant_points(monkeypatch):
+    """Points every ``LagrangeInterpolant`` call evaluates from now on."""
     sizes = []
-    call = numerics.NaturalSpline.__call__
-    monkeypatch.setattr(numerics.NaturalSpline, "__call__",
+    call = numerics.LagrangeInterpolant.__call__
+    monkeypatch.setattr(numerics.LagrangeInterpolant, "__call__",
                         lambda self, x: sizes.append(np.size(x)) or call(self, x))
     return sizes
 
@@ -338,31 +338,30 @@ class TestAtomRows:
 
     def test_second_analysis_reads_the_kept_rows(self, ws, band_function,
                                                  expansion_grid, monkeypatch):
-        # m >= -2 reads kept rows, m <= -3 the spline's own two rows
+        # m >= -2 reads kept rows, m <= -3 one window of the table's samples
         window = sw.IndexWindow(6, self.N)
         first = sw.analyze(ws, band_function, window)
         blocks = [expansion._axis_block(ws, 1, m, self.N, expansion_grid)[0]
                   for m in range(-2, 7)]
-        sizes = _count_spline_points(monkeypatch)
+        sizes = _count_interpolant_points(monkeypatch)
         again = sw.analyze(ws, band_function, window)
         for m, block in zip(range(-2, 7), blocks):
             assert np.shares_memory(
                 block, expansion._axis_block(ws, 1, m, self.N, expansion_grid)[0])
-        spline = ws.interpolator("psi")
+        samples = ws.interpolator("psi").values
         for m in range(-6, -2):
-            (Y, K), _ = expansion._axis_block(ws, 1, m, self.N, expansion_grid)
-            assert np.shares_memory(Y, spline.values)
-            assert np.shares_memory(K, spline.second_differences)
+            Y, _ = expansion._axis_block(ws, 1, m, self.N, expansion_grid)
+            assert np.shares_memory(Y, samples) and not Y.flags.writeable
         assert sizes == []
         np.testing.assert_array_equal(again.values, first.values)
 
-    def test_second_coarse_analysis_evaluates_no_spline(self, ws, band_function,
-                                                        monkeypatch):
+    def test_second_coarse_analysis_evaluates_no_interpolant(self, ws, band_function,
+                                                             monkeypatch):
         # (6, 64): a kept m = -6 row would take 8.6 MB, over a quarter of the
         # bound, and be evaluated afresh (1.07M points) on every call
         window = sw.IndexWindow(6, 64)
         first = sw.analyze(ws, band_function, window)
-        sizes = _count_spline_points(monkeypatch)
+        sizes = _count_interpolant_points(monkeypatch)
         np.testing.assert_array_equal(sw.analyze(ws, band_function, window).values,
                                       first.values)
         assert sizes == []
@@ -389,7 +388,7 @@ class TestAtomRows:
                                     ws.psi_samples, ws.phi_samples)
 
         system = fresh()
-        sizes = _count_spline_points(monkeypatch)
+        sizes = _count_interpolant_points(monkeypatch)
         first = sw.analyze(system, f, window)
         assert len(sizes) == 10  # phi and psi at each of 5 scales
         sizes.clear()
@@ -432,7 +431,7 @@ class TestAtomRows:
                                   ws.psi_samples, ws.phi_samples)
         g = sw.Grid1D.from_interval(-80.0, 80.0, 20000)
         f = sw.SampledFunction(g, np.exp(-g.points() ** 2))
-        sizes = _count_spline_points(monkeypatch)
+        sizes = _count_interpolant_points(monkeypatch)
         for _ in range(2):
             sw.analyze(system, f, sw.IndexWindow(6, self.N))
         assert len(sizes) == 26
@@ -568,7 +567,7 @@ class TestWindowKernels:
 
     def test_synthesis_is_the_transpose_of_analysis(self, ws, expansion_grid):
         # windows (6, 32) and (6, 64): the kernels skip the phases beyond each
-        # kept row's span, and m <= -3 reads the spline's rows by moments
+        # kept row's span, and m <= -3 reads the table's samples by moments
         rng = np.random.default_rng(2024)
         g = sw.SampledFunction(expansion_grid, rng.standard_normal(expansion_grid.count))
         for window in (sw.IndexWindow(6, 32), sw.IndexWindow(6, 64)):
@@ -594,9 +593,9 @@ def _exact(a, b):
 
 class TestKnotMoments:
     """Scales whose knot intervals hold r >= 4 samples, with ``2^m origin``
-    on a knot, read the spline's samples y and second differences k by
-    interval moments (``_knot_windows``): the same sums against the same
-    cubic, regrouped.  Against the exact products with the dense per-shift
+    on a knot, read the interpolant's samples y by interval moments
+    (``_knot_windows``): the same sums against the same 8-point stencils,
+    regrouped.  Against the exact products with the dense per-shift
     block B, their coefficients stay within 1e-15 of ``|B| |F|``, and their
     partial sums within ``(2N + 1) u |C| |B|``, the worst-case rounding of a
     sum of 2N + 1 products (u the unit roundoff; the dense product in
@@ -785,8 +784,7 @@ class TestParseval:
         return float(np.max(np.abs(got - want))), float(np.max(np.abs(want)))
 
     def test_point_mass_dual(self, ws):
-        # measured 1.2e-13, 8.1e-14 and 1.2e-13 of max|c|; the physical
-        # route's spline blocks erred by 3.7e-10
+        # measured 1.2e-13, 8.1e-14 and 1.2e-13 of max|c|
         for window in self.WINDOWS:
             gap, top = self._point_mass_gap(ws, 0, 0.3, window)
             assert gap <= 1e-12 * top
@@ -808,18 +806,31 @@ class TestParseval:
         return float(np.max(np.abs(got.values - want))), float(np.max(np.abs(want)))
 
     def test_density_dual_of_order_zero_is_the_function(self, ws, expansion_grid):
-        # measured 2.9e-10, 3.3e-10 and 3.3e-10 of max|c|: analyze's spline
-        # floor, not the spectral route's
+        # measured 1.8e-13, 1.1e-13 and 2.0e-13 of max|c|
         for window in self.WINDOWS:
             gap, top = self._density_gap(ws, expansion_grid, 0, window)
-            assert gap <= 1e-9 * top
+            assert gap <= 1e-12 * top
+
+    @pytest.mark.parametrize("center, scale", [(0.0, 1.0), (1.3, 1.4), (-2.2, 0.6)])
+    def test_every_scale_of_a_sampled_gaussian_matches_its_closed_form(
+            self, ws, expansion_grid, center, scale):
+        # exp(-((x - x0) / s)^2) sampled on expand's grid against its
+        # spectrum's coefficients; measured at most 1.8e-13, 1.7e-13 and
+        # 1.2e-13 of max|c| over the scales.  A cubic interpolant of the
+        # tables (error O(h^4)) reads about 3e-10 at m <= -2 and fails it
+        window = sw.IndexWindow(6, 32)
+        got = sw.analyze(ws, sample(gaussian(center, scale), expansion_grid), window)
+        want = sw.analyze_spectrum(ws, lambda xi: scale * np.sqrt(np.pi) * np.exp(
+            -0.25 * (scale * xi) ** 2 - 1j * center * xi), window, 10.0).values
+        gaps = np.abs(got.values - want)[0].max(axis=1)
+        assert np.all(gaps <= 5e-13 * np.abs(want).max()), gaps
 
     @pytest.mark.parametrize("order, M, N", [(1, 2, 8), (1, 4, 16), (2, 4, 16)])
     def test_density_dual_of_order_k_is_the_derivative(self, ws, expansion_grid,
                                                        order, M, N):
-        # measured 6.1e-11, 6.1e-11 and 2.5e-10 of max|c|
+        # measured 9.0e-14, 1.2e-13 and 1.4e-13 of max|c|
         gap, top = self._density_gap(ws, expansion_grid, order, sw.IndexWindow(M, N))
-        assert gap <= 1e-9 * top
+        assert gap <= 1e-12 * top
 
     @pytest.mark.parametrize("kwargs", [
         dict(window=sw.IndexWindow(1, 2, d=2), reach=0.0),
@@ -866,7 +877,7 @@ def _gaussian_derivative_hat(k):
 
 class TestSpectrumRoute:
     """``analyze_spectrum``: the coefficients of a functional from its
-    spectrum and the analytic psi_hat, with no table and no spline."""
+    spectrum and the analytic psi_hat, with no table and no interpolant."""
 
     def test_non_finite_spectrum_rejected(self, ws):
         with pytest.raises(ExpansionError):

@@ -4,8 +4,8 @@ Oracles used here are all independent of the library: the Gaussian integral
 sqrt(pi), the Fourier pair rectangle <-> sin(x)/(pi x), and the Gaussian
 transform pair exp(-x^2) <-> sqrt(pi) exp(-xi^2/4).  The lattice-factored
 direct sum is checked against the plain ``exp(i outer) @ amp`` product, and
-the chirp-z engine against the direct sum ``synthesize_values``.  The natural
-spline is checked against a dense solve of its tridiagonal system, and
+the chirp-z engine against the direct sum ``synthesize_values``.  The local
+interpolant is checked against the polynomials it must reproduce, and
 ``next_fast_len`` against a brute-force search.
 """
 
@@ -606,164 +606,77 @@ class TestChirpPlans:
             assert peak <= 17.5 * 2 ** 20
 
 
-def _natural_second_differences_dense(y):
-    """``h^2 s''`` at the knots by ``np.linalg.solve`` of the natural system."""
-    n = y.size
-    A = np.zeros((n, n))
-    A[0, 0] = A[-1, -1] = 1.0
-    rhs = np.zeros(n)
-    for i in range(1, n - 1):
-        A[i, i - 1:i + 2] = 1.0, 4.0, 1.0
-        rhs[i] = 6.0 * (y[i + 1] - 2.0 * y[i] + y[i - 1])
-    return np.linalg.solve(A, rhs)
-
-
-class _FourRowSpline:
-    """The natural spline's earlier layout, kept as the reference: one
-    ``(4, n + 2)`` array of the slots' cubic coefficients in ``u``, zero
-    slots at both ends and the last knot's slot re-centred there.
-    ``NaturalSpline`` reads values only and must equal it bit for bit at
-    order 0; its derivatives are what the C^2 and second-difference checks
-    read of the one spline both share."""
-
-    def __init__(self, grid, y):
-        self.grid = grid
-        k = numerics.natural_second_differences(y)
-        poly = np.zeros((4, grid.count + 2))
-        a, b, c, d = poly[:, 1:-2]
-        a[:] = y[:-1]
-        b[:] = (y[1:] - y[:-1]) - (2.0 * k[:-1] + k[1:]) / 6.0
-        c[:] = 0.5 * k[:-1]
-        d[:] = (k[1:] - k[:-1]) / 6.0
-        poly[:, -2] = (y[-1], b[-1] + 2.0 * c[-1] + 3.0 * d[-1],
-                       c[-1] + 3.0 * d[-1], d[-1])
-        self.poly = poly
-
-    def __call__(self, x, order=0):
-        poly = self.poly
-        for _ in range(order):
-            powers = np.arange(1.0, poly.shape[0])[:, None]
-            poly = poly[1:] * powers / self.grid.spacing
-        x = np.asarray(x, dtype=float)
-        last = self.grid.count - 1.0
-        t = np.fmin(np.fmax((x - self.grid.origin) / self.grid.spacing, -1.0),
-                    last + 0.5)
-        i = np.floor(t)
-        i += x > self.grid.last
-        u = t - i
-        j = i.astype(np.intp) + 1
-        out = poly[-1][j]
-        for row in poly[-2::-1]:
-            out *= u
-            out += row[j]
-        return out
-
-
-class TestNaturalSpline:
+class TestLagrangeInterpolant:
     GRID = sw.Grid1D(-1.5, 0.125, 41)
-
-    @pytest.mark.parametrize("grid", [
-        sw.Grid1D(-264.0, 1.0 / 256, 135169), sw.Grid1D(-40.0, 1.0 / 64, 5121),
-        sw.Grid1D(-1.5, 0.125, 7), sw.Grid1D(0.3, 0.7, 2)], ids=lambda g: str(g.count))
-    def test_matches_the_four_row_reference(self, grid):
-        y = self._samples(grid.count)
-        spline, reference = numerics.NaturalSpline(grid, y), _FourRowSpline(grid, y)
-        knots, lo, hi = grid.points(), grid.origin, grid.last
-        x = np.concatenate([
-            np.random.default_rng(3).uniform(lo - 0.2 * (hi - lo) - 1.0,
-                                             hi + 0.2 * (hi - lo) + 1.0, 20000),
-            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
-            knots + 0.5 * grid.spacing,
-            [hi, np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf), lo - 1e-300,
-             np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0]])
-        got, want = spline(x), reference(x)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    def test_holds_its_samples_and_their_second_differences(self):
-        y = self._samples(self.GRID.count)
-        spline = numerics.NaturalSpline(self.GRID, y)
-        assert spline.values is y
-        np.testing.assert_array_equal(spline.second_differences,
-                                      numerics.natural_second_differences(y))
-        arrays = [v for v in vars(spline).values() if isinstance(v, np.ndarray)]
-        assert [a.shape for a in arrays] == [(self.GRID.count,)] * 2
 
     @staticmethod
     def _samples(n, seed=5):
-        # ends well away from zero: the end corrections must carry them
-        y = np.random.default_rng(seed).standard_normal(n)
-        y[[0, -1]] = 3.0, -2.5
-        return y
+        return np.random.default_rng(seed).standard_normal(n)
 
-    @pytest.mark.parametrize("n", [5, 7, 64, 65, 1000])
-    def test_second_derivatives_match_dense_solve(self, n):
-        y = self._samples(n)
-        want = _natural_second_differences_dense(y)
-        got = numerics.natural_second_differences(y)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        g = sw.Grid1D(0.0, 0.5, n)
-        at_knots = _FourRowSpline(g, y)(g.points(), 2) * g.spacing ** 2
-        assert np.max(np.abs(at_knots - want)) <= 1e-12 * np.max(np.abs(want))
+    @pytest.mark.parametrize("grid", [
+        sw.Grid1D(-264.0, 1.0 / 256, 135169), sw.Grid1D(-1.5, 0.125, 41),
+        sw.Grid1D(-1.5, 0.125, 7), sw.Grid1D(0.3, 0.5, 2)], ids=lambda g: str(g.count))
+    def test_reads_every_knot_bit_for_bit(self, grid):
+        # the product-form weights are exactly 1 and 0 at a knot
+        y = self._samples(grid.count)
+        f = numerics.LagrangeInterpolant(grid, y)
+        assert np.array_equal(f(grid.points()), y)
+        assert f(grid.last) == y[-1] and f(grid.origin) == y[0]
 
-    def test_interpolates_every_knot_exactly(self):
+    def test_holds_its_samples_only(self):
         y = self._samples(self.GRID.count)
-        spline = numerics.NaturalSpline(self.GRID, y)
-        assert np.array_equal(spline(self.GRID.points()), y)
-        assert spline(self.GRID.last) == y[-1]
+        f = numerics.LagrangeInterpolant(self.GRID, y)
+        assert f.values is y
+        assert [v for v in vars(f).values() if isinstance(v, np.ndarray)] == [y]
 
-    def test_twice_continuously_differentiable_across_knots(self):
-        spline = _FourRowSpline(self.GRID, self._samples(self.GRID.count))
-        knots = self.GRID.points()[1:-1]
-        below = np.nextafter(knots, -np.inf)  # the left interval, at its end
-        for order in (0, 1, 2):
-            right, left = spline(knots, order), spline(below, order)
-            scale = np.max(np.abs(spline(self.GRID.points(), order)))
-            assert np.max(np.abs(right - left)) <= 1e-12 * scale
+    @pytest.mark.parametrize("degree", range(8))
+    def test_reproduces_polynomials_on_every_interval(self, degree):
+        # eight knots reproduce degree 7 exactly, the three end intervals on
+        # each side too, where the stencil shifts inward
+        x = self.GRID.points()
+        coeffs = np.random.default_rng(degree).standard_normal(degree + 1)
+        f = numerics.LagrangeInterpolant(self.GRID, np.polyval(coeffs, x))
+        probes = (x[:-1, None] + self.GRID.spacing * np.array([0.1, 0.37, 0.5, 0.93])).ravel()
+        want = np.polyval(coeffs, probes)
+        assert np.max(np.abs(f(probes) - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_third_derivative_is_constant_on_each_interval(self):
-        spline = _FourRowSpline(self.GRID, self._samples(self.GRID.count))
-        h = self.GRID.spacing
-        starts = self.GRID.points()[:-1]
-        inside = starts[:, None] + h * np.array([0.0, 0.1, 0.5, 0.9, 0.999])
-        third = spline(inside, 3)
-        assert np.all(third == third[:, :1])
-        assert np.any(third[1:, 0] != third[:-1, 0])
+    @pytest.mark.parametrize("count", [2, 7])
+    def test_fewer_knots_than_the_stencil_read_them_all(self, count):
+        # the one polynomial through all the knots, of degree count - 1
+        grid = sw.Grid1D(-1.5, 0.125, count)
+        x = grid.points()
+        coeffs = np.random.default_rng(count).standard_normal(count)
+        f = numerics.LagrangeInterpolant(grid, np.polyval(coeffs, x))
+        probes = np.linspace(x[0], x[-1], 101)
+        want = np.polyval(coeffs, probes)
+        assert np.max(np.abs(f(probes) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_zero_outside_the_knots_and_at_nan(self):
-        spline = numerics.NaturalSpline(self.GRID, self._samples(self.GRID.count))
+        f = numerics.LagrangeInterpolant(self.GRID, self._samples(self.GRID.count))
         lo, hi = self.GRID.origin, self.GRID.last
         x = np.array([-np.inf, -1e300, lo - 10.0, np.nextafter(lo, -np.inf),
                       np.nextafter(hi, np.inf), hi + 0.01, hi + 1e9, np.inf, np.nan])
-        assert np.all(spline(x) == 0.0)
-        assert spline(hi + 1.0) == 0.0 and isinstance(spline(hi + 1.0), float)
-
-    def test_reproduces_a_line(self):
-        x = self.GRID.points()
-        spline = numerics.NaturalSpline(self.GRID, 0.7 * x - 0.2)
-        probes = np.linspace(x[0], x[-1], 333)
-        assert np.max(np.abs(spline(probes) - (0.7 * probes - 0.2))) < 1e-14
-        slope = _FourRowSpline(self.GRID, 0.7 * x - 0.2)(probes, 1)
-        assert np.max(np.abs(slope - 0.7)) < 1e-13
+        assert np.all(f(x) == 0.0)
+        assert f(hi + 1.0) == 0.0 and isinstance(f(hi + 1.0), float)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_blocked_evaluation_is_bit_identical(self, seed, monkeypatch):
-        spline = numerics.NaturalSpline(self.GRID, self._samples(self.GRID.count))
+        f = numerics.LagrangeInterpolant(self.GRID, self._samples(self.GRID.count))
         x = np.random.default_rng(seed).uniform(-2.0, 4.0, (3, 2 ** 16 + 5))
         lo, hi = self.GRID.origin, self.GRID.last
         x[0, :7] = np.nan, -np.inf, np.inf, -1e300, 1e300, lo, hi
-        blocked = spline(x)
-        monkeypatch.setattr(numerics, "_SPLINE_BLOCK", x.size)
-        np.testing.assert_array_equal(blocked, spline(x))
+        blocked = f(x)
+        monkeypatch.setattr(numerics, "_INTERPOLANT_BLOCK", x.size)
+        np.testing.assert_array_equal(blocked, f(x))
         assert blocked.shape == x.shape
 
     def test_blocked_evaluation_bounds_its_temporaries(self):
-        # in one block, the temporaries of 2^20 points take about 65 MiB
-        spline = numerics.NaturalSpline(self.GRID, self._samples(self.GRID.count))
+        # in one block, the temporaries of 2^20 points take about 170 MiB
+        f = numerics.LagrangeInterpolant(self.GRID, self._samples(self.GRID.count))
         x = np.linspace(-2.0, 4.0, 2 ** 20)
         tracemalloc.start()
         try:
-            spline(x)
+            f(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
