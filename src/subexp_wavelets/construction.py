@@ -31,10 +31,11 @@ Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
 stored in the system file; "verify" suites (lowercase) rerun on a loaded file.
 
-The system file (schema ``SCHEMA_TAG``) holds each real number once: each
-stored spectrum as its modulus, whose phase ``_with_phase`` applies at build
-and on load alike, and each sample array as its real part, since psi and phi
-are real; the build keeps only that real part.  A file of another schema is
+The system file (schema ``SCHEMA_TAG``) holds the parameters (a, rho2), the
+samples and the certificates.  The spectra are fixed by the bell, so the file
+does not hold them: ``_spectra`` forms them from the bell at build and on load
+alike.  Each sample array is held as its real part, since psi and phi are
+real; the build keeps only that real part.  A file of another schema is
 refused, not converted.
 """
 
@@ -51,7 +52,7 @@ from . import numerics
 from .bump import GevreyBump, build_bump, stencil
 from .numerics import Grid1D, LagrangeInterpolant, SampledFunction, SpectrumOnBand
 
-SCHEMA_TAG = "dhws-v2"
+SCHEMA_TAG = "dhws-v3"
 
 PSI_BAND = (2 * np.pi / 3, 8 * np.pi / 3)
 PHI_BAND = (0.0, 4 * np.pi / 3)
@@ -279,23 +280,12 @@ class WaveletSystem:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """The system file (schema ``SCHEMA_TAG``): each real quantity once.
-
-        A spectrum is written as the construction's ``modulus`` (the bell,
-        or |phi_hat|) on its grid, since its phase is fixed: the build forms
-        the held values from that modulus by ``_with_phase``, as the reader
-        does.  A sample array is its ``re`` part, since psi and phi are real.
-        """
-        def spec_dict(which: str, s: SpectrumOnBand) -> dict:
-            return {"band": list(s.band),
-                    **_grid_dict(s.grid, "modulus", self.modulus(which, s.grid.points())),
-                    "declared_support": [list(iv) for iv in s.declared_support]}
-
+        """The system file (schema ``SCHEMA_TAG``): the parameters, from which
+        the reader rebuilds the bell and the spectra, each sample array's
+        ``re`` part (psi and phi are real) and the certificates."""
         return {
             "schema": SCHEMA_TAG,
             "parameters": {"a": self.a, "rho2": self.rho2},
-            "psi_hat": spec_dict("psi", self.psi_hat),
-            "phi_hat": spec_dict("phi", self.phi_hat),
             "psi_samples": _grid_dict(self.psi_samples.grids[0], "re",
                                       self.psi_samples.values.real),
             "phi_samples": _grid_dict(self.phi_samples.grids[0], "re",
@@ -305,33 +295,20 @@ class WaveletSystem:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WaveletSystem":
-        """The system a file holds; ``ConstructionError`` for another schema
-        (the file is rebuilt, not converted), a negative modulus, a spectral
-        grid not symmetric about 0 (``origin != -last``: the point values
-        pair each node with its mirror), or an array whose length is not
-        its grid's count."""
+        """The system a file holds, its spectra formed from the parameters by
+        ``_spectra`` as the build forms them; ``ConstructionError`` for
+        another schema (the file is rebuilt, not converted) or a sample array
+        whose length is not its grid's count, ``BumpError`` for parameters
+        the construction refuses."""
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != SCHEMA_TAG:
             raise ConstructionError(f"system file schema {schema!r} is not "
                                     f"{SCHEMA_TAG!r}: rebuild it with `build`")
-
-        def read_spec(which: str) -> SpectrumOnBand:
-            d = doc[which + "_hat"]
-            grid, modulus = _read_grid_dict(d, "modulus")
-            if grid.origin != -grid.last:
-                raise ConstructionError(f"{which}_hat grid [{grid.origin!r}, "
-                                        f"{grid.last!r}] is not symmetric about 0")
-            if not np.all(modulus >= 0.0):
-                raise ConstructionError(f"{which}_hat modulus has a negative entry")
-            return SpectrumOnBand(band=tuple(d["band"]), grid=grid,
-                                  values=_with_phase(which, grid.points(), modulus),
-                                  declared_support=tuple(tuple(iv) for iv in
-                                                         d["declared_support"]))
-
         params = doc["parameters"]
         bell = BellFunction(build_bump(params["a"], params["rho2"]))
+        psi_hat, phi_hat = _spectra(bell)
         return cls(a=params["a"], rho2=params["rho2"], bell=bell,
-                   psi_hat=read_spec("psi"), phi_hat=read_spec("phi"),
+                   psi_hat=psi_hat, phi_hat=phi_hat,
                    psi_samples=SampledFunction(*_read_grid_dict(doc["psi_samples"], "re")),
                    phi_samples=SampledFunction(*_read_grid_dict(doc["phi_samples"], "re")),
                    certificates=doc.get("certificates", {}))
@@ -339,9 +316,28 @@ class WaveletSystem:
 
 def _with_phase(which: str, xi, modulus) -> np.ndarray:
     """psi_hat or phi_hat from its modulus: ``exp(i shift xi) modulus``, the
-    shift ``_CENTER_SHIFT[which]``.  The build and the file reader both form
-    the stored spectra here, so they agree bit for bit."""
+    shift ``_CENTER_SHIFT[which]``, as ``_spectra`` and the analytic spectra
+    ``psi_hat_fn`` and ``phi_hat_fn`` form them."""
     return np.exp(1j * _CENTER_SHIFT[which] * xi) * modulus
+
+
+def _spectra(bell: BellFunction) -> tuple[SpectrumOnBand, SpectrumOnBand]:
+    """(psi_hat, phi_hat) at ``_SPECTRAL_POINTS`` points of [-3 pi, 3 pi],
+    each declared on its band and the band's mirror.
+
+    The build and the file reader both form the spectra here, so a loaded
+    system's are the built ones bit for bit; each call makes new arrays.
+    """
+    sg = Grid1D.from_interval(-_SPECTRAL_HALF, _SPECTRAL_HALF, _SPECTRAL_POINTS)
+    xi = sg.points()
+    band = (-_SPECTRAL_HALF, _SPECTRAL_HALF)
+    psi_hat = SpectrumOnBand(
+        band=band, grid=sg, values=_with_phase("psi", xi, bell(xi)),
+        declared_support=((-PSI_BAND[1], -PSI_BAND[0]), (PSI_BAND[0], PSI_BAND[1])))
+    phi_hat = SpectrumOnBand(
+        band=band, grid=sg, values=_with_phase("phi", xi, scaling_modulus(bell, xi)),
+        declared_support=((-PHI_BAND[1], PHI_BAND[1]),))
+    return psi_hat, phi_hat
 
 
 def _grid_dict(grid: Grid1D, part: str, values: np.ndarray) -> dict:
@@ -480,17 +476,7 @@ def build_wavelet_system(a: float, rho2: float, *,
     never raised: the system is returned with the failures flagged.
     """
     bell = BellFunction(build_bump(a, rho2))  # raises on a >= pi/3 or rho2 <= 1
-
-    sg = Grid1D.from_interval(-_SPECTRAL_HALF, _SPECTRAL_HALF, _SPECTRAL_POINTS)
-    xi = sg.points()
-    psi_vals = _with_phase("psi", xi, bell(xi))
-    phi_vals = _with_phase("phi", xi, scaling_modulus(bell, xi))
-    psi_hat = SpectrumOnBand(
-        band=(-_SPECTRAL_HALF, _SPECTRAL_HALF), grid=sg, values=psi_vals,
-        declared_support=((-PSI_BAND[1], -PSI_BAND[0]), (PSI_BAND[0], PSI_BAND[1])))
-    phi_hat = SpectrumOnBand(
-        band=(-_SPECTRAL_HALF, _SPECTRAL_HALF), grid=sg, values=phi_vals,
-        declared_support=((-PHI_BAND[1], PHI_BAND[1]),))
+    psi_hat, phi_hat = _spectra(bell)
 
     pg = sample_grid(window)
     # psi and phi are real: the synthesis's imaginary part is rounding
@@ -669,9 +655,10 @@ def _normalization_check(ws: WaveletSystem) -> dict:
 # -- verify stage: rerun on a loaded file -----------------------------------
 
 def _stored_support(ws: WaveletSystem) -> dict:
-    """Stored spectra against ``PSI_BAND`` and ``PHI_BAND`` (each mirrored),
-    not the file's own ``declared_support``, which a tampered file can widen;
-    plus the bell probes.
+    """The held spectra, which a loaded system rebuilds from its parameters,
+    against ``PSI_BAND`` and ``PHI_BAND`` (each mirrored), not their own
+    ``declared_support``, which a replaced spectrum can widen; plus the bell
+    probes.
     """
     stored_outside = 0.0
     for spec, (lo, hi) in ((ws.psi_hat, PSI_BAND), (ws.phi_hat, PHI_BAND)):
@@ -687,9 +674,10 @@ def _stored_support(ws: WaveletSystem) -> dict:
 
 
 def _stored_orthonormality(ws: WaveletSystem) -> dict:
-    """Lattice sums recomputed from the *stored* spectra by interpolation.
+    """Lattice sums recomputed from the held spectra (on a loaded system,
+    rebuilt from its parameters) by interpolation.
 
-    Interpolating the stored grids (``LagrangeInterpolant``) reads about
+    Interpolating the spectra's grids (``LagrangeInterpolant``) reads about
     3e-15 on the reference build; the tolerance, 1e-8, leaves room for
     coarser files.  The build-time certificate uses the analytic bell.
     """
@@ -710,8 +698,8 @@ def _stored_moments(ws: WaveletSystem) -> dict:
     about envelope(40)/frequency ~ 2e-6 scaled by 40^k, so only k = 0, 1 are
     meaningful here and the tolerances reflect the truncation, not the
     build-time long-range certificate (which covers the tight tolerances).
-    The spectral zero check runs on the stored array and is what a corrupted
-    file actually trips.
+    The spectral zero check reads the held psi_hat (on a loaded system,
+    rebuilt from its parameters) within 0.3 of the origin.
     """
     moms = [abs(complex(m)) for m in
             numerics.moments(ws.psi_samples.grids[0], ws.psi_samples.values, 1)]

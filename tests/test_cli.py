@@ -33,33 +33,8 @@ def _tampered(system_file, tmp_path, tamper):
     return str(path)
 
 
-def _write_spectrum(doc, key, xi_target, value):
-    """Widen ``key``'s declared support to the whole band, then write
-    ``value`` at the stored node nearest ``xi_target``.
-    """
-    spec = doc[key]
-    spec["declared_support"] = [list(spec["band"])]
-    spec["modulus"][_nearest_node(spec, xi_target)] = value
-
-
-def _nearest_node(spec, xi_target):
-    """Index of the stored node of ``spec`` nearest ``xi_target``."""
-    grid = spec["grid"]
-    xi = grid["origin"] + grid["spacing"] * np.arange(grid["count"])
-    return int(np.argmin(np.abs(xi - xi_target)))
-
-
 def _scale_psi_samples(doc):
     doc["psi_samples"]["re"] = (1.01 * np.asarray(doc["psi_samples"]["re"])).tolist()
-
-
-def _drop_first_node(doc):
-    """psi_hat without its first node, a literal zero: a well-formed
-    spectrum on [-3 pi + h, 3 pi], not symmetric about 0."""
-    spec = doc["psi_hat"]
-    spec["modulus"].pop(0)
-    spec["grid"]["origin"] += spec["grid"]["spacing"]
-    spec["grid"]["count"] -= 1
 
 
 def _read_report(path):
@@ -117,54 +92,23 @@ class TestVerify:
         code = cli.main(["verify", "--system", str(tmp_path / "nope.json")])
         assert code == cli.EXIT_IO_ERROR
 
-    def test_tampered_spectrum_fails_orthonormality(self, system_file, tmp_path):
-        # zero the wavelet spectrum on [2 pi, 8 pi/3]: still a well-formed
-        # file, but the translate energy sum drops below 1 and the suite
-        # must catch it
-        with open(system_file) as fh:
-            doc = json.load(fh)
-        grid = doc["psi_hat"]["grid"]
-        xi = grid["origin"] + grid["spacing"] * np.arange(grid["count"])
-        kill = (xi >= 2 * np.pi) & (xi <= 8 * np.pi / 3)
-        modulus = np.asarray(doc["psi_hat"]["modulus"])
-        modulus[kill] = 0.0
-        doc["psi_hat"]["modulus"] = modulus.tolist()
-        tampered = tmp_path / "tampered.json"
-        with open(tampered, "w") as fh:
-            json.dump(doc, fh)
-        code = cli.main(["verify", "--system", str(tampered),
-                         "--suite", "orthonormality"])
-        assert code == cli.EXIT_CHECK_FAILURE
-
-    def test_widened_declared_support_fails_support(self, system_file,
-                                                    tmp_path, capsys):
-        # the file declares psi_hat on all of [-3 pi, 3 pi] and writes into
-        # the dead zone around the origin: the stored-support check reads
-        # the construction's own band, not the file's declaration
-        tampered = _tampered(system_file, tmp_path, lambda doc: _write_spectrum(
-            doc, "psi_hat", 1.0, 1e-6))
-        code = cli.main(["verify", "--system", tampered])
-        assert code == cli.EXIT_CHECK_FAILURE
-        assert "support: FAIL" in capsys.readouterr().out.splitlines()
-
     def test_other_schema_is_io_error(self, system_file, tmp_path, capsys):
-        # a file of the former schema is rebuilt, not read
-        tampered = _tampered(system_file, tmp_path,
-                             lambda doc: doc.update(schema="dhws-v1"))
-        code = cli.main(["verify", "--system", tampered])
-        assert code == cli.EXIT_IO_ERROR
-        err = capsys.readouterr().err
-        assert "'dhws-v1'" in err and "rebuild" in err
+        # a file of a former schema is rebuilt, not read
+        for schema in ("dhws-v1", "dhws-v2"):
+            tampered = _tampered(system_file, tmp_path,
+                                 lambda doc: doc.update(schema=schema))
+            code = cli.main(["verify", "--system", tampered])
+            assert code == cli.EXIT_IO_ERROR
+            err = capsys.readouterr().err
+            assert f"'{schema}'" in err and "rebuild" in err
 
     @pytest.mark.parametrize("tamper", [
-        # a sign flip in psi_hat's modulus passes every suite, which read
-        # |psi_hat| only, yet moves evaluate_psi
-        lambda doc: doc["psi_hat"]["modulus"].__setitem__(
-            _nearest_node(doc["psi_hat"], 5.0), -0.5),
         lambda doc: doc["phi_samples"]["re"].pop(),
-        # the point values pair each spectral node with its mirror
-        _drop_first_node,
-    ], ids=["negative-modulus", "short-samples", "asymmetric-spectral-grid"])
+        # the spectra are rebuilt from the parameters: a width a >= pi/3 or
+        # an order rho2 <= 1 has none
+        lambda doc: doc["parameters"].update(a=1.2),
+        lambda doc: doc["parameters"].update(rho2=1.0),
+    ], ids=["short-samples", "refused-width", "refused-order"])
     def test_malformed_array_is_io_error(self, system_file, tmp_path, capsys,
                                          tamper):
         tampered = _tampered(system_file, tmp_path, tamper)
@@ -172,10 +116,8 @@ class TestVerify:
         assert "cannot read system file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite, tamper", [
-        ("support", lambda doc: _write_spectrum(doc, "phi_hat", 5.0, 1e-6)),
-        ("moments", lambda doc: _write_spectrum(doc, "psi_hat", 0.1, 1e-6)),
         ("two-scale", _scale_psi_samples),
-    ], ids=["support", "moments", "two-scale"])
+    ], ids=["two-scale"])
     def test_tampered_file_fails_its_suite(self, system_file, tmp_path,
                                            suite, tamper):
         tampered = _tampered(system_file, tmp_path, tamper)

@@ -387,11 +387,14 @@ class TestDecayProfile:
 class TestSerialization:
     def test_json_roundtrip(self, ws):
         # through JSON text, as ``build`` writes the file and the commands
-        # read it: every array comes back bit for bit
+        # read it: every array comes back bit for bit, the spectra too
         for built in (sw.build_wavelet_system(1.0, 1.5), ws,
                       sw.build_wavelet_system(1.0, 2.5)):
-            text = json.dumps(built.to_json_dict(), sort_keys=True)
-            loaded = sw.WaveletSystem.from_json_dict(json.loads(text))
+            doc = json.loads(json.dumps(built.to_json_dict(), sort_keys=True))
+            # the spectra are rebuilt from the parameters, not stored
+            assert set(doc) == {"schema", "parameters", "psi_samples",
+                                "phi_samples", "certificates"}
+            loaded = sw.WaveletSystem.from_json_dict(doc)
             assert (loaded.a, loaded.rho2) == (built.a, built.rho2)
             for name in ("psi_hat", "phi_hat", "psi_samples", "phi_samples"):
                 assert (getattr(loaded, name).values.tobytes()

@@ -603,11 +603,12 @@ class TestKnotMoments:
     its row, whose block is the per-shift block bit for bit."""
 
     @staticmethod
-    def _check_scales(ws, f, window, moment_scales):
-        """analyze and one-scale partial sums of f against the dense blocks."""
-        grid = f.grids[0]
-        fw = f.values * grid.trapezoid_weights()
-        coeffs = sw.analyze(ws, f, window).values
+    def _check_scales(ws, fs, window, moment_scales):
+        """analyze and one-scale partial sums of each input of ``fs`` (all on
+        one grid) against the dense blocks, each built once."""
+        grid = fs[0].grids[0]
+        fws = [f.values * grid.trapezoid_weights() for f in fs]
+        coeffs = [sw.analyze(ws, f, window).values for f in fs]
         for m in range(-window.M, window.M + 1):
             B, geometry = construction._axis_block(ws, 1, m, window.N, grid)
             dense = _per_shift_block(ws, 1, m, window.N, grid)
@@ -615,15 +616,16 @@ class TestKnotMoments:
             if m not in moment_scales:
                 np.testing.assert_array_equal(B, dense)
                 continue
-            got = coeffs[0, m + window.M]
-            bound = np.abs(dense) @ np.abs(fw)
-            assert np.all(np.abs(got - _exact(dense, fw)) <= 1e-15 * bound), m
-            only = np.zeros(window.shape, dtype=complex)
-            only[0, m + window.M] = got
-            partial = sw.synthesize_partial(ws, sw.CoefficientSet(window, only),
-                                            grid).values
-            bound = (2 * window.N + 1) * _UNIT_ROUNDOFF * (np.abs(got) @ np.abs(dense))
-            assert np.all(np.abs(partial - _exact(got, dense)) <= bound), m
+            for fw, c in zip(fws, coeffs):
+                got = c[0, m + window.M]
+                bound = np.abs(dense) @ np.abs(fw)
+                assert np.all(np.abs(got - _exact(dense, fw)) <= 1e-15 * bound), m
+                only = np.zeros(window.shape, dtype=complex)
+                only[0, m + window.M] = got
+                partial = sw.synthesize_partial(ws, sw.CoefficientSet(window, only),
+                                                grid).values
+                bound = (2 * window.N + 1) * _UNIT_ROUNDOFF * (np.abs(got) @ np.abs(dense))
+                assert np.all(np.abs(partial - _exact(got, dense)) <= bound), m
 
     @_needs_extended
     @pytest.mark.parametrize("N", [32, 64])
@@ -634,8 +636,8 @@ class TestKnotMoments:
         complex_input = sw.SampledFunction(
             expansion_grid, band_function.values * (0.6 - 0.8j)
             + 0.3j * np.exp(-0.5 * ((x - 1.0) / 10.0) ** 2))
-        for f in (band_function, complex_input):
-            self._check_scales(ws, f, sw.IndexWindow(6, N), range(-6, -2))
+        self._check_scales(ws, (band_function, complex_input), sw.IndexWindow(6, N),
+                           range(-6, -2))
 
     @_needs_extended
     @pytest.mark.parametrize("origin, moment_scales", [
@@ -646,7 +648,7 @@ class TestKnotMoments:
         grid = sw.Grid1D(origin, 1.0 / 128, 20481)
         x = grid.points()
         f = sw.SampledFunction(grid, np.exp(-0.5 * ((x - 3.0) / 10.0) ** 2))
-        self._check_scales(ws, f, sw.IndexWindow(6, 8), moment_scales)
+        self._check_scales(ws, (f,), sw.IndexWindow(6, 8), moment_scales)
 
     @_needs_extended
     def test_multi_column_kernels(self, ws, expansion_grid):
