@@ -287,10 +287,11 @@ def cmd_decay(args, ws: WaveletSystem) -> tuple[dict, bool]:
         raise ConfigError(f"range end {hi:g} lies outside [0, {TABLE_HALF:g}], "
                           f"the phi table")
     else:
-        grid, vals = ws.dense_table("phi")
-        x = grid.points()
-        sel = (x >= 0.0) & (x <= hi)
-        table = np.column_stack([x[sel], np.abs(vals[sel])])
+        # phi is read at spacing 1/256 on [0, hi] whatever the table's
+        # spacing, so the fit does not move with how the table is stored
+        per_unit = 256
+        x = np.arange(int(hi * per_unit) + 1) / per_unit
+        table = np.column_stack([x, np.abs(ws.interpolator("phi")(x))])
     table = table[table[:, 0] >= lo]
     mode = "free" if args.exponent == "free" else "fixed"
     fit = metrics.subexp_decay_fit(table, mode, rho=ws.rho2)

@@ -31,12 +31,13 @@ Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
 stored in the system file; "verify" suites (lowercase) rerun on a loaded file.
 
-The system file (schema ``SCHEMA_TAG``) holds the parameters (a, rho2), the
-samples and the certificates.  The spectra are fixed by the bell, so the file
-does not hold them: ``_spectra`` forms them from the bell at build and on load
-alike.  Each sample array is held as its real part, since psi and phi are
-real; the build keeps only that real part.  A file of another schema is
-refused, not converted.
+The system file (schema ``SCHEMA_TAG``) holds the parameters (a, rho2), psi's
+samples and the certificates.  The spectra and phi's samples are fixed by the
+bell, so the file does not hold them: ``_spectra`` forms the spectra from the
+bell and ``_samples`` phi's samples from its spectrum, at build and on load
+alike.  psi's samples are held as their real part, since psi is real; the
+build keeps only the real part of each sample array.  A file of another
+schema is refused, not converted.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from . import numerics
 from .bump import GevreyBump, build_bump, stencil
 from .numerics import Grid1D, LagrangeInterpolant, SampledFunction, SpectrumOnBand
 
-SCHEMA_TAG = "dhws-v3"
+SCHEMA_TAG = "dhws-v4"
 
 PSI_BAND = (2 * np.pi / 3, 8 * np.pi / 3)
 PHI_BAND = (0.0, 4 * np.pi / 3)
@@ -61,9 +62,11 @@ _SPECTRAL_POINTS = 8192
 # vanishing moments int x^k psi certified for k = 0.._MOMENT_K_MAX
 _MOMENT_K_MAX = 10
 
-# dense-table layout: spacing fine enough that the 8-point interpolant of a
-# band-limited function (|xi| <= 8 pi / 3) stays below ~2e-13
-TABLE_SPACING = 1.0 / 256
+# dense-table layout: at spacing 1/128 (h 8 pi / 3 ~ 0.065 for the band
+# |xi| <= 8 pi / 3) the 8-point interpolant's O(h^8) error is below the
+# synthesis's rounding, and psi reads within 1.5e-13 of its direct sums, as
+# at 1/256; each table holds 67,585 points on [-TABLE_HALF, TABLE_HALF]
+TABLE_SPACING = 1.0 / 128
 TABLE_HALF = 264.0
 _TABLE_BAND_POINTS = 4096
 _WIDE_HALF = 1500.0
@@ -76,9 +79,9 @@ MAX_SAMPLES = 2 ** 20
 _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
 # bytes of atom blocks a system keeps (``_axis_block``), with projection's
 # kept matrices and |phi_hat| nodes; the (6, 32) window on expand's
-# 20,481-point grid keeps 2.0 MB of rows at m = -2..6 (m = -6..-3 read a
-# window of the interpolant's samples, where the rows would take 8.5 MB
-# more), the two-scale and low-pass certificates about 0.6 MB, and a (real)
+# 20,481-point grid keeps 1.6 MB of rows at m = -1..6 (m = -6..-2 read a
+# window of the interpolant's samples, where the rows would take 8.9 MB
+# more), the two-scale and low-pass certificates about 0.5 MB, and a (real)
 # q_m matrix on 321 points 0.8 MB
 _BLOCK_BYTES = 32 * 2 ** 20
 
@@ -281,25 +284,23 @@ class WaveletSystem:
 
     def to_json_dict(self) -> dict:
         """The system file (schema ``SCHEMA_TAG``): the parameters, from which
-        the reader rebuilds the bell and the spectra, each sample array's
-        ``re`` part (psi and phi are real) and the certificates."""
+        the reader rebuilds the bell, the spectra and phi's samples, psi's
+        samples as their ``re`` part (psi is real) and the certificates."""
         return {
             "schema": SCHEMA_TAG,
             "parameters": {"a": self.a, "rho2": self.rho2},
             "psi_samples": _grid_dict(self.psi_samples.grids[0], "re",
                                       self.psi_samples.values.real),
-            "phi_samples": _grid_dict(self.phi_samples.grids[0], "re",
-                                      self.phi_samples.values.real),
             "certificates": self.certificates,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WaveletSystem":
         """The system a file holds, its spectra formed from the parameters by
-        ``_spectra`` as the build forms them; ``ConstructionError`` for
-        another schema (the file is rebuilt, not converted) or a sample array
-        whose length is not its grid's count, ``BumpError`` for parameters
-        the construction refuses."""
+        ``_spectra`` and phi's samples on psi's grid by ``_samples``, as the
+        build forms them; ``ConstructionError`` for another schema (the file
+        is rebuilt, not converted) or a sample array whose length is not its
+        grid's count, ``BumpError`` for parameters the construction refuses."""
         schema = doc.get("schema") if isinstance(doc, dict) else None
         if schema != SCHEMA_TAG:
             raise ConstructionError(f"system file schema {schema!r} is not "
@@ -307,10 +308,10 @@ class WaveletSystem:
         params = doc["parameters"]
         bell = BellFunction(build_bump(params["a"], params["rho2"]))
         psi_hat, phi_hat = _spectra(bell)
+        psi_samples = SampledFunction(*_read_grid_dict(doc["psi_samples"], "re"))
         return cls(a=params["a"], rho2=params["rho2"], bell=bell,
-                   psi_hat=psi_hat, phi_hat=phi_hat,
-                   psi_samples=SampledFunction(*_read_grid_dict(doc["psi_samples"], "re")),
-                   phi_samples=SampledFunction(*_read_grid_dict(doc["phi_samples"], "re")),
+                   psi_hat=psi_hat, phi_hat=phi_hat, psi_samples=psi_samples,
+                   phi_samples=_samples(phi_hat, psi_samples.grids[0]),
                    certificates=doc.get("certificates", {}))
 
 
@@ -338,6 +339,14 @@ def _spectra(bell: BellFunction) -> tuple[SpectrumOnBand, SpectrumOnBand]:
         band=band, grid=sg, values=_with_phase("phi", xi, scaling_modulus(bell, xi)),
         declared_support=((-PHI_BAND[1], PHI_BAND[1]),))
     return psi_hat, phi_hat
+
+
+def _samples(spectrum: SpectrumOnBand, grid: Grid1D) -> SampledFunction:
+    """The real part of the spectrum's synthesis on ``grid``: psi and phi are
+    real, so the imaginary part is rounding.  The build forms both sample
+    arrays here and the file reader phi's, so a loaded system's are the built
+    ones bit for bit."""
+    return SampledFunction(grid, numerics.synthesize(spectrum, grid).values.real)
 
 
 def _grid_dict(grid: Grid1D, part: str, values: np.ndarray) -> dict:
@@ -479,12 +488,9 @@ def build_wavelet_system(a: float, rho2: float, *,
     psi_hat, phi_hat = _spectra(bell)
 
     pg = sample_grid(window)
-    # psi and phi are real: the synthesis's imaginary part is rounding
-    psi_samples = SampledFunction(pg, numerics.synthesize(psi_hat, pg).values.real)
-    phi_samples = SampledFunction(pg, numerics.synthesize(phi_hat, pg).values.real)
-
     ws = WaveletSystem(a=a, rho2=rho2, bell=bell, psi_hat=psi_hat, phi_hat=phi_hat,
-                       psi_samples=psi_samples, phi_samples=phi_samples)
+                       psi_samples=_samples(psi_hat, pg),
+                       phi_samples=_samples(phi_hat, pg))
     ws.certificates = run_certificate_suite(ws)
     return ws
 

@@ -17,7 +17,7 @@ on a uniform grid (``construction._axis_block``) takes one of three forms,
 and a warm call evaluates no interpolant in any of them:
 
 * where each knot interval of the table holds r >= 4 samples and
-  ``2^m origin`` is a knot (m = -6..-3 on the dyadic grid of ``expand``),
+  ``2^m origin`` is a knot (m = -6..-2 on the dyadic grid of ``expand``),
   one window of the interpolant's own samples y: nothing is evaluated or
   kept.  ``_moments_apply`` takes each interval's eight moments of the
   data, one per stencil knot, in one product, folds them onto the knots
@@ -29,7 +29,7 @@ and a warm call evaluates no interpolant in any of them:
   scale instead of one row per shift;
 * elsewhere a kept per-shift block.
 
-The (6, 32) window on expand's 20,481-point grid keeps 2.0 MB of rows,
+The (6, 32) window on expand's 20,481-point grid keeps 1.6 MB of rows,
 and a replaced or wrapped evaluator reads no samples and misses the kept
 blocks.
 

@@ -523,17 +523,18 @@ def _chirp_plan(n: int, count: int, xi0: float, dxi: float, x0: float,
     return plan
 
 
-# Bluestein plans (``chirp_synthesis``); a warm session keeps 14, 3.3 MB:
-# the phi dense-table plan, 2.3 MB (the table's three orders share its
-# geometry, so the second keeps it), two of 0.14 MB that sample its
-# band-limited inputs, and 11 of its level-0 projection, its seminorm
-# probes at levels 0..6 and its kernel-decay certificate, 0.7 MB (the DFT
-# route and the kept 2-D matrices need none).  Plans are kept from a
-# geometry's second request on because a cold command asks for most of its
-# geometries once: keeping them from the first request raises the peak RSS
-# of a cold ``build`` from 58 to 65 MB, ``expand --parseval`` from 60 to
-# 65 MB, ``project --levels 0..6`` from 41 to 46 MB and ``verify`` from 43
-# to 44 MB (one BLAS thread, median of 3 cold runs)
+# Bluestein plans (``chirp_synthesis``); a warm session keeps 15, 2.5 MB:
+# the phi dense-table plan, 1.2 MB (the table's three orders share its
+# geometry, so the second keeps it), the plan of phi's samples, 0.28 MB
+# (the build and the reload of its system file each synthesize them), two
+# of 0.14 MB that sample its band-limited inputs, and 11 of its level-0
+# projection, its seminorm probes at levels 0..6 and its kernel-decay
+# certificate, 0.7 MB (the DFT route and the kept 2-D matrices need none).
+# Plans are kept from a geometry's second request on because a cold command
+# asks for most of its geometries once: keeping them from the first request
+# raises the peak RSS of a cold ``build`` from 43 to 47 MB, ``expand
+# --parseval`` from 42 to 44 MB, ``project --levels 0..6`` from 39 to 40 MB
+# and ``verify`` from 41 to 43 MB (one BLAS thread, median of 3 cold runs)
 _CHIRP_PLANS = Kept(16 * 2 ** 20, from_second=True)
 
 

@@ -94,7 +94,7 @@ class TestVerify:
 
     def test_other_schema_is_io_error(self, system_file, tmp_path, capsys):
         # a file of a former schema is rebuilt, not read
-        for schema in ("dhws-v1", "dhws-v2"):
+        for schema in ("dhws-v1", "dhws-v2", "dhws-v3"):
             tampered = _tampered(system_file, tmp_path,
                                  lambda doc: doc.update(schema=schema))
             code = cli.main(["verify", "--system", tampered])
@@ -103,7 +103,7 @@ class TestVerify:
             assert f"'{schema}'" in err and "rebuild" in err
 
     @pytest.mark.parametrize("tamper", [
-        lambda doc: doc["phi_samples"]["re"].pop(),
+        lambda doc: doc["psi_samples"]["re"].pop(),
         # the spectra are rebuilt from the parameters: a width a >= pi/3 or
         # an order rho2 <= 1 has none
         lambda doc: doc["parameters"].update(a=1.2),
@@ -158,6 +158,22 @@ class TestDecay:
         doc = _read_report(report)
         assert doc["fit"]["exponent"] == 0.5
         assert doc["fit"]["r_squared"] > 0.9
+
+    def test_phi_fit_matches_the_fit_of_the_point_values(self, ws, system_file,
+                                                         tmp_path):
+        # the fit reads phi at spacing 1/256 on [0, 40]; phi's point values
+        # on the same points give the same fit
+        report = tmp_path / "decay_phi.json"
+        code = cli.main(["decay", "--system", system_file, "--target", "phi",
+                         "--exponent", "fixed", "--report", str(report)])
+        assert code == cli.EXIT_OK
+        fit = _read_report(report)["fit"]
+        x = np.arange(5 * 256, 40 * 256 + 1) / 256
+        want = sw.subexp_decay_fit(np.column_stack([x, np.abs(ws.evaluate_phi(x))]),
+                                   "fixed", rho=ws.rho2).to_json_dict()
+        assert fit["n_envelope_points"] == want["n_envelope_points"]
+        for key in ("amplitude_C", "rate_c", "r_squared"):
+            assert fit[key] == pytest.approx(want[key], rel=1e-9, abs=0.0), key
 
 
 class TestProjectExpand:

@@ -5,6 +5,7 @@ import csv
 import json
 import tracemalloc
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,9 +254,32 @@ def _per_shift_block(ws, bit, m, N, grid):
     return ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], grid.points())
 
 
-# expand's grid moved by one sample: 2^m origin is off the table's knots
-# (multiples of 1/256) at every m <= -2, so every scale keeps an atom row,
-# while on expand's grid itself m = -6..-3 read the interpolant's samples
+def _moment_scales(grid, N, scales=range(-6, 7)):
+    """The scales of ``scales`` whose (2N + 1)-shift block on ``grid`` the
+    knot-moment route serves, from the table's layout alone: each knot
+    interval holds ``r = 2^-m TABLE_SPACING / h`` samples, a whole number
+    >= 4, ``2^m origin`` sits on a knot, and the windows stay inside
+    [-TABLE_HALF, TABLE_HALF]: shift n reads the knots from ``2^m origin -
+    n - 3 TABLE_SPACING`` to ``2^m origin - n + (P + 4) TABLE_SPACING``, P
+    the knot intervals the grid meets."""
+    spacing = Fraction(construction.TABLE_SPACING)
+    half = Fraction(construction.TABLE_HALF)
+    served = []
+    for m in scales:
+        start = Fraction(2) ** m * Fraction(grid.origin)
+        r = spacing / (Fraction(2) ** m * Fraction(grid.spacing))
+        if r.denominator != 1 or r < 4 or ((start + half) / spacing).denominator != 1:
+            continue
+        P = -(-grid.count // int(r))
+        if -half <= start - N - 3 * spacing and start + N + (P + 4) * spacing <= half:
+            served.append(m)
+    return served
+
+
+# expand's grid moved by one sample: 2^m origin is off the table's knots at
+# every scale whose knot intervals hold four or more samples, so every scale
+# keeps an atom row, while expand's grid itself reads the interpolant's
+# samples at the coarse scales (``_moment_scales``)
 _OFF_KNOTS = sw.Grid1D(-80.0 + 1.0 / 128, 1.0 / 128, 20481)
 
 
@@ -277,8 +301,11 @@ class TestShiftWindowedBlocks:
     def test_window_blocks_equal_per_shift_blocks(self, ws, expansion_grid):
         # on a dyadic grid the window rows evaluate the very same arguments
         # as the per-shift rows, so the blocks agree bit for bit: expand's
-        # grid keeps rows at m >= -2, the grid off the knots at every scale
-        for grid, scales in ((expansion_grid, range(-2, 7)), (_OFF_KNOTS, range(-6, 7))):
+        # grid keeps rows at the scales the knot moments do not serve, the
+        # grid off the knots at every scale
+        assert _moment_scales(_OFF_KNOTS, self.N) == []
+        kept = [m for m in range(-6, 7) if m not in _moment_scales(expansion_grid, self.N)]
+        for grid, scales in ((expansion_grid, kept), (_OFF_KNOTS, range(-6, 7))):
             for bit in (0, 1):
                 for m in scales:
                     block, geometry = construction._axis_block(ws, bit, m, self.N, grid)
@@ -338,18 +365,21 @@ class TestAtomRows:
 
     def test_second_analysis_reads_the_kept_rows(self, ws, band_function,
                                                  expansion_grid, monkeypatch):
-        # m >= -2 reads kept rows, m <= -3 one window of the table's samples
+        # the coarse scales read one window of the table's samples, the
+        # others kept rows
         window = sw.IndexWindow(6, self.N)
+        moments = _moment_scales(expansion_grid, self.N)
+        rows = [m for m in range(-6, 7) if m not in moments]
         first = sw.analyze(ws, band_function, window)
         blocks = [expansion._axis_block(ws, 1, m, self.N, expansion_grid)[0]
-                  for m in range(-2, 7)]
+                  for m in rows]
         sizes = _count_interpolant_points(monkeypatch)
         again = sw.analyze(ws, band_function, window)
-        for m, block in zip(range(-2, 7), blocks):
+        for m, block in zip(rows, blocks):
             assert np.shares_memory(
                 block, expansion._axis_block(ws, 1, m, self.N, expansion_grid)[0])
         samples = ws.interpolator("psi").values
-        for m in range(-6, -2):
+        for m in moments:
             Y, _ = expansion._axis_block(ws, 1, m, self.N, expansion_grid)
             assert np.shares_memory(Y, samples) and not Y.flags.writeable
         assert sizes == []
@@ -366,12 +396,15 @@ class TestAtomRows:
                                       first.values)
         assert sizes == []
 
-    def test_coarse_scales_keep_no_rows(self, ws, band_function):
-        # rows of m = -6..-3 would keep 8.5 of the window's 10.5 MB
+    def test_coarse_scales_keep_no_rows(self, ws, band_function, expansion_grid):
+        # rows of the scales the knot moments serve (m = -6..-2 at spacing
+        # 1/128) would keep 8.9 of the window's 10.5 MB
         system = sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_hat, ws.phi_hat,
                                   ws.psi_samples, ws.phi_samples)
         sw.analyze(system, band_function, sw.IndexWindow(6, self.N))
-        assert sorted(key[1] for key in system._blocks._values) == list(range(-2, 7))
+        moments = _moment_scales(expansion_grid, self.N)
+        assert sorted(key[1] for key in system._blocks._values) == [
+            m for m in range(-6, 7) if m not in moments]
         assert sum(r.nbytes for r in system._blocks._values.values()) <= 2.5e6
 
     def test_per_shift_blocks_are_kept(self, ws, monkeypatch):
@@ -449,30 +482,40 @@ class TestRealContraction:
         return sw.SampledFunction(expansion_grid, band_function.values * (0.6 - 0.8j)
                                   + 0.3j * np.exp(-0.5 * (x - 1.0) ** 2))
 
-    def test_analysis_is_linear_over_the_parts(self, ws, complex_input, expansion_grid):
+    @pytest.fixture(scope="class")
+    def per_shift(self, ws, complex_input, expansion_grid):
+        """(analysis, partial sum) of ``complex_input`` through the dense
+        per-shift blocks, each block built once for both."""
+        g = expansion_grid
+        fw = complex_input.values * g.trapezoid_weights()
+        coeffs = sw.analyze(ws, complex_input, self.WINDOW).values[0]
+        analysis, partial = [], 0.0
+        for m, c in zip(range(-6, 7), coeffs):
+            block = _per_shift_block(ws, 1, m, 32, g)
+            analysis.append(block @ fw)
+            partial = partial + c @ block
+        return np.stack(analysis), partial
+
+    def test_analysis_is_linear_over_the_parts(self, ws, complex_input, expansion_grid,
+                                               per_shift):
         g, v = expansion_grid, complex_input.values
         got = sw.analyze(ws, complex_input, self.WINDOW).values
         re, im = (sw.analyze(ws, sw.SampledFunction(g, part), self.WINDOW).values
                   for part in (v.real, v.imag))
-        fw = v * g.trapezoid_weights()
-        per_shift = np.stack([_per_shift_block(ws, 1, m, 32, g) @ fw
-                              for m in range(-6, 7)])
         top = np.abs(got).max()
         assert np.abs(got - (re + 1j * im)).max() <= 1e-14 * top
-        assert np.abs(got[0] - per_shift).max() <= 1e-14 * top
+        assert np.abs(got[0] - per_shift[0]).max() <= 1e-14 * top
 
     def test_synthesis_is_linear_over_the_parts(self, ws, complex_input,
-                                                expansion_grid):
+                                                expansion_grid, per_shift):
         coeffs = sw.analyze(ws, complex_input, self.WINDOW)
         got = sw.synthesize_partial(ws, coeffs, expansion_grid).values
         re, im = (sw.synthesize_partial(ws, sw.CoefficientSet(self.WINDOW, part),
                                         expansion_grid).values
                   for part in (coeffs.values.real, coeffs.values.imag))
-        per_shift = sum(c @ _per_shift_block(ws, 1, m, 32, expansion_grid)
-                        for m, c in zip(range(-6, 7), coeffs.values[0]))
         top = np.abs(got).max()
         assert np.abs(got - (re + 1j * im)).max() <= 1e-14 * top
-        assert np.abs(got - per_shift).max() <= 1e-14 * top
+        assert np.abs(got - per_shift[1]).max() <= 1e-14 * top
 
     def test_real_samples_give_exactly_real_results(self, ws, band_function,
                                                     expansion_grid):
@@ -567,7 +610,8 @@ class TestWindowKernels:
 
     def test_synthesis_is_the_transpose_of_analysis(self, ws, expansion_grid):
         # windows (6, 32) and (6, 64): the kernels skip the phases beyond each
-        # kept row's span, and m <= -3 reads the table's samples by moments
+        # kept row's span, and the coarse scales read the table's samples by
+        # moments
         rng = np.random.default_rng(2024)
         g = sw.SampledFunction(expansion_grid, rng.standard_normal(expansion_grid.count))
         for window in (sw.IndexWindow(6, 32), sw.IndexWindow(6, 64)):
@@ -580,6 +624,7 @@ class TestWindowKernels:
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_LOG2_SPACING = int(np.log2(construction.TABLE_SPACING))  # -7: knots 1/128 apart
 _needs_extended = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps,
     reason="the exact reference needs an extended-precision longdouble")
@@ -587,8 +632,8 @@ _needs_extended = pytest.mark.skipif(
 
 def _exact(a, b):
     """a @ b in extended precision, the reference both routes round from."""
-    return (np.asarray(a).astype(np.clongdouble)
-            @ np.asarray(b).astype(np.clongdouble))
+    return (np.asarray(a).astype(np.clongdouble, copy=False)
+            @ np.asarray(b).astype(np.clongdouble, copy=False))
 
 
 class TestKnotMoments:
@@ -602,71 +647,94 @@ class TestKnotMoments:
     double precision itself reaches 2.7e-15 here).  Every other scale keeps
     its row, whose block is the per-shift block bit for bit."""
 
+    @pytest.fixture(scope="class")
+    def dense(self, ws):
+        """``(m, N, grid) ->`` the per-shift oracle block of a scale the knot
+        moments serve, each built once for the class: a block of fewer shifts
+        is the middle rows of a wider one already built, the same
+        evaluations, so the largest N runs first.  The blocks of the other
+        scales are compared once each and not kept."""
+        built = {}
+
+        def block(m, N, grid):
+            wide = built.get((m, grid))
+            if wide is None or wide.shape[0] < 2 * N + 1:
+                wide = built[m, grid] = _per_shift_block(ws, 1, m, N, grid)
+            W = wide.shape[0] // 2
+            return wide[W - N:W + N + 1]
+
+        return block
+
     @staticmethod
-    def _check_scales(ws, fs, window, moment_scales):
+    def _check_scales(ws, dense, fs, window, moment_scales):
         """analyze and one-scale partial sums of each input of ``fs`` (all on
-        one grid) against the dense blocks, each built once."""
+        one grid) against the dense blocks."""
         grid = fs[0].grids[0]
         fws = [f.values * grid.trapezoid_weights() for f in fs]
         coeffs = [sw.analyze(ws, f, window).values for f in fs]
         for m in range(-window.M, window.M + 1):
             B, geometry = construction._axis_block(ws, 1, m, window.N, grid)
-            dense = _per_shift_block(ws, 1, m, window.N, grid)
             assert (len(geometry) == 4) == (m in moment_scales), m
             if m not in moment_scales:
-                np.testing.assert_array_equal(B, dense)
+                np.testing.assert_array_equal(B, _per_shift_block(ws, 1, m, window.N, grid))
                 continue
+            dense_m = dense(m, window.N, grid)
+            exact_m = dense_m.astype(np.clongdouble)  # converted once for four products
             for fw, c in zip(fws, coeffs):
                 got = c[0, m + window.M]
-                bound = np.abs(dense) @ np.abs(fw)
-                assert np.all(np.abs(got - _exact(dense, fw)) <= 1e-15 * bound), m
+                bound = np.abs(dense_m) @ np.abs(fw)
+                assert np.all(np.abs(got - _exact(exact_m, fw)) <= 1e-15 * bound), m
                 only = np.zeros(window.shape, dtype=complex)
                 only[0, m + window.M] = got
                 partial = sw.synthesize_partial(ws, sw.CoefficientSet(window, only),
                                                 grid).values
-                bound = (2 * window.N + 1) * _UNIT_ROUNDOFF * (np.abs(got) @ np.abs(dense))
-                assert np.all(np.abs(partial - _exact(got, dense)) <= bound), m
+                bound = (2 * window.N + 1) * _UNIT_ROUNDOFF * (np.abs(got) @ np.abs(dense_m))
+                assert np.all(np.abs(partial - _exact(got, exact_m)) <= bound), m
 
     @_needs_extended
-    @pytest.mark.parametrize("N", [32, 64])
-    def test_every_scale_matches_the_dense_blocks(self, ws, band_function,
+    @pytest.mark.parametrize("N", [64, 32])
+    def test_every_scale_matches_the_dense_blocks(self, ws, dense, band_function,
                                                   expansion_grid, N):
         # real samples (one part) and complex samples (two parts)
         x = expansion_grid.points()
         complex_input = sw.SampledFunction(
             expansion_grid, band_function.values * (0.6 - 0.8j)
             + 0.3j * np.exp(-0.5 * ((x - 1.0) / 10.0) ** 2))
-        self._check_scales(ws, (band_function, complex_input), sw.IndexWindow(6, N),
-                           range(-6, -2))
+        self._check_scales(ws, dense, (band_function, complex_input),
+                           sw.IndexWindow(6, N), _moment_scales(expansion_grid, N))
 
     @_needs_extended
     @pytest.mark.parametrize("origin, moment_scales", [
-        (-79.75, range(-6, -2)),  # 2^m origin a whole number of knots at m >= -6
-        (-80.0 + 1.0 / 32, (-3,)),  # ... only at m = -3
+        # 2^m origin = -319 2^(m - 2) lies on a knot where m - 2 >= log2
+        # TABLE_SPACING, and the intervals hold r = 2^-m TABLE_SPACING / h >= 4
+        # samples where m <= log2 TABLE_SPACING + 5
+        (-79.75, range(_LOG2_SPACING + 2, _LOG2_SPACING + 6)),
+        # 2^m origin = -2559 2^(m - 5): on a knot only where r = 4
+        (-80.0 + 1.0 / 32, (_LOG2_SPACING + 5,)),
     ])
-    def test_origins_on_whole_knots(self, ws, origin, moment_scales):
+    def test_origins_on_whole_knots(self, ws, dense, origin, moment_scales):
         grid = sw.Grid1D(origin, 1.0 / 128, 20481)
         x = grid.points()
         f = sw.SampledFunction(grid, np.exp(-0.5 * ((x - 3.0) / 10.0) ** 2))
-        self._check_scales(ws, (f,), sw.IndexWindow(6, 8), moment_scales)
+        self._check_scales(ws, dense, (f,), sw.IndexWindow(6, 8), moment_scales)
 
     @_needs_extended
-    def test_multi_column_kernels(self, ws, expansion_grid):
+    def test_multi_column_kernels(self, ws, dense, expansion_grid):
         # three columns of samples, and (2, 3) rows of coefficients
         rng = np.random.default_rng(39)
         F = rng.standard_normal((expansion_grid.count, 3))
         C = rng.standard_normal((2, 3, 65))
-        for m in range(-6, -2):
+        for m in _moment_scales(expansion_grid, 32):
             B, geometry = construction._axis_block(ws, 1, m, 32, expansion_grid)
-            dense = _per_shift_block(ws, 1, m, 32, expansion_grid)
+            dense_m = dense(m, 32, expansion_grid)
             got = expansion._block_apply(B, geometry, F)
             assert got.shape == (65, 3)
-            assert np.all(np.abs(got - _exact(dense, F))
-                          <= 1e-15 * (np.abs(dense) @ np.abs(F)))
+            assert np.all(np.abs(got - _exact(dense_m, F))
+                          <= 1e-15 * (np.abs(dense_m) @ np.abs(F)))
             got = expansion._block_transpose(B, geometry, C)
             assert got.shape == (2, 3, expansion_grid.count)
-            assert np.all(np.abs(got - _exact(C, dense))
-                          <= 65 * _UNIT_ROUNDOFF * (np.abs(C) @ np.abs(dense)))
+            assert np.all(np.abs(got - _exact(C, dense_m))
+                          <= 65 * _UNIT_ROUNDOFF * (np.abs(C) @ np.abs(dense_m)))
 
     @_needs_extended
     @pytest.mark.parametrize("origin, N", [
@@ -674,7 +742,7 @@ class TestKnotMoments:
         (0.0, 263),  # those of n = -N the table's last knot
     ])
     def test_windows_leaving_the_table_fall_back_to_rows(self, ws, origin, N):
-        # 257 points: r = 32 at m = -6, where s = 8192 samples >= count makes
+        # 257 points: r = 64 at m = -6, where s = 8192 samples >= count makes
         # the fall-back a per-shift block
         grid = sw.Grid1D(origin, 1.0 / 128, 257)
         rng = np.random.default_rng(N)
@@ -691,7 +759,7 @@ class TestKnotMoments:
         np.testing.assert_array_equal(B, _per_shift_block(ws, 1, -6, N + 1, grid))
 
     def test_tensor_axes_carry_trailing_columns(self, ws):
-        # m = -3 takes moments on both axes (r = 4), the other axes' samples
+        # m = -3 takes moments on both axes (r = 8), the other axes' samples
         # and the two parts of complex samples as trailing columns
         grids = (sw.Grid1D(-4.0, 1.0 / 128, 1025), sw.Grid1D(-2.0, 1.0 / 128, 769))
         x1, x2 = (g.points() for g in grids)
@@ -714,14 +782,15 @@ class TestKnotMoments:
             self, ws, expansion_grid):
         # a wrapped evaluator has no rows to read: every scale falls back to
         # evaluated rows, which move every coefficient by its factor; this
-        # wide Gaussian's coefficients are largest at m = -6..-3
+        # wide Gaussian's coefficients are largest at m = -6..-3, which the
+        # knot moments serve without the wrapper
         x = expansion_grid.points()
         f = sw.SampledFunction(expansion_grid, np.exp(-0.5 * (x / 10.0) ** 2))
         window = sw.IndexWindow(6, 32)
         before = sw.analyze(ws, f, window).values
         with _wrapped_interpolator(ws, lambda which, g: (
                 (lambda x: 1.01 * g(x)) if which == "psi" else g)):
-            for m in range(-6, -2):
+            for m in _moment_scales(expansion_grid, 32):
                 assert len(construction._axis_block(ws, 1, m, 32, expansion_grid)[1]) == 2
             after = sw.analyze(ws, f, window).values
         top = np.abs(before).max()
