@@ -20,12 +20,7 @@ since psi and phi are real.  For the many-evaluation call sites (atoms,
 kernels) the system carries lazily built dense tables read by the local
 8-point interpolant ``numerics.LagrangeInterpolant``, within about 1.5e-13
 of psi's direct sums and itself built on its first read.  ``atom_values``
-reads dilated, shifted psi and phi, no derivative.  An atom block on a
-uniform grid (``_axis_block``, read by expansion and two build
-certificates) is one window of the interpolant's samples where each knot
-interval holds four or more samples, and otherwise a block the system
-keeps in one ``numerics.Kept`` store: a window of one kept row or a kept
-per-shift block.
+reads dilated, shifted psi and phi, no derivative.
 
 Every check lives in one registry, ``CHECKS``: report name -> (stage, check).
 "build" checks (uppercase) read the analytic spectrum and fresh tables and are
@@ -47,7 +42,6 @@ import json
 from math import lgamma
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numerics
 from .bump import GevreyBump, build_bump, stencil
@@ -77,12 +71,12 @@ MAX_SAMPLES = 2 ** 20
 # psi_hat = exp(i xi / 2) bell, phi_hat = exp(i xi) |phi_hat|: each table is
 # the even cosine profile of the modulus, read at x + shift
 _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
-# bytes of atom blocks a system keeps (``_axis_block``), with projection's
-# kept matrices and |phi_hat| nodes; the (6, 32) window on expand's
-# 20,481-point grid keeps 1.6 MB of rows at m = -1..6 (m = -6..-2 read a
-# window of the interpolant's samples, where the rows would take 8.9 MB
-# more), the two-scale and low-pass certificates about 0.5 MB, and a (real)
-# q_m matrix on 321 points 0.8 MB
+# bytes of atom blocks a system keeps (``expansion._axis_block``), with
+# projection's kept matrices and |phi_hat| nodes: 3.0 MB after one round of
+# the benchmark's session.  The (6, 32) window on expand's 20,481-point grid
+# keeps 1.6 MB of rows at m = -1..6 (m = -6..-2 read a window of the
+# interpolant's samples, where the rows would take 8.9 MB more), and a
+# (real) q_m matrix on 321 points 0.8 MB
 _BLOCK_BYTES = 32 * 2 ** 20
 
 
@@ -249,7 +243,7 @@ class WaveletSystem:
         0 outside it.
 
         Built on the first call and kept, sharing the table's samples; later
-        calls return the same object, on which ``_axis_block`` keys its rows.
+        calls return the same object, the key of ``expansion._axis_block``'s rows.
         """
         key = (which, order)
         if key not in self._interpolants:
@@ -367,97 +361,6 @@ def _read_grid_dict(d: dict, part: str) -> tuple[Grid1D, np.ndarray]:
     return grid, values
 
 
-def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis: Grid1D):
-    """(B, geometry): rows ``k`` = shift ``-N + k`` of one axis's scale-m atom
-    factor on a grid, and how B lies in the rows it reads.
-
-    Where each knot interval of the table holds r >= 4 samples, B is a
-    window of the interpolant's samples (``_knot_windows``) and nothing is
-    evaluated or kept.  Otherwise the system keeps what it evaluates
-    (``ws._blocks``), read-only, under the evaluator (the object
-    ``interpolator`` returns), ``m``, the grid and ``N``, so a replaced or
-    wrapped evaluator misses.
-    Shift n moves the atom by n s samples, s = 2^-m / h.  When s is a whole
-    number below the count, the kept value is one row on the grid extended
-    by N s samples at each end, and B a read-only strided view of windows of
-    it: row k starts at sample ``(2N - k) s``.  Then ``geometry`` is
-    ``(s, (a, b))``: samples ``a <= i < b`` of the kept row are the only
-    ones that can be nonzero, since sample i sits at ``2^m x = 2^m origin +
-    (i - N s) / s`` and the dense-table evaluator reads 0 beyond
-    +-TABLE_HALF (one sample more at each end absorbs rounding).  For any
-    other s, B itself is kept and ``geometry`` is None.
-    """
-    f = ws.interpolator("psi" if bit else "phi")
-    moments = _knot_windows(f, m, N, axis)
-    if moments is not None:
-        return moments
-    ns = np.arange(-N, N + 1)[:, None]
-    s = np.ldexp(1.0, -m) / axis.spacing
-    s = int(s) if s.is_integer() and s < axis.count else 0  # 0: no windows
-
-    def make():  # the row every window reads, or the grid's per-shift block
-        x = axis.origin + axis.spacing * np.arange(-N * s, axis.count + N * s)
-        value = _aligned(ws.atom_values(bit, m, 0, x)) if s else ws.atom_values(bit, m, ns, x)
-        value.flags.writeable = False
-        return value
-
-    kept = ws._blocks.get((f, m, axis, N), make)
-    if not s:
-        return kept, None
-    centre = N * s - axis.origin / axis.spacing
-    span = (max(int(np.floor(centre - TABLE_HALF * s)) - 1, 0),
-            min(int(np.ceil(centre + TABLE_HALF * s)) + 2, kept.size))
-    return sliding_window_view(kept, axis.count)[2 * N * s::-s], (s, span)
-
-
-def _aligned(values: np.ndarray) -> np.ndarray:
-    """A copy of ``values`` whose data start on a 64-byte boundary.  Each
-    phase of a windowed block starts at the kept row's own alignment when s
-    is a multiple of 8, and the window kernels' BLAS products ran up to 1.7
-    times faster on 64-byte aligned phases than on 16-byte aligned ones
-    (OpenBLAS 0.3.31, one thread, a 2-core Xeon)."""
-    buffer = np.empty(values.size + 8)
-    start = (-buffer.ctypes.data % 64) // 8
-    out = buffer[start:start + values.size].reshape(values.shape)
-    out[...] = values
-    return out
-
-
-def _knot_windows(f, m: int, N: int, axis: Grid1D):
-    """(Y, (t, span, W, count)): the scale-m atom block of the interpolant
-    f on ``axis`` as windows of its samples, or None where they do not serve.
-
-    They serve when f is a ``LagrangeInterpolant`` (a wrapped or replaced
-    evaluator has no samples to read), each knot interval holds a whole
-    number ``r = 2^-m spacing_table / h >= 4`` of samples, ``2^m origin``
-    sits on knot tau_0, and every stencil below lies inside the table, so
-    none is shifted at an end.  Then sample ``j = p r + i`` of shift n lies
-    in interval ``q = tau_0 + p - t n`` (t knots per unit shift) at ``u = i
-    / r``, where f reads ``sum_o y_(q+o) L_o(u)`` over the offsets ``o =
-    -3..4``.  Y is a read-only window of the samples y in the layout of a
-    windowed block of stride t: shift n's row holds the P + 7 knots from
-    ``tau_0 - t n - 3``, P the intervals that meet the grid.  ``W`` (r, 8)
-    holds ``2^(m/2)`` times the eight weights of sample i.
-    """
-    if type(f) is not LagrangeInterpolant:
-        return None
-    table = f.grid
-    r = np.ldexp(table.spacing, -m) / axis.spacing
-    t = 1.0 / table.spacing
-    tau0 = (np.ldexp(axis.origin, m) - table.origin) / table.spacing
-    if not (r >= 4 and r.is_integer() and t.is_integer() and tau0.is_integer()):
-        return None
-    r, t, tau0 = int(r), int(t), int(tau0)
-    P, width = -(-axis.count // r), numerics.STENCIL
-    left = width // 2 - 1  # stencil knots before an interval
-    lo, hi = tau0 - N * t - left, tau0 + N * t + P + width - left  # knots lo <= q < hi
-    if lo < 0 or hi > table.count:
-        return None
-    Y = sliding_window_view(f.values[lo:hi], P + width - 1)[2 * N * t::-t]
-    W = 2.0 ** (m * 0.5) * numerics.lagrange_weights(left + np.arange(r) / r).T
-    return Y, (t, (0, hi - lo), W, axis.count)
-
-
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
@@ -564,12 +467,29 @@ def _shift_orthonormality(modulus) -> dict:
     return {"pass": dev < tol, "max_deviation": dev, "tolerance": tol, "probes": 512}
 
 
+def _knot_rows(ws: WaveletSystem, which: str, m: int, N: int, axis: Grid1D) -> list:
+    """Rows ``2^(m/2) f(2^m x - n)``, n = -N..N, f = psi or phi, on ``axis``,
+    each point a knot of the dense table: slices of one strided slice of its
+    samples, scaled once (a view at m = 0), as the interpolant reads them bit
+    for bit.  ``ConstructionError`` off the knots or past +-TABLE_HALF."""
+    table, values = ws.dense_table(which)
+    step, s = np.ldexp(axis.spacing, m) / table.spacing, np.ldexp(1.0 / axis.spacing, -m)
+    first = (np.ldexp(axis.origin, m) - N - table.origin) / table.spacing
+    last = first + step * (axis.count - 1 + 2 * N * s)
+    if not (first.is_integer() and step.is_integer() and s.is_integer()
+            and 0 <= first and last < table.count):
+        raise ConstructionError(f"2^{m} x - n on {axis} misses the {which} table's knots")
+    row = values[int(first):int(last) + 1:int(step)]
+    row = row if m == 0 else 2.0 ** (m * 0.5) * row
+    return [row[(N - n) * int(s):][:axis.count] for n in range(-N, N + 1)]
+
+
 def _two_scale_check(ws: WaveletSystem) -> dict:
     """Trapezoid Gram matrix of ``2^(m/2) psi(2^m x - n)`` at m = -1, 0, 1 and
-    n = -3..3 on [-80, 80] at spacing 1/64, ideally the identity: each
-    scale's 7 atoms are windows of one kept row."""
+    n = -3..3 on [-80, 80] at spacing 1/64, ideally the identity: each atom
+    is read at the psi table's knots (``_knot_rows``), strides 1, 2 and 4."""
     grid = Grid1D.from_interval(-80.0, 80.0, 2 * 80 * 64 + 1)
-    A = np.vstack([_axis_block(ws, 1, m, 3, grid)[0] for m in (-1, 0, 1)])
+    A = np.vstack([row for m in (-1, 0, 1) for row in _knot_rows(ws, "psi", m, 3, grid)])
     return _gram_check(_gram(A, grid), 1e-7)
 
 
@@ -631,13 +551,13 @@ def _realness_check(ws: WaveletSystem) -> dict:
 def _scaling_lowpass_check(ws: WaveletSystem) -> dict:
     """sum_n phi(x - n), n = -250..250, at the 64 probes x = i / 64 of [0, 1).
 
-    phi on the lattice t = -250 + r + i / 64 is one kept row (the one row
-    of ``_axis_block`` with N = 0), so its (501, 64) reshape holds
+    phi on the lattice t = -250 + r + i / 64 is a view of the phi table's
+    knots at stride 2 (``_knot_rows``), so its (501, 64) reshape holds
     phi(x_i - n) at r = 250 - n.
     """
     tol = 1e-8
     phi0 = abs(complex(ws.phi_hat_fn(0.0)))
-    row = _axis_block(ws, 0, 0, 0, Grid1D(-250.0, 1.0 / 64, 501 * 64))[0][0]
+    (row,) = _knot_rows(ws, "phi", 0, 0, Grid1D(-250.0, 1.0 / 64, 501 * 64))
     # rows by n ascending, each probe's terms contiguous, as the sum reads them
     sums = np.ascontiguousarray(row.reshape(501, 64)[::-1].T).sum(axis=1)
     dev = float(np.max(np.abs(sums - 1.0)))

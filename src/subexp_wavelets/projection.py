@@ -332,7 +332,7 @@ def _kept(pk: ProjectionKernel, grid, name: str, make):
 
     The key holds ``scaling_modulus`` and the bell as this call reads them,
     so a replaced modulus or bell misses, as a replaced evaluator misses
-    ``_axis_block``'s rows.
+    ``expansion._axis_block``'s rows.
     """
     def kept():
         value = make()

@@ -91,13 +91,16 @@ def _wrap_bell(wrap):
     return tamper
 
 
-def _scale_interpolator(which):
-    # a wrapped evaluator is a new key: the atom blocks kept under the
-    # table's own interpolant miss
+def _scale_dense_table(which):
+    # the two-scale and low-pass certificates read the table's knots and
+    # keep nothing, so a scaled table reaches them on every run
     def tamper(ws):
-        table = ws.interpolator
-        ws.interpolator = lambda w, order=0: (
-            (lambda x: 1.01 * table(w, order)(x)) if w == which else table(w, order))
+        table = ws.dense_table
+
+        def scaled(w, order=0):
+            grid, values = table(w, order)
+            return (grid, 1.01 * values) if w == which else (grid, values)
+        ws.dense_table = scaled
     return tamper
 
 
@@ -121,10 +124,10 @@ BUILD_TAMPERS = {
     "SUPPORT": _wrap_bell(lambda xi, b: b + 1e-3 * (np.abs(xi) < 1)),
     "SHIFT_ORTHONORMALITY_PSI": _wrap_bell(lambda xi, b: 1.01 * b),
     "SHIFT_ORTHONORMALITY_PHI": _wrap_bell(lambda xi, b: 1.01 * b),
-    "TWO_SCALE_CROSS": _scale_interpolator("psi"),
+    "TWO_SCALE_CROSS": _scale_dense_table("psi"),
     "MOMENTS": _raise_wide_psi,
     "REALNESS": _skew_psi_hat,
-    "SCALING_LOWPASS": _scale_interpolator("phi"),
+    "SCALING_LOWPASS": _scale_dense_table("phi"),
     "NORMALIZATION": _scale_psi_hat,
 }
 
@@ -363,8 +366,8 @@ class TestCrossGram:
         # the two-scale certificate's rows against the product with the
         # trapezoid weights applied to a copy
         grid = sw.Grid1D.from_interval(-80.0, 80.0, 10241)
-        A = np.vstack([construction._axis_block(ws, 1, m, N, grid)[0]
-                       for m, N in ((-1, 1), (0, 3), (1, 2))])
+        A = np.vstack([row for m, N in ((-1, 1), (0, 3), (1, 2))
+                       for row in construction._knot_rows(ws, "psi", m, N, grid)])
         want = (A * grid.trapezoid_weights()) @ A.T
         got = construction._gram(A, grid)
         assert got.shape == (15, 15) and np.array_equal(got, got.T)
@@ -374,6 +377,50 @@ class TestCrossGram:
         G = cross_gram_fourier(ws, range(-1, 2), range(-1, 2))
         assert G.shape == (9, 9)
         assert np.max(np.abs(G - np.eye(9))) < 1e-10
+
+
+class TestKnotRows:
+    """The two-scale and low-pass certificates read atoms at the dense
+    tables' knots (``_knot_rows``), where the interpolant returns the
+    table's own samples."""
+
+    TWO_SCALE = sw.Grid1D.from_interval(-80.0, 80.0, 10241)
+    LATTICE = sw.Grid1D(-250.0, 1.0 / 64, 501 * 64)
+
+    @pytest.mark.parametrize("which, ms, N, grid", [
+        ("psi", (-1, 0, 1), 3, TWO_SCALE), ("phi", (0,), 0, LATTICE)])
+    def test_rows_are_the_atom_values(self, ws, which, ms, N, grid):
+        bit = int(which == "psi")
+        for m in ms:
+            rows = construction._knot_rows(ws, which, m, N, grid)
+            want = ws.atom_values(bit, m, np.arange(-N, N + 1)[:, None], grid.points())
+            assert np.vstack(rows).tobytes() == want.tobytes(), m
+
+    def test_lattice_row_is_a_view_of_the_table(self, ws):
+        (row,) = construction._knot_rows(ws, "phi", 0, 0, self.LATTICE)
+        assert np.shares_memory(row, ws.dense_table("phi")[1])
+        assert np.shares_memory(row.reshape(501, 64), row)
+
+    def test_build_keeps_no_interpolant_or_block(self):
+        fresh = sw.build_wavelet_system(1.0, 2.0)
+        assert fresh._interpolants == {}
+        assert not fresh._blocks._values
+
+    @pytest.mark.parametrize("m, N, grid", [
+        (-1, 3, sw.Grid1D(-80.0, 1.0 / 256, 10241)),  # 2^m h = 1/512, off the knots
+        (0, 3, sw.Grid1D(-80.0 + 1.0 / 256, 1.0 / 64, 10241)),  # origin off the knots
+        (0, 0, sw.Grid1D(200.0, 1.0 / 64, 64 * 100 + 1)),  # reaches 300
+        (0, 20, LATTICE),  # shift n = 20 reaches -270
+        (0, 0, sw.Grid1D(-264.0, 1.0 / 64, 528 * 64 + 2)),  # one point past 264
+    ])
+    def test_refuses_points_off_the_knots_or_past_the_table(self, ws, m, N, grid):
+        with pytest.raises(construction.ConstructionError, match="knots"):
+            construction._knot_rows(ws, "psi", m, N, grid)
+
+    def test_reads_every_knot_of_the_table(self, ws):
+        grid, values = ws.dense_table("psi")
+        (row,) = construction._knot_rows(ws, "psi", 0, 0, grid)
+        assert row.tobytes() == values.tobytes()
 
 
 class TestDecayProfile:

@@ -260,7 +260,7 @@ def _moment_scales(grid, N, scales=range(-6, 7)):
     interval holds ``r = 2^-m TABLE_SPACING / h`` samples, a whole number
     >= 4, ``2^m origin`` sits on a knot, and the windows stay inside
     [-TABLE_HALF, TABLE_HALF]: shift n reads the knots from ``2^m origin -
-    n - 3 TABLE_SPACING`` to ``2^m origin - n + (P + 4) TABLE_SPACING``, P
+    n - 3 TABLE_SPACING`` to ``2^m origin - n + (P + 3) TABLE_SPACING``, P
     the knot intervals the grid meets."""
     spacing = Fraction(construction.TABLE_SPACING)
     half = Fraction(construction.TABLE_HALF)
@@ -271,7 +271,7 @@ def _moment_scales(grid, N, scales=range(-6, 7)):
         if r.denominator != 1 or r < 4 or ((start + half) / spacing).denominator != 1:
             continue
         P = -(-grid.count // int(r))
-        if -half <= start - N - 3 * spacing and start + N + (P + 4) * spacing <= half:
+        if -half <= start - N - 3 * spacing and start + N + (P + 3) * spacing <= half:
             served.append(m)
     return served
 
@@ -308,7 +308,7 @@ class TestShiftWindowedBlocks:
         for grid, scales in ((expansion_grid, kept), (_OFF_KNOTS, range(-6, 7))):
             for bit in (0, 1):
                 for m in scales:
-                    block, geometry = construction._axis_block(ws, bit, m, self.N, grid)
+                    block, geometry = expansion._axis_block(ws, bit, m, self.N, grid)
                     assert len(geometry) == 2
                     assert not block.flags.owndata  # a view of one extended row
                     np.testing.assert_array_equal(
@@ -321,7 +321,7 @@ class TestShiftWindowedBlocks:
     ])
     def test_other_grids_evaluate_each_shift(self, ws, grid, scales):
         for m in scales:
-            block, _ = construction._axis_block(ws, 1, m, self.N, grid)
+            block, _ = expansion._axis_block(ws, 1, m, self.N, grid)
             assert block.flags.owndata
             np.testing.assert_array_equal(
                 block, _per_shift_block(ws, 1, m, self.N, grid))
@@ -580,7 +580,7 @@ class TestWindowKernels:
         F = rng.standard_normal((grid.count, 3))
         C = rng.standard_normal((2, 3, 2 * N + 1))
         for m in range(-6, 7):
-            B, geometry = construction._axis_block(ws, 1, m, N, grid)
+            B, geometry = expansion._axis_block(ws, 1, m, N, grid)
             if geometry is None or len(geometry) != 2:  # not a windowed row
                 continue
             dense = np.array(B)
@@ -602,7 +602,7 @@ class TestWindowKernels:
 
     def test_span_covers_every_nonzero_sample(self, ws):
         for m in range(-6, 7):
-            s, (a, b) = construction._axis_block(ws, 1, m, 32, _OFF_KNOTS)[1]
+            s, (a, b) = expansion._axis_block(ws, 1, m, 32, _OFF_KNOTS)[1]
             row = ws._blocks._values[(ws.interpolator("psi"), m, _OFF_KNOTS, 32)]
             nonzero = np.flatnonzero(row)
             assert a <= nonzero[0] and nonzero[-1] < b
@@ -673,7 +673,7 @@ class TestKnotMoments:
         fws = [f.values * grid.trapezoid_weights() for f in fs]
         coeffs = [sw.analyze(ws, f, window).values for f in fs]
         for m in range(-window.M, window.M + 1):
-            B, geometry = construction._axis_block(ws, 1, m, window.N, grid)
+            B, geometry = expansion._axis_block(ws, 1, m, window.N, grid)
             assert (len(geometry) == 4) == (m in moment_scales), m
             if m not in moment_scales:
                 np.testing.assert_array_equal(B, _per_shift_block(ws, 1, m, window.N, grid))
@@ -725,7 +725,7 @@ class TestKnotMoments:
         F = rng.standard_normal((expansion_grid.count, 3))
         C = rng.standard_normal((2, 3, 65))
         for m in _moment_scales(expansion_grid, 32):
-            B, geometry = construction._axis_block(ws, 1, m, 32, expansion_grid)
+            B, geometry = expansion._axis_block(ws, 1, m, 32, expansion_grid)
             dense_m = dense(m, 32, expansion_grid)
             got = expansion._block_apply(B, geometry, F)
             assert got.shape == (65, 3)
@@ -739,7 +739,8 @@ class TestKnotMoments:
     @_needs_extended
     @pytest.mark.parametrize("origin, N", [
         (-80.0, 262),  # the windows of shift n = N reach knot 0
-        (0.0, 263),  # those of n = -N the table's last knot
+        (0.0, 263),  # those of n = -N stay 120 knots short of the table's end
+        (60.0, 263),  # and here end on its last knot
     ])
     def test_windows_leaving_the_table_fall_back_to_rows(self, ws, origin, N):
         # 257 points: r = 64 at m = -6, where s = 8192 samples >= count makes
@@ -747,14 +748,14 @@ class TestKnotMoments:
         grid = sw.Grid1D(origin, 1.0 / 128, 257)
         rng = np.random.default_rng(N)
         F, C = rng.standard_normal((257, 2)), rng.standard_normal((2, 2 * N + 1))
-        B, geometry = construction._axis_block(ws, 1, -6, N, grid)
+        B, geometry = expansion._axis_block(ws, 1, -6, N, grid)
         dense = _per_shift_block(ws, 1, -6, N, grid)
         assert len(geometry) == 4
         assert np.all(np.abs(expansion._block_apply(B, geometry, F) - _exact(dense, F))
                       <= 1e-15 * (np.abs(dense) @ np.abs(F)))
         assert np.all(np.abs(expansion._block_transpose(B, geometry, C) - _exact(C, dense))
                       <= (2 * N + 1) * _UNIT_ROUNDOFF * (np.abs(C) @ np.abs(dense)))
-        B, geometry = construction._axis_block(ws, 1, -6, N + 1, grid)
+        B, geometry = expansion._axis_block(ws, 1, -6, N + 1, grid)
         assert geometry is None
         np.testing.assert_array_equal(B, _per_shift_block(ws, 1, -6, N + 1, grid))
 
@@ -765,7 +766,7 @@ class TestKnotMoments:
         x1, x2 = (g.points() for g in grids)
         factors = (np.exp(-x1 ** 2), np.exp(-((x2 - 0.5) / 0.7) ** 2 + 1j * x2))
         window = sw.IndexWindow(3, 2, d=2)
-        assert len(construction._axis_block(ws, 1, -3, 2, grids[1])[1]) == 4
+        assert len(expansion._axis_block(ws, 1, -3, 2, grids[1])[1]) == 4
         got = sw.analyze(ws, sw.SampledFunction(grids, np.outer(*factors)), window)
         shifts = np.arange(-2, 3)[:, None]
         quad = [[np.array([ws.atom_values(bit, m, shifts, g.points())
@@ -791,7 +792,7 @@ class TestKnotMoments:
         with _wrapped_interpolator(ws, lambda which, g: (
                 (lambda x: 1.01 * g(x)) if which == "psi" else g)):
             for m in _moment_scales(expansion_grid, 32):
-                assert len(construction._axis_block(ws, 1, m, 32, expansion_grid)[1]) == 2
+                assert len(expansion._axis_block(ws, 1, m, 32, expansion_grid)[1]) == 2
             after = sw.analyze(ws, f, window).values
         top = np.abs(before).max()
         assert np.abs(before[0, :4]).max(axis=1).min() > 1e-4 * top
@@ -799,26 +800,27 @@ class TestKnotMoments:
 
 
 class TestCertificateRows:
-    """``TWO_SCALE_CROSS`` and ``SCALING_LOWPASS`` read kept atom rows; an
-    evaluator replaced after a warm suite must miss them and fail."""
-
-    def _warm(self, ws):
-        certs = construction.run_certificate_suite(ws)
-        assert all(c["pass"] for c in certs.values())
-        two_scale = sw.Grid1D.from_interval(-80.0, 80.0, 10241)
-        lattice = sw.Grid1D(-250.0, 1.0 / 64, 501 * 64)
-        assert (ws.interpolator("psi"), 0, two_scale, 3) in ws._blocks._values
-        assert (ws.interpolator("phi"), 0, lattice, 0) in ws._blocks._values
+    """``TWO_SCALE_CROSS`` and ``SCALING_LOWPASS`` read the dense tables'
+    knots and keep nothing, so a table scaled after a warm suite must fail
+    its certificate."""
 
     @pytest.mark.parametrize("which, name, deviation, gap", [
         ("psi", "TWO_SCALE_CROSS", "max_deviation", 2e-2),
         ("phi", "SCALING_LOWPASS", "max_partition_deviation", 1e-2)])
     def test_scaled_evaluator_fails_its_certificate(self, ws, which, name,
                                                     deviation, gap):
-        self._warm(ws)
-        with _wrapped_interpolator(ws, lambda w, f: (
-                (lambda x: 1.01 * f(x)) if w == which else f)):
+        certs = construction.run_certificate_suite(ws)
+        assert all(c["pass"] for c in certs.values())
+        table = ws.dense_table
+
+        def scaled(w, order=0):
+            grid, values = table(w, order)
+            return (grid, 1.01 * values) if w == which else (grid, values)
+        ws.dense_table = scaled
+        try:
             certs = construction.run_certificate_suite(ws)
+        finally:
+            del ws.dense_table
         assert [n for n, c in certs.items() if not c["pass"]] == [name]
         assert certs[name][deviation] == pytest.approx(gap, rel=0.01)
 
