@@ -28,17 +28,19 @@ stored in the system file; "verify" suites (lowercase) rerun on a loaded file.
 
 The system file (schema ``SCHEMA_TAG``) holds the parameters (a, rho2), psi's
 samples and the certificates.  The spectra and phi's samples are fixed by the
-bell, so the file does not hold them: ``_spectra`` forms the spectra from the
-bell and ``_samples`` phi's samples from its spectrum, at build and on load
-alike.  psi's samples are held as their real part, since psi is real; the
-build keeps only the real part of each sample array.  A file of another
-schema is refused, not converted.
+bell, so the file does not hold them: each is formed on its first read,
+``_spectrum`` forming a spectrum from the bell and ``_samples`` phi's samples
+from its spectrum, at build and on load alike, so a loaded system synthesizes
+nothing until it is read.  psi's samples are held as their real part, since
+psi is real; the build keeps only the real part of each sample array.  A file
+of another schema is refused, not converted.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import cached_property
 from math import lgamma
 
 import numpy as np
@@ -72,11 +74,12 @@ MAX_SAMPLES = 2 ** 20
 # the even cosine profile of the modulus, read at x + shift
 _CENTER_SHIFT = {"psi": 0.5, "phi": 1.0}
 # bytes of atom blocks a system keeps (``expansion._axis_block``), with
-# projection's kept matrices and |phi_hat| nodes: 3.0 MB after one round of
-# the benchmark's session.  The (6, 32) window on expand's 20,481-point grid
-# keeps 1.6 MB of rows at m = -1..6 (m = -6..-2 read a window of the
-# interpolant's samples, where the rows would take 8.9 MB more), and a
-# (real) q_m matrix on 321 points 0.8 MB
+# projection's kept matrices and |phi_hat| nodes: 3.0 MB in 41 entries after
+# one round of the benchmark's session.  The (6, 32) window on expand's
+# 20,481-point grid keeps 1.6 MB of rows at m = -1..6 and 8 kB of stencil
+# weights at m = -6..-2 (which read a window of the interpolant's samples,
+# where the rows would take 8.9 MB more), the 2-D (2, 8) window 0.35 MB of
+# per-shift blocks, and a (real) q_m matrix on 321 points 0.8 MB
 _BLOCK_BYTES = 32 * 2 ** 20
 
 
@@ -130,17 +133,20 @@ def scaling_modulus(bell: BellFunction, xi) -> np.ndarray:
 
 
 class WaveletSystem:
-    """The constructed pair (psi, phi) plus parameters and certificates."""
+    """The constructed pair (psi, phi) plus parameters and certificates.
+
+    ``psi_hat``, ``phi_hat`` and ``phi_samples`` given as None are formed on
+    first read, the spectra from the ``bell`` given here, not a later one.
+    """
 
     def __init__(self, a, rho2, bell, psi_hat, phi_hat, psi_samples, phi_samples,
                  certificates=None):
         self.a = a
         self.rho2 = rho2
-        self.bell = bell
-        self.psi_hat = psi_hat
-        self.phi_hat = phi_hat
+        self.bell = self._spectral_bell = bell
+        given = {"psi_hat": psi_hat, "phi_hat": phi_hat, "phi_samples": phi_samples}
+        vars(self).update((k, v) for k, v in given.items() if v is not None)
         self.psi_samples = psi_samples
-        self.phi_samples = phi_samples
         self.certificates = certificates if certificates is not None else {}
         self._tables: dict = {}
         self._interpolants: dict = {}  # built on interpolator's first read
@@ -148,6 +154,10 @@ class WaveletSystem:
         self._fits: dict = {}  # values read off the tables (projection._phi_tail)
         # uniform-grid atom blocks, kept q_m matrices and |phi_hat| nodes
         self._blocks = numerics.Kept(_BLOCK_BYTES)
+
+    psi_hat = cached_property(lambda self: _spectrum("psi", self._spectral_bell))
+    phi_hat = cached_property(lambda self: _spectrum("phi", self._spectral_bell))
+    phi_samples = cached_property(lambda self: _samples(self.phi_hat, self.physical_grid))
 
     # -- basic geometry ----------------------------------------------------
 
@@ -210,7 +220,9 @@ class WaveletSystem:
 
         One chirp-z synthesis of the half profile
         ``(1/pi) int band amp(xi) xi^order cos(u xi + order pi/2) dxi``, u >= 0,
-        read at ``|x + shift|``; odd orders flip sign where ``x + shift < 0``.
+        read at ``|x + shift|``: the table is the profile's reflected slice
+        where ``x + shift < 0`` (negated at odd orders), then the profile
+        itself.  ``x_max`` and the shift are whole numbers of ``spacing``.
         """
         band = self.band_spectrum(which, n_band)
         g = band.grid
@@ -219,13 +231,10 @@ class WaveletSystem:
         count = int((x_max + shift + 1.0) / spacing + 0.5) + 1
         half = numerics.chirp_synthesis(coeff, g.origin, g.spacing, 0.0, spacing,
                                         count).real
-        grid = Grid1D(origin=-x_max, spacing=spacing,
-                      count=2 * int(round(x_max / spacing)) + 1)
-        u = grid.points() + shift
-        vals = half[np.rint(np.abs(u) / spacing).astype(np.int64)]
-        if order % 2 == 1:
-            vals[u < 0] *= -1.0
-        return grid, vals
+        H, s = int(round(x_max / spacing)), int(round(shift / spacing))
+        left = half[H - s:0:-1]  # x + shift = -(H - s) .. -1 spacings
+        vals = np.concatenate([-left if order % 2 else left, half[:H + s + 1]])
+        return Grid1D(origin=-x_max, spacing=spacing, count=2 * H + 1), vals
 
     def dense_table(self, which: str, order: int = 0):
         """(grid, values) of psi/phi (derivative) on [-TABLE_HALF, TABLE_HALF],
@@ -290,9 +299,10 @@ class WaveletSystem:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WaveletSystem":
-        """The system a file holds, its spectra formed from the parameters by
-        ``_spectra`` and phi's samples on psi's grid by ``_samples``, as the
-        build forms them; ``ConstructionError`` for another schema (the file
+        """The system a file holds.  It synthesizes nothing: its spectra
+        (``_spectrum``, from the bell of the file's parameters) and phi's
+        samples on psi's grid (``_samples``) are formed on first read, as the
+        build forms them.  ``ConstructionError`` for another schema (the file
         is rebuilt, not converted) or a sample array whose length is not its
         grid's count, ``BumpError`` for parameters the construction refuses."""
         schema = doc.get("schema") if isinstance(doc, dict) else None
@@ -301,45 +311,43 @@ class WaveletSystem:
                                     f"{SCHEMA_TAG!r}: rebuild it with `build`")
         params = doc["parameters"]
         bell = BellFunction(build_bump(params["a"], params["rho2"]))
-        psi_hat, phi_hat = _spectra(bell)
         psi_samples = SampledFunction(*_read_grid_dict(doc["psi_samples"], "re"))
         return cls(a=params["a"], rho2=params["rho2"], bell=bell,
-                   psi_hat=psi_hat, phi_hat=phi_hat, psi_samples=psi_samples,
-                   phi_samples=_samples(phi_hat, psi_samples.grids[0]),
-                   certificates=doc.get("certificates", {}))
+                   psi_hat=None, phi_hat=None, psi_samples=psi_samples,
+                   phi_samples=None, certificates=doc.get("certificates", {}))
 
 
 def _with_phase(which: str, xi, modulus) -> np.ndarray:
     """psi_hat or phi_hat from its modulus: ``exp(i shift xi) modulus``, the
-    shift ``_CENTER_SHIFT[which]``, as ``_spectra`` and the analytic spectra
+    shift ``_CENTER_SHIFT[which]``, as ``_spectrum`` and the analytic spectra
     ``psi_hat_fn`` and ``phi_hat_fn`` form them."""
     return np.exp(1j * _CENTER_SHIFT[which] * xi) * modulus
 
 
-def _spectra(bell: BellFunction) -> tuple[SpectrumOnBand, SpectrumOnBand]:
-    """(psi_hat, phi_hat) at ``_SPECTRAL_POINTS`` points of [-3 pi, 3 pi],
-    each declared on its band and the band's mirror.
+def _spectrum(which: str, bell: BellFunction) -> SpectrumOnBand:
+    """psi_hat or phi_hat at ``_SPECTRAL_POINTS`` points of [-3 pi, 3 pi],
+    declared on its band and the band's mirror.
 
-    The build and the file reader both form the spectra here, so a loaded
+    The build and a loaded system both form the spectra here, so a loaded
     system's are the built ones bit for bit; each call makes new arrays.
     """
     sg = Grid1D.from_interval(-_SPECTRAL_HALF, _SPECTRAL_HALF, _SPECTRAL_POINTS)
     xi = sg.points()
-    band = (-_SPECTRAL_HALF, _SPECTRAL_HALF)
-    psi_hat = SpectrumOnBand(
-        band=band, grid=sg, values=_with_phase("psi", xi, bell(xi)),
-        declared_support=((-PSI_BAND[1], -PSI_BAND[0]), (PSI_BAND[0], PSI_BAND[1])))
-    phi_hat = SpectrumOnBand(
-        band=band, grid=sg, values=_with_phase("phi", xi, scaling_modulus(bell, xi)),
-        declared_support=((-PHI_BAND[1], PHI_BAND[1]),))
-    return psi_hat, phi_hat
+    if which == "psi":
+        modulus = bell(xi)
+        support = ((-PSI_BAND[1], -PSI_BAND[0]), (PSI_BAND[0], PSI_BAND[1]))
+    else:
+        modulus, support = scaling_modulus(bell, xi), ((-PHI_BAND[1], PHI_BAND[1]),)
+    return SpectrumOnBand(band=(-_SPECTRAL_HALF, _SPECTRAL_HALF), grid=sg,
+                          values=_with_phase(which, xi, modulus),
+                          declared_support=support)
 
 
 def _samples(spectrum: SpectrumOnBand, grid: Grid1D) -> SampledFunction:
     """The real part of the spectrum's synthesis on ``grid``: psi and phi are
-    real, so the imaginary part is rounding.  The build forms both sample
-    arrays here and the file reader phi's, so a loaded system's are the built
-    ones bit for bit."""
+    real, so the imaginary part is rounding.  The build forms psi's samples
+    here and every system phi's, on first read, so a loaded system's are the
+    built ones bit for bit."""
     return SampledFunction(grid, numerics.synthesize(spectrum, grid).values.real)
 
 
@@ -388,12 +396,10 @@ def build_wavelet_system(a: float, rho2: float, *,
     never raised: the system is returned with the failures flagged.
     """
     bell = BellFunction(build_bump(a, rho2))  # raises on a >= pi/3 or rho2 <= 1
-    psi_hat, phi_hat = _spectra(bell)
-
-    pg = sample_grid(window)
+    psi_hat, phi_hat = _spectrum("psi", bell), _spectrum("phi", bell)
     ws = WaveletSystem(a=a, rho2=rho2, bell=bell, psi_hat=psi_hat, phi_hat=phi_hat,
-                       psi_samples=_samples(psi_hat, pg),
-                       phi_samples=_samples(phi_hat, pg))
+                       psi_samples=_samples(psi_hat, sample_grid(window)),
+                       phi_samples=None)  # formed on first read
     ws.certificates = run_certificate_suite(ws)
     return ws
 

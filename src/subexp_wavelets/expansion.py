@@ -13,17 +13,17 @@ one loop, ``_analysis``, into one window-shaped array: per pattern and
 scale, one atom block per axis fills a slot.
 ``synthesize_partial`` reads the slots through the same blocks.  This is
 direct quadrature; there is no filter-bank fast transform here.  A block
-on a uniform grid (``_axis_block``) takes one of three forms,
-and a warm call evaluates no interpolant in any of them:
+on a uniform grid (``_axis_block``) takes one of three forms, each kept
+once prepared, so a warm call prepares nothing:
 
 * where each knot interval of the table holds r >= 4 samples and
   ``2^m origin`` is a knot (m = -6..-2 on the dyadic grid of ``expand``),
-  one window of the interpolant's own samples y: nothing is evaluated or
-  kept.  ``_moments_apply`` takes each interval's eight moments of the
-  data, one per stencil knot, in one product, folds them onto the knots
-  and meets them with the window of y; ``_moments_transpose`` is its exact
-  transpose.  The sums are those of the evaluated rows, regrouped, so
-  coefficients move only by rounding;
+  one window of the interpolant's own samples y: nothing is evaluated, and
+  only the stencil's weights are kept.  ``_moments_apply`` takes each
+  interval's eight moments of the data, one per stencil knot, in one
+  product, folds them onto the knots and meets them with the window of y;
+  ``_moments_transpose`` is its exact transpose.  The sums are those of
+  the evaluated rows, regrouped, so coefficients move only by rounding;
 * where the shift step is a whole number of samples s (the other scales
   ``analyze`` allows on expand's grid), windows of one kept atom row per
   scale instead of one row per shift;
@@ -55,6 +55,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -155,47 +156,62 @@ class CoefficientSet:
 # analysis / synthesis: one loop over (epsilon, m) atom blocks
 # ---------------------------------------------------------------------------
 
+class _Block(NamedTuple):
+    """A prepared atom block (``_axis_block``): B, its geometry, and the one
+    array it owns, whose bytes are all the kept-block store charges it (a
+    windowed B is a view of it, or of the interpolant's samples)."""
+
+    block: np.ndarray
+    geometry: tuple | None
+    owned: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.owned.nbytes
+
+
 def _axis_block(ws: WaveletSystem, bit: int, m: int, N: int, axis: Grid1D):
     """(B, geometry): rows ``k`` = shift ``-N + k`` of one axis's scale-m atom
     factor on a grid, and how B lies in the rows it reads.
 
+    The system keeps each prepared block (``_Block``: B, its geometry and
+    the array B reads) in ``ws._blocks``, read-only, under the evaluator
+    (the object ``interpolator`` returns), ``m``, the grid and ``N``, so a
+    warm call prepares nothing and a replaced or wrapped evaluator misses.
     Where each knot interval of the table holds r >= 4 samples, B is a
-    window of the interpolant's samples (``_knot_windows``) and nothing is
-    evaluated or kept.  Otherwise the system keeps what it evaluates
-    (``ws._blocks``), read-only, under the evaluator (the object
-    ``interpolator`` returns), ``m``, the grid and ``N``, so a replaced or
-    wrapped evaluator misses.
+    window of the interpolant's samples (``_knot_windows``), and the block
+    owns only its ``(r, 8)`` weights.
     Shift n moves the atom by n s samples, s = 2^-m / h.  When s is a whole
-    number below the count, the kept value is one row on the grid extended
-    by N s samples at each end, and B a read-only strided view of windows of
-    it: row k starts at sample ``(2N - k) s``.  Then ``geometry`` is
-    ``(s, (a, b))``: samples ``a <= i < b`` of the kept row are the only
+    number below the count, the block owns one row on the grid extended
+    by N s samples at each end, and B is a read-only strided view of windows
+    of it: row k starts at sample ``(2N - k) s``.  Then ``geometry`` is
+    ``(s, (a, b))``: samples ``a <= i < b`` of the row are the only
     ones that can be nonzero, since sample i sits at ``2^m x = 2^m origin +
     (i - N s) / s`` and the dense-table evaluator reads 0 beyond
     +-TABLE_HALF (one sample more at each end absorbs rounding).  For any
-    other s, B itself is kept and ``geometry`` is None.
+    other s, B itself is owned and ``geometry`` is None.
     """
     f = ws.interpolator("psi" if bit else "phi")
-    moments = _knot_windows(f, m, N, axis)
-    if moments is not None:
-        return moments
     ns = np.arange(-N, N + 1)[:, None]
-    s = np.ldexp(1.0, -m) / axis.spacing
-    s = int(s) if s.is_integer() and s < axis.count else 0  # 0: no windows
 
-    def make():  # the row every window reads, or the grid's per-shift block
+    def make():
+        moments = _knot_windows(f, m, N, axis)
+        if moments is not None:
+            return moments
+        s = np.ldexp(1.0, -m) / axis.spacing
+        s = int(s) if s.is_integer() and s < axis.count else 0  # 0: no windows
         x = axis.origin + axis.spacing * np.arange(-N * s, axis.count + N * s)
-        value = _aligned(ws.atom_values(bit, m, 0, x)) if s else ws.atom_values(bit, m, ns, x)
-        value.flags.writeable = False
-        return value
+        # the row every window reads, or the grid's per-shift block
+        row = _aligned(ws.atom_values(bit, m, 0, x)) if s else ws.atom_values(bit, m, ns, x)
+        row.flags.writeable = False
+        if not s:
+            return _Block(row, None, row)
+        centre = N * s - axis.origin / axis.spacing
+        span = (max(int(np.floor(centre - TABLE_HALF * s)) - 1, 0),
+                min(int(np.ceil(centre + TABLE_HALF * s)) + 2, row.size))
+        return _Block(sliding_window_view(row, axis.count)[2 * N * s::-s], (s, span), row)
 
-    kept = ws._blocks.get((f, m, axis, N), make)
-    if not s:
-        return kept, None
-    centre = N * s - axis.origin / axis.spacing
-    span = (max(int(np.floor(centre - TABLE_HALF * s)) - 1, 0),
-            min(int(np.ceil(centre + TABLE_HALF * s)) + 2, kept.size))
-    return sliding_window_view(kept, axis.count)[2 * N * s::-s], (s, span)
+    return ws._blocks.get((f, m, axis, N), make)[:2]
 
 
 def _aligned(values: np.ndarray) -> np.ndarray:
@@ -212,8 +228,9 @@ def _aligned(values: np.ndarray) -> np.ndarray:
 
 
 def _knot_windows(f, m: int, N: int, axis: Grid1D):
-    """(Y, (t, span, W, count)): the scale-m atom block of the interpolant
-    f on ``axis`` as windows of its samples, or None where they do not serve.
+    """``_Block(Y, (t, span, W, count), W)``: the scale-m atom block of the
+    interpolant f on ``axis`` as windows of its samples, or None where they
+    do not serve.
 
     They serve when f is a ``LagrangeInterpolant`` (a wrapped or replaced
     evaluator has no samples to read), each knot interval holds a whole
@@ -244,7 +261,8 @@ def _knot_windows(f, m: int, N: int, axis: Grid1D):
         return None
     Y = sliding_window_view(f.values[lo:hi], P + width - 1)[2 * N * t::-t]
     W = 2.0 ** (m * 0.5) * numerics.lagrange_weights(left + np.arange(r) / r).T
-    return Y, (t, (0, hi - lo), W, axis.count)
+    W.flags.writeable = False
+    return _Block(Y, (t, (0, hi - lo), W, axis.count), W)
 
 
 def _scale_blocks(ws: WaveletSystem, window: IndexWindow, axes):

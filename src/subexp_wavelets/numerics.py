@@ -507,29 +507,45 @@ class _ChirpPlan(NamedTuple):
 def _chirp_plan(n: int, count: int, xi0: float, dxi: float, x0: float,
                 dx: float) -> _ChirpPlan:
     theta = dx * dxi
-    j = np.arange(n)
-    k = np.arange(count)
     size = next_fast_len(n + count - 1)
-    pre = np.exp(1j * (x0 * dxi * j + 0.5 * theta * (j * j)))
-    d = np.arange(-(n - 1), count)
-    chirp = np.exp(-0.5j * theta * (d * d))
+    d = np.arange(max(n, count))
+    chirp = np.exp(-0.5j * theta * (d * d))  # lag -d reads lag d
     row = np.zeros(size, dtype=complex)
-    row[:count] = chirp[n - 1:]  # lags 0 .. count - 1
-    row[size - (n - 1):] = chirp[:n - 1]  # lags -(n - 1) .. -1, wrapped
-    post = np.exp(1j * (xi0 * (x0 + dx * k) + 0.5 * theta * (k * k)))
+    row[:count] = chirp[:count]  # lags 0 .. count - 1
+    row[size - (n - 1):] = chirp[n - 1:0:-1]  # lags -(n - 1) .. -1, wrapped
+    # at x0 == 0 (xi0 == 0) the pre-chirp (post-chirp) is the chirp's conjugate
+    # bit for bit, but at d = 0: exp(i 0) is 1 + 0i, the conjugate 1 - 0i
+    pre = np.conj(chirp[:n]) if x0 == 0 else _chirped((x0 * dxi) * d[:n], theta)
+    pre[0] = 1.0
+    if xi0 == 0:
+        post = np.conj(chirp[:count])
+        post[0] = 1.0
+    else:
+        post = _chirped(xi0 * (x0 + dx * d[:count]), theta)
     plan = _ChirpPlan(pre, np.fft.fft(row, out=row), post)
     for a in plan:
         a.flags.writeable = False
     return plan
 
 
-# Bluestein plans (``chirp_synthesis``); a warm session keeps 15, 2.5 MB:
-# the phi dense-table plan, 1.2 MB (the table's three orders share its
-# geometry, so the second keeps it), the plan of phi's samples, 0.28 MB
-# (the build and the reload of its system file each synthesize them), two
-# of 0.14 MB that sample its band-limited inputs, and 11 of its level-0
-# projection, its seminorm probes at levels 0..6 and its kernel-decay
-# certificate, 0.7 MB (the DFT route and the kept 2-D matrices need none).
+def _chirped(angle: np.ndarray, theta: float) -> np.ndarray:
+    """``exp(1j * (angle + 0.5 * theta * (k * k)))`` at the indices k of
+    ``angle``, formed in place (``angle`` is overwritten) with the operands
+    of each operation in that expression's order, so with its bits."""
+    k = np.arange(angle.size)
+    angle += 0.5 * theta * (k * k)
+    out = np.multiply(1j, angle)
+    return np.exp(out, out=out)
+
+
+# Bluestein plans (``chirp_synthesis``): one round of the benchmark's session
+# keeps 6, 1.8 MB, the phi dense-table plan, 1.2 MB (the table's three orders
+# share its geometry, so the second keeps it), the plan of phi's samples,
+# 0.28 MB (the session reads the built and the reloaded system's, each formed
+# on first read), two of 0.14 MB that sample its band-limited inputs and two
+# of its kernel-decay certificate; its second round keeps 15, 2.5 MB, adding
+# its level-0 projection and seminorm probes at levels 0..6 (the DFT route
+# and the kept 2-D matrices need none).
 # Plans are kept from a geometry's second request on because a cold command
 # asks for most of its geometries once: keeping them from the first request
 # raises the peak RSS of a cold ``build`` from 43 to 47 MB, ``expand

@@ -398,14 +398,18 @@ class TestAtomRows:
 
     def test_coarse_scales_keep_no_rows(self, ws, band_function, expansion_grid):
         # rows of the scales the knot moments serve (m = -6..-2 at spacing
-        # 1/128) would keep 8.9 of the window's 10.5 MB
-        system = sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_hat, ws.phi_hat,
-                                  ws.psi_samples, ws.phi_samples)
+        # 1/128) would keep 8.9 of the window's 10.5 MB: their kept blocks
+        # own the (r, 8) stencil weights alone
+        system = _fresh_system(ws)
         sw.analyze(system, band_function, sw.IndexWindow(6, self.N))
         moments = _moment_scales(expansion_grid, self.N)
-        assert sorted(key[1] for key in system._blocks._values) == [
-            m for m in range(-6, 7) if m not in moments]
-        assert sum(r.nbytes for r in system._blocks._values.values()) <= 2.5e6
+        kept = system._blocks._values
+        rows = sorted(key[1] for key, entry in kept.items() if entry.owned.ndim == 1)
+        assert rows == [m for m in range(-6, 7) if m not in moments]
+        for (_, m, _, _), entry in kept.items():
+            if m in moments:
+                assert entry.owned.shape == (2 ** -m, numerics.STENCIL)
+        assert sum(entry.nbytes for entry in kept.values()) <= 2.5e6
 
     def test_per_shift_blocks_are_kept(self, ws, monkeypatch):
         # s = 2^-m 32/3 is never whole on 257 points over [-12, 12], so each
@@ -433,10 +437,13 @@ class TestAtomRows:
             partial.values, sw.synthesize_partial(fresh(), first, (g, g)).values)
 
     def test_kept_rows_are_read_only(self, ws, band_function):
+        # the kept atom blocks, and projection's kept matrices beside them
         sw.analyze(ws, band_function, sw.IndexWindow(2, 8))
         assert ws._blocks._values
-        for row in ws._blocks._values.values():
-            assert not row.flags.writeable
+        for kept in ws._blocks._values.values():
+            arrays = ((kept.block, kept.owned) if isinstance(kept, expansion._Block)
+                      else (kept,))
+            assert not any(a.flags.writeable for a in arrays)
         block, _ = expansion._axis_block(ws, 1, 0, 8, band_function.grids[0])
         with pytest.raises(ValueError):
             block[0, 0] = 1.0
@@ -469,6 +476,77 @@ class TestAtomRows:
             sw.analyze(system, f, sw.IndexWindow(6, self.N))
         assert len(sizes) == 26
         assert not system._blocks._values
+
+
+def _fresh_system(ws):
+    """A system sharing ws's arrays, with no table read and no block kept."""
+    return sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_hat, ws.phi_hat,
+                            ws.psi_samples, ws.phi_samples)
+
+
+def _count_preparations(monkeypatch):
+    """Calls of the two preparations of a block from now on: the Lagrange
+    weights (of ``_knot_windows`` and of every interpolant evaluation) and
+    the sliding windows."""
+    calls = []
+    weights, windows = numerics.lagrange_weights, expansion.sliding_window_view
+    monkeypatch.setattr(numerics, "lagrange_weights", lambda *a, **k: (
+        calls.append("lagrange_weights") or weights(*a, **k)))
+    monkeypatch.setattr(expansion, "sliding_window_view", lambda *a, **k: (
+        calls.append("sliding_window_view") or windows(*a, **k)))
+    return calls
+
+
+class TestPreparedBlocks:
+    """Each block is prepared once and kept: a warm analysis or synthesis
+    prepares nothing, and gives the bits of the first."""
+
+    @staticmethod
+    def _two_d():
+        g = sw.Grid1D.from_interval(-12.0, 12.0, 257)
+        x = g.points()
+        return sw.SampledFunction((g, g), np.outer(np.exp(-0.5 * x ** 2),
+                                                   np.exp(-0.5 * (x - 1.0) ** 2)))
+
+    @pytest.mark.parametrize("case", ["expand (6, 32)", "2-D (2, 8)"])
+    def test_warm_calls_prepare_nothing(self, ws, band_function, monkeypatch, case):
+        f, window = ((band_function, sw.IndexWindow(6, 32)) if case.startswith("expand")
+                     else (self._two_d(), sw.IndexWindow(2, 8, d=2)))
+        system = _fresh_system(ws)
+        calls = _count_preparations(monkeypatch)
+        first = sw.analyze(system, f, window)
+        partial = sw.synthesize_partial(system, first, f.grids)
+        assert calls  # the cold call prepares
+        calls.clear()
+        again = sw.analyze(system, f, window)
+        assert again.values.tobytes() == first.values.tobytes()
+        assert (sw.synthesize_partial(system, again, f.grids).values.tobytes()
+                == partial.values.tobytes())
+        assert calls == []
+
+    def test_wrapped_evaluator_misses_the_kept_blocks(self, ws, band_function,
+                                                      monkeypatch):
+        window = sw.IndexWindow(2, 8)
+        system = _fresh_system(ws)
+        sw.analyze(system, band_function, window)
+        calls = _count_preparations(monkeypatch)
+        with _wrapped_interpolator(system, lambda which, f: (lambda x: f(x))):
+            sw.analyze(system, band_function, window)
+        assert "sliding_window_view" in calls
+
+    def test_windowed_block_is_charged_its_row(self, ws, band_function,
+                                               expansion_grid):
+        # the (65, 20,481) view would count 10.6 MB, over a quarter of the
+        # bound, and never be kept
+        system = _fresh_system(ws)
+        sw.analyze(system, band_function, sw.IndexWindow(6, 32))
+        entry = system._blocks._values[(system.interpolator("psi"), 0, expansion_grid, 32)]
+        assert entry.geometry[0] == 128  # s samples a unit shift
+        assert entry.block.nbytes == 65 * 20481 * 8
+        assert entry.nbytes == entry.owned.nbytes == (20481 + 2 * 32 * 128) * 8
+        assert np.shares_memory(entry.block, entry.owned)
+        assert (sum(e.nbytes for e in system._blocks._values.values())
+                <= system._blocks.budget)
 
 
 class TestRealContraction:
@@ -603,7 +681,7 @@ class TestWindowKernels:
     def test_span_covers_every_nonzero_sample(self, ws):
         for m in range(-6, 7):
             s, (a, b) = expansion._axis_block(ws, 1, m, 32, _OFF_KNOTS)[1]
-            row = ws._blocks._values[(ws.interpolator("psi"), m, _OFF_KNOTS, 32)]
+            row = ws._blocks._values[(ws.interpolator("psi"), m, _OFF_KNOTS, 32)].owned
             nonzero = np.flatnonzero(row)
             assert a <= nonzero[0] and nonzero[-1] < b
             assert b - a <= nonzero[-1] - nonzero[0] + 4

@@ -606,6 +606,91 @@ class TestChirpPlans:
             assert peak <= 17.5 * 2 ** 20
 
 
+def _three_exponential_plan(n, count, xi0, dxi, x0, dx):
+    """A Bluestein plan with its pre-chirp, chirp and post-chirp each from
+    its own exponential over its own lags: the oracle of ``_chirp_plan``,
+    which forms one chirp array and shares it."""
+    theta = dx * dxi
+    j = np.arange(n)
+    k = np.arange(count)
+    size = numerics.next_fast_len(n + count - 1)
+    pre = np.exp(1j * (x0 * dxi * j + 0.5 * theta * (j * j)))
+    d = np.arange(-(n - 1), count)
+    chirp = np.exp(-0.5j * theta * (d * d))
+    row = np.zeros(size, dtype=complex)
+    row[:count] = chirp[n - 1:]
+    row[size - (n - 1):] = chirp[:n - 1]
+    post = np.exp(1j * (xi0 * (x0 + dx * k) + 0.5 * theta * (k * k)))
+    return pre, np.fft.fft(row), post
+
+
+def _plan_geometries():
+    """33 seeded geometries ``(n, count, xi0, dxi, x0, dx)``: x0 = 0 with
+    xi0 = 0 and xi0 != 0, dx = -1, n > count, n < count, n = 1 and count =
+    1."""
+    rng = np.random.default_rng(49)
+    out = []
+    for case in range(33):
+        n, count = (int(v) for v in rng.integers(2, 3000, 2))
+        if case % 11 == 0:
+            n = 1
+        elif case % 11 == 1:
+            count = 1
+        elif case % 11 == 2:
+            n, count = max(n, count) + 7, min(n, count)  # n > count
+        elif case % 11 == 3:
+            n, count = min(n, count), max(n, count) + 7  # n < count
+        xi0 = 0.0 if case % 3 == 0 else float(rng.uniform(-5.0, 5.0))
+        x0 = 0.0 if case % 2 == 0 else float(rng.uniform(-300.0, 300.0))
+        dxi = float(rng.uniform(1e-4, 0.1))
+        dx = -1.0 if case % 4 == 1 else float(rng.uniform(-0.5, 0.5))
+        out.append((n, count, xi0, dxi, x0, dx))
+    return out
+
+
+class TestChirpPlanBits:
+    """One chirp array serves every lag of the chirp and, at x0 = 0 or
+    xi0 = 0, the pre- and post-chirp: each plan holds the bits of three
+    exponentials over their own lags."""
+
+    @pytest.mark.parametrize("geometry", _plan_geometries())
+    def test_plan_holds_the_bits_of_three_exponentials(self, geometry):
+        plan = numerics._chirp_plan(*geometry)
+        for got, want in zip(plan, _three_exponential_plan(*geometry)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_every_table_plan_holds_the_same_bits(self, ws, fresh_plans, monkeypatch):
+        # the dense tables of psi and phi (x0 = 0, and xi0 = 0 on phi's band)
+        # and the wide ones
+        from subexp_wavelets import construction
+
+        plan, geometries = numerics._chirp_plan, []
+        monkeypatch.setattr(numerics, "_chirp_plan", lambda *g: (
+            geometries.append(g) or plan(*g)))
+        for which in ("psi", "phi"):
+            ws._even_table(which, 0, construction.TABLE_HALF,
+                           construction.TABLE_SPACING, construction._TABLE_BAND_POINTS)
+            ws._even_table(which, 0, construction._WIDE_HALF,
+                           construction._WIDE_SPACING, construction._WIDE_BAND_POINTS)
+        assert len(geometries) == 4
+        assert [g[2] == 0 for g in geometries] == [False, False, True, True]
+        for g in geometries:
+            for got, want in zip(plan(*g), _three_exponential_plan(*g)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_geometries_cover_every_case(self):
+        cases = _plan_geometries()
+        assert len(cases) >= 30
+        assert any(x0 == 0 and xi0 == 0 for _, _, xi0, _, x0, _ in cases)
+        assert any(x0 == 0 and xi0 != 0 for _, _, xi0, _, x0, _ in cases)
+        assert any(dx == -1 for *_, dx in cases)
+        assert any(n > count for n, count, *_ in cases)
+        assert any(n < count for n, count, *_ in cases)
+        assert any(n == 1 for n, *_ in cases)
+        assert any(count == 1 for _, count, *_ in cases)
+
+
 class TestLagrangeInterpolant:
     GRID = sw.Grid1D(-1.5, 0.125, 41)
 
