@@ -135,17 +135,16 @@ def scaling_modulus(bell: BellFunction, xi) -> np.ndarray:
 class WaveletSystem:
     """The constructed pair (psi, phi) plus parameters and certificates.
 
-    ``psi_hat``, ``phi_hat`` and ``phi_samples`` given as None are formed on
-    first read, the spectra from the ``bell`` given here, not a later one.
+    ``psi_hat``, ``phi_hat`` and ``phi_samples`` are formed on first read and
+    kept, on a built and a loaded system alike.  The spectra are formed from
+    the ``bell`` given here: a ``bell`` replaced later changes the analytic
+    spectra (``psi_hat_fn``, ``phi_hat_fn``), not the held ones.
     """
 
-    def __init__(self, a, rho2, bell, psi_hat, phi_hat, psi_samples, phi_samples,
-                 certificates=None):
+    def __init__(self, a, rho2, bell, psi_samples, certificates=None):
         self.a = a
         self.rho2 = rho2
         self.bell = self._spectral_bell = bell
-        given = {"psi_hat": psi_hat, "phi_hat": phi_hat, "phi_samples": phi_samples}
-        vars(self).update((k, v) for k, v in given.items() if v is not None)
         self.psi_samples = psi_samples
         self.certificates = certificates if certificates is not None else {}
         self._tables: dict = {}
@@ -313,8 +312,7 @@ class WaveletSystem:
         bell = BellFunction(build_bump(params["a"], params["rho2"]))
         psi_samples = SampledFunction(*_read_grid_dict(doc["psi_samples"], "re"))
         return cls(a=params["a"], rho2=params["rho2"], bell=bell,
-                   psi_hat=None, phi_hat=None, psi_samples=psi_samples,
-                   phi_samples=None, certificates=doc.get("certificates", {}))
+                   psi_samples=psi_samples, certificates=doc.get("certificates", {}))
 
 
 def _with_phase(which: str, xi, modulus) -> np.ndarray:
@@ -396,10 +394,8 @@ def build_wavelet_system(a: float, rho2: float, *,
     never raised: the system is returned with the failures flagged.
     """
     bell = BellFunction(build_bump(a, rho2))  # raises on a >= pi/3 or rho2 <= 1
-    psi_hat, phi_hat = _spectrum("psi", bell), _spectrum("phi", bell)
-    ws = WaveletSystem(a=a, rho2=rho2, bell=bell, psi_hat=psi_hat, phi_hat=phi_hat,
-                       psi_samples=_samples(psi_hat, sample_grid(window)),
-                       phi_samples=None)  # formed on first read
+    ws = WaveletSystem(a=a, rho2=rho2, bell=bell, psi_samples=None)
+    ws.psi_samples = _samples(ws.psi_hat, sample_grid(window))
     ws.certificates = run_certificate_suite(ws)
     return ws
 

@@ -515,27 +515,22 @@ def _chirp_plan(n: int, count: int, xi0: float, dxi: float, x0: float,
     row[size - (n - 1):] = chirp[n - 1:0:-1]  # lags -(n - 1) .. -1, wrapped
     # at x0 == 0 (xi0 == 0) the pre-chirp (post-chirp) is the chirp's conjugate
     # bit for bit, but at d = 0: exp(i 0) is 1 + 0i, the conjugate 1 - 0i
-    pre = np.conj(chirp[:n]) if x0 == 0 else _chirped((x0 * dxi) * d[:n], theta)
-    pre[0] = 1.0
+    if x0 == 0:
+        pre = np.conj(chirp[:n])
+        pre[0] = 1.0
+    else:
+        j = np.arange(n)
+        pre = np.exp(1j * (x0 * dxi * j + 0.5 * theta * (j * j)))
     if xi0 == 0:
         post = np.conj(chirp[:count])
         post[0] = 1.0
     else:
-        post = _chirped(xi0 * (x0 + dx * d[:count]), theta)
+        k = np.arange(count)
+        post = np.exp(1j * (xi0 * (x0 + dx * k) + 0.5 * theta * (k * k)))
     plan = _ChirpPlan(pre, np.fft.fft(row, out=row), post)
     for a in plan:
         a.flags.writeable = False
     return plan
-
-
-def _chirped(angle: np.ndarray, theta: float) -> np.ndarray:
-    """``exp(1j * (angle + 0.5 * theta * (k * k)))`` at the indices k of
-    ``angle``, formed in place (``angle`` is overwritten) with the operands
-    of each operation in that expression's order, so with its bits."""
-    k = np.arange(angle.size)
-    angle += 0.5 * theta * (k * k)
-    out = np.multiply(1j, angle)
-    return np.exp(out, out=out)
 
 
 # Bluestein plans (``chirp_synthesis``): one round of the benchmark's session

@@ -421,8 +421,7 @@ class TestAtomRows:
         window = sw.IndexWindow(2, 8, d=2)
 
         def fresh():
-            return sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_hat, ws.phi_hat,
-                                    ws.psi_samples, ws.phi_samples)
+            return sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_samples)
 
         system = fresh()
         sizes = _count_interpolant_points(monkeypatch)
@@ -467,8 +466,7 @@ class TestAtomRows:
         # 20,000 points over [-80, 80] make every scale's block per shift,
         # (65, 20000) floats or 10.4 MB, over a quarter of the bound: three
         # filled it, each evicted before its next use, and none was read again
-        system = sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_hat, ws.phi_hat,
-                                  ws.psi_samples, ws.phi_samples)
+        system = sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_samples)
         g = sw.Grid1D.from_interval(-80.0, 80.0, 20000)
         f = sw.SampledFunction(g, np.exp(-g.points() ** 2))
         sizes = _count_interpolant_points(monkeypatch)
@@ -479,9 +477,9 @@ class TestAtomRows:
 
 
 def _fresh_system(ws):
-    """A system sharing ws's arrays, with no table read and no block kept."""
-    return sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_hat, ws.phi_hat,
-                            ws.psi_samples, ws.phi_samples)
+    """A system sharing ws's bell and psi samples, with no table read and no
+    block kept."""
+    return sw.WaveletSystem(ws.a, ws.rho2, ws.bell, ws.psi_samples)
 
 
 def _count_preparations(monkeypatch):
@@ -1102,7 +1100,7 @@ class TestSpectrumRoute:
         # analyze_spectrum sizes its nodes by phi's margin, for psi's tail:
         # measured 195.5 vs 196.1 (1.5), 390.6 vs 391.1 (2), 879.1 vs 879.6
         bell = construction.BellFunction(sw.build_bump(1.0, rho2))
-        system = sw.WaveletSystem(1.0, rho2, bell, None, None, None, None)
+        system = sw.WaveletSystem(1.0, rho2, bell, None)
         grid, vals = system.wide_table("psi")
         mid = grid.count // 2  # t = 0
         folded = np.maximum(np.abs(vals[mid:]), np.abs(vals[mid::-1]))
