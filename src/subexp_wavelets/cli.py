@@ -7,10 +7,11 @@ Every command but ``build`` computes on the system ``main`` loads and
 returns its report body with whether its checks passed; ``main`` alone
 writes the report and maps each outcome to its exit code: 0 every check
 passed; 1 a numerical check failed; 2 a bad flag, config value or input (an
-unknown test function, a range end outside the stored window, or for
-``decay --target phi`` outside the phi table, a non-finite ``--rho2``, a
+unknown test function, a ``decay`` range end outside the dense table,
+a non-finite ``--rho2``, a
 grid with fewer than two points or more than 2^20, a non-finite or
-non-positive window, ``--h`` or ``--c``, a negative ``--max-beta``, a
+non-positive window, ``--h`` or ``--c``, a negative ``--max-beta``, an
+``--h`` and ``--max-beta`` whose seminorm estimate overflows, a
 coefficient window the grid cannot resolve, or a projection level the grid
 cannot carry: one its spacing does not resolve, or too deep or too shallow
 for its window); 3 an unreadable or corrupt system file (one of another
@@ -41,9 +42,8 @@ import numpy as np
 
 from . import __version__, expansion, metrics, numerics, projection, testfuncs
 from .bump import BumpError
-from .construction import (TABLE_HALF, ConstructionError, WaveletSystem,
-                           build_wavelet_system, checks, decay_profile,
-                           sample_grid)
+from .construction import (ConstructionError, WaveletSystem, build_wavelet_system,
+                           checks, decay_profile, sample_grid)
 from .numerics import Grid1D, SampledFunction
 
 EXIT_OK = 0
@@ -243,7 +243,10 @@ def cmd_project(args, ws: WaveletSystem) -> tuple[dict, bool]:
     f = testfuncs.sample(fn, sample_grid(args.window))
     params = metrics.SeminormParams(rho1=0.0, rho2=ws.rho2, h=args.h,
                                     c=args.c, max_beta=args.max_beta)
-    rows = projection.mra_convergence_experiment(ws, f, args.levels, params)
+    try:
+        rows = projection.mra_convergence_experiment(ws, f, args.levels, params)
+    except metrics.MetricsError as exc:
+        raise ConfigError(f"{exc}: lower --h or --max-beta") from exc
     if args.out:
         projection.convergence_csv(rows, args.out)
     errs = [r["sup_error"] for r in rows]
@@ -281,17 +284,7 @@ def cmd_expand(args, ws: WaveletSystem) -> tuple[dict, bool]:
 
 def cmd_decay(args, ws: WaveletSystem) -> tuple[dict, bool]:
     lo, hi = args.range
-    if args.target == "psi":
-        table = decay_profile(ws, hi)
-    elif not 0.0 <= hi <= TABLE_HALF:
-        raise ConfigError(f"range end {hi:g} lies outside [0, {TABLE_HALF:g}], "
-                          f"the phi table")
-    else:
-        # phi is read at spacing 1/256 on [0, hi] whatever the table's
-        # spacing, so the fit does not move with how the table is stored
-        per_unit = 256
-        x = np.arange(int(hi * per_unit) + 1) / per_unit
-        table = np.column_stack([x, np.abs(ws.interpolator("phi")(x))])
+    table = decay_profile(ws, hi, args.target)
     table = table[table[:, 0] >= lo]
     mode = "free" if args.exponent == "free" else "fixed"
     fit = metrics.subexp_decay_fit(table, mode, rho=ws.rho2)

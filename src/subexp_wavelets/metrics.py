@@ -63,7 +63,9 @@ def seminorm_estimate(derivatives, params: SeminormParams, probe_points) -> floa
 
     ``derivatives[beta]`` holds ``f^(beta)`` at the probes, beta = 0..max_beta
     (spectral differentiation upstream).  Probes whose decay weight overflows
-    double precision are excluded and logged.
+    double precision are excluded and logged.  An estimate that is not finite
+    (``h^beta`` or its product with the weight past double precision) raises
+    ``MetricsError``.
     """
     x = np.atleast_1d(np.asarray(probe_points, dtype=float))
     exponent = params.c * np.abs(x) ** (1.0 / params.rho2)
@@ -76,10 +78,15 @@ def seminorm_estimate(derivatives, params: SeminormParams, probe_points) -> floa
     weight = np.exp(exponent[keep])
     best = 0.0
     for beta in range(params.max_beta + 1):
-        # h^beta / beta!^rho1 via logs; harmless at these sizes but uniform
-        scale = np.exp(beta * np.log(params.h) - params.rho1 * lgamma(beta + 1))
         vals = np.abs(np.atleast_1d(derivatives[beta])[keep])
-        best = max(best, float(np.max(scale * weight * vals)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # h^beta / beta!^rho1 via logs; harmless at these sizes but uniform
+            scale = np.exp(beta * np.log(params.h) - params.rho1 * lgamma(beta + 1))
+            peak = float(np.max(scale * weight * vals))
+        if not np.isfinite(peak):
+            raise MetricsError(f"seminorm estimate overflows at h = {params.h:g}, "
+                               f"beta = {beta}")
+        best = max(best, peak)
     return best
 
 

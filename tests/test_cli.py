@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import subexp_wavelets as sw
-from subexp_wavelets import cli
+from subexp_wavelets import cli, construction
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,18 @@ class TestVerify:
         assert code == cli.EXIT_OK
         doc = _read_report(report)
         assert all(suite["pass"] for suite in doc["suites"].values())
-        assert doc["suites"]["support"]["stored_max_outside_support"] == 0.0
+        assert doc["suites"]["support"]["bell_max_off_support"] == 0.0
+
+    def test_forms_neither_spectrum(self, system_file, tmp_path, monkeypatch):
+        # every suite reads the bell of the file's parameters or psi's samples
+        calls = []
+        spectrum = construction._spectrum
+        monkeypatch.setattr(construction, "_spectrum",
+                            lambda *a: calls.append(a[0]) or spectrum(*a))
+        code = cli.main(["verify", "--system", system_file,
+                         "--report", str(tmp_path / "verify.json")])
+        assert code == cli.EXIT_OK
+        assert calls == []
 
     def test_unknown_suite_is_config_error(self, system_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -161,19 +172,39 @@ class TestDecay:
 
     def test_phi_fit_matches_the_fit_of_the_point_values(self, ws, system_file,
                                                          tmp_path):
-        # the fit reads phi at spacing 1/256 on [0, 40]; phi's point values
-        # on the same points give the same fit
+        # the fit reads phi at the points i / 32 of [5, 40]; phi's point
+        # values on the same points give the same fit
         report = tmp_path / "decay_phi.json"
         code = cli.main(["decay", "--system", system_file, "--target", "phi",
                          "--exponent", "fixed", "--report", str(report)])
         assert code == cli.EXIT_OK
         fit = _read_report(report)["fit"]
-        x = np.arange(5 * 256, 40 * 256 + 1) / 256
+        x = np.arange(5 * 32, 40 * 32 + 1) / 32
         want = sw.subexp_decay_fit(np.column_stack([x, np.abs(ws.evaluate_phi(x))]),
                                    "fixed", rho=ws.rho2).to_json_dict()
         assert fit["n_envelope_points"] == want["n_envelope_points"]
         for key in ("amplitude_C", "rate_c", "r_squared"):
             assert fit[key] == pytest.approx(want[key], rel=1e-9, abs=0.0), key
+
+    def test_psi_range_reaches_past_the_stored_window(self, system_file, tmp_path):
+        # the fit reads the dense table, on [0, 264], not the stored samples
+        report = tmp_path / "decay_100.json"
+        code = cli.main(["decay", "--system", system_file, "--range", "5,100",
+                         "--exponent", "fixed", "--report", str(report)])
+        assert code == cli.EXIT_OK
+        assert _read_report(report)["range"] == [5.0, 100.0]
+
+    def test_range_past_the_table_is_refused_whatever_the_window(self, tmp_path,
+                                                                 capsys):
+        # a window of 300 stores samples past the table's 264, where it
+        # reads literal zeros
+        system = str(tmp_path / "w300.json")
+        assert cli.main(["build", "--window", "300", "--out", system]) == cli.EXIT_OK
+        capsys.readouterr()
+        code = cli.main(["decay", "--system", system, "--range", "5,300",
+                         "--exponent", "fixed"])
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert "outside [0, 264], the psi table" in capsys.readouterr().err
 
 
 class TestProjectExpand:
@@ -187,6 +218,18 @@ class TestProjectExpand:
         assert doc["monotone_trend"] and doc["seminorms_bounded_3x"]
         errs = [row["sup_error"] for row in doc["rows"]]
         assert errs[-1] < 1e-6
+
+    @pytest.mark.parametrize("h", ["1e200", "1e154"])
+    def test_overflowing_seminorm_is_refused(self, system_file, tmp_path, capsys, h):
+        # h^2 (at 1e200) or its product with the decay weight (at 1e154)
+        # overflows: no row reads an infinite seminorm as bounded
+        report = tmp_path / "project.json"
+        code = cli.main(["project", "--system", system_file, "--levels", "0",
+                         "--h", h, "--report", str(report)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "--h" in err and "--max-beta" in err
+        assert not report.exists()
 
     def test_expand_with_parseval(self, system_file, tmp_path):
         report = tmp_path / "expand.json"

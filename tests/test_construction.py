@@ -1,6 +1,5 @@
 """Bell, spectra, dense tables, certificates, and serialization."""
 
-import dataclasses
 import json
 import tracemalloc
 
@@ -85,7 +84,7 @@ def _bell_reference(bell, xi):
 
 
 def _wrap_bell(wrap):
-    def tamper(ws):
+    def tamper(ws, *_):
         bell = ws.bell
         ws.bell = lambda xi: wrap(np.asarray(xi, dtype=float), bell(xi))
     return tamper
@@ -132,22 +131,8 @@ BUILD_TAMPERS = {
 }
 
 
-def _write_spectrum(key, xi_target, value):
-    """Widen ``key``'s declared support to the whole band, then write
-    ``value`` at the stored node nearest ``xi_target``."""
-    def tamper(ws, monkeypatch):
-        spec = getattr(ws, key)
-        values = spec.values.copy()
-        values[np.argmin(np.abs(spec.grid.points() - xi_target))] = value
-        setattr(ws, key, dataclasses.replace(spec, values=values,
-                                             declared_support=(spec.band,)))
-    return tamper
-
-
-def _zero_psi_hat_top(ws, monkeypatch):
-    # the translate energy sum of |psi_hat|^2 drops below 1
-    xi = ws.psi_hat.grid.points()
-    ws.psi_hat.values[(xi >= 2 * np.pi) & (xi <= 8 * np.pi / 3)] = 0.0
+def _raise_psi_samples(ws, monkeypatch):
+    ws.psi_samples.values[...] += 2e-5
 
 
 def _scale_psi_samples(ws, monkeypatch):
@@ -169,10 +154,13 @@ def _linear_scaling_modulus(ws, monkeypatch):
 
 # verify suite -> a tamper of a loaded system that must make it fail
 VERIFY_TAMPERS = {
-    "support": _write_spectrum("phi_hat", 5.0, 1e-6),
-    "moments": _write_spectrum("psi_hat", 0.1, 1e-6),
+    "support": _wrap_bell(lambda xi, b: b + 1e-6 * (np.abs(xi) < 1)),
+    "moments": _raise_psi_samples,
     "two-scale": _scale_psi_samples,
-    "orthonormality": _zero_psi_hat_top,
+    # psi's rise, which phi's modulus (the bell at 2 xi, |2 xi| > 4 pi / 3)
+    # does not read, clear of the edge probes pi and 2 pi
+    "orthonormality": _wrap_bell(
+        lambda xi, b: b * np.where((np.abs(xi) > 2.3) & (np.abs(xi) < 3.0), 1 + 1e-6, 1.0)),
     "polynomial": _scale_wide_phi,
     "kernel-decay": _linear_scaling_modulus,
 }
@@ -199,12 +187,10 @@ class TestCertificates:
         assert check(loaded)["pass"]
         VERIFY_TAMPERS[name](loaded, monkeypatch)
         assert not check(loaded)["pass"]
-        # and no other suite, but that the write near xi = 0 that the
-        # moments suite reads lies off psi's band, which the support suite
-        # reads too
+        # and no other suite
         failed = {other for other, suite in construction.checks("verify").items()
                   if not suite(loaded)["pass"]}
-        assert failed == ({name, "support"} if name == "moments" else {name})
+        assert failed == {name}
 
     def test_all_pass(self, ws):
         assert ws.certificates, "reference build must carry certificates"
@@ -442,6 +428,16 @@ class TestDecayProfile:
         far = table[table[:, 0] > 5.0]
         assert np.all(far[:, 1] < abs(PSI_AT_ZERO))
 
+    @pytest.mark.parametrize("which", ["psi", "phi"])
+    def test_reads_the_table_at_thirty_seconds(self, ws, which):
+        # the points i / 32 are the table's knots at stride 4
+        table = sw.decay_profile(ws, TABLE_HALF, which)
+        grid, values = ws.dense_table(which)
+        assert table.shape == (32 * 264 + 1, 2)
+        assert table[:, 0].tobytes() == (np.arange(32 * 264 + 1) / 32).tobytes()
+        start = int(round(-grid.origin / grid.spacing))
+        assert table[:, 1].tobytes() == np.abs(values[start::4]).tobytes()
+
 
 class TestSerialization:
     def test_json_roundtrip(self, ws):
@@ -482,17 +478,6 @@ class TestSerialization:
         assert "phi_samples" not in vars(fresh)
         assert fresh.phi_samples.values.tobytes() == ws.phi_samples.values.tobytes()
         assert fresh.phi_samples is fresh.phi_samples
-
-    def test_spectra_come_from_the_bell_of_the_file(self, ws):
-        # a bell replaced after the load changes the analytic spectra, not
-        # the held ones formed later
-        loaded = sw.WaveletSystem.from_json_dict(ws.to_json_dict())
-        bell = loaded.bell
-        loaded.bell = lambda xi: 1.01 * bell(xi)
-        assert abs(loaded.psi_hat_fn(3.0)) > 1.005 * abs(ws.psi_hat_fn(3.0))
-        for name in ("psi_hat", "phi_hat", "phi_samples"):
-            assert (getattr(loaded, name).values.tobytes()
-                    == getattr(ws, name).values.tobytes()), name
 
     def test_samples_are_real(self, ws):
         # the file keeps the real part of the samples alone

@@ -108,6 +108,16 @@ class TestSeminorm:
         assert np.isfinite(got)
         assert abs(got - np.exp(1.0)) < 1e-12
 
+    @pytest.mark.parametrize("h", [1e200, 1e154])
+    def test_non_finite_estimate_is_refused(self, h):
+        # h^2 overflows at 1e200, its product with the weight e^(c sqrt|x|)
+        # at 1e154; a zero derivative there would read inf * 0 = nan
+        params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=h, c=1.0, max_beta=2)
+        probes = np.array([0.0, 1.0, 4.0])
+        for second in (np.ones(3), np.array([0.0, 1.0, 1.0])):
+            with pytest.raises(sw.MetricsError, match="overflows"):
+                sw.seminorm_estimate([np.ones(3), np.ones(3), second], params, probes)
+
     def test_wavelet_seminorm_sharpness(self, ws):
         # weight rate below the fitted decay rate: finite and moderate;
         # weight rate far above it: the estimate explodes
