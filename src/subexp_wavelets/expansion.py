@@ -50,7 +50,6 @@ scale over psi's band, of the analytic psi_hat, with no table or interpolant.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -560,14 +559,16 @@ def bessel_gap(ws: WaveletSystem, f: SampledFunction,
 # ---------------------------------------------------------------------------
 
 def coefficients_to_csv(coeffs: CoefficientSet, path) -> None:
-    d = coeffs.window.d
+    """``window.indices()``'s rows, read off the window's layout, as
+    ``csv.writer`` writes them (no field needs quoting), written at once."""
+    w = coeffs.window
+    keys = product(["".join(map(str, eps)) for eps in w.patterns()],
+                   range(-w.M, w.M + 1), *[range(-w.N, w.N + 1)] * w.d)
+    lines = [",".join(map(str, key)) + f",{c.real!r},{c.imag!r}\r\n"
+             for key, c in zip(keys, coeffs.values.ravel().tolist())]
+    header = ["epsilon_bits", "m"] + [f"n_{i + 1}" for i in range(w.d)] + ["re", "im"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon_bits", "m"] + [f"n_{i+1}" for i in range(d)]
-                        + ["re", "im"])
-        for index, c in zip(coeffs.window.indices(), coeffs.values.ravel().tolist()):
-            writer.writerow(["".join(str(b) for b in index.epsilon), index.m,
-                             *index.n, repr(c.real), repr(c.imag)])
+        fh.write(",".join(header) + "\r\n" + "".join(lines))
 
 
 def coefficients_header(coeffs: CoefficientSet, ws: WaveletSystem) -> str:

@@ -58,36 +58,43 @@ class SeminormParams:
                                f"got {self.max_beta!r}")
 
 
-def seminorm_estimate(derivatives, params: SeminormParams, probe_points) -> float:
-    """Lower bound for the weighted seminorm of ``f`` over finite probes.
-
-    ``derivatives[beta]`` holds ``f^(beta)`` at the probes, beta = 0..max_beta
-    (spectral differentiation upstream).  Probes whose decay weight overflows
-    double precision are excluded and logged.  An estimate that is not finite
-    (``h^beta`` or its product with the weight past double precision) raises
-    ``MetricsError``.
-    """
+def seminorm_weights(params: SeminormParams, probe_points):
+    """(keep, rows) of ``seminorm_estimate``: the probes whose decay weight
+    fits double precision (the others are logged), and the rows ``h^beta /
+    beta!^rho1 e^{c |x|^{1/rho2}}`` there, beta = 0..max_beta."""
     x = np.atleast_1d(np.asarray(probe_points, dtype=float))
     exponent = params.c * np.abs(x) ** (1.0 / params.rho2)
     keep = exponent <= OVERFLOW_EXPONENT
     if not np.all(keep):
         logger.info("seminorm_estimate: %d probes excluded (weight overflow)",
                     int(np.sum(~keep)))
+    weight = np.exp(exponent[keep])
+    with np.errstate(over="ignore"):
+        # h^beta / beta!^rho1 via logs; harmless at these sizes but uniform
+        return keep, np.array([np.exp(beta * np.log(params.h) - params.rho1 * lgamma(beta + 1))
+                               * weight for beta in range(params.max_beta + 1)])
+
+
+def seminorm_estimate(derivatives, params: SeminormParams, probe_points, weights=None) -> float:
+    """Lower bound for the weighted seminorm of ``f`` over finite probes.
+
+    ``derivatives[beta]`` holds ``f^(beta)`` at the probes, beta = 0..max_beta
+    (spectral differentiation upstream).  Probes whose decay weight overflows
+    double precision are excluded and logged (``weights``, if the caller has
+    them, are ``seminorm_weights``'s).  An estimate that is not finite
+    (``h^beta`` or its product with the weight past double precision)
+    raises ``MetricsError``.
+    """
+    keep, rows = weights or seminorm_weights(params, probe_points)
     if not np.any(keep):
         return 0.0
-    weight = np.exp(exponent[keep])
-    best = 0.0
-    for beta in range(params.max_beta + 1):
-        vals = np.abs(np.atleast_1d(derivatives[beta])[keep])
-        with np.errstate(over="ignore", invalid="ignore"):
-            # h^beta / beta!^rho1 via logs; harmless at these sizes but uniform
-            scale = np.exp(beta * np.log(params.h) - params.rho1 * lgamma(beta + 1))
-            peak = float(np.max(scale * weight * vals))
-        if not np.isfinite(peak):
-            raise MetricsError(f"seminorm estimate overflows at h = {params.h:g}, "
-                               f"beta = {beta}")
-        best = max(best, peak)
-    return best
+    vals = np.abs(np.compress(keep, np.reshape(derivatives[:len(rows)], (len(rows), -1)), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        peaks = (rows * vals).max(1)
+    if not np.isfinite(peaks).all():
+        raise MetricsError(f"seminorm estimate overflows at h = {params.h:g}, "
+                           f"beta = {np.argmin(np.isfinite(peaks))}")
+    return float(peaks.max())
 
 
 # ---------------------------------------------------------------------------

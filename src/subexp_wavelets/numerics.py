@@ -538,9 +538,9 @@ def _chirp_plan(n: int, count: int, xi0: float, dxi: float, x0: float,
 # share its geometry, so the second keeps it), the plan of phi's samples,
 # 0.28 MB (the session reads the built and the reloaded system's, each formed
 # on first read), two of 0.14 MB that sample its band-limited inputs and two
-# of its kernel-decay certificate; its second round keeps 15, 2.5 MB, adding
-# its level-0 projection and seminorm probes at levels 0..6 (the DFT route
-# and the kept 2-D matrices need none).
+# of its kernel-decay certificate; its second round keeps 9, 2.2 MB, adding
+# its level-0 projection and seminorm probes (the DFT route, its reads at the
+# probes and the kept 2-D matrices need none).
 # Plans are kept from a geometry's second request on because a cold command
 # asks for most of its geometries once: keeping them from the first request
 # raises the peak RSS of a cold ``build`` from 43 to 47 MB, ``expand
@@ -633,13 +633,16 @@ def real_dft(values, size: int, count: int) -> np.ndarray:
 def real_dft_sum(coeffs, size: int, count: int) -> np.ndarray:
     """``out[j] = Re sum_k coeffs[k] exp(2 pi i j k / size)``, ``0 <= j < count <= size``.
 
-    The real inverse of ``real_dft``, by one ``irfft`` of length ``size``
-    over at most ``size`` coefficients: a term ``k`` past ``size / 2``
-    joins bin ``size - k`` conjugated, and every bin but 0 and ``size / 2``
-    is halved (exactly), since ``irfft`` counts it twice.  Along axis 0,
-    in blocks of columns.
+    The real inverse of ``real_dft``, by one ``irfft`` of length ``size``:
+    terms past the length fold onto term ``k mod size`` first, a term ``k``
+    past ``size / 2`` joins bin ``size - k`` conjugated, and every bin but
+    0 and ``size / 2`` is halved (exactly), since ``irfft`` counts it
+    twice.  Along axis 0, in blocks of columns.
     """
     c = np.asarray(coeffs, dtype=complex)
+    if c.shape[0] > size:  # term k joins term k mod size
+        c = np.concatenate([c, np.zeros((-c.shape[0] % size,) + c.shape[1:])])
+        c = c.reshape((-1, size) + c.shape[1:]).sum(0)
     rows = c.reshape(c.shape[0], -1).T
     height, half, terms = max(1, _FFT_BLOCK_ENTRIES // size), size // 2, c.shape[0]
     out = np.empty((rows.shape[0], count))

@@ -30,15 +30,15 @@ denominator: ``sample_grid``'s 1/64, say) take the DFT route: ``_eta_nodes``
 lifts the node count ``L`` so that the nodes are the bins of a DFT of
 5-smooth length ``L / (2^m h)`` on the samples' grid (``_dft_size``), and
 both transforms are one real FFT each (``numerics.real_dft`` and
-``real_dft_sum``), exact trapezoid sums with no chirp phase to round.  The
-route is taken only where that length is at most ``_DFT_RATIO`` times the
-chirp route's.  Every other call takes the chirp route, two Bluestein sums
-(``numerics.chirp_synthesis``) on the least ``L``: the certificate's point
-masses, the derivative pass onto the seminorm's probes, level 0 of the
-reference grid, and any grid of another spacing.  On
-``project``'s default input the DFT route takes levels 1..6, where the sup
-error at levels 3..6 is 3e-16 to 4e-16; the chirp route's phases left 1.7e-13
-to 2.5e-13 there.
+``real_dft_sum``), exact trapezoid sums with no chirp phase to round; so
+are the seminorm's derivatives on its 129 probes, every 8th point there.
+The route is taken only where that length is at most ``_DFT_RATIO`` times
+the chirp route's.  Every other call takes the chirp route, two Bluestein
+sums (``numerics.chirp_synthesis``) on the least ``L``: the certificate's
+point masses, level 0 of the reference grid, and any grid of another
+spacing.  On ``project``'s default input the DFT route takes levels 1..6,
+where the sup error at levels 3..6 is 3e-16; the chirp route's phases left
+1.7e-13 to 2.5e-13 there.
 
 A system whose phi decays too slowly for the wide table (rho2 above
 ``MAX_RHO2`` at a = 1) is refused with ``PhiTailError``, and a level the
@@ -79,7 +79,7 @@ _ALIAS_TARGET = 1e-13
 # takes 699,313 nodes: 143 MB on 960,001 points.
 _MAX_NODES = 2 ** 20
 BOUNDARY_MASS_WARN = 1e-8
-_SEMINORM_PROBES = Grid1D.from_interval(-8.0, 8.0, 161)
+_SEMINORM_PROBES = Grid1D.from_interval(-8.0, 8.0, 129)
 # kernel-decay probes x_p = p / 16, and offsets u_j = j / 20 on [0, 20]
 _DECAY_PROBES, _DECAY_U_MAX, _DECAY_PER_UNIT = 16, 20.0, 20
 
@@ -257,10 +257,10 @@ _DFT_RATIO = 4
 _DFT_PRIMES = (3, 5)
 
 
-def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=()) -> tuple[int, Grid1D, int]:
+def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=(), stride=1) -> tuple[int, Grid1D, int]:
     """(L, eta, size) of ``_project_1d``: the nodes ``eta >= 0``, and
-    ``size`` the length of the DFT whose bins they are (``_dft_size``),
-    else 0.
+    ``size`` the length of the DFT whose bins they are (``_dft_size``, a
+    multiple of ``stride``), else 0.
 
     A level is refused with ``UnresolvedLevelError`` when its window spans
     more than ``_MAX_NODES`` shifts, or needs more eta nodes, or spans less
@@ -286,27 +286,29 @@ def _eta_nodes(pk: ProjectionKernel, grid: Grid1D, probes=()) -> tuple[int, Grid
         raise UnresolvedLevelError(
             f"level {m} aliases on a grid of spacing {grid.spacing:g}: needs "
             f"2^m * h * {PHI_BAND[1]:.4f} < 2 pi")
-    L, size = _dft_size(m, grid, L)
+    L, size = _dft_size(m, grid, L, stride)
     return L, Grid1D(0.0, 2 * np.pi / L, -(-2 * L // 3) + 1), size
 
 
-def _dft_size(m: int, grid: Grid1D, L: int) -> tuple[int, int]:
+def _dft_size(m: int, grid: Grid1D, L: int, stride: int = 1) -> tuple[int, int]:
     """(L, size) of the DFT route for nodes of at least ``L`` spacings
     per 2 pi, else ``(L, 0)``.
 
     With ``2^m h = a / b`` in lowest terms, the nodes ``2 pi k / L'`` are
     the bins ``zeta_k = 2 pi k / (size h)`` of a DFT of length ``size = b t``
-    when ``L' = a t``; ``t`` is the least 5-smooth integer (``_DFT_PRIMES``)
-    with ``a t >= L``.  The route is taken when its nodes fit within
-    ``size`` and ``_MAX_NODES``, and ``size`` is at most ``_DFT_RATIO``
-    times the length the chirp route pads to.  A grid whose spacing is no
-    dyadic rational of small denominator (2/99, say) gets a ``size`` far
-    past that, and keeps the chirp route.
+    when ``L' = a t``; ``t`` is the least multiple of ``stride / gcd(stride,
+    b)`` with a 5-smooth quotient (``_DFT_PRIMES``) and ``a t >= L``, so
+    that ``stride`` divides ``size``.  The route is taken when its nodes
+    fit within ``size`` and ``_MAX_NODES``, and ``size`` is at most
+    ``_DFT_RATIO`` times the length the chirp route pads to.  A grid whose
+    spacing is no dyadic rational of small denominator (2/99, say) gets a
+    ``size`` far past that, and keeps the chirp route.
     """
     a, b = float(np.ldexp(grid.spacing, m)).as_integer_ratio()
     if a > L:  # L' would be a multiple of a, past what L asks for
         return L, 0
-    t = numerics.next_fast_len(-(-L // a), _DFT_PRIMES)
+    k = stride // int(np.gcd(stride, b))
+    t = k * numerics.next_fast_len(-(-L // (a * k)), _DFT_PRIMES)
     top, size = -(-2 * a * t // 3), b * t
     chirp = numerics.next_fast_len(grid.count + -(-2 * L // 3))
     if top < size and top + 1 <= _MAX_NODES and size <= _DFT_RATIO * chirp:
@@ -354,24 +356,35 @@ def _weighted_transform(grid: Grid1D, values: np.ndarray, zeta: Grid1D) -> np.nd
                                     zeta.spacing, zeta.count)
 
 
+def _lattice(grid: Grid1D, target: Grid1D) -> tuple[int, int] | None:
+    """(s, r) where ``target``'s points are ``grid``'s ``r (s + j)``, else None."""
+    s, r = (target.origin - grid.origin) / target.spacing, target.spacing / grid.spacing
+    if s == round(s) >= 0 and r == round(r) and r * (s + target.count - 1) < grid.count:
+        return round(s), round(r)
+    return None
+
+
 def _on_grid(spectrum: Spectrum, grid: Grid1D) -> np.ndarray:
     """``(1/2 pi) sum_l Q_l exp(i zeta_l x) dzeta`` on ``grid``, along axis 0.
 
     Q vanishes at the band ends, so every node takes the full spacing.  The
     Hermitian half sums to the real array ``(1/2 pi) Re sum_l w_l Q_l
     exp(i zeta_l x) dzeta``, with ``w = 1`` at ``zeta = 0`` and 2 at every
-    other node, which stands for its mirror too.  On the grid whose DFT
-    bins the nodes are (``Spectrum.bins``) that sum is one
-    ``numerics.real_dft_sum`` of ``w_l Q_l exp(i zeta_l x0)``, nodes past
-    half the length folded onto their mirrors; onto any other grid it is one
-    ``chirp_synthesis``.
+    other node, which stands for its mirror too.  Where the nodes are DFT
+    bins (``Spectrum.bins``) of a grid whose points ``r (s + j)`` make up
+    ``grid`` (``_lattice``) and r divides the length, that sum is one
+    ``numerics.real_dft_sum`` of ``w_l Q_l exp(i zeta_l x0)``, folded to
+    length ``size / r`` and read from its point s; onto any other grid it
+    is one ``chirp_synthesis``.
     """
     zeta, qhat, bins = spectrum
     amp = qhat * (zeta.spacing / (2.0 * np.pi))
     amp[1:] *= 2.0
-    if bins is not None and bins.grid == grid:
+    lattice = bins and _lattice(bins.grid, grid)
+    if lattice and bins.size % lattice[1] == 0:
+        s, r = lattice
         amp *= np.conj(bins.phase).reshape((-1,) + (1,) * (amp.ndim - 1))
-        return numerics.real_dft_sum(amp, bins.size, grid.count)
+        return numerics.real_dft_sum(amp, bins.size // r, s + grid.count)[s:]
     out = numerics.chirp_synthesis(amp, zeta.origin, zeta.spacing, grid.origin,
                                    grid.spacing, grid.count)
     return out.real
@@ -507,31 +520,43 @@ def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
     """Rows (m, sup_error, seminorm, boundary_mass) for q_m f across levels.
 
     sup_error is the grid sup of |q_m f - f|; the seminorm column is the
-    fixed-(h, c) weighted estimate of q_m f on 161 uniform probes of
+    fixed-(h, c) weighted estimate of q_m f on 129 uniform probes of
     [-8, 8], whose boundedness across m is the second ingredient of the
     convergence argument.  Every level is checked (``_eta_nodes``) before
-    any is computed.
+    any is computed, and the probes' weights are formed once.  On a grid
+    that holds the probes (``_lattice``), a DFT-route level reads order 0
+    there off the grid sum and orders 1..max_beta off its bins; every other
+    level sums all orders onto them by one ``chirp_synthesis``.
     """
     if seminorm_params.max_beta > numerics.DERIVATIVE_ORDER_CAP:
         raise numerics.NumericsError("derivative order cap")
     (grid,) = f.grids
     values = numerics.split_parts(f.values)
     probes = _SEMINORM_PROBES.points()
+    lattice = _lattice(grid, _SEMINORM_PROBES)
     kernels = [build_kernel(ws, level=m, dimension=1) for m in levels]
-    nodes = [_eta_nodes(pk, grid, probes) for pk in kernels]
+    nodes = [_eta_nodes(pk, grid, probes, lattice[1] if lattice else 1) for pk in kernels]
     bmass = _warn_boundary_mass(f)
+    weights = metrics.seminorm_weights(seminorm_params, probes)
     rows = []
     for pk, level_nodes in zip(kernels, nodes):
         spectrum = _project_1d(pk, grid, values, probes, level_nodes)
-        error = numerics.join_parts(_on_grid(spectrum, grid) - values)
+        on_grid = _on_grid(spectrum, grid)
+        error = numerics.join_parts(on_grid - values)
         # derivatives of q_m f are (i zeta)^beta factors on its spectrum,
         # each order the last one times i zeta
         step, spectra = 1j * spectrum.zeta.points()[:, None], [spectrum.values]
         for _ in range(seminorm_params.max_beta):
             spectra.append(spectra[-1] * step)
-        derivatives = numerics.join_parts(_on_grid(
-            spectrum._replace(values=np.stack(spectra, 1)), _SEMINORM_PROBES)).T
-        sem = metrics.seminorm_estimate(derivatives, seminorm_params, probes)
+        reads = []
+        if lattice and spectrum.bins:  # order 0 at the probes: the grid sum
+            (s, r), spectra = lattice, spectra[1:]
+            reads.append(on_grid[r * s::r][:probes.size, None])
+        if spectra:
+            reads.append(_on_grid(spectrum._replace(values=np.stack(spectra, 1)),
+                                  _SEMINORM_PROBES))
+        derivatives = numerics.join_parts(np.concatenate(reads, 1)).T
+        sem = metrics.seminorm_estimate(derivatives, seminorm_params, probes, weights)
         rows.append({"m": int(pk.level), "sup_error": float(np.max(np.abs(error))),
                      "seminorm": sem, "boundary_mass": bmass})
     return rows

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
 
 from . import numerics
 from .bump import gevrey_profile
@@ -41,6 +40,8 @@ def gaussian(center: float = 0.0, scale: float = 1.0):
 
 def gaussian_derivative(order: int):
     """k-th derivative of exp(-x^2): (-1)^k H_k(x) exp(-x^2)."""
+    # imported here, its one reader: a cold CLI process loads no numpy.polynomial
+    from numpy.polynomial.hermite import hermval
     if order < 0:
         raise TestFunctionError("derivative order must be nonnegative")
     e_k = np.zeros(order + 1)

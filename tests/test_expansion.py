@@ -2,6 +2,7 @@
 Parseval checks."""
 
 import csv
+import io
 import json
 import tracemalloc
 from contextlib import contextmanager
@@ -1124,3 +1125,22 @@ class TestSerialization:
         assert header["window"] == {"M": 1, "N": 2, "d": 1}
         assert header["certificate_digest"] == ws.certificate_digest()
         assert header["source"] == "band"
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_csv_rows_are_those_of_the_window_indices(self, tmp_path, d):
+        # the rows read off the window's layout are csv.writer's rows of
+        # window.indices(), byte for byte
+        from subexp_wavelets.expansion import CoefficientSet, coefficients_to_csv
+        w = sw.IndexWindow(2, 3, d)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
+        values.flat[:3] = [0.0, -0.0j, 1e-300]
+        path = tmp_path / "coeffs.csv"
+        coefficients_to_csv(CoefficientSet(w, values), path)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["epsilon_bits", "m"] + [f"n_{i + 1}" for i in range(d)] + ["re", "im"])
+        for index, c in zip(w.indices(), values.ravel().tolist()):
+            writer.writerow(["".join(str(b) for b in index.epsilon), index.m,
+                             *index.n, repr(c.real), repr(c.imag)])
+        assert path.read_bytes() == want.getvalue().encode()

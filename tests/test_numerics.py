@@ -814,6 +814,15 @@ class TestRealDft:
         assert got.shape == shape and got.dtype == np.float64
         assert np.abs(got.reshape(shape[0], -1) - want).max() < 1e-13
 
+    @pytest.mark.parametrize("size, terms", [(16, 50), (15, 31), (16, 32)],
+                             ids=["even", "odd", "whole-turns"])
+    def test_sums_fold_terms_past_the_length(self, size, terms):
+        # term k is the root of unity of k mod size
+        coeffs = _random_coeffs((terms, 3))
+        got = numerics.real_dft_sum(coeffs, size, size - 2)
+        want = (self._matrix(size, size - 2, terms, 1) @ coeffs).real
+        assert np.abs(got - want).max() < 1e-13
+
     def test_blocks_give_each_column_its_own_bits(self, monkeypatch):
         # 5 columns in blocks of 2: every column as it would be alone
         values = np.random.default_rng(3).standard_normal((40, 5))

@@ -665,16 +665,18 @@ class TestChirpRoute:
             assert np.all(qhat[nodes >= band] == 0)
 
     def test_seminorm_column_matches_direct_sums(self, ws, inputs):
-        # one chirp-z pass over all orders against one direct sum per order
-        # of the same spectrum, at the default probes
+        # the column's derivative reads (a chirp-z pass at level 0, the
+        # grid sum and the folded bins above) against one direct sum per
+        # order of the same spectrum, at the seminorm's probes
         params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
-        probes = np.linspace(-8.0, 8.0, 161)
+        probes = projection._SEMINORM_PROBES.points()
         for kind in self.KINDS:
             f = sw.SampledFunction(self.GRID, numerics.join_parts(inputs[kind]))
             rows = sw.mra_convergence_experiment(ws, f, self.LEVELS, params)
             for m, row in zip(self.LEVELS, rows):
                 pk = sw.build_kernel(ws, level=m)
-                spectrum = projection._project_1d(pk, self.GRID, inputs[kind], probes)
+                nodes = projection._eta_nodes(pk, self.GRID, probes, 8)
+                spectrum = projection._project_1d(pk, self.GRID, inputs[kind], probes, nodes)
                 parts = [_as_spectrum(spectrum, part) for part in range(len(inputs[kind].T))]
                 derivatives = [sum(1j ** part * numerics.synthesize_values(spec, probes, beta)
                                    for part, spec in enumerate(parts))
@@ -719,6 +721,64 @@ class TestDftRoute:
             chirp = np.conj(projection._weighted_transform(self.GRID, values, spectrum.zeta))
             floor = np.finfo(float).eps * self.GRID.extent * band
             assert np.max(np.abs(got - chirp[low])) <= floor * scale
+
+    # (L, size) of project()'s levels 1..6 on this grid, as before the
+    # probes' stride entered ``_dft_size``
+    PROJECT_SIZES = [(576, 18432), (720, 11520), (1080, 8640), (1728, 6912),
+                     (3000, 6000), (5625, 5625)]
+
+    def test_dft_size_is_a_multiple_of_the_stride(self, ws):
+        probes = projection._SEMINORM_PROBES.points()
+        for m, want in zip(range(1, 7), self.PROJECT_SIZES):
+            pk = sw.build_kernel(ws, level=m)
+            L, eta, size = projection._eta_nodes(pk, self.GRID)
+            assert (L, size) == want and eta.count == -(-2 * L // 3) + 1
+            least = L
+            for stride in (2, 7, 8, 10, 16):
+                L, size = projection._dft_size(m, self.GRID, least, stride)
+                assert size % stride == 0 and L >= least
+                assert L / size == np.ldexp(self.GRID.spacing, m)
+        assert projection._lattice(self.GRID, projection._SEMINORM_PROBES) == (256, 8)
+        assert projection._eta_nodes(sw.build_kernel(ws, level=6), self.GRID, probes, 8)[0] == 5760
+
+    def test_probe_reads_match_direct_sums(self, ws, monkeypatch):
+        # orders 0..2 at the seminorm's probes, at every level of the DFT
+        # route, folded off the bins (and order 0 read off the grid sum as
+        # well), against one direct sum per order of the same spectrum,
+        # relative to its largest value (measured: up to 2.6e-15)
+        projection._phi_tail(ws)  # the wide phi table, built by chirp
+        inputs = {name: numerics.split_parts(sample(fn, self.GRID).values)
+                  for name, fn in self.INPUTS.items()}
+        monkeypatch.setattr(numerics, "chirp_synthesis",
+                            lambda *a: pytest.fail("chirp_synthesis called"))
+        probes = projection._SEMINORM_PROBES
+        x = probes.points()
+        for name, values in inputs.items():
+            for m in range(1, 7):
+                pk = sw.build_kernel(ws, level=m)
+                nodes = projection._eta_nodes(pk, self.GRID, x, 8)
+                spectrum = projection._project_1d(pk, self.GRID, values, x, nodes)
+                step = 1j * spectrum.zeta.points()[:, None]
+                grid_sum = projection._on_grid(spectrum, self.GRID)[2048:3073:8, 0]
+                for beta in range(3):
+                    want = numerics.synthesize_values(_as_spectrum(spectrum, 0), x, beta).real
+                    got = projection._on_grid(
+                        spectrum._replace(values=spectrum.values * step ** beta), probes)
+                    reads = (got[:, 0], grid_sum) if beta == 0 else (got[:, 0],)
+                    for read in reads:
+                        error = np.max(np.abs(read - want)) / np.max(np.abs(want))
+                        assert error <= 1e-14, (name, m, beta, error)
+
+    def test_levels_1_to_6_make_no_chirp_call(self, ws, monkeypatch):
+        projection._phi_tail(ws)  # the wide phi table, built by chirp
+        monkeypatch.setattr(numerics, "chirp_synthesis",
+                            lambda *a: pytest.fail("chirp_synthesis called"))
+        f = sample(gaussian(), construction.sample_grid(40.0))
+        params = sw.SeminormParams(rho1=0.0, rho2=2.0, h=0.5, c=0.5, max_beta=2)
+        rows = sw.mra_convergence_experiment(ws, f, range(1, 7), params)
+        sems = [row["seminorm"] for row in rows]
+        # q_m f is f up to rounding at levels 3..6, so are its seminorms
+        assert max(sems[2:]) - min(sems[2:]) <= 1e-14 * sems[2]
 
     def _least_nodes(self, ws, grid, levels, probes=()):
         margin = projection._phi_tail(ws)[2]
