@@ -25,10 +25,8 @@ these primitives.  Conventions fixed here once and for all:
   sums run over uniform nodes and factor them baby-step/giant-step
   (``_direct_sum``), each step table itself the product of two smaller
   ones: about ``4 n^(1/4)`` exponentials a point and one matrix product,
-  not ``n`` exponentials.  ``synthesize_real_values`` sums a Hermitian
-  spectrum's half band alone, ``xi > 0``, as psi's and phi's point values
-  do: 30 exponentials at psi's 2,730 nodes and 28 at phi's 1,820, where
-  the full hulls (7,280 and 3,641 nodes) take 38 and 32.
+  not ``n`` exponentials (32 at the 4,096 nodes of psi's or phi's band,
+  from whose sum at ``x + shift`` their point values are ``2 Re``).
 * tables are read between their nodes by ``LagrangeInterpolant``, the
   local 8-point Lagrange interpolant on uniform knots, with no global
   solve; it is literal zero outside them.
@@ -377,29 +375,6 @@ def synthesize_values(spec: SpectrumOnBand, x_points, order: int = 0) -> np.ndar
     return _direct_sum(x, xi0, spec.grid.spacing, amp, 1j)
 
 
-def synthesize_real_values(spec: SpectrumOnBand, x_points, order: int = 0) -> np.ndarray:
-    """``synthesize_values`` of a Hermitian spectrum, ``spec(-xi) = conj
-    spec(xi)`` (the transform of a real function), as a real array.
-
-    The nodes ``xi < 0`` mirror those ``xi > 0``, so the sum is ``2 Re`` of
-    the sum over the nodes ``xi > 0`` inside the declared support (their
-    hull), each with the full grid's trapezoid weight and ``(i xi)^order``;
-    a node at ``xi = 0`` (an odd count) counts half.  That pairing needs a
-    grid symmetric about 0, ``origin == -last``, else ``NumericsError``.
-    Hermitian symmetry is the caller's to know: this reads one half only.
-    """
-    g = spec.grid
-    if g.origin != -g.last:
-        raise NumericsError(f"spectral grid [{g.origin!r}, {g.last!r}] is not "
-                            f"symmetric about 0")
-    x = _scattered_points(x_points, order)
-    half = g.count // 2
-    xi0, amp = _hull_amplitudes(spec, order, half)
-    if g.count % 2 and spec.support_mask()[half]:  # the hull starts at xi = 0
-        amp[0] *= 0.5
-    return 2.0 * _direct_sum(x, xi0, g.spacing, amp, 1j).real
-
-
 def _scattered_points(x_points, order: int) -> np.ndarray:
     """The points of a scattered-point synthesis as a 1-D float array, after
     the checks of the points and the derivative order."""
@@ -413,11 +388,10 @@ def _scattered_points(x_points, order: int) -> np.ndarray:
     return x
 
 
-def _hull_amplitudes(spec: SpectrumOnBand, order: int = 0,
-                     first: int = 0) -> tuple[float, np.ndarray]:
+def _hull_amplitudes(spec: SpectrumOnBand, order: int = 0) -> tuple[float, np.ndarray]:
     """(first node, ``spec (i xi)^order * trapezoid weights / 2 pi``) over
-    the hull of the support's nodes from index ``first`` on."""
-    inside = first + np.flatnonzero(spec.support_mask()[first:])
+    the hull of the support's nodes."""
+    inside = np.flatnonzero(spec.support_mask())
     if inside.size == 0:
         raise NumericsError("no spectral grid point inside declared_support")
     lo, hi = inside[0], inside[-1] + 1
@@ -441,7 +415,7 @@ def _direct_sum(rows, col0: float, dcol: float, amp, phase) -> np.ndarray:
     baby table, the outer product of its two factors, times ``amp`` as a (B
     x A) matrix, then contracts that with the fine giant steps over ``a0``
     and with the coarse ones over ``a1``.  So a row takes about ``4
-    n^(1/4)`` exponentials (30 at psi's 2,730 nodes ``xi > 0``) instead of
+    n^(1/4)`` exponentials (32 at the 4,096 nodes of psi's band) instead of
     ``n``.  Each factor still comes from its own angle, never from a power
     of a rounded ``exp``, so the sum is as accurate as the plain one.
     Blocks of rows hold about ``_BLOCK_ENTRIES`` table entries, so the

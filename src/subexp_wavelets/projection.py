@@ -542,7 +542,9 @@ def mra_convergence_experiment(ws: WaveletSystem, f: SampledFunction,
     for pk, level_nodes in zip(kernels, nodes):
         spectrum = _project_1d(pk, grid, values, probes, level_nodes)
         on_grid = _on_grid(spectrum, grid)
-        error = numerics.join_parts(on_grid - values)
+        error = on_grid - values
+        # one part (real samples): |x| is |x + 0i| bit for bit, with no complex copy
+        error = error[:, 0] if error.shape[1] == 1 else numerics.join_parts(error)
         # derivatives of q_m f are (i zeta)^beta factors on its spectrum,
         # each order the last one times i zeta
         step, spectra = 1j * spectrum.zeta.points()[:, None], [spectrum.values]

@@ -37,6 +37,16 @@ def _scale_psi_samples(doc):
     doc["psi_samples"]["re"] = (1.01 * np.asarray(doc["psi_samples"]["re"])).tolist()
 
 
+def _raise_psi_samples(doc):
+    doc["psi_samples"]["re"] = (np.asarray(doc["psi_samples"]["re"]) + 2e-5).tolist()
+
+
+def _nudge_psi_sample(doc):
+    # psi(0), the middle sample, moved by 1e-12
+    samples = doc["psi_samples"]["re"]
+    samples[len(samples) // 2] += 1e-12
+
+
 def _read_report(path):
     with open(path) as fh:
         doc = json.load(fh)
@@ -71,16 +81,19 @@ class TestVerify:
         assert all(suite["pass"] for suite in doc["suites"].values())
         assert doc["suites"]["support"]["bell_max_off_support"] == 0.0
 
-    def test_forms_neither_spectrum(self, system_file, tmp_path, monkeypatch):
-        # every suite reads the bell of the file's parameters or psi's samples
+    def test_forms_psi_band_alone(self, system_file, tmp_path, monkeypatch):
+        # samples rebuilds psi's samples from psi's band, formed once; no
+        # suite reads phi's band (polynomial and kernel-decay read phi's
+        # wide table, of its own node count)
         calls = []
-        spectrum = construction._spectrum
-        monkeypatch.setattr(construction, "_spectrum",
-                            lambda *a: calls.append(a[0]) or spectrum(*a))
+        band = construction.WaveletSystem.band_spectrum
+        monkeypatch.setattr(construction.WaveletSystem, "band_spectrum",
+                            lambda ws, *a: calls.append(a) or band(ws, *a))
         code = cli.main(["verify", "--system", system_file,
                          "--report", str(tmp_path / "verify.json")])
         assert code == cli.EXIT_OK
-        assert calls == []
+        assert calls == [("psi", construction._TABLE_BAND_POINTS),
+                         ("phi", construction._WIDE_BAND_POINTS)]
 
     def test_unknown_suite_is_config_error(self, system_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -115,11 +128,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("tamper", [
         lambda doc: doc["psi_samples"]["re"].pop(),
+        # the samples are rebuilt on their grid, which only a sample grid
+        # [-k/64, k/64] at spacing 1/64 allows
+        lambda doc: doc["psi_samples"]["grid"].update(origin=-39.5),
         # the spectra are rebuilt from the parameters: a width a >= pi/3 or
         # an order rho2 <= 1 has none
         lambda doc: doc["parameters"].update(a=1.2),
         lambda doc: doc["parameters"].update(rho2=1.0),
-    ], ids=["short-samples", "refused-width", "refused-order"])
+    ], ids=["short-samples", "off-grid-samples", "refused-width", "refused-order"])
     def test_malformed_array_is_io_error(self, system_file, tmp_path, capsys,
                                          tamper):
         tampered = _tampered(system_file, tmp_path, tamper)
@@ -127,23 +143,33 @@ class TestVerify:
         assert "cannot read system file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite, tamper", [
-        ("two-scale", _scale_psi_samples),
-    ], ids=["two-scale"])
+        ("samples", _scale_psi_samples),
+    ], ids=["samples"])
     def test_tampered_file_fails_its_suite(self, system_file, tmp_path,
                                            suite, tamper):
         tampered = _tampered(system_file, tmp_path, tamper)
         code = cli.main(["verify", "--system", tampered, "--suite", suite])
         assert code == cli.EXIT_CHECK_FAILURE
 
-    def test_seven_stored_samples_fail_two_scale(self, tmp_path):
-        # --window 0.05 stores 7 samples, fewer than the interpolant's
-        # 8-knot stencil: it reads them all and the Gram check fails
-        out = str(tmp_path / "small.json")
-        assert cli.main(["build", "--window", "0.05", "--out", out]) == cli.EXIT_OK
-        with open(out) as fh:
-            assert json.load(fh)["psi_samples"]["grid"]["count"] == 7
-        code = cli.main(["verify", "--system", out, "--suite", "two-scale"])
-        assert code == cli.EXIT_CHECK_FAILURE
+    @pytest.mark.parametrize("window", ["0.05", "5", "10", "20", "40", "300"])
+    def test_verify_passes_what_build_certified(self, tmp_path, capsys, window):
+        # a file build wrote at any window verifies, and a sample moved by
+        # 1e-12, by +2e-5 or by a factor 1.01 fails; --window 0.05 snaps to
+        # 3/64 and stores 7 samples
+        out = str(tmp_path / "s.json")
+        assert cli.main(["build", "--window", window, "--out", out]) == cli.EXIT_OK
+        if window == "0.05":
+            with open(out) as fh:
+                assert json.load(fh)["psi_samples"]["grid"] == {
+                    "origin": -3 / 64, "spacing": 1 / 64, "count": 7}
+        assert cli.main(["verify", "--system", out]) == cli.EXIT_OK
+        tampered = _tampered(out, tmp_path, _nudge_psi_sample)
+        assert cli.main(["verify", "--system", tampered]) == cli.EXIT_CHECK_FAILURE
+        for tamper in (_raise_psi_samples, _scale_psi_samples):
+            tampered = _tampered(out, tmp_path, tamper)
+            code = cli.main(["verify", "--system", tampered, "--suite", "samples"])
+            assert code == cli.EXIT_CHECK_FAILURE
+        capsys.readouterr()
 
 
 class TestDecay:

@@ -906,7 +906,7 @@ class TestParseval:
     def test_self_pairing_of_wavelet(self, ws, expansion_grid):
         # f = g = the mother wavelet: the pairing is ||psi||^2 = 1 and the
         # window (2, 4) already contains all significant coefficients
-        f = sw.synthesize(ws.psi_hat, expansion_grid)
+        f = sw.SampledFunction(expansion_grid, ws.evaluate_psi(expansion_grid.points()))
         chk = sw.parseval_check(ws, f, f, sw.IndexWindow(2, 4))
         assert abs(chk["lhs"] - 1.0) < 1e-10
         assert chk["gap"] < 1e-10

@@ -199,9 +199,9 @@ class TestSpectrumOnBand:
         ids=["default-blocks", "small-blocks"])
     def test_direct_sum_memory_is_bounded(self, ws, monkeypatch, block_entries,
                                           bound_mb):
-        # 2,000 points against psi_hat's 7,280 hull nodes, A + B = 171 table
-        # entries a row: measured peaks 6.6 MB at the default block size (one
-        # block of all rows) and 0.43 MB at 2^12 entries (23 rows a block)
+        # 2,000 points against the 4,096 nodes of psi's band, A + B = 128
+        # table entries a row: measured peaks 4.8 MB at the default block size
+        # (one block of all rows) and 0.34 MB at 2^12 entries (32 rows a block)
         monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", block_entries)
         x = np.linspace(-40.0, 40.0, 2000)
         tracemalloc.start()
@@ -276,7 +276,7 @@ class TestDirectSum:
                         reason="long double has float64's precision here")
     @pytest.mark.parametrize("which", ["psi", "phi"])
     def test_wavelet_sums_match_a_long_double_sum(self, ws, which):
-        # every term of the hull quadrature summed in long double, at 2,000
+        # every term of the band's quadrature summed in long double, at 2,000
         # uniform points on [-40, 40] (as the benchmark's scattered points)
         # and three far ones.  Each term's exponential is the product of a
         # long-double exponential of x (xi0 + a B h) and one of x b h, so the
@@ -303,32 +303,6 @@ class TestDirectSum:
             got = sw.synthesize_values(spec, x, order=order)
             err = np.max(np.abs(got - sums[:, order, 0].astype(complex)))
             assert err <= 5e-15 * float(np.sum(np.abs(a))), (order, err)
-
-    @pytest.mark.parametrize("count", [8192, 8191, 65])
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_real_values_pair_the_mirrored_nodes(self, count, order):
-        # a Hermitian spectrum (the transform of a real function) on a
-        # symmetric grid: 2 Re of the half band against the plain sum over
-        # every node.  An odd count puts a node at 0, inside the support,
-        # which counts half; the weights of the grid's end nodes are halved
-        # as the full sum halves them
-        grid = sw.Grid1D.from_interval(-3.0, 3.0, count)
-        xi = grid.points()
-        band = (-3.0, 3.0)
-        spec = sw.SpectrumOnBand(band=band, grid=grid, declared_support=(band,),
-                                 values=np.exp(0.7j * xi) * (1.0 + np.cos(xi)))
-        amp = spec.values * grid.trapezoid_weights() * (1j * xi) ** order / (2 * np.pi)
-        x = np.array([-41.3, 0.0, 2.5, 1e3])
-        got = numerics.synthesize_real_values(spec, x, order=order)
-        assert got.dtype == np.float64
-        self._close(got, (np.exp(1j * np.outer(x, xi)) @ amp).real, amp)
-
-    def test_real_values_refuse_an_asymmetric_grid(self):
-        # [-2.99, 3.0]: node j has no mirror to pair with
-        spec = sw.SpectrumOnBand(band=(-3.0, 3.0), grid=sw.Grid1D(-2.99, 0.01, 600),
-                                 values=np.ones(600), declared_support=((-3.0, 3.0),))
-        with pytest.raises(NumericsError, match="symmetric"):
-            numerics.synthesize_real_values(spec, [0.0])
 
     def test_forward_transform_matches_plain_sum(self):
         g, f = _gaussian_samples(n=101)
